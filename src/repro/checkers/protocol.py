@@ -1,19 +1,23 @@
 """Protocol exhaustiveness pass: messages, dispatch arms and send sites.
 
 The runtime's wire protocol is the set of public dataclasses in
-``repro/core/messages.py``; dispatch is isinstance-chain based (and, in
-future code, possibly ``match``/``case``).  Three rules keep the two
-sides from drifting:
+``repro/core/messages.py``.  The scheduler and the join process dispatch
+through a per-instance handler table (``self._handlers = {Cls: handler}``,
+which subclasses extend with ``self._handlers.update({...})``); the other
+actors and the protocol waits use ``isinstance`` arms (and, in future code,
+possibly ``match``/``case``).  Three rules keep the two sides from
+drifting:
 
 * ``proto-unhandled`` — every concrete public message dataclass must be
-  referenced in at least one dispatch arm (``isinstance(msg, Cls)`` or a
-  ``case Cls(...)`` pattern) somewhere in ``repro/core`` outside
-  ``messages.py``.  A message nobody can receive is dead protocol — or,
-  worse, a deadlock waiting for the sender's timeout.
+  referenced in at least one dispatch arm (a handler-table row,
+  ``isinstance(msg, Cls)`` or a ``case Cls(...)`` pattern) somewhere in
+  ``repro/core`` outside ``messages.py``.  A message nobody can receive is
+  dead protocol — or, worse, a deadlock waiting for the sender's timeout.
 * ``proto-unregistered-send`` — every payload handed to a transport send
-  (``ctx.send``/``Network.send``/``Scheduler.send_to_join``) must be a
-  registered message class.  Ad-hoc payloads bypass ``nbytes``/``kind``
-  accounting and break the byte-conservation checks.
+  (``ctx.send``/``Network.send``/``Scheduler.send_to_join``/
+  ``JoinProcess._reply``) must be a registered message class.  Ad-hoc
+  payloads bypass ``nbytes``/``kind`` accounting and break the
+  byte-conservation checks.
 * ``proto-missing-export`` — every public message dataclass must appear
   in the module's ``__all__`` so star-importing strategy code sees the
   full protocol.
@@ -37,7 +41,10 @@ __all__ = ["ProtocolChecker"]
 _MESSAGES_REL = "src/repro/core/messages.py"
 
 #: transport entry points whose final positional argument is the payload
-_SEND_ATTRS = frozenset({"send", "send_to_join"})
+_SEND_ATTRS = frozenset({"send", "send_to_join", "_reply"})
+
+#: attribute holding an actor's ``{message class: handler}`` dispatch table
+_HANDLER_TABLE = "_handlers"
 
 
 def _message_classes(source: SourceFile) -> tuple[list[ast.ClassDef], set[str]]:
@@ -65,9 +72,36 @@ def _message_classes(source: SourceFile) -> tuple[list[ast.ClassDef], set[str]]:
     return classes, exported
 
 
+def handler_table_keys(tree: ast.AST) -> set[str]:
+    """Class names registered in a handler table under ``tree``: the keys
+    of a dict literal assigned to ``<obj>._handlers`` or merged into it
+    with ``<obj>._handlers.update({...})``."""
+    def is_table(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == _HANDLER_TABLE
+
+    keys: set[str] = set()
+    for node in ast.walk(tree):
+        table: ast.AST | None = None
+        if isinstance(node, ast.Assign) and any(map(is_table, node.targets)):
+            table = node.value
+        elif isinstance(node, ast.AnnAssign) and is_table(node.target):
+            table = node.value
+        elif isinstance(node, ast.Call) and node.args \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "update" and is_table(node.func.value):
+            table = node.args[0]
+        if isinstance(table, ast.Dict):
+            for k in table.keys:
+                if isinstance(k, ast.Name):
+                    keys.add(k.id)
+                elif isinstance(k, ast.Attribute):
+                    keys.add(k.attr)
+    return keys
+
+
 def _dispatch_refs(source: SourceFile) -> set[str]:
     """Class names referenced in dispatch position in one file."""
-    refs: set[str] = set()
+    refs = handler_table_keys(source.tree)
     for node in ast.walk(source.tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and node.func.id == "isinstance" and len(node.args) == 2:

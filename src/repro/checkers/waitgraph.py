@@ -13,7 +13,9 @@ specific message type arrives (an ``isinstance`` exit condition around a
   - a wait-state that routes unmatched traffic through a general
     dispatcher (any ``self._dispatch*`` call) is *non-exclusive*: it
     services the rest of the protocol while parked, so it contributes no
-    blocking edge (the scheduler's recruit/ack waits are this shape);
+    blocking edge (the scheduler's recruit/ack waits are this shape) —
+    but it also waits, in passing, for every row of the class's handler
+    table (``self._handlers``), so those rows need a sender too;
   - an edge ``A --m--> B`` is discharged when B's own wait-state in the
     cycle can still *send* m from inside its wait loop (directly or via
     methods it calls) — e.g. a source parked on StartProbe still
@@ -38,7 +40,12 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .base import Checker, Project, SourceFile, Violation, register
-from .protocol import _MESSAGES_REL, _SEND_ATTRS, _message_classes
+from .protocol import (
+    _MESSAGES_REL,
+    _SEND_ATTRS,
+    _message_classes,
+    handler_table_keys,
+)
 from ._astutil import dotted_name
 
 __all__ = ["WaitGraphChecker"]
@@ -195,7 +202,10 @@ def _analyze_class(
         awaited = _isinstance_refs(fn) & messages
         if not awaited:
             continue
-        exclusive = not any(c.startswith("_dispatch") for c in calls[name])
+        # (the dispatcher may be inherited, so look at every self-call)
+        exclusive = not any(c.startswith("_dispatch") for c in _self_calls(fn))
+        if not exclusive:
+            awaited |= handler_table_keys(node) & messages
         pc.waits.append(_WaitState(
             cls=node.name, method=name, source=source, lineno=fn.lineno,
             awaited=awaited, exclusive=exclusive,

@@ -51,7 +51,8 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING, Any
 
 from .analysis import format_table
 from .config import (
@@ -71,6 +72,9 @@ from .config import (
 )
 from .core import run_join
 from .faults import FaultPlan, FaultPlanError, crash_specs_from_cli
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from .obs import Snapshot
 
 __all__ = ["main", "build_parser"]
 
@@ -531,28 +535,23 @@ def _check_membership(plan: FaultPlan | None, command: str) -> bool:
     return False
 
 
-def cmd_workload(args: argparse.Namespace) -> int:
-    from .obs import Snapshot
-    from .workload import run_workload
+def _run_streaming(
+    args: argparse.Namespace, command: str, stream_label: str,
+    run: Callable[[Callable[[Snapshot], None]], Any],
+) -> Any:
+    """``run(on_snapshot)`` with the output guards and live telemetry of
+    the multi-query commands; ``None`` when an output would be overwritten.
 
-    plan = _faults(args)
-    if _check_membership(plan, "workload"):
-        return 2
-    live = args.live or args.live_interval is not None
-    try:
-        cfg = _workload_config(args, plan)
-    except ValueError as exc:
-        print(f"workload: {exc}", file=sys.stderr)
-        return 2
+    One progress line per periodic snapshot (``--live``), optionally
+    streamed to JSONL (``--snapshot-out``; `repro tail` renders it).  The
+    final snapshot — a fleet's is *merged*: latest per cohort, folded with
+    the snapshot merge laws — is always appended last, so the file's last
+    line is the end state bench-diff compares."""
     for path in (args.out, args.metrics_out, args.baseline,
                  args.snapshot_out):
-        if _refuse_overwrite(path, args.force, "workload"):
-            return 2
-
-    # Live telemetry: one progress line per periodic snapshot, optionally
-    # streamed to a JSONL file (`repro tail` renders it; the final
-    # snapshot is always appended last, so the file's last line is the
-    # run's end state — what bench-diff compares).
+        if _refuse_overwrite(path, args.force, command):
+            return None
+    live = args.live or args.live_interval is not None
     snap_fh = None
     if args.snapshot_out:
         snap_fh = open(args.snapshot_out, "w", encoding="utf-8")
@@ -565,15 +564,24 @@ def cmd_workload(args: argparse.Namespace) -> int:
             snap_fh.flush()
 
     try:
-        res = run_workload(cfg, validate=not args.no_validate,
-                           on_snapshot=on_snapshot)
+        res = run(on_snapshot)
         if res.snapshot is not None:
             on_snapshot(res.snapshot)
     finally:
         if snap_fh is not None:
             snap_fh.close()
     if args.snapshot_out:
-        print(f"wrote {args.snapshot_out} (snapshot stream)")
+        print(f"wrote {args.snapshot_out} ({stream_label})")
+    return res
+
+
+def _emit_run(
+    args: argparse.Namespace, res: Any, wl: WorkloadConfig,
+    series: str, benchmark: str,
+) -> None:
+    """Report, ``--metrics-out`` and ``--baseline`` of a workload/fleet."""
+    from .obs import metrics_to_jsonl
+
     if args.format == "json":
         payload = json.dumps(res.to_dict(), indent=1) + "\n"
     else:
@@ -585,23 +593,21 @@ def cmd_workload(args: argparse.Namespace) -> int:
     else:
         print(payload, end="")
     if args.metrics_out:
-        from .obs import metrics_to_jsonl
-
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             for line in metrics_to_jsonl(res.metrics):
                 fh.write(line + "\n")
         print(f"wrote {args.metrics_out} ({len(res.metrics)} instruments)")
     if args.baseline:
-        # bench-diff's schema keys are fixed (total_s / build_s); for a
-        # workload they carry makespan and p99 latency respectively.
+        # bench-diff's schema keys are fixed (total_s / build_s); here they
+        # carry makespan and p99 latency respectively.
         base = {
-            "benchmark": "workload",
-            "scale": cfg.scale,
+            "benchmark": benchmark,
+            "scale": wl.scale,
             "series": {
-                cfg.policy.value: {
-                    str(cfg.n_queries): {
+                series: {
+                    str(wl.n_queries): {
                         "total_s": res.makespan_s,
-                        "build_s": res.latency_percentiles()["p99"],
+                        "build_s": res.latency_percentiles().get("p99", 0.0),
                     }
                 }
             },
@@ -609,7 +615,28 @@ def cmd_workload(args: argparse.Namespace) -> int:
         with open(args.baseline, "w", encoding="utf-8") as fh:
             json.dump(base, fh, indent=2)
             fh.write("\n")
-        print(f"wrote {args.baseline} (workload baseline)")
+        print(f"wrote {args.baseline} ({benchmark} baseline)")
+
+
+def cmd_workload(args: argparse.Namespace) -> int:
+    from .workload import run_workload
+
+    plan = _faults(args)
+    if _check_membership(plan, "workload"):
+        return 2
+    try:
+        cfg = _workload_config(args, plan)
+    except ValueError as exc:
+        print(f"workload: {exc}", file=sys.stderr)
+        return 2
+    res = _run_streaming(
+        args, "workload", "snapshot stream",
+        lambda sink: run_workload(cfg, validate=not args.no_validate,
+                                  on_snapshot=sink),
+    )
+    if res is None:
+        return 2
+    _emit_run(args, res, cfg, cfg.policy.value, "workload")
     if args.trace:
         print("\ntrace:")
         print(res.tracer.format())
@@ -617,13 +644,11 @@ def cmd_workload(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    from .obs import Snapshot, metrics_to_jsonl
     from .workload import profile_arrivals, run_fleet
 
     plan = _faults(args)
     if _check_membership(plan, "fleet"):
         return 2
-    live = args.live or args.live_interval is not None
     try:
         wl = _workload_config(args, plan)
         if args.arrival_profile != "poisson":
@@ -639,76 +664,21 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"fleet: {exc}", file=sys.stderr)
         return 2
-    for path in (args.out, args.metrics_out, args.baseline,
-                 args.snapshot_out):
-        if _refuse_overwrite(path, args.force, "fleet"):
-            return 2
-
-    # Live telemetry mirrors `repro workload`, except each line carries the
-    # *merged* fleet-wide snapshot (latest per cohort, folded with the
-    # snapshot merge laws) — tailing the JSONL mid-run shows global
-    # progress across all worker processes; the final merged snapshot is
-    # always appended last.
-    snap_fh = None
-    if args.snapshot_out:
-        snap_fh = open(args.snapshot_out, "w", encoding="utf-8")
-
-    def on_snapshot(snap: Snapshot) -> None:
-        if live:
-            print(f"live: {snap.describe()}")
-        if snap_fh is not None:
-            snap_fh.write(snap.to_json() + "\n")
-            snap_fh.flush()
-
-    try:
-        res = run_fleet(cfg, validate=not args.no_validate,
-                        on_snapshot=on_snapshot)
-        if res.snapshot is not None:
-            on_snapshot(res.snapshot)
-    finally:
-        if snap_fh is not None:
-            snap_fh.close()
-    if args.snapshot_out:
-        print(f"wrote {args.snapshot_out} (merged snapshot stream)")
+    res = _run_streaming(
+        args, "fleet", "merged snapshot stream",
+        lambda sink: run_fleet(cfg, validate=not args.no_validate,
+                               on_snapshot=sink),
+    )
+    if res is None:
+        return 2
     for failure in res.failures:
         print(f"fleet: shard {failure.shard} failed ({failure.kind}, "
               f"cohorts {list(failure.cohorts)}): {failure.detail}",
               file=sys.stderr)
-    if args.format == "json":
-        payload = json.dumps(res.to_dict(), indent=1) + "\n"
-    else:
-        payload = res.summary() + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        print(f"wrote {args.out} ({args.format})")
-    else:
-        print(payload, end="")
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            for line in metrics_to_jsonl(res.metrics):
-                fh.write(line + "\n")
-        print(f"wrote {args.metrics_out} ({len(res.metrics)} instruments)")
-    if args.baseline:
-        # Same fixed bench-diff keys as the workload baseline; the series
-        # name carries the arrival profile so one file can hold curves for
-        # several profiles side by side.
-        base = {
-            "benchmark": "fleet",
-            "scale": wl.scale,
-            "series": {
-                f"{args.arrival_profile}-{wl.policy.value}": {
-                    str(wl.n_queries): {
-                        "total_s": res.makespan_s,
-                        "build_s": res.latency_percentiles().get("p99", 0.0),
-                    }
-                }
-            },
-        }
-        with open(args.baseline, "w", encoding="utf-8") as fh:
-            json.dump(base, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.baseline} (fleet baseline)")
+    # The series name carries the arrival profile so one baseline file can
+    # hold curves for several profiles side by side.
+    _emit_run(args, res, wl, f"{args.arrival_profile}-{wl.policy.value}",
+              "fleet")
     return res.exit_code
 
 

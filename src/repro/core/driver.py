@@ -19,7 +19,7 @@ per-query :class:`JoinRunResult` with the same code path.
 
 from __future__ import annotations
 
-from ..config import Algorithm, RunConfig
+from ..config import RunConfig
 from ..data import materialize_relation
 from ..obs import (
     PHASE_NAMES,
@@ -52,37 +52,29 @@ def spawn_query_pipeline(
     front.  Workload mode passes ``spawn_joins=False``: join processes are
     created lazily, one per pool *grant*, by the workload driver's adopt
     callback — a dormant shared node must not be bound to any one query.
-    Returns the scheduler process object; its spawned simulation process is
-    available as ``ctx.sim`` process return value via the caller's spawn.
+    Returns the scheduler: its simulation process is ``scheduler.proc``, the
+    finished query's outcome ``scheduler.result()``.
     """
-    scheduler = SchedulerProcess(ctx)
-    scheduler.proc = ctx.sim.spawn(
-        scheduler.run(), name=f"scheduler-q{ctx.query}"
-    )
-
-    # Control-plane fault tolerance (single-query mode only): a standby
-    # scheduler that passively replicates state and takes over on primary
-    # silence.  The driver reads the query outcome from whichever of the
-    # two actually finished it.
-    scheduler.backup = None
+    scheduler: SchedulerProcess
     if (
         spawn_joins
         and ctx.faults is not None
         and ctx.faults.plan.membership_active
         and ctx.backup_node is not None
     ):
-        from .membership import BackupSchedulerProcess
+        # Control-plane fault tolerance (single-query mode only): the same
+        # scheduler wrapped in WAL replication, node recovery and a standby
+        # that takes over on primary silence.  Imported on demand — the
+        # fault-free path runs with the layer absent.
+        from .recovery import FaultTolerantScheduler
 
-        backup = BackupSchedulerProcess(ctx)
-        backup.proc = ctx.sim.spawn(backup.run(), name="sched-backup")
-        scheduler.backup = backup
+        scheduler = FaultTolerantScheduler(ctx)
+    else:
+        scheduler = SchedulerProcess(ctx)
+    scheduler.spawn(f"scheduler-q{ctx.query}")
 
     if spawn_joins:
-        auto_spill = ctx.cfg.algorithm is Algorithm.OUT_OF_CORE
-        joins = [
-            JoinProcess(ctx, j, auto_spill=auto_spill)
-            for j in range(ctx.n_potential)
-        ]
+        joins = [JoinProcess(ctx, j) for j in range(ctx.n_potential)]
         join_procs = {}
         for jp in joins:
             join_procs[jp.index] = ctx.sim.spawn(jp.run(), name=f"join{jp.index}")
@@ -219,10 +211,7 @@ def run_join(cfg: RunConfig, validate: bool = True) -> JoinRunResult:
 
     sim.run()
 
-    outcome = scheduler.proc.value
-    if outcome is None and scheduler.backup is not None:
-        # The primary was killed (or deposed): the standby owns the result.
-        outcome = scheduler.backup.outcome
+    outcome = scheduler.result()
     if outcome is None:
         raise RuntimeError(
             "query did not complete: scheduler produced no outcome "

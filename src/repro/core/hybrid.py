@@ -1,20 +1,33 @@
 """Hybrid expansion (paper §4.2.3).
 
 Build phase: identical to the replication-based algorithm (no stored tuple
-moves while R streams in).  Between build and probe the scheduler runs the
-**reshuffling** step: nodes sharing a replicated range exchange per-position
-tuple counts, the range is cut into contiguous equal-weight sub-ranges by
-the greedy heuristic, and tuples are redistributed so that every node ends
-up with a disjoint sub-range.  The probe phase is then single-destination
-again, like the split-based algorithm.
+moves while R streams in).  Between build and probe the strategy runs the
+**reshuffling** step, a four-step protocol driven from the scheduler
+process:
 
-The reshuffle protocol itself lives in
-:meth:`repro.core.scheduler.SchedulerProcess._reshuffle_phase`; this class
-just flips the flag and supplies the replication build behaviour.
+1. every member of a replicated range reports its per-position tuple
+   counts (``CountRequest`` -> ``CountVector``);
+2. each range is cut into contiguous equal-weight sub-ranges, one per
+   chain member, by the greedy heuristic, and every member gets the
+   group's ``ReshuffleOrder``;
+3. members redistribute their tuples and acknowledge (``ReshuffleDone``);
+4. the redistribution traffic is drained with the scheduler's ordinary
+   counting drain, and only then is the new single-owner table installed.
+
+The probe phase is then single-destination again, like the split-based
+algorithm.  A group whose active replica spilled to disk is left
+replicated: disk-resident tuples cannot move.
 """
 
 from __future__ import annotations
 
+from collections.abc import Generator
+from typing import Any
+
+import numpy as np
+
+from ..hashing import RangeRouter, partition_range_by_counts
+from .messages import CountRequest, CountVector, ReshuffleDone, ReshuffleOrder
 from .replicate import ReplicationStrategy
 
 __all__ = ["HybridStrategy"]
@@ -24,3 +37,62 @@ class HybridStrategy(ReplicationStrategy):
     """Replication during build + reshuffling before probe."""
 
     needs_reshuffle = True
+
+    def reshuffle(self) -> Generator[Any, Any, None]:
+        sched = self.sched
+        router = sched.router
+        assert isinstance(router, RangeRouter)
+        groups = router.replicated_groups()
+        # A group whose active replica spilled to disk cannot be reshuffled:
+        # the disk-resident tuples cannot move, so the range must stay
+        # replicated (probe broadcast reaches memory parts and the spill).
+        members = [g for g in groups if not (set(g[1]) & sched.spilled_nodes)]
+        if not members:
+            return
+
+        # 1. Gather per-position counts from every replica-chain member.
+        for rng, chain in members:
+            for j in chain:
+                yield from sched.send_to_join(j, CountRequest(rng.lo, rng.hi))
+        expected = sum(len(chain) for _, chain in members)
+        vectors: dict[int, np.ndarray] = {}
+        while len(vectors) < expected:
+            msg = yield from sched.await_message(
+                lambda m: isinstance(m, CountVector)
+            )
+            vectors[msg.node] = msg.counts
+
+        # 2. Greedy contiguous cut per group; dispatch redistribution orders.
+        new_entries = [e for e in router.entries if e not in members]
+        n_orders = 0
+        for rng, chain in members:
+            total = np.zeros(rng.width, dtype=np.int64)
+            for j in chain:
+                total += vectors[j]
+            cuts = partition_range_by_counts(rng, total, len(chain))
+            assignments = tuple(zip(chain, cuts))
+            order = ReshuffleOrder(assignments=assignments)
+            for j in chain:
+                yield from sched.send_to_join(j, order)
+                n_orders += 1
+            new_entries.extend(
+                (cut, (j,)) for j, cut in assignments if cut is not None
+            )
+            sched.ctx.trace("reshuffle_cut", "scheduler", range=str(rng),
+                            parts=[str(c) for c in cuts])
+
+        # 3. Await completion acknowledgements.
+        for _ in range(n_orders):
+            msg = yield from sched.await_message(
+                lambda m: isinstance(m, ReshuffleDone)
+            )
+            sched.outcome.reshuffle_moved_tuples += msg.moved_tuples
+
+        # 4. Drain the redistribution traffic, then install the new table.
+        yield from sched.drain("build")
+        new_entries.sort(key=lambda e: e[0].lo)
+        sched.router = RangeRouter(
+            positions=router.positions,
+            entries=tuple(new_entries),
+            version=sched.next_version(),
+        )

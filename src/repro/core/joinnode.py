@@ -17,12 +17,13 @@ node's split history and is therefore exact.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Callable, Generator
 from typing import Any
 
 import numpy as np
 
+from ..config import Algorithm
 from ..data import chunk_slices
 from ..hashing import HashRange, NodeHashStore
 from ..seqjoin import match_count
@@ -190,11 +191,12 @@ class JoinProcess:
     DONE = "done"
     CRASHED = "crashed"    # fail-stop fault injected while dormant
 
-    def __init__(self, ctx: RunContext, join_index: int, auto_spill: bool = False) -> None:
+    def __init__(self, ctx: RunContext, join_index: int) -> None:
         self.ctx = ctx
         self.index = join_index
         self.node = ctx.join_node(join_index)
-        self.auto_spill = auto_spill  # OOC baseline behaviour
+        #: OOC baseline: spill to local disk instead of reporting memory-full
+        self.auto_spill = ctx.cfg.algorithm is Algorithm.OUT_OF_CORE
         self.state = self.DORMANT
         self.store = NodeHashStore(ctx.posmap)
         self.store.inserted_counter = ctx.metrics.counter(
@@ -256,14 +258,40 @@ class JoinProcess:
         # Per-peer drain-counter components, so a dead peer's contribution
         # can be subtracted from the totals reported to the drain protocol
         # (its own counters died with it, and the books must still balance).
-        self._recv_build_by_origin: dict[int, int] = {}
-        self._proc_build_by_origin: dict[int, int] = {}
-        self._emitted_build_by_dest: dict[int, int] = {}
+        self._recv_build_by_origin: defaultdict[int, int] = defaultdict(int)
+        self._proc_build_by_origin: defaultdict[int, int] = defaultdict(int)
+        self._emitted_build_by_dest: defaultdict[int, int] = defaultdict(int)
         #: linear splits already executed (idempotent re-drive after failover)
         self._applied_splits: set[tuple[int, int]] = set()
         self._finalized_pass = False
         #: the data chunk being dispatched still holds its receive credit
         self._msg_credit = False
+        #: message type -> handler: the whole dispatch (and the inventory
+        #: the protocol lint and its runtime mirror read).  Adding a
+        #: message is one row here.  The rows are plain functions, called
+        #: as ``handler(self, msg)``: bound methods would tie every join
+        #: process into a reference cycle, and its hash table would then
+        #: outlive the run until the cycle collector got to it.
+        cls = type(self)
+        self._handlers: dict[type, Callable[[Any, Any], Generator[Any, Any, None]]] = {
+            DataChunk: cls._on_data_chunk,
+            ActivateJoin: cls._on_activate,
+            ReplicateOrder: cls._on_replicate_order,
+            BisectOrder: cls._on_bisect_order,
+            LinearSplitOrder: cls._on_linear_split_order,
+            ReliefPing: cls._on_relief_ping,
+            OutputRedirect: cls._on_output_redirect,
+            SpillOrder: cls._on_spill_order,
+            StatusRequest: cls._on_status_request,
+            StartProbe: cls._on_start_probe,
+            CountRequest: cls._on_count_request,
+            ReshuffleOrder: cls._on_reshuffle_order,
+            FinalizePass: cls._on_finalize_pass,
+            HeartbeatPing: cls._on_heartbeat_ping,
+            NodeLost: cls._on_node_lost,
+            SchedulerFailover: cls._on_scheduler_failover,
+            Shutdown: cls._on_shutdown,
+        }
 
     # ------------------------------------------------------------------
     # main loop
@@ -274,7 +302,7 @@ class JoinProcess:
                 # recv() withdraws the pending getter on Interrupt, so
                 # later deliveries are not consumed by a dead waiter.
                 msg = yield from self.node.mailbox.recv()
-                self._msg_credit = isinstance(msg, DataChunk)
+                self._msg_credit = type(msg) is DataChunk
                 yield from self._dispatch(msg)
                 self._msg_credit = False
         except Interrupt as itr:
@@ -302,12 +330,10 @@ class JoinProcess:
         if self._msg_credit:
             self.node.recv_credits.release()
             self._msg_credit = False
-        while self.parked:
-            self.parked.popleft()
-            self.node.recv_credits.release()
-        while self.pre_activation:
-            self.pre_activation.popleft()
-            self.node.recv_credits.release()
+        for backlog in (self.parked, self.pre_activation):
+            while backlog:
+                backlog.popleft()
+                self.node.recv_credits.release()
         while True:
             msg = yield from self.node.mailbox.recv()
             if isinstance(msg, DataChunk):
@@ -316,49 +342,25 @@ class JoinProcess:
                 return
 
     def _dispatch(self, msg: Any) -> Generator[Any, Any, None]:
-        if isinstance(msg, DataChunk):
-            if self._suppress_duplicate(msg):
-                return
-            if msg.relation == "R":
-                yield from self._on_build_chunk(msg)
-            elif msg.relation == "O":
-                yield from self._on_output_chunk(msg)
-            else:
-                yield from self._on_probe_chunk(msg)
-        elif isinstance(msg, ActivateJoin):
-            yield from self._on_activate(msg)
-        elif isinstance(msg, ReplicateOrder):
-            yield from self._on_replicate_order(msg)
-        elif isinstance(msg, BisectOrder):
-            yield from self._on_bisect_order(msg)
-        elif isinstance(msg, LinearSplitOrder):
-            yield from self._on_linear_split_order(msg)
-        elif isinstance(msg, ReliefPing):
-            yield from self._on_relief_ping(msg)
-        elif isinstance(msg, OutputRedirect):
-            yield from self._on_output_redirect(msg)
-        elif isinstance(msg, SpillOrder):
-            yield from self._on_spill_order(msg)
-        elif isinstance(msg, StatusRequest):
-            yield from self._on_status_request(msg)
-        elif isinstance(msg, StartProbe):
-            yield from self._on_start_probe(msg)
-        elif isinstance(msg, CountRequest):
-            yield from self._on_count_request(msg)
-        elif isinstance(msg, ReshuffleOrder):
-            yield from self._on_reshuffle_order(msg)
-        elif isinstance(msg, FinalizePass):
-            yield from self._on_finalize_pass(msg)
-        elif isinstance(msg, HeartbeatPing):
-            yield from self._on_heartbeat_ping(msg)
-        elif isinstance(msg, NodeLost):
-            yield from self._on_node_lost(msg)
-        elif isinstance(msg, SchedulerFailover):
-            yield from self._on_scheduler_failover(msg)
-        elif isinstance(msg, Shutdown):
-            yield from self._on_shutdown(msg)
-        else:
+        handler = self._handlers.get(type(msg))
+        if handler is None:
             raise RuntimeError(f"join{self.index}: unexpected message {msg!r}")
+        return handler(self, msg)
+
+    def _reply(self, msg: Any, best_effort: bool = False) -> Generator[Any, Any, None]:
+        """Send ``msg`` to whoever is the scheduler right now."""
+        return self.ctx.send(self.node, self.ctx.scheduler_node, msg,
+                             best_effort=best_effort)
+
+    def _on_data_chunk(self, msg: DataChunk) -> Generator[Any, Any, None]:
+        if self._suppress_duplicate(msg):
+            return
+        if msg.relation == "R":
+            yield from self._on_build_chunk(msg)
+        elif msg.relation == "O":
+            yield from self._on_output_chunk(msg)
+        else:
+            yield from self._on_probe_chunk(msg)
 
     def _suppress_duplicate(self, chunk: DataChunk) -> bool:
         """Idempotent receipt: drop a re-delivered data chunk.
@@ -378,20 +380,11 @@ class JoinProcess:
             self._seen_seqs.add(key)
             return False
         if chunk.relation == "R":
-            self.received_build += 1
-            self.processed_build += 1
-            if chunk.origin >= 0:
-                self._recv_build_by_origin[chunk.origin] = (
-                    self._recv_build_by_origin.get(chunk.origin, 0) + 1
-                )
-                self._proc_build_by_origin[chunk.origin] = (
-                    self._proc_build_by_origin.get(chunk.origin, 0) + 1
-                )
+            self._count_build_arrival(chunk.origin)
+            self._retire_build_chunk(chunk.origin)
         else:
             self.received_probe += 1
-            self.processed_probe += 1
-        self.node.recv_credits.release()
-        self._msg_credit = False
+            self._retire_probe_chunk()
         self.ctx.metrics.inc("faults_duplicates_suppressed", 1,
                              node=self.node.name)
         self.ctx.trace("duplicate_suppressed", f"join{self.index}",
@@ -406,9 +399,7 @@ class JoinProcess:
             # Idempotent re-activation: a scheduler failover re-drives its
             # pending decision, and the recruit may have acked the dead
             # primary.  Re-confirm to the current scheduler and keep state.
-            yield from self.ctx.send(
-                self.node, self.ctx.scheduler_node, ActivateAck(self.index)
-            )
+            yield from self._reply(ActivateAck(self.index))
             return
         self.my_range = msg.hash_range
         self.bucket = msg.bucket
@@ -421,33 +412,36 @@ class JoinProcess:
                        range=str(msg.hash_range), bucket=msg.bucket)
         # Confirm recruitment before replaying raced-ahead chunks: the
         # scheduler's recruit timeout must measure liveness, not workload.
-        yield from self.ctx.send(
-            self.node, self.ctx.scheduler_node, ActivateAck(self.index)
-        )
-        if self.auto_spill is False and self.ctx.cfg.algorithm.value == "ooc":
-            # Defensive: the driver wires auto_spill for OOC runs.
-            self.auto_spill = True
+        yield from self._reply(ActivateAck(self.index))
         # Chunks that raced ahead of the activation message.
         while self.pre_activation:
             chunk = self.pre_activation.popleft()
             if chunk.relation == "O":
                 yield from self._materialize_output(chunk.tuples)
-                self.processed_probe += 1
-                self.node.recv_credits.release()
+                self._retire_probe_chunk()
             else:
                 yield from self._on_build_chunk(chunk, already_counted=True)
 
     # ------------------------------------------------------------------
     # build path
     # ------------------------------------------------------------------
+    def _count_build_arrival(self, origin: int) -> None:
+        self.received_build += 1
+        if origin >= 0:
+            self._recv_build_by_origin[origin] += 1
+
     def _retire_build_chunk(self, origin: int = -1) -> None:
         """Mark one delivered build chunk fully consumed: count it and
         return its receive-window credit to the senders."""
         self.processed_build += 1
         if origin >= 0:
-            self._proc_build_by_origin[origin] = (
-                self._proc_build_by_origin.get(origin, 0) + 1
-            )
+            self._proc_build_by_origin[origin] += 1
+        self.node.recv_credits.release()
+        self._msg_credit = False
+
+    def _retire_probe_chunk(self) -> None:
+        """Same for a probe (or materialized-output) chunk."""
+        self.processed_probe += 1
         self.node.recv_credits.release()
         self._msg_credit = False
 
@@ -455,11 +449,7 @@ class JoinProcess:
         self, chunk: DataChunk, already_counted: bool = False
     ) -> Generator[Any, Any, None]:
         if not already_counted:
-            self.received_build += 1
-            if chunk.origin >= 0:
-                self._recv_build_by_origin[chunk.origin] = (
-                    self._recv_build_by_origin.get(chunk.origin, 0) + 1
-                )
+            self._count_build_arrival(chunk.origin)
         if self.state == self.DORMANT:
             self.pre_activation.append(chunk)
             self._msg_credit = False
@@ -503,34 +493,46 @@ class JoinProcess:
                     # re-streamed from the sources, so forwarding would
                     # double-deliver.  Drop.
                     continue
-                yield from self.node.compute_per_tuple(
-                    self.ctx.cost.cpu_repack_tuple, out.size
-                )
+                yield from self._repack(out.size)
                 self._spawn_transfer(out, succ, Hop.FORWARD)
         return values
 
+    def _repack(self, n: int) -> Generator[Any, Any, None]:
+        """CPU charge for packing ``n`` stored tuples into wire buffers."""
+        return self.node.compute_per_tuple(self.ctx.cost.cpu_repack_tuple, n)
+
+    def _freed(self, moved: np.ndarray) -> np.ndarray:
+        """Return the memory of tuples just extracted from the table."""
+        if moved.size:
+            self.node.memory.free(int(moved.size) * self._tb)
+        return moved
+
     def _insert_or_park(
-        self, values: np.ndarray, force: bool = False, origin: int = -1
+        self, values: np.ndarray, force: bool = False, origin: int = -1,
+        retry: bool = False,
     ) -> Generator[Any, Any, bool]:
         """Insert into the table; park what does not fit.  Returns True when
-        everything was consumed (inserted or spilled)."""
+        everything was consumed (inserted or spilled).
+
+        ``retry`` marks a parked remainder being retried after a relief
+        action: what still does not fit goes back to the *front* of the
+        backlog, and the caller reports ``still_full`` through its
+        ReliefAck instead of a fresh MemoryFull."""
         cost = self.ctx.cost
         if self.spill is not None:
             # Overflow mode (OOC / fallback): straight to disk partitions.
             yield from self.spill.write_r(values)
             return True
         need = int(values.size) * self._tb
-        if self.node.memory.try_alloc(need):
-            self.store.insert(values)
-            yield from self.node.compute_per_tuple(cost.cpu_insert_tuple, values.size)
-            return True
-        if force:
+        fits = self.node.memory.try_alloc(need)
+        if force and not fits:
             # Reshuffle landing may slightly exceed the budget when a single
             # hot position outweighs the ideal cut; the paper's greedy
             # heuristic has the same property.  Record the overcommit.
             avail = self.node.memory.available
             self.node.memory.try_alloc(avail)
             self.overcommit_bytes += need - avail
+        if fits or force:
             self.store.insert(values)
             yield from self.node.compute_per_tuple(cost.cpu_insert_tuple, values.size)
             return True
@@ -548,15 +550,18 @@ class JoinProcess:
             self.spill = SpillStore(self.ctx, self.index, hash_range=self.my_range)
             self.ctx.trace("spill_start", f"join{self.index}",
                            dumped=self.store.stored_tuples)
-            dumped = self.store.extract_position_range(0, self.ctx.cfg.hash_positions)
+            dumped = self._freed(
+                self.store.extract_position_range(0, self.ctx.cfg.hash_positions)
+            )
             if dumped.size:
-                self.node.memory.free(int(dumped.size) * self._tb)
                 yield from self.spill.write_r(dumped)
             yield from self.spill.write_r(values)
             return True
-        self.parked.append(
-            DataChunk("R", values, self._tb, hop=Hop.FORWARD, origin=origin)
-        )
+        remainder = DataChunk("R", values, self._tb, hop=Hop.FORWARD, origin=origin)
+        if retry:
+            self.parked.appendleft(remainder)
+            return False
+        self.parked.append(remainder)
         # The parked entry now owns the receive credit.
         self._msg_credit = False
         if not self.full_pending:
@@ -564,10 +569,7 @@ class JoinProcess:
             self.ctx.trace("memory_full", f"join{self.index}",
                            stored=self.store.stored_tuples)
             deficit = sum(c.nbytes for c in self.parked)
-            yield from self.ctx.send(
-                self.node, self.ctx.scheduler_node,
-                MemoryFull(self.index, deficit_bytes=deficit),
-            )
+            yield from self._reply(MemoryFull(self.index, deficit_bytes=deficit))
         return False
 
     def _reprocess_parked(self) -> Generator[Any, Any, bool]:
@@ -582,40 +584,18 @@ class JoinProcess:
             if values.size == 0:
                 self._retire_build_chunk(chunk.origin)
                 continue
-            fully = yield from self._insert_or_park_retry(values, chunk.origin)
+            fully = yield from self._insert_or_park(
+                values, origin=chunk.origin, retry=True
+            )
             if fully:
                 self._retire_build_chunk(chunk.origin)
             else:
                 return True  # parked again; stop retrying
         return False
 
-    def _insert_or_park_retry(
-        self, values: np.ndarray, origin: int = -1
-    ) -> Generator[Any, Any, bool]:
-        """Like _insert_or_park but never re-sends MemoryFull (the caller
-        reports still_full through its ReliefAck instead)."""
-        cost = self.ctx.cost
-        if self.spill is not None:
-            yield from self.spill.write_r(values)
-            return True
-        need = int(values.size) * self._tb
-        if self.node.memory.try_alloc(need):
-            self.store.insert(values)
-            yield from self.node.compute_per_tuple(cost.cpu_insert_tuple, values.size)
-            return True
-        fit = self.node.memory.available // self._tb
-        if fit > 0:
-            self.node.memory.alloc(fit * self._tb)
-            self.store.insert(values[:fit])
-            yield from self.node.compute_per_tuple(cost.cpu_insert_tuple, fit)
-            values = values[fit:]
-        self.parked.appendleft(
-            DataChunk("R", values, self._tb, hop=Hop.FORWARD, origin=origin)
-        )
-        return False
-
     def _spawn_transfer(self, values: np.ndarray, dest: int | None, hop: str) -> None:
-        """Ship ``values`` to another join node asynchronously.
+        """Ship ``values`` to another join node asynchronously — build
+        tuples, or (``Hop.OUTPUT``) materialized pairs to an output sink.
 
         Transfers must not block the main message loop: a relief ack that
         waited for a jammed downstream node would deadlock the scheduler's
@@ -639,7 +619,8 @@ class JoinProcess:
         cause = self.ctx.causal.cause_of(f"join{self.index}")
         self.ctx.sim.spawn(
             self._run_transfer(values, dest, hop, cause),
-            name=f"xfer:join{self.index}->join{dest}",
+            name=f"{'out' if hop == Hop.OUTPUT else 'xfer'}"
+                 f":join{self.index}->join{dest}",
         )
 
     def _run_transfer(
@@ -647,6 +628,10 @@ class JoinProcess:
         cause: int | None = None,
     ) -> Generator[Any, Any, None]:
         t0 = self.ctx.sim.now
+        output = hop == Hop.OUTPUT
+        relation, tb = (
+            ("O", self.ctx.cfg.output_pair_bytes) if output else ("R", self._tb)
+        )
         serialized = hop == Hop.SPLIT
         if serialized:
             # Barrier split pointer: one split transfer on the wire at a
@@ -655,15 +640,16 @@ class JoinProcess:
         try:
             chunk_tuples = self.ctx.cfg.workload.real_chunk_tuples
             for lo, hi in chunk_slices(int(values.size), chunk_tuples):
-                part = values[lo:hi]
-                self.emitted_build += 1
-                self._emitted_build_by_dest[dest] = (
-                    self._emitted_build_by_dest.get(dest, 0) + 1
-                )
+                if output:
+                    self.emitted_probe += 1
+                else:
+                    self.emitted_build += 1
+                    self._emitted_build_by_dest[dest] += 1
                 yield from self.ctx.send(
                     self.node,
                     self.ctx.join_node(dest),
-                    DataChunk("R", part, self._tb, hop=hop, origin=self.node.node_id),
+                    DataChunk(relation, values[lo:hi], tb, hop=hop,
+                              origin=self.node.node_id),
                     parent=cause,
                 )
         finally:
@@ -684,76 +670,55 @@ class JoinProcess:
     # relief orders
     # ------------------------------------------------------------------
     def _on_replicate_order(self, msg: ReplicateOrder) -> Generator[Any, Any, None]:
-        if self.state == self.CLOSED:
-            # Already applied (scheduler failover re-drove the decision).
-            yield from self.ctx.send(
-                self.node, self.ctx.scheduler_node,
-                ReliefAck(self.index, still_full=False),
-            )
-            return
-        assert self.state in (self.BUILD,), "replicate order in wrong state"
-        self.successor = msg.new_node
-        self.state = self.CLOSED
-        self.ctx.trace("replicate", f"join{self.index}", new_node=msg.new_node)
-        still_full = yield from self._reprocess_parked()  # forwards everything
-        assert not still_full and not self.parked
-        self.full_pending = False
-        yield from self.ctx.send(
-            self.node, self.ctx.scheduler_node,
-            ReliefAck(self.index, still_full=False),
-        )
+        if self.state != self.CLOSED:  # else: already applied (re-driven)
+            assert self.state in (self.BUILD,), "replicate order in wrong state"
+            self.successor = msg.new_node
+            self.state = self.CLOSED
+            self.ctx.trace("replicate", f"join{self.index}",
+                           new_node=msg.new_node)
+        yield from self._retry_parked_and_ack()  # CLOSED: forwards everything
+        assert not self.parked and not self.full_pending
 
     def _on_bisect_order(self, msg: BisectOrder) -> Generator[Any, Any, None]:
         if self.my_range is not None and self.my_range.hi == msg.mid:
             # Already applied (failover re-drive): range was shrunk and the
             # upper half shipped; nothing more may move.
-            still_full = yield from self._reprocess_parked()
-            self.full_pending = still_full
-            yield from self.ctx.send(
-                self.node, self.ctx.scheduler_node,
-                ReliefAck(self.index, still_full=still_full, moved_tuples=0),
-            )
+            yield from self._retry_parked_and_ack()
             return
         assert self.my_range is not None and self.my_range.contains(msg.mid)
         old = self.my_range
         self.my_range = HashRange(old.lo, msg.mid)
-        mid, hi, new_node = msg.mid, old.hi, msg.new_node
-        moved = self.store.extract_position_range(mid, hi)
-        if moved.size:
-            self.node.memory.free(int(moved.size) * self._tb)
-            yield from self.node.compute_per_tuple(
-                self.ctx.cost.cpu_repack_tuple, moved.size
-            )
+        mid, new_node = msg.mid, msg.new_node
+        moved = self._freed(self.store.extract_position_range(mid, old.hi))
+        yield from self._repack(moved.size)
         self.shed_chain.append(
             (lambda pos, m=mid: pos >= m, new_node)
         )
         self.ctx.trace("bisect", f"join{self.index}", mid=mid,
                        new_node=new_node, moved=int(moved.size))
         self._spawn_transfer(moved, new_node, Hop.SPLIT)
+        yield from self._retry_parked_and_ack(moved=int(moved.size))
+
+    def _retry_parked_and_ack(self, moved: int = 0) -> Generator[Any, Any, None]:
+        """Retry the parked backlog after a relief action and tell the
+        scheduler whether this node is still stuck."""
         still_full = yield from self._reprocess_parked()
         self.full_pending = still_full
-        yield from self.ctx.send(
-            self.node, self.ctx.scheduler_node,
-            ReliefAck(self.index, still_full=still_full,
-                      moved_tuples=int(moved.size)),
+        yield from self._reply(
+            ReliefAck(self.index, still_full=still_full, moved_tuples=moved)
         )
 
     def _on_linear_split_order(self, msg: LinearSplitOrder) -> Generator[Any, Any, None]:
         key = (msg.new_bucket, msg.modulus)
         if key in self._applied_splits:
             # Failover re-drive of a split that already executed.
-            yield from self.ctx.send(
-                self.node, self.ctx.scheduler_node,
-                SplitDone(self.index, moved_tuples=0),
-            )
+            yield from self._reply(SplitDone(self.index, moved_tuples=0))
             return
         self._applied_splits.add(key)
-        moved = self.store.extract_linear_bucket(msg.new_bucket, msg.modulus)
-        if moved.size:
-            self.node.memory.free(int(moved.size) * self._tb)
-            yield from self.node.compute_per_tuple(
-                self.ctx.cost.cpu_repack_tuple, moved.size
-            )
+        moved = self._freed(
+            self.store.extract_linear_bucket(msg.new_bucket, msg.modulus)
+        )
+        yield from self._repack(moved.size)
         self.shed_chain.append(
             (
                 lambda pos, nb=msg.new_bucket, m=msg.modulus: pos % (2 * m) == nb,
@@ -764,50 +729,33 @@ class JoinProcess:
                        new_bucket=msg.new_bucket, new_node=msg.new_node,
                        moved=int(moved.size))
         self._spawn_transfer(moved, msg.new_node, Hop.SPLIT)
-        yield from self.ctx.send(
-            self.node, self.ctx.scheduler_node,
-            SplitDone(self.index, moved_tuples=int(moved.size)),
+        yield from self._reply(
+            SplitDone(self.index, moved_tuples=int(moved.size))
         )
 
     def _on_relief_ping(self, msg: ReliefPing) -> Generator[Any, Any, None]:
-        still_full = yield from self._reprocess_parked()
-        self.full_pending = still_full
-        yield from self.ctx.send(
-            self.node, self.ctx.scheduler_node,
-            ReliefAck(self.index, still_full=still_full),
-        )
+        return self._retry_parked_and_ack()
 
     def _on_spill_order(self, msg: SpillOrder) -> Generator[Any, Any, None]:
         if self.state == self.PROBE:
             # Probe-phase fallback: the output pool is exhausted too —
             # dump pending pairs to disk and keep spilling from now on.
             pending, self.output_pending = self.output_pending, 0
-            self.output_spilled += pending
             self.output_full_pending = False
             # route future overflow straight to disk
             self.output_sink_node = None
             self._output_spill_mode = True
             if pending:
-                yield from self.node.disk.write(
-                    pending * self.ctx.cfg.output_pair_bytes
-                )
+                yield from self._spill_output(pending)
             self.ctx.trace("output_spill_fallback", f"join{self.index}",
                            pending=pending)
-            yield from self.ctx.send(
-                self.node, self.ctx.scheduler_node,
-                ReliefAck(self.index, still_full=False),
-            )
+            yield from self._reply(ReliefAck(self.index, still_full=False))
             return
         if self.spill is None:
             self.spill = SpillStore(self.ctx, self.index, hash_range=self.my_range)
             self.ctx.trace("spill_fallback", f"join{self.index}")
-        still_full = yield from self._reprocess_parked()
-        assert not still_full, "spill mode consumes everything"
-        self.full_pending = False
-        yield from self.ctx.send(
-            self.node, self.ctx.scheduler_node,
-            ReliefAck(self.index, still_full=False),
-        )
+        yield from self._retry_parked_and_ack()
+        assert not self.full_pending, "spill mode consumes everything"
 
     # ------------------------------------------------------------------
     # drain polling
@@ -816,21 +764,19 @@ class JoinProcess:
         # Adjusted counters: contributions from fenced (declared-dead) peers
         # are subtracted at report time — raw counters are never mutated, so
         # late in-flight arrivals from a dead peer stay balanced out too.
-        recv_b = self.received_build - sum(
-            self._recv_build_by_origin.get(g, 0) for g in sorted(self._fenced_gids)
-        )
-        proc_b = self.processed_build - sum(
-            self._proc_build_by_origin.get(g, 0) for g in sorted(self._fenced_gids)
-        )
-        emit_b = self.emitted_build - sum(
-            self._emitted_build_by_dest.get(d, 0) for d in sorted(self.fenced)
-        )
+        def live(total: int, by_peer: dict[int, int], fenced: set[int]) -> int:
+            return total - sum(by_peer.get(p, 0) for p in sorted(fenced))
+
+        gids = self._fenced_gids
         report = StatusReport(
             node=self.index,
             token=msg.token,
-            received_build=recv_b,
-            processed_build=proc_b,
-            emitted_build=emit_b,
+            received_build=live(self.received_build,
+                                self._recv_build_by_origin, gids),
+            processed_build=live(self.processed_build,
+                                 self._proc_build_by_origin, gids),
+            emitted_build=live(self.emitted_build,
+                               self._emitted_build_by_dest, self.fenced),
             received_probe=self.received_probe,
             processed_probe=self.processed_probe,
             busy=bool(self.parked) or self.full_pending
@@ -838,7 +784,7 @@ class JoinProcess:
                  or self.transfers_pending > 0,
             emitted_probe=self.emitted_probe,
         )
-        yield from self.ctx.send(self.node, self.ctx.scheduler_node, report)
+        yield from self._reply(report)
 
     # ------------------------------------------------------------------
     # reshuffle (hybrid)
@@ -848,10 +794,9 @@ class JoinProcess:
         yield from self.node.compute_per_tuple(
             self.ctx.cost.cpu_route_tuple, self.store.stored_tuples
         )
-        yield from self.ctx.send(
-            self.node, self.ctx.scheduler_node,
+        yield from self._reply(
             CountVector(self.index, msg.lo, msg.hi, counts,
-                        wire_scale=self.ctx.cfg.workload.scale),
+                        wire_scale=self.ctx.cfg.workload.scale)
         )
 
     def _on_reshuffle_order(self, msg: ReshuffleOrder) -> Generator[Any, Any, None]:
@@ -865,19 +810,14 @@ class JoinProcess:
                 continue
             if rng is None:
                 continue
-            out = self.store.extract_position_range(rng.lo, rng.hi)
-            if out.size:
-                self.node.memory.free(int(out.size) * self._tb)
-                yield from self.node.compute_per_tuple(
-                    self.ctx.cost.cpu_repack_tuple, out.size
-                )
-                moved_total += int(out.size)
-                self._spawn_transfer(out, dest, Hop.RESHUFFLE)
+            out = self._freed(self.store.extract_position_range(rng.lo, rng.hi))
+            yield from self._repack(out.size)
+            moved_total += int(out.size)
+            self._spawn_transfer(out, dest, Hop.RESHUFFLE)
         self.ctx.trace("reshuffle", f"join{self.index}", moved=moved_total,
                        new_range=str(self.my_range))
-        yield from self.ctx.send(
-            self.node, self.ctx.scheduler_node,
-            ReshuffleDone(self.index, moved_tuples=moved_total),
+        yield from self._reply(
+            ReshuffleDone(self.index, moved_tuples=moved_total)
         )
 
     # ------------------------------------------------------------------
@@ -897,9 +837,7 @@ class JoinProcess:
                 self.activated_at, self.probe_started_at,
             )
         # One consolidation/sort pass over the stored table.
-        yield from self.node.compute_per_tuple(
-            self.ctx.cost.cpu_repack_tuple, self.store.stored_tuples
-        )
+        yield from self._repack(self.store.stored_tuples)
         self.store.finalize()
 
     def _on_probe_chunk(self, chunk: DataChunk) -> Generator[Any, Any, None]:
@@ -918,8 +856,7 @@ class JoinProcess:
             yield from self._materialize_output(found)
         if self.spill is not None:
             yield from self.spill.write_s(chunk.values)
-        self.processed_probe += 1
-        self.node.recv_credits.release()
+        self._retire_probe_chunk()
 
     # ------------------------------------------------------------------
     # output materialization & probe-phase expansion (footnote 1)
@@ -928,7 +865,7 @@ class JoinProcess:
         """Keep ``pairs`` output tuples: in memory, at the sink, or on disk."""
         cfg = self.ctx.cfg
         if self.output_sink_node is not None:
-            self._spawn_output_transfer(pairs, self.output_sink_node)
+            self._ship_output(pairs, self.output_sink_node)
             return
         need = pairs * cfg.output_pair_bytes
         if self.node.memory.try_alloc(need):
@@ -941,51 +878,30 @@ class JoinProcess:
             pairs -= fit
         if not cfg.probe_expansion or self._output_spill_mode:
             # Paper's default assumption: overflow output goes to disk.
-            self.output_spilled += pairs
-            yield from self.node.disk.write(pairs * cfg.output_pair_bytes)
+            yield from self._spill_output(pairs)
             return
         self.output_pending += pairs
         if not self.output_full_pending:
             self.output_full_pending = True
             self.ctx.trace("output_full", f"join{self.index}",
                            materialized=self.output_tuples)
-            yield from self.ctx.send(
-                self.node, self.ctx.scheduler_node,
-                MemoryFull(
-                    self.index,
-                    deficit_bytes=self.output_pending * cfg.output_pair_bytes,
-                ),
-            )
+            yield from self._report_output_full()
 
-    def _spawn_output_transfer(self, pairs: int, dest: int) -> None:
-        """Ship materialized pairs to the output sink asynchronously."""
-        self.transfers_pending += 1
-        cause = self.ctx.causal.cause_of(f"join{self.index}")
-        self.ctx.sim.spawn(
-            self._run_output_transfer(pairs, dest, cause),
-            name=f"out:join{self.index}->join{dest}",
-        )
+    def _spill_output(self, pairs: int) -> Generator[Any, Any, None]:
+        """Write ``pairs`` materialized pairs to the local output file."""
+        self.output_spilled += pairs
+        return self.node.disk.write(pairs * self.ctx.cfg.output_pair_bytes)
 
-    def _run_output_transfer(
-        self, pairs: int, dest: int, cause: int | None = None
-    ) -> Generator[Any, Any, None]:
-        cfg = self.ctx.cfg
-        try:
-            chunk_pairs = cfg.workload.real_chunk_tuples
-            while pairs > 0:
-                n = min(pairs, chunk_pairs)
-                pairs -= n
-                self.emitted_probe += 1
-                yield from self.ctx.send(
-                    self.node,
-                    self.ctx.join_node(dest),
-                    DataChunk("O", np.zeros(n, dtype=np.uint64),
-                              cfg.output_pair_bytes, hop=Hop.OUTPUT,
-                              origin=self.node.node_id),
-                    parent=cause,
-                )
-        finally:
-            self.transfers_pending -= 1
+    def _report_output_full(self) -> Generator[Any, Any, None]:
+        return self._reply(MemoryFull(
+            self.index,
+            deficit_bytes=self.output_pending * self.ctx.cfg.output_pair_bytes,
+        ))
+
+    def _ship_output(self, pairs: int, dest: int) -> None:
+        """Materialized pairs carry no join attributes the model needs:
+        they travel as zero-filled ``"O"`` chunks of the right size."""
+        self._spawn_transfer(np.zeros(pairs, dtype=np.uint64), dest, Hop.OUTPUT)
 
     def _on_output_chunk(self, chunk: DataChunk) -> Generator[Any, Any, None]:
         """An output sink absorbing materialized pairs (it may itself
@@ -997,8 +913,7 @@ class JoinProcess:
             self._msg_credit = False  # the parked entry owns the credit
             return
         yield from self._materialize_output(chunk.tuples)
-        self.processed_probe += 1
-        self.node.recv_credits.release()
+        self._retire_probe_chunk()
 
     def _on_output_redirect(self, msg: OutputRedirect) -> Generator[Any, Any, None]:
         self.output_sink_node = msg.new_node
@@ -1007,11 +922,8 @@ class JoinProcess:
         self.ctx.trace("output_redirect", f"join{self.index}",
                        sink=msg.new_node, pending=pending)
         if pending:
-            self._spawn_output_transfer(pending, msg.new_node)
-        yield from self.ctx.send(
-            self.node, self.ctx.scheduler_node,
-            ReliefAck(self.index, still_full=False),
-        )
+            self._ship_output(pending, msg.new_node)
+        yield from self._reply(ReliefAck(self.index, still_full=False))
 
     # ------------------------------------------------------------------
     # control-plane fault tolerance (repro.core.membership)
@@ -1019,11 +931,8 @@ class JoinProcess:
     def _on_heartbeat_ping(self, msg: HeartbeatPing) -> Generator[Any, Any, None]:
         # Best-effort on purpose: a lost ack must look exactly like a dead
         # node to the detector — that is what makes false positives real.
-        yield from self.ctx.send(
-            self.node, self.ctx.scheduler_node,
-            HeartbeatAck(self.index, msg.token),
-            best_effort=True,
-        )
+        yield from self._reply(HeartbeatAck(self.index, msg.token),
+                               best_effort=True)
 
     def _on_node_lost(self, msg: NodeLost) -> Generator[Any, Any, None]:
         if msg.dead not in self.fenced:
@@ -1041,9 +950,7 @@ class JoinProcess:
                 self._purge(msg.dead)
             self.ctx.trace("node_lost", f"join{self.index}",
                            dead=msg.dead, purge=msg.purge)
-        yield from self.ctx.send(
-            self.node, self.ctx.scheduler_node, NodeLostAck(self.index)
-        )
+        yield from self._reply(NodeLostAck(self.index))
 
     def _purge(self, dead: int) -> None:
         """Drop this node's replica-chain segment after a co-member died.
@@ -1055,11 +962,9 @@ class JoinProcess:
         against the replay) and retire all further traffic on arrival.
         """
         self.quarantined = True
-        dumped = self.store.extract_position_range(
-            0, self.ctx.cfg.hash_positions
+        dumped = self._freed(
+            self.store.extract_position_range(0, self.ctx.cfg.hash_positions)
         )
-        if dumped.size:
-            self.node.memory.free(int(dumped.size) * self._tb)
         self.matches = 0
         self.spill = None
         while self.parked:
@@ -1078,19 +983,9 @@ class JoinProcess:
                        new_scheduler=msg.new_scheduler)
         if self.full_pending and self.parked:
             deficit = sum(c.nbytes for c in self.parked)
-            yield from self.ctx.send(
-                self.node, self.ctx.scheduler_node,
-                MemoryFull(self.index, deficit_bytes=deficit),
-            )
+            yield from self._reply(MemoryFull(self.index, deficit_bytes=deficit))
         if self.output_full_pending:
-            yield from self.ctx.send(
-                self.node, self.ctx.scheduler_node,
-                MemoryFull(
-                    self.index,
-                    deficit_bytes=self.output_pending
-                    * self.ctx.cfg.output_pair_bytes,
-                ),
-            )
+            yield from self._report_output_full()
 
     # ------------------------------------------------------------------
     # OOC final passes & shutdown
@@ -1098,9 +993,7 @@ class JoinProcess:
     def _on_finalize_pass(self, msg: FinalizePass) -> Generator[Any, Any, None]:
         if self._finalized_pass:
             # Failover re-drive: the passes already ran; just re-ack.
-            yield from self.ctx.send(
-                self.node, self.ctx.scheduler_node, PassDone(self.index)
-            )
+            yield from self._reply(PassDone(self.index))
             return
         self._finalized_pass = True
         if self.probe_started_at == self.probe_started_at:  # not NaN
@@ -1119,10 +1012,7 @@ class JoinProcess:
             if found and self.ctx.cfg.materialize_output:
                 # Pairs produced by the disk passes go straight to the
                 # local output file — the pass is already disk-bound.
-                self.output_spilled += found
-                yield from self.node.disk.write(
-                    found * self.ctx.cfg.output_pair_bytes
-                )
+                yield from self._spill_output(found)
             self.ctx.trace("ooc_pass", f"join{self.index}", matches=found)
         # The dedup window has done its job once the query's data flow is
         # over; record its high-water mark and release the memory.
@@ -1130,27 +1020,22 @@ class JoinProcess:
             "node.dedup_window", len(self._seen_seqs), node=self.node.name
         )
         self._seen_seqs.clear()
-        yield from self.ctx.send(
-            self.node, self.ctx.scheduler_node, PassDone(self.index)
-        )
+        yield from self._reply(PassDone(self.index))
 
     def _on_shutdown(self, msg: Shutdown) -> Generator[Any, Any, None]:
         if self.state != self.DORMANT:
-            yield from self.ctx.send(
-                self.node, self.ctx.scheduler_node,
-                FinalReport(
-                    node=self.index,
-                    stored_tuples=self.store.stored_tuples,
-                    matches=self.matches,
-                    peak_memory=self.node.memory.peak,
-                    overcommit_bytes=self.overcommit_bytes,
-                    spilled_r_tuples=self.spill.spilled_r if self.spill else 0,
-                    spilled_s_tuples=self.spill.spilled_s if self.spill else 0,
-                    activated_at=self.activated_at,
-                    split_transfer_s=self.split_transfer_s,
-                    output_tuples=self.output_tuples,
-                    output_spilled_tuples=self.output_spilled,
-                    is_output_sink=self.is_output_sink,
-                ),
-            )
+            yield from self._reply(FinalReport(
+                node=self.index,
+                stored_tuples=self.store.stored_tuples,
+                matches=self.matches,
+                peak_memory=self.node.memory.peak,
+                overcommit_bytes=self.overcommit_bytes,
+                spilled_r_tuples=self.spill.spilled_r if self.spill else 0,
+                spilled_s_tuples=self.spill.spilled_s if self.spill else 0,
+                activated_at=self.activated_at,
+                split_transfer_s=self.split_transfer_s,
+                output_tuples=self.output_tuples,
+                output_spilled_tuples=self.output_spilled,
+                is_output_sink=self.is_output_sink,
+            ))
         self.state = self.DONE

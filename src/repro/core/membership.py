@@ -10,7 +10,8 @@ membership layer (``FaultPlan.membership_active``):
   a two-stage timeout (*suspect* then *confirm*) and publishes a
   ``membership.false_positive`` metric whenever a suspicion resolves.
   Only a *confirmed* silence becomes a :class:`DeathVerdict`, which the
-  scheduler turns into a recovery cycle (``SchedulerProcess``); a falsely
+  scheduler turns into a recovery cycle
+  (:class:`~repro.core.recovery.FaultTolerantScheduler`); a falsely
   declared node is fenced — never trusted again — but the query still
   terminates with exact counts because its hash range is re-streamed to a
   fresh node and the survivor quarantines itself on ``NodeLost``.
@@ -19,7 +20,7 @@ membership layer (``FaultPlan.membership_active``):
   WAL-style *before* the primary acts) and watches a dead-man timer fed
   by any primary traffic.  When the primary falls silent past the confirm
   timeout it takes over: repoints ``ctx.scheduler_node``, deposes the old
-  primary (split-brain backstop), rebuilds a :class:`SchedulerProcess`
+  primary (split-brain backstop), rebuilds a fault-tolerant scheduler
   from the last snapshot, re-drives the in-flight decision and resumes
   the interrupted phase.  Everyone else re-announces state the primary
   may have taken to its grave on :class:`SchedulerFailover`.
@@ -49,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..config import RunConfig
     from ..faults import FaultPlan
     from .context import RunContext
-    from .scheduler import SchedulerProcess
+    from .recovery import FaultTolerantScheduler
 
 __all__ = ["MembershipTiming", "resolve_timing", "Membership",
            "BackupSchedulerProcess"]
@@ -87,7 +88,7 @@ class Membership:
     boundary), never mid-decision.
     """
 
-    def __init__(self, sched: SchedulerProcess) -> None:
+    def __init__(self, sched: FaultTolerantScheduler) -> None:
         self.sched = sched
         self.ctx: RunContext = sched.ctx
         assert self.ctx.faults is not None
@@ -181,8 +182,9 @@ class BackupSchedulerProcess:
     state syncs) and fires after the membership confirm timeout.  On
     takeover the backup's node becomes "the scheduler" for every actor
     (see ``RunContext.set_scheduler_node``) and a fresh
-    :class:`SchedulerProcess` — running inline in this process, on this
-    mailbox — adopts the last snapshot and resumes the interrupted phase.
+    :class:`~repro.core.recovery.FaultTolerantScheduler` — running inline
+    in this process, on this mailbox — adopts the last snapshot and
+    resumes the interrupted phase.
     The query outcome then lives in ``self.outcome`` (the driver falls
     back to it when the primary returned none).
     """
@@ -193,9 +195,9 @@ class BackupSchedulerProcess:
         self.ctx = ctx
         self.node = ctx.backup_node
         self.outcome: Any = None
-        #: the adopted SchedulerProcess after a takeover (diagnostics)
-        self.scheduler: SchedulerProcess | None = None
-        #: the spawned simulation process (set by spawn_query_pipeline)
+        #: the adopted scheduler after a takeover (diagnostics)
+        self.scheduler: FaultTolerantScheduler | None = None
+        #: the spawned simulation process (set by the primary's ``spawn``)
         self.proc: Any = None
         self.timing = resolve_timing(ctx.faults.plan, ctx.cfg)
         self._stopped = False
@@ -246,8 +248,8 @@ class BackupSchedulerProcess:
         # one query would both run relief cycles and corrupt the router.
         yield from ctx.send(self.node, old_primary,
                             Depose(self.node.node_id))
-        from .scheduler import SchedulerProcess
+        from .recovery import FaultTolerantScheduler
 
-        sched = SchedulerProcess(ctx)  # resolves to the backup node now
+        sched = FaultTolerantScheduler(ctx)  # resolves to the backup node now
         self.scheduler = sched
         return (yield from sched.resume_after_takeover(sync))

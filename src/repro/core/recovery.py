@@ -1,0 +1,646 @@
+"""Control-plane fault tolerance for the scheduler, layered on.
+
+:class:`FaultTolerantScheduler` is the paper's scheduler wrapped at its
+decision points; ``driver.spawn_query_pipeline`` builds it instead of the
+plain one exactly when the fault plan arms the membership layer.  It adds:
+
+* **write-ahead replication** — every checkpoint and in-flight relief or
+  recovery decision reaches the standby (``BackupSchedulerProcess``) as a
+  :class:`StateSync` *before* the primary acts on it;
+* **working-node recovery** — a :class:`DeathVerdict` from the heartbeat
+  detector (``Membership``) unwinds whatever wait is in progress to the
+  drain loop, which fences the node, collapses its hash range onto a
+  fresh recruit and has the sources re-stream it;
+* **takeover** — a standby adopts the last snapshot, makes everyone
+  re-announce what the primary took to its grave, applies the logged
+  decision again (``ExpansionStrategy.apply`` is idempotent) and resumes.
+
+Build and probe phases only (docs/FAULTS.md §"Control-plane failure model").
+"""
+
+from __future__ import annotations
+
+from collections.abc import Generator
+from typing import Any
+
+from ..faults import UnrecoverableFaultError
+from ..hashing import HashRange, LinearHashRouter, RangeRouter
+from ..sim import Interrupt
+from .context import RunContext
+from .membership import BackupSchedulerProcess, Membership
+from .messages import (
+    ActivateAck,
+    ActivateJoin,
+    DeathVerdict,
+    Depose,
+    HeartbeatAck,
+    MemoryFull,
+    NodeLost,
+    NodeLostAck,
+    PollTick,
+    ReliefAck,
+    ReplayDone,
+    ReplayOrder,
+    SchedulerFailover,
+    Shutdown,
+    StartProbe,
+    StateSync,
+    StatusReport,
+    StatusRequest,
+)
+from .scheduler import SchedulerOutcome, SchedulerProcess
+from .strategy import Decision
+
+__all__ = ["FaultTolerantScheduler"]
+
+
+class _NodeDied(Exception):
+    """Internal control flow: a DeathVerdict surfaced in dispatch.
+
+    Raised out of ``_dispatch_common`` so whatever protocol wait is in
+    progress unwinds to the drain loop, which runs the recovery cycle —
+    recovery must never run from the middle of a relief decision."""
+
+    def __init__(self, node: int) -> None:
+        super().__init__(f"join node {node} declared dead")
+        self.node = node
+
+
+class _Deposed(Exception):
+    """Internal control flow: the standby took over while we were alive
+    (a dead-man false positive).  The old primary stands down silently."""
+
+
+class FaultTolerantScheduler(SchedulerProcess):
+    """The scheduler plus WAL replication, node recovery and takeover."""
+
+    def __init__(self, ctx: RunContext) -> None:
+        super().__init__(ctx)
+        assert ctx.faults is not None and ctx.backup_node is not None
+        #: pool indices declared dead — excluded from routing, polling and
+        #: the sent-side of the drain balance
+        self.fenced: set[int] = set()
+        #: in-flight relief/recovery decision, WAL-replicated to the backup
+        self._pending: tuple = ()
+        #: reporter whose relief cycle a recovery unwind abandoned
+        self._abandoned_reporter: int | None = None
+        self._recovering = False
+        #: a death in the drain now being served can be recovered from
+        self._recoverable = False
+        self._sync_seq = 0
+        #: (recovery_id, source, relation) of absorbed ReplayDones
+        self._replay_seen: set[tuple[int, int, str]] = set()
+        #: ActivateAcks consumed by _dispatch_common while another await
+        #: held the main loop (e.g. a recovery during initial activation)
+        self._stray_activate_acks: set[int] = set()
+        #: heartbeat failure detector (its loop runs from _start_background)
+        self.membership = Membership(self)
+        self._membership_proc: Any = None
+        # The failure detector subsumes the initial-ack deadline: a dead
+        # initial node is *recoverable* (confirmed death → recovery cycle),
+        # so give the detector time to reach its verdict first.
+        timing = self.membership.timing
+        self._initial_ack_timeout_s = max(
+            self._initial_ack_timeout_s, timing.confirm + 4.0 * timing.interval
+        )
+        #: the standby scheduler (primary only; set by :meth:`spawn`)
+        self.standby: BackupSchedulerProcess | None = None
+        cls = type(self)
+        self._handlers.update({
+            HeartbeatAck: cls._on_heartbeat_ack,
+            DeathVerdict: cls._on_death_verdict,
+            ReplayDone: cls._note_replay_done,
+            NodeLostAck: cls._ignore,  # a recovery fan-out that completed
+            Depose: cls._on_depose,
+            ReliefAck: cls._on_abandoned_relief_ack,
+        })
+
+    def spawn(self, name: str) -> None:
+        """Spawn the primary and, beside it, the standby that passively
+        replicates its state and takes over on primary silence."""
+        super().spawn(name)
+        self.standby = BackupSchedulerProcess(self.ctx)
+        self.standby.proc = self.ctx.sim.spawn(
+            self.standby.run(), name="sched-backup"
+        )
+
+    def result(self) -> SchedulerOutcome | None:
+        """The outcome from whichever of the two finished the query: a
+        killed (or deposed) primary returns none and the standby owns it."""
+        outcome = super().result()
+        if outcome is None and self.standby is not None:
+            outcome = self.standby.outcome
+        return outcome
+
+    # ------------------------------------------------------------------
+    # dispatch rows the layer adds
+    # ------------------------------------------------------------------
+    def _on_memory_full(self, msg: MemoryFull) -> None:
+        if msg.node not in self.fenced:  # else: a dead node's parting words
+            super()._on_memory_full(msg)
+
+    def _on_heartbeat_ack(self, msg: HeartbeatAck) -> None:
+        self.membership.note_ack(msg)
+
+    def _on_death_verdict(self, msg: DeathVerdict) -> None:
+        if msg.node in self.fenced or msg.node not in self.activated:
+            return  # already recovered, or never part of this query
+        if self._recovering:
+            raise UnrecoverableFaultError(
+                f"join node {msg.node} declared dead while recovering "
+                "from an earlier failure — concurrent working-node "
+                "failures are out of scope (docs/FAULTS.md)"
+            )
+        raise _NodeDied(msg.node)
+
+    def _on_depose(self, msg: Depose) -> None:
+        raise _Deposed()
+
+    def _on_abandoned_relief_ack(self, msg: ReliefAck) -> None:
+        # Un-awaited ack: the relief cycle that requested it was
+        # abandoned by a recovery unwind.  Re-queue if still stuck.
+        if msg.still_full:
+            self._requeue(msg.node)
+
+    def _on_stray_activate_ack(self, msg: ActivateAck) -> None:
+        # Besides a zombie recruit's late ack, this may be an initial
+        # node's ack landing while a recovery holds the main loop; the
+        # initial-activation await drains the stray set.
+        self._stray_activate_acks.add(msg.node)
+        super()._on_stray_activate_ack(msg)
+
+    def _requeue(self, node: int) -> None:
+        """Queue a relief cycle for a live node still sitting on a parked
+        backlog nobody will ping it about."""
+        if (node in self.activated and node not in self.fenced
+                and node not in self.full_queue):
+            self.full_queue.append(node)
+            self._prev_round = None
+
+    def _cancel_relief(self, node: int) -> None:
+        while node in self.full_queue:
+            self.full_queue.remove(node)
+        self._full_info.pop(node, None)
+
+    def _source_sent(self, relation: str) -> int:
+        """Minus the chunks addressed to fenced nodes (absorbed by a
+        tombstone, never to be retired).  Purged-but-live survivors are
+        *not* fenced here: they stay activated and retire their traffic,
+        so their receipts balance."""
+        return sum(
+            n for dest, n in self._source_chunk_maps[relation].items()
+            if dest not in self.fenced
+        )
+
+    def _note_replay_done(self, msg: ReplayDone) -> None:
+        """Fold a replay's chunk counts into the drain balance, once."""
+        key = (msg.recovery_id, msg.source, msg.relation)
+        if key not in self._replay_seen:
+            self._replay_seen.add(key)
+            self._count_sent(msg.relation, msg.chunks_sent)
+            self._prev_round = None
+
+    def _unrecoverable_death(self, node: int) -> UnrecoverableFaultError:
+        return UnrecoverableFaultError(
+            f"join node {node} declared dead during the {self._phase} "
+            "phase — working-node recovery is supported only in the "
+            "build and probe phases (docs/FAULTS.md)"
+        )
+
+    # ------------------------------------------------------------------
+    # state replication to the standby (write-ahead)
+    # ------------------------------------------------------------------
+    def checkpoint(self) -> Generator[Any, Any, None]:
+        """Ship a state snapshot to the standby scheduler (not after a
+        takeover: the standby does not re-replicate to itself)."""
+        backup = self.ctx.backup_node
+        if backup is None or backup is self.node:
+            return
+        self._sync_seq += 1
+        yield from self.ctx.send(
+            self.node, backup,
+            StateSync(
+                sync_seq=self._sync_seq, phase=self._phase,
+                router=self.router, version=self._version,
+                activated=tuple(self.activated),
+                fenced=tuple(sorted(self.fenced)),
+                pending=self._pending,
+            ),
+        )
+
+    def log_decision(self, decision: tuple) -> Generator[Any, Any, None]:
+        """Record an in-flight decision *before* acting on it, so the
+        standby can apply it again after a takeover; ``()`` clears it."""
+        if decision or self._pending:
+            self._pending = decision
+            yield from self.checkpoint()
+
+    # ------------------------------------------------------------------
+    # the wrapped decision points
+    # ------------------------------------------------------------------
+    def run(self) -> Generator[Any, Any, SchedulerOutcome | None]:
+        return self._guarded(super().run())
+
+    def _guarded(
+        self, body: Generator[Any, Any, SchedulerOutcome | None]
+    ) -> Generator[Any, Any, SchedulerOutcome | None]:
+        try:
+            return (yield from body)
+        except Interrupt:
+            # Injected crash: die silently mid-protocol.  Background loops
+            # are flag-stopped — the silence is what the standby detects.
+            self._halt_background()
+            self.ctx.trace("scheduler_crashed", "scheduler",
+                           phase=self._phase)
+            return None
+        except _Deposed:
+            self._halt_background()
+            self.ctx.trace("scheduler_deposed", "scheduler")
+            return None
+        except _NodeDied as e:
+            raise self._unrecoverable_death(e.node) from e
+
+    def _start_background(self) -> None:
+        """The failure detector gates on the ticker's stop flag: a crashed
+        or deposed primary stops both, and that silence is exactly what
+        the standby's dead-man timer and the joins' ping loss observe."""
+        super()._start_background()
+        self._membership_proc = self.ctx.sim.spawn(
+            self.membership.loop(self._ticker_flag), name="membership"
+        )
+
+    def _halt_background(self) -> None:
+        super()._halt_background()
+        # The flag only covers the detector's idle path: a ping that is
+        # mid-send when the primary dies would wait on the dead node's
+        # CPU forever.  Interrupt it out of the send (it treats the
+        # Interrupt as a clean stop).
+        proc, self._membership_proc = self._membership_proc, None
+        if proc is not None and proc.is_alive:
+            proc.interrupt(cause=("membership_halt",))
+
+    def _await_initial_acks(self, pending: set[int]) -> Generator[Any, Any, None]:
+        while pending:
+            try:
+                return (yield from super()._await_initial_acks(pending))
+            except _NodeDied as e:
+                # An initial node died before confirming activation:
+                # recover it like any working-node death — its range
+                # moves to a fresh recruit and the sources replay.
+                yield from self._handle_node_death(e.node)
+                pending.discard(e.node)
+                pending -= self._stray_activate_acks
+
+    def drain(self, phase: str) -> Generator[Any, Any, None]:
+        # The hybrid reshuffle drains its traffic as "build" too, but a
+        # death there is outside the recovery envelope.
+        self._recoverable = self._phase != "reshuffle"
+        yield from super().drain(phase)
+
+    def _drain_step(self) -> Generator[Any, Any, None]:
+        try:
+            yield from super()._drain_step()
+        except _NodeDied as e:
+            if not self._recoverable:
+                raise
+            yield from self._handle_node_death(e.node)
+
+    def _relief_cycle(
+        self, reporter: int, deficit: int, edge: int | None
+    ) -> Generator[Any, Any, None]:
+        self._abandoned_reporter = reporter  # until the cycle completes
+        yield from super()._relief_cycle(reporter, deficit, edge)
+        self._abandoned_reporter = None
+
+    def _shutdown(self) -> Generator[Any, Any, None]:
+        self._halt_background()
+        # Stand the standby down, or its dead-man ticker outlives the query.
+        backup = self.ctx.backup_node
+        if backup is not None and backup is not self.node:
+            yield from self.ctx.send(self.node, backup, Shutdown())
+        yield from super()._shutdown()
+
+    # ------------------------------------------------------------------
+    # working-node crash recovery
+    # ------------------------------------------------------------------
+    def _handle_node_death(self, dead: int) -> Generator[Any, Any, None]:
+        """Recover from a confirmed death, then repair collateral damage:
+        a reporter whose relief cycle the unwind abandoned is re-queued
+        (it still sits on a parked backlog nobody will ping it about)."""
+        victim = self._abandoned_reporter
+        self._abandoned_reporter = None
+        # Live participants of an interrupted expansion: their half of the
+        # data motion is unaccounted for, so they are purged too.
+        cut_short = self._pending
+        parties = (
+            (cut_short.donor, cut_short.new_node)
+            if isinstance(cut_short, Decision) else ()
+        )
+        yield from self._recovery_cycle(dead, parties=parties)
+        if victim is not None and victim != dead:
+            self._requeue(victim)
+
+    def _recovery_cycle(
+        self, dead: int, target: int | None = None,
+        parties: tuple[int, ...] = (), redrive: bool = False,
+    ) -> Generator[Any, Any, None]:
+        """Recover from a confirmed working-node death.
+
+        Replica chains hold disjoint temporal segments, so survivors of
+        the dead node's chain cannot serve the range alone: they are
+        *purged* (quarantined, segment dropped, matches zeroed) and the
+        whole range collapses onto one fresh ``target``, which the data
+        sources re-stream from their replay cursors.  The dead node
+        itself is also told to purge — "fencing the living": if the
+        verdict was false, the live node self-quarantines instead of
+        double-counting matches; if it was true, the tombstone ignores it.
+
+        The decision is WAL'd (``("recover", dead, target)``) with the
+        recruited target pinned, and every step is idempotent keyed on
+        ``recovery_id == dead``, so a standby can re-drive the cycle
+        mid-flight after a primary failover.
+        """
+        ctx = self.ctx
+        if dead in self.fenced and not redrive:
+            return
+        if self._phase not in ("build", "probe"):
+            raise self._unrecoverable_death(dead)
+        self._recovering = True
+        self._pending = ()
+        t0 = ctx.sim.now
+        ctx.metrics.inc("sched.recovery_cycles", 1, phase=self._phase)
+        ctx.trace("recovery_begin", "scheduler", dead=dead,
+                  phase=self._phase, redrive=redrive)
+        try:
+            # 1. Fence locally.  Abandon any in-flight poll round: it may
+            # include the dead node, whose report will never arrive.
+            self._round_nodes = ()
+            self._round_reports = {}
+            self._prev_round = None
+            self.fenced.add(dead)
+            for pool in (self.activated, self.working, self.full_nodes):
+                if dead in pool:
+                    pool.remove(dead)
+            if dead not in self.dead_nodes:
+                self.dead_nodes.append(dead)
+            self.spilled_nodes.discard(dead)
+
+            # Purge set: live chain co-members of the dead node's entries,
+            # plus live participants of an interrupted relief decision
+            # (their half of the data motion is unaccounted for).
+            purge: set[int] = set()
+            if isinstance(self.router, RangeRouter):
+                for _rng, chain in self.router.entries:
+                    if dead in chain:
+                        purge.update(chain)
+            purge.update(parties)
+            purge.discard(dead)
+            purge &= set(self.activated)
+            self.spilled_nodes -= purge
+            # The dead node's queued relief is moot; a purged node sheds
+            # its backlog wholesale.
+            for j in (dead, *sorted(purge)):
+                self._cancel_relief(j)
+
+            lost = {dead} | purge
+            if not (lost & self.router.owners()):
+                raise UnrecoverableFaultError(
+                    f"join node {dead} died but owns no hash range (an "
+                    "output sink, or a recruit outside the routing table) "
+                    "— recovery for materialized-output state is out of "
+                    "scope (docs/FAULTS.md)"
+                )
+
+            # 2. Recruit the replacement (pinned and re-used on re-drive).
+            if target is not None and target not in self.activated:
+                target = None  # un-synced zombie of a dead primary
+            if target is None:
+                slot = self._takeover_slot(lost)
+                target = yield from self.recruit_node(
+                    lambda j: ActivateJoin(j, **slot), phase=self._phase
+                )
+                if target is None:
+                    raise UnrecoverableFaultError(
+                        f"pool exhausted while replacing dead join node "
+                        f"{dead} — its hash range has no home"
+                    )
+
+            # 3. WAL the decision with the target pinned.
+            yield from self.log_decision(("recover", dead, target))
+
+            # 4. Disseminate: every live node fences the dead peer's
+            # global id (late in-flight chunks are retired, its counter
+            # contributions subtracted at report time); chain co-members
+            # purge.  The dead node itself gets an unawaited purge order
+            # (fencing the living, see docstring).
+            live = list(self.activated)
+            for j in live:
+                yield from self.send_to_join(
+                    j, NodeLost(dead=dead, purge=(j in purge))
+                )
+            yield from self.send_to_join(dead, NodeLost(dead=dead, purge=True))
+            acked: set[int] = set()
+            while not set(live) <= acked:
+                msg = yield from self.await_message(
+                    lambda m: isinstance(m, NodeLostAck)
+                )
+                acked.add(msg.node)
+
+            # 5. Collapse the routing entries onto the target.
+            self.router = self.router.with_takeover(
+                lost, target, self.next_version()
+            )
+            self.strategy.adopt_router(self.router, self.activated)
+
+            # 6-7. Flip the sources and re-stream the lost range.  The
+            # ReplayOrder carries the takeover table: the source installs
+            # it and replays in one atomic step, so no live chunk can
+            # slip to the target between the two (double delivery).
+            yield from self._order_replay("R", dead, target)
+            if self._phase == "probe":
+                yield from self._probe_recovery(dead, target)
+
+            # 8. Done: clear the WAL and force fresh drain rounds.
+            yield from self.log_decision(())
+            self._prev_round = None
+            ctx.trace("recovery_done", "scheduler", dead=dead,
+                      target=target, purged=sorted(purge))
+            ctx.metrics.set_gauge(
+                "sched.recovery_latency_s", ctx.sim.now - t0,
+                phase=self._phase,
+            )
+        finally:
+            self._recovering = False
+
+    def _takeover_slot(self, lost: set[int]) -> dict[str, Any]:
+        """The hash range (or bucket) the recovery target will own, as
+        ``ActivateJoin`` keywords — computed *before* the router flips,
+        mirroring what ``with_takeover`` will collapse the lost entries
+        into."""
+        if isinstance(self.router, RangeRouter):
+            affected = [
+                rng for rng, chain in self.router.entries
+                if set(chain) & lost
+            ]
+            for prev, nxt in zip(affected, affected[1:]):
+                if prev.hi != nxt.lo:
+                    raise UnrecoverableFaultError(
+                        f"lost nodes {sorted(lost)} own non-contiguous "
+                        "ranges — a single takeover target cannot adopt "
+                        "them (docs/FAULTS.md)"
+                    )
+            return {"hash_range": HashRange(affected[0].lo, affected[-1].hi)}
+        assert isinstance(self.router, LinearHashRouter)
+        return {"bucket": next(
+            b for b, n in enumerate(self.router.bucket_nodes) if n in lost
+        )}
+
+    def _order_replay(
+        self, relation: str, dead: int, target: int
+    ) -> Generator[Any, Any, None]:
+        yield from self.broadcast_to_sources(
+            ReplayOrder(relation=relation, target=target, recovery_id=dead,
+                        router=self.router)
+        )
+
+    def _degrade_full_target(
+        self, target: int
+    ) -> Generator[Any, Any, None]:
+        """Relieve a recovery target that outgrew its memory mid-replay.
+
+        The re-streamed range can exceed one node's budget (the dead
+        node had spilled, or it headed a replica chain whose purged
+        co-members each stored a disjoint segment).  There is no pool
+        headroom to split into during a recovery, so the target is
+        degraded to disk spilling — same answer, out-of-core speed."""
+        if target in self.full_queue:
+            self._cancel_relief(target)
+            yield from self.fallback_spill(target, "recovery_spill")
+
+    def _probe_recovery(
+        self, dead: int, target: int
+    ) -> Generator[Any, Any, None]:
+        """Probe-phase re-streaming, sequenced so the target never probes
+        before it holds the rebuilt range.
+
+        The build stream is replayed to the target under the takeover
+        router while live S traffic still flows under the *old* table
+        (the dead node's copies are absorbed by its tombstone; purged
+        survivors retire theirs without probing).  Only once the target
+        confirms it processed every replayed chunk is it flipped to
+        probing and the sources' table updated; the S replay that follows
+        the RouteUpdate on each source link (per-pair FIFO) then covers
+        every probe tuple of the range, exactly once."""
+        ctx = self.ctx
+        done: set[int] = set()
+        expected_chunks = 0
+        while len(done) < ctx.n_sources:
+            # Fullness must be serviced *while* awaiting the replay
+            # receipts: a full target parks chunks holding its receive
+            # credits, which blocks the replaying sources — waiting for
+            # their ReplayDone first would deadlock the recovery.
+            yield from self._degrade_full_target(target)
+            msg = yield from self.node.mailbox.recv()
+            if (isinstance(msg, ReplayDone) and msg.relation == "R"
+                    and msg.recovery_id == dead and msg.source not in done):
+                done.add(msg.source)
+                expected_chunks += sum(msg.chunks_sent.values())
+                self._note_replay_done(msg)
+            else:
+                self._dispatch_common(msg)
+        while True:
+            yield from self._degrade_full_target(target)
+            self._poll_token += 1
+            tok = self._poll_token
+            yield from self.send_to_join(target, StatusRequest(tok))
+            rep = yield from self.await_message(
+                lambda m: (isinstance(m, StatusReport) and m.token == tok
+                           and m.node == target)
+            )
+            if (rep.processed_build >= expected_chunks and not rep.busy
+                    and target not in self.full_queue):
+                break
+            yield from self.await_message(lambda m: isinstance(m, PollTick))
+        yield from self.send_to_join(target, StartProbe(router=None))
+        yield from self._order_replay("S", dead, target)
+
+    # ------------------------------------------------------------------
+    # standby takeover (BackupSchedulerProcess drives this)
+    # ------------------------------------------------------------------
+    def adopt_snapshot(self, sync: StateSync | None) -> str:
+        """Install a replicated snapshot; returns the phase to resume.
+
+        Pools are inferred rather than synced: full nodes are the
+        non-tail members of replica chains, working nodes the rest, and
+        the potential pool is everything never activated nor fenced."""
+        if sync is None:
+            return "fresh"
+        if sync.router is not None:
+            self.router = sync.router
+        self._version = max(self._version, sync.version)
+        self.activated = list(sync.activated)
+        self.fenced = set(sync.fenced)
+        self.dead_nodes = sorted(self.fenced)
+        full: set[int] = set()
+        if isinstance(self.router, RangeRouter):
+            for _rng, chain in self.router.entries:
+                full.update(chain[:-1])
+        self.full_nodes = [j for j in self.activated if j in full]
+        self.working = [j for j in self.activated if j not in full]
+        if self.pool_client is None:
+            used = set(self.activated) | self.fenced
+            self.potential = [
+                j for j in range(self.ctx.n_potential) if j not in used
+            ]
+        self._pending = sync.pending
+        self._phase = sync.phase
+        self.strategy.adopt_router(self.router, self.activated)
+        return sync.phase
+
+    def resume_after_takeover(
+        self, sync: StateSync | None
+    ) -> Generator[Any, Any, SchedulerOutcome | None]:
+        """Standby entry point: adopt the snapshot and finish the query."""
+        return self._guarded(self._resume(sync))
+
+    def _resume(
+        self, sync: StateSync | None
+    ) -> Generator[Any, Any, SchedulerOutcome | None]:
+        phase = self.adopt_snapshot(sync)
+        if phase == "fresh":
+            # The primary died before its first sync: nothing has been
+            # decided yet, so a from-scratch run is idempotent (initial
+            # ActivateJoins are re-acked by already-active nodes).
+            return (yield from super().run())
+        self._start_background()
+        if phase not in ("build", "probe"):
+            raise UnrecoverableFaultError(
+                f"scheduler failover during the {phase} phase is not "
+                "supported (docs/FAULTS.md)"
+            )
+        # Make everyone re-announce what the primary took to its grave:
+        # sources re-send SourceDone and completed ReplayDones, full joins
+        # re-send MemoryFull for their parked backlogs.
+        failover = SchedulerFailover(new_scheduler=self.node.node_id)
+        yield from self.broadcast_to_sources(failover)
+        for j in self.activated:
+            yield from self.send_to_join(j, failover)
+        yield from self._redrive_pending()
+        return (yield from self._run_from(phase))
+
+    def _redrive_pending(self) -> Generator[Any, Any, None]:
+        """Idempotently re-drive the decision the primary WAL'd but may
+        not have finished."""
+        pending = self._pending
+        if not pending:
+            return
+        self.ctx.trace("redrive", "scheduler", pending=list(pending))
+        if pending[0] == "recover":
+            dead, target = int(pending[1]), int(pending[2])
+            yield from self._recovery_cycle(dead, target=target, redrive=True)
+            return
+        assert isinstance(pending, Decision), pending
+        ack = yield from self.strategy.apply(pending)
+        yield from self.log_decision(())
+        if ack.still_full:
+            self._requeue(ack.node)

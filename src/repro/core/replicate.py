@@ -14,9 +14,9 @@ from __future__ import annotations
 from collections.abc import Generator
 from typing import Any
 
-from ..hashing import RangeRouter, Router, partition_positions
+from ..hashing import RangeRouter
 from .messages import ActivateJoin, ReliefAck, ReplicateOrder, RouteUpdate
-from .strategy import ExpansionStrategy
+from .strategy import Decision, ExpansionStrategy
 
 __all__ = ["ReplicationStrategy"]
 
@@ -24,58 +24,33 @@ __all__ = ["ReplicationStrategy"]
 class ReplicationStrategy(ExpansionStrategy):
     """Replicate the overflowing range on the new node."""
 
-    def make_initial_router(self, initial: list[int]) -> Router:
-        ranges = partition_positions(self.sched.cfg.hash_positions, len(initial))
-        return RangeRouter.initial(ranges, initial, self.sched.cfg.hash_positions)
-
-    def expand(self, reporter: int) -> Generator[Any, Any, ReliefAck]:
-        sched = self.sched
-        router: RangeRouter = sched.router  # type: ignore[assignment]
-        idx = _entry_of_active(router, reporter)
-        rng, _chain = router.entries[idx]
-
+    def decide(self, reporter: int) -> Generator[Any, Any, Decision | None]:
+        router: RangeRouter = self.sched.router  # type: ignore[assignment]
+        rng, _chain = router.entries[router.entry_index_of(reporter)]
         # Recruit the replica with the same hash range (acked — a dead
         # recruit is retried on a different pool node, and routing only
-        # ever references confirmed-live replicas), then tell the full
-        # node to forward its pending buffers and close.
-        new_node = yield from sched.recruit_node(
+        # ever references confirmed-live replicas).
+        new_node = yield from self.sched.recruit_node(
             lambda j: ActivateJoin(j, hash_range=rng)
         )
         if new_node is None:
-            return (yield from self.fallback_spill(reporter))
-        # WAL before mutating the table: a standby re-drives from here.
-        yield from sched.wal_decision(("replicate", reporter, new_node),
-                                      parties=(reporter, new_node))
-        sched.router = router.with_replica(idx, new_node, sched.next_version())
-        yield from sched.send_to_join(reporter, ReplicateOrder(new_node=new_node))
-        yield from sched.broadcast_to_sources(RouteUpdate(sched.router))
-        sched.mark_full(reporter)
-        sched.ctx.trace("expand_replicate", "scheduler",
-                        reporter=reporter, new_node=new_node, range=str(rng))
-        ack = yield from sched.await_relief_ack(reporter)
-        yield from sched.clear_decision()
-        return ack
+            return None
+        return Decision("replicate", reporter, new_node, reporter)
 
-    def redrive(self, pending: tuple) -> Generator[Any, Any, ReliefAck]:
-        """Re-drive a WAL'd replication: the snapshot table predates the
-        decision, so apply the replica if absent, then repeat the (wholly
-        idempotent) order/update/ack sequence."""
-        _kind, reporter, new_node = pending[0], int(pending[1]), int(pending[2])
+    def apply(self, decision: Decision) -> Generator[Any, Any, ReliefAck]:
+        """Chain the replica (unless the table already has it), then tell
+        the full node to forward its pending buffers and close; the order,
+        the route update and the ack are idempotent at their receivers."""
         sched = self.sched
+        full, new_node = decision.donor, decision.new_node
         router: RangeRouter = sched.router  # type: ignore[assignment]
-        idx = _entry_of_active(router, reporter)
-        if new_node not in router.entries[idx][1]:
-            sched.router = router.with_replica(idx, new_node,
-                                               sched.next_version())
-        yield from sched.send_to_join(reporter, ReplicateOrder(new_node=new_node))
+        idx = router.entry_index_of(full)
+        rng, chain = router.entries[idx]
+        if new_node not in chain:
+            sched.router = router.with_replica(idx, new_node, sched.next_version())
+        yield from sched.send_to_join(full, ReplicateOrder(new_node=new_node))
         yield from sched.broadcast_to_sources(RouteUpdate(sched.router))
-        sched.mark_full(reporter)
-        return (yield from sched.await_relief_ack(reporter))
-
-
-def _entry_of_active(router: RangeRouter, node: int) -> int:
-    """Index of the entry whose *active* (newest) replica is ``node``."""
-    for i, (_rng, chain) in enumerate(router.entries):
-        if chain[-1] == node:
-            return i
-    raise LookupError(f"node {node} is not an active replica of any range")
+        sched.mark_full(full)
+        sched.ctx.trace("expand_replicate", "scheduler",
+                        reporter=full, new_node=new_node, range=str(rng))
+        return (yield from sched.await_relief_ack(full))

@@ -1,11 +1,13 @@
 """The scheduler actor (paper §4.1.1).
 
-Coordinates the whole join: activates the initial join nodes, answers
-memory-full reports by running the configured expansion strategy (one
-relief cycle at a time — the generalization of the paper's barrier split
-pointer), synchronizes the phase transitions (build -> [reshuffle] ->
-probe -> [OOC passes] -> shutdown), and detects phase completion with a
-counting drain protocol:
+Coordinates the whole join, and is written to read like the paper:
+
+* three node lists — **working**, **full** and **potential** join nodes;
+* the **memory-full protocol**: reports queue up and are answered one
+  relief cycle at a time (the generalization of the paper's barrier split
+  pointer) by the configured expansion strategy, ``decide`` then ``apply``;
+* **phase sync**: build -> [reshuffle] -> probe -> OOC passes -> shutdown,
+  each data phase ended by one counting drain:
 
     a phase's data flow is drained when, over two consecutive polling
     rounds, every counter is unchanged AND
@@ -17,6 +19,11 @@ Any message still on the wire leaves the sums unequal (it was counted by
 its sender's report but not its receiver's), and any message sent after a
 node's report changes that node's counters by the next round — so two
 identical balanced rounds imply an empty network.
+
+Surviving a crashed scheduler or working node is *not* in this file: the
+fault layer (:mod:`repro.core.recovery`) subclasses this process and wraps
+its decision points (``checkpoint``, ``log_decision``, one drain step,
+background start/stop), which do nothing here.
 """
 
 from __future__ import annotations
@@ -26,25 +33,16 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Generator
 from typing import Any
 
-import numpy as np
-
 from ..faults import UnrecoverableFaultError
-from ..hashing import LinearHashRouter, RangeRouter, Router, partition_range_by_counts
-from ..sim import Interrupt, Mailbox
+from ..hashing import RangeRouter, Router
+from ..sim import Mailbox
 from .context import RunContext
 from .messages import (
     ActivateAck,
     ActivateJoin,
-    CountRequest,
-    CountVector,
-    DeathVerdict,
-    Depose,
     FinalReport,
     FinalizePass,
-    HeartbeatAck,
     MemoryFull,
-    NodeLost,
-    NodeLostAck,
     OutputRedirect,
     PassDone,
     PollTick,
@@ -54,41 +52,17 @@ from .messages import (
     RecruitRequest,
     ReliefAck,
     ReliefPing,
-    ReplayDone,
-    ReplayOrder,
-    ReshuffleDone,
-    RouteUpdate,
-    SchedulerFailover,
     SpillOrder,
     SplitDone,
-    ReshuffleOrder,
     Shutdown,
     SourceDone,
     StartProbe,
-    StateSync,
     StatusReport,
     StatusRequest,
 )
-from .strategy import make_strategy
+from .strategy import Decision, make_strategy
 
 __all__ = ["SchedulerProcess", "SchedulerOutcome"]
-
-
-class _NodeDied(Exception):
-    """Internal control flow: a DeathVerdict surfaced in dispatch.
-
-    Raised out of ``_dispatch_common`` so whatever protocol wait is in
-    progress unwinds to the phase loop, which runs the recovery cycle —
-    recovery must never run from the middle of a relief decision."""
-
-    def __init__(self, node: int) -> None:
-        super().__init__(f"join node {node} declared dead")
-        self.node = node
-
-
-class _Deposed(Exception):
-    """Internal control flow: the standby took over while we were alive
-    (a dead-man false positive).  The old primary stands down silently."""
 
 
 @dataclass
@@ -118,14 +92,14 @@ class _StopFlag:
 
 
 class SchedulerProcess:
-    """Drive with ``sim.spawn(proc.run())``; outcome in ``proc.outcome``."""
+    """Drive with ``spawn(name)``; the outcome is ``result()``."""
 
     def __init__(self, ctx: RunContext) -> None:
         self.ctx = ctx
         self.cfg = ctx.cfg
         self.node = ctx.scheduler_node
         self.outcome = SchedulerOutcome()
-        #: the spawned simulation process (set by spawn_query_pipeline)
+        #: the spawned simulation process (set by :meth:`spawn`)
         self.proc: Any = None
         self.strategy = make_strategy(self, self.cfg)
 
@@ -147,20 +121,20 @@ class SchedulerProcess:
             else list(range(self.cfg.initial_nodes, ctx.n_potential))
         )
         self.activated: list[int] = list(self.working)
-        #: reporter -> parked-backlog bytes from its last MemoryFull
-        #: (forwarded to the shared pool's MEMORY_DEFICIT policy)
-        self._full_deficit: dict[int, int] = {}
-        self._active_deficit = 0
 
         self.router: Router = self.strategy.make_initial_router(list(self.working))
         self._version = 0
 
         # relief machinery
+        #: memory-full reporters awaiting their relief cycle
         self.full_queue: deque[int] = deque()
-        #: reporter -> causal edge of its queued MemoryFull (provenance for
-        #: the relief messages sent on its behalf)
-        self._full_edges: dict[int, int | None] = {}
+        #: reporter -> (parked-backlog bytes, causal edge) of its queued
+        #: MemoryFull.  The bytes feed the shared pool's MEMORY_DEFICIT
+        #: policy; the edge is the provenance of the relief messages sent
+        #: on the reporter's behalf.
+        self._full_info: dict[int, tuple[int, int | None]] = {}
         self.relief_active = False
+        self._active_deficit = 0
         #: nodes degraded to disk spilling (pool exhausted / atomic range)
         self.spilled_nodes: set[int] = set()
         #: pool nodes that never acked their ActivateJoin (presumed dead)
@@ -187,34 +161,15 @@ class SchedulerProcess:
             if plan is not None and plan.recruit_backoff_max_s is not None
             else 8.0 * self._recruit_timeout_s
         )
+        #: how long the initial nodes get to ack (the fault layer waits
+        #: longer: its failure detector subsumes this deadline)
+        self._initial_ack_timeout_s = self._recruit_timeout_s
 
         # source bookkeeping.  Chunk counts are kept *per destination* so
-        # the drain balance can exclude chunks sent to a node later
-        # declared dead (its mailbox absorbed them without retiring them).
+        # the fault layer's drain balance can exclude chunks sent to a node
+        # later declared dead (its mailbox absorbed, never retired, them).
         self._source_done: dict[str, set[int]] = {"R": set(), "S": set()}
         self._source_chunk_maps: dict[str, dict[int, int]] = {"R": {}, "S": {}}
-
-        # control-plane fault tolerance (repro.core.membership)
-        #: pool indices declared dead — excluded from routing, polling and
-        #: the sent-side of the drain balance
-        self.fenced: set[int] = set()
-        #: in-flight relief/recovery decision, WAL-replicated to the backup
-        self._pending: tuple = ()
-        #: live nodes participating in the pending decision (purge set on
-        #: a mid-decision death; primary-local, recomputed on re-drive)
-        self._pending_parties: tuple[int, ...] = ()
-        #: reporter whose relief cycle a recovery unwind abandoned
-        self._abandoned_reporter: int | None = None
-        self._recovering = False
-        self._sync_seq = 0
-        #: (recovery_id, source, relation) of absorbed ReplayDones
-        self._replay_seen: set[tuple[int, int, str]] = set()
-        #: ActivateAcks consumed by _dispatch_common while another await
-        #: held the main loop (e.g. a recovery during initial activation)
-        self._stray_activate_acks: set[int] = set()
-        #: heartbeat failure detector (armed by _start_background)
-        self.membership: Any = None
-        self._membership_proc: Any = None
 
         # drain polling
         self._poll_token = 0
@@ -224,6 +179,44 @@ class SchedulerProcess:
         self._drained = False
         self._phase = "build"
         self._ticker_flag = _StopFlag()
+
+        #: message type -> handler for traffic that may arrive at any time
+        #: (the dispatch inventory the protocol lint and its runtime mirror
+        #: read; the fault layer registers its rows on top).  Plain
+        #: functions called as ``handler(self, msg)`` — bound methods would
+        #: make the scheduler one more reference cycle.
+        cls = type(self)
+        self._handlers: dict[type, Callable[[Any, Any], None]] = {
+            MemoryFull: cls._on_memory_full,
+            SourceDone: cls._on_source_done,
+            StatusReport: cls._collect_report,
+            ActivateAck: cls._on_stray_activate_ack,
+            SplitDone: cls._on_stale_ack,
+            PassDone: cls._on_stale_ack,
+            PollTick: cls._ignore,
+        }
+
+    # ------------------------------------------------------------------
+    # fault-layer decision points (no-ops here; see repro.core.recovery)
+    # ------------------------------------------------------------------
+    def checkpoint(self) -> Generator[Any, Any, None]:
+        """State a successor would need just changed (phase, table, node
+        lists).  The fault layer replicates it to a standby scheduler."""
+        return
+        yield  # pragma: no cover - makes this a generator
+
+    def log_decision(self, decision: tuple) -> Generator[Any, Any, None]:
+        """Called with a decision *before* it is acted on and with ``()``
+        once it completed — write-ahead, so a standby can apply it again."""
+        return
+        yield  # pragma: no cover - makes this a generator
+
+    def spawn(self, name: str) -> None:
+        self.proc = self.ctx.sim.spawn(self.run(), name=name)
+
+    def result(self) -> SchedulerOutcome | None:
+        """The finished query's outcome (call after the simulation ran)."""
+        return self.proc.value
 
     # ------------------------------------------------------------------
     # helpers used by strategies
@@ -294,7 +287,7 @@ class SchedulerProcess:
         scheduler backs off exponentially (capped), and a *different*
         candidate is tried.  Returns the recruited pool index, or ``None``
         when the pool is exhausted — the caller then degrades to the OOC
-        spill path (``ExpansionStrategy.fallback_spill``).
+        spill path (:meth:`fallback_spill`).
 
         A live recruit whose ack merely arrived late becomes a "zombie":
         activated but unknown to the pools.  Its stale ack is ignored by
@@ -309,7 +302,8 @@ class SchedulerProcess:
                 return None
             yield from self.send_to_join(cand, make_activate(cand),
                                          parent=parent)
-            if (yield from self._await_activate_ack(cand)):
+            if (yield from self._await_activate_acks(
+                    {cand}, self._recruit_timeout_s)):
                 self.working.append(cand)
                 self.activated.append(cand)
                 self.outcome.expansion_trace.append((self.ctx.sim.now, cand))
@@ -322,25 +316,30 @@ class SchedulerProcess:
             yield from self._await_backoff(backoff)
             backoff = min(backoff * 2.0, self._recruit_backoff_max_s)
 
-    def _await_activate_ack(self, cand: int) -> Generator[Any, Any, bool]:
-        """Wait for ``cand``'s ActivateAck; False once the deadline passes.
+    def _await_activate_acks(
+        self, pending: set[int], timeout: float
+    ) -> Generator[Any, Any, bool]:
+        """Wait until every node in ``pending`` (emptied in place) sent its
+        ActivateAck; False once ``timeout`` passes without a new ack.
 
         Without an injector there is no deadline: acks cannot be lost, so
         unbounded waiting is always correct and can never misdeclare a
         busy-but-healthy recruit dead."""
         deadline = (
-            None if self.ctx.faults is None
-            else self.ctx.sim.now + self._recruit_timeout_s
+            None if self.ctx.faults is None else self.ctx.sim.now + timeout
         )
-        while True:
+        while pending:
             msg = yield from self.node.mailbox.recv()
-            if isinstance(msg, ActivateAck) and msg.node == cand:
-                return True
-            if isinstance(msg, PollTick):
+            if isinstance(msg, ActivateAck) and msg.node in pending:
+                pending.discard(msg.node)
+                if deadline is not None:  # progress: extend the deadline
+                    deadline = self.ctx.sim.now + timeout
+            elif isinstance(msg, PollTick):
                 if deadline is not None and self.ctx.sim.now >= deadline:
                     return False
-                continue
-            self._dispatch_common(msg)
+            else:
+                self._dispatch_common(msg)
+        return True
 
     def _await_backoff(self, seconds: float) -> Generator[Any, Any, None]:
         """Idle until ``seconds`` from now (measured on drain-poll ticks),
@@ -365,12 +364,23 @@ class SchedulerProcess:
 
     def send_to_join(self, j: int, msg: Any,
                      parent: int | None = None) -> Generator[Any, Any, None]:
-        yield from self.ctx.send(self.node, self.ctx.join_node(j), msg,
-                                 parent=parent)
+        return self.ctx.send(self.node, self.ctx.join_node(j), msg,
+                             parent=parent)
 
     def broadcast_to_sources(self, msg: Any) -> Generator[Any, Any, None]:
         for s in range(self.ctx.n_sources):
             yield from self.ctx.send(self.node, self.ctx.source_node(s), msg)
+
+    def fallback_spill(
+        self, node: int, why: str = "fallback_spill"
+    ) -> Generator[Any, Any, ReliefAck]:
+        """Pool exhausted (or range atomic): degrade ``node`` to local
+        out-of-core spilling.  Documented deviation — the paper's
+        experiments never exhaust the potential pool."""
+        self.spilled_nodes.add(node)
+        self.ctx.trace(why, "scheduler", reporter=node)
+        yield from self.send_to_join(node, SpillOrder())
+        return (yield from self.await_relief_ack(node))
 
     # ------------------------------------------------------------------
     # message waiting with background dispatch
@@ -386,179 +396,71 @@ class SchedulerProcess:
             self._dispatch_common(msg)
 
     def await_relief_ack(self, reporter: int) -> Generator[Any, Any, ReliefAck]:
-        return (
-            yield from self.await_message(
-                lambda m: isinstance(m, ReliefAck) and m.node == reporter
-            )
+        return self.await_message(
+            lambda m: isinstance(m, ReliefAck) and m.node == reporter
         )
 
     def _dispatch_common(self, msg: Any) -> None:
         """Messages that may arrive at any time, handled statelessly."""
-        if isinstance(msg, MemoryFull):
-            if msg.node in self.fenced:
-                return  # a dead node's parting words
-            if msg.node not in self.full_queue:
-                self.full_queue.append(msg.node)
-            # Remember the MemoryFull's causal edge: the relief cycle runs
-            # later (the queue is serialized), after the scheduler has
-            # dequeued other messages, so the implicit cause would be wrong.
-            self._full_edges[msg.node] = self.ctx.causal.cause_of("scheduler")
-            self._full_deficit[msg.node] = msg.deficit_bytes
-            self._prev_round = None
-        elif isinstance(msg, SourceDone):
-            # Idempotent: a SchedulerFailover makes sources re-announce.
-            if msg.source not in self._source_done[msg.relation]:
-                self._source_done[msg.relation].add(msg.source)
-                chunk_map = self._source_chunk_maps[msg.relation]
-                for dest, n in msg.chunks_sent.items():
-                    chunk_map[dest] = chunk_map.get(dest, 0) + n
-                if msg.relation == "S":
-                    self.outcome.probe_dup_tuples += msg.dup_tuples
-        elif isinstance(msg, HeartbeatAck):
-            if self.membership is not None:
-                self.membership.note_ack(msg)
-        elif isinstance(msg, DeathVerdict):
-            if msg.node in self.fenced or msg.node not in self.activated:
-                pass  # already recovered, or never part of this query
-            elif self._recovering:
-                raise UnrecoverableFaultError(
-                    f"join node {msg.node} declared dead while recovering "
-                    "from an earlier failure — concurrent working-node "
-                    "failures are out of scope (docs/FAULTS.md)"
-                )
-            else:
-                raise _NodeDied(msg.node)
-        elif isinstance(msg, ReplayDone):
-            self._note_replay_done(msg)
-        elif isinstance(msg, NodeLostAck):
-            pass  # late ack from a recovery fan-out that already completed
-        elif isinstance(msg, Depose):
-            raise _Deposed()
-        elif isinstance(msg, ReliefAck):
-            # Un-awaited ack: the relief cycle that requested it was
-            # abandoned by a recovery unwind.  Re-queue if still stuck.
-            if (msg.still_full and msg.node in self.activated
-                    and msg.node not in self.fenced
-                    and msg.node not in self.full_queue):
-                self.full_queue.append(msg.node)
-                self._prev_round = None
-        elif isinstance(msg, (SplitDone, PassDone)):
-            self.ctx.trace("stale_ack", "scheduler",
-                           kind=type(msg).__name__)
-        elif isinstance(msg, StatusReport):
-            # Reports may land while a relief cycle holds the main loop —
-            # still collect them, or the in-flight poll round would never
-            # complete and polling would stop for good.  The stability
-            # evaluation re-checks relief/queue state before declaring a
-            # phase drained.
-            self._collect_report(msg)
-        elif isinstance(msg, ActivateAck):
-            # Either a recruit we timed out on answering after all (alive
-            # but excluded from the pools — a zombie whose FinalReport is
-            # accepted at shutdown regardless), or an initial node's ack
-            # landing while a recovery holds the main loop; the initial-
-            # activation await drains the stray set.
-            self._stray_activate_acks.add(msg.node)
-            self.ctx.trace("stale_activate_ack", "scheduler", node=msg.node)
-        elif isinstance(msg, PollTick):
-            pass  # ticks are only meaningful to an idle phase loop
-        else:
+        handler = self._handlers.get(type(msg))
+        if handler is None:
             raise RuntimeError(f"scheduler: unexpected message {msg!r}")
+        handler(self, msg)
 
-    def _source_sent(self, relation: str) -> int:
-        """Chunks the sources count as sent, minus those addressed to
-        fenced nodes (absorbed by a tombstone, never to be retired).
-        Purged-but-live survivors are *not* fenced here: they stay
-        activated and retire their traffic, so their receipts balance."""
-        return sum(
-            n for dest, n in self._source_chunk_maps[relation].items()
-            if dest not in self.fenced
+    def _on_memory_full(self, msg: MemoryFull) -> None:
+        # Remember the MemoryFull's causal edge: the relief cycle runs
+        # later (the queue is serialized), after the scheduler has
+        # dequeued other messages, so the implicit cause would be wrong.
+        if msg.node not in self.full_queue:
+            self.full_queue.append(msg.node)
+        self._full_info[msg.node] = (
+            msg.deficit_bytes, self.ctx.causal.cause_of("scheduler")
         )
-
-    def _note_replay_done(self, msg: ReplayDone) -> None:
-        """Fold a replay's chunk counts into the drain balance, once."""
-        key = (msg.recovery_id, msg.source, msg.relation)
-        if key in self._replay_seen:
-            return
-        self._replay_seen.add(key)
-        chunk_map = self._source_chunk_maps[msg.relation]
-        for dest, n in msg.chunks_sent.items():
-            chunk_map[dest] = chunk_map.get(dest, 0) + n
         self._prev_round = None
 
-    # ------------------------------------------------------------------
-    # state replication to the standby (write-ahead)
-    # ------------------------------------------------------------------
-    def sync_backup(self) -> Generator[Any, Any, None]:
-        """Ship a state snapshot to the standby scheduler.
+    def _on_source_done(self, msg: SourceDone) -> None:
+        # Idempotent: after a scheduler takeover the sources re-announce.
+        if msg.source not in self._source_done[msg.relation]:
+            self._source_done[msg.relation].add(msg.source)
+            self._count_sent(msg.relation, msg.chunks_sent)
+            if msg.relation == "S":
+                self.outcome.probe_dup_tuples += msg.dup_tuples
 
-        No-op without a standby (the fault-free path sends nothing), and
-        after a takeover (the standby does not re-replicate to itself)."""
-        backup = self.ctx.backup_node
-        if backup is None or backup is self.node:
-            return
-        self._sync_seq += 1
-        yield from self.ctx.send(
-            self.node, backup,
-            StateSync(
-                sync_seq=self._sync_seq, phase=self._phase,
-                router=self.router, version=self._version,
-                activated=tuple(self.activated),
-                fenced=tuple(sorted(self.fenced)),
-                pending=self._pending,
-            ),
-        )
+    def _count_sent(self, relation: str, chunks_sent: dict[int, int]) -> None:
+        chunk_map = self._source_chunk_maps[relation]
+        for dest, n in chunks_sent.items():
+            chunk_map[dest] = chunk_map.get(dest, 0) + n
 
-    def wal_decision(
-        self, pending: tuple, parties: tuple[int, ...] = ()
-    ) -> Generator[Any, Any, None]:
-        """Record an in-flight decision *before* acting on it, so the
-        standby can re-drive it idempotently after a takeover."""
-        self._pending = tuple(pending)
-        self._pending_parties = tuple(parties)
-        yield from self.sync_backup()
+    def _on_stray_activate_ack(self, msg: ActivateAck) -> None:
+        # A recruit we timed out on answering after all: alive but
+        # excluded from the pools — a zombie whose FinalReport is accepted
+        # at shutdown regardless.
+        self.ctx.trace("stale_activate_ack", "scheduler", node=msg.node)
 
-    def clear_decision(self) -> Generator[Any, Any, None]:
-        if not self._pending and not self._pending_parties:
-            return
-        self._pending = ()
-        self._pending_parties = ()
-        yield from self.sync_backup()
+    def _on_stale_ack(self, msg: SplitDone | PassDone) -> None:
+        self.ctx.trace("stale_ack", "scheduler", kind=type(msg).__name__)
+
+    def _ignore(self, msg: Any) -> None:
+        """Nothing to do: a tick outside an idle drain loop, a late ack."""
+
+    def _source_sent(self, relation: str) -> int:
+        """Chunks the sources count as sent in ``relation``'s phase."""
+        return sum(self._source_chunk_maps[relation].values())
 
     # ------------------------------------------------------------------
-    # main run
+    # main run: phase order
     # ------------------------------------------------------------------
     def run(self) -> Generator[Any, Any, SchedulerOutcome | None]:
-        try:
-            return (yield from self._run_fresh())
-        except Interrupt:
-            # Injected crash: die silently mid-protocol.  Background loops
-            # are flag-stopped — the silence is what the standby detects.
-            self._halt_background()
-            self.ctx.trace("scheduler_crashed", "scheduler",
-                           phase=self._phase)
-            return None
-        except _Deposed:
-            self._halt_background()
-            self.ctx.trace("scheduler_deposed", "scheduler")
-            return None
-        except _NodeDied as e:
-            raise UnrecoverableFaultError(
-                f"join node {e.node} declared dead during the {self._phase} "
-                "phase — working-node recovery is supported only in the "
-                "build and probe phases (docs/FAULTS.md)"
-            ) from e
-
-    def _run_fresh(self) -> Generator[Any, Any, SchedulerOutcome]:
-        ctx = self.ctx
-        self.outcome.t_start = ctx.sim.now
+        self.outcome.t_start = self.ctx.sim.now
         # Ticker first: the initial-activation ack timeout counts its ticks.
         self._start_background()
         self._notify_faults("build")
-        # Activate the initial working join nodes and await their acks.
-        # Initial nodes are not replaceable (the initial router is fixed
-        # before activation), so a missing ack here is unrecoverable —
-        # unlike mid-run recruits, which retry a different pool node.
+        yield from self._activate_initial()
+        yield from self.checkpoint()
+        return (yield from self._run_from("build"))
+
+    def _activate_initial(self) -> Generator[Any, Any, None]:
+        """Activate the initial working join nodes and await their acks."""
         if isinstance(self.router, RangeRouter):
             for rng, chain in self.router.entries:
                 yield from self.send_to_join(
@@ -568,35 +470,45 @@ class SchedulerProcess:
             for b, j in enumerate(self.router.bucket_nodes):  # type: ignore[attr-defined]
                 yield from self.send_to_join(j, ActivateJoin(j, bucket=b))
         yield from self._await_initial_acks(set(self.activated))
-        yield from self.sync_backup()
-        return (yield from self._run_from("build"))
 
     def _run_from(self, phase: str) -> Generator[Any, Any, SchedulerOutcome]:
-        """Drive the query from ``phase`` to completion (fresh run, or a
-        standby resuming after a takeover)."""
+        """Drive the query from ``phase`` to completion (``"build"``; the
+        fault layer's standby may resume at ``"probe"``)."""
         ctx = self.ctx
         if phase == "build":
-            yield from self._build_phase()
+            yield from self.drain("build")
             self.outcome.t_build = ctx.sim.now
             ctx.trace("phase", "scheduler", phase="build_done")
 
             if self.strategy.needs_reshuffle:
                 self._phase = "reshuffle"
-                yield from self.sync_backup()
+                yield from self.checkpoint()
                 self._notify_faults("reshuffle")
-                yield from self._reshuffle_phase()
+                yield from self.strategy.reshuffle()
             self.outcome.t_reshuffle = ctx.sim.now
             ctx.trace("phase", "scheduler", phase="reshuffle_done")
             self._notify_faults("probe")
 
-        yield from self._probe_phase()
+        # Phase entry is checkpointed *before* the StartProbe fan-out; a
+        # successor resuming inside that window re-sends both broadcasts,
+        # which receivers absorb idempotently.
+        self._phase = "probe"
+        yield from self.checkpoint()
+        # Join nodes first: an S chunk must never outrun the phase switch.
+        for j in self.activated:
+            yield from self.send_to_join(j, StartProbe(router=None))
+        yield from self.broadcast_to_sources(StartProbe(router=self.router))
+        yield from self.drain("probe")
         self.outcome.t_probe = ctx.sim.now
         ctx.trace("phase", "scheduler", phase="probe_done")
 
         self._phase = "ooc"
-        yield from self.sync_backup()
+        yield from self.checkpoint()
         self._notify_faults("ooc")
-        yield from self._ooc_pass_phase()
+        for j in self.activated:
+            yield from self.send_to_join(j, FinalizePass())
+        for _ in self.activated:
+            yield from self.await_message(lambda m: isinstance(m, PassDone))
         self.outcome.t_ooc = ctx.sim.now
         ctx.trace("phase", "scheduler", phase="ooc_done")
 
@@ -605,36 +517,16 @@ class SchedulerProcess:
         return self.outcome
 
     def _start_background(self) -> None:
-        """Spawn the drain ticker and (when armed) the failure detector.
-
-        Both gate on the same stop flag: a crashed or deposed primary
-        stops them, and that silence is exactly what the standby's
-        dead-man timer and the joins' ping loss observe."""
-        ctx = self.ctx
+        """Spawn the drain ticker (runs until :meth:`_halt_background`)."""
         self._ticker_flag = _StopFlag()
-        ctx.sim.spawn(
-            _ticker(ctx, self._ticker_flag, self.cfg.effective_drain_poll,
-                    self.node.mailbox),
+        self.ctx.sim.spawn(
+            _ticker(self.ctx, self._ticker_flag,
+                    self.cfg.effective_drain_poll, self.node.mailbox),
             name="drain-ticker",
         )
-        if (ctx.faults is not None and ctx.faults.plan.membership_active
-                and ctx.backup_node is not None):
-            from .membership import Membership
-
-            self.membership = Membership(self)
-            self._membership_proc = ctx.sim.spawn(
-                self.membership.loop(self._ticker_flag), name="membership"
-            )
 
     def _halt_background(self) -> None:
         self._ticker_flag.stopped = True
-        # The flag only covers the detector's idle path: a ping that is
-        # mid-send when the primary dies would wait on the dead node's
-        # CPU forever.  Interrupt it out of the send (it treats the
-        # Interrupt as a clean stop).
-        proc = self._membership_proc
-        if proc is not None and proc.is_alive:
-            proc.interrupt(cause=("membership_halt",))
 
     def _notify_faults(self, phase: str) -> None:
         """Synchronous phase-entry hook for phase-triggered crash specs."""
@@ -642,122 +534,109 @@ class SchedulerProcess:
             self.ctx.faults.notify_phase(phase)
 
     def _await_initial_acks(self, pending: set[int]) -> Generator[Any, Any, None]:
-        timeout = self._recruit_timeout_s
-        if self.ctx.faults is not None and self.membership is not None:
-            # The failure detector subsumes this deadline: a dead initial
-            # node is *recoverable* (confirmed death → recovery cycle), so
-            # give the detector time to reach its verdict first.
-            timeout = max(
-                timeout,
-                self.membership.timing.confirm
-                + 4.0 * self.membership.timing.interval,
+        """Initial nodes are not replaceable here (the initial router is
+        fixed before activation), so a missing ack is unrecoverable —
+        unlike mid-run recruits, which retry a different pool node."""
+        if not (yield from self._await_activate_acks(
+                pending, self._initial_ack_timeout_s)):
+            raise UnrecoverableFaultError(
+                f"initial join node(s) {sorted(pending)} never "
+                "acknowledged activation — without the failure "
+                "detector armed, initial nodes cannot be replaced "
+                "(the routing table is fixed before activation); "
+                "fault plans may only crash not-yet-recruited pool "
+                "nodes (docs/FAULTS.md)"
             )
-        deadline = (
-            None if self.ctx.faults is None else self.ctx.sim.now + timeout
-        )
-        while pending:
-            pending -= self._stray_activate_acks
-            if not pending:
-                return
-            msg = yield from self.node.mailbox.recv()
-            if isinstance(msg, ActivateAck) and msg.node in pending:
-                pending.discard(msg.node)
-                if deadline is not None:  # progress: extend the deadline
-                    deadline = self.ctx.sim.now + timeout
-            elif isinstance(msg, PollTick):
-                if deadline is not None and self.ctx.sim.now >= deadline:
-                    raise UnrecoverableFaultError(
-                        f"initial join node(s) {sorted(pending)} never "
-                        "acknowledged activation — without the membership "
-                        "layer initial nodes cannot be replaced (the "
-                        "routing table is fixed before activation); fault "
-                        "plans may only crash not-yet-recruited pool nodes "
-                        "(docs/FAULTS.md)"
-                    )
-            else:
-                try:
-                    self._dispatch_common(msg)
-                except _NodeDied as e:
-                    # An initial node died before confirming activation:
-                    # recover it like any working-node death — its range
-                    # moves to a fresh recruit and the sources replay.
-                    yield from self._handle_node_death(e.node)
-                    pending.discard(e.node)
-                    if deadline is not None:
-                        deadline = self.ctx.sim.now + timeout
 
     # ------------------------------------------------------------------
-    # build phase
+    # the drain loop and the relief cycle
     # ------------------------------------------------------------------
-    def _build_phase(self) -> Generator[Any, Any, None]:
-        self._phase = "build"
+    def drain(self, phase: str) -> Generator[Any, Any, None]:
+        """Serve the protocol until ``phase``'s data flow has drained
+        (module docstring): ``"build"`` balances the R counters — also for
+        the hybrid reshuffle traffic — and ``"probe"`` the S counters."""
+        self._phase = phase
         self._drained = False
         self._prev_round = None
         while not self._drained:
-            try:
-                # Relief first: expansion requests outrank polling.
-                while self.full_queue:
-                    reporter = self.full_queue.popleft()
-                    yield from self._relief_cycle(reporter)
-                msg = yield from self.node.mailbox.recv()
-                yield from self._dispatch_phase(msg)
-            except _NodeDied as e:
-                yield from self._handle_node_death(e.node)
+            yield from self._drain_step()
 
-    def _handle_node_death(self, dead: int) -> Generator[Any, Any, None]:
-        """Recover from a confirmed death, then repair collateral damage:
-        a reporter whose relief cycle the unwind abandoned is re-queued
-        (it still sits on a parked backlog nobody will ping it about)."""
-        victim = self._abandoned_reporter
-        self._abandoned_reporter = None
-        parties = self._pending_parties
-        yield from self._recovery_cycle(dead, parties=parties)
-        if (victim is not None and victim != dead
-                and victim in self.activated
-                and victim not in self.fenced
-                and victim not in self.full_queue):
-            self.full_queue.append(victim)
+    def _drain_step(self) -> Generator[Any, Any, None]:
+        # Relief first: expansion requests outrank polling.
+        while self.full_queue:
+            reporter = self.full_queue.popleft()
+            yield from self._relief_cycle(
+                reporter, *self._full_info.pop(reporter, (0, None))
+            )
+        msg = yield from self.node.mailbox.recv()
+        if isinstance(msg, PollTick):
+            if self._ready_to_poll():
+                yield from self._start_poll_round()
+        else:
+            self._dispatch_common(msg)
 
-    def _relief_cycle(self, reporter: int) -> Generator[Any, Any, None]:
+    def _relief_cycle(
+        self, reporter: int, deficit: int, edge: int | None
+    ) -> Generator[Any, Any, None]:
+        """Answer one memory-full report.  Cycles are serialized — the
+        paper's barrier split pointer: nothing splits while a split is in
+        flight."""
         assert not self.relief_active, "relief cycles are serialized"
         self.relief_active = True
-        self._abandoned_reporter = reporter
         self._prev_round = None
         t0 = self.ctx.sim.now
-        self.ctx.metrics.inc("sched.relief_cycles", 1, phase="build")
-        self._active_deficit = self._full_deficit.pop(reporter, 0)
+        phase = self._phase
+        self.ctx.metrics.inc("sched.relief_cycles", 1, phase=phase)
+        self._active_deficit = deficit
         try:
-            # Re-check first: an earlier split in this queue may already
-            # have relieved the reporter (round-robin pointer policies
-            # split buckets other than the overflowing one).
-            yield from self.send_to_join(
-                reporter, ReliefPing(),
-                parent=self._full_edges.pop(reporter, None),
-            )
-            ack = yield from self.await_relief_ack(reporter)
-            if not ack.still_full:
-                self._abandoned_reporter = None
-                return
-            ack = yield from self.strategy.expand(reporter)
-            self._abandoned_reporter = None
-            if ack.still_full:
-                self.full_queue.append(reporter)
+            if phase == "probe":
+                yield from self._relieve_output(reporter, edge)
+            else:
+                yield from self._relieve_build(reporter, edge)
         finally:
             self.relief_active = False
             self._active_deficit = 0
             self.ctx.metrics.set_gauge(
-                "sched.relief_latency_s", self.ctx.sim.now - t0, phase="build"
+                "sched.relief_latency_s", self.ctx.sim.now - t0, phase=phase
             )
 
-    def _dispatch_phase(self, msg: Any) -> Generator[Any, Any, None]:
-        """Main-loop dispatch for build/probe phases."""
-        if isinstance(msg, PollTick):
-            if self._ready_to_poll():
-                yield from self._start_poll_round()
-        elif isinstance(msg, StatusReport):
-            self._collect_report(msg)
+    def _relieve_build(
+        self, reporter: int, edge: int | None
+    ) -> Generator[Any, Any, None]:
+        # Re-check first: an earlier split in this queue may already
+        # have relieved the reporter (round-robin pointer policies
+        # split buckets other than the overflowing one).
+        yield from self.send_to_join(reporter, ReliefPing(), parent=edge)
+        ack = yield from self.await_relief_ack(reporter)
+        if not ack.still_full:
+            return
+        decision: Decision | None = yield from self.strategy.decide(reporter)
+        if decision is None:
+            ack = yield from self.fallback_spill(reporter)
         else:
-            self._dispatch_common(msg)
+            # Logged before the table is touched: a successor re-applies it.
+            yield from self.log_decision(decision)
+            ack = yield from self.strategy.apply(decision)
+            yield from self.log_decision(())
+        if ack.still_full:
+            self.full_queue.append(reporter)
+
+    def _relieve_output(
+        self, reporter: int, edge: int | None
+    ) -> Generator[Any, Any, None]:
+        """Probe-phase expansion (footnote 1): a node whose materialized
+        output overflowed gets an output sink, or spills its output."""
+        new_node = yield from self.recruit_node(
+            lambda j: ActivateJoin(j, phase="probe", output_sink=True),
+            phase="probe", parent=edge,
+        )
+        if new_node is None:
+            yield from self.fallback_spill(reporter, "output_spill_order")
+            return
+        yield from self.send_to_join(reporter, OutputRedirect(new_node=new_node))
+        self.ctx.trace("expand_output_sink", "scheduler",
+                       reporter=reporter, new_node=new_node)
+        yield from self.await_relief_ack(reporter)
 
     def _ready_to_poll(self) -> bool:
         relation = "R" if self._phase == "build" else "S"
@@ -777,6 +656,11 @@ class SchedulerProcess:
             yield from self.send_to_join(j, StatusRequest(self._poll_token))
 
     def _collect_report(self, report: StatusReport) -> None:
+        # Reports may land while a relief cycle holds the main loop —
+        # still collect them, or the in-flight poll round would never
+        # complete and polling would stop for good.  The stability
+        # evaluation re-checks relief/queue state before declaring a
+        # phase drained.
         if report.token != self._poll_token or report.node not in self._round_nodes:
             return  # stale round
         self._round_reports[report.node] = report
@@ -788,550 +672,36 @@ class SchedulerProcess:
         if self.full_queue or self.relief_active or set(nodes) != set(self.activated):
             self._prev_round = None
             return
+        reports = self._round_reports.values()
         snapshot = {
-            j: (
+            r.node: (
                 r.received_build, r.processed_build, r.emitted_build,
                 r.received_probe, r.processed_probe, r.busy,
             )
-            for j, r in self._round_reports.items()
+            for r in reports
         }
-        if any(r.busy for r in self._round_reports.values()):
+        if any(r.busy for r in reports):
             self._prev_round = snapshot
             return
         if self._phase == "build":
-            sent = self._source_sent("R") + sum(
-                r.emitted_build for r in self._round_reports.values()
-            )
-            received = sum(r.received_build for r in self._round_reports.values())
-            processed = sum(r.processed_build for r in self._round_reports.values())
+            sent = self._source_sent("R") + sum(r.emitted_build for r in reports)
+            received = sum(r.received_build for r in reports)
+            processed = sum(r.processed_build for r in reports)
         else:
             # emitted_probe covers output-sink forwarding (footnote 1)
-            sent = self._source_sent("S") + sum(
-                r.emitted_probe for r in self._round_reports.values()
-            )
-            received = sum(r.received_probe for r in self._round_reports.values())
-            processed = sum(r.processed_probe for r in self._round_reports.values())
-        balanced = sent == received == processed
-        if balanced and self._prev_round == snapshot:
+            sent = self._source_sent("S") + sum(r.emitted_probe for r in reports)
+            received = sum(r.received_probe for r in reports)
+            processed = sum(r.processed_probe for r in reports)
+        if sent == received == processed and self._prev_round == snapshot:
             self._drained = True
         self._prev_round = snapshot
 
     # ------------------------------------------------------------------
-    # reshuffle phase (hybrid)
+    # shutdown
     # ------------------------------------------------------------------
-    def _reshuffle_phase(self) -> Generator[Any, Any, None]:
-        router = self.router
-        assert isinstance(router, RangeRouter)
-        groups = router.replicated_groups()
-        # A group whose active replica spilled to disk cannot be reshuffled:
-        # the disk-resident tuples cannot move, so the range must stay
-        # replicated (probe broadcast reaches memory parts and the spill).
-        members = [
-            (rng, chain) for rng, chain in groups
-            if not (set(chain) & self.spilled_nodes)
-        ]
-        frozen = [
-            (rng, chain) for rng, chain in groups
-            if set(chain) & self.spilled_nodes
-        ]
-        if not members:
-            return
-        ctx = self.ctx
-
-        # 1. Gather per-position counts from every replica-chain member.
-        expected = sum(len(chain) for _, chain in members)
-        for rng, chain in members:
-            for j in chain:
-                yield from self.send_to_join(j, CountRequest(rng.lo, rng.hi))
-        vectors: dict[int, np.ndarray] = {}
-        while len(vectors) < expected:
-            msg = yield from self.await_message(lambda m: isinstance(m, CountVector))
-            vectors[msg.node] = msg.counts
-
-        # 2. Greedy contiguous cut per group; dispatch redistribution orders.
-        new_entries: list[tuple] = [
-            (rng, chain) for rng, chain in router.entries if len(chain) == 1
-        ]
-        new_entries.extend(frozen)
-        n_orders = 0
-        for rng, chain in members:
-            total = np.zeros(rng.width, dtype=np.int64)
-            for j in chain:
-                total += vectors[j]
-            cuts = partition_range_by_counts(rng, total, len(chain))
-            assignments = tuple(zip(chain, cuts))
-            order = ReshuffleOrder(assignments=assignments)
-            for j in chain:
-                yield from self.send_to_join(j, order)
-                n_orders += 1
-            for j, cut in assignments:
-                if cut is not None:
-                    new_entries.append((cut, (j,)))
-            ctx.trace("reshuffle_cut", "scheduler", range=str(rng),
-                      parts=[str(c) for c in cuts])
-
-        # 3. Await completion acknowledgements.
-        done = 0
-        while done < n_orders:
-            msg = yield from self.await_message(
-                lambda m: isinstance(m, ReshuffleDone)
-            )
-            self.outcome.reshuffle_moved_tuples += msg.moved_tuples
-            done += 1
-
-        # 4. Drain the redistribution traffic, then install the new table.
-        self._phase = "build"
-        self._drained = False
-        self._prev_round = None
-        while not self._drained:
-            msg = yield from self.node.mailbox.recv()
-            yield from self._dispatch_phase(msg)
-
-        new_entries.sort(key=lambda e: e[0].lo)
-        self.router = RangeRouter(
-            positions=router.positions,
-            entries=tuple(new_entries),
-            version=self.next_version(),
-        )
-
-    # ------------------------------------------------------------------
-    # probe phase
-    # ------------------------------------------------------------------
-    def _probe_phase(self) -> Generator[Any, Any, None]:
-        # Phase entry is WAL'd *before* the StartProbe fan-out; on a
-        # failover inside that window the standby re-sends both
-        # broadcasts, which receivers absorb idempotently.
-        self._phase = "probe"
-        yield from self.sync_backup()
-        probe_router = self.strategy.probe_router()
-        # Join nodes first: an S chunk must never outrun the phase switch.
-        for j in self.activated:
-            yield from self.send_to_join(j, StartProbe(router=None))
-        yield from self.broadcast_to_sources(StartProbe(router=probe_router))
-        self._drained = False
-        self._prev_round = None
-        while not self._drained:
-            try:
-                # Probe-phase expansion (footnote 1): a node whose
-                # materialized output overflowed asks for an output sink.
-                while self.full_queue:
-                    reporter = self.full_queue.popleft()
-                    yield from self._probe_relief_cycle(reporter)
-                msg = yield from self.node.mailbox.recv()
-                yield from self._dispatch_phase(msg)
-            except _NodeDied as e:
-                yield from self._handle_node_death(e.node)
-
-    def _probe_relief_cycle(self, reporter: int) -> Generator[Any, Any, None]:
-        assert not self.relief_active, "relief cycles are serialized"
-        self.relief_active = True
-        self._abandoned_reporter = reporter
-        self._prev_round = None
-        t0 = self.ctx.sim.now
-        self.ctx.metrics.inc("sched.relief_cycles", 1, phase="probe")
-        self._active_deficit = self._full_deficit.pop(reporter, 0)
-        try:
-            new_node = yield from self.recruit_node(
-                lambda j: ActivateJoin(j, phase="probe", output_sink=True),
-                phase="probe",
-                parent=self._full_edges.pop(reporter, None),
-            )
-            if new_node is None:
-                self.spilled_nodes.add(reporter)
-                self.ctx.trace("output_spill_order", "scheduler",
-                               reporter=reporter)
-                yield from self.send_to_join(reporter, SpillOrder())
-            else:
-                yield from self.send_to_join(
-                    reporter, OutputRedirect(new_node=new_node)
-                )
-                self.ctx.trace("expand_output_sink", "scheduler",
-                               reporter=reporter, new_node=new_node)
-            yield from self.await_relief_ack(reporter)
-            self._abandoned_reporter = None
-        finally:
-            self.relief_active = False
-            self._active_deficit = 0
-            self.ctx.metrics.set_gauge(
-                "sched.relief_latency_s", self.ctx.sim.now - t0, phase="probe"
-            )
-
-    # ------------------------------------------------------------------
-    # working-node crash recovery (repro.core.membership)
-    # ------------------------------------------------------------------
-    def _recovery_cycle(
-        self, dead: int, target: int | None = None,
-        parties: tuple[int, ...] = (), redrive: bool = False,
-    ) -> Generator[Any, Any, None]:
-        """Recover from a confirmed working-node death.
-
-        Replica chains hold disjoint temporal segments, so survivors of
-        the dead node's chain cannot serve the range alone: they are
-        *purged* (quarantined, segment dropped, matches zeroed) and the
-        whole range collapses onto one fresh ``target``, which the data
-        sources re-stream from their replay cursors.  The dead node
-        itself is also told to purge — "fencing the living": if the
-        verdict was false, the live node self-quarantines instead of
-        double-counting matches; if it was true, the tombstone ignores it.
-
-        The decision is WAL'd (``("recover", dead, target)``) with the
-        recruited target pinned, and every step is idempotent keyed on
-        ``recovery_id == dead``, so a standby can re-drive the cycle
-        mid-flight after a primary failover.
-        """
-        ctx = self.ctx
-        if dead in self.fenced and not redrive:
-            return
-        if self._phase not in ("build", "probe"):
-            raise UnrecoverableFaultError(
-                f"join node {dead} declared dead during the {self._phase} "
-                "phase — working-node recovery is supported only in the "
-                "build and probe phases (docs/FAULTS.md)"
-            )
-        self._recovering = True
-        self._pending = ()
-        self._pending_parties = ()
-        t0 = ctx.sim.now
-        ctx.metrics.inc("sched.recovery_cycles", 1, phase=self._phase)
-        ctx.trace("recovery_begin", "scheduler", dead=dead,
-                  phase=self._phase, redrive=redrive)
-        try:
-            # 1. Fence locally.  Abandon any in-flight poll round: it may
-            # include the dead node, whose report will never arrive.
-            self._round_nodes = ()
-            self._round_reports = {}
-            self._prev_round = None
-            self.fenced.add(dead)
-            if dead in self.activated:
-                self.activated.remove(dead)
-            if dead in self.working:
-                self.working.remove(dead)
-            if dead in self.full_nodes:
-                self.full_nodes.remove(dead)
-            if dead not in self.dead_nodes:
-                self.dead_nodes.append(dead)
-            while dead in self.full_queue:
-                self.full_queue.remove(dead)
-            self._full_edges.pop(dead, None)
-            self._full_deficit.pop(dead, None)
-            self.spilled_nodes.discard(dead)
-
-            # Purge set: live chain co-members of the dead node's entries,
-            # plus live participants of an interrupted relief decision
-            # (their half of the data motion is unaccounted for).
-            purge: set[int] = set()
-            if isinstance(self.router, RangeRouter):
-                for _rng, chain in self.router.entries:
-                    if dead in chain:
-                        purge.update(chain)
-            purge.discard(dead)
-            purge.update(p for p in parties if p != dead)
-            purge &= set(self.activated)
-            self.spilled_nodes -= purge
-            for p in sorted(purge):
-                # a purged node sheds its backlog wholesale — cancel relief
-                while p in self.full_queue:
-                    self.full_queue.remove(p)
-                self._full_deficit.pop(p, None)
-                self._full_edges.pop(p, None)
-
-            lost = {dead} | purge
-            owners = self.router.owners()
-            if not (lost & owners):
-                raise UnrecoverableFaultError(
-                    f"join node {dead} died but owns no hash range (an "
-                    "output sink, or a recruit outside the routing table) "
-                    "— recovery for materialized-output state is out of "
-                    "scope (docs/FAULTS.md)"
-                )
-
-            # 2. Recruit the replacement (pinned and re-used on re-drive).
-            slot = self._takeover_slot(lost)
-            if target is not None and target not in self.activated:
-                target = None  # un-synced zombie of a dead primary
-            if target is None:
-                if isinstance(self.router, RangeRouter):
-                    target = yield from self.recruit_node(
-                        lambda j: ActivateJoin(j, hash_range=slot),
-                        phase=self._phase,
-                    )
-                else:
-                    target = yield from self.recruit_node(
-                        lambda j: ActivateJoin(j, bucket=slot),
-                        phase=self._phase,
-                    )
-                if target is None:
-                    raise UnrecoverableFaultError(
-                        f"pool exhausted while replacing dead join node "
-                        f"{dead} — its hash range has no home"
-                    )
-
-            # 3. WAL the decision with the target pinned.
-            yield from self.wal_decision(("recover", dead, target))
-
-            # 4. Disseminate: every live node fences the dead peer's
-            # global id (late in-flight chunks are retired, its counter
-            # contributions subtracted at report time); chain co-members
-            # purge.  The dead node itself gets an unawaited purge order
-            # (fencing the living, see docstring).
-            live = list(self.activated)
-            for j in live:
-                yield from self.send_to_join(
-                    j, NodeLost(dead=dead, purge=(j in purge))
-                )
-            yield from self.send_to_join(dead, NodeLost(dead=dead, purge=True))
-            acked: set[int] = set()
-            while not set(live) <= acked:
-                msg = yield from self.await_message(
-                    lambda m: isinstance(m, NodeLostAck)
-                )
-                acked.add(msg.node)
-
-            # 5. Collapse the routing entries onto the target.
-            self.router = self.router.with_takeover(
-                lost, target, self.next_version()
-            )
-            self.strategy.adopt_router(self.router, self.activated)
-
-            # 6-7. Flip the sources and re-stream the lost range.  The
-            # ReplayOrder carries the takeover table: the source installs
-            # it and replays in one atomic step, so no live chunk can
-            # slip to the target between the two (double delivery).
-            if self._phase == "build":
-                yield from self.broadcast_to_sources(
-                    ReplayOrder(relation="R", target=target,
-                                recovery_id=dead, router=self.router)
-                )
-            else:
-                yield from self._probe_recovery(dead, target)
-
-            # 8. Done: clear the WAL and force fresh drain rounds.
-            yield from self.clear_decision()
-            self._prev_round = None
-            ctx.trace("recovery_done", "scheduler", dead=dead,
-                      target=target, purged=sorted(purge))
-            ctx.metrics.set_gauge(
-                "sched.recovery_latency_s", ctx.sim.now - t0,
-                phase=self._phase,
-            )
-        finally:
-            self._recovering = False
-
-    def _takeover_slot(self, lost: set[int]) -> Any:
-        """The hash range (or bucket) the recovery target will own —
-        computed *before* the router flips, mirroring what
-        ``with_takeover`` will collapse the lost entries into."""
-        if isinstance(self.router, RangeRouter):
-            affected = [
-                rng for rng, chain in self.router.entries
-                if set(chain) & lost
-            ]
-            for prev, nxt in zip(affected, affected[1:]):
-                if prev.hi != nxt.lo:
-                    raise UnrecoverableFaultError(
-                        f"lost nodes {sorted(lost)} own non-contiguous "
-                        "ranges — a single takeover target cannot adopt "
-                        "them (docs/FAULTS.md)"
-                    )
-            from ..hashing import HashRange
-
-            return HashRange(affected[0].lo, affected[-1].hi)
-        assert isinstance(self.router, LinearHashRouter)
-        buckets = [
-            b for b, n in enumerate(self.router.bucket_nodes) if n in lost
-        ]
-        return buckets[0]
-
-    def _degrade_full_target(
-        self, target: int
-    ) -> Generator[Any, Any, None]:
-        """Relieve a recovery target that outgrew its memory mid-replay.
-
-        The re-streamed range can exceed one node's budget (the dead
-        node had spilled, or it headed a replica chain whose purged
-        co-members each stored a disjoint segment).  There is no pool
-        headroom to split into during a recovery, so the target is
-        degraded to disk spilling — same answer, out-of-core speed."""
-        if target not in self.full_queue:
-            return
-        while target in self.full_queue:
-            self.full_queue.remove(target)
-        self._full_deficit.pop(target, None)
-        self._full_edges.pop(target, None)
-        yield from self.send_to_join(target, SpillOrder())
-        yield from self.await_relief_ack(target)
-        self.spilled_nodes.add(target)
-
-    def _probe_recovery(
-        self, dead: int, target: int
-    ) -> Generator[Any, Any, None]:
-        """Probe-phase re-streaming, sequenced so the target never probes
-        before it holds the rebuilt range.
-
-        The build stream is replayed to the target under the takeover
-        router while live S traffic still flows under the *old* table
-        (the dead node's copies are absorbed by its tombstone; purged
-        survivors retire theirs without probing).  Only once the target
-        confirms it processed every replayed chunk is it flipped to
-        probing and the sources' table updated; the S replay that follows
-        the RouteUpdate on each source link (per-pair FIFO) then covers
-        every probe tuple of the range, exactly once."""
-        ctx = self.ctx
-        yield from self.broadcast_to_sources(
-            ReplayOrder(relation="R", target=target, recovery_id=dead,
-                        router=self.router)
-        )
-        done: set[int] = set()
-        expected_chunks = 0
-        while len(done) < ctx.n_sources:
-            # Fullness must be serviced *while* awaiting the replay
-            # receipts: a full target parks chunks holding its receive
-            # credits, which blocks the replaying sources — waiting for
-            # their ReplayDone first would deadlock the recovery.
-            yield from self._degrade_full_target(target)
-            msg = yield from self.node.mailbox.recv()
-            if (isinstance(msg, ReplayDone) and msg.relation == "R"
-                    and msg.recovery_id == dead and msg.source not in done):
-                done.add(msg.source)
-                expected_chunks += sum(msg.chunks_sent.values())
-                self._note_replay_done(msg)
-            else:
-                self._dispatch_common(msg)
-        while True:
-            yield from self._degrade_full_target(target)
-            self._poll_token += 1
-            tok = self._poll_token
-            yield from self.send_to_join(target, StatusRequest(tok))
-            rep = yield from self.await_message(
-                lambda m: (isinstance(m, StatusReport) and m.token == tok
-                           and m.node == target)
-            )
-            if (rep.processed_build >= expected_chunks and not rep.busy
-                    and target not in self.full_queue):
-                break
-            yield from self.await_message(lambda m: isinstance(m, PollTick))
-        yield from self.send_to_join(target, StartProbe(router=None))
-        yield from self.broadcast_to_sources(
-            ReplayOrder(relation="S", target=target, recovery_id=dead,
-                        router=self.router)
-        )
-
-    # ------------------------------------------------------------------
-    # standby takeover (repro.core.membership drives this)
-    # ------------------------------------------------------------------
-    def adopt_snapshot(self, sync: StateSync | None) -> str:
-        """Install a replicated snapshot; returns the phase to resume.
-
-        Pools are inferred rather than synced: full nodes are the
-        non-tail members of replica chains, working nodes the rest, and
-        the potential pool is everything never activated nor fenced."""
-        if sync is None:
-            return "fresh"
-        if sync.router is not None:
-            self.router = sync.router
-        self._version = max(self._version, sync.version)
-        self.activated = list(sync.activated)
-        self.fenced = set(sync.fenced)
-        self.dead_nodes = sorted(self.fenced)
-        full: set[int] = set()
-        if isinstance(self.router, RangeRouter):
-            for _rng, chain in self.router.entries:
-                full.update(chain[:-1])
-        self.full_nodes = [j for j in self.activated if j in full]
-        self.working = [j for j in self.activated if j not in full]
-        if self.pool_client is None:
-            used = set(self.activated) | self.fenced
-            self.potential = [
-                j for j in range(self.ctx.n_potential) if j not in used
-            ]
-        self._pending = tuple(sync.pending)
-        self._phase = sync.phase
-        self.strategy.adopt_router(self.router, self.activated)
-        return sync.phase
-
-    def resume_after_takeover(
-        self, sync: StateSync | None
-    ) -> Generator[Any, Any, SchedulerOutcome | None]:
-        """Standby entry point: adopt the snapshot and finish the query."""
-        try:
-            phase = self.adopt_snapshot(sync)
-            self._start_background()
-            if phase == "fresh":
-                # The primary died before its first sync: nothing has been
-                # decided yet, so a from-scratch run is idempotent (initial
-                # ActivateJoins are re-acked by already-active nodes).
-                return (yield from self._run_fresh())
-            if phase not in ("build", "probe"):
-                raise UnrecoverableFaultError(
-                    f"scheduler failover during the {phase} phase is not "
-                    "supported (docs/FAULTS.md)"
-                )
-            yield from self._announce_failover()
-            yield from self._redrive_pending()
-            return (yield from self._run_from(phase))
-        except _Deposed:
-            self._halt_background()
-            return None
-        except _NodeDied as e:
-            raise UnrecoverableFaultError(
-                f"join node {e.node} declared dead during the "
-                f"{self._phase} phase — working-node recovery is supported "
-                "only in the build and probe phases (docs/FAULTS.md)"
-            ) from e
-
-    def _announce_failover(self) -> Generator[Any, Any, None]:
-        """Make everyone re-announce what the primary took to its grave:
-        sources re-send SourceDone and completed ReplayDones, full joins
-        re-send MemoryFull for their parked backlogs."""
-        for s in range(self.ctx.n_sources):
-            yield from self.ctx.send(
-                self.node, self.ctx.source_node(s),
-                SchedulerFailover(new_scheduler=self.node.node_id),
-            )
-        for j in self.activated:
-            yield from self.send_to_join(
-                j, SchedulerFailover(new_scheduler=self.node.node_id)
-            )
-
-    def _redrive_pending(self) -> Generator[Any, Any, None]:
-        """Idempotently re-drive the decision the primary WAL'd but may
-        not have finished."""
-        pending = self._pending
-        if not pending:
-            return
-        self.ctx.trace("redrive", "scheduler", pending=list(pending))
-        if pending[0] == "recover":
-            dead, target = int(pending[1]), int(pending[2])
-            yield from self._recovery_cycle(dead, target=target, redrive=True)
-            return
-        ack = yield from self.strategy.redrive(pending)
-        yield from self.clear_decision()
-        if (ack is not None and ack.still_full
-                and ack.node in self.activated
-                and ack.node not in self.full_queue):
-            self.full_queue.append(ack.node)
-
-    # ------------------------------------------------------------------
-    # OOC passes & shutdown
-    # ------------------------------------------------------------------
-    def _ooc_pass_phase(self) -> Generator[Any, Any, None]:
-        for j in self.activated:
-            yield from self.send_to_join(j, FinalizePass())
-        done = 0
-        while done < len(self.activated):
-            yield from self.await_message(lambda m: isinstance(m, PassDone))
-            done += 1
-
     def _shutdown(self) -> Generator[Any, Any, None]:
         self._halt_background()
-        for s in range(self.ctx.n_sources):
-            yield from self.ctx.send(
-                self.node, self.ctx.source_node(s), Shutdown()
-            )
-        # Stand the standby down, or its dead-man ticker outlives the query.
-        backup = self.ctx.backup_node
-        if backup is not None and backup is not self.node:
-            yield from self.ctx.send(self.node, backup, Shutdown())
+        yield from self.broadcast_to_sources(Shutdown())
         # Private mode shuts down the whole pool (dormant nodes just exit);
         # workload mode only owns its granted nodes — shutting down the
         # shared pool's dormant nodes would kill other queries' capacity.

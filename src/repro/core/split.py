@@ -35,7 +35,6 @@ from ..hashing import (
     LinearHashRouter,
     RangeRouter,
     Router,
-    partition_positions,
 )
 from .messages import (
     ActivateJoin,
@@ -46,7 +45,7 @@ from .messages import (
     RouteUpdate,
     SplitDone,
 )
-from .strategy import ExpansionStrategy
+from .strategy import Decision, ExpansionStrategy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .scheduler import SchedulerProcess
@@ -72,132 +71,123 @@ class SplitStrategy(ExpansionStrategy):
             return self.directory.router(version=0)
         if self.policy is SplitPolicy.LINEAR_POINTER:
             self.split_order = deque(initial)
-        ranges = partition_positions(self.sched.cfg.hash_positions, len(initial))
-        return RangeRouter.initial(ranges, initial, self.sched.cfg.hash_positions)
-
-    def expand(self, reporter: int) -> Generator[Any, Any, ReliefAck]:
-        if self.policy is SplitPolicy.LINEAR_MOD:
-            return (yield from self._expand_mod(reporter))
-        if self.policy is SplitPolicy.LINEAR_POINTER:
-            return (yield from self._expand_pointer(reporter))
-        return (yield from self._expand_bisect(reporter))
+        return super().make_initial_router(initial)
 
     # ------------------------------------------------------------------
-    # shared bisection machinery (LINEAR_POINTER & TARGETED_BISECT)
+    # decide: pick the victim, recruit the node that takes half of it
     # ------------------------------------------------------------------
-    def _bisect_owner(
-        self, owner: int, reporter: int
-    ) -> Generator[Any, Any, ReliefAck]:
-        """Split ``owner``'s range onto a fresh node; finish the relief
-        cycle by pinging ``reporter`` if the split went elsewhere."""
+    def decide(self, reporter: int) -> Generator[Any, Any, Decision | None]:
         sched = self.sched
-        router: RangeRouter = sched.router  # type: ignore[assignment]
-        idx = _single_owner_entry(router, owner)
-        rng, _ = router.entries[idx]
-        left, right = rng.bisect()
+        if self.policy is SplitPolicy.LINEAR_MOD:
+            assert self.directory is not None
+            # The new bucket id is known before the recruit is (densely
+            # grown: modulus + split pointer), so the ActivateJoin can be
+            # built for any candidate and the directory committed only
+            # when the decision is applied.
+            donor = self.directory.owner_of_bucket(self.directory.split_pointer)
+            kind, arg = "linear", self.directory.next_new_bucket
+            slot: dict[str, Any] = {"bucket": arg}
+        else:
+            victim = self._victim(reporter)
+            if victim is None:
+                return None
+            router: RangeRouter = sched.router  # type: ignore[assignment]
+            rng, _ = router.entries[router.entry_index_of(victim)]
+            _left, right = rng.bisect()
+            kind, donor, arg = "bisect", victim, right.lo
+            slot = {"hash_range": right}
         # Acked recruitment: the new node confirms it is alive before any
         # order or routing update references it (a crashed recruit would
         # otherwise swallow the moved range).  recruit_node retries other
         # pool nodes on timeout; None means the pool is exhausted.
         new_node = yield from sched.recruit_node(
-            lambda j: ActivateJoin(j, hash_range=right)
+            lambda j: ActivateJoin(j, **slot)
         )
         if new_node is None:
-            return (yield from self.fallback_spill(reporter))
-        # WAL before mutating the table: a standby re-drives from here.
-        yield from sched.wal_decision(
-            ("bisect", owner, right.lo, new_node, reporter),
-            parties=(owner, new_node),
-        )
-        sched.router = router.with_bisection(idx, owner, new_node,
-                                             sched.next_version())
+            return None
+        return Decision(kind, donor, new_node, reporter, arg)
+
+    def _victim(self, reporter: int) -> int | None:
+        """The node whose range is bisected: the reporter itself
+        (TARGETED_BISECT) or whatever bucket the split pointer names
+        (LINEAR_POINTER).  ``None`` when only atomic ranges are left —
+        splitting cannot relieve anyone."""
+        router: RangeRouter = self.sched.router  # type: ignore[assignment]
+
+        def splittable(node: int) -> bool:
+            rng, _ = router.entries[router.entry_index_of(node)]
+            return rng.width >= 2
+
+        if self.policy is SplitPolicy.TARGETED_BISECT:
+            return reporter if splittable(reporter) else None
+        for _ in range(len(self.split_order)):
+            if splittable(self.split_order[0]):
+                return self.split_order[0]
+            self.split_order.rotate(-1)  # atomic bucket: skip it this round
+        return None
+
+    # ------------------------------------------------------------------
+    # apply: idempotent — a standby re-applies the logged decision
+    # ------------------------------------------------------------------
+    def apply(self, decision: Decision) -> Generator[Any, Any, ReliefAck]:
+        sched = self.sched
+        if decision.kind == "linear":
+            yield from self._apply_linear(decision)
+        else:
+            ack = yield from self._apply_bisect(decision)
+            if decision.donor == decision.reporter:
+                return ack
+        # The split went elsewhere (the pointer, not the overflow, picks
+        # the victim): ask the full reporter to retry its parked buffers
+        # against the (possibly unchanged) table.
+        yield from sched.send_to_join(decision.reporter, ReliefPing())
+        return (yield from sched.await_relief_ack(decision.reporter))
+
+    def _apply_bisect(self, d: Decision) -> Generator[Any, Any, ReliefAck]:
+        """LINEAR_POINTER & TARGETED_BISECT: the upper half of the
+        victim's range (stored tuples included) moves to the new node."""
+        sched = self.sched
+        router: RangeRouter = sched.router  # type: ignore[assignment]
+        idx = router.entry_index_for(d.arg)
+        if router.entries[idx][0].lo != d.arg:  # the table predates the cut
+            sched.router = router = router.with_bisection(
+                idx, d.donor, d.new_node, sched.next_version()
+            )
+            idx += 1
+            if self.policy is SplitPolicy.LINEAR_POINTER:
+                # The pointer moves on: victim and newcomer go to the back.
+                self.split_order.remove(d.donor)
+                self.split_order.extend((d.donor, d.new_node))
         yield from sched.send_to_join(
-            owner, BisectOrder(mid=right.lo, new_node=new_node)
+            d.donor, BisectOrder(mid=d.arg, new_node=d.new_node)
         )
         yield from sched.broadcast_to_sources(RouteUpdate(sched.router))
         sched.ctx.trace("expand_split", "scheduler", policy=self.policy.value,
-                        owner=owner, reporter=reporter, new_node=new_node,
-                        left=str(left), right=str(right))
+                        owner=d.donor, reporter=d.reporter, new_node=d.new_node,
+                        left=str(router.entries[idx - 1][0]),
+                        right=str(router.entries[idx][0]))
         t0 = sched.ctx.sim.now
-        ack_owner = yield from sched.await_relief_ack(owner)
-        sched.record_split(moved=ack_owner.moved_tuples,
-                           busy=sched.ctx.sim.now - t0)
-        if owner == reporter:
-            yield from sched.clear_decision()
-            return ack_owner
-        # The pointer chose a different victim; ask the full reporter to
-        # retry its parked buffers against the (possibly unchanged) table.
-        yield from sched.send_to_join(reporter, ReliefPing())
-        ack = yield from sched.await_relief_ack(reporter)
-        yield from sched.clear_decision()
+        ack = yield from sched.await_relief_ack(d.donor)
+        sched.record_split(moved=ack.moved_tuples, busy=sched.ctx.sim.now - t0)
         return ack
 
-    # ------------------------------------------------------------------
-    # TARGETED_BISECT: split the reporter itself
-    # ------------------------------------------------------------------
-    def _expand_bisect(self, reporter: int) -> Generator[Any, Any, ReliefAck]:
-        router: RangeRouter = self.sched.router  # type: ignore[assignment]
-        rng, _ = router.entries[_single_owner_entry(router, reporter)]
-        if rng.width < 2:
-            # Atomic range: splitting cannot relieve this node.
-            return (yield from self.fallback_spill(reporter))
-        return (yield from self._bisect_owner(reporter, reporter))
-
-    # ------------------------------------------------------------------
-    # LINEAR_POINTER: split whatever bucket the pointer names
-    # ------------------------------------------------------------------
-    def _expand_pointer(self, reporter: int) -> Generator[Any, Any, ReliefAck]:
-        sched = self.sched
-        router: RangeRouter = sched.router  # type: ignore[assignment]
-        owner = None
-        for _ in range(len(self.split_order)):
-            candidate = self.split_order[0]
-            rng, _ = router.entries[_single_owner_entry(router, candidate)]
-            if rng.width >= 2:
-                owner = candidate
-                break
-            self.split_order.rotate(-1)  # atomic bucket: skip it this round
-        if owner is None:
-            return (yield from self.fallback_spill(reporter))
-        ack = yield from self._bisect_owner(owner, reporter)
-        if sched.router is not router:  # the split actually happened
-            self.split_order.popleft()
-            self.split_order.append(owner)
-            new_node = sched.activated[-1]
-            self.split_order.append(new_node)
-        return ack
-
-    # ------------------------------------------------------------------
-    # LINEAR_MOD: classic Litwin addressing (ablation)
-    # ------------------------------------------------------------------
-    def _expand_mod(self, reporter: int) -> Generator[Any, Any, ReliefAck]:
+    def _apply_linear(self, d: Decision) -> Generator[Any, Any, None]:
+        """LINEAR_MOD: classic Litwin addressing (ablation)."""
         sched = self.sched
         assert self.directory is not None
-        # The new bucket id is known before the recruit is (densely grown:
-        # modulus + split pointer), so the ActivateJoin can be built for
-        # any candidate and the directory committed only after the ack.
-        new_bucket = self.directory.next_new_bucket
-        new_node = yield from sched.recruit_node(
-            lambda j: ActivateJoin(j, bucket=new_bucket)
-        )
-        if new_node is None:
-            return (yield from self.fallback_spill(reporter))
-
+        if self.directory.next_new_bucket != d.arg:
+            return  # the split already executed and is in the directory
         t0 = sched.ctx.sim.now
-        ticket = self.directory.begin_split(new_node)
-        assert ticket.new_bucket == new_bucket
-        # WAL after begin_split (local bookkeeping the standby rebuilds
-        # from the pre-split table) but before the order goes out.
-        yield from sched.wal_decision(
-            ("linear", reporter, ticket.new_bucket, new_node),
-            parties=(ticket.owner_node, new_node),
-        )
+        # Buckets grow densely, so a directory rebuilt from the pre-split
+        # table reproduces exactly the ticket the decision was made for.
+        ticket = self.directory.begin_split(d.new_node)
+        assert (ticket.new_bucket, ticket.owner_node) == (d.arg, d.donor)
         yield from sched.send_to_join(
             ticket.owner_node,
             LinearSplitOrder(
                 new_bucket=ticket.new_bucket,
                 modulus=ticket.modulus,
-                new_node=new_node,
+                new_node=d.new_node,
             ),
         )
         done: SplitDone = yield from sched.await_message(
@@ -207,19 +197,13 @@ class SplitStrategy(ExpansionStrategy):
         sched.router = self.directory.router(sched.next_version())
         yield from sched.broadcast_to_sources(RouteUpdate(sched.router))
         sched.ctx.trace("expand_linear_mod", "scheduler",
-                        reporter=reporter, owner=ticket.owner_node,
-                        new_node=new_node, bucket=ticket.bucket,
+                        reporter=d.reporter, owner=ticket.owner_node,
+                        new_node=d.new_node, bucket=ticket.bucket,
                         new_bucket=ticket.new_bucket)
         sched.record_split(moved=done.moved_tuples, busy=sched.ctx.sim.now - t0)
 
-        # The split may not have targeted the reporter; ping it to retry.
-        yield from sched.send_to_join(reporter, ReliefPing())
-        ack = yield from sched.await_relief_ack(reporter)
-        yield from sched.clear_decision()
-        return ack
-
     # ------------------------------------------------------------------
-    # control-plane fault tolerance (repro.core.membership)
+    # fault-layer hook (repro.core.recovery)
     # ------------------------------------------------------------------
     def adopt_router(self, router: Router, activated: list[int]) -> None:
         """Rebuild the directory / split order from a routing table.
@@ -238,70 +222,3 @@ class SplitStrategy(ExpansionStrategy):
                     if n not in order:
                         order.append(n)
             self.split_order = deque(order)
-
-    def redrive(self, pending: tuple) -> Generator[Any, Any, ReliefAck]:
-        """Re-drive a WAL'd split after a standby takeover.
-
-        The snapshot table predates the decision, so the routing change is
-        re-applied, the (idempotent) order re-sent and the ack re-awaited."""
-        sched = self.sched
-        if pending[0] == "bisect":
-            owner, mid, new_node, reporter = (
-                int(pending[1]), int(pending[2]), int(pending[3]),
-                int(pending[4]),
-            )
-            router: RangeRouter = sched.router  # type: ignore[assignment]
-            if not any(rng.lo == mid for rng, _ in router.entries):
-                idx = router.entry_index_for(mid)
-                sched.router = router.with_bisection(
-                    idx, owner, new_node, sched.next_version()
-                )
-            if (self.policy is SplitPolicy.LINEAR_POINTER
-                    and new_node not in self.split_order):
-                self.split_order.append(new_node)
-            yield from sched.send_to_join(
-                owner, BisectOrder(mid=mid, new_node=new_node)
-            )
-            yield from sched.broadcast_to_sources(RouteUpdate(sched.router))
-            ack = yield from sched.await_relief_ack(owner)
-            sched.record_split(moved=ack.moved_tuples, busy=0.0)
-            if owner != reporter:
-                yield from sched.send_to_join(reporter, ReliefPing())
-                ack = yield from sched.await_relief_ack(reporter)
-            return ack
-
-        assert pending[0] == "linear", pending
-        reporter, new_bucket, new_node = (
-            int(pending[1]), int(pending[2]), int(pending[3])
-        )
-        assert self.directory is not None
-        if self.directory.next_new_bucket == new_bucket:
-            # Buckets grow densely, so the rebuilt (pre-split) directory
-            # reproduces the exact same ticket the primary WAL'd.
-            ticket = self.directory.begin_split(new_node)
-            assert ticket.new_bucket == new_bucket
-            yield from sched.send_to_join(
-                ticket.owner_node,
-                LinearSplitOrder(
-                    new_bucket=ticket.new_bucket,
-                    modulus=ticket.modulus,
-                    new_node=new_node,
-                ),
-            )
-            done: SplitDone = yield from sched.await_message(
-                lambda m: isinstance(m, SplitDone)
-                and m.node == ticket.owner_node
-            )
-            self.directory.complete_split(ticket)
-            sched.router = self.directory.router(sched.next_version())
-            yield from sched.broadcast_to_sources(RouteUpdate(sched.router))
-            sched.record_split(moved=done.moved_tuples, busy=0.0)
-        yield from sched.send_to_join(reporter, ReliefPing())
-        return (yield from sched.await_relief_ack(reporter))
-
-
-def _single_owner_entry(router: RangeRouter, node: int) -> int:
-    for i, (_rng, chain) in enumerate(router.entries):
-        if chain == (node,):
-            return i
-    raise LookupError(f"node {node} owns no range")

@@ -4,24 +4,42 @@ A strategy encapsulates what the scheduler does when a join node reports
 *memory full* (paper §4.2): recruit a node and either split, replicate, or
 — for the non-expanding baseline — nothing (join nodes spill to disk on
 their own).  Strategies run *inside* the scheduler process and use its
-messaging/await helpers; each ``expand`` call is one complete relief cycle
-ending with the reporter's :class:`~repro.core.messages.ReliefAck`.
+messaging/await helpers.
+
+Every expansion is two steps.  ``decide`` recruits the new node and names
+the change as a :class:`Decision`; ``apply`` carries it out — routing
+table, orders, acks — and is **idempotent**: applying a decision already
+(partly) in effect converges to the same table and acks.  The scheduler's
+relief cycle runs ``decide -> apply``; the fault layer logs the decision
+in between, so a standby taking over mid-expansion just applies it again.
+A strategy also owns every phase only it runs (hybrid: the reshuffle).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Generator
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from ..config import Algorithm, RunConfig
-from ..hashing import Router
-from .messages import ReliefAck, SpillOrder
+from ..hashing import RangeRouter, Router, partition_positions
+from .messages import ReliefAck
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .scheduler import SchedulerProcess
 
-__all__ = ["ExpansionStrategy", "make_strategy"]
+__all__ = ["Decision", "ExpansionStrategy", "make_strategy"]
+
+
+class Decision(NamedTuple):
+    """One expansion, named before it is carried out.  A plain tuple on
+    purpose: it is the fault layer's write-ahead record of the cycle."""
+
+    kind: str      #: "replicate" | "bisect" | "linear"
+    donor: int     #: node whose range/bucket is replicated or split
+    new_node: int  #: the recruit taking part of the donor's load
+    reporter: int  #: the full node this relief cycle is for
+    arg: int = 0   #: bisect: first position of the moved half; linear: new bucket
 
 
 class ExpansionStrategy(ABC):
@@ -29,60 +47,45 @@ class ExpansionStrategy(ABC):
 
     #: hybrid runs the reshuffling step between build and probe
     needs_reshuffle: bool = False
-    #: OOC join nodes spill to disk instead of reporting memory-full
-    auto_spill: bool = False
 
     def __init__(self, sched: SchedulerProcess) -> None:
         self.sched = sched
 
-    @abstractmethod
     def make_initial_router(self, initial: list[int]) -> Router:
-        """Initial bucket assignment: one bucket per initial join node."""
+        """Initial bucket assignment: one contiguous range per initial node."""
+        positions = self.sched.cfg.hash_positions
+        ranges = partition_positions(positions, len(initial))
+        return RangeRouter.initial(ranges, initial, positions)
 
     @abstractmethod
-    def expand(self, reporter: int) -> Generator[Any, Any, ReliefAck]:
-        """Run one relief cycle for ``reporter`` (a full node).
+    def decide(self, reporter: int) -> Generator[Any, Any, Decision | None]:
+        """Recruit a node for ``reporter``'s relief and name the expansion.
 
         Must allocate the new node itself (so fallbacks do not leak pool
-        slots) and return the reporter's ReliefAck.
+        slots).  ``None`` means no expansion can help — pool exhausted or
+        the range is atomic — and the scheduler degrades the reporter to
+        disk spilling instead.
         """
 
-    def probe_router(self) -> Router:
-        """Routing table for the probe phase (default: current table)."""
-        return self.sched.router
-
-    # ------------------------------------------------------------------
-    # control-plane fault tolerance hooks (repro.core.membership)
-    # ------------------------------------------------------------------
-    def adopt_router(self, router: Router, activated: list[int]) -> None:
-        """Rebuild strategy-private state from a routing table.
-
-        Called after a standby takeover (the table came from a snapshot)
-        and after a crash-recovery takeover rewrote it.  Default: the
-        strategy keeps no state beyond the table itself."""
-
-    def redrive(self, pending: tuple) -> Generator[Any, Any, ReliefAck | None]:
-        """Idempotently re-drive a WAL'd relief decision after a standby
-        takeover.  Strategies that never WAL (no expansion, or expansion
-        without multi-step commitment) cannot see one."""
+    def apply(self, decision: Decision) -> Generator[Any, Any, ReliefAck]:
+        """Carry ``decision`` out, idempotently; returns the reporter's
+        ReliefAck.  Strategies that never expand cannot see one."""
         raise RuntimeError(
-            f"{type(self).__name__} cannot re-drive pending decision "
-            f"{pending!r}"
+            f"{type(self).__name__} cannot apply decision {decision!r}"
         )
         yield  # pragma: no cover - makes this a generator
 
-    # ------------------------------------------------------------------
-    # shared fallback
-    # ------------------------------------------------------------------
-    def fallback_spill(self, reporter: int) -> Generator[Any, Any, ReliefAck]:
-        """Pool exhausted (or range atomic): degrade the reporter to local
-        out-of-core spilling.  Documented deviation — the paper's
-        experiments never exhaust the potential pool."""
-        sched = self.sched
-        sched.spilled_nodes.add(reporter)
-        sched.ctx.trace("fallback_spill", "scheduler", reporter=reporter)
-        yield from sched.send_to_join(reporter, SpillOrder())
-        return (yield from sched.await_relief_ack(reporter))
+    def reshuffle(self) -> Generator[Any, Any, None]:
+        """The phase between build and probe (``needs_reshuffle`` only)."""
+        raise NotImplementedError
+        yield  # pragma: no cover - makes this a generator
+
+    def adopt_router(self, router: Router, activated: list[int]) -> None:
+        """Rebuild strategy-private state from a routing table.
+
+        Called by the fault layer after a standby takeover (the table came
+        from a snapshot) and after a crash-recovery takeover rewrote it.
+        Default: the strategy keeps no state beyond the table itself."""
 
 
 def make_strategy(sched: SchedulerProcess, cfg: RunConfig) -> ExpansionStrategy:

@@ -16,7 +16,7 @@ machinery it exercises lives in the protocol layers:
 * ``core/scheduler.py`` — acknowledged recruitment: every ``ActivateJoin``
   is acked by the recruit, timeouts retry a *different* pool node with
   exponential backoff, and pool exhaustion degrades gracefully to the
-  out-of-core spill path (``fallback_spill``).
+  out-of-core spill path (``SchedulerProcess.fallback_spill``).
 
 Everything is deterministic: one seeded RNG stream consumed in simulation
 event order, so a given ``(RunConfig, FaultPlan)`` pair always produces the

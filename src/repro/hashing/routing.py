@@ -168,6 +168,13 @@ class RangeRouter(Router):
         bounds: np.ndarray = self._bounds  # type: ignore[attr-defined]
         return int(np.searchsorted(bounds, position, side="right") - 1)
 
+    def entry_index_of(self, node: int) -> int:
+        """Index of the entry whose replica chain holds ``node``."""
+        for i, (_rng, chain) in enumerate(self.entries):
+            if node in chain:
+                return i
+        raise LookupError(f"node {node} owns no range")
+
     def with_replica(self, range_index: int, new_node: int, version: int) -> RangeRouter:
         """Append a replica to one range's chain (replication expansion)."""
         entries = list(self.entries)

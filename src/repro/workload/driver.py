@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..cluster import WorkloadCluster
-from ..config import Algorithm, WorkloadConfig
+from ..config import WorkloadConfig
 from ..core.context import RunContext
 from ..core.driver import assemble_result, spawn_query_pipeline
 from ..core.joinnode import JoinProcess
@@ -92,9 +92,7 @@ def _query_runner(
         # A granted node may have served an earlier query: clear its
         # hardware state, then bind this query's join process to it.
         wc.reset_join_node(j)
-        jp = JoinProcess(
-            ctx, j, auto_spill=rcfg.algorithm is Algorithm.OUT_OF_CORE
-        )
+        jp = JoinProcess(ctx, j)
         sim.spawn(jp.run(), name=f"join{j}-q{qid}")
 
     ctx.pool = PoolClient(node=pool.node, query_id=qid, adopt=adopt)

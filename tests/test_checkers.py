@@ -229,6 +229,28 @@ def test_protocol_send_via_local_binding(tmp_path):
     assert "proto-unregistered-send" in rules_of(run_lint(root))
 
 
+def test_protocol_handler_table_and_reply_helper(tmp_path):
+    """A ``self._handlers`` row (assigned or ``.update``-merged) is a
+    dispatch arm, and ``self._reply(...)`` is a send site like any other."""
+    table = (
+        "from .messages import Orphan, Ping\n\n\n"
+        "class Actor:\n"
+        "    def __init__(self):\n"
+        "        self._handlers = {Ping: self.on_ping}\n"
+        "        self._handlers.update({Orphan: self.on_ping})\n\n"
+        "    def on_ping(self, msg):\n"
+        "        yield from self._reply(Rogue())\n"
+    )
+    root = make_repo(tmp_path, {
+        "src/repro/core/messages.py": _MINI_MESSAGES,
+        "src/repro/core/actor.py": table,
+    })
+    found = run_lint(root)
+    assert "proto-unhandled" not in rules_of(found)
+    sends = [v for v in found if v.rule == "proto-unregistered-send"]
+    assert len(sends) == 1 and "Rogue" in sends[0].message
+
+
 # ----------------------------------------------------------------------
 # metrics-catalogue sync
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 
 from tests.conftest import small_cluster, small_config, small_workload
 from repro.cli import main
-from repro.config import Algorithm
+from repro.config import Algorithm, SplitPolicy
 from repro.core import run_join
 from repro.faults import CrashSpec, FaultPlan, LinkSlowdown
 
@@ -75,6 +75,43 @@ def test_scheduler_killed_mid_build_fails_over(algorithm):
     )
     assert res.matches == res.reference_matches == 89
     assert counter_total(res, "sched.failover_count") == 1
+
+
+@pytest.mark.chaos
+def test_scheduler_killed_before_first_sync_restarts_fresh():
+    """The primary dies before it replicated anything: the standby has no
+    snapshot to adopt and runs the query from scratch (re-activation is
+    idempotent at the joins).  Used to hang: the from-scratch path started
+    the background loops twice and orphaned a ticker."""
+    res = run_with(Algorithm.HYBRID, membership_plan(kill_scheduler_at=5e-5))
+    assert res.matches == res.reference_matches == 89
+    assert counter_total(res, "sched.failover_count") == 1
+
+
+#: (algorithm, split policy, kill time) landing inside an expansion of each
+#: WAL'd decision kind on the uniform small workload
+MID_EXPANSION = {
+    "replicate": (Algorithm.REPLICATE, SplitPolicy.LINEAR_POINTER, 0.007),
+    "bisect": (Algorithm.SPLIT, SplitPolicy.TARGETED_BISECT, 0.007),
+    "linear": (Algorithm.SPLIT, SplitPolicy.LINEAR_MOD, 0.01),
+}
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("kind", sorted(MID_EXPANSION))
+def test_failover_mid_expansion_reapplies_the_logged_decision(kind):
+    """Killed between logging a decision and finishing it, the primary
+    leaves the standby a pending ``Decision``; the standby hands it to the
+    same ``apply`` the primary was executing and ends oracle-exact."""
+    algorithm, policy, kill_at = MID_EXPANSION[kind]
+    cfg = small_config(
+        algorithm, split_policy=policy, trace=True,
+        faults=membership_plan(kill_scheduler_at=kill_at),
+    )
+    res = run_join(cfg)
+    assert res.matches == res.reference_matches
+    redriven = [r.detail["pending"] for r in res.tracer.select("redrive")]
+    assert [p[0] for p in redriven] == [kind]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,55 @@
+"""The paper's protocol runs with the fault-tolerance layer absent.
+
+``repro.core.membership`` (failure detector, standby) and
+``repro.core.recovery`` (WAL replication, node recovery, takeover) are
+wrapped *around* the scheduler, chosen by the driver only when the fault
+plan arms them.  So the fault-free path must neither import them nor miss
+them: with both made unimportable, all four algorithms still return the
+oracle's answer.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from tests.conftest import small_config, small_workload
+from repro.config import Algorithm
+from repro.core import run_join
+from repro.faults import FaultPlan
+
+FAULT_LAYER = ("repro.core.membership", "repro.core.recovery")
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+def test_fault_free_join_runs_without_the_fault_layer(algorithm, monkeypatch):
+    for name in FAULT_LAYER:
+        # None in sys.modules makes any ``import`` of the name raise.
+        monkeypatch.setitem(sys.modules, name, None)
+    with pytest.raises(ImportError):
+        import repro.core.recovery  # noqa: F401  (the block is real)
+    res = run_join(small_config(algorithm, workload=small_workload(sigma=1e-5)))
+    assert res.matches == res.reference_matches == 89
+
+
+def test_armed_plan_needs_the_layer(monkeypatch):
+    """The other direction: a membership-active plan gets the full layer
+    from the driver, so blocking it must fail loudly, not run unprotected."""
+    for name in FAULT_LAYER:
+        monkeypatch.setitem(sys.modules, name, None)
+    cfg = small_config(Algorithm.HYBRID, faults=FaultPlan(membership=True))
+    with pytest.raises(ImportError):
+        run_join(cfg)
+
+
+def test_importing_the_scheduler_does_not_import_the_fault_layer():
+    """Checked in a fresh interpreter: this process has long since imported
+    the layer on behalf of other tests."""
+    code = (
+        "import sys, repro.core, repro.core.scheduler, repro.core.driver\n"
+        f"loaded = [m for m in {FAULT_LAYER!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)

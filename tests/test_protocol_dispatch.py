@@ -6,12 +6,18 @@ objects, so the two catch drift in each other: a message class added
 without a handler fails both; a refactor that moves dispatch somewhere
 the static pass cannot see fails only the static pass (prompting a
 checker fix); a checker bug that stops seeing real handlers fails here.
+
+The dispatch inventory is the union of the live handler tables — the
+``_handlers`` dict of a constructed join process, scheduler and
+fault-tolerant scheduler — and the ``isinstance`` arms of the actors and
+protocol waits that are not table-driven.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import inspect
 import textwrap
 
@@ -19,27 +25,51 @@ import numpy as np
 import pytest
 
 import repro.core.datasource
+import repro.core.hybrid
 import repro.core.joinnode
 import repro.core.membership
 import repro.core.ooc
 import repro.core.pool
+import repro.core.recovery
 import repro.core.replicate
 import repro.core.scheduler
 import repro.core.split
 from repro.core import messages as messages_mod
+from repro.core.context import RunContext
+from repro.faults import FaultPlan
 from repro.hashing import HashRange, RangeRouter
+from repro.sim import Simulator
+from tests.conftest import small_config
 
 #: every module that may legitimately dispatch protocol messages
 DISPATCH_MODULES = (
     repro.core.joinnode,
     repro.core.scheduler,
+    repro.core.recovery,
     repro.core.datasource,
     repro.core.split,
     repro.core.replicate,
+    repro.core.hybrid,
     repro.core.ooc,
     repro.core.pool,
     repro.core.membership,
 )
+
+
+def handler_tables() -> dict[str, dict[type, object]]:
+    """The ``{message type: handler}`` table of each table-driven actor,
+    read off live instances."""
+    ctx = RunContext(Simulator(), small_config())
+    ft_ctx = RunContext(
+        Simulator(), small_config(faults=FaultPlan(membership=True))
+    )
+    return {
+        "JoinProcess": repro.core.joinnode.JoinProcess(ctx, 0)._handlers,
+        "SchedulerProcess":
+            repro.core.scheduler.SchedulerProcess(ctx)._handlers,
+        "FaultTolerantScheduler":
+            repro.core.recovery.FaultTolerantScheduler(ft_ctx)._handlers,
+    }
 
 
 def concrete_message_classes() -> list[type]:
@@ -53,9 +83,13 @@ def concrete_message_classes() -> list[type]:
     return sorted(out, key=lambda c: c.__name__)
 
 
-def dispatched_names() -> set[str]:
-    """Class names referenced as isinstance targets in the live modules."""
-    refs: set[str] = set()
+@functools.cache
+def dispatched_names() -> frozenset[str]:
+    """Class names in a live handler table, or referenced as isinstance
+    targets in the live modules."""
+    refs = {
+        cls.__name__ for table in handler_tables().values() for cls in table
+    }
     for mod in DISPATCH_MODULES:
         tree = ast.parse(textwrap.dedent(inspect.getsource(mod)))
         for node in ast.walk(tree):
@@ -68,7 +102,7 @@ def dispatched_names() -> set[str]:
                 for e in elts:
                     if isinstance(e, ast.Name):
                         refs.add(e.id)
-    return refs
+    return frozenset(refs)
 
 
 def synthesize(cls: type):
@@ -104,11 +138,63 @@ def synthesize(cls: type):
 @pytest.mark.parametrize("cls", concrete_message_classes(),
                          ids=lambda c: c.__name__)
 def test_every_message_class_is_dispatchable(cls):
-    """Each concrete protocol message has a live isinstance dispatch arm."""
+    """Each concrete protocol message has a live dispatch arm: a row in
+    some actor's handler table, or an isinstance arm."""
     assert cls.__name__ in dispatched_names(), (
-        f"{cls.__name__} is defined in core/messages.py but no module in "
-        f"repro/core dispatches it — receivers would drop or deadlock"
+        f"{cls.__name__} is defined in core/messages.py but is missing "
+        f"from every handler table and no module in repro/core dispatches "
+        f"it — receivers would drop or deadlock"
     )
+
+
+def test_unregistered_message_is_noticed(monkeypatch):
+    """The inventory is not vacuous: a message class added to messages.py
+    without a handler row anywhere shows up as undispatched."""
+    @dataclasses.dataclass
+    class Unrouted(messages_mod._Control):
+        node: int = 0
+
+    Unrouted.__module__ = messages_mod.__name__
+    monkeypatch.setattr(messages_mod, "Unrouted", Unrouted, raising=False)
+    assert Unrouted in concrete_message_classes()
+    assert "Unrouted" not in dispatched_names()
+
+
+def test_handler_tables_are_the_actors_dispatch():
+    """every table row maps a registered message class to a handler
+    of its actor; the fault layer only *adds* to the scheduler's table."""
+    registered = set(concrete_message_classes())
+    tables = handler_tables()
+    for actor, table in tables.items():
+        assert table, actor
+        for cls, handler in table.items():
+            assert cls in registered, (actor, cls)
+            assert callable(handler), (actor, cls)
+    base, layered = tables["SchedulerProcess"], tables["FaultTolerantScheduler"]
+    assert set(base) < set(layered)
+    assert {m.__name__ for m in set(layered) - set(base)} == {
+        "HeartbeatAck", "DeathVerdict", "ReplayDone", "NodeLostAck",
+        "Depose", "ReliefAck",
+    }
+
+
+def test_handler_table_does_not_make_the_actor_a_reference_cycle():
+    """Rows are plain functions, not bound methods: a join process (and
+    the hash table it holds) must be freed by reference counting when the
+    run drops it, not whenever the cycle collector next runs — that delay
+    is what the benchmark's ``peak_rss_mb`` would pay for."""
+    import gc
+    import weakref
+
+    ctx = RunContext(Simulator(), small_config())
+    gc.disable()
+    try:
+        jp = repro.core.joinnode.JoinProcess(ctx, 0)
+        ref = weakref.ref(jp)
+        del jp
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("cls", concrete_message_classes(),
