@@ -13,7 +13,10 @@ streaming layer's whole contract at once:
 4. two identical runs produce byte-identical snapshot JSON (the
    determinism the fleet-merge wire contract depends on);
 5. sketch-backed latency percentiles stay within the documented 1%
-   relative-error bound of the exact per-query order statistics.
+   relative-error bound of the exact per-query order statistics;
+6. the report's ``latency`` section *is* the snapshot's sketch
+   (``Snapshot.percentiles`` — the one quantile path), and that sketch
+   did not collapse under the budget's bin cap.
 
 Run with::
 
@@ -51,6 +54,7 @@ PEAK_TRACED_CEILING = 512 * 1024 * 1024
 #: a small multiple of the byte budget (payload dicts cost more than
 #: the budget's per-record planning estimates, hence the slack)
 SNAPSHOT_BYTES_CEILING = 8 * BUDGET_BYTES
+LATENCY = "workload.query_latency_s"
 
 
 def build_config() -> WorkloadConfig:
@@ -93,7 +97,8 @@ def main(argv: list[str] | None = None) -> int:
     report = res.to_dict()
     latencies = [q.latency_s for q in res.queries]
     exact_p99 = float(np.percentile(latencies, 99, method="lower"))
-    sketch_p99 = res.snapshot.quantile("workload.query_latency_s", 0.99)
+    sketch = res.snapshot.sketches[LATENCY]
+    sketch_p99 = res.snapshot.percentiles(LATENCY, (99,))["p99"]
 
     ok = True
     ok &= check(res.all_valid and res.n_queries == cfg.n_queries,
@@ -119,6 +124,10 @@ def main(argv: list[str] | None = None) -> int:
     ok &= check(abs(sketch_p99 - exact_p99) <= 0.01 * exact_p99, "quantiles",
                 f"sketch p99 {sketch_p99:.4f}s within 1% of "
                 f"exact {exact_p99:.4f}s")
+    ok &= check(report["latency"] == res.snapshot.percentiles(LATENCY)
+                and not sketch.collapsed, "one quantile path",
+                f"report latency {report['latency']} is the snapshot's, "
+                f"collapsed={sketch.collapsed}")
     print("obs-budget smoke:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from collections.abc import Callable, Sequence
@@ -72,8 +73,10 @@ from .config import (
 )
 from .core import run_join
 from .faults import FaultPlan, FaultPlanError, crash_specs_from_cli
+from .obs import ObsBudget
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from .core import JoinRunResult
     from .obs import Snapshot
 
 __all__ = ["main", "build_parser"]
@@ -251,13 +254,49 @@ def _refuse_overwrite(path: str | None, force: bool, command: str) -> bool:
     milliseconds instead of after the join completes — and an existing
     export is never clobbered by a fat-fingered re-run.
     """
-    import os
-
     if path and os.path.exists(path) and not force:
         print(f"{command}: refusing to overwrite existing {path}; "
               f"pass --force to replace it", file=sys.stderr)
         return True
     return False
+
+
+def _write_text(path: str, payload: str) -> None:
+    """Write an output file atomically: fill a sibling temp file, then
+    rename it over ``path``.  A crash or full disk mid-write leaves what
+    was there before — never half a baseline for ``bench-diff`` to read.
+    (``--snapshot-out`` is a stream, appended and flushed per snapshot so
+    it can be tailed; it does not come through here.)"""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.unlink(tmp)
+
+
+def _emit(args: argparse.Namespace, payload: str, note: str) -> None:
+    """``--out PATH`` gets the payload (stdout a "wrote" line); without
+    it the payload is the stdout."""
+    if args.out:
+        _write_text(args.out, payload)
+        print(f"wrote {args.out} ({note})")
+    else:
+        print(payload, end="")
+
+
+def _run_single(args: argparse.Namespace, command: str,
+                **config_kw: Any) -> JoinRunResult | None:
+    """The one join ``trace``/``metrics``/``explain`` inspect: the first
+    of ``--initial-nodes``.  ``None`` (after a message) when ``--out``
+    would be overwritten — checked before the simulation, not after."""
+    if _refuse_overwrite(args.out, args.force, command):
+        return None
+    cfg = _config(args, Algorithm(args.algorithm),
+                  int(args.initial_nodes.split(",")[0]), **config_kw)
+    return run_join(cfg, validate=not args.no_validate)
 
 
 # ----------------------------------------------------------------------
@@ -322,8 +361,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
         print(f"unknown figures: {unknown}; choose from "
               f"{sorted(available)}", file=sys.stderr)
         return 2
-    import os
-
     csv_paths = (
         [os.path.join(args.csv_dir, f"{name}.csv") for name in wanted]
         if args.csv_dir else []
@@ -338,20 +375,16 @@ def cmd_figures(args: argparse.Namespace) -> int:
         print(report.render())
         print()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(r.to_markdown() for r in reports))
+        _write_text(args.out, "\n".join(r.to_markdown() for r in reports))
         print(f"wrote {args.out}")
     if args.csv_dir:
         os.makedirs(args.csv_dir, exist_ok=True)
-        for name, report in zip(wanted, reports):
-            path = os.path.join(args.csv_dir, f"{name}.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(report.to_csv())
+        for path, report in zip(csv_paths, reports):
+            _write_text(path, report.to_csv())
         print(f"wrote {len(reports)} csv files to {args.csv_dir}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(harness.baseline(), fh, indent=2)
-            fh.write("\n")
+        _write_text(args.json,
+                    json.dumps(harness.baseline(), indent=2) + "\n")
         print(f"wrote {args.json} (fig02 baseline)")
     return 0 if all(r.all_passed for r in reports) else 1
 
@@ -359,45 +392,30 @@ def cmd_figures(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     from .obs import chrome_trace, trace_to_jsonl
 
-    if _refuse_overwrite(args.out, args.force, "trace"):
+    res = _run_single(args, "trace", force_trace=True)
+    if res is None:
         return 2
-    algorithm = Algorithm(args.algorithm)
-    initial = int(args.initial_nodes.split(",")[0])
-    cfg = _config(args, algorithm, initial, force_trace=True)
-    res = run_join(cfg, validate=not args.no_validate)
     if args.format == "chrome":
         payload = json.dumps(chrome_trace(res), indent=1) + "\n"
     else:
         lines = list(trace_to_jsonl(res.tracer))
         payload = "\n".join(lines) + ("\n" if lines else "")
+    _emit(args, payload, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        print(f"wrote {args.out} ({args.format})")
         print()
         print(res.timeline.render())
-    else:
-        print(payload, end="")
     return 0
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     from .obs import metrics_to_jsonl
 
-    if _refuse_overwrite(args.out, args.force, "metrics"):
+    res = _run_single(args, "metrics")
+    if res is None:
         return 2
-    algorithm = Algorithm(args.algorithm)
-    initial = int(args.initial_nodes.split(",")[0])
-    cfg = _config(args, algorithm, initial)
-    res = run_join(cfg, validate=not args.no_validate)
     if args.format == "jsonl":
-        payload = "\n".join(metrics_to_jsonl(res.metrics))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-            print(f"wrote {args.out} ({len(res.metrics)} instruments)")
-        else:
-            print(payload)
+        _emit(args, "\n".join(metrics_to_jsonl(res.metrics)) + "\n",
+              f"{len(res.metrics)} instruments")
         return 0
     rows = []
     for inst in res.metrics:
@@ -419,35 +437,22 @@ def cmd_metrics(args: argparse.Namespace) -> int:
                      f"high={inst['high']:g}")
         rows.append([inst["name"], labels, inst["type"], value])
     table = format_table(["metric", "labels", "type", "value"], rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table + "\n")
-        print(f"wrote {args.out} ({len(rows)} active instruments)")
-    else:
-        print(table)
+    _emit(args, table + "\n", f"{len(rows)} active instruments")
     return 0
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
     from .obs import explain
 
-    if _refuse_overwrite(args.out, args.force, "explain"):
+    res = _run_single(args, "explain")
+    if res is None:
         return 2
-    algorithm = Algorithm(args.algorithm)
-    initial = int(args.initial_nodes.split(",")[0])
-    cfg = _config(args, algorithm, initial)
-    res = run_join(cfg, validate=not args.no_validate)
     report = explain(res)
     if args.format == "json":
         payload = json.dumps(report.to_dict(), indent=1) + "\n"
     else:
         payload = report.to_text() + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        print(f"wrote {args.out} ({args.format})")
-    else:
-        print(payload, end="")
+    _emit(args, payload, args.format)
     return 0
 
 
@@ -586,16 +591,10 @@ def _emit_run(
         payload = json.dumps(res.to_dict(), indent=1) + "\n"
     else:
         payload = res.summary() + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        print(f"wrote {args.out} ({args.format})")
-    else:
-        print(payload, end="")
+    _emit(args, payload, args.format)
     if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            for line in metrics_to_jsonl(res.metrics):
-                fh.write(line + "\n")
+        _write_text(args.metrics_out, "".join(
+            line + "\n" for line in metrics_to_jsonl(res.metrics)))
         print(f"wrote {args.metrics_out} ({len(res.metrics)} instruments)")
     if args.baseline:
         # bench-diff's schema keys are fixed (total_s / build_s); here they
@@ -612,9 +611,7 @@ def _emit_run(
                 }
             },
         }
-        with open(args.baseline, "w", encoding="utf-8") as fh:
-            json.dump(base, fh, indent=2)
-            fh.write("\n")
+        _write_text(args.baseline, json.dumps(base, indent=2) + "\n")
         print(f"wrote {args.baseline} ({benchmark} baseline)")
 
 
@@ -706,10 +703,13 @@ def cmd_bench_diff(args: argparse.Namespace) -> int:
                   f"against a {kinds[1]} ({args.new})", file=sys.stderr)
             return 2
         if old_snap:
-            diff = diff_snapshots(
-                Snapshot.from_dict(old_doc), Snapshot.from_dict(new_doc),
-                threshold_pct=args.threshold,
-            )
+            snaps = []
+            for path, doc in ((args.old, old_doc), (args.new, new_doc)):
+                try:
+                    snaps.append(Snapshot.from_dict(doc))
+                except ValueError as exc:
+                    raise BaselineError(f"{path}: {exc}") from None
+            diff = diff_snapshots(*snaps, threshold_pct=args.threshold)
         else:
             old = load_baseline(args.old)
             new = load_baseline(args.new)
@@ -934,8 +934,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="BYTES",
                        help="cap observability memory: bounded span/edge "
                             "sampling, ring buffers and sketch bins sized "
-                            "to this many bytes (min 4096; shed records "
-                            "are counted, never silent)")
+                            f"to this many bytes (min {ObsBudget.MIN_BYTES}; "
+                            "shed records are counted, never silent)")
         p.add_argument("--snapshot-out", metavar="PATH",
                        help="append each snapshot as one JSON line "
                             "(final snapshot last; render with "

@@ -18,6 +18,7 @@ import enum
 from dataclasses import dataclass, field, replace
 
 from .faults import FaultPlan
+from .obs import ObsBudget
 
 __all__ = [
     "Algorithm",
@@ -297,7 +298,7 @@ class ObsConfig:
     logs switch to deterministic reservoir sampling, sketch/ring
     capacities shrink to fit, and whatever is shed is counted in the
     ``obs.spans_dropped`` / ``obs.edges_dropped`` metrics.  ``None``
-    keeps today's full-history collectors (and an unchanged report).
+    keeps every span and edge (and publishes no ``obs.*`` rows).
 
     ``live_interval_s`` turns on the periodic snapshot emitter (one
     mergeable :class:`repro.obs.Snapshot` per interval of simulated
@@ -311,10 +312,7 @@ class ObsConfig:
     ring_resolution_s: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.budget_bytes is not None and self.budget_bytes < 4096:
-            raise ValueError(
-                f"obs budget must be >= 4096 bytes, got {self.budget_bytes}"
-            )
+        ObsBudget.from_bytes(self.budget_bytes)  # rejects one too small
         if self.live_interval_s is not None and self.live_interval_s <= 0:
             raise ValueError("live_interval_s must be > 0 (or None)")
         if self.ring_resolution_s <= 0:
@@ -564,10 +562,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.initial_nodes < 1:
             raise ValueError("initial_nodes must be >= 1")
-        if self.obs_budget_bytes is not None and self.obs_budget_bytes < 4096:
-            raise ValueError(
-                f"obs budget must be >= 4096 bytes, got {self.obs_budget_bytes}"
-            )
+        ObsBudget.from_bytes(self.obs_budget_bytes)  # rejects one too small
         if self.trace_buffer is not None and self.trace_buffer < 1:
             raise ValueError("trace_buffer must be >= 1 (or None)")
         if self.initial_nodes > self.cluster.n_potential_nodes:

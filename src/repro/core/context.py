@@ -17,14 +17,7 @@ from ..cluster import Cluster, Node
 from ..config import RunConfig
 from ..faults import FaultInjector
 from ..hashing import PositionMap
-from ..obs import (
-    BoundedCausalLog,
-    BoundedSpanLog,
-    CausalLog,
-    MetricsRegistry,
-    ObsBudget,
-    SpanLog,
-)
+from ..obs import CausalLog, MetricsRegistry, ObsBudget, SpanLog
 from ..sim import Simulator, Tracer
 from .messages import DataChunk
 from .results import CommStats
@@ -92,20 +85,15 @@ class RunContext:
             metrics if metrics is not None
             else MetricsRegistry(clock=lambda: sim.now)
         )
-        #: observability byte budget (private mode only: the workload
-        #: driver owns the shared collectors and passes ``spans`` in)
-        self.obs_budget: ObsBudget | None = (
-            ObsBudget.from_bytes(cfg.obs_budget_bytes)
-            if cfg.obs_budget_bytes is not None else None
+        #: capacities of this run's span/causal logs (private mode only:
+        #: the workload driver owns the shared collectors and passes
+        #: ``spans`` in)
+        self.obs_budget = ObsBudget.from_bytes(cfg.obs_budget_bytes)
+        self.spans = (
+            spans if spans is not None
+            else SpanLog(self.obs_budget.span_sample,
+                         self.obs_budget.span_outliers)
         )
-        if spans is not None:
-            self.spans = spans
-        elif self.obs_budget is not None:
-            self.spans = BoundedSpanLog(
-                self.obs_budget.span_sample, self.obs_budget.span_outliers
-            )
-        else:
-            self.spans = SpanLog()
         self.tracer = (
             tracer if tracer is not None
             else Tracer(enabled=cfg.trace, maxlen=cfg.trace_buffer)
@@ -156,13 +144,9 @@ class RunContext:
             aliases[node.name] = f"join{j}"
         if getattr(self.cluster, "backup_node", None) is not None:
             aliases[self.cluster.backup_node.name] = "backup"
-        if not shared and self.obs_budget is not None:
-            self.causal: CausalLog = BoundedCausalLog(
-                aliases, self.obs_budget.edge_sample,
-                self.obs_budget.edge_outliers,
-            )
-        else:
-            self.causal = CausalLog(aliases)
+        self.causal = CausalLog(
+            aliases, self.obs_budget.edge_sample, self.obs_budget.edge_outliers
+        )
         #: control-plane failover: when the backup takes over, every actor
         #: addressing "the scheduler" must follow it (see set_scheduler_node)
         self._scheduler_override: Node | None = None

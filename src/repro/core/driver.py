@@ -21,16 +21,7 @@ from __future__ import annotations
 
 from ..config import RunConfig
 from ..data import materialize_relation
-from ..obs import (
-    PHASE_NAMES,
-    SCHEDULER_TRACK,
-    BoundedCausalLog,
-    BoundedSpanLog,
-    PhaseTimeline,
-    harvest_network,
-    harvest_nodes,
-    harvest_simulator,
-)
+from ..obs import PHASE_NAMES, SCHEDULER_TRACK, PhaseTimeline, harvest
 from ..seqjoin import match_count
 from ..sim import Simulator
 from .context import RunContext
@@ -219,18 +210,16 @@ def run_join(cfg: RunConfig, validate: bool = True) -> JoinRunResult:
         )
     ctx.cluster.network.assert_conserved()
 
-    harvest_simulator(ctx.metrics, sim)
-    harvest_network(ctx.metrics, ctx.cluster.network)
-    harvest_nodes(ctx.metrics, ctx.cluster.all_nodes)
+    harvest(ctx.metrics, sim, ctx.cluster.network, ctx.cluster.all_nodes)
     ctx.metrics.close()
 
     result = assemble_result(ctx, outcome, validate)
     # Budgeted observability: publish what the bounded collectors shed
     # (after assemble_result, whose phase spans also count against the
     # budget).  Unbudgeted runs publish nothing — report unchanged.
-    if isinstance(ctx.spans, BoundedSpanLog):
+    if ctx.spans.bounded:
         ctx.metrics.inc("obs.spans_dropped", ctx.spans.dropped)
-    if isinstance(ctx.causal, BoundedCausalLog):
+    if ctx.causal.bounded:
         ctx.metrics.inc("obs.edges_dropped", ctx.causal.dropped)
     result.metrics = ctx.metrics.snapshot()
 

@@ -27,19 +27,17 @@ from .export import (
     metrics_to_jsonl,
     trace_to_jsonl,
 )
-from .harvest import harvest_network, harvest_nodes, harvest_simulator
+from .harvest import harvest
 from .metrics import (
     Counter,
     Gauge,
     MetricsRegistry,
     TimeWeightedHistogram,
 )
+from .reservoir import ReservoirSample
 from .streaming import (
-    BoundedCausalLog,
-    BoundedSpanLog,
     ObsBudget,
     QuantileSketch,
-    ReservoirSample,
     Snapshot,
     StreamingCollector,
     TimeSeriesRing,
@@ -54,8 +52,6 @@ from .timeline import (
 )
 
 __all__ = [
-    "BoundedCausalLog",
-    "BoundedSpanLog",
     "CausalLog",
     "Counter",
     "ExplainReport",
@@ -78,9 +74,7 @@ __all__ = [
     "chrome_trace",
     "critical_path",
     "explain",
-    "harvest_network",
-    "harvest_nodes",
-    "harvest_simulator",
+    "harvest",
     "merge_snapshots",
     "metrics_to_jsonl",
     "trace_to_jsonl",

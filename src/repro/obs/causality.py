@@ -35,6 +35,8 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+from .reservoir import SampledLog
+
 __all__ = ["MessageEdge", "CausalLog"]
 
 
@@ -83,16 +85,29 @@ class MessageEdge:
         }
 
 
-class CausalLog:
-    """Append-only log of message edges plus per-actor cause tracking."""
+class CausalLog(SampledLog):
+    """Log of message edges plus per-actor cause tracking.
 
-    def __init__(self, aliases: dict[str, str] | None = None) -> None:
-        self.edges: list[MessageEdge] = []
+    Keeps every edge, or — given a capacity — a bounded sample weighted
+    by wire bytes (the heaviest transfers always survive).  Either way
+    eids count every send, edge objects are shared with the network
+    (delivery stamps and retransmission counts mutate the same object
+    whether or not it is retained), and queries resolve parents by eid:
+    an edge that is not in the log is a ``KeyError``, never another edge.
+    """
+
+    def __init__(self, aliases: dict[str, str] | None = None,
+                 sample: int | None = None, outliers: int = 0) -> None:
+        super().__init__(sample, outliers)
         self._aliases = dict(aliases or {})
         #: actor (track name) -> eid of the message it last dequeued
         self._cause: dict[str, int] = {}
         #: id(message) -> eid, from delivery until the actor dequeues it
         self._pending: dict[int, int] = {}
+
+    @property
+    def edges(self) -> list[MessageEdge]:
+        return self._view(lambda e: e.eid)
 
     def alias(self, raw: str) -> str:
         """Translate a node name to its track name (identity if unknown)."""
@@ -110,8 +125,9 @@ class CausalLog:
         per-actor cause is still the message being processed."""
         if parent is None:
             parent = self._cause.get(self.alias(src))
+        res = self._reservoir
         edge = MessageEdge(
-            eid=len(self.edges),
+            eid=len(self._records) if res is None else res.total,
             src=self.alias(src),
             dst=self.alias(dst),
             kind=message.kind,
@@ -122,7 +138,10 @@ class CausalLog:
             t_send=t,
             parent=parent,
         )
-        self.edges.append(edge)
+        if res is None:
+            self._records.append(edge)
+        else:
+            self._offer(f"{edge.eid:012d}", float(edge.nbytes), edge)
         return edge
 
     def on_attempt(self, edge: MessageEdge) -> None:
@@ -152,8 +171,15 @@ class CausalLog:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def _by_eid(self) -> dict[int, MessageEdge]:
+        return {e.eid: e for e in self.edges}
+
     def edge(self, eid: int) -> MessageEdge:
-        return self.edges[eid]
+        try:
+            return self._by_eid()[eid]
+        except KeyError:
+            raise KeyError(f"edge {eid} is not in the log "
+                           f"(kept {len(self.edges)}/{self.total})") from None
 
     def children(self, eid: int) -> list[MessageEdge]:
         """Edges sent while processing edge ``eid``."""
@@ -169,12 +195,13 @@ class CausalLog:
         """Matched request -> response edge pairs, e.g. the recruitment
         handshake ``("ActivateJoin", "ActivateAck")``: a response pairs
         with a request when the request's delivery caused the response."""
+        by_eid = self._by_eid()
         out: list[tuple[MessageEdge, MessageEdge]] = []
         for e in self.edges:
-            if e.msg_type != response_type or e.parent is None:
+            if e.msg_type != response_type:
                 continue
-            p = self.edges[e.parent]
-            if p.msg_type == request_type:
+            p = by_eid.get(e.parent)
+            if p is not None and p.msg_type == request_type:
                 out.append((p, e))
         return out
 

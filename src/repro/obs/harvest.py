@@ -16,16 +16,16 @@ from typing import Any
 
 from .metrics import MetricsRegistry
 
-__all__ = ["harvest_simulator", "harvest_network", "harvest_nodes"]
+__all__ = ["harvest"]
 
 
-def harvest_simulator(registry: MetricsRegistry, sim: Any) -> None:
-    """Kernel totals: events executed."""
+def harvest(registry: MetricsRegistry, sim: Any, network: Any,
+            nodes: Iterable[Any]) -> None:
+    """Publish a finished run's substrate totals: kernel events, network
+    bytes/messages, per-node memory peaks, disk ops and mailbox traffic."""
     registry.counter("sim.events_executed").inc(sim.processed_events)
 
-
-def harvest_network(registry: MetricsRegistry, network: Any) -> None:
-    """Per-(src, dst, kind) byte totals and per-kind message totals."""
+    # Per-(src, dst, kind) byte totals and per-kind message totals.
     for (src, dst, kind), nbytes in network.sent_bytes.items():
         registry.counter(
             "net.sent_bytes", src=src, dst=dst, kind=kind
@@ -56,13 +56,8 @@ def harvest_network(registry: MetricsRegistry, network: Any) -> None:
     if network.in_flight_peak:
         registry.set_gauge("net.in_flight_peak", network.in_flight_peak)
 
-
-def harvest_nodes(registry: MetricsRegistry, nodes: Iterable[Any]) -> None:
-    """Per-node memory peaks, disk op counts and mailbox traffic.
-
-    Disk *byte* totals are published live by the wired-up ``Disk``
-    counters; only the op count is folded in here.
-    """
+    # Disk *byte* totals are published live by the wired-up ``Disk``
+    # counters; only the op count is folded in here.
     for node in nodes:
         name = node.name
         if node.disk.ops:

@@ -14,23 +14,17 @@ events a run produces, and everything merges:
   aggregates ``(count, sum, min, max, last)`` keyed by the *absolute*
   bucket index ``floor(t / resolution)``, so rings from independent
   shards align by simulated time when merged.
-* :class:`ReservoirSample` — deterministic bottom-k sampling by a
-  content hash (``blake2b``, never Python's salted ``hash()``), plus an
-  always-keep set of the ``outliers`` heaviest records.  The retained
-  set is a pure function of the *offered* set (canonical form is
-  re-established after every insert), which makes it insert-order
-  invariant and gives ``merge(a, b) == sample(a ∪ b)``.
-* :class:`BoundedSpanLog` / :class:`BoundedCausalLog` — drop-in
-  ``SpanLog`` / ``CausalLog`` replacements that keep a reservoir sample
-  (weight = span duration / edge bytes) instead of every record, and
-  count what they shed (``obs.spans_dropped`` / ``obs.edges_dropped``).
+* :class:`~repro.obs.reservoir.ReservoirSample` — the deterministic
+  sample behind a snapshot's span section and behind a ``SpanLog`` /
+  ``CausalLog`` that was given a capacity (described in its own module).
 * :class:`Snapshot` — the frozen, JSON-stable union of counters,
   gauge/histogram summaries, sketches, rings and sampled spans.
   ``Snapshot.merge()`` is the wire contract between future fleet
   processes: associative, commutative, and byte-identical across
   repeated runs (``to_json()`` sorts keys and uses canonical floats).
-* :class:`ObsBudget` — translates a ``--obs-budget`` byte budget into
-  per-collector capacities with documented per-record byte estimates.
+* :class:`ObsBudget` — translates a ``--obs-budget`` byte budget (or
+  ``None``: unbounded logs, default capacities) into per-collector
+  capacities with documented per-record byte estimates.
 * :class:`StreamingCollector` — the per-run owner of the above, with a
   registry-to-snapshot converter used by the workload driver and the
   ``--live`` emitter.
@@ -41,22 +35,19 @@ of ``repro`` and nothing beyond the stdlib.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-from .causality import CausalLog, MessageEdge
-from .timeline import Span, SpanLog
+from .reservoir import ReservoirSample, take
+from .timeline import SpanLog
 
 __all__ = [
     "DEFAULT_ALPHA",
-    "BoundedCausalLog",
-    "BoundedSpanLog",
     "ObsBudget",
     "QuantileSketch",
-    "ReservoirSample",
     "Snapshot",
     "StreamingCollector",
     "TimeSeriesRing",
@@ -82,6 +73,42 @@ DEFAULT_SPAN_OUTLIERS = 32
 
 #: default ring resolution (simulated seconds per bucket)
 DEFAULT_RING_RESOLUTION_S = 0.25
+
+# wire-field kinds and converters for the ``from_dict`` codecs (``take``)
+_NUMBER = (int, float)
+_OPT_NUMBER = (int, float, type(None))
+
+
+def _int_keys(m: dict[str, int]) -> dict[int, int]:
+    return {int(k): int(c) for k, c in m.items()}
+
+
+def _numbers(m: dict[str, float]) -> dict[str, float]:
+    for k, v in m.items():
+        if not isinstance(v, _NUMBER):
+            raise ValueError(f"{k!r} is not a number")
+    return dict(m)
+
+
+def _shard_names(names: list[str]) -> tuple[str, ...]:
+    if not all(isinstance(n, str) for n in names):
+        raise ValueError("shard names are strings")
+    return tuple(names)
+
+
+def _each(convert: Callable[[Any], Any]) -> Callable[[dict], dict]:
+    """Lift a per-value decoder over a ``{key: value}`` section."""
+    return lambda m: {k: convert(v) for k, v in m.items()}
+
+
+def _ring_buckets(m: dict[str, list[float]]) -> dict[int, list[float]]:
+    out = {int(k): list(v) for k, v in m.items()}
+    if not all(len(b) == 6 and all(isinstance(x, _NUMBER) for x in b)
+               for b in out.values()):
+        raise ValueError(
+            "a bucket is six numbers: count, sum, min, max, t_last, v_last"
+        )
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -248,15 +275,16 @@ class QuantileSketch:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> QuantileSketch:
-        out = cls(d["alpha"], d["max_bins"])
-        out.count = int(d["count"])
-        out.total = float(d["total"])
-        out.vmin = None if d["min"] is None else float(d["min"])
-        out.vmax = None if d["max"] is None else float(d["max"])
-        out.zero_count = int(d["zero"])
-        out._pos = {int(k): int(c) for k, c in d["pos"].items()}
-        out._neg = {int(k): int(c) for k, c in d["neg"].items()}
-        out.collapsed = bool(d["collapsed"])
+        what = "sketch"
+        out = cls(take(d, "alpha", float, what), take(d, "max_bins", int, what))
+        out.count = take(d, "count", int, what)
+        out.total = take(d, "total", _NUMBER, what, float)
+        out.vmin = take(d, "min", _OPT_NUMBER, what)
+        out.vmax = take(d, "max", _OPT_NUMBER, what)
+        out.zero_count = take(d, "zero", int, what)
+        out._pos = take(d, "pos", dict, what, _int_keys)
+        out._neg = take(d, "neg", dict, what, _int_keys)
+        out.collapsed = take(d, "collapsed", bool, what)
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -301,17 +329,23 @@ class TimeSeriesRing:
 
     def observe(self, t: float, value: float) -> None:
         idx = math.floor(t / self.resolution_s)
-        b = self._buckets.get(idx)
-        if b is None:
-            self._buckets[idx] = [1, value, value, value, t, value]
-        else:
-            b[0] += 1
-            b[1] += value
-            b[2] = min(b[2], value)
-            b[3] = max(b[3], value)
-            if (t, value) >= (b[4], b[5]):
-                b[4], b[5] = t, value
+        self._fold(self._buckets, idx, [1, value, value, value, t, value])
         self._trim()
+
+    @staticmethod
+    def _fold(buckets: dict[int, list[float]], idx: int,
+              b: list[float]) -> None:
+        """Merge one bucket's aggregates into ``buckets[idx]``."""
+        cur = buckets.get(idx)
+        if cur is None:
+            buckets[idx] = list(b)
+        else:
+            cur[0] += b[0]
+            cur[1] += b[1]
+            cur[2] = min(cur[2], b[2])
+            cur[3] = max(cur[3], b[3])
+            if (b[4], b[5]) >= (cur[4], cur[5]):
+                cur[4], cur[5] = b[4], b[5]
 
     def _trim(self) -> None:
         if len(self._buckets) <= self.n_buckets:
@@ -330,16 +364,7 @@ class TimeSeriesRing:
         out.evicted = self.evicted + other.evicted
         for src in (self, other):
             for idx, b in src._buckets.items():
-                cur = out._buckets.get(idx)
-                if cur is None:
-                    out._buckets[idx] = list(b)
-                else:
-                    cur[0] += b[0]
-                    cur[1] += b[1]
-                    cur[2] = min(cur[2], b[2])
-                    cur[3] = max(cur[3], b[3])
-                    if (b[4], b[5]) >= (cur[4], cur[5]):
-                        cur[4], cur[5] = b[4], b[5]
+                self._fold(out._buckets, idx, b)
         out._trim()
         return out
 
@@ -363,9 +388,10 @@ class TimeSeriesRing:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> TimeSeriesRing:
-        out = cls(d["resolution_s"], d["n"])
-        out.evicted = int(d["evicted"])
-        out._buckets = {int(k): list(v) for k, v in d["buckets"].items()}
+        what = "ring"
+        out = cls(take(d, "resolution_s", _NUMBER, what), take(d, "n", int, what))
+        out.evicted = take(d, "evicted", int, what)
+        out._buckets = take(d, "buckets", dict, what, _ring_buckets)
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -375,282 +401,30 @@ class TimeSeriesRing:
 
 
 # ----------------------------------------------------------------------
-# deterministic reservoir
-# ----------------------------------------------------------------------
-def _priority(ident: str) -> int:
-    """Deterministic sampling priority: a keyed content hash.
-
-    Never Python's builtin ``hash()`` — that is salted per interpreter
-    run and would make sampling (and snapshot bytes) irreproducible.
-    """
-    digest = hashlib.blake2b(ident.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
-class ReservoirSample:
-    """Bottom-k-by-hash sample plus an always-keep heavy-outlier set.
-
-    The retained set is *canonical*: after every insert it equals
-    ``bottom(sample)`` of the offered idents by ``(priority, ident)``
-    union ``top(outliers)`` by ``(-weight, priority, ident)``.  Because
-    that is a pure function of the offered set, insertion order never
-    matters and ``a.merge(b)`` retains exactly what a single reservoir
-    offered ``a ∪ b`` would — the property that makes shard samples
-    combinable.  ``dropped`` counts offered-but-shed records.
-    """
-
-    __slots__ = ("sample", "outliers", "total", "_items")
-
-    def __init__(self, sample: int, outliers: int = 0) -> None:
-        if sample < 1:
-            raise ValueError(f"reservoir sample must be >= 1, got {sample}")
-        if outliers < 0:
-            raise ValueError(f"outlier count must be >= 0, got {outliers}")
-        self.sample = int(sample)
-        self.outliers = int(outliers)
-        self.total = 0
-        #: ident -> (priority, weight, payload)
-        self._items: dict[str, tuple[int, float, Any]] = {}
-
-    def add(self, ident: str, weight: float, payload: Any) -> None:
-        self.total += 1
-        if ident not in self._items:
-            self._items[ident] = (_priority(ident), float(weight), payload)
-            self._trim()
-
-    def _trim(self) -> None:
-        if len(self._items) <= self.sample:
-            return
-        by_priority = sorted(self._items.items(),
-                             key=lambda kv: (kv[1][0], kv[0]))
-        keep = {k for k, _ in by_priority[: self.sample]}
-        if self.outliers:
-            by_weight = sorted(self._items.items(),
-                               key=lambda kv: (-kv[1][1], kv[1][0], kv[0]))
-            keep.update(k for k, _ in by_weight[: self.outliers])
-        if len(keep) < len(self._items):
-            self._items = {k: v for k, v in self._items.items() if k in keep}
-
-    def merge(self, other: ReservoirSample) -> ReservoirSample:
-        if (self.sample, self.outliers) != (other.sample, other.outliers):
-            raise ValueError(
-                "cannot merge reservoirs with different capacities: "
-                f"({self.sample},{self.outliers}) vs "
-                f"({other.sample},{other.outliers})"
-            )
-        out = ReservoirSample(self.sample, self.outliers)
-        out.total = self.total + other.total
-        out._items = dict(self._items)
-        for k, v in other._items.items():
-            out._items.setdefault(k, v)
-        out._trim()
-        return out
-
-    @property
-    def dropped(self) -> int:
-        return self.total - len(self._items)
-
-    def kept(self) -> list[tuple[str, float, Any]]:
-        """Retained ``(ident, weight, payload)`` in priority order."""
-        return [(k, v[1], v[2])
-                for k, v in sorted(self._items.items(),
-                                   key=lambda kv: (kv[1][0], kv[0]))]
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, ident: str) -> bool:
-        return ident in self._items
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "sample": self.sample,
-            "outliers": self.outliers,
-            "total": self.total,
-            "items": [
-                {"ident": ident, "weight": weight, "payload": payload}
-                for ident, weight, payload in self.kept()
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> ReservoirSample:
-        out = cls(d["sample"], d["outliers"])
-        for item in d["items"]:
-            out._items[item["ident"]] = (
-                _priority(item["ident"]),
-                float(item["weight"]),
-                item["payload"],
-            )
-        out.total = int(d["total"])
-        out._trim()
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ReservoirSample):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-
-# ----------------------------------------------------------------------
-# bounded span / causal logs
-# ----------------------------------------------------------------------
-class BoundedSpanLog(SpanLog):
-    """``SpanLog`` that keeps a deterministic sample instead of everything.
-
-    Sampling weight is the span's duration, so the ``outliers`` longest
-    spans are always retained (they are the ones critical-path and phase
-    reports care about); the rest are an unbiased-by-hash sample.
-    ``spans`` stays a list (sorted by start time) so every existing
-    consumer — ``PhaseTimeline``, exporters, reports — works unchanged.
-    """
-
-    def __init__(self, sample: int = DEFAULT_SPAN_SAMPLE,
-                 outliers: int = DEFAULT_SPAN_OUTLIERS) -> None:
-        # deliberately not calling super().__init__: ``spans`` is a
-        # property here, backed by the reservoir
-        self._reservoir = ReservoirSample(sample, outliers)
-        self._seq = 0
-        self._cache: list[Span] | None = None
-
-    @property
-    def spans(self) -> list[Span]:  # type: ignore[override]
-        if self._cache is None:
-            self._cache = sorted(
-                (payload for _, _, payload in self._reservoir.kept()),
-                key=lambda s: (s.t0, s.t1, s.track, s.name),
-            )
-        return self._cache
-
-    def add(self, track: str, name: str, t0: float, t1: float,
-            **args: Any) -> Span:
-        if t1 < t0:
-            raise ValueError(f"span {name!r} ends before it starts")
-        span = Span(track, name, t0, t1, args)
-        ident = f"{self._seq:08d}|{track}|{name}"
-        self._seq += 1
-        self._reservoir.add(ident, t1 - t0, span)
-        self._cache = None
-        return span
-
-    @property
-    def total(self) -> int:
-        return self._reservoir.total
-
-    @property
-    def dropped(self) -> int:
-        return self._reservoir.dropped
-
-
-class BoundedCausalLog(CausalLog):
-    """``CausalLog`` that samples edges instead of keeping all of them.
-
-    Sampling weight is the edge's wire bytes, so the heaviest transfers
-    are always retained.  Edge ids keep counting monotonically
-    (``total``), edge objects are shared with the network (delivery
-    stamps and retransmission counts mutate the same object whether or
-    not it is retained), and the query surface skips sampled-out parents
-    instead of indexing positionally.
-    """
-
-    def __init__(self, aliases: dict[str, str] | None = None,
-                 sample: int = DEFAULT_SPAN_SAMPLE,
-                 outliers: int = DEFAULT_SPAN_OUTLIERS) -> None:
-        # deliberately not calling super().__init__: ``edges`` is a
-        # property here, backed by the reservoir
-        self._aliases = dict(aliases or {})
-        self._cause = {}
-        self._pending = {}
-        self._reservoir = ReservoirSample(sample, outliers)
-        self._next_eid = 0
-        self._cache: list[MessageEdge] | None = None
-
-    @property
-    def edges(self) -> list[MessageEdge]:  # type: ignore[override]
-        if self._cache is None:
-            self._cache = sorted(
-                (payload for _, _, payload in self._reservoir.kept()),
-                key=lambda e: e.eid,
-            )
-        return self._cache
-
-    def on_send(self, src: str, dst: str, message: Any, t: float,
-                parent: int | None = None) -> MessageEdge:
-        if parent is None:
-            parent = self._cause.get(self.alias(src))
-        edge = MessageEdge(
-            eid=self._next_eid,
-            src=self.alias(src),
-            dst=self.alias(dst),
-            kind=message.kind,
-            msg_type=type(message).__name__,
-            hop=getattr(message, "hop", None),
-            nbytes=int(message.nbytes),
-            tuples=int(getattr(message, "tuples", 0) or 0),
-            t_send=t,
-            parent=parent,
-        )
-        self._next_eid += 1
-        self._reservoir.add(f"{edge.eid:012d}", float(edge.nbytes), edge)
-        self._cache = None
-        return edge
-
-    @property
-    def total(self) -> int:
-        return self._next_eid
-
-    @property
-    def dropped(self) -> int:
-        return self._reservoir.dropped
-
-    # -- query surface over the retained sample ------------------------
-    def _by_eid(self) -> dict[int, MessageEdge]:
-        return {e.eid: e for e in self.edges}
-
-    def edge(self, eid: int) -> MessageEdge:
-        try:
-            return self._by_eid()[eid]
-        except KeyError:
-            raise KeyError(f"edge {eid} was sampled out "
-                           f"(kept {len(self.edges)}/{self.total})") from None
-
-    def children(self, eid: int) -> list[MessageEdge]:
-        return [e for e in self.edges if e.parent == eid]
-
-    def request_pairs(
-        self, request_type: str, response_type: str
-    ) -> list[tuple[MessageEdge, MessageEdge]]:
-        by_eid = self._by_eid()
-        out: list[tuple[MessageEdge, MessageEdge]] = []
-        for e in self.edges:
-            if e.msg_type != response_type or e.parent is None:
-                continue
-            p = by_eid.get(e.parent)
-            if p is not None and p.msg_type == request_type:
-                out.append((p, e))
-        return out
-
-
-# ----------------------------------------------------------------------
 # byte budget
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ObsBudget:
-    """Capacities derived from a ``--obs-budget`` byte budget.
+    """Per-collector capacities: the unbounded defaults, or a byte budget's.
 
-    The budget is split 40% spans / 30% causal edges / 15% rings /
-    15% sketch buckets, using conservative per-record byte estimates
-    (span ≈ 160 B, edge ≈ 200 B, ring bucket ≈ 48 B, sketch bucket
-    ≈ 16 B) with floors that keep tiny budgets functional.
+    ``ObsBudget()`` keeps every span and causal edge (``*_sample`` is
+    ``None``) and sizes the rest generously.  A ``--obs-budget`` is split
+    40% spans / 30% causal edges / 15% rings / 15% sketch buckets, using
+    conservative per-record byte estimates (span ≈ 160 B, edge ≈ 200 B,
+    ring bucket ≈ 48 B, sketch bucket ≈ 16 B) with floors that keep tiny
+    budgets functional.
     """
 
-    budget_bytes: int
-    span_sample: int
-    span_outliers: int
-    edge_sample: int
-    edge_outliers: int
-    ring_buckets: int
-    sketch_bins: int
+    budget_bytes: int | None = None
+    span_sample: int | None = None
+    span_outliers: int = 0
+    edge_sample: int | None = None
+    edge_outliers: int = 0
+    ring_buckets: int = DEFAULT_RING_BUCKETS
+    sketch_bins: int = DEFAULT_MAX_BINS
+    #: capacity of a snapshot's span section (a bounded span log's own)
+    snapshot_spans: int = DEFAULT_SPAN_SAMPLE
+    snapshot_outliers: int = DEFAULT_SPAN_OUTLIERS
 
     MIN_BYTES = 4096
     SPAN_BYTES = 160
@@ -659,7 +433,9 @@ class ObsBudget:
     SKETCH_BIN_BYTES = 16
 
     @classmethod
-    def from_bytes(cls, budget_bytes: int) -> ObsBudget:
+    def from_bytes(cls, budget_bytes: int | None) -> ObsBudget:
+        if budget_bytes is None:
+            return cls()
         if budget_bytes < cls.MIN_BYTES:
             raise ValueError(
                 f"obs budget must be >= {cls.MIN_BYTES} bytes, "
@@ -667,11 +443,12 @@ class ObsBudget:
             )
         span_total = max(40, int(0.40 * budget_bytes) // cls.SPAN_BYTES)
         span_outliers = max(8, span_total // 5)
+        span_sample = max(32, span_total - span_outliers)
         edge_total = max(40, int(0.30 * budget_bytes) // cls.EDGE_BYTES)
         edge_outliers = max(8, edge_total // 5)
         return cls(
             budget_bytes=int(budget_bytes),
-            span_sample=max(32, span_total - span_outliers),
+            span_sample=span_sample,
             span_outliers=span_outliers,
             edge_sample=max(32, edge_total - edge_outliers),
             edge_outliers=edge_outliers,
@@ -679,6 +456,8 @@ class ObsBudget:
                              // cls.RING_BUCKET_BYTES),
             sketch_bins=max(64, int(0.15 * budget_bytes)
                             // cls.SKETCH_BIN_BYTES),
+            snapshot_spans=span_sample,
+            snapshot_outliers=span_outliers,
         )
 
 
@@ -787,9 +566,13 @@ class Snapshot:
         return sum(v for k, v in self.counters.items()
                    if k == name or k.startswith(name + "|"))
 
-    def quantile(self, metric: str, q: float) -> float:
+    def percentiles(
+        self, metric: str, qs: tuple[float, ...] = (50, 90, 99)
+    ) -> dict[str, float]:
+        """``{"p50": ..., ...}`` of one sketched metric — the definition
+        every report reads.  Never observed: ``{}``, not placeholder zeros."""
         sk = self.sketches.get(metric)
-        return sk.quantile(q) if sk is not None else 0.0
+        return sk.percentiles(qs) if sk is not None and sk.count else {}
 
     def describe(self) -> str:
         """One-line progress summary for ``--live`` / ``repro tail``."""
@@ -845,33 +628,34 @@ class Snapshot:
                           separators=(",", ":"))
 
     @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> Snapshot:
-        if d.get("kind") != SNAPSHOT_KIND:
+    def from_dict(cls, d: Any) -> Snapshot:
+        """Decode a wire document; anything non-conforming is a
+        ``ValueError`` that names the offending field."""
+        what = "snapshot"
+        if take(d, "kind", str, what) != SNAPSHOT_KIND:
             raise ValueError(
-                f"not a {SNAPSHOT_KIND} document (kind={d.get('kind')!r})"
+                f"not a {SNAPSHOT_KIND} document (kind={d['kind']!r})"
             )
-        if d.get("v") != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {d.get('v')!r}")
+        if take(d, "v", int, what) != SNAPSHOT_VERSION:
+            raise ValueError(f"unsupported snapshot version {d['v']!r}")
         return cls(
-            t=float(d["t"]),
-            shards=tuple(d["shards"]),
-            counters=dict(d["counters"]),
-            gauges={k: dict(v) for k, v in d["gauges"].items()},
-            histograms={
-                k: {
-                    "bounds": tuple(v["bounds"]),
-                    "high": v["high"],
-                    "total_seconds": v["total_seconds"],
-                    "weighted_sum": v["weighted_sum"],
-                    "buckets": dict(v["buckets"]),
-                }
-                for k, v in d["histograms"].items()
-            },
-            sketches={k: QuantileSketch.from_dict(v)
-                      for k, v in d["sketches"].items()},
-            rings={k: TimeSeriesRing.from_dict(v)
-                   for k, v in d["rings"].items()},
-            spans=ReservoirSample.from_dict(d["spans"]),
+            t=take(d, "t", _NUMBER, what, float),
+            shards=take(d, "shards", list, what, _shard_names),
+            counters=take(d, "counters", dict, what, _numbers),
+            gauges=take(d, "gauges", dict, what, _each(
+                lambda g: {k: take(g, k, _NUMBER, "gauge")
+                           for k in ("high", "low", "samples")})),
+            histograms=take(d, "histograms", dict, what, _each(lambda h: {
+                "bounds": take(h, "bounds", list, "histogram", tuple),
+                "high": take(h, "high", _NUMBER, "histogram"),
+                "total_seconds": take(h, "total_seconds", _NUMBER, "histogram"),
+                "weighted_sum": take(h, "weighted_sum", _NUMBER, "histogram"),
+                "buckets": take(h, "buckets", dict, "histogram", _numbers),
+            })),
+            sketches=take(d, "sketches", dict, what,
+                          _each(QuantileSketch.from_dict)),
+            rings=take(d, "rings", dict, what, _each(TimeSeriesRing.from_dict)),
+            spans=take(d, "spans", dict, what, ReservoirSample.from_dict),
         )
 
     @classmethod
@@ -901,14 +685,13 @@ def merge_snapshots(snapshots: list[Snapshot]) -> Snapshot:
 class StreamingCollector:
     """Per-run owner of the streaming state + registry→snapshot bridge.
 
-    Unbudgeted, it owns a plain :class:`SpanLog` and unlimited-precision
-    sketches/rings at default capacities (reports are unchanged vs the
-    full-history path, and drop counters stay zero).  With an
-    :class:`ObsBudget` it swaps in the bounded log variants and shrinks
-    every capacity to fit the byte budget.
+    Every capacity comes from its :class:`ObsBudget`: by default every
+    span is kept and the drop counters stay zero; a byte budget makes the
+    span log a bounded sample and shrinks sketches and rings to fit.
     """
 
-    def __init__(self, clock: Any = None, budget: ObsBudget | None = None,
+    def __init__(self, clock: Any = None,
+                 budget: ObsBudget = ObsBudget(),
                  shard: str = "shard0",
                  ring_resolution_s: float = DEFAULT_RING_RESOLUTION_S,
                  alpha: float = DEFAULT_ALPHA) -> None:
@@ -917,25 +700,10 @@ class StreamingCollector:
         self.shard = shard
         self.ring_resolution_s = ring_resolution_s
         self.alpha = alpha
-        self.spans: SpanLog = (
-            BoundedSpanLog(budget.span_sample, budget.span_outliers)
-            if budget is not None else SpanLog()
-        )
+        self.spans = SpanLog(budget.span_sample, budget.span_outliers)
         self.sketches: dict[str, QuantileSketch] = {}
         self.rings: dict[str, TimeSeriesRing] = {}
         self.snapshots_emitted = 0
-        self._causal_logs: list[CausalLog] = []
-
-    # -- construction helpers -----------------------------------------
-    def causal_log(self, aliases: dict[str, str] | None = None) -> CausalLog:
-        """A (budget-appropriate) causal log, registered for drop counts."""
-        log: CausalLog = (
-            BoundedCausalLog(aliases, self.budget.edge_sample,
-                             self.budget.edge_outliers)
-            if self.budget is not None else CausalLog(aliases)
-        )
-        self._causal_logs.append(log)
-        return log
 
     # -- ingest --------------------------------------------------------
     def observe(self, name: str, value: float, t: float | None = None) -> None:
@@ -943,27 +711,14 @@ class StreamingCollector:
         t = self.clock() if t is None else t
         sk = self.sketches.get(name)
         if sk is None:
-            bins = (self.budget.sketch_bins if self.budget is not None
-                    else DEFAULT_MAX_BINS)
-            sk = self.sketches[name] = QuantileSketch(self.alpha, bins)
+            sk = self.sketches[name] = QuantileSketch(
+                self.alpha, self.budget.sketch_bins)
         sk.add(value)
         ring = self.rings.get(name)
         if ring is None:
-            buckets = (self.budget.ring_buckets if self.budget is not None
-                       else DEFAULT_RING_BUCKETS)
             ring = self.rings[name] = TimeSeriesRing(
-                self.ring_resolution_s, buckets)
+                self.ring_resolution_s, self.budget.ring_buckets)
         ring.observe(t, value)
-
-    # -- drop accounting -----------------------------------------------
-    @property
-    def spans_dropped(self) -> int:
-        return self.spans.dropped if isinstance(self.spans, BoundedSpanLog) else 0
-
-    @property
-    def edges_dropped(self) -> int:
-        return sum(log.dropped for log in self._causal_logs
-                   if isinstance(log, BoundedCausalLog))
 
     # -- snapshot ------------------------------------------------------
     def snapshot(self, registry: Any = None, t: float | None = None) -> Snapshot:
@@ -993,30 +748,21 @@ class StreamingCollector:
                             "samples": inst.samples,
                         }
                 else:
-                    buckets = {}
-                    for i, bound in enumerate(inst.bounds):
-                        if inst.bucket_seconds[i]:
-                            buckets[f"le_{bound:g}"] = inst.bucket_seconds[i]
-                    if inst.bucket_seconds[-1]:
-                        buckets["overflow"] = inst.bucket_seconds[-1]
                     histograms[key] = {
                         "bounds": tuple(inst.bounds),
                         "high": inst.high,
                         "total_seconds": inst.total_seconds,
                         "weighted_sum": inst.weighted_sum,
-                        "buckets": buckets,
+                        "buckets": d["bucket_seconds"],
                     }
         counters["obs.snapshots_emitted"] = float(self.snapshots_emitted)
-        counters["obs.spans_dropped"] = float(self.spans_dropped)
-        counters["obs.edges_dropped"] = float(self.edges_dropped)
+        counters["obs.spans_dropped"] = float(self.spans.dropped)
+        # A workload has no causal log (interleaved queries would corrupt
+        # one), so nothing can shed edges here; the key is wire format.
+        counters["obs.edges_dropped"] = 0.0
 
-        if self.budget is not None:
-            span_sample = self.budget.span_sample
-            span_outliers = self.budget.span_outliers
-        else:
-            span_sample = DEFAULT_SPAN_SAMPLE
-            span_outliers = DEFAULT_SPAN_OUTLIERS
-        spans = ReservoirSample(span_sample, span_outliers)
+        spans = ReservoirSample(self.budget.snapshot_spans,
+                                self.budget.snapshot_outliers)
         for i, s in enumerate(self.spans.spans):
             ident = f"{self.shard}|{i:08d}|{s.track}|{s.name}"
             spans.add(ident, s.duration, {
@@ -1026,8 +772,7 @@ class StreamingCollector:
                 "t1": s.t1,
                 "args": {k: str(v) for k, v in sorted(s.args.items())},
             })
-        if isinstance(self.spans, BoundedSpanLog):
-            spans.total = self.spans.total
+        spans.total = self.spans.total
 
         return Snapshot(
             t=t,

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from .reservoir import SampledLog
+
 __all__ = ["Span", "SpanLog", "PhaseTimeline"]
 
 #: track name used for the run-wide phase spans
@@ -47,18 +49,28 @@ class Span:
         return " ".join(self.cells()).rstrip()
 
 
-class SpanLog:
-    """Append-only collection of spans, in recording order."""
+class SpanLog(SampledLog):
+    """Collection of spans: every one, in recording order, or — given a
+    capacity — a bounded sample weighted by duration, sorted by start.
 
-    def __init__(self) -> None:
-        self.spans: list[Span] = []
+    Bounded, the ``outliers`` longest spans are always retained (the ones
+    critical-path and phase reports care about).  Either way ``spans`` is
+    a list, so ``PhaseTimeline``, exporters and reports read both alike.
+    """
+
+    @property
+    def spans(self) -> list[Span]:
+        return self._view(lambda s: (s.t0, s.t1, s.track, s.name))
 
     def add(self, track: str, name: str, t0: float, t1: float,
             **args: Any) -> Span:
         if t1 < t0:
             raise ValueError(f"span {name!r} ends before it starts")
         span = Span(track, name, t0, t1, args)
-        self.spans.append(span)
+        if self._reservoir is None:
+            self._records.append(span)
+        else:
+            self._offer(f"{self.total:08d}|{track}|{name}", t1 - t0, span)
         return span
 
     def for_track(self, track: str) -> list[Span]:

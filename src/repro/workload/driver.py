@@ -39,11 +39,8 @@ from ..obs import (
     ObsBudget,
     PhaseTimeline,
     Snapshot,
-    SpanLog,
     StreamingCollector,
-    harvest_network,
-    harvest_nodes,
-    harvest_simulator,
+    harvest,
 )
 from ..sim import AllOf, Interrupt, Process, Simulator, Tracer
 from .generator import QuerySpec, generate_workload, query_run_config
@@ -217,17 +214,13 @@ def run_workload(
             )
     sim = Simulator()
     metrics = MetricsRegistry(clock=lambda: sim.now)
-    obs_budget = (
-        ObsBudget.from_bytes(cfg.obs.budget_bytes)
-        if cfg.obs.budget_bytes is not None else None
-    )
     collector = StreamingCollector(
         clock=lambda: sim.now,
-        budget=obs_budget,
+        budget=ObsBudget.from_bytes(cfg.obs.budget_bytes),
         shard=cfg.obs.shard,
         ring_resolution_s=cfg.obs.ring_resolution_s,
     )
-    spans: SpanLog = collector.spans
+    spans = collector.spans
     tracer = Tracer(enabled=cfg.trace, maxlen=None)
 
     def trace(category: str, actor: str, **detail: Any) -> None:
@@ -290,9 +283,7 @@ def run_workload(
     wc.network.assert_conserved()
     pool_stats: PoolStats = pool_proc.value
 
-    harvest_simulator(metrics, sim)
-    harvest_network(metrics, wc.network)
-    harvest_nodes(metrics, wc.all_nodes)
+    harvest(metrics, sim, wc.network, wc.all_nodes)
 
     results: list[Any] = []
     query_stats: list[QueryStats] = []
@@ -342,9 +333,11 @@ def run_workload(
     # Budgeted runs publish their shed counts into the registry (so the
     # report shows them); unbudgeted runs publish nothing — the registry
     # snapshot is byte-for-byte what it was before streaming existed.
-    if obs_budget is not None:
-        metrics.inc("obs.spans_dropped", collector.spans_dropped)
-        metrics.inc("obs.edges_dropped", collector.edges_dropped)
+    # (A workload has no causal log — RunContext's shared mode leaves
+    # the network hook unset — so it can shed no edges; the row stays.)
+    if spans.bounded:
+        metrics.inc("obs.spans_dropped", spans.dropped)
+        metrics.inc("obs.edges_dropped", 0)
     if cfg.obs.live_interval_s is not None:
         metrics.inc("obs.snapshots_emitted", collector.snapshots_emitted)
     final_snapshot = collector.snapshot(registry=metrics)
@@ -360,6 +353,5 @@ def run_workload(
         timeline=PhaseTimeline(spans.spans),
         tracer=tracer,
         snapshot=final_snapshot,
-        spans_dropped=collector.spans_dropped,
-        edges_dropped=collector.edges_dropped,
+        spans_dropped=spans.dropped,
     )

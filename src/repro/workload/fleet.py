@@ -294,21 +294,16 @@ class FleetResult:
     def latency_percentiles(
         self, qs: tuple[int, ...] = (50, 90, 99)
     ) -> dict[str, float]:
-        """Sketch-backed global percentiles (1% relative-error bound)."""
-        return self._quantiles("workload.query_latency_s", qs)
+        """Sketch-backed global percentiles (1% relative-error bound);
+        ``{}`` when no cohort completed."""
+        return (self.snapshot.percentiles("workload.query_latency_s", qs)
+                if self.snapshot else {})
 
     def queue_delay_percentiles(
         self, qs: tuple[int, ...] = (50, 90, 99)
     ) -> dict[str, float]:
-        return self._quantiles("workload.queue_delay_s", qs)
-
-    def _quantiles(
-        self, metric: str, qs: tuple[int, ...]
-    ) -> dict[str, float]:
-        if self.snapshot is None or metric not in self.snapshot.sketches:
-            return {}
-        return {f"p{q:g}": self.snapshot.quantile(metric, q / 100.0)
-                for q in qs}
+        return (self.snapshot.percentiles("workload.queue_delay_s", qs)
+                if self.snapshot else {})
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:

@@ -7,7 +7,7 @@ from typing import Any
 
 from ..config import WorkloadConfig
 from ..core.results import JoinRunResult
-from ..obs.streaming import QuantileSketch, Snapshot
+from ..obs.streaming import Snapshot
 
 __all__ = ["QueryStats", "WorkloadResult"]
 
@@ -73,22 +73,6 @@ class QueryStats:
         }
 
 
-def _percentiles(values: list[float], qs: tuple[int, ...]) -> dict[str, float]:
-    """Sketch-backed percentiles: ``{"p50": ...}`` within the sketch's
-    documented 1% relative-error bound of the exact order statistics.
-
-    An empty input yields an empty dict — never ``NaN`` placeholders
-    (``np.percentile`` on a zero-length array raises; zero-filled keys
-    masquerade as real measurements).
-    """
-    if not values:
-        return {}
-    sketch = QuantileSketch()
-    for v in values:
-        sketch.add(v)
-    return sketch.percentiles(qs)
-
-
 @dataclass
 class WorkloadResult:
     """Complete outcome of one multi-query workload run."""
@@ -107,8 +91,11 @@ class WorkloadResult:
     timeline: Any | None = None
     tracer: Any | None = None
     #: final mergeable observability snapshot (sketches, rings, sampled
-    #: spans); the unit the future fleet layer ships between shards
-    snapshot: Snapshot | None = None
+    #: spans): what the fleet layer ships between shards, and where this
+    #: result's own percentiles are read from
+    snapshot: Snapshot = field(
+        default_factory=lambda: Snapshot(t=0.0, shards=())
+    )
     #: records shed by the bounded collectors (zero unless a --obs-budget
     #: was armed; nothing is ever silently truncated)
     spans_dropped: int = 0
@@ -134,12 +121,14 @@ class WorkloadResult:
     def latency_percentiles(
         self, qs: tuple[int, ...] = (50, 90, 99)
     ) -> dict[str, float]:
-        return _percentiles([q.latency_s for q in self.queries], qs)
+        """Sketch-backed (1% relative-error bound), read from ``snapshot``
+        like every other report on this run; ``{}`` without queries."""
+        return self.snapshot.percentiles("workload.query_latency_s", qs)
 
     def queue_delay_percentiles(
         self, qs: tuple[int, ...] = (50, 90, 99)
     ) -> dict[str, float]:
-        return _percentiles([q.queue_delay_s for q in self.queries], qs)
+        return self.snapshot.percentiles("workload.queue_delay_s", qs)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:

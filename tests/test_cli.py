@@ -341,3 +341,78 @@ def test_tail_rejects_garbage(tmp_path, capsys):
     rc = main(["tail", str(bad)])
     assert rc == 2
     assert "bad.jsonl:1" in capsys.readouterr().err
+
+
+_VALID_SNAPSHOT = (
+    '{"kind": "repro-snapshot", "v": 1, "t": 0.5, "shards": ["s"], '
+    '"counters": {"n": 1}, "gauges": {}, "histograms": {}, '
+    '"sketches": {}, "rings": {}, "spans": {"sample": 1, "outliers": 0, '
+    '"total": 0, "items": []}}'
+)
+
+
+@pytest.mark.parametrize("line, names", [
+    ("[]", "object"),                                      # non-object line
+    ('{"kind": "repro-snapshot", "v": 1}', "'t'"),         # missing section
+    (_VALID_SNAPSHOT.replace('{"n": 1}', "[]"), "'counters'"),  # wrong type
+    (_VALID_SNAPSHOT.replace('"sample": 1, ', ""), "'sample'"),  # nested
+    (_VALID_SNAPSHOT[: len(_VALID_SNAPSHOT) // 2], ""),    # cut mid-record
+], ids=["non-object", "missing-section", "wrong-type", "nested", "truncated"])
+def test_malformed_snapshot_is_a_one_line_error(tmp_path, capsys, line, names):
+    """Valid-JSON-but-not-a-snapshot and truncated documents exit 2 with
+    one ``file: message`` line naming what is wrong — never a traceback
+    (``main`` would let one propagate and fail this test)."""
+    good = tmp_path / "good.jsonl"
+    good.write_text(_VALID_SNAPSHOT + "\n")
+    assert main(["tail", str(good)]) == 0
+    capsys.readouterr()
+
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(_VALID_SNAPSHOT + "\n" + line + "\n")
+    for argv in (["tail", str(bad)], ["bench-diff", str(good), str(bad)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "bad.jsonl" in err and names in err
+        assert "Traceback" not in err
+
+
+def test_failed_out_write_leaves_existing_file_intact(
+        tmp_path, capsys, monkeypatch):
+    """--out/--baseline/--json go through one atomic writer: a disk that
+    fills mid-write must not truncate the file --force is replacing."""
+    import builtins
+    import os
+
+    out = tmp_path / "metrics.txt"
+    out.write_text("precious\n")
+    real_open = builtins.open
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:10])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    def full_disk_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        under_test = "w" in mode and str(path).startswith(str(tmp_path))
+        return FullDisk(fh) if under_test else fh
+
+    monkeypatch.setattr(builtins, "open", full_disk_open)
+    with pytest.raises(OSError):
+        main(small_args(["metrics", "--algorithm", "split",
+                         "--initial-nodes", "2", "--out", str(out),
+                         "--force"]))
+    monkeypatch.undo()
+    assert out.read_text() == "precious\n"
+    assert os.listdir(tmp_path) == ["metrics.txt"]  # no temp file left

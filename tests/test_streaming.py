@@ -7,6 +7,7 @@ byte-for-byte unchanged, and shard snapshots merge into exactly what one
 collector would have seen.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -17,18 +18,18 @@ import pytest
 from repro.config import ObsConfig
 from repro.core import run_join
 from repro.obs import (
-    BoundedCausalLog,
-    BoundedSpanLog,
+    CausalLog,
     ObsBudget,
     QuantileSketch,
     ReservoirSample,
     Snapshot,
+    SpanLog,
     StreamingCollector,
     TimeSeriesRing,
     merge_snapshots,
 )
-from repro.workload import run_workload
-from repro.workload.results import _percentiles
+from repro.config import FleetConfig
+from repro.workload import run_fleet, run_workload
 
 from .conftest import small_config
 from .test_workload import AMPLE_MEMORY, wl_config
@@ -247,18 +248,43 @@ def test_collector_snapshots_are_frozen():
 # ----------------------------------------------------------------------
 # workload integration
 # ----------------------------------------------------------------------
+LATENCY = "workload.query_latency_s"
+
+
 def test_percentiles_of_empty_list_is_empty_dict():
     # Regression: this used to hand numpy an empty array (ValueError) or,
     # worse, fabricate NaN placeholders.
-    assert _percentiles([], (50, 90, 99)) == {}
+    empty = StreamingCollector().snapshot()
+    assert empty.percentiles(LATENCY, (50, 90, 99)) == {}
+    # a section that exists but saw nothing is just as empty
+    unfed = Snapshot(t=0.0, shards=("s",), sketches={LATENCY: QuantileSketch()})
+    assert unfed.percentiles(LATENCY) == {}
 
 
 def test_percentiles_track_exact_within_sketch_bound():
     values = [float(v) for v in range(1, 200)]
-    pcts = _percentiles(values, (50, 90, 99))
+    col = StreamingCollector()
+    for v in values:
+        col.observe(LATENCY, v)
+    pcts = col.snapshot().percentiles(LATENCY, (50, 90, 99))
     for q, key in ((0.50, "p50"), (0.90, "p90"), (0.99, "p99")):
         exact = exact_quantile(values, q)
         assert abs(pcts[key] - exact) <= 0.01 * exact
+
+
+def test_one_quantile_path_for_workload_fleet_and_snapshot():
+    cfg = wl_config(n_queries=3, pool=8, memory=AMPLE_MEMORY)
+    res = run_workload(cfg)
+    assert not res.snapshot.sketches[LATENCY].collapsed
+    for qs in ((50, 90, 99), (50, 99)):
+        assert res.latency_percentiles(qs) == res.snapshot.percentiles(
+            LATENCY, qs)
+        assert res.queue_delay_percentiles(qs) == res.snapshot.percentiles(
+            "workload.queue_delay_s", qs)
+    # a one-cohort fleet runs the same three queries in one simulator
+    fleet = run_fleet(FleetConfig(workload=cfg, n_cohorts=1, n_shards=1))
+    assert fleet.latency_percentiles() == res.latency_percentiles()
+    assert fleet.queue_delay_percentiles() == res.queue_delay_percentiles()
 
 
 def test_unbudgeted_workload_report_is_unchanged():
@@ -292,7 +318,7 @@ def test_budgeted_workload_sheds_loudly_but_answers_exactly():
 
 def test_budgeted_single_query_bounds_causal_log():
     res = run_join(small_config(obs_budget_bytes=4096))
-    assert isinstance(res.causal, BoundedCausalLog)
+    assert res.causal.bounded
     assert res.causal.dropped > 0  # small joins still send hundreds of msgs
     dropped = {
         i["name"]: i["value"] for i in res.metrics
@@ -308,8 +334,133 @@ def test_budgeted_single_query_bounds_causal_log():
 
 def test_unbudgeted_single_query_keeps_plain_logs():
     res = run_join(small_config())
-    assert not isinstance(res.causal, BoundedCausalLog)
+    assert not res.causal.bounded
+    assert res.causal.dropped == 0
+    assert res.causal.total == len(res.causal.edges)
     assert not any(i["name"].startswith("obs.") for i in res.metrics)
+    with pytest.raises(KeyError):  # unknown eid: the same loud failure
+        res.causal.edge(res.causal.total)
+
+
+# ----------------------------------------------------------------------
+# golden values recorded from the two-class implementation (PR 12): the
+# one-class logs must sample the same records, in the same order, and the
+# snapshot wire bytes must not move
+# ----------------------------------------------------------------------
+GOLDEN_BUDGETED_SHA = (
+    "c380e6d963c6353a59d6ec910a998b32a07b53663684201590d8228ddfe6f4ce")
+GOLDEN_UNBUDGETED_SHA = (
+    "d114119c25ae0e7c54288658019884f0f4a4ba0410f1a34fb087782ea95e6227")
+GOLDEN_EIDS = [
+    2, 11, 17, 25, 30, 32, 50, 74, 80, 92, 101, 104, 106, 130, 137, 176,
+    187, 203, 211, 234, 254, 256, 261, 277, 290, 312, 320, 353, 372,
+    379, 397, 412, 432, 452, 458,
+]
+GOLDEN_SPANS = [
+    ('join0', 'build', 0.00020512000000000001),
+    ('join1', 'build', 0.00037024000000000003),
+    ('join2', 'build', 0.006500480000000002),
+    ('join3', 'build', 0.009330240000000004),
+    ('join4', 'build', 0.012856320000000011),
+    ('join5', 'build', 0.016915839999999998),
+    ('join6', 'build', 0.020565840000000002),
+    ('join7', 'build', 0.028486079999999997),
+    ('join8', 'build', 0.029804479999999973),
+    ('join9', 'build', 0.03643167999999997),
+    ('join0', 'reshuffle', 0.07717215999999996),
+    ('join3', 'reshuffle', 0.07744311999999993),
+    ('join5', 'reshuffle', 0.07752199999999994),
+    ('join5', 'reshuffle', 0.07757191999999993),
+    ('join5', 'reshuffle', 0.07761799999999994),
+    ('join5', 'reshuffle', 0.07766295999999993),
+    ('join7', 'reshuffle', 0.07769687999999993),
+    ('join7', 'reshuffle', 0.07783799999999992),
+    ('join9', 'reshuffle', 0.07787783999999992),
+    ('join9', 'reshuffle', 0.07796863999999991),
+    ('join10', 'reshuffle', 0.0780413599999999),
+    ('join10', 'reshuffle', 0.0781226399999999),
+    ('join10', 'reshuffle', 0.07816303999999989),
+    ('join1', 'reshuffle', 0.07822031999999991),
+    ('join1', 'reshuffle', 0.0782731999999999),
+    ('join1', 'reshuffle', 0.0783195999999999),
+    ('join2', 'reshuffle', 0.0784465599999999),
+    ('join4', 'reshuffle', 0.07856711999999991),
+    ('join4', 'reshuffle', 0.07857407999999991),
+    ('join4', 'reshuffle', 0.0786663999999999),
+    ('join6', 'reshuffle', 0.07879271999999991),
+    ('join8', 'reshuffle', 0.0789116799999999),
+    ('join8', 'reshuffle', 0.07891759999999991),
+    ('join0', 'probe', 0.10226655999999987),
+    ('join1', 'probe', 0.10243167999999986),
+    ('join5', 'probe', 0.10309215999999982),
+    ('scheduler', 'ooc', 0.14206144000000023),
+]
+
+
+@pytest.mark.parametrize("obs, sha", [
+    (ObsConfig(budget_bytes=4096), GOLDEN_BUDGETED_SHA),
+    (ObsConfig(), GOLDEN_UNBUDGETED_SHA),
+], ids=["budgeted", "unbudgeted"])
+def test_snapshot_wire_bytes_match_golden(obs, sha, monkeypatch):
+    # recorded outside pytest, where lockdep (and its counters) is off
+    monkeypatch.setenv("REPRO_LOCKDEP", "0")
+    res = run_workload(wl_config(n_queries=6, pool=8, memory=AMPLE_MEMORY,
+                                 obs=obs))
+    wire = res.snapshot.to_json().encode()
+    assert hashlib.sha256(wire).hexdigest() == sha
+
+
+def test_budgeted_logs_retain_the_golden_records():
+    res = run_join(small_config(obs_budget_bytes=4096))
+    assert [e.eid for e in res.causal.edges] == GOLDEN_EIDS
+    assert (res.causal.total, res.causal.dropped) == (473, 438)
+    assert [(s.track, s.name, s.t0) for s in res.timeline.spans] == GOLDEN_SPANS
+    shed = next(i["value"] for i in res.metrics
+                if i["name"] == "obs.spans_dropped")
+    assert (shed + len(GOLDEN_SPANS), shed) == (76, 39)  # (total, dropped)
+
+
+def test_causal_queries_agree_between_unbounded_and_roomy_bounded_log():
+    """Parents resolve by eid in both modes: a bounded log whose capacity
+    exceeds the run answers every query exactly like an unbounded one."""
+    class Msg:
+        kind = "control"
+        nbytes = 64
+
+    class Req(Msg):
+        pass
+
+    class Resp(Msg):
+        pass
+
+    logs = [CausalLog(), CausalLog(sample=1000, outliers=8)]
+    for log in logs:
+        for i in range(20):
+            req = Req()
+            e = log.on_send("a", "b", req, float(i))
+            log.on_deliver(e, req, i + 0.5)
+            log.note_dequeue("b", req)
+            log.on_send("b", "a", Resp(), i + 0.6)
+            log.on_send("b", "c", Msg(), i + 0.7)
+    plain, roomy = logs
+    assert not plain.bounded and roomy.bounded and roomy.dropped == 0
+    assert roomy.total == plain.total == 60
+
+    def eids(edges):
+        return [e.eid for e in edges]
+
+    assert eids(roomy.edges) == eids(plain.edges) == list(range(60))
+    pairs = plain.request_pairs("Req", "Resp")
+    assert len(pairs) == 20
+    assert [(eids(p)) for p in roomy.request_pairs("Req", "Resp")] == [
+        eids(p) for p in pairs]
+    for eid in (0, 3, 59):
+        assert roomy.edge(eid).to_dict() == plain.edge(eid).to_dict()
+        assert eids(roomy.children(eid)) == eids(plain.children(eid))
+    assert eids(plain.children(0)) == [1, 2]
+    for log in logs:
+        with pytest.raises(KeyError):
+            log.edge(60)
 
 
 def test_two_shard_split_merges_to_exact_counters():
@@ -339,10 +490,10 @@ def test_two_shard_split_merges_to_exact_counters():
     # latency quantiles of the merged sketch stay within the documented
     # bound of the exact combined order statistics
     latencies = [q.latency_s for q in shard_a.queries + shard_b.queries]
-    for q in (0.5, 0.9, 0.99):
+    pcts = merged.percentiles(LATENCY, (50, 90, 99))
+    for q, key in ((0.5, "p50"), (0.9, "p90"), (0.99, "p99")):
         exact = exact_quantile(latencies, q)
-        got = merged.quantile("workload.query_latency_s", q)
-        assert abs(got - exact) <= 0.01 * abs(exact)
+        assert abs(pcts[key] - exact) <= 0.01 * abs(exact)
 
 
 def test_final_snapshot_is_deterministic():
@@ -370,10 +521,20 @@ def test_live_interval_emits_periodic_snapshots():
 
 
 def test_bounded_span_log_drops_shortest_first():
-    log = BoundedSpanLog(sample=4, outliers=2)
+    log = SpanLog(sample=4, outliers=2)
+    assert log.bounded
     for i in range(50):
         log.add("track", f"op{i}", float(i), float(i) + 0.001 * (i + 1))
     log.add("track", "slow", 100.0, 200.0)
+    assert log.total == 51
     assert log.dropped == 51 - len(log.spans)
     assert any(s.name == "slow" for s in log.spans)  # heaviest survives
     assert [s.t0 for s in log.spans] == sorted(s.t0 for s in log.spans)
+
+
+def test_unbounded_span_log_keeps_recording_order():
+    log = SpanLog()
+    log.add("b", "late", 5.0, 6.0)
+    log.add("a", "early", 1.0, 2.0)
+    assert not log.bounded and log.dropped == 0 and log.total == 2
+    assert [s.name for s in log.spans] == ["late", "early"]
