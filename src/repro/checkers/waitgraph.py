@@ -11,7 +11,8 @@ specific message type arrives (an ``isinstance`` exit condition around a
   deadlock.  Three refinements keep this honest on real code:
 
   - a wait-state that routes unmatched traffic through a general
-    dispatcher (any ``self._dispatch*`` call) is *non-exclusive*: it
+    dispatcher (any ``self._dispatch*`` call, or a table-driven main loop
+    reading ``self._handlers`` itself) is *non-exclusive*: it
     services the rest of the protocol while parked, so it contributes no
     blocking edge (the scheduler's recruit/ack waits are this shape) —
     but it also waits, in passing, for every row of the class's handler
@@ -41,6 +42,7 @@ from dataclasses import dataclass, field
 
 from .base import Checker, Project, SourceFile, Violation, register
 from .protocol import (
+    _HANDLER_TABLE,
     _MESSAGES_REL,
     _SEND_ATTRS,
     _message_classes,
@@ -200,12 +202,17 @@ def _analyze_class(
         if not has_wait:
             continue
         awaited = _isinstance_refs(fn) & messages
-        if not awaited:
-            continue
-        # (the dispatcher may be inherited, so look at every self-call)
-        exclusive = not any(c.startswith("_dispatch") for c in _self_calls(fn))
+        # (the dispatcher may be inherited, so look at every self-call;
+        # a main loop that looks rows up itself *is* the dispatcher)
+        exclusive = not (
+            any(c.startswith("_dispatch") for c in _self_calls(fn))
+            or any(isinstance(n, ast.Attribute) and n.attr == _HANDLER_TABLE
+                   for n in _own_nodes(fn))
+        )
         if not exclusive:
             awaited |= handler_table_keys(node) & messages
+        if not awaited:
+            continue
         pc.waits.append(_WaitState(
             cls=node.name, method=name, source=source, lineno=fn.lineno,
             awaited=awaited, exclusive=exclusive,

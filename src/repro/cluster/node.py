@@ -9,7 +9,7 @@ hash-table memory budget, and a local disk.
 
 from __future__ import annotations
 
-from collections.abc import Generator
+from collections.abc import Generator, Iterable
 from typing import Any
 
 from ..config import CostModel
@@ -50,12 +50,12 @@ class Node:
 
     def compute(self, seconds: float) -> Generator[Any, Any, None]:
         """Occupy this node's CPU for ``seconds`` (yield-from in a process)."""
-        yield from self.cpu.use(seconds)
+        return self.cpu.use(seconds)
 
-    def compute_per_tuple(self, cost_per_tuple: float, n: int) -> Generator[Any, Any, None]:
-        """Charge a vectorized per-tuple CPU cost for ``n`` tuples."""
-        if n:
-            yield from self.cpu.use(cost_per_tuple * n)
+    def compute_per_tuple(self, cost_per_tuple: float, n: int) -> Iterable[Any]:
+        """Charge a vectorized per-tuple CPU cost for ``n`` tuples
+        (yield-from in a process; nothing to wait for when ``n`` is 0)."""
+        return self.cpu.use(cost_per_tuple * n) if n else ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.name})"

@@ -229,6 +229,10 @@ class RunContext:
         transfers) capture :meth:`CausalLog.cause_of` at spawn time and
         pass it here, because by the time they run the actor has usually
         moved on to another message.
+
+        Not itself a generator: the books are kept at the call, and the
+        network's generator is returned for the caller's ``yield from`` —
+        one frame fewer for every resume of a blocked sender to walk.
         """
         if isinstance(msg, DataChunk):
             if msg.transfer_seq < 0:
@@ -243,7 +247,7 @@ class RunContext:
         self.comm.bytes_by_kind[msg.kind] = (
             self.comm.bytes_by_kind.get(msg.kind, 0) + msg.nbytes
         )
-        yield from self.cluster.network.send(
+        return self.cluster.network.send(
             src, dst, msg, parent=parent, best_effort=best_effort
         )
 

@@ -207,7 +207,7 @@ class DataSourceProcess:
         self.tuples_sent[relation][dest] = (
             self.tuples_sent[relation].get(dest, 0) + int(values.size)
         )
-        yield from ctx.send(self.node, ctx.join_node(dest), msg)
+        return ctx.send(self.node, ctx.join_node(dest), msg)
 
     # ------------------------------------------------------------------
     def _absorb_control(self) -> bool:
@@ -272,7 +272,7 @@ class DataSourceProcess:
         )
         ctx.trace("source_done", f"src{self.index}", relation=relation,
                   chunks=sum(done.chunks_sent.values()))
-        yield from ctx.send(self.node, ctx.scheduler_node, done)
+        return ctx.send(self.node, ctx.scheduler_node, done)
 
     def _announce_to_scheduler(self) -> Generator[Any, Any, None]:
         """A standby took over: re-send everything the old primary knew.
@@ -429,4 +429,4 @@ class DataSourceProcess:
             origin=self.node.node_id,
             version=version,
         )
-        yield from ctx.send(self.node, ctx.join_node(order.target), msg)
+        return ctx.send(self.node, ctx.join_node(order.target), msg)

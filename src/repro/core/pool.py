@@ -154,6 +154,20 @@ class ResourcePoolProcess:
         self._recruit_q: list[_Parked] = []
         self._seq = 0
         self._stop = _StopFlag()
+        #: message type -> handler, called as ``handler(self, msg)``; a row
+        #: returns the generator to drive, or None when nothing can yield.
+        #: Plain functions, not bound methods: a bound row would make the
+        #: pool one more reference cycle (see JoinProcess._handlers).
+        #: (An *idle* PollTick never gets this far — see :meth:`run`.)
+        cls = type(self)
+        self._handlers: dict[
+            type, Callable[[Any, Any], Generator[Any, Any, None] | None]
+        ] = {
+            PollTick: cls._on_tick,
+            RecruitRequest: cls._on_request,
+            QueryDone: cls._on_query_done,
+            Shutdown: cls._on_shutdown,
+        }
 
     # ------------------------------------------------------------------
     # helpers
@@ -192,20 +206,19 @@ class ResourcePoolProcess:
     def run(self) -> Generator[Any, Any, PoolStats]:
         self.sim.spawn(self._ticker(), name="pool-ticker")
         self._sample_levels()
-        while True:
-            msg = yield from self.node.mailbox.recv()
-            if isinstance(msg, RecruitRequest):
-                yield from self._on_request(msg)
-            elif isinstance(msg, QueryDone):
-                yield from self._on_query_done(msg)
-            elif isinstance(msg, PollTick):
-                yield from self._expire_recruits()
-                yield from self._serve()
-            elif isinstance(msg, Shutdown):
-                break
-            else:
+        recv, handlers, stop = self.node.mailbox.recv, self._handlers, self._stop
+        while not stop.stopped:
+            msg = yield from recv()
+            if type(msg) is PollTick and not (self._recruit_q or self._admission_q):
+                # Idle tick — nearly every message of a sparse workload:
+                # nothing is parked, so there is nothing to expire or serve.
+                continue
+            handler = handlers.get(type(msg))
+            if handler is None:
                 raise RuntimeError(f"pool: unexpected message {msg!r}")
-        self._stop.stopped = True
+            work = handler(self, msg)
+            if work is not None:
+                yield from work
         # Held-but-never-released nodes (zombie recruits) are leaked.
         for query in sorted(self.held):
             for j in self.held[query]:
@@ -216,13 +229,21 @@ class ResourcePoolProcess:
     def _ticker(self) -> Generator[Any, Any, None]:
         """PollTicks for deadline checks; runs on the pool node, so ticks
         never cross the network (mirrors the scheduler's drain ticker)."""
-        while not self._stop.stopped:
-            yield self.sim.timeout(self.poll_interval)
-            self.node.mailbox.put(PollTick())
+        timeout, put, stop = self.sim.timeout, self.node.mailbox.put, self._stop
+        while not stop.stopped:
+            yield timeout(self.poll_interval)
+            put(PollTick())
 
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
+    def _on_tick(self, _msg: PollTick) -> Generator[Any, Any, None]:
+        yield from self._expire_recruits()
+        yield from self._serve()
+
+    def _on_shutdown(self, _msg: Shutdown) -> None:
+        self._stop.stopped = True
+
     def _on_request(self, req: RecruitRequest) -> Generator[Any, Any, None]:
         self.stats.requests += 1
         now = self.sim.now

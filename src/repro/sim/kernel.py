@@ -14,8 +14,9 @@ identical traces.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Callable, Iterable
+from heapq import heappop, heappush
+from math import inf
 from typing import Any
 
 from .errors import DeadlockError, SimulationError
@@ -45,14 +46,12 @@ class Event:
     mailboxes, resources and processes are all built on top of them.
     """
 
-    __slots__ = (
-        "sim", "callbacks", "parent",
-        "_value", "_exc", "_scheduled", "_processed",
-    )
+    __slots__ = ("sim", "callbacks", "parent", "_value", "_exc")
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        #: callables invoked with this event once it is processed
+        #: callables invoked with this event once it is processed; None
+        #: from then on (that *is* the processed flag)
         self.callbacks: list[Callable[[Event], None]] | None = []
         #: optional provenance tag: the event being processed when this one
         #: was triggered (see :attr:`Simulator.current_event`).  Purely
@@ -60,10 +59,9 @@ class Event:
         #: common case keeps no back-references alive.  Stampers must keep
         #: chains bounded (e.g. mailboxes tag hand-offs one hop deep).
         self.parent: Event | None = None
+        #: PENDING until triggered (that *is* the triggered flag)
         self._value: Any = PENDING
         self._exc: BaseException | None = None
-        self._scheduled = False
-        self._processed = False
 
     # ------------------------------------------------------------------
     # state inspection
@@ -71,17 +69,17 @@ class Event:
     @property
     def triggered(self) -> bool:
         """True once the event has a value/exception and is queued to fire."""
-        return self._scheduled
+        return self._value is not PENDING
 
     @property
     def processed(self) -> bool:
         """True once callbacks have run."""
-        return self._processed
+        return self.callbacks is None
 
     @property
     def ok(self) -> bool:
         """True if the event succeeded (valid only once triggered)."""
-        if not self._scheduled:
+        if self._value is PENDING:
             raise SimulationError("event has not been triggered yet")
         return self._exc is None
 
@@ -99,21 +97,25 @@ class Event:
     # ------------------------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> Event:
         """Schedule this event to fire successfully after ``delay``."""
-        if self._scheduled:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._value = value
-        self.sim._schedule(self, delay)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, (sim._now + delay, seq, self))
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> Event:
         """Schedule this event to fire with an exception after ``delay``."""
-        if self._scheduled:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
         if not isinstance(exc, BaseException):
             raise TypeError("fail() requires an exception instance")
+        self.sim._schedule(self, delay)
         self._exc = exc
         self._value = None
-        self.sim._schedule(self, delay)
         return self
 
     def add_callback(self, fn: Callable[[Event], None]) -> None:
@@ -122,38 +124,42 @@ class Event:
         If the event was already processed the callback runs immediately —
         this keeps late waiters correct without racy re-checks.
         """
-        if self._processed:
+        if self.callbacks is None:
             fn(self)
         else:
-            assert self.callbacks is not None
             self.callbacks.append(fn)
-
-    def _run_callbacks(self) -> None:
-        self._processed = True
-        callbacks, self.callbacks = self.callbacks, None
-        assert callbacks is not None
-        for fn in callbacks:
-            fn(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
-            "processed" if self._processed
-            else "triggered" if self._scheduled
+            "processed" if self.processed
+            else "triggered" if self.triggered
             else "pending"
         )
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` simulated seconds after creation."""
+    """An event that fires ``delay`` simulated seconds after creation.
+
+    It is born triggered, so ``Timeout(sim, 0.0, value)`` is also the
+    cheapest way to say "this already happened" — an immediate resource
+    grant, a message that was waiting, a process start: one constructor
+    where ``Event(sim).succeed(value)`` is two calls.
+    """
 
     __slots__ = ()
 
     def __init__(self, sim: Simulator, delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.succeed(value, delay=delay)
+        # Event.__init__ + succeed(), flattened.
+        self.sim = sim
+        self.callbacks = []
+        self.parent = None
+        self._value = value
+        self._exc = None
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, (sim._now + delay, seq, self))
 
 
 class Simulator:
@@ -177,7 +183,7 @@ class Simulator:
         self._failed_processes: list = []
         self._current_event: Event | None = None
         #: process whose generator is executing right now (maintained by
-        #: Process._advance); sync primitives use it to attribute waits
+        #: Process._resume); sync primitives use it to attribute waits
         self._current_process: Any | None = None
         #: optional runtime deadlock detector (see repro.sim.lockdep);
         #: the sync primitives report blocking transitions to it when set
@@ -212,9 +218,8 @@ class Simulator:
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        event._scheduled = True
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, event))
+        heappush(self._queue, (self._now + delay, self._seq, event))
 
     def event(self) -> Event:
         """Create a fresh pending event bound to this simulator."""
@@ -232,19 +237,17 @@ class Simulator:
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event."""
-        when, _, event = heapq.heappop(self._queue)
-        assert when >= self._now, "event queue went backwards"
-        self._now = when
-        self._processed_events += 1
-        self._current_event = event
-        try:
-            event._run_callbacks()
-        finally:
-            self._current_event = None
+        """Process exactly one event (and, like :meth:`run`, raise the
+        failure of a process that died in it unobserved)."""
+        if not self._queue:
+            raise IndexError("step() on an empty event queue")
+        self._loop(inf, 1)
 
     def run(self, until: float | None = None) -> None:
         """Run until the queue drains or simulated time exceeds ``until``.
+
+        With ``until`` given the clock always ends at exactly ``until`` —
+        whether events remain beyond it or the queue drained before it.
 
         Raises :class:`DeadlockError` if processes are still alive when the
         queue drains — that always indicates a protocol bug (a process is
@@ -254,23 +257,8 @@ class Simulator:
             raise ValueError(
                 f"run(until={until}) would move time backwards (now={self._now})"
             )
-        while self._queue:
-            if until is not None and self.peek() > until:
-                self._now = until
-                return
-            self.step()
-            if self._failed_processes:
-                # Fail fast: an unobserved process death would otherwise
-                # show up only as a mysterious livelock or deadlock later.
-                # Several processes can fail in one step (e.g. a barrier
-                # releasing multiple waiters): raise the first *unobserved*
-                # failure; observed ones propagate to their waiters.
-                for proc in self._failed_processes:
-                    if not proc.callbacks and proc._exc is not None:
-                        self._failed_processes.clear()
-                        raise proc._exc
-                self._failed_processes.clear()
-        if self._active_processes > 0:
+        self._loop(inf if until is None else until, -1)
+        if not self._queue and self._active_processes > 0:
             msg = (
                 f"event queue empty but {self._active_processes} "
                 "process(es) still waiting"
@@ -280,10 +268,46 @@ class Simulator:
                 if report:
                     msg = f"{msg}\n{report}"
             raise DeadlockError(msg)
+        if until is not None:
+            self._now = until
+
+    def _loop(self, until: float, steps: int) -> None:
+        """The one event loop: pop the earliest event, stamp the clock and
+        ``current_event``, run its callbacks — for at most ``steps`` events
+        (negative: no limit) and none later than ``until``."""
+        queue = self._queue
+        failed = self._failed_processes
+        while queue and steps and queue[0][0] <= until:
+            steps -= 1
+            when, _, event = heappop(queue)
+            assert when >= self._now, "event queue went backwards"
+            self._now = when
+            self._processed_events += 1
+            self._current_event = event
+            callbacks, event.callbacks = event.callbacks, None
+            try:
+                for fn in callbacks:
+                    fn(event)
+            finally:
+                self._current_event = None
+            if failed:
+                # Fail fast: an unobserved process death would otherwise
+                # show up only as a mysterious livelock or deadlock later.
+                # Several processes can fail in one step (e.g. a barrier
+                # releasing multiple waiters): raise the first *unobserved*
+                # failure; observed ones propagate to their waiters.
+                for proc in failed:
+                    if not proc.callbacks and proc._exc is not None:
+                        failed.clear()
+                        raise proc._exc
+                failed.clear()
 
     # Convenience used by Process
     def spawn(self, generator: Iterable, name: str = "") -> Any:
         """Start a generator as a simulation process (see Process)."""
-        from .process import Process
-
         return Process(self, generator, name=name)
+
+
+# Bottom import: process.py needs Event/Simulator from this module, and
+# spawn() needs Process on every call (repro.sim imports kernel first).
+from .process import Process  # noqa: E402

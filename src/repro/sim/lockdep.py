@@ -116,10 +116,10 @@ class LockdepMonitor:
         and checks for a resource cycle — raising :class:`LockdepError`
         into the acquiring process if one just closed.
         """
-        proc = self.sim.current_process
+        proc = self.sim._current_process
         if proc is None or not proc.is_alive:
             return
-        rec = WaitRecord(proc, primitive, event, self.sim.now)
+        rec = WaitRecord(proc, primitive, event, self.sim._now)
         self._waits[proc] = rec
         self._by_event.setdefault(event, []).append(proc)
         event.add_callback(self._on_fired)
@@ -139,7 +139,7 @@ class LockdepMonitor:
 
     def acquired(self, resource: Any) -> None:
         """A resource slot was granted immediately to the running process."""
-        proc = self.sim.current_process
+        proc = self.sim._current_process
         if proc is not None:
             self._holders.setdefault(resource, []).append(proc)
 
@@ -160,7 +160,7 @@ class LockdepMonitor:
         holders = self._holders.get(resource)
         if not holders:
             return
-        proc = self.sim.current_process
+        proc = self.sim._current_process
         if proc is not None and proc in holders:
             holders.remove(proc)
         else:

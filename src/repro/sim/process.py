@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from typing import Any
 
 from .errors import Interrupt, SimulationError
-from .kernel import Event, Simulator
+from .kernel import PENDING, Event, Simulator, Timeout
 
 __all__ = ["Process", "AllOf", "AnyOf"]
 
@@ -22,7 +22,7 @@ __all__ = ["Process", "AllOf", "AnyOf"]
 class Process(Event):
     """A running simulation process (also an event: fires on termination)."""
 
-    __slots__ = ("name", "_generator", "_waiting_on", "_started")
+    __slots__ = ("name", "_generator", "_waiting_on")
 
     def __init__(self, sim: Simulator, generator: Iterable, name: str = "") -> None:
         if not isinstance(generator, GeneratorType):
@@ -32,19 +32,17 @@ class Process(Event):
         super().__init__(sim)
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
-        self._waiting_on: Event | None = None
-        self._started = False
         sim._active_processes += 1
         # Kick off at the current time, but via the queue so that spawning
         # order == first-execution order (deterministic).
-        start = Event(sim)
-        start.add_callback(self._resume)
-        start.succeed(None)
+        start = Timeout(sim, 0.0)
+        start.callbacks.append(self._resume)
+        self._waiting_on: Event | None = start
 
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
-        return not self.triggered
+        return self._value is PENDING
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
@@ -58,86 +56,69 @@ class Process(Event):
         failure — it surfaces from ``Simulator.run`` only if no other
         observer exists.
         """
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"cannot interrupt finished process {self.name}")
         wakeup = Event(self.sim)
-
-        def fire(ev: Event) -> None:
-            # The target may have finished between the interrupt call and
-            # this wakeup firing (both in the same tick); throwing into an
-            # exhausted generator would corrupt the process accounting.
-            if not self.triggered:
-                self._throw_in(Interrupt(cause))
-
-        wakeup.add_callback(fire)
-        wakeup.succeed(None)
+        wakeup.callbacks.append(self._interrupted)
+        wakeup.fail(Interrupt(cause))
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _resume(self, event: Event | None) -> None:
-        if event is not None and event is not self._waiting_on and self._started:
+    def _interrupted(self, wakeup: Event) -> None:
+        # The target may have finished between the interrupt call and this
+        # wakeup firing (both in the same tick); throwing into an exhausted
+        # generator would corrupt the process accounting.
+        if self._value is PENDING:
+            self._waiting_on = wakeup  # abandon whatever it was waiting on
+            self._resume(wakeup)
+
+    def _resume(self, event: Event) -> None:
+        """The trampoline: feed ``event``'s outcome to the generator and
+        keep stepping it until it yields an event that has yet to fire."""
+        if event is not self._waiting_on:
             # The process was interrupted while waiting on this event and
             # has since moved on; drop the stale wakeup.
             return
-        self._started = True
         self._waiting_on = None
-        if event is None or event._exc is None:
-            self._advance(send=event.value if event is not None else None)
-        else:
-            self._throw_in(event._exc)
-
-    def _throw_in(self, exc: BaseException) -> None:
-        self._waiting_on = None
-        self._advance(throw=exc)
-
-    def _advance(self, send: Any = None, throw: BaseException | None = None) -> None:
+        sim = self.sim
         gen = self._generator
+        send = gen.send
+        value, exc = event._value, event._exc
         # Mark this process as the one executing, so sync primitives can
         # attribute blocking waits (lockdep).  Saved/restored because a
         # process body can synchronously trigger events that resume others.
-        prev = self.sim._current_process
-        self.sim._current_process = self
+        prev = sim._current_process
+        sim._current_process = self
         try:
             while True:
                 try:
-                    if throw is not None:
-                        target = gen.throw(throw)
-                        throw = None
-                    else:
-                        target = gen.send(send)
+                    target = send(value) if exc is None else gen.throw(exc)
                 except StopIteration as stop:
-                    self.sim._active_processes -= 1
+                    sim._active_processes -= 1
                     self.succeed(stop.value)
                     return
                 # The trampoline does not swallow: the exception is re-routed
                 # into the event graph via fail() and re-raised at await sites.
-                except BaseException as exc:  # repro: allow[fault-swallowed]
-                    self.sim._active_processes -= 1
-                    self.fail(_annotate(exc, self.name))
-                    self.sim._failed_processes.append(self)
+                except BaseException as err:  # repro: allow[fault-swallowed]
+                    sim._active_processes -= 1
+                    self.fail(_annotate(err, self.name))
+                    sim._failed_processes.append(self)
                     return
-
                 if not isinstance(target, Event):
-                    throw = SimulationError(
+                    value, exc = None, SimulationError(
                         f"process {self.name!r} yielded non-event {target!r}"
                     )
-                    send = None
                     continue
-                if target._processed:
-                    # Already done: resume immediately (same tick) without
-                    # bouncing through the queue.
-                    if target._exc is not None:
-                        throw = target._exc
-                        send = None
-                    else:
-                        send = target._value
-                    continue
-                self._waiting_on = target
-                target.add_callback(self._resume)
-                return
+                if target.callbacks is not None:
+                    self._waiting_on = target
+                    target.callbacks.append(self._resume)
+                    return
+                # Already processed: resume immediately (same tick) without
+                # bouncing through the queue.
+                value, exc = target._value, target._exc
         finally:
-            self.sim._current_process = prev
+            sim._current_process = prev
 
 
 def _annotate(exc: BaseException, name: str) -> BaseException:

@@ -17,7 +17,7 @@ from collections.abc import Generator
 from typing import Any
 
 from .errors import SimulationError
-from .kernel import Event, Simulator
+from .kernel import Event, Simulator, Timeout
 
 __all__ = ["Mailbox", "Resource", "Barrier", "Latch"]
 
@@ -43,14 +43,6 @@ class Mailbox:
     def __len__(self) -> int:
         return len(self._items)
 
-    def _sample_depth(self) -> None:
-        if self.depth_probe is not None:
-            self.depth_probe.observe(self.sim.now, len(self._items))
-
-    def _note_dequeue(self, item: Any) -> None:
-        if self.deq_probe is not None:
-            self.deq_probe(item)
-
     def put(self, item: Any) -> None:
         """Deposit a message; wakes the oldest waiting getter, if any."""
         self.total_put += 1
@@ -58,12 +50,14 @@ class Mailbox:
             getter = self._getters.popleft()
             # Provenance: the hand-off resumes the getter from whatever
             # event is firing right now (one hop, so no long chains).
-            getter.parent = self.sim.current_event
-            self._note_dequeue(item)
+            getter.parent = self.sim._current_event
+            if self.deq_probe is not None:
+                self.deq_probe(item)
             getter.succeed(item)
         else:
             self._items.append(item)
-            self._sample_depth()
+            if self.depth_probe is not None:
+                self.depth_probe.observe(self.sim._now, len(self._items))
 
     def get(self) -> Event:
         """Return an event that fires with the next message (FIFO).
@@ -73,16 +67,19 @@ class Mailbox:
         with the event, or the next put() would be consumed by the dead
         getter and the message silently lost.
         """
-        ev = Event(self.sim)
+        sim = self.sim
         if self._items:
             item = self._items.popleft()
-            ev.parent = self.sim.current_event
-            self._note_dequeue(item)
-            ev.succeed(item)
-            self._sample_depth()
+            if self.deq_probe is not None:
+                self.deq_probe(item)
+            ev: Event = Timeout(sim, 0.0, item)  # it was waiting
+            ev.parent = sim._current_event
+            if self.depth_probe is not None:
+                self.depth_probe.observe(sim._now, len(self._items))
         else:
+            ev = Event(sim)
             self._getters.append(ev)
-            ld = self.sim.lockdep
+            ld = sim.lockdep
             if ld is not None:
                 ld.blocked(self, ev)
         return ev
@@ -118,8 +115,9 @@ class Mailbox:
         """Remove and return all currently queued messages (non-blocking)."""
         items = list(self._items)
         self._items.clear()
-        for item in items:
-            self._note_dequeue(item)
+        if self.deq_probe is not None:
+            for item in items:
+                self.deq_probe(item)
         return items
 
 
@@ -154,14 +152,15 @@ class Resource:
         return len(self._waiters)
 
     def acquire(self) -> Event:
-        ev = Event(self.sim)
-        ld = self.sim.lockdep
+        sim = self.sim
+        ld = sim.lockdep
         if self._in_use < self.capacity:
             self._in_use += 1
-            ev.succeed(None)
+            ev: Event = Timeout(sim, 0.0)  # granted on the spot
             if ld is not None:
                 ld.acquired(self)
         else:
+            ev = Event(sim)
             self._waiters.append(ev)
             if ld is not None:
                 try:
@@ -237,7 +236,7 @@ class Resource:
             self.cancel(req)
             raise
         try:
-            yield self.sim.timeout(duration)
+            yield Timeout(self.sim, duration)
             self.busy_time += duration
         finally:
             self.release()

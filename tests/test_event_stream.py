@@ -1,0 +1,102 @@
+"""Tier-1 guard on the event stream.
+
+The wall-clock benchmark (``benchmarks/perf``) pins every operation's
+``events`` count and simulated values, but it runs after ``pytest``.  A
+kernel / process / sync change that elides, adds or reorders an event
+should fail here first: the kernel may make an event *cheaper*, never make
+it disappear.
+"""
+
+import gc
+import hashlib
+import json
+from pathlib import Path
+from types import GeneratorType
+
+import pytest
+
+from repro.config import Algorithm, RunConfig, WorkloadSpec
+from repro.core import run_join
+from repro.core.joinnode import JoinProcess
+from repro.sim import Process
+from tests.conftest import small_config, small_workload
+
+EXPECTED = Path(__file__).resolve().parents[1] / "benchmarks/perf/expected.json"
+
+
+def metric_total(res, name):
+    return sum(m["value"] for m in res.metrics if m["name"] == name)
+
+
+@pytest.mark.parametrize("algorithm,nodes,cell", [
+    (Algorithm.HYBRID, 2, "hybrid/2/uniform"),
+    (Algorithm.OUT_OF_CORE, 8, "ooc/8/uniform"),
+])
+def test_grid_small_cells_reproduce_the_pinned_event_counts(algorithm, nodes, cell):
+    """The two quick ``grid-small`` cells of the perf benchmark, built the
+    way ``benchmarks/perf/workloads.py`` builds them; the reference file is
+    read, never written."""
+    doc = json.loads(EXPECTED.read_text())
+    want = doc["quick"]["grid-small"][cell]
+    cfg = RunConfig(
+        algorithm=algorithm, initial_nodes=nodes, trace=False,
+        workload=WorkloadSpec(scale=0.02, seed=doc["seed"]),
+    )
+    res = run_join(cfg, validate=False)
+    got = {
+        "events": metric_total(res, "sim.events_executed"),
+        "total_s": round(res.paper_scale_total_s, 6),
+        "build_s": round(res.times.build_s / cfg.workload.scale, 6),
+        "matches": res.matches,
+    }
+    assert got == {k: want[k] for k in got}
+
+
+def test_trace_stream_matches_the_golden_order():
+    """Same records, same order: sha256 over the ``(t, category, actor)``
+    stream of one small skewed hybrid run (replications, pool exhaustion,
+    spill fallback, an out-of-core pass), recorded at the parent of the
+    commit that rewrote the per-event path."""
+    res = run_join(small_config(
+        trace=True, workload=small_workload(r=8000, s=8000, sigma=0.05)
+    ))
+    digest = hashlib.sha256()
+    for rec in res.tracer.records:
+        digest.update(f"{rec.time!r} {rec.category} {rec.actor}\n".encode())
+    assert len(res.tracer.records) == 76
+    assert metric_total(res, "sim.events_executed") == 11028
+    assert digest.hexdigest() == (
+        "9a1d39be601254eaee09ec2f791dd83942b032c700a8e37d6546212c3cb56bd2"
+    )
+
+
+def test_finished_run_leaves_no_process_cycles(monkeypatch):
+    """Finished processes must die by reference count.  With the collector
+    off during a run, whatever ``gc.collect()`` finds afterwards was held
+    by a cycle — and a join process holds its hash table.  (Caching a bound
+    ``_resume`` on each Process is the obvious way to get this wrong.)
+
+    One process is exempt: the scheduler keeps a handle to its own
+    (``SchedulerProcess.proc``, the fault injector's interrupt target), and
+    the scheduler hangs off the run context's own cycle.  Lockdep is off:
+    its wait-for graph is keyed by process and lives in that same cycle.
+    """
+    monkeypatch.setenv("REPRO_LOCKDEP", "0")
+    run_join(small_config())  # warm caches that allocate on first use
+    gc.collect()
+    gc.disable()
+    try:
+        run_join(small_config())
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [
+            o for o in gc.garbage
+            if isinstance(o, (Process, GeneratorType, JoinProcess))
+            and not (isinstance(o, Process) and o.name.startswith("scheduler"))
+            and getattr(o, "__qualname__", "") != "SchedulerProcess.run"
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == []

@@ -233,6 +233,48 @@ def test_mailbox_recv_interrupt_withdraws_getter():
     assert sim.lockdep._waits == {}
 
 
+@pytest.mark.parametrize("interrupt_at,last_done", [
+    (0.5, 1.5),   # victim still queued behind the holder: never held
+    (1.5, 2.0),   # victim holding the slot, mid-timeout: released early
+])
+def test_use_interrupted_queued_or_holding_leaves_graph_clean(
+        interrupt_at, last_done):
+    """``Resource.use`` withdraws its request (queued) or releases its slot
+    (holding) on Interrupt; the monitor must end with no wait and no
+    holder, and must attribute both to the right process — the trampoline
+    saves and restores ``current_process`` around every resume."""
+    sim = monitored_sim()
+    res = Resource(sim, 1, name="R")
+    order = []
+
+    def user(sim, name, hold):
+        try:
+            yield from res.use(hold)
+            order.append((name, "done", sim.now))
+        except Interrupt:
+            order.append((name, "interrupted", sim.now))
+
+    sim.spawn(user(sim, "first", 1.0), name="first")
+    victim = sim.spawn(user(sim, "victim", 5.0), name="victim")
+    sim.spawn(user(sim, "last", 0.5), name="last")
+
+    def killer(sim):
+        yield sim.timeout(interrupt_at)
+        assert (victim in sim.lockdep._waits) == (interrupt_at < 1.0)
+        assert (victim in sim.lockdep._holders.get(res, [])) == (interrupt_at > 1.0)
+        victim.interrupt()
+
+    sim.spawn(killer(sim), name="killer")
+    sim.run()
+    assert ("victim", "interrupted", interrupt_at) in order
+    assert [(name, t) for name, what, t in order if what == "done"] == [
+        ("first", 1.0), ("last", last_done)
+    ]
+    assert res.in_use == 0 and res.queue_length == 0
+    assert sim.lockdep._waits == {} and sim.lockdep._holders == {}
+    assert sim.current_process is None
+
+
 # ----------------------------------------------------------------------
 # enablement plumbing
 # ----------------------------------------------------------------------

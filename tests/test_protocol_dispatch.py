@@ -8,9 +8,9 @@ the static pass cannot see fails only the static pass (prompting a
 checker fix); a checker bug that stops seeing real handlers fails here.
 
 The dispatch inventory is the union of the live handler tables — the
-``_handlers`` dict of a constructed join process, scheduler and
-fault-tolerant scheduler — and the ``isinstance`` arms of the actors and
-protocol waits that are not table-driven.
+``_handlers`` dict of a constructed join process, scheduler,
+fault-tolerant scheduler and resource pool — and the ``isinstance`` arms
+of the actors and protocol waits that are not table-driven.
 """
 
 from __future__ import annotations
@@ -69,6 +69,10 @@ def handler_tables() -> dict[str, dict[type, object]]:
             repro.core.scheduler.SchedulerProcess(ctx)._handlers,
         "FaultTolerantScheduler":
             repro.core.recovery.FaultTolerantScheduler(ft_ctx)._handlers,
+        "ResourcePoolProcess": repro.core.pool.ResourcePoolProcess(
+            ctx.sim, ctx.cluster.network, ctx.scheduler_node,
+            free_nodes=[], sched_nodes={},
+        )._handlers,
     }
 
 
@@ -235,7 +239,8 @@ def test_pool_protocol_has_both_ends():
                 refs.update(e.id for e in elts if isinstance(e, ast.Name))
         return refs
 
-    assert {"RecruitRequest", "QueryDone"} <= arms(repro.core.pool)
+    pool_rows = {cls.__name__ for cls in handler_tables()["ResourcePoolProcess"]}
+    assert {"RecruitRequest", "QueryDone", "PollTick", "Shutdown"} <= pool_rows
     assert {"RecruitGrant", "RecruitDeny"} <= arms(repro.core.scheduler)
 
 

@@ -160,3 +160,96 @@ def test_determinism_two_identical_runs():
         return log
 
     assert build_and_run() == build_and_run()
+
+
+# ----------------------------------------------------------------------
+# the single event loop (step() and run() share it)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("later", [None, 9.0])
+def test_run_until_always_ends_at_until(later):
+    """Whether an event remains beyond ``until`` or the queue drained
+    before it, the clock ends at exactly ``until``."""
+    sim = Simulator()
+    sim.timeout(1.0)
+    if later is not None:
+        sim.timeout(later)
+    sim.run(until=5.0)
+    assert sim.now == 5.0
+    assert sim.processed_events == 1
+
+
+def test_run_until_processes_events_at_until_itself():
+    sim = Simulator()
+    fired = []
+    sim.timeout(2.0).add_callback(lambda e: fired.append(sim.now))
+    sim.run(until=2.0)
+    assert fired == [2.0]
+
+
+def test_run_until_still_reports_deadlock_when_queue_drains_early():
+    sim = Simulator()
+
+    def stuck(sim):
+        yield sim.event()
+
+    sim.spawn(stuck(sim))
+    with pytest.raises(DeadlockError):
+        sim.run(until=5.0)
+
+
+def test_raising_callback_leaves_no_current_event():
+    sim = Simulator()
+
+    def boom(ev):
+        assert sim.current_event is ev
+        raise RuntimeError("callback")
+
+    sim.timeout(1.0).add_callback(boom)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert sim.current_event is None
+    sim.timeout(1.0).add_callback(boom)
+    with pytest.raises(RuntimeError):
+        sim.step()
+    assert sim.current_event is None
+
+
+def test_step_on_empty_queue_raises():
+    with pytest.raises(IndexError):
+        Simulator().step()
+
+
+def test_step_and_run_walk_the_same_events():
+    def build():
+        sim = Simulator()
+        log = []
+
+        def proc(sim, name):
+            for i in range(3):
+                yield sim.timeout(0.5 * (i + 1))
+                log.append((name, sim.now, sim.processed_events))
+
+        sim.spawn(proc(sim, "a"))
+        sim.spawn(proc(sim, "b"))
+        return sim, log
+
+    ran, ran_log = build()
+    ran.run()
+    stepped, stepped_log = build()
+    while stepped.peek() != float("inf"):
+        stepped.step()
+    assert stepped_log == ran_log
+    assert stepped.processed_events == ran.processed_events
+    assert stepped.now == ran.now
+
+
+def test_event_state_follows_its_lifecycle():
+    sim = Simulator()
+    ev = sim.event()
+    assert not ev.triggered and not ev.processed
+    ev.succeed(None)  # a None value still counts as triggered
+    assert ev.triggered and not ev.processed and ev.ok
+    sim.run()
+    assert ev.triggered and ev.processed and ev.value is None
+    t = sim.timeout(1.0, value="v")
+    assert t.triggered and not t.processed

@@ -196,3 +196,69 @@ def test_immediate_resume_on_processed_event():
     p = sim.spawn(worker(sim))
     sim.run()
     assert p.value == ("v", 2.0)
+
+
+def test_non_event_error_is_thrown_into_the_process():
+    """The process — not just ``run()`` — sees the SimulationError, and
+    may recover from it."""
+    sim = Simulator()
+
+    def sloppy(sim):
+        try:
+            yield None
+        except SimulationError as exc:
+            yield sim.timeout(1.0)
+            return f"recovered: {exc}"
+
+    p = sim.spawn(sloppy(sim), name="sloppy")
+    sim.run()
+    assert p.value.startswith("recovered: process 'sloppy' yielded non-event")
+    assert sim.now == 1.0
+
+
+def test_stale_wakeup_after_interrupt_is_dropped():
+    """The abandoned event still fires later; the process must not be
+    resumed a second time by it."""
+    sim = Simulator()
+    resumes = []
+
+    def sleeper(sim):
+        try:
+            yield sim.timeout(1.0, value="stale")
+            resumes.append("timeout")
+        except Interrupt:
+            resumes.append("interrupt")
+        got = yield sim.timeout(5.0, value="fresh")
+        resumes.append(got)
+
+    p = sim.spawn(sleeper(sim))
+
+    def poker(sim):
+        yield sim.timeout(0.5)
+        p.interrupt()
+
+    sim.spawn(poker(sim))
+    sim.run()
+    assert resumes == ["interrupt", "fresh"]
+    assert sim.now == 5.5
+
+
+def test_current_process_is_restored_around_nested_resumes():
+    """A process body that synchronously finishes another (processed-event
+    fast path) must get ``current_process`` back afterwards."""
+    sim = Simulator()
+    seen = []
+
+    def inner(sim):
+        seen.append(("inner", sim.current_process.name))
+        yield sim.timeout(0.0)
+
+    def outer(sim):
+        child = sim.spawn(inner(sim), name="inner")
+        yield child
+        seen.append(("outer", sim.current_process.name))
+
+    sim.spawn(outer(sim), name="outer")
+    sim.run()
+    assert seen == [("inner", "inner"), ("outer", "outer")]
+    assert sim.current_process is None

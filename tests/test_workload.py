@@ -176,3 +176,67 @@ def test_per_query_span_tracks_are_separate():
     res = run_workload(wl_config(n_queries=2, pool=8))
     tracks = {s.track for s in res.timeline.spans}
     assert "scheduler:q0" in tracks and "scheduler:q1" in tracks
+
+
+# ----------------------------------------------------------------------
+# the pool actor's dispatch table
+# ----------------------------------------------------------------------
+def bare_pool(free_nodes=(0, 1)):
+    from repro.cluster import Network, Node
+    from repro.config import CostModel
+    from repro.core.pool import ResourcePoolProcess
+    from repro.sim import Simulator
+
+    sim, cost = Simulator(), CostModel()
+    node = Node(sim, 0, "pool", cost)
+    sched = Node(sim, 1, "sched", cost)
+    pool = ResourcePoolProcess(
+        sim, Network(sim, cost), node, free_nodes=list(free_nodes),
+        sched_nodes={0: sched},
+    )
+    return sim, pool, sched
+
+
+def test_pool_idle_tick_reaches_no_handler(monkeypatch):
+    """With nothing parked a PollTick has nothing to expire or serve: the
+    main loop goes straight back to its mailbox without making a
+    generator (a sparse workload's pool sees hundreds of thousands of
+    these); with a request parked, every tick expires and serves."""
+    from repro.core.messages import PollTick, RecruitRequest, Shutdown
+    from repro.core.pool import ResourcePoolProcess
+
+    served = []
+    real_serve = ResourcePoolProcess._serve
+
+    def counting_serve(self):
+        served.append(self.sim.now)
+        return real_serve(self)
+
+    monkeypatch.setattr(ResourcePoolProcess, "_serve", counting_serve)
+    sim, pool, sched = bare_pool(free_nodes=(0,))
+    pool.poll_interval = 1.0
+    proc = sim.spawn(pool.run(), name="pool")
+    sim.run(until=3.5)
+    assert served == []                       # three idle ticks
+    # an admission the free list cannot cover parks; ticks then do work
+    pool.node.mailbox.put(RecruitRequest(query=0, admission=True, want=2))
+    sim.run(until=5.5)
+    assert served == [3.5, 4.0, 5.0]          # the request, then two ticks
+    assert len(pool._admission_q) == 1 and pool.stats.grants == 0
+    pool.free.append(1)
+    sim.run(until=6.5)
+    assert not pool._admission_q and pool.stats.grants == 2
+    assert len(sched.mailbox) == 1
+    assert PollTick in pool._handlers
+    pool.node.mailbox.put(Shutdown())
+    sim.run()
+    assert proc.value is pool.stats
+
+
+def test_pool_rejects_a_message_without_a_row():
+    sim, pool, _ = bare_pool()
+    proc = sim.spawn(pool.run(), name="pool")
+    pool.node.mailbox.put(object())
+    with pytest.raises(RuntimeError, match="pool: unexpected message"):
+        sim.run()
+    assert not proc.is_alive
