@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterable, Iterator
 
-__all__ = ["ImportMap", "dotted_name", "call_name", "first_str_arg"]
+__all__ = [
+    "ImportMap", "dotted_name", "call_name", "first_str_arg",
+    "own_nodes", "isinstance_class_names", "sent_classes",
+]
 
 
 def dotted_name(node: ast.AST) -> str | None:
@@ -62,3 +66,62 @@ def first_str_arg(node: ast.Call) -> str | None:
             and isinstance(node.args[0].value, str):
         return node.args[0].value
     return None
+
+
+def own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
+    """Walk ``fn`` without descending into nested function definitions."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def isinstance_class_names(nodes: Iterable[ast.AST]) -> set[str]:
+    """Class names tested by the ``isinstance(x, Cls)`` /
+    ``isinstance(x, (A, mod.B))`` calls among ``nodes``."""
+    refs: set[str] = set()
+    for node in nodes:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "isinstance" and len(node.args) == 2:
+            second = node.args[1]
+            elts = second.elts if isinstance(second, ast.Tuple) else [second]
+            for e in elts:
+                if isinstance(e, ast.Name):
+                    refs.add(e.id)
+                elif isinstance(e, ast.Attribute):
+                    refs.add(e.attr)
+    return refs
+
+
+def sent_classes(
+    nodes: Iterable[ast.AST], attrs: frozenset[str]
+) -> Iterator[tuple[ast.Call, set[str]]]:
+    """Each ``X.<attr>(..., payload)`` call among ``nodes`` with the class
+    names its payload may be: a direct constructor call (``send(a, b,
+    SpillOrder(...))``) or a local name assigned from one (``msg =
+    DataChunk(...); send(..., msg)``).  Classes are recognized by their
+    capitalized name; payloads that flow in as parameters yield nothing."""
+    nodes = list(nodes)
+    bindings: dict[str, set[str]] = {}
+    for node in nodes:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+                and isinstance(node.value.func, ast.Name) \
+                and node.value.func.id[:1].isupper():
+            for t in node.targets:
+                if isinstance(t, ast.Name):
+                    bindings.setdefault(t.id, set()).add(node.value.func.id)
+    for node in nodes:
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in attrs and node.args):
+            continue
+        payload = node.args[-1]
+        if isinstance(payload, ast.Call) \
+                and isinstance(payload.func, ast.Name) \
+                and payload.func.id[:1].isupper():
+            yield node, {payload.func.id}
+        elif isinstance(payload, ast.Name):
+            yield node, bindings.get(payload.id, set())

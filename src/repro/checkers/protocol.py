@@ -3,10 +3,10 @@
 The runtime's wire protocol is the set of public dataclasses in
 ``repro/core/messages.py``.  The scheduler and the join process dispatch
 through a per-instance handler table (``self._handlers = {Cls: handler}``,
-which subclasses extend with ``self._handlers.update({...})``); the other
-actors and the protocol waits use ``isinstance`` arms (and, in future code,
-possibly ``match``/``case``).  Three rules keep the two sides from
-drifting:
+which subclasses extend with ``self._handlers.update({...})``), and so do
+the data source and the pool; the protocol waits use ``isinstance`` arms
+(and, in future code, possibly ``match``/``case``).  Three rules keep the
+two sides from drifting:
 
 * ``proto-unhandled`` — every concrete public message dataclass must be
   referenced in at least one dispatch arm (a handler-table row,
@@ -34,6 +34,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
+from ._astutil import isinstance_class_names, sent_classes
 from .base import Checker, Project, SourceFile, Violation, register
 
 __all__ = ["ProtocolChecker"]
@@ -102,17 +103,9 @@ def handler_table_keys(tree: ast.AST) -> set[str]:
 def _dispatch_refs(source: SourceFile) -> set[str]:
     """Class names referenced in dispatch position in one file."""
     refs = handler_table_keys(source.tree)
+    refs |= isinstance_class_names(ast.walk(source.tree))
     for node in ast.walk(source.tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id == "isinstance" and len(node.args) == 2:
-            second = node.args[1]
-            elts = second.elts if isinstance(second, ast.Tuple) else [second]
-            for e in elts:
-                if isinstance(e, ast.Name):
-                    refs.add(e.id)
-                elif isinstance(e, ast.Attribute):
-                    refs.add(e.attr)
-        elif isinstance(node, ast.match_case) \
+        if isinstance(node, ast.match_case) \
                 and isinstance(node.pattern, ast.MatchClass):
             cls = node.pattern.cls
             if isinstance(cls, ast.Name):
@@ -120,19 +113,6 @@ def _dispatch_refs(source: SourceFile) -> set[str]:
             elif isinstance(cls, ast.Attribute):
                 refs.add(cls.attr)
     return refs
-
-
-def _constructor_bindings(tree: ast.AST) -> dict[str, set[str]]:
-    """name -> capitalized class names it is assigned from (file-wide)."""
-    out: dict[str, set[str]] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
-                and isinstance(node.value.func, ast.Name) \
-                and node.value.func.id[:1].isupper():
-            for t in node.targets:
-                if isinstance(t, ast.Name):
-                    out.setdefault(t.id, set()).add(node.value.func.id)
-    return out
 
 
 @register
@@ -191,21 +171,7 @@ class ProtocolChecker(Checker):
         for f in project.in_dir("src/repro/core", "src/repro/cluster"):
             if f.rel == _MESSAGES_REL:
                 continue
-            bindings = _constructor_bindings(f.tree)
-            for node in ast.walk(f.tree):
-                if not (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in _SEND_ATTRS
-                        and node.args):
-                    continue
-                payload = node.args[-1]
-                candidates: set[str] = set()
-                if isinstance(payload, ast.Call) \
-                        and isinstance(payload.func, ast.Name) \
-                        and payload.func.id[:1].isupper():
-                    candidates = {payload.func.id}
-                elif isinstance(payload, ast.Name):
-                    candidates = bindings.get(payload.id, set())
+            for node, candidates in sent_classes(ast.walk(f.tree), _SEND_ATTRS):
                 for cand in sorted(candidates - names):
                     yield f.violation(
                         node, "proto-unregistered-send",

@@ -41,7 +41,7 @@ import ast
 from collections.abc import Iterator
 
 from .base import FileChecker, SourceFile, Violation, register
-from ._astutil import dotted_name
+from ._astutil import dotted_name, own_nodes
 
 __all__ = ["ResourceSafetyChecker"]
 
@@ -84,20 +84,9 @@ def _functions(tree: ast.AST) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef
             yield node
 
 
-def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``fn`` without descending into nested function definitions."""
-    stack = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
 def _method_calls(fn: ast.AST, attr: str) -> list[ast.Call]:
     return [
-        node for node in _own_nodes(fn)
+        node for node in own_nodes(fn)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == attr
@@ -106,7 +95,7 @@ def _method_calls(fn: ast.AST, attr: str) -> list[ast.Call]:
 
 def _released_in_finally(fn: ast.AST, receiver: str) -> bool:
     """Does ``fn`` contain ``<receiver>.release()`` inside a finally?"""
-    for node in _own_nodes(fn):
+    for node in own_nodes(fn):
         if not isinstance(node, ast.Try) or not node.finalbody:
             continue
         for stmt in node.finalbody:
@@ -219,7 +208,7 @@ class ResourceSafetyChecker(FileChecker):
         cancels = {
             _receiver(c) for c in _method_calls(fn, "cancel_get")
         }
-        for node in _own_nodes(fn):
+        for node in own_nodes(fn):
             # yield X.get(): the waiting process cannot cancel on Interrupt
             if isinstance(node, ast.Yield) and isinstance(node.value, ast.Call):
                 call = node.value
@@ -248,7 +237,7 @@ class ResourceSafetyChecker(FileChecker):
     def _check_parkable_waits(
         self, source: SourceFile, fn: ast.AST, parkable: set[str]
     ) -> Iterator[Violation]:
-        for node in _own_nodes(fn):
+        for node in own_nodes(fn):
             if not (isinstance(node, ast.Yield)
                     and isinstance(node.value, ast.Call)):
                 continue

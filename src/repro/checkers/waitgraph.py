@@ -19,9 +19,9 @@ specific message type arrives (an ``isinstance`` exit condition around a
     table (``self._handlers``), so those rows need a sender too;
   - an edge ``A --m--> B`` is discharged when B's own wait-state in the
     cycle can still *send* m from inside its wait loop (directly or via
-    methods it calls) — e.g. a source parked on StartProbe still
-    executes ReplayOrders, which is exactly what un-blocks a scheduler
-    parked on ReplayDone;
+    methods it calls) — e.g. an actor parked on its phase signal that
+    still executes ReplayOrders, which is exactly what un-blocks a
+    scheduler parked on ReplayDone;
   - self-edges are ignored (self-sent PollTick ticker patterns).
 
 * ``wg-no-sender`` — a wait-state's exit message is constructed nowhere
@@ -48,7 +48,12 @@ from .protocol import (
     _message_classes,
     handler_table_keys,
 )
-from ._astutil import dotted_name
+from ._astutil import (
+    dotted_name,
+    isinstance_class_names,
+    own_nodes,
+    sent_classes,
+)
 
 __all__ = ["WaitGraphChecker"]
 
@@ -72,66 +77,18 @@ def _is_mailbox_wait(call: ast.Call) -> bool:
     return receiver.rsplit(".", 1)[-1] in _MAILBOXY
 
 
-def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``fn`` without descending into nested function definitions."""
-    stack = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
-def _isinstance_refs(fn: ast.AST) -> set[str]:
-    refs: set[str] = set()
-    for node in _own_nodes(fn):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id == "isinstance" and len(node.args) == 2:
-            second = node.args[1]
-            elts = second.elts if isinstance(second, ast.Tuple) else [second]
-            for e in elts:
-                if isinstance(e, ast.Name):
-                    refs.add(e.id)
-                elif isinstance(e, ast.Attribute):
-                    refs.add(e.attr)
-    return refs
-
-
 def _direct_sends(fn: ast.AST, messages: set[str]) -> set[str]:
     """Message classes this method hands to a transport send or a put."""
     out: set[str] = set()
-    bindings: dict[str, set[str]] = {}
-    for node in _own_nodes(fn):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
-                and isinstance(node.value.func, ast.Name) \
-                and node.value.func.id in messages:
-            for t in node.targets:
-                if isinstance(t, ast.Name):
-                    bindings.setdefault(t.id, set()).add(node.value.func.id)
-    for node in _own_nodes(fn):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)):
-            continue
-        if node.func.attr in _SEND_ATTRS and node.args:
-            payload: ast.AST | None = node.args[-1]
-        elif node.func.attr == "put" and node.args:
-            payload = node.args[0]
-        else:
-            continue
-        if isinstance(payload, ast.Call) \
-                and isinstance(payload.func, ast.Name) \
-                and payload.func.id in messages:
-            out.add(payload.func.id)
-        elif isinstance(payload, ast.Name):
-            out |= bindings.get(payload.id, set()) & messages
+    for _call, classes in sent_classes(own_nodes(fn), _SEND_ATTRS | {"put"}):
+        out |= classes & messages
     return out
 
 
 def _self_calls(fn: ast.AST) -> set[str]:
     """Names of own methods this method invokes (``self.foo(...)``)."""
     out: set[str] = set()
-    for node in _own_nodes(fn):
+    for node in own_nodes(fn):
         if isinstance(node, ast.Call) \
                 and isinstance(node.func, ast.Attribute) \
                 and isinstance(node.func.value, ast.Name) \
@@ -197,17 +154,17 @@ def _analyze_class(
     for name, fn in methods.items():
         has_wait = any(
             isinstance(n, ast.Call) and _is_mailbox_wait(n)
-            for n in _own_nodes(fn)
+            for n in own_nodes(fn)
         )
         if not has_wait:
             continue
-        awaited = _isinstance_refs(fn) & messages
+        awaited = isinstance_class_names(own_nodes(fn)) & messages
         # (the dispatcher may be inherited, so look at every self-call;
         # a main loop that looks rows up itself *is* the dispatcher)
         exclusive = not (
             any(c.startswith("_dispatch") for c in _self_calls(fn))
             or any(isinstance(n, ast.Attribute) and n.attr == _HANDLER_TABLE
-                   for n in _own_nodes(fn))
+                   for n in own_nodes(fn))
         )
         if not exclusive:
             awaited |= handler_table_keys(node) & messages

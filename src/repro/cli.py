@@ -289,8 +289,8 @@ def _emit(args: argparse.Namespace, payload: str, note: str) -> None:
 
 def _run_single(args: argparse.Namespace, command: str,
                 **config_kw: Any) -> JoinRunResult | None:
-    """The one join ``trace``/``metrics``/``explain`` inspect: the first
-    of ``--initial-nodes``.  ``None`` (after a message) when ``--out``
+    """The one join ``run``/``trace``/``metrics``/``explain`` run: the
+    first of ``--initial-nodes``.  ``None`` (after a message) when ``--out``
     would be overwritten — checked before the simulation, not after."""
     if _refuse_overwrite(args.out, args.force, command):
         return None
@@ -303,13 +303,11 @@ def _run_single(args: argparse.Namespace, command: str,
 # commands
 # ----------------------------------------------------------------------
 def cmd_run(args: argparse.Namespace) -> int:
-    algorithm = Algorithm(args.algorithm)
-    initial = int(args.initial_nodes.split(",")[0])
-    cfg = _config(args, algorithm, initial)
-    res = run_join(cfg, validate=not args.no_validate)
+    res = _run_single(args, "run")
+    assert res is not None  # `run` writes no file: nothing to refuse
     print(res.summary())
     t = res.times
-    scale = cfg.workload.scale
+    scale = res.config.workload.scale
     print(f"\nphases (paper-scale s): build={t.build_s / scale:.1f} "
           f"reshuffle={t.reshuffle_s / scale:.1f} "
           f"probe={t.probe_s / scale:.1f} ooc={t.ooc_pass_s / scale:.1f} "
@@ -514,12 +512,7 @@ def _workload_config(
         policy=PoolPolicy(args.policy),
         fair_share_cap=args.fair_share_cap,
         grant_timeout_s=args.grant_timeout,
-        cluster=ClusterSpec(
-            n_sources=args.sources,
-            n_potential_nodes=args.pool,
-            hash_memory_bytes=int(args.node_memory_mb * 1024 * 1024),
-            topology=Topology(args.topology),
-        ),
+        cluster=_cluster(args),
         scale=args.scale,
         trace=args.trace,
         faults=plan,
@@ -869,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run one simulated join")
     p_run.add_argument("--algorithm", default="hybrid",
                        choices=[a.value for a in Algorithm])
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, out=None, force=False)
 
     def _add_workload_cli(p: argparse.ArgumentParser) -> None:
         # Flags shared verbatim by `workload` (in-process) and `fleet`

@@ -8,10 +8,11 @@ join nodes of which ``initial_nodes`` are working at start and the rest are
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..config import ClusterSpec
+from ..config import ClusterSpec, Topology
 from ..sim import Simulator
 from .network import Network
 from .node import Node
@@ -38,6 +39,40 @@ def _instrument(node: Node, metrics: Any) -> None:
         node.memory.clock = lambda: node.sim.now
 
 
+class _Hardware:
+    """What both layouts are made of: the interconnect, and nodes handed
+    out with consecutive global ids in creation order — the ids are metric
+    labels, so the order each layout asks in is part of its snapshot."""
+
+    def __init__(self, sim: Simulator, spec: ClusterSpec,
+                 metrics: Any | None, faults: Any | None) -> None:
+        self.sim = sim
+        self.spec = spec
+        self.metrics = metrics
+        self._ids = itertools.count()
+        self.network = Network(
+            sim, spec.cost,
+            shared_hub=spec.topology is Topology.SHARED_HUB,
+            faults=faults,
+        )
+
+    def node(self, role: str, hash_memory_bytes: int = 0) -> Node:
+        node = Node(self.sim, next(self._ids), role, self.spec.cost,
+                    hash_memory_bytes=hash_memory_bytes)
+        if self.metrics is not None:
+            _instrument(node, self.metrics)
+        return node
+
+    def nodes(self, role: str, n: int) -> list[Node]:
+        return [self.node(role) for _ in range(n)]
+
+    def join_pool(self) -> list[Node]:
+        return [
+            self.node("join", self.spec.memory_of(j))
+            for j in range(self.spec.n_potential_nodes)
+        ]
+
+
 @dataclass
 class Cluster:
     """All simulated machines plus the shared interconnect."""
@@ -58,60 +93,22 @@ class Cluster:
         cls, sim: Simulator, spec: ClusterSpec, metrics: Any | None = None,
         faults: Any | None = None,
     ) -> Cluster:
-        from ..config import Topology
-
-        network = Network(
-            sim, spec.cost,
-            shared_hub=spec.topology is Topology.SHARED_HUB,
-            faults=faults,
-        )
-        next_id = 0
-
-        scheduler_node = Node(sim, next_id, "sched", spec.cost)
-        next_id += 1
-
-        source_nodes = []
-        for _ in range(spec.n_sources):
-            source_nodes.append(Node(sim, next_id, "src", spec.cost))
-            next_id += 1
-
-        join_nodes = []
-        for j in range(spec.n_potential_nodes):
-            join_nodes.append(
-                Node(
-                    sim,
-                    next_id,
-                    "join",
-                    spec.cost,
-                    hash_memory_bytes=spec.memory_of(j),
-                )
-            )
-            next_id += 1
-
-        backup_node = None
-        if faults is not None and faults.plan.membership_active:
-            # Appended after the join pool so every pre-existing global
-            # node id is unchanged whether or not the backup exists.
-            backup_node = Node(sim, next_id, "sched-backup", spec.cost)
-            next_id += 1
-
-        cluster = cls(
+        hw = _Hardware(sim, spec, metrics, faults)
+        return cls(
             sim=sim,
             spec=spec,
-            network=network,
-            scheduler_node=scheduler_node,
-            source_nodes=source_nodes,
-            join_nodes=join_nodes,
-            backup_node=backup_node,
+            network=hw.network,
+            scheduler_node=hw.node("sched"),
+            source_nodes=hw.nodes("src", spec.n_sources),
+            join_nodes=hw.join_pool(),
+            # Appended after the join pool so every pre-existing global
+            # node id is unchanged whether or not the backup exists.
+            backup_node=(
+                hw.node("sched-backup")
+                if faults is not None and faults.plan.membership_active
+                else None
+            ),
         )
-        if metrics is not None:
-            for node in cluster.all_nodes:
-                _instrument(node, metrics)
-        return cluster
-
-    def join_node(self, index: int) -> Node:
-        """Potential/working join node by pool index (0-based)."""
-        return self.join_nodes[index]
 
     @property
     def all_nodes(self) -> list[Node]:
@@ -148,56 +145,25 @@ class WorkloadCluster:
         cls, sim: Simulator, spec: ClusterSpec, n_queries: int,
         metrics: Any | None = None, faults: Any | None = None,
     ) -> WorkloadCluster:
-        from ..config import Topology
-
-        network = Network(
-            sim, spec.cost,
-            shared_hub=spec.topology is Topology.SHARED_HUB,
-            faults=faults,
-        )
-        next_id = 0
-        pool_node = Node(sim, next_id, "pool", spec.cost)
-        next_id += 1
-
-        scheduler_nodes = []
-        for _ in range(n_queries):
-            scheduler_nodes.append(Node(sim, next_id, "sched", spec.cost))
-            next_id += 1
-        source_nodes: list[list[Node]] = []
-        for _ in range(n_queries):
-            per_query = []
-            for _ in range(spec.n_sources):
-                per_query.append(Node(sim, next_id, "src", spec.cost))
-                next_id += 1
-            source_nodes.append(per_query)
-
-        join_nodes = []
-        for j in range(spec.n_potential_nodes):
-            join_nodes.append(
-                Node(
-                    sim, next_id, "join", spec.cost,
-                    hash_memory_bytes=spec.memory_of(j),
-                )
-            )
-            next_id += 1
-
+        hw = _Hardware(sim, spec, metrics, faults)
+        pool_node = hw.node("pool")
+        scheduler_nodes = hw.nodes("sched", n_queries)
+        source_nodes = [hw.nodes("src", spec.n_sources)
+                        for _ in range(n_queries)]
+        join_nodes = hw.join_pool()
         views = [
             Cluster(
-                sim=sim, spec=spec, network=network,
+                sim=sim, spec=spec, network=hw.network,
                 scheduler_node=scheduler_nodes[q],
                 source_nodes=source_nodes[q],
                 join_nodes=join_nodes,
             )
             for q in range(n_queries)
         ]
-        wc = cls(
-            sim=sim, spec=spec, network=network, pool_node=pool_node,
+        return cls(
+            sim=sim, spec=spec, network=hw.network, pool_node=pool_node,
             join_nodes=join_nodes, views=views,
         )
-        if metrics is not None:
-            for node in wc.all_nodes:
-                _instrument(node, metrics)
-        return wc
 
     @property
     def all_nodes(self) -> list[Node]:

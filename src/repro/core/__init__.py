@@ -7,7 +7,7 @@ driver that assembles a :class:`JoinRunResult` per simulated join.
 
 from .context import RunContext
 from .datasource import DataSourceProcess
-from .driver import run_join
+from .driver import run_join, single_query_context
 from .hybrid import HybridStrategy
 from .joinnode import JoinProcess, SpillStore
 from .messages import DataChunk, Hop
@@ -42,4 +42,5 @@ __all__ = [
     "SplitStrategy",
     "make_strategy",
     "run_join",
+    "single_query_context",
 ]

@@ -1,7 +1,8 @@
 """Shared run context: wiring between the simulated cluster and the actors.
 
-One :class:`RunContext` exists per run.  It owns the cluster, the position
-map, the tracer and the cross-actor accounting (hop-tagged communication
+One :class:`RunContext` exists per query.  It holds the plumbing its
+driver built (cluster, collectors, injector, potential list), owns the
+position map and the cross-actor accounting (hop-tagged communication
 counters the figures are computed from), and provides addressed send
 helpers so actor code reads like message-passing pseudocode.
 """
@@ -14,18 +15,18 @@ from collections.abc import Generator
 from typing import Any
 
 from ..cluster import Cluster, Node
-from ..config import RunConfig
+from ..config import RunConfig, WorkloadConfig
 from ..faults import FaultInjector
 from ..hashing import PositionMap
 from ..obs import CausalLog, MetricsRegistry, ObsBudget, SpanLog
-from ..sim import Simulator, Tracer
+from ..sim import LockdepMonitor, Resource, Simulator, Tracer
 from .messages import DataChunk
 from .results import CommStats
 
-__all__ = ["RunContext", "lockdep_enabled"]
+__all__ = ["RunContext", "install_lockdep", "lockdep_enabled"]
 
 
-def lockdep_enabled(cfg: RunConfig) -> bool:
+def lockdep_enabled(cfg: RunConfig | WorkloadConfig) -> bool:
     """Should this run attach the runtime deadlock detector?
 
     ``REPRO_LOCKDEP`` wins when set (``0``/``false``/``no``/``off`` to
@@ -42,23 +43,28 @@ def lockdep_enabled(cfg: RunConfig) -> bool:
     return "PYTEST_CURRENT_TEST" in os.environ
 
 
+def install_lockdep(
+    sim: Simulator, cfg: RunConfig | WorkloadConfig,
+    metrics: MetricsRegistry, causal: CausalLog | None = None,
+) -> None:
+    """Attach the runtime deadlock detector if this run asked for one.
+
+    Each driver calls this once per simulator.  ``causal`` lets a stall
+    report name the message chain behind each stuck actor."""
+    if lockdep_enabled(cfg):
+        LockdepMonitor(sim, metrics=metrics, causal=causal).install()
+
+
 class RunContext:
     """Everything a scheduler/source/join process needs to participate.
 
-    Two construction modes:
-
-    * **private** (default): builds and owns a whole cluster, the metrics
-      registry, the fault injector and the causal log — one query, one
-      cluster, exactly the pre-workload behaviour.
-    * **shared** (``cluster=...`` given): the workload driver passes in a
-      per-query *view* of the shared cluster (own scheduler/source nodes,
-      the communal join-node pool) plus the shared metrics/span/tracer/
-      fault plumbing.  The context then skips cluster construction and
-      causal-log wiring (message causality is a single-query diagnostic;
-      interleaved queries would corrupt one global log), and gains two
-      workload-only attributes: ``pool`` (the query's
-      :class:`~repro.core.pool.PoolClient`) and ``initial_join_nodes``
-      (the admission grant, replacing ``range(cfg.initial_nodes)``).
+    The driver hands in the plumbing, and the context never asks how it
+    was made: ``cluster`` is the query's view of the hardware (its own
+    scheduler/source nodes plus the join nodes it may be given),
+    ``metrics`` / ``spans`` / ``tracer`` the collectors, ``faults`` the
+    injector (None on the fault-free path — the network then takes the
+    exact pre-fault code path, byte for byte) and ``potential`` the
+    scheduler's potential list (:mod:`repro.core.potential`).
     """
 
     def __init__(
@@ -66,112 +72,70 @@ class RunContext:
         sim: Simulator,
         cfg: RunConfig,
         *,
-        cluster: Cluster | None = None,
-        metrics: MetricsRegistry | None = None,
-        spans: SpanLog | None = None,
-        tracer: Tracer | None = None,
-        faults: FaultInjector | None = None,
+        cluster: Cluster,
+        metrics: MetricsRegistry,
+        spans: SpanLog,
+        tracer: Tracer,
+        faults: FaultInjector | None,
+        potential: Any,
         query: int = 0,
     ) -> None:
         self.sim = sim
         self.cfg = cfg
-        shared = cluster is not None
         self.query = query
-        #: workload mode: the query's handle to the shared pool actor
-        self.pool: Any | None = None
-        #: workload mode: pool indices granted at admission
-        self.initial_join_nodes: list[int] | None = None
-        self.metrics = (
-            metrics if metrics is not None
-            else MetricsRegistry(clock=lambda: sim.now)
-        )
-        #: capacities of this run's span/causal logs (private mode only:
-        #: the workload driver owns the shared collectors and passes
-        #: ``spans`` in)
-        self.obs_budget = ObsBudget.from_bytes(cfg.obs_budget_bytes)
-        self.spans = (
-            spans if spans is not None
-            else SpanLog(self.obs_budget.span_sample,
-                         self.obs_budget.span_outliers)
-        )
-        self.tracer = (
-            tracer if tracer is not None
-            else Tracer(enabled=cfg.trace, maxlen=cfg.trace_buffer)
-        )
-        #: fault injector (None on the fault-free path — the network then
-        #: takes the exact pre-fault code path, byte for byte)
-        if shared:
-            self.faults = faults
-        else:
-            self.faults = (
-                FaultInjector(cfg.faults, sim, self.metrics, trace=self.trace)
-                if cfg.faults is not None and cfg.faults.active
-                else None
-            )
-        self.cluster = (
-            cluster if cluster is not None
-            else Cluster.build(
-                sim, cfg.effective_cluster, metrics=self.metrics,
-                faults=self.faults,
-            )
-        )
+        self.cluster = cluster
+        self.metrics = metrics
+        self.spans = spans
+        self.tracer = tracer
+        self.faults = faults
+        self.potential = potential
         self.posmap = PositionMap(cfg.hash_positions, mix=cfg.mix_hash)
         self.comm = CommStats()
         self.cost = cfg.effective_cluster.cost
-        if not shared and self.faults is not None:
-            self.faults.resolve_timing(self.cost)
         #: monotonically increasing data-chunk sequence (duplicate keying)
         self._next_seq = 0
         # Barrier-split-pointer semantics (§4.2.1): at most one split's
         # data transfer is on the wire at a time — the scheduler's "done"
         # message gates the next split, so split traffic serializes at
         # single-link bandwidth (the §4.2.4 model's T_split = volume*t_w).
-        from ..sim import Resource
-
         self.split_transfer_token = Resource(sim, capacity=1,
                                              name="split-barrier")
         # Causal message log.  Node names carry *global* node ids
         # (join nodes are "join<1 + n_sources + pool_index>") while spans
         # and the tracer use pool-indexed tracks ("join<pool_index>"); the
         # alias map folds both onto the track names so the critical-path
-        # analysis can join spans with message edges.  Shared mode keeps a
-        # per-query *empty* log (cause_of -> None) and leaves the shared
-        # network's causality hook unset.
-        aliases = {self.cluster.scheduler_node.name: "scheduler"}
-        for s, node in enumerate(self.cluster.source_nodes):
+        # analysis can join spans with message edges.  The log stays
+        # empty (cause_of -> None) until :meth:`attach_causal_log`.
+        aliases = {cluster.scheduler_node.name: "scheduler"}
+        for s, node in enumerate(cluster.source_nodes):
             aliases[node.name] = f"src{s}"
-        for j, node in enumerate(self.cluster.join_nodes):
+        for j, node in enumerate(cluster.join_nodes):
             aliases[node.name] = f"join{j}"
-        if getattr(self.cluster, "backup_node", None) is not None:
-            aliases[self.cluster.backup_node.name] = "backup"
+        if cluster.backup_node is not None:
+            aliases[cluster.backup_node.name] = "backup"
+        budget = ObsBudget.from_bytes(cfg.obs_budget_bytes)
         self.causal = CausalLog(
-            aliases, self.obs_budget.edge_sample, self.obs_budget.edge_outliers
+            aliases, budget.edge_sample, budget.edge_outliers
         )
         #: control-plane failover: when the backup takes over, every actor
         #: addressing "the scheduler" must follow it (see set_scheduler_node)
         self._scheduler_override: Node | None = None
-        if not shared:
-            self.cluster.network.causality = self.causal
-            for node in (
-                [self.cluster.scheduler_node]
-                + list(self.cluster.source_nodes)
-                + list(self.cluster.join_nodes)
-            ):
-                node.mailbox.deq_probe = functools.partial(
-                    self.causal.note_dequeue, node.name
-                )
-        # Runtime deadlock detector.  Attach-once: in workload mode every
-        # query's context shares one simulator, so the first query's
-        # monitor serves them all (shared mode also has no causal log to
-        # hand it — see the class docstring).
-        if sim.lockdep is None and lockdep_enabled(cfg):
-            from ..sim.lockdep import LockdepMonitor
 
-            LockdepMonitor(
-                sim,
-                metrics=self.metrics,
-                causal=None if shared else self.causal,
-            ).install()
+    def attach_causal_log(self) -> None:
+        """Feed every send and dequeue on this cluster into ``causal``.
+
+        Message causality is a single-query diagnostic: a driver running
+        interleaved queries over one network must not call this — they
+        would corrupt one global log."""
+        self.cluster.network.causality = self.causal
+        for node in (
+            [self.cluster.scheduler_node]
+            + list(self.cluster.source_nodes)
+            + list(self.cluster.join_nodes)
+        ):
+            node.mailbox.deq_probe = functools.partial(
+                self.causal.note_dequeue, node.name
+            )
 
     # ------------------------------------------------------------------
     # addressing
@@ -195,7 +159,7 @@ class RunContext:
 
     @property
     def backup_node(self) -> Node | None:
-        return getattr(self.cluster, "backup_node", None)
+        return self.cluster.backup_node
 
     def source_node(self, s: int) -> Node:
         return self.cluster.source_nodes[s]

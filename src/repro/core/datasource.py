@@ -27,7 +27,7 @@ scheduler's drain arithmetic fences the dead node's deliveries.
 
 from __future__ import annotations
 
-from collections.abc import Generator
+from collections.abc import Callable, Generator, Iterable
 from typing import Any
 
 import numpy as np
@@ -78,6 +78,25 @@ class DataSourceProcess:
         self._done_relations: list[str] = []
         self._reannounce = False
         self._probing = False
+        # -- control traffic ---------------------------------------------
+        #: a RouteUpdate installed a newer table since the last batch
+        self._route_changed = False
+        #: the first StartProbe's table (None until it arrives)
+        self._probe_router: Router | None = None
+        self._stopped = False
+        #: message type -> handler, called as ``handler(self, msg)``,
+        #: wherever the message is read (parked in :meth:`_serve_until`, or
+        #: drained at a batch boundary).  Rows only note what arrived; what
+        #: must send runs from :meth:`_drain_control`.  Plain functions,
+        #: not bound methods (see JoinProcess._handlers).
+        cls = type(self)
+        self._handlers: dict[type, Callable[[Any, Any], None]] = {
+            RouteUpdate: cls._on_route_update,
+            ReplayOrder: cls._on_replay_order,
+            SchedulerFailover: cls._on_failover,
+            StartProbe: cls._on_start_probe,
+            Shutdown: cls._on_shutdown,
+        }
 
     # ------------------------------------------------------------------
     def run(self) -> Generator[Any, Any, None]:
@@ -86,59 +105,37 @@ class DataSourceProcess:
 
         # ---- build phase: stream R ------------------------------------
         r_stream = RelationStream(wl, "R", ctx.n_sources, self.index)
-        yield from self._stream_relation(r_stream, "R", probe=False)
+        yield from self._stream_relation(r_stream, "R")
         yield from self._report_done("R")
 
         # ---- wait for the probe signal --------------------------------
-        probe_router = yield from self._await_start_probe()
-        if probe_router.version >= self.router.version:
-            self.router = probe_router
+        yield from self._serve_until(lambda: self._probe_router is not None)
+        assert self._probe_router is not None
+        if self._probe_router.version >= self.router.version:
+            self.router = self._probe_router
         self._probing = True
 
         # ---- probe phase: stream S ------------------------------------
         s_stream = RelationStream(wl, "S", ctx.n_sources, self.index)
-        yield from self._stream_relation(s_stream, "S", probe=True)
+        yield from self._stream_relation(s_stream, "S")
         yield from self._report_done("S")
 
         # ---- idle until shutdown ---------------------------------------
-        while True:
-            msg = yield from self.node.mailbox.recv()
-            if isinstance(msg, Shutdown):
-                return
-            if isinstance(msg, RouteUpdate):
-                if msg.router.version > self.router.version:
-                    self.router = msg.router
-            elif isinstance(msg, ReplayOrder):
-                yield from self._execute_replay(msg, buffers=None)
-            elif isinstance(msg, SchedulerFailover):
-                yield from self._announce_to_scheduler()
-            # stray duplicates (e.g. a re-broadcast StartProbe after a
-            # scheduler failover) are absorbed silently
+        yield from self._serve_until(lambda: self._stopped)
 
     # ------------------------------------------------------------------
     def _stream_relation(
-        self, stream: RelationStream, relation: str, probe: bool
+        self, stream: RelationStream, relation: str
     ) -> Generator[Any, Any, None]:
-        ctx = self.ctx
-        cost = ctx.cost
         buffers = ChunkBuffer(self.chunk_tuples)
 
         for batch in stream.batches():
-            if ctx.cfg.sources_from_disk:
-                # The relation sits in local files (paper §4.1.2's other
-                # mode): a batched read replaces the generation cost.
-                yield from self.node.disk.read(
-                    int(batch.size) * ctx.cfg.workload.tuple_bytes
-                )
-            else:
-                yield from self.node.compute_per_tuple(
-                    cost.cpu_generate_tuple, batch.size
-                )
+            yield from self._produce(batch)
             if self._absorb_control() and buffers.total_buffered:
                 # Routing changed: re-partition unsent buffered tuples.
                 pool = buffers.drain_everything()
-                yield from self._route_into(buffers, pool, relation, probe)
-            yield from self._route_into(buffers, batch, relation, probe)
+                yield from self._route_into(buffers, pool, relation)
+            yield from self._route_into(buffers, batch, relation)
             self.batches_done[relation] += 1
             yield from self._drain_control(buffers)
             yield from self._flush_full(buffers, relation)
@@ -149,18 +146,15 @@ class DataSourceProcess:
         for dest in buffers.destinations():
             values = buffers.pop_all(dest)
             if values is not None:
-                yield from self._send_chunk(dest, relation, values, probe)
+                yield from self._send_chunk(dest, relation, values)
 
     def _route_into(
-        self, buffers: ChunkBuffer, values: np.ndarray, relation: str, probe: bool
+        self, buffers: ChunkBuffer, values: np.ndarray, relation: str
     ) -> Generator[Any, Any, None]:
         if values.size == 0:
             return
-        ctx = self.ctx
-        self.chunks_routed.inc()
-        yield from self.node.compute_per_tuple(ctx.cost.cpu_route_tuple, values.size)
-        positions = ctx.posmap(values)
-        if probe:
+        positions = yield from self._route_positions(values)
+        if relation == "S":
             # One gather per replica *group*: a range's probe tuples are
             # materialized once and the same array object is appended to
             # every replica's buffer (ChunkBuffer owns appended arrays and
@@ -182,24 +176,47 @@ class DataSourceProcess:
         for dest, idx in sorted(parts.items()):
             buffers.append(dest, values[idx])
 
+    def _produce(self, batch: np.ndarray) -> Iterable[Any]:
+        """What one batch costs to come by: generated on the fly, or — the
+        relation sits in local files (paper §4.1.2's other mode) — a
+        batched read in place of the generation cost."""
+        cfg = self.ctx.cfg
+        if cfg.sources_from_disk:
+            return self.node.disk.read(
+                int(batch.size) * cfg.workload.tuple_bytes
+            )
+        return self.node.compute_per_tuple(
+            self.ctx.cost.cpu_generate_tuple, batch.size
+        )
+
+    def _route_positions(
+        self, values: np.ndarray
+    ) -> Generator[Any, Any, np.ndarray]:
+        """Count one batch pushed through the router, charge its routing
+        CPU and return the hash positions to partition by."""
+        self.chunks_routed.inc()
+        yield from self.node.compute_per_tuple(
+            self.ctx.cost.cpu_route_tuple, values.size
+        )
+        return self.ctx.posmap(values)
+
     def _flush_full(self, buffers: ChunkBuffer, relation: str) -> Generator[Any, Any, None]:
         for dest in buffers.destinations():
             while True:
                 chunk = buffers.pop_full_chunk(dest)
                 if chunk is None:
                     break
-                yield from self._send_chunk(dest, relation, chunk, relation == "S")
+                yield from self._send_chunk(dest, relation, chunk)
 
     def _send_chunk(
-        self, dest: int, relation: str, values: np.ndarray, probe: bool
+        self, dest: int, relation: str, values: np.ndarray
     ) -> Generator[Any, Any, None]:
         ctx = self.ctx
-        hop = Hop.PROBE if probe else Hop.PRIMARY
         msg = DataChunk(
             relation=relation,
             values=values,
             tuple_bytes=ctx.cfg.workload.tuple_bytes,
-            hop=hop,
+            hop=Hop.PROBE if relation == "S" else Hop.PRIMARY,
             origin=self.node.node_id,
             version=self.router.version,
         )
@@ -210,54 +227,62 @@ class DataSourceProcess:
         return ctx.send(self.node, ctx.join_node(dest), msg)
 
     # ------------------------------------------------------------------
-    def _absorb_control(self) -> bool:
-        """Drain pending control messages at a batch boundary.
+    # control traffic: one table, read from two places
+    # ------------------------------------------------------------------
+    def _dispatch(self, msg: Any) -> None:
+        handler = self._handlers.get(type(msg))
+        if handler is None:
+            raise RuntimeError(f"source {self.index}: unexpected message {msg!r}")
+        handler(self, msg)
 
-        RouteUpdates keep the newest table; ReplayOrders queue for
-        :meth:`_drain_control` (their sends must run in generator
-        context); a SchedulerFailover flags a full re-announcement of
-        everything the dead primary took to its grave.  Returns True if
-        the routing table changed."""
-        changed = False
+    def _on_route_update(self, msg: RouteUpdate) -> None:
+        # Keep the newest table (a stale build-phase update is harmless).
+        if msg.router.version > self.router.version:
+            self.router = msg.router
+            self._route_changed = True
+
+    def _on_replay_order(self, msg: ReplayOrder) -> None:
+        self._pending_replays.append(msg)  # its sends need generator context
+
+    def _on_failover(self, msg: SchedulerFailover) -> None:
+        # Re-announce everything the dead primary took to its grave.
+        self._reannounce = True
+
+    def _on_start_probe(self, msg: StartProbe) -> None:
+        # Only the first one counts: a re-broadcast after a scheduler
+        # failover is a duplicate, absorbed silently.
+        if self._probe_router is None:
+            assert msg.router is not None, "sources need the probe router"
+            self._probe_router = msg.router
+
+    def _on_shutdown(self, msg: Shutdown) -> None:
+        self._stopped = True
+
+    def _serve_until(self, done: Callable[[], bool]) -> Generator[Any, Any, None]:
+        """Park on the mailbox, acting on each control message as it
+        arrives, until ``done()``.  Nothing is buffered while parked."""
+        while not done():
+            msg = yield from self.node.mailbox.recv()
+            self._dispatch(msg)
+            yield from self._drain_control(None)
+
+    def _absorb_control(self) -> bool:
+        """Note pending control messages at a batch boundary without
+        blocking; :meth:`_drain_control` acts on them once the batch is
+        routed.  Returns True if the routing table changed."""
         for msg in self.node.mailbox.drain():
-            if isinstance(msg, RouteUpdate):
-                if msg.router.version > self.router.version:
-                    self.router = msg.router
-                    changed = True
-            elif isinstance(msg, ReplayOrder):
-                self._pending_replays.append(msg)
-            elif isinstance(msg, SchedulerFailover):
-                self._reannounce = True
-            elif isinstance(msg, StartProbe):
-                # Cannot happen before SourceDone; tolerate by re-queueing.
-                self.node.mailbox.put(msg)
+            self._dispatch(msg)
+        changed, self._route_changed = self._route_changed, False
         return changed
 
-    def _drain_control(self, buffers: ChunkBuffer) -> Generator[Any, Any, None]:
-        """Act on control collected by :meth:`_absorb_control`."""
+    def _drain_control(self, buffers: ChunkBuffer | None) -> Generator[Any, Any, None]:
+        """Act on what the rows noted: re-announce, then queued replays."""
         if self._reannounce:
             self._reannounce = False
             yield from self._announce_to_scheduler()
         while self._pending_replays:
             order = self._pending_replays.pop(0)
             yield from self._execute_replay(order, buffers=buffers)
-
-    def _await_start_probe(self) -> Generator[Any, Any, Router]:
-        while True:
-            msg = yield from self.node.mailbox.recv()
-            if isinstance(msg, StartProbe):
-                assert msg.router is not None, "sources need the probe router"
-                return msg.router
-            # stale build-phase RouteUpdates are harmless here
-            if isinstance(msg, RouteUpdate):
-                if msg.router.version > self.router.version:
-                    self.router = msg.router
-            elif isinstance(msg, ReplayOrder):
-                yield from self._execute_replay(msg, buffers=None)
-            elif isinstance(msg, SchedulerFailover):
-                yield from self._announce_to_scheduler()
-            else:
-                raise RuntimeError(f"source {self.index} got {msg!r} pre-probe")
 
     def _report_done(self, relation: str) -> Generator[Any, Any, None]:
         ctx = self.ctx
@@ -329,11 +354,8 @@ class DataSourceProcess:
         their target *copy* — copies for other replicas still flow live."""
         if pool.size == 0:
             return
-        ctx = self.ctx
         assert order.router is not None
-        self.chunks_routed.inc()
-        yield from self.node.compute_per_tuple(ctx.cost.cpu_route_tuple, pool.size)
-        positions = ctx.posmap(pool)
+        positions = yield from self._route_positions(pool)
         if order.relation == "S":
             parts = self.router.partition_probe(positions)
             for dest, idx in sorted(parts.items()):
@@ -363,45 +385,31 @@ class DataSourceProcess:
         router = order.router if order.router is not None else self.router
         replay_probe = order.relation == "S"
         stream = RelationStream(wl, order.relation, ctx.n_sources, self.index)
+        target = order.target
+        buffer = ChunkBuffer(self.chunk_tuples)
         chunks = 0
         tuples = 0
-        held: list[np.ndarray] = []
-        pending = 0
+
+        def ship(values: np.ndarray) -> Generator[Any, Any, None]:
+            nonlocal chunks, tuples
+            chunks += 1
+            tuples += int(values.size)
+            return self._send_replay_chunk(order, values)
+
         for batch in stream.batches(limit=limit):
-            if ctx.cfg.sources_from_disk:
-                yield from self.node.disk.read(
-                    int(batch.size) * wl.tuple_bytes
-                )
-            else:
-                yield from self.node.compute_per_tuple(
-                    ctx.cost.cpu_generate_tuple, batch.size
-                )
-            self.chunks_routed.inc()
-            yield from self.node.compute_per_tuple(
-                ctx.cost.cpu_route_tuple, batch.size
-            )
-            positions = ctx.posmap(batch)
+            yield from self._produce(batch)
+            positions = yield from self._route_positions(batch)
             parts = (router.partition_probe(positions) if replay_probe
                      else router.partition_build(positions))
-            idx = parts.get(order.target)
-            if idx is None or idx.size == 0:
+            idx = parts.get(target)
+            if idx is None:
                 continue
-            held.append(batch[idx])
-            pending += int(idx.size)
-            while pending >= self.chunk_tuples:
-                merged = np.concatenate(held)
-                chunk, rest = (merged[: self.chunk_tuples],
-                               merged[self.chunk_tuples:])
-                held = [rest] if rest.size else []
-                pending = int(rest.size)
-                yield from self._send_replay_chunk(order, chunk)
-                chunks += 1
-                tuples += int(chunk.size)
-        if pending:
-            merged = np.concatenate(held)
-            yield from self._send_replay_chunk(order, merged)
-            chunks += 1
-            tuples += int(merged.size)
+            buffer.append(target, batch[idx])
+            while (chunk := buffer.pop_full_chunk(target)) is not None:
+                yield from ship(chunk)
+        rest = buffer.pop_all(target)
+        if rest is not None:
+            yield from ship(rest)
         done = ReplayDone(
             recovery_id=order.recovery_id,
             source=self.index,

@@ -11,51 +11,129 @@ The driver also validates the run end-to-end by default: the distributed
 match count must equal the sequential oracle on the identical relations,
 and the network must conserve bytes.
 
-The assembly half (`assemble_result`) is shared with the multi-tenant
-workload driver (:mod:`repro.workload`), which runs many of these
-pipelines inside one simulator and turns each scheduler outcome into a
-per-query :class:`JoinRunResult` with the same code path.
+Everything but :func:`single_query_context` (what makes a query the only
+one on its cluster) is shared with the multi-tenant workload driver
+(:mod:`repro.workload`), which runs many of these pipelines inside one
+simulator: :func:`open_run` / :func:`close_run` around the simulation,
+:func:`spawn_scheduler` / :func:`spawn_sources` per query, and
+:func:`assemble_result` turning each scheduler outcome into a per-query
+:class:`JoinRunResult`.
 """
 
 from __future__ import annotations
 
-from ..config import RunConfig
+from collections.abc import Callable
+from typing import Any, NamedTuple
+
+from ..cluster import Cluster, WorkloadCluster
+from ..config import CostModel, RunConfig
 from ..data import materialize_relation
-from ..obs import PHASE_NAMES, SCHEDULER_TRACK, PhaseTimeline, harvest
+from ..faults import FaultInjector, FaultPlan
+from ..obs import (
+    PHASE_NAMES,
+    SCHEDULER_TRACK,
+    MetricsRegistry,
+    ObsBudget,
+    PhaseTimeline,
+    SpanLog,
+    harvest,
+)
 from ..seqjoin import match_count
-from ..sim import Simulator
-from .context import RunContext
+from ..sim import Simulator, Tracer
+from .context import RunContext, install_lockdep
 from .datasource import DataSourceProcess
 from .joinnode import JoinProcess
 from .messages import Hop
+from .potential import PrivatePotential
 from .results import JoinRunResult, NodeLoad, NodeUtilization, PhaseTimes
 from .scheduler import SchedulerOutcome, SchedulerProcess
 
-__all__ = ["run_join", "assemble_result", "spawn_query_pipeline"]
+__all__ = [
+    "run_join", "assemble_result", "single_query_context",
+    "Run", "open_run", "close_run", "spawn_scheduler", "spawn_sources",
+]
 
 
-def spawn_query_pipeline(
-    ctx: RunContext, *, spawn_joins: bool = True,
-) -> SchedulerProcess:
-    """Spawn one query's scheduler + sources (+ optionally all join nodes).
+class Run(NamedTuple):
+    """What one simulation owns exactly once, however many queries."""
 
-    Single-query mode spawns a JoinProcess for the entire potential pool up
-    front.  Workload mode passes ``spawn_joins=False``: join processes are
-    created lazily, one per pool *grant*, by the workload driver's adopt
-    callback — a dormant shared node must not be bound to any one query.
-    Returns the scheduler: its simulation process is ``scheduler.proc``, the
-    finished query's outcome ``scheduler.result()``.
-    """
+    sim: Simulator
+    metrics: MetricsRegistry
+    tracer: Tracer
+    faults: FaultInjector | None
+    #: ``trace(category, actor, **detail)`` stamped with the simulated time
+    trace: Callable[..., None]
+
+
+def open_run(plan: FaultPlan | None, cost: CostModel, *, trace: bool,
+             trace_buffer: int | None = None) -> Run:
+    """A fresh simulator with its registry, tracer and — only when the
+    plan injects anything — fault injector."""
+    sim = Simulator()
+    metrics = MetricsRegistry(clock=lambda: sim.now)
+    tracer = Tracer(enabled=trace, maxlen=trace_buffer)
+
+    def emit(category: str, actor: str, **detail: Any) -> None:
+        tracer.emit(sim.now, category, actor, **detail)
+
+    faults = None
+    if plan is not None and plan.active:
+        faults = FaultInjector(plan, sim, metrics, trace=emit)
+        faults.resolve_timing(cost)
+    return Run(sim, metrics, tracer, faults, emit)
+
+
+def close_run(sim: Simulator, metrics: MetricsRegistry,
+              cluster: Cluster | WorkloadCluster, spans: SpanLog,
+              edges_dropped: int = 0) -> None:
+    """End of a run, after its results are assembled (their phase spans
+    count against the budget too): the network conserved every byte, the
+    substrate totals land in the registry, and a budgeted run publishes
+    what its bounded collectors shed.  Unbudgeted runs publish nothing —
+    their report is unchanged."""
+    cluster.network.assert_conserved()
+    harvest(metrics, sim, cluster.network, cluster.all_nodes)
+    metrics.close()
+    if spans.bounded:
+        metrics.inc("obs.spans_dropped", spans.dropped)
+        metrics.inc("obs.edges_dropped", edges_dropped)
+
+
+def single_query_context(cfg: RunConfig) -> RunContext:
+    """The context of a query that has the cluster to itself: its own
+    simulator (``ctx.sim``) and hardware, every join node beyond the
+    initial ones on a private potential list, message causality logged."""
+    spec = cfg.effective_cluster
+    run = open_run(cfg.faults, spec.cost, trace=cfg.trace,
+                   trace_buffer=cfg.trace_buffer)
+    budget = ObsBudget.from_bytes(cfg.obs_budget_bytes)
+    ctx = RunContext(
+        run.sim, cfg,
+        cluster=Cluster.build(run.sim, spec, metrics=run.metrics,
+                              faults=run.faults),
+        metrics=run.metrics,
+        spans=SpanLog(budget.span_sample, budget.span_outliers),
+        tracer=run.tracer,
+        faults=run.faults,
+        potential=PrivatePotential(
+            cfg.initial_nodes, spec.n_potential_nodes, spec.memory_of),
+    )
+    ctx.attach_causal_log()
+    install_lockdep(run.sim, cfg, run.metrics, ctx.causal)
+    return ctx
+
+
+def spawn_scheduler(ctx: RunContext) -> SchedulerProcess:
+    """Spawn one query's scheduler: its simulation process is
+    ``scheduler.proc``, the finished query's outcome ``scheduler.result()``.
+    Join processes come next (all of them up front, or one per grant),
+    then :func:`spawn_sources` — the order is part of the event stream."""
     scheduler: SchedulerProcess
-    if (
-        spawn_joins
-        and ctx.faults is not None
-        and ctx.faults.plan.membership_active
-        and ctx.backup_node is not None
-    ):
-        # Control-plane fault tolerance (single-query mode only): the same
-        # scheduler wrapped in WAL replication, node recovery and a standby
-        # that takes over on primary silence.  Imported on demand — the
+    if ctx.backup_node is not None:
+        # Control-plane fault tolerance: the same scheduler wrapped in WAL
+        # replication, node recovery and a standby that takes over on
+        # primary silence.  The standby machine exists exactly when the
+        # fault plan arms the membership layer; imported on demand — the
         # fault-free path runs with the layer absent.
         from .recovery import FaultTolerantScheduler
 
@@ -63,23 +141,28 @@ def spawn_query_pipeline(
     else:
         scheduler = SchedulerProcess(ctx)
     scheduler.spawn(f"scheduler-q{ctx.query}")
+    return scheduler
 
-    if spawn_joins:
-        joins = [JoinProcess(ctx, j) for j in range(ctx.n_potential)]
-        join_procs = {}
-        for jp in joins:
-            join_procs[jp.index] = ctx.sim.spawn(jp.run(), name=f"join{jp.index}")
-        if ctx.faults is not None:
-            ctx.faults.attach_scheduler(scheduler.proc)
-            ctx.faults.attach_joins(join_procs, {jp.index: jp for jp in joins})
-            ctx.faults.start()
 
+def _spawn_all_joins(ctx: RunContext, scheduler: SchedulerProcess) -> None:
+    """A JoinProcess for the entire pool up front (dormant until
+    activated), and the injector armed with its crash targets."""
+    joins = [JoinProcess(ctx, j) for j in range(ctx.n_potential)]
+    join_procs = {}
+    for jp in joins:
+        join_procs[jp.index] = ctx.sim.spawn(jp.run(), name=f"join{jp.index}")
+    if ctx.faults is not None:
+        ctx.faults.attach_scheduler(scheduler.proc)
+        ctx.faults.attach_joins(join_procs, {jp.index: jp for jp in joins})
+        ctx.faults.start()
+
+
+def spawn_sources(ctx: RunContext, scheduler: SchedulerProcess) -> None:
     sources = [
         DataSourceProcess(ctx, s, scheduler.router) for s in range(ctx.n_sources)
     ]
     for sp in sources:
         ctx.sim.spawn(sp.run(), name=f"src{sp.index}-q{ctx.query}")
-    return scheduler
 
 
 def assemble_result(
@@ -196,9 +279,11 @@ def run_join(cfg: RunConfig, validate: bool = True) -> JoinRunResult:
     leans on.  Pass ``validate=False`` for large benchmark sweeps where the
     oracle's O((|R|+|S|) log |R|) cost is unwanted.
     """
-    sim = Simulator()
-    ctx = RunContext(sim, cfg)
-    scheduler = spawn_query_pipeline(ctx)
+    ctx = single_query_context(cfg)
+    sim = ctx.sim
+    scheduler = spawn_scheduler(ctx)
+    _spawn_all_joins(ctx, scheduler)
+    spawn_sources(ctx, scheduler)
 
     sim.run()
 
@@ -208,19 +293,8 @@ def run_join(cfg: RunConfig, validate: bool = True) -> JoinRunResult:
             "query did not complete: scheduler produced no outcome "
             "(primary crashed with no standby takeover?)"
         )
-    ctx.cluster.network.assert_conserved()
-
-    harvest(ctx.metrics, sim, ctx.cluster.network, ctx.cluster.all_nodes)
-    ctx.metrics.close()
-
     result = assemble_result(ctx, outcome, validate)
-    # Budgeted observability: publish what the bounded collectors shed
-    # (after assemble_result, whose phase spans also count against the
-    # budget).  Unbudgeted runs publish nothing — report unchanged.
-    if ctx.spans.bounded:
-        ctx.metrics.inc("obs.spans_dropped", ctx.spans.dropped)
-    if ctx.causal.bounded:
-        ctx.metrics.inc("obs.edges_dropped", ctx.causal.dropped)
+    close_run(sim, ctx.metrics, ctx.cluster, ctx.spans, ctx.causal.dropped)
     result.metrics = ctx.metrics.snapshot()
 
     total = sim.now

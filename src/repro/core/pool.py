@@ -26,10 +26,13 @@ a denied query finishes via spilling, its :class:`QueryDone` releases its
 nodes, and parked admissions proceed.
 
 Determinism: requests are ordered by an arrival sequence number, grants
-pick the free node with the most memory (lowest index tie-break — the same
-rule as ``SchedulerProcess._pick_candidate``), and deadlines are checked on
-the pool's own :class:`~repro.core.messages.PollTick` ticker, so no state
-depends on anything but simulation event order.
+pick with :func:`~repro.core.potential.take_best` (most memory, lowest
+index — the one rule a private potential list uses too), and deadlines are
+checked on the pool's own :class:`~repro.core.messages.PollTick` ticker, so
+no state depends on anything but simulation event order.
+
+The query side of the wire is :class:`PoolClient`, the scheduler's
+potential list (:mod:`repro.core.potential`) on a shared cluster.
 """
 
 from __future__ import annotations
@@ -49,23 +52,93 @@ from .messages import (
     RecruitRequest,
     Shutdown,
 )
+from .potential import take_best
 
 __all__ = ["PoolClient", "PoolStats", "ResourcePoolProcess"]
 
 
 @dataclass
 class PoolClient:
-    """Per-query handle to the shared pool, carried on the query's
-    :class:`~repro.core.context.RunContext` (``ctx.pool``).
+    """One query's potential list when the join nodes are shared: every
+    operation is a message to the pool actor at ``node``.
 
-    ``adopt`` is the workload driver's callback that resets a granted node
-    and spawns this query's :class:`~repro.core.joinnode.JoinProcess` on
-    it — join processes are lazy in workload mode, created only on grant.
+    ``adopt(ctx, j)`` is the workload driver's callback that resets a
+    granted node and spawns this query's
+    :class:`~repro.core.joinnode.JoinProcess` on it — a dormant shared node
+    must not be bound to any one query, so join processes exist only while
+    a query holds the node.
     """
 
     node: Node
     query_id: int
-    adopt: Callable[[int], None]
+    adopt: Callable[[Any, int], None]
+    #: the admission grant (set by :meth:`admit`)
+    initial: list[int] = field(default_factory=list)
+
+    def admit(self, ctx: Any, want: int) -> Generator[Any, Any, None]:
+        """Park at the pool until ``want`` initial nodes are free, then
+        adopt them.  The grant is the only message that can reach this
+        query's scheduler node before its pipeline exists."""
+        sched_node = ctx.scheduler_node
+        yield from ctx.send(
+            sched_node, self.node,
+            RecruitRequest(query=self.query_id, want=want, admission=True),
+        )
+        msg = yield from sched_node.mailbox.recv()
+        if not (isinstance(msg, RecruitGrant) and msg.query == self.query_id):
+            raise RuntimeError(
+                f"query {self.query_id}: expected its admission "
+                f"RecruitGrant, got {msg!r}"
+            )
+        self.initial = list(msg.nodes)
+        for j in self.initial:
+            self.adopt(ctx, j)
+
+    def take(self, sched: Any, phase: str) -> Generator[Any, Any, int | None]:
+        """Ask for one expansion node, carrying the relief cycle's memory
+        deficit, and block for the one verdict — still serving the rest of
+        the protocol.  A granted node is adopted first, so the ActivateJoin
+        that follows finds a live actor; on a deny the caller degrades to
+        the spill path, exactly as it would on an empty private list."""
+        ctx = sched.ctx
+        yield from ctx.send(
+            sched.node, self.node,
+            RecruitRequest(
+                query=self.query_id, want=1, admission=False,
+                deficit_bytes=sched.active_deficit, phase=phase,
+            ),
+        )
+        msg = yield from sched.await_message(
+            lambda m: isinstance(m, (RecruitGrant, RecruitDeny))
+            and m.query == self.query_id
+        )
+        if isinstance(msg, RecruitDeny):
+            ctx.trace("recruit_denied", "scheduler",
+                      reason=msg.reason, phase=phase)
+            ctx.metrics.inc("sched.recruit_denied", 1, reason=msg.reason)
+            return None
+        cand = msg.nodes[0]
+        self.adopt(ctx, cand)
+        return cand
+
+    def shutdown_targets(self, sched: Any) -> list[int]:
+        """Only what this query was granted: stopping the shared pool's
+        dormant nodes would kill other queries' capacity."""
+        return sorted(set(sched.activated) | set(sched.dead_nodes))
+
+    def release(self, sched: Any) -> Generator[Any, Any, None]:
+        """Hand back the nodes known alive and owned.  Zombies (granted
+        but never acked) and timed-out recruits stay leaked — the pool
+        shrinks, exactly as real hardware would."""
+        return sched.ctx.send(
+            sched.node, self.node,
+            QueryDone(query=self.query_id,
+                      released=tuple(sorted(sched.activated))),
+        )
+
+    def rebuilt(self, used: set[int]) -> PoolClient:
+        """Nothing to infer: the pool actor keeps the free list."""
+        return self
 
 
 @dataclass
@@ -82,19 +155,6 @@ class PoolStats:
     leaked_nodes: list[int] = field(default_factory=list)
     peak_in_use: int = 0
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "admissions": self.admissions,
-            "grants": self.grants,
-            "denials": self.denials,
-            "denials_by_query": dict(self.denials_by_query),
-            "denials_by_reason": dict(self.denials_by_reason),
-            "crashed_nodes": list(self.crashed_nodes),
-            "leaked_nodes": list(self.leaked_nodes),
-            "peak_in_use": self.peak_in_use,
-        }
-
 
 @dataclass
 class _Parked:
@@ -104,11 +164,6 @@ class _Parked:
     req: RecruitRequest
     enqueued_at: float
     deadline: float | None  # None: admissions never expire
-
-
-class _StopFlag:
-    def __init__(self) -> None:
-        self.stopped = False
 
 
 class ResourcePoolProcess:
@@ -153,7 +208,7 @@ class ResourcePoolProcess:
         self._admission_q: deque[_Parked] = deque()
         self._recruit_q: list[_Parked] = []
         self._seq = 0
-        self._stop = _StopFlag()
+        self._stopped = False
         #: message type -> handler, called as ``handler(self, msg)``; a row
         #: returns the generator to drive, or None when nothing can yield.
         #: Plain functions, not bound methods: a bound row would make the
@@ -189,13 +244,6 @@ class ResourcePoolProcess:
     def _in_use(self) -> int:
         return sum(len(nodes) for nodes in self.held.values())
 
-    def _take_best(self) -> int:
-        """Free node with the most memory, lowest index tie-break — the
-        same selection rule as the private-pool ``_pick_candidate``."""
-        best = max(self.free, key=lambda j: (self.memory_of(j), -j))
-        self.free.remove(best)
-        return best
-
     def _extra_held(self, query: int) -> int:
         """Nodes ``query`` holds beyond its admission grant."""
         return len(self.held.get(query, [])) - self._admitted_count.get(query, 0)
@@ -206,8 +254,8 @@ class ResourcePoolProcess:
     def run(self) -> Generator[Any, Any, PoolStats]:
         self.sim.spawn(self._ticker(), name="pool-ticker")
         self._sample_levels()
-        recv, handlers, stop = self.node.mailbox.recv, self._handlers, self._stop
-        while not stop.stopped:
+        recv, handlers = self.node.mailbox.recv, self._handlers
+        while not self._stopped:
             msg = yield from recv()
             if type(msg) is PollTick and not (self._recruit_q or self._admission_q):
                 # Idle tick — nearly every message of a sparse workload:
@@ -229,8 +277,8 @@ class ResourcePoolProcess:
     def _ticker(self) -> Generator[Any, Any, None]:
         """PollTicks for deadline checks; runs on the pool node, so ticks
         never cross the network (mirrors the scheduler's drain ticker)."""
-        timeout, put, stop = self.sim.timeout, self.node.mailbox.put, self._stop
-        while not stop.stopped:
+        timeout, put = self.sim.timeout, self.node.mailbox.put
+        while not self._stopped:
             yield timeout(self.poll_interval)
             put(PollTick())
 
@@ -242,7 +290,7 @@ class ResourcePoolProcess:
         yield from self._serve()
 
     def _on_shutdown(self, _msg: Shutdown) -> None:
-        self._stop.stopped = True
+        self._stopped = True
 
     def _on_request(self, req: RecruitRequest) -> Generator[Any, Any, None]:
         self.stats.requests += 1
@@ -292,7 +340,10 @@ class ResourcePoolProcess:
         # Admissions first: strict FIFO with head-of-line blocking.
         while self._admission_q and len(self.free) >= self._admission_q[0].req.want:
             parked = self._admission_q.popleft()
-            nodes = [self._take_best() for _ in range(parked.req.want)]
+            nodes = [
+                take_best(self.free, self.memory_of)
+                for _ in range(parked.req.want)
+            ]
             self.stats.admissions += 1
             self._admitted_count[parked.req.query] = len(nodes)
             if self.metrics is not None:
@@ -307,7 +358,9 @@ class ResourcePoolProcess:
             if parked is None:
                 break
             self._recruit_q.remove(parked)
-            yield from self._grant(parked, [self._take_best()])
+            yield from self._grant(
+                parked, [take_best(self.free, self.memory_of)]
+            )
 
     def _pick_recruit(self) -> _Parked | None:
         """Next parked recruit under the configured policy, or None when

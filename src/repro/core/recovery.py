@@ -1,8 +1,9 @@
 """Control-plane fault tolerance for the scheduler, layered on.
 
 :class:`FaultTolerantScheduler` is the paper's scheduler wrapped at its
-decision points; ``driver.spawn_query_pipeline`` builds it instead of the
-plain one exactly when the fault plan arms the membership layer.  It adds:
+decision points; ``driver.spawn_scheduler`` builds it instead of the plain
+one exactly when the cluster has a standby scheduler machine — which
+``Cluster.build`` adds when the fault plan arms the membership layer.  It adds:
 
 * **write-ahead replication** — every checkpoint and in-flight relief or
   recovery decision reaches the standby (``BackupSchedulerProcess``) as a
@@ -570,10 +571,12 @@ class FaultTolerantScheduler(SchedulerProcess):
     def adopt_snapshot(self, sync: StateSync | None) -> str:
         """Install a replicated snapshot; returns the phase to resume.
 
-        Pools are inferred rather than synced: full nodes are the
+        Lists are inferred rather than synced: full nodes are the
         non-tail members of replica chains, working nodes the rest, and
-        the potential pool is everything never activated nor fenced."""
+        the potential list is everything never activated nor fenced — the
+        standby's own copy either way."""
         if sync is None:
+            self.potential = self.potential.rebuilt(set(self.activated))
             return "fresh"
         if sync.router is not None:
             self.router = sync.router
@@ -587,11 +590,9 @@ class FaultTolerantScheduler(SchedulerProcess):
                 full.update(chain[:-1])
         self.full_nodes = [j for j in self.activated if j in full]
         self.working = [j for j in self.activated if j not in full]
-        if self.pool_client is None:
-            used = set(self.activated) | self.fenced
-            self.potential = [
-                j for j in range(self.ctx.n_potential) if j not in used
-            ]
+        self.potential = self.potential.rebuilt(
+            set(self.activated) | self.fenced
+        )
         self._pending = sync.pending
         self._phase = sync.phase
         self.strategy.adopt_router(self.router, self.activated)

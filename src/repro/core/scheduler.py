@@ -46,10 +46,6 @@ from .messages import (
     OutputRedirect,
     PassDone,
     PollTick,
-    QueryDone,
-    RecruitDeny,
-    RecruitGrant,
-    RecruitRequest,
     ReliefAck,
     ReliefPing,
     SpillOrder,
@@ -103,23 +99,11 @@ class SchedulerProcess:
         self.proc: Any = None
         self.strategy = make_strategy(self, self.cfg)
 
-        # node pools (paper: working / full / potential join nodes).
-        # In workload mode (ctx.pool set) the private potential pool is
-        # empty: every expansion node comes from the shared pool actor, and
-        # the initial nodes are whatever the admission grant handed us.
-        self.pool_client = ctx.pool
-        initial = (
-            list(ctx.initial_join_nodes)
-            if ctx.initial_join_nodes is not None
-            else list(range(self.cfg.initial_nodes))
-        )
-        self.working: list[int] = list(initial)
+        # node lists (paper: working / full / potential join nodes).  The
+        # potential list is the driver's: private, or a shared pool's client.
+        self.potential = ctx.potential
+        self.working: list[int] = list(self.potential.initial)
         self.full_nodes: list[int] = []
-        self.potential: list[int] = (
-            []
-            if self.pool_client is not None
-            else list(range(self.cfg.initial_nodes, ctx.n_potential))
-        )
         self.activated: list[int] = list(self.working)
 
         self.router: Router = self.strategy.make_initial_router(list(self.working))
@@ -134,7 +118,8 @@ class SchedulerProcess:
         #: on the reporter's behalf.
         self._full_info: dict[int, tuple[int, int | None]] = {}
         self.relief_active = False
-        self._active_deficit = 0
+        #: parked-backlog bytes of the relief cycle being served
+        self.active_deficit = 0
         #: nodes degraded to disk spilling (pool exhausted / atomic range)
         self.spilled_nodes: set[int] = set()
         #: pool nodes that never acked their ActivateJoin (presumed dead)
@@ -225,60 +210,13 @@ class SchedulerProcess:
         self._version += 1
         return self._version
 
-    def _pick_candidate(self) -> int | None:
-        """Remove and return the potential node with the most available
-        memory (paper's selection rule); ties broken by lowest pool index."""
-        if not self.potential:
-            return None
-        spec = self.ctx.cfg.effective_cluster
-        best = max(self.potential, key=lambda j: (spec.memory_of(j), -j))
-        self.potential.remove(best)
-        return best
-
-    def _acquire_candidate(self, phase: str) -> Generator[Any, Any, int | None]:
-        """One expansion candidate: from the private potential pool, or —
-        in workload mode — by asking the shared pool actor.
-
-        The pool path sends a :class:`RecruitRequest` carrying the current
-        relief cycle's memory deficit and blocks for the pool's verdict.
-        Exactly one response (grant or deny) exists per request, so the
-        wait cannot leak pool messages into other dispatch sites.  On a
-        grant the node is adopted first (the workload driver resets it and
-        spawns this query's JoinProcess) so the subsequent ActivateJoin
-        finds a live actor; on a deny the caller degrades to the OOC spill
-        path, exactly as it would on private-pool exhaustion.
-        """
-        pc = self.pool_client
-        if pc is None:
-            return self._pick_candidate()
-        yield from self.ctx.send(
-            self.node, pc.node,
-            RecruitRequest(
-                query=pc.query_id, want=1, admission=False,
-                deficit_bytes=self._active_deficit, phase=phase,
-            ),
-        )
-        while True:
-            msg = yield from self.node.mailbox.recv()
-            if isinstance(msg, RecruitGrant) and msg.query == pc.query_id:
-                cand = msg.nodes[0]
-                pc.adopt(cand)
-                return cand
-            if isinstance(msg, RecruitDeny) and msg.query == pc.query_id:
-                self.ctx.trace("recruit_denied", "scheduler",
-                               reason=msg.reason, phase=phase)
-                self.ctx.metrics.inc("sched.recruit_denied", 1,
-                                     reason=msg.reason)
-                return None
-            self._dispatch_common(msg)
-
     def recruit_node(
         self, make_activate: Callable[[int], ActivateJoin], phase: str = "build",
         parent: int | None = None,
     ) -> Generator[Any, Any, int | None]:
         """Acknowledged recruitment with failure handling.
 
-        Picks a candidate from the potential pool, sends it the
+        Takes a candidate off the potential list, sends it the
         ``ActivateJoin`` built by ``make_activate(candidate)``, and waits
         for its :class:`ActivateAck`.  If no ack arrives within the recruit
         timeout (a simulated-seconds deadline checked on drain-poll ticks,
@@ -296,7 +234,7 @@ class SchedulerProcess:
         """
         backoff = self._recruit_timeout_s / 2.0
         while True:
-            cand = yield from self._acquire_candidate(phase)
+            cand = yield from self.potential.take(self, phase)
             if cand is None:
                 self.ctx.trace("pool_exhausted", "scheduler", phase=phase)
                 return None
@@ -587,7 +525,7 @@ class SchedulerProcess:
         t0 = self.ctx.sim.now
         phase = self._phase
         self.ctx.metrics.inc("sched.relief_cycles", 1, phase=phase)
-        self._active_deficit = deficit
+        self.active_deficit = deficit
         try:
             if phase == "probe":
                 yield from self._relieve_output(reporter, edge)
@@ -595,7 +533,7 @@ class SchedulerProcess:
                 yield from self._relieve_build(reporter, edge)
         finally:
             self.relief_active = False
-            self._active_deficit = 0
+            self.active_deficit = 0
             self.ctx.metrics.set_gauge(
                 "sched.relief_latency_s", self.ctx.sim.now - t0, phase=phase
             )
@@ -702,14 +640,7 @@ class SchedulerProcess:
     def _shutdown(self) -> Generator[Any, Any, None]:
         self._halt_background()
         yield from self.broadcast_to_sources(Shutdown())
-        # Private mode shuts down the whole pool (dormant nodes just exit);
-        # workload mode only owns its granted nodes — shutting down the
-        # shared pool's dormant nodes would kill other queries' capacity.
-        if self.pool_client is None:
-            targets = list(range(self.ctx.n_potential))
-        else:
-            targets = sorted(set(self.activated) | set(self.dead_nodes))
-        for j in targets:
+        for j in self.potential.shutdown_targets(self):
             yield from self.send_to_join(j, Shutdown())
         # Wait until every *known-activated* node reported.  Set inclusion,
         # not a count: a zombie recruit (timed out but actually alive) also
@@ -719,15 +650,7 @@ class SchedulerProcess:
                 lambda m: isinstance(m, FinalReport)
             )
             self.outcome.final_reports[msg.node] = msg
-        if self.pool_client is not None:
-            # Release only nodes known alive and owned: zombies (granted
-            # but never acked) and timed-out recruits stay leaked — the
-            # pool shrinks, exactly as real hardware would.
-            released = tuple(sorted(self.activated))
-            yield from self.ctx.send(
-                self.node, self.pool_client.node,
-                QueryDone(query=self.pool_client.query_id, released=released),
-            )
+        yield from self.potential.release(self)
 
 
 def _ticker(

@@ -23,8 +23,8 @@ granted it records *who holds what*.  Two detections fall out:
 The monitor is attached as ``sim.lockdep`` (see
 :meth:`LockdepMonitor.install`); the primitives check the attribute on
 every blocking transition, so an unattached simulator pays one attribute
-load per wait and nothing else.  ``RunContext`` attaches it when
-``RunConfig.lockdep`` is set, which the CLI exposes as ``--lockdep`` and
+load per wait and nothing else.  The run drivers attach it when the
+config's ``lockdep`` is set, which the CLI exposes as ``--lockdep`` and
 the test suite defaults on (``REPRO_LOCKDEP=0`` opts out).
 """
 

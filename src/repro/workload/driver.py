@@ -8,7 +8,8 @@ and one *query runner* process per generated query.  A runner sleeps
 until its arrival time, asks the pool for the query's initial nodes
 (admission), then runs the completely unmodified single-query pipeline —
 scheduler, sources, lazily-adopted join processes — against its private
-view of the shared cluster.  Every query is still oracle-validated.
+view of the shared cluster, with the pool's client as the scheduler's
+potential list.  Every query is still oracle-validated.
 
 Fault handling mirrors the single-query driver where it can and narrows
 where it must: link faults (drops, slowdowns) ride the shared injector
@@ -21,18 +22,25 @@ while a query holds the node.
 from __future__ import annotations
 
 from collections.abc import Callable, Generator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from ..cluster import WorkloadCluster
 from ..config import WorkloadConfig
-from ..core.context import RunContext
-from ..core.driver import assemble_result, spawn_query_pipeline
+from ..core.context import RunContext, install_lockdep
+from ..core.driver import (
+    Run,
+    assemble_result,
+    close_run,
+    open_run,
+    spawn_scheduler,
+    spawn_sources,
+)
 from ..core.joinnode import JoinProcess
-from ..core.messages import RecruitGrant, RecruitRequest, Shutdown
+from ..core.messages import Shutdown
 from ..core.pool import PoolClient, PoolStats, ResourcePoolProcess
 from ..core.scheduler import SchedulerOutcome
-from ..faults import CrashSpec, FaultInjector
+from ..faults import CrashSpec
 from ..obs import (
     SCHEDULER_TRACK,
     MetricsRegistry,
@@ -40,9 +48,8 @@ from ..obs import (
     PhaseTimeline,
     Snapshot,
     StreamingCollector,
-    harvest,
 )
-from ..sim import AllOf, Interrupt, Process, Simulator, Tracer
+from ..sim import AllOf, Interrupt, Process, Simulator
 from .generator import QuerySpec, generate_workload, query_run_config
 from .results import QueryStats, WorkloadResult
 
@@ -58,65 +65,49 @@ class _QueryRecord:
     finished_s: float = 0.0
     ctx: RunContext | None = None
     outcome: SchedulerOutcome | None = None
-    granted_initial: list[int] = field(default_factory=list)
 
 
 def _query_runner(
-    sim: Simulator,
+    run: Run,
     wc: WorkloadCluster,
     pool: ResourcePoolProcess,
     spec: QuerySpec,
     cfg: WorkloadConfig,
-    metrics: MetricsRegistry,
     collector: StreamingCollector,
-    tracer: Tracer,
-    injector: FaultInjector | None,
     record: _QueryRecord,
 ) -> Generator[Any, Any, None]:
     """One query's lifecycle: arrive -> admit -> pipeline -> record."""
+    sim = run.sim
     qid = spec.query_id
     if spec.arrival_s > 0:
         yield sim.timeout(spec.arrival_s)
     record.arrival_s = sim.now
-    view = wc.views[qid]
     rcfg = query_run_config(cfg, spec)
-    ctx = RunContext(
-        sim, rcfg, cluster=view, metrics=metrics, spans=collector.spans,
-        tracer=tracer, faults=injector, query=qid,
-    )
 
-    def adopt(j: int) -> None:
+    def adopt(ctx: RunContext, j: int) -> None:
         # A granted node may have served an earlier query: clear its
         # hardware state, then bind this query's join process to it.
         wc.reset_join_node(j)
         jp = JoinProcess(ctx, j)
         sim.spawn(jp.run(), name=f"join{j}-q{qid}")
 
-    ctx.pool = PoolClient(node=pool.node, query_id=qid, adopt=adopt)
+    potential = PoolClient(node=pool.node, query_id=qid, adopt=adopt)
+    ctx = RunContext(
+        sim, rcfg, cluster=wc.views[qid], metrics=run.metrics,
+        spans=collector.spans, tracer=run.tracer, faults=run.faults,
+        potential=potential, query=qid,
+    )
     ctx.trace("query_arrival", f"query{qid}",
               algorithm=rcfg.algorithm.value, want=rcfg.initial_nodes)
 
-    # Admission: park at the pool until the initial nodes are free.  The
-    # grant is the only message that can reach this scheduler node before
-    # the pipeline exists.
-    yield from ctx.send(
-        view.scheduler_node, pool.node,
-        RecruitRequest(query=qid, want=rcfg.initial_nodes, admission=True),
-    )
-    msg = yield from view.scheduler_node.mailbox.recv()
-    if not (isinstance(msg, RecruitGrant) and msg.query == qid):
-        raise RuntimeError(
-            f"query {qid}: expected its admission RecruitGrant, got {msg!r}"
-        )
+    yield from potential.admit(ctx, rcfg.initial_nodes)
     record.admitted_s = sim.now
-    record.granted_initial = list(msg.nodes)
-    ctx.initial_join_nodes = list(msg.nodes)
-    for j in msg.nodes:
-        adopt(j)
     ctx.trace("query_admitted", f"query{qid}",
-              nodes=list(msg.nodes), waited=sim.now - record.arrival_s)
+              nodes=list(potential.initial),
+              waited=sim.now - record.arrival_s)
 
-    scheduler = spawn_query_pipeline(ctx, spawn_joins=False)
+    scheduler = spawn_scheduler(ctx)
+    spawn_sources(ctx, scheduler)
     outcome = yield scheduler.proc
     record.finished_s = sim.now
     record.ctx = ctx
@@ -212,8 +203,10 @@ def run_workload(
                 f"explicit specs must carry ids 0..{cfg.n_queries - 1} in "
                 f"order, got {[s.query_id for s in specs]}"
             )
-    sim = Simulator()
-    metrics = MetricsRegistry(clock=lambda: sim.now)
+    cluster_spec = cfg.effective_cluster
+    run = open_run(cfg.faults, cluster_spec.cost, trace=cfg.trace)
+    sim, metrics, injector = run.sim, run.metrics, run.faults
+    install_lockdep(sim, cfg, metrics)
     collector = StreamingCollector(
         clock=lambda: sim.now,
         budget=ObsBudget.from_bytes(cfg.obs.budget_bytes),
@@ -221,16 +214,6 @@ def run_workload(
         ring_resolution_s=cfg.obs.ring_resolution_s,
     )
     spans = collector.spans
-    tracer = Tracer(enabled=cfg.trace, maxlen=None)
-
-    def trace(category: str, actor: str, **detail: Any) -> None:
-        tracer.emit(sim.now, category, actor, **detail)
-
-    cluster_spec = cfg.effective_cluster
-    injector: FaultInjector | None = None
-    if cfg.faults is not None and cfg.faults.active:
-        injector = FaultInjector(cfg.faults, sim, metrics, trace=trace)
-        injector.resolve_timing(cluster_spec.cost)
 
     wc = WorkloadCluster.build(
         sim, cluster_spec, cfg.n_queries, metrics=metrics, faults=injector
@@ -249,7 +232,7 @@ def run_workload(
         poll_interval=cfg.drain_poll_interval * cfg.scale,
         memory_of=cluster_spec.memory_of,
         metrics=metrics,
-        trace=trace,
+        trace=run.trace,
     )
     pool_proc = sim.spawn(pool.run(), name="pool")
     if injector is not None:
@@ -262,8 +245,7 @@ def run_workload(
     records = [_QueryRecord() for _ in specs]
     runners = [
         sim.spawn(
-            _query_runner(sim, wc, pool, spec, cfg, metrics, collector,
-                          tracer, injector, record),
+            _query_runner(run, wc, pool, spec, cfg, collector, record),
             name=f"query{spec.query_id}",
         )
         for spec, record in zip(specs, records)
@@ -280,10 +262,7 @@ def run_workload(
 
     sim.run()
 
-    wc.network.assert_conserved()
     pool_stats: PoolStats = pool_proc.value
-
-    harvest(metrics, sim, wc.network, wc.all_nodes)
 
     results: list[Any] = []
     query_stats: list[QueryStats] = []
@@ -321,7 +300,8 @@ def run_workload(
                     algorithm=spec.entry.algorithm.value)
     makespan = max((q.finished_s for q in query_stats), default=0.0)
     metrics.set_gauge("workload.makespan_s", makespan)
-    metrics.close()
+    # (A workload attaches no causal log, so it can shed no edges.)
+    close_run(sim, metrics, wc, spans)
 
     in_use_hist = metrics.find("pool.nodes_in_use")
     pool_utilization = (
@@ -330,14 +310,6 @@ def run_workload(
         else 0.0
     )
 
-    # Budgeted runs publish their shed counts into the registry (so the
-    # report shows them); unbudgeted runs publish nothing — the registry
-    # snapshot is byte-for-byte what it was before streaming existed.
-    # (A workload has no causal log — RunContext's shared mode leaves
-    # the network hook unset — so it can shed no edges; the row stays.)
-    if spans.bounded:
-        metrics.inc("obs.spans_dropped", spans.dropped)
-        metrics.inc("obs.edges_dropped", 0)
     if cfg.obs.live_interval_s is not None:
         metrics.inc("obs.snapshots_emitted", collector.snapshots_emitted)
     final_snapshot = collector.snapshot(registry=metrics)
@@ -346,12 +318,12 @@ def run_workload(
         config=cfg,
         queries=query_stats,
         results=results,
-        pool=pool_stats.to_dict(),
+        pool=asdict(pool_stats),
         makespan_s=makespan,
         pool_utilization=pool_utilization,
         metrics=metrics.snapshot(),
         timeline=PhaseTimeline(spans.spans),
-        tracer=tracer,
+        tracer=run.tracer,
         snapshot=final_snapshot,
         spans_dropped=spans.dropped,
     )

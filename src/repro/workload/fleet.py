@@ -494,7 +494,9 @@ class FleetRunner:
         while True:
             try:
                 msg = conn.recv()
-            except EOFError:
+            except (EOFError, OSError):
+                # OSError: the worker died mid-write — ``recv`` got a
+                # length header and then less payload than it promised.
                 return True
             kind = msg[0]
             if kind == "snapshot":

@@ -23,6 +23,39 @@ def test_run_command_prints_summary(capsys):
     assert "phases (paper-scale s)" in out
 
 
+def test_run_command_goes_through_the_single_join_helper(monkeypatch, capsys):
+    """``run`` builds and runs its join the way ``trace``/``metrics``/
+    ``explain`` do; it writes no file, so it has nothing to refuse."""
+    import repro.cli as cli
+
+    calls = []
+    real = cli._run_single
+
+    def spy(args, command, **kw):
+        calls.append((command, args.out, args.force))
+        return real(args, command, **kw)
+
+    monkeypatch.setattr(cli, "_run_single", spy)
+    assert main(small_args(["run", "--initial-nodes", "2,4"])) == 0
+    assert calls == [("run", None, False)]
+    assert "phases (paper-scale s)" in capsys.readouterr().out
+
+
+def test_workload_and_single_join_share_one_cluster_spec():
+    """Both commands read the cluster flags through ``_cluster``."""
+    from repro.cli import _cluster, _config, _workload_config
+    from repro.config import Algorithm
+
+    flags = ["--pool", "10", "--sources", "3", "--node-memory-mb", "1.5",
+             "--topology", "hub"]
+    wl = build_parser().parse_args(["workload", *flags])
+    one = build_parser().parse_args(["run", *flags])
+    assert _workload_config(wl, None).cluster == _cluster(wl) \
+        == _config(one, Algorithm.HYBRID, 2).cluster
+    assert _cluster(wl).n_potential_nodes == 10
+    assert _cluster(wl).topology.value == "hub"
+
+
 def test_run_command_with_trace(capsys):
     rc = main(small_args(["run", "--algorithm", "split",
                           "--initial-nodes", "2", "--trace"]))

@@ -209,8 +209,8 @@ def test_cluster_memory_overrides():
         node_memory_overrides=((2, 999),),
     )
     cluster = Cluster.build(sim, spec)
-    assert cluster.join_node(2).memory.capacity == 999
-    assert cluster.join_node(1).memory.capacity == 100
+    assert cluster.join_nodes[2].memory.capacity == 999
+    assert cluster.join_nodes[1].memory.capacity == 100
     assert spec.memory_of(2) == 999
     assert spec.memory_of(0) == 100
 

@@ -1,9 +1,47 @@
 """Unit tests for data-source buffering and the trace recorder."""
 
 import numpy as np
+import pytest
 
+from repro.core.datasource import DataSourceProcess
+from repro.core.driver import single_query_context
+from repro.core.messages import ReplayOrder
+from repro.core.scheduler import SchedulerProcess
 from repro.data import ChunkBuffer
 from repro.sim import TraceRecord, Tracer
+from tests.conftest import small_config, small_workload
+
+
+# ----------------------------------------------------------------------
+# replay re-chunking (a ChunkBuffer with one destination)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("limit,sizes", [
+    (7, [64, 64, 64, 41]),
+    (11, [64, 64, 64, 64, 64, 43]),
+    (0, []),
+])
+def test_replayed_chunk_sizes_for_a_fixed_prefix(limit, sizes):
+    """The target's share of batches ``[0, limit)`` ships as full chunks
+    plus one remainder, in generation order (sizes recorded before
+    ``_replay_prefix`` re-chunked through a ChunkBuffer): replay receipts,
+    and with them the simulated time a recovery takes, depend on it."""
+    ctx = single_query_context(
+        small_config(workload=small_workload(r=6000, chunk=64)))
+    src = DataSourceProcess(ctx, 0, SchedulerProcess(ctx).router)
+    shipped = []
+    src._send_replay_chunk = (
+        lambda order, values: shipped.append(int(values.size)) or ())
+    order = ReplayOrder(relation="R", target=1, recovery_id=1, router=None)
+    receipt = []
+
+    def drive():
+        receipt.append((yield from src._replay_prefix(order, limit=limit)))
+
+    ctx.sim.spawn(drive())
+    ctx.sim.run()
+    assert shipped == sizes
+    assert receipt[0].tuples == sum(sizes)
+    assert receipt[0].chunks_sent == ({1: len(sizes)} if sizes else {})
 
 
 # ----------------------------------------------------------------------

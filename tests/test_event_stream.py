@@ -15,10 +15,18 @@ from types import GeneratorType
 
 import pytest
 
-from repro.config import Algorithm, RunConfig, WorkloadSpec
+from repro.config import (
+    Algorithm,
+    ClusterSpec,
+    QueryMixEntry,
+    RunConfig,
+    WorkloadConfig,
+    WorkloadSpec,
+)
 from repro.core import run_join
 from repro.core.joinnode import JoinProcess
 from repro.sim import Process
+from repro.workload import run_workload
 from tests.conftest import small_config, small_workload
 
 EXPECTED = Path(__file__).resolve().parents[1] / "benchmarks/perf/expected.json"
@@ -67,6 +75,37 @@ def test_trace_stream_matches_the_golden_order():
     assert metric_total(res, "sim.events_executed") == 11028
     assert digest.hexdigest() == (
         "9a1d39be601254eaee09ec2f791dd83942b032c700a8e37d6546212c3cb56bd2"
+    )
+
+
+def test_workload_trace_stream_matches_the_golden_order():
+    """The same guard for the shared-cluster path: four queries (three
+    replicate, one hybrid) 50 ms apart on a pool of six scarce-memory
+    nodes — admissions, grants, six recruit denials, spill fallbacks,
+    releases.  A reordered spawn or send in either driver moves the
+    stream.  Recorded at the parent of the commit that folded the
+    private/shared fork out of ``repro.core``."""
+    res = run_workload(WorkloadConfig(
+        n_queries=4,
+        arrival_times=tuple(0.05 * q for q in range(4)),
+        cluster=ClusterSpec(n_sources=2, n_potential_nodes=6,
+                            hash_memory_bytes=50 * 1024 * 1024),
+        mix=tuple(
+            QueryMixEntry(algorithm=a, initial_nodes=2)
+            for a in (Algorithm.HYBRID, Algorithm.SPLIT, Algorithm.REPLICATE)
+        ),
+        scale=1.0 / 50.0, seed=7, trace=True,
+    ))
+    assert [q.algorithm for q in res.queries] == [
+        "replicate", "replicate", "replicate", "hybrid"]
+    assert res.total_denials == 6
+    assert len(res.tracer.records) == 124
+    assert metric_total(res, "sim.events_executed") == 95480
+    digest = hashlib.sha256()
+    for rec in res.tracer.records:
+        digest.update(f"{rec.time!r} {rec.category} {rec.actor}\n".encode())
+    assert digest.hexdigest() == (
+        "fb18ab5ba0b01cae58504652e2669afa7f55cd9842291411e59603429be694f4"
     )
 
 

@@ -20,7 +20,7 @@ import pytest
 from tests.conftest import small_cluster, small_config, small_workload
 from repro.config import Algorithm
 from repro.core import run_join
-from repro.core.context import RunContext
+from repro.core.driver import single_query_context
 from repro.core.joinnode import JoinProcess
 from repro.core.messages import DataChunk, Hop
 from repro.faults import (
@@ -133,7 +133,7 @@ def test_attach_rejects_out_of_pool_crash_target(config_factory):
 # ----------------------------------------------------------------------
 def test_joinnode_suppresses_duplicate_chunks():
     cfg = small_config()
-    ctx = RunContext(Simulator(), cfg)
+    ctx = single_query_context(cfg)
     jp = JoinProcess(ctx, 0)
     node = ctx.join_node(0)
 
@@ -164,7 +164,7 @@ def test_joinnode_suppresses_duplicate_chunks():
 # ----------------------------------------------------------------------
 def test_injector_draws_no_rng_when_probability_zero():
     cfg = small_config()
-    ctx = RunContext(Simulator(), cfg)
+    ctx = single_query_context(cfg)
     inj = FaultInjector(FaultPlan(crashes=(CrashSpec(node=1, at_time=0.0),)),
                         ctx.sim, ctx.metrics)
     state_before = inj._rng.bit_generator.state["state"]
@@ -175,14 +175,14 @@ def test_injector_draws_no_rng_when_probability_zero():
 
 def test_injector_loopback_never_drops():
     cfg = small_config()
-    ctx = RunContext(Simulator(), cfg)
+    ctx = single_query_context(cfg)
     inj = FaultInjector(FaultPlan(drop_prob=0.999), ctx.sim, ctx.metrics)
     assert not any(inj.roll_drop(4, 4) for _ in range(50))
 
 
 def test_rto_backoff_is_exponential_and_capped():
     cfg = small_config()
-    ctx = RunContext(Simulator(), cfg)
+    ctx = single_query_context(cfg)
     inj = FaultInjector(FaultPlan(drop_prob=0.1, rto_s=1.0, rto_backoff=2.0,
                                   rto_max_s=5.0), ctx.sim, ctx.metrics)
     inj.resolve_timing(ctx.cost)

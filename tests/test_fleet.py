@@ -196,6 +196,28 @@ def test_worker_crash_becomes_structured_failure(monkeypatch):
     assert res.to_dict()["failures"][0]["kind"] == "crash"
 
 
+def test_worker_dying_mid_pipe_write_is_end_of_pipe():
+    """A worker killed mid-message leaves a length header and less payload
+    than it promised: ``Connection.recv`` raises OSError (partial read), not
+    EOFError (empty read).  The runner must read both as "pipe closed" —
+    after keeping the complete message that came first — so the shard is
+    reaped into a ``ShardFailure(kind="crash")`` instead of a traceback."""
+    import os
+    import struct
+    from multiprocessing import Pipe
+
+    from repro.workload.fleet import FleetRunner
+
+    reader, writer = Pipe(duplex=False)
+    writer.send(("worker_done", 1, 0.25))
+    os.write(writer.fileno(), struct.pack("!i", 4096) + b"short")
+    writer.close()
+    walls: dict[int, float] = {}
+    runner = FleetRunner(fleet_config())
+    assert runner._drain_conn(reader, 1, {}, {}, {}, walls, {}) is True
+    assert walls == {1: 0.25}
+
+
 # ----------------------------------------------------------------------
 # arrival generators (the autoscaling study's inputs)
 # ----------------------------------------------------------------------

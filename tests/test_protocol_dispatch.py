@@ -9,8 +9,8 @@ checker fix); a checker bug that stops seeing real handlers fails here.
 
 The dispatch inventory is the union of the live handler tables — the
 ``_handlers`` dict of a constructed join process, scheduler,
-fault-tolerant scheduler and resource pool — and the ``isinstance`` arms
-of the actors and protocol waits that are not table-driven.
+fault-tolerant scheduler, data source and resource pool — and the
+``isinstance`` arms of the protocol waits, which are not table-driven.
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ import repro.core.replicate
 import repro.core.scheduler
 import repro.core.split
 from repro.core import messages as messages_mod
-from repro.core.context import RunContext
+from repro.core.driver import single_query_context
 from repro.faults import FaultPlan
 from repro.hashing import HashRange, RangeRouter
-from repro.sim import Simulator
 from tests.conftest import small_config
 
 #: every module that may legitimately dispatch protocol messages
@@ -59,9 +58,9 @@ DISPATCH_MODULES = (
 def handler_tables() -> dict[str, dict[type, object]]:
     """The ``{message type: handler}`` table of each table-driven actor,
     read off live instances."""
-    ctx = RunContext(Simulator(), small_config())
-    ft_ctx = RunContext(
-        Simulator(), small_config(faults=FaultPlan(membership=True))
+    ctx = single_query_context(small_config())
+    ft_ctx = single_query_context(
+        small_config(faults=FaultPlan(membership=True))
     )
     return {
         "JoinProcess": repro.core.joinnode.JoinProcess(ctx, 0)._handlers,
@@ -69,6 +68,9 @@ def handler_tables() -> dict[str, dict[type, object]]:
             repro.core.scheduler.SchedulerProcess(ctx)._handlers,
         "FaultTolerantScheduler":
             repro.core.recovery.FaultTolerantScheduler(ft_ctx)._handlers,
+        "DataSourceProcess": repro.core.datasource.DataSourceProcess(
+            ctx, 0, repro.core.scheduler.SchedulerProcess(ctx).router,
+        )._handlers,
         "ResourcePoolProcess": repro.core.pool.ResourcePoolProcess(
             ctx.sim, ctx.cluster.network, ctx.scheduler_node,
             free_nodes=[], sched_nodes={},
@@ -182,6 +184,20 @@ def test_handler_tables_are_the_actors_dispatch():
     }
 
 
+def test_data_source_control_path_is_one_table():
+    """Everything a scheduler broadcasts to the sources has a row, and the
+    source reads its mailbox through that table alone."""
+    rows = {cls.__name__ for cls in handler_tables()["DataSourceProcess"]}
+    assert rows == {"RouteUpdate", "ReplayOrder", "SchedulerFailover",
+                    "StartProbe", "Shutdown"}
+    tree = ast.parse(textwrap.dedent(inspect.getsource(repro.core.datasource)))
+    assert not [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        and n.func.id == "isinstance"
+    ]
+
+
 def test_handler_table_does_not_make_the_actor_a_reference_cycle():
     """Rows are plain functions, not bound methods: a join process (and
     the hash table it holds) must be freed by reference counting when the
@@ -190,7 +206,7 @@ def test_handler_table_does_not_make_the_actor_a_reference_cycle():
     import gc
     import weakref
 
-    ctx = RunContext(Simulator(), small_config())
+    ctx = single_query_context(small_config())
     gc.disable()
     try:
         jp = repro.core.joinnode.JoinProcess(ctx, 0)
@@ -222,8 +238,9 @@ def test_pool_protocol_has_both_ends():
     """The workload pool protocol is dispatched on both sides of the wire.
 
     The pool actor must consume what schedulers send it (requests, query
-    completion) and the scheduler must consume what the pool answers
-    (grants, denials); a one-sided arm would deadlock a workload run.
+    completion) and the query's pool client — the scheduler's potential
+    list, same module — must consume what the pool answers (grants,
+    denials); a one-sided arm would deadlock a workload run.
     """
     def arms(mod) -> set[str]:
         refs: set[str] = set()
@@ -241,7 +258,7 @@ def test_pool_protocol_has_both_ends():
 
     pool_rows = {cls.__name__ for cls in handler_tables()["ResourcePoolProcess"]}
     assert {"RecruitRequest", "QueryDone", "PollTick", "Shutdown"} <= pool_rows
-    assert {"RecruitGrant", "RecruitDeny"} <= arms(repro.core.scheduler)
+    assert {"RecruitGrant", "RecruitDeny"} <= arms(repro.core.pool)
 
 
 def test_mirror_agrees_with_static_pass():

@@ -8,15 +8,14 @@ These tests drive ``_collect_report`` directly with synthetic reports.
 
 from tests.conftest import small_config
 from repro.config import Algorithm
-from repro.core.context import RunContext
+from repro.core.driver import single_query_context
 from repro.core.messages import StatusReport
 from repro.core.scheduler import SchedulerProcess
-from repro.sim import Simulator
 
 
 def make_sched(initial=2):
     cfg = small_config(Algorithm.REPLICATE, initial=initial)
-    ctx = RunContext(Simulator(), cfg)
+    ctx = single_query_context(cfg)
     sched = SchedulerProcess(ctx)
     sched._phase = "build"
     sched._source_done["R"] = set(range(ctx.n_sources))

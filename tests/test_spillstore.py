@@ -4,16 +4,15 @@ import numpy as np
 
 from tests.conftest import small_config
 from repro.config import Algorithm
-from repro.core.context import RunContext
+from repro.core.driver import single_query_context
 from repro.core.joinnode import SpillStore
 from repro.hashing import HashRange
 from repro.seqjoin import match_count
-from repro.sim import Simulator
 
 
 def make_store(memory=10_000, k_parts=4, rng_width=1 << 12):
     cfg = small_config(Algorithm.OUT_OF_CORE, initial=2)
-    ctx = RunContext(Simulator(), cfg)
+    ctx = single_query_context(cfg)
     node = ctx.join_node(0)
     node.memory.capacity = memory
     store = SpillStore(ctx, 0, k_parts=k_parts,

@@ -14,13 +14,12 @@ import pytest
 
 from tests.conftest import small_config
 from repro.config import Algorithm, SplitPolicy
-from repro.core.context import RunContext
+from repro.core.driver import single_query_context
 from repro.core.joinnode import JoinProcess
 from repro.core.messages import DataChunk, Hop, Shutdown
 from repro.core.scheduler import SchedulerProcess
 from repro.hashing import RangeRouter
 from repro.hashing.hashfn import VALUE_BITS
-from repro.sim import Simulator
 
 KINDS = {
     "replicate": (Algorithm.REPLICATE, SplitPolicy.LINEAR_POINTER),
@@ -34,8 +33,8 @@ def expand_once(kind: str, applies: int) -> dict:
     state after ``applies`` applications of the one decision."""
     algorithm, policy = KINDS[kind]
     cfg = small_config(algorithm, initial=2, split_policy=policy)
-    sim = Simulator()
-    ctx = RunContext(sim, cfg)
+    ctx = single_query_context(cfg)
+    sim = ctx.sim
     sched = SchedulerProcess(ctx)
     joins = [JoinProcess(ctx, j) for j in range(ctx.n_potential)]
     for jp in joins:
