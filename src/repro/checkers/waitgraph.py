@@ -175,6 +175,11 @@ def _analyze_class(
             awaited=awaited, exclusive=exclusive,
             sends_while_waiting=sends.get(name, set()),
         ))
+    rows = handler_table_keys(node) & messages
+    if rows and not pc.waits:
+        # A layer that only merges rows into an inherited table has no wait
+        # of its own, but its base's table-driven loop now waits for them.
+        pc.waits.append(_WaitState(node.name, "_handlers", source, node.lineno, rows))
     if not pc.waits and not pc.sends:
         return None
     return pc

@@ -15,9 +15,9 @@ Everything but :func:`single_query_context` (what makes a query the only
 one on its cluster) is shared with the multi-tenant workload driver
 (:mod:`repro.workload`), which runs many of these pipelines inside one
 simulator: :func:`open_run` / :func:`close_run` around the simulation,
-:func:`spawn_scheduler` / :func:`spawn_sources` per query, and
-:func:`assemble_result` turning each scheduler outcome into a per-query
-:class:`JoinRunResult`.
+:func:`spawn_scheduler` / :func:`spawn_join` / :func:`spawn_sources` per
+query, and :func:`assemble_result` turning each scheduler outcome into a
+per-query :class:`JoinRunResult`.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from .results import JoinRunResult, NodeLoad, NodeUtilization, PhaseTimes
 from .scheduler import SchedulerOutcome, SchedulerProcess
 
 __all__ = [
-    "run_join", "assemble_result", "single_query_context",
-    "Run", "open_run", "close_run", "spawn_scheduler", "spawn_sources",
+    "run_join", "assemble_result", "single_query_context", "Run", "open_run",
+    "close_run", "spawn_scheduler", "spawn_join", "spawn_sources",
 ]
 
 
@@ -144,16 +144,26 @@ def spawn_scheduler(ctx: RunContext) -> SchedulerProcess:
     return scheduler
 
 
+def spawn_join(ctx: RunContext, j: int, name: str) -> tuple[JoinProcess, Any]:
+    """Spawn pool node ``j``'s join process (dormant until activated);
+    returns it and its simulation process.  Layered on the scheduler's
+    test: its failover and death verdicts need joins that understand them."""
+    if ctx.backup_node is not None:
+        from .recovery import FaultTolerantJoinProcess
+
+        jp: JoinProcess = FaultTolerantJoinProcess(ctx, j)
+    else:
+        jp = JoinProcess(ctx, j)
+    return jp, ctx.sim.spawn(jp.run(), name=name)
+
+
 def _spawn_all_joins(ctx: RunContext, scheduler: SchedulerProcess) -> None:
-    """A JoinProcess for the entire pool up front (dormant until
-    activated), and the injector armed with its crash targets."""
-    joins = [JoinProcess(ctx, j) for j in range(ctx.n_potential)]
-    join_procs = {}
-    for jp in joins:
-        join_procs[jp.index] = ctx.sim.spawn(jp.run(), name=f"join{jp.index}")
+    """A join process for the entire pool up front, and the injector armed
+    with its crash targets."""
+    joins = {j: spawn_join(ctx, j, f"join{j}") for j in range(ctx.n_potential)}
     if ctx.faults is not None:
         ctx.faults.attach_scheduler(scheduler.proc)
-        ctx.faults.attach_joins(join_procs, {jp.index: jp for jp in joins})
+        ctx.faults.attach_joins(joins)
         ctx.faults.start()
 
 

@@ -17,7 +17,7 @@ node's split history and is therefore exact.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from collections.abc import Callable, Generator
 from typing import Any
 
@@ -38,13 +38,9 @@ from .messages import (
     DataChunk,
     FinalReport,
     FinalizePass,
-    HeartbeatAck,
-    HeartbeatPing,
     Hop,
     LinearSplitOrder,
     MemoryFull,
-    NodeLost,
-    NodeLostAck,
     OutputRedirect,
     PassDone,
     ReliefAck,
@@ -52,7 +48,6 @@ from .messages import (
     ReplicateOrder,
     ReshuffleDone,
     ReshuffleOrder,
-    SchedulerFailover,
     Shutdown,
     SpillOrder,
     SplitDone,
@@ -210,19 +205,15 @@ class JoinProcess:
         )
         self.spill: SpillStore | None = None
         self.my_range: HashRange | None = None
-        self.bucket: int | None = None
         self.successor: int | None = None       # replication forwarding
         #: sequence numbers of data chunks already received — duplicate
         #: suppression for the at-least-once transport (idempotent receipt);
         #: cleared at FinalizePass (its high-water mark is the
         #: ``node.dedup_window`` gauge)
         self._seen_seqs: set[tuple[int, int]] = set()
-        #: successor may be ``None`` after its target was declared dead —
-        #: shed tuples are then discarded (the recovery replay covers them)
-        self.shed_chain: list[tuple[ShedPredicate, int | None]] = []
+        self.shed_chain: list[tuple[ShedPredicate, int]] = []
         self.parked: deque[DataChunk] = deque()
         self.pre_activation: deque[DataChunk] = deque()
-        self.full_pending = False
         self.activated_at: float = float("nan")
         self.probe_started_at: float = float("nan")
         self.matches = 0
@@ -243,29 +234,12 @@ class JoinProcess:
         self.output_spilled = 0         # pairs spilled to local disk
         self.output_pending = 0         # pairs awaiting a sink/spill order
         self.output_sink_node: int | None = None
-        self.output_full_pending = False
         self._output_spill_mode = False  # pool exhausted: disk from now on
         self.emitted_probe = 0
         self._tb = ctx.cfg.workload.tuple_bytes
-        # --- control-plane fault tolerance (repro.core.membership) ---
-        #: pool indices of peers the scheduler declared dead
-        self.fenced: set[int] = set()
-        #: their global node ids (data chunks carry the global ``origin``)
-        self._fenced_gids: set[int] = set()
-        #: purged after a replica-chain member died: stored segment dropped,
-        #: all further data discarded (the replay re-streams the range)
-        self.quarantined = False
-        # Per-peer drain-counter components, so a dead peer's contribution
-        # can be subtracted from the totals reported to the drain protocol
-        # (its own counters died with it, and the books must still balance).
-        self._recv_build_by_origin: defaultdict[int, int] = defaultdict(int)
-        self._proc_build_by_origin: defaultdict[int, int] = defaultdict(int)
-        self._emitted_build_by_dest: defaultdict[int, int] = defaultdict(int)
         #: linear splits already executed (idempotent re-drive after failover)
         self._applied_splits: set[tuple[int, int]] = set()
         self._finalized_pass = False
-        #: the data chunk being dispatched still holds its receive credit
-        self._msg_credit = False
         #: message type -> handler: the whole dispatch (and the inventory
         #: the protocol lint and its runtime mirror read).  Adding a
         #: message is one row here.  The rows are plain functions, called
@@ -287,9 +261,6 @@ class JoinProcess:
             CountRequest: cls._on_count_request,
             ReshuffleOrder: cls._on_reshuffle_order,
             FinalizePass: cls._on_finalize_pass,
-            HeartbeatPing: cls._on_heartbeat_ping,
-            NodeLost: cls._on_node_lost,
-            SchedulerFailover: cls._on_scheduler_failover,
             Shutdown: cls._on_shutdown,
         }
 
@@ -302,9 +273,7 @@ class JoinProcess:
                 # recv() withdraws the pending getter on Interrupt, so
                 # later deliveries are not consumed by a dead waiter.
                 msg = yield from self.node.mailbox.recv()
-                self._msg_credit = type(msg) is DataChunk
                 yield from self._dispatch(msg)
-                self._msg_credit = False
         except Interrupt as itr:
             # Fail-stop crash injected by the fault plan, possibly mid-
             # dispatch (a working node dies holding join state).  The node
@@ -322,18 +291,19 @@ class JoinProcess:
         Delivery completes regardless of receiver liveness (byte
         conservation), but receive-window credits are released by the
         *consumer* — so a dead node must keep returning them or live
-        senders eventually jam on its receive window.  Credits held by the
-        in-dispatch chunk and by parked chunks are returned immediately;
-        every later data chunk is retired on arrival.  A Shutdown ends the
-        absorber (the scheduler still sweeps dead nodes at end of run).
+        senders eventually jam on its receive window.  Every chunk that
+        arrived and was not retired holds one (in dispatch, in a backlog,
+        or popped from one and caught mid-consume), so received − processed
+        credits are returned immediately; every later data chunk is retired
+        on arrival.  A Shutdown ends the absorber (the scheduler still
+        sweeps dead nodes at end of run).
         """
-        if self._msg_credit:
+        owed = (self.received_build + self.received_probe
+                - self.processed_build - self.processed_probe)
+        for _ in range(owed):
             self.node.recv_credits.release()
-            self._msg_credit = False
-        for backlog in (self.parked, self.pre_activation):
-            while backlog:
-                backlog.popleft()
-                self.node.recv_credits.release()
+        self.parked.clear()
+        self.pre_activation.clear()
         while True:
             msg = yield from self.node.mailbox.recv()
             if isinstance(msg, DataChunk):
@@ -355,12 +325,22 @@ class JoinProcess:
     def _on_data_chunk(self, msg: DataChunk) -> Generator[Any, Any, None]:
         if self._suppress_duplicate(msg):
             return
-        if msg.relation == "R":
-            yield from self._on_build_chunk(msg)
-        elif msg.relation == "O":
-            yield from self._on_output_chunk(msg)
-        else:
-            yield from self._on_probe_chunk(msg)
+        self._count_arrival(msg)
+        if self.state == self.DORMANT:
+            # Raced ahead of our ActivateJoin; replayed on activation.  The
+            # backlog entry keeps the chunk's receive credit until then.
+            self.pre_activation.append(msg)
+            return
+        yield from self._consume(msg)
+
+    def _consume(self, chunk: DataChunk) -> Generator[Any, Any, Any]:
+        """Consume one counted data chunk, by relation: build tuples,
+        materialized output pairs (an output sink), probe tuples."""
+        if chunk.relation == "R":
+            return self._consume_build(chunk)
+        if chunk.relation == "O":
+            return self._consume_output(chunk)
+        return self._consume_probe(chunk)
 
     def _suppress_duplicate(self, chunk: DataChunk) -> bool:
         """Idempotent receipt: drop a re-delivered data chunk.
@@ -379,12 +359,8 @@ class JoinProcess:
         if key not in self._seen_seqs:
             self._seen_seqs.add(key)
             return False
-        if chunk.relation == "R":
-            self._count_build_arrival(chunk.origin)
-            self._retire_build_chunk(chunk.origin)
-        else:
-            self.received_probe += 1
-            self._retire_probe_chunk()
+        self._count_arrival(chunk)
+        self._retire(chunk)
         self.ctx.metrics.inc("faults_duplicates_suppressed", 1,
                              node=self.node.name)
         self.ctx.trace("duplicate_suppressed", f"join{self.index}",
@@ -395,89 +371,65 @@ class JoinProcess:
     # activation
     # ------------------------------------------------------------------
     def _on_activate(self, msg: ActivateJoin) -> Generator[Any, Any, None]:
-        if self.state != self.DORMANT:
-            # Idempotent re-activation: a scheduler failover re-drives its
-            # pending decision, and the recruit may have acked the dead
-            # primary.  Re-confirm to the current scheduler and keep state.
-            yield from self._reply(ActivateAck(self.index))
-            return
-        self.my_range = msg.hash_range
-        self.bucket = msg.bucket
-        self.is_output_sink = msg.output_sink
-        self.state = self.PROBE if msg.phase == "probe" else self.BUILD
-        self.activated_at = self.ctx.sim.now
-        if self.state == self.PROBE:  # probe-phase recruit (output sink)
-            self.probe_started_at = self.activated_at
-        self.ctx.trace("activate", f"join{self.index}",
-                       range=str(msg.hash_range), bucket=msg.bucket)
+        if self.state == self.DORMANT:
+            self.my_range = msg.hash_range
+            self.is_output_sink = msg.output_sink
+            self.state = self.PROBE if msg.phase == "probe" else self.BUILD
+            self.activated_at = self.ctx.sim.now
+            if self.state == self.PROBE:  # probe-phase recruit (output sink)
+                self.probe_started_at = self.activated_at
+            self.ctx.trace("activate", f"join{self.index}",
+                           range=str(msg.hash_range), bucket=msg.bucket)
+        # else: idempotent re-activation — a scheduler failover re-drives
+        # its pending decision, and the recruit may have acked the dead
+        # primary.  Re-confirm to the current scheduler and keep state.
         # Confirm recruitment before replaying raced-ahead chunks: the
         # scheduler's recruit timeout must measure liveness, not workload.
         yield from self._reply(ActivateAck(self.index))
         # Chunks that raced ahead of the activation message.
         while self.pre_activation:
-            chunk = self.pre_activation.popleft()
-            if chunk.relation == "O":
-                yield from self._materialize_output(chunk.tuples)
-                self._retire_probe_chunk()
-            else:
-                yield from self._on_build_chunk(chunk, already_counted=True)
+            yield from self._consume(self.pre_activation.popleft())
 
     # ------------------------------------------------------------------
     # build path
     # ------------------------------------------------------------------
-    def _count_build_arrival(self, origin: int) -> None:
-        self.received_build += 1
-        if origin >= 0:
-            self._recv_build_by_origin[origin] += 1
+    def _count_arrival(self, chunk: DataChunk) -> None:
+        if chunk.relation == "R":
+            self.received_build += 1
+        else:  # probe tuples, or materialized output pairs
+            self.received_probe += 1
 
-    def _retire_build_chunk(self, origin: int = -1) -> None:
-        """Mark one delivered build chunk fully consumed: count it and
+    def _retire(self, chunk: DataChunk) -> None:
+        """Mark one delivered data chunk fully consumed: count it and
         return its receive-window credit to the senders."""
-        self.processed_build += 1
-        if origin >= 0:
-            self._proc_build_by_origin[origin] += 1
+        if chunk.relation == "R":
+            self.processed_build += 1
+        else:
+            self.processed_probe += 1
         self.node.recv_credits.release()
-        self._msg_credit = False
 
-    def _retire_probe_chunk(self) -> None:
-        """Same for a probe (or materialized-output) chunk."""
-        self.processed_probe += 1
-        self.node.recv_credits.release()
-        self._msg_credit = False
+    def _count_build_emission(self, dest: int) -> None:
+        self.emitted_build += 1
 
-    def _on_build_chunk(
-        self, chunk: DataChunk, already_counted: bool = False
-    ) -> Generator[Any, Any, None]:
-        if not already_counted:
-            self._count_build_arrival(chunk.origin)
-        if self.state == self.DORMANT:
-            self.pre_activation.append(chunk)
-            self._msg_credit = False
-            return
-        if self.quarantined:
-            # Purged after a chain member died: the whole range is being
-            # re-streamed to a fresh target; stragglers are covered by it.
-            self._retire_build_chunk(chunk.origin)
-            return
+    def _consume_build(
+        self, chunk: DataChunk, retry: bool = False
+    ) -> Generator[Any, Any, bool]:
+        """Relay, shed, insert: True once the chunk is retired.  False
+        means its remainder is parked: the chunk counts as processed (and
+        its credit is released) only when the parked remainder is finally
+        consumed (_retry_parked_and_ack) — which is what throttles senders."""
         if self.state == self.CLOSED and chunk.hop != Hop.RESHUFFLE:
             # Replication: a closed node relays build traffic to the node
             # that replaced it (which may itself relay — chain forwarding).
             self._spawn_transfer(chunk.values, self.successor, Hop.FORWARD)
-            self._retire_build_chunk(chunk.origin)
-            return
-
-        values = yield from self._apply_shed_chain(chunk.values)
-        if values.size == 0:
-            self._retire_build_chunk(chunk.origin)
-            return
-        fully = yield from self._insert_or_park(
-            values, force=chunk.hop == Hop.RESHUFFLE, origin=chunk.origin
-        )
-        if fully:
-            self._retire_build_chunk(chunk.origin)
-        # else: remainder parked; this chunk counts as processed (and its
-        # credit is released) only when the parked remainder is finally
-        # consumed (_reprocess_parked) — which is what throttles senders.
+        else:
+            values = yield from self._apply_shed_chain(chunk.values)
+            if values.size and not (
+                yield from self._insert_or_park(values, chunk, retry)
+            ):
+                return False
+        self._retire(chunk)
+        return True
 
     def _apply_shed_chain(self, values: np.ndarray) -> Generator[Any, Any, np.ndarray]:
         """Forward any tuples this node has shed; return what remains ours."""
@@ -486,16 +438,13 @@ class JoinProcess:
                 break
             mask = pred(self.ctx.posmap(values))
             if mask.any():
-                out = values[mask]
+                yield from self._shed(values[mask], succ)
                 values = values[~mask]
-                if succ is None:
-                    # Shed target was declared dead; its range is being
-                    # re-streamed from the sources, so forwarding would
-                    # double-deliver.  Drop.
-                    continue
-                yield from self._repack(out.size)
-                self._spawn_transfer(out, succ, Hop.FORWARD)
         return values
+
+    def _shed(self, out: np.ndarray, succ: int) -> Generator[Any, Any, None]:
+        yield from self._repack(out.size)
+        self._spawn_transfer(out, succ, Hop.FORWARD)
 
     def _repack(self, n: int) -> Generator[Any, Any, None]:
         """CPU charge for packing ``n`` stored tuples into wire buffers."""
@@ -508,17 +457,18 @@ class JoinProcess:
         return moved
 
     def _insert_or_park(
-        self, values: np.ndarray, force: bool = False, origin: int = -1,
-        retry: bool = False,
+        self, values: np.ndarray, chunk: DataChunk, retry: bool
     ) -> Generator[Any, Any, bool]:
-        """Insert into the table; park what does not fit.  Returns True when
-        everything was consumed (inserted or spilled).
+        """Insert what ``chunk`` left us (``values``) into the table; park
+        what does not fit.  Returns True when everything was consumed
+        (inserted or spilled).
 
         ``retry`` marks a parked remainder being retried after a relief
         action: what still does not fit goes back to the *front* of the
         backlog, and the caller reports ``still_full`` through its
         ReliefAck instead of a fresh MemoryFull."""
         cost = self.ctx.cost
+        force = chunk.hop == Hop.RESHUFFLE
         if self.spill is not None:
             # Overflow mode (OOC / fallback): straight to disk partitions.
             yield from self.spill.write_r(values)
@@ -547,9 +497,7 @@ class JoinProcess:
             # (§2): on overflow the whole partition goes to disk bucket
             # files, including what was already inserted in memory, and the
             # join is performed out of core per bucket pair.
-            self.spill = SpillStore(self.ctx, self.index, hash_range=self.my_range)
-            self.ctx.trace("spill_start", f"join{self.index}",
-                           dumped=self.store.stored_tuples)
+            self._open_spill("spill_start", dumped=self.store.stored_tuples)
             dumped = self._freed(
                 self.store.extract_position_range(0, self.ctx.cfg.hash_positions)
             )
@@ -557,43 +505,30 @@ class JoinProcess:
                 yield from self.spill.write_r(dumped)
             yield from self.spill.write_r(values)
             return True
-        remainder = DataChunk("R", values, self._tb, hop=Hop.FORWARD, origin=origin)
+        # The parked entry now owns the chunk's receive credit.
+        remainder = DataChunk("R", values, self._tb, hop=Hop.FORWARD,
+                              origin=chunk.origin)
         if retry:
             self.parked.appendleft(remainder)
             return False
         self.parked.append(remainder)
-        # The parked entry now owns the receive credit.
-        self._msg_credit = False
-        if not self.full_pending:
-            self.full_pending = True
+        if len(self.parked) == 1:  # a new backlog: announce it, once
             self.ctx.trace("memory_full", f"join{self.index}",
                            stored=self.store.stored_tuples)
-            deficit = sum(c.nbytes for c in self.parked)
-            yield from self._reply(MemoryFull(self.index, deficit_bytes=deficit))
+            yield from self._report_full()
         return False
 
-    def _reprocess_parked(self) -> Generator[Any, Any, bool]:
-        """Retry parked chunks after a relief action; True if still stuck."""
-        while self.parked:
-            chunk = self.parked.popleft()
-            if self.state == self.CLOSED:
-                self._spawn_transfer(chunk.values, self.successor, Hop.FORWARD)
-                self._retire_build_chunk(chunk.origin)
-                continue
-            values = yield from self._apply_shed_chain(chunk.values)
-            if values.size == 0:
-                self._retire_build_chunk(chunk.origin)
-                continue
-            fully = yield from self._insert_or_park(
-                values, origin=chunk.origin, retry=True
-            )
-            if fully:
-                self._retire_build_chunk(chunk.origin)
-            else:
-                return True  # parked again; stop retrying
-        return False
+    def _open_spill(self, category: str, **detail: Any) -> None:
+        self.spill = SpillStore(self.ctx, self.index, hash_range=self.my_range)
+        self.ctx.trace(category, f"join{self.index}", **detail)
 
-    def _spawn_transfer(self, values: np.ndarray, dest: int | None, hop: str) -> None:
+    def _report_full(self) -> Generator[Any, Any, None]:
+        """Tell the scheduler how much build data sits parked here."""
+        return self._reply(MemoryFull(
+            self.index, deficit_bytes=sum(c.nbytes for c in self.parked)
+        ))
+
+    def _spawn_transfer(self, values: np.ndarray, dest: int, hop: str) -> None:
         """Ship ``values`` to another join node asynchronously — build
         tuples, or (``Hop.OUTPUT``) materialized pairs to an output sink.
 
@@ -603,10 +538,6 @@ class JoinProcess:
         stuck behind ours).  ``transfers_pending`` keeps the drain protocol
         honest while data sits in an unsent transfer.
         """
-        if dest is None or dest in self.fenced:
-            # The destination was declared dead: anything we would ship is
-            # covered by the recovery replay from the sources.  Drop.
-            return
         assert dest != self.index, (
             f"join{self.index}: bad forward destination {dest}"
         )
@@ -643,8 +574,7 @@ class JoinProcess:
                 if output:
                     self.emitted_probe += 1
                 else:
-                    self.emitted_build += 1
-                    self._emitted_build_by_dest[dest] += 1
+                    self._count_build_emission(dest)
                 yield from self.ctx.send(
                     self.node,
                     self.ctx.join_node(dest),
@@ -655,16 +585,10 @@ class JoinProcess:
         finally:
             if serialized:
                 self.ctx.split_transfer_token.release()
-            self.transfers_pending -= 1
-            if hop == Hop.SPLIT:
                 self.split_transfer_s += self.ctx.sim.now - t0
-            if hop in (Hop.SPLIT, Hop.RESHUFFLE):
-                self.ctx.spans.add(
-                    f"join{self.index}",
-                    "split" if hop == Hop.SPLIT else "reshuffle",
-                    t0, self.ctx.sim.now,
-                    dest=dest, tuples=int(values.size),
-                )
+            self.transfers_pending -= 1
+            if hop in (Hop.SPLIT, Hop.RESHUFFLE):  # spans named as the hop
+                self._span_since(hop, t0, dest=dest, tuples=int(values.size))
 
     # ------------------------------------------------------------------
     # relief orders
@@ -677,114 +601,98 @@ class JoinProcess:
             self.ctx.trace("replicate", f"join{self.index}",
                            new_node=msg.new_node)
         yield from self._retry_parked_and_ack()  # CLOSED: forwards everything
-        assert not self.parked and not self.full_pending
+        assert not self.parked
 
     def _on_bisect_order(self, msg: BisectOrder) -> Generator[Any, Any, None]:
-        if self.my_range is not None and self.my_range.hi == msg.mid:
-            # Already applied (failover re-drive): range was shrunk and the
-            # upper half shipped; nothing more may move.
-            yield from self._retry_parked_and_ack()
-            return
-        assert self.my_range is not None and self.my_range.contains(msg.mid)
         old = self.my_range
-        self.my_range = HashRange(old.lo, msg.mid)
-        mid, new_node = msg.mid, msg.new_node
-        moved = self._freed(self.store.extract_position_range(mid, old.hi))
+        assert old is not None
+        moved = 0
+        # else: already applied (failover re-drive) — the range was shrunk
+        # and the upper half shipped; nothing more may move.
+        if old.hi != msg.mid:
+            assert old.contains(msg.mid)
+            self.my_range = HashRange(old.lo, msg.mid)
+            moved = yield from self._split_off(
+                self.store.extract_position_range(msg.mid, old.hi),
+                lambda pos, m=msg.mid: pos >= m,
+                msg.new_node, "bisect", mid=msg.mid,
+            )
+        yield from self._retry_parked_and_ack(moved=moved)
+
+    def _split_off(
+        self, moved: np.ndarray, shed: ShedPredicate, new_node: int,
+        category: str, **detail: Any,
+    ) -> Generator[Any, Any, int]:
+        """The data motion of one split: ship the tuples just extracted to
+        ``new_node`` and remember ``shed``, so that later arrivals this
+        node no longer owns follow them.  Returns the tuples moved."""
+        self._freed(moved)
         yield from self._repack(moved.size)
-        self.shed_chain.append(
-            (lambda pos, m=mid: pos >= m, new_node)
-        )
-        self.ctx.trace("bisect", f"join{self.index}", mid=mid,
+        self.shed_chain.append((shed, new_node))
+        self.ctx.trace(category, f"join{self.index}", **detail,
                        new_node=new_node, moved=int(moved.size))
         self._spawn_transfer(moved, new_node, Hop.SPLIT)
-        yield from self._retry_parked_and_ack(moved=int(moved.size))
+        return int(moved.size)
 
     def _retry_parked_and_ack(self, moved: int = 0) -> Generator[Any, Any, None]:
         """Retry the parked backlog after a relief action and tell the
         scheduler whether this node is still stuck."""
-        still_full = yield from self._reprocess_parked()
-        self.full_pending = still_full
+        still_full = False
+        while self.parked and not still_full:  # parked again: stop retrying
+            still_full = not (yield from self._consume_build(
+                self.parked.popleft(), retry=True))
         yield from self._reply(
             ReliefAck(self.index, still_full=still_full, moved_tuples=moved)
         )
 
     def _on_linear_split_order(self, msg: LinearSplitOrder) -> Generator[Any, Any, None]:
         key = (msg.new_bucket, msg.modulus)
-        if key in self._applied_splits:
-            # Failover re-drive of a split that already executed.
-            yield from self._reply(SplitDone(self.index, moved_tuples=0))
-            return
-        self._applied_splits.add(key)
-        moved = self._freed(
-            self.store.extract_linear_bucket(msg.new_bucket, msg.modulus)
-        )
-        yield from self._repack(moved.size)
-        self.shed_chain.append(
-            (
+        moved = 0
+        # else: failover re-drive of a split that already executed.
+        if key not in self._applied_splits:
+            self._applied_splits.add(key)
+            moved = yield from self._split_off(
+                self.store.extract_linear_bucket(msg.new_bucket, msg.modulus),
                 lambda pos, nb=msg.new_bucket, m=msg.modulus: pos % (2 * m) == nb,
-                msg.new_node,
+                msg.new_node, "linear_split", new_bucket=msg.new_bucket,
             )
-        )
-        self.ctx.trace("linear_split", f"join{self.index}",
-                       new_bucket=msg.new_bucket, new_node=msg.new_node,
-                       moved=int(moved.size))
-        self._spawn_transfer(moved, msg.new_node, Hop.SPLIT)
-        yield from self._reply(
-            SplitDone(self.index, moved_tuples=int(moved.size))
-        )
+        yield from self._reply(SplitDone(self.index, moved_tuples=moved))
 
     def _on_relief_ping(self, msg: ReliefPing) -> Generator[Any, Any, None]:
         return self._retry_parked_and_ack()
 
     def _on_spill_order(self, msg: SpillOrder) -> Generator[Any, Any, None]:
         if self.state == self.PROBE:
-            # Probe-phase fallback: the output pool is exhausted too —
-            # dump pending pairs to disk and keep spilling from now on.
-            pending, self.output_pending = self.output_pending, 0
-            self.output_full_pending = False
-            # route future overflow straight to disk
-            self.output_sink_node = None
-            self._output_spill_mode = True
-            if pending:
-                yield from self._spill_output(pending)
-            self.ctx.trace("output_spill_fallback", f"join{self.index}",
-                           pending=pending)
-            yield from self._reply(ReliefAck(self.index, still_full=False))
+            # Probe-phase fallback: the output pool is exhausted too.
+            yield from self._release_pending_output(None)
             return
         if self.spill is None:
-            self.spill = SpillStore(self.ctx, self.index, hash_range=self.my_range)
-            self.ctx.trace("spill_fallback", f"join{self.index}")
+            self._open_spill("spill_fallback")
         yield from self._retry_parked_and_ack()
-        assert not self.full_pending, "spill mode consumes everything"
+        assert not self.parked, "spill mode consumes everything"
 
     # ------------------------------------------------------------------
     # drain polling
     # ------------------------------------------------------------------
     def _on_status_request(self, msg: StatusRequest) -> Generator[Any, Any, None]:
-        # Adjusted counters: contributions from fenced (declared-dead) peers
-        # are subtracted at report time — raw counters are never mutated, so
-        # late in-flight arrivals from a dead peer stay balanced out too.
-        def live(total: int, by_peer: dict[int, int], fenced: set[int]) -> int:
-            return total - sum(by_peer.get(p, 0) for p in sorted(fenced))
-
-        gids = self._fenced_gids
-        report = StatusReport(
+        received, processed, emitted = self._build_counters()
+        yield from self._reply(StatusReport(
             node=self.index,
             token=msg.token,
-            received_build=live(self.received_build,
-                                self._recv_build_by_origin, gids),
-            processed_build=live(self.processed_build,
-                                 self._proc_build_by_origin, gids),
-            emitted_build=live(self.emitted_build,
-                               self._emitted_build_by_dest, self.fenced),
+            received_build=received,
+            processed_build=processed,
+            emitted_build=emitted,
             received_probe=self.received_probe,
             processed_probe=self.processed_probe,
-            busy=bool(self.parked) or self.full_pending
-                 or self.output_full_pending
+            busy=bool(self.parked) or self.output_pending > 0
                  or self.transfers_pending > 0,
             emitted_probe=self.emitted_probe,
-        )
-        yield from self._reply(report)
+        ))
+
+    def _build_counters(self) -> tuple[int, int, int]:
+        """Build chunks (received, processed, emitted), as the drain
+        protocol's books should see them."""
+        return self.received_build, self.processed_build, self.emitted_build
 
     # ------------------------------------------------------------------
     # reshuffle (hybrid)
@@ -807,13 +715,12 @@ class JoinProcess:
         for dest, rng in msg.assignments:
             if dest == self.index:
                 self.my_range = rng
-                continue
-            if rng is None:
-                continue
-            out = self._freed(self.store.extract_position_range(rng.lo, rng.hi))
-            yield from self._repack(out.size)
-            moved_total += int(out.size)
-            self._spawn_transfer(out, dest, Hop.RESHUFFLE)
+            elif rng is not None:
+                out = self._freed(
+                    self.store.extract_position_range(rng.lo, rng.hi))
+                yield from self._repack(out.size)
+                moved_total += int(out.size)
+                self._spawn_transfer(out, dest, Hop.RESHUFFLE)
         self.ctx.trace("reshuffle", f"join{self.index}", moved=moved_total,
                        new_range=str(self.my_range))
         yield from self._reply(
@@ -826,22 +733,24 @@ class JoinProcess:
     def _on_start_probe(self, msg: StartProbe) -> Generator[Any, Any, None]:
         if self.state == self.PROBE:
             return  # an eager S chunk already flipped us (see below)
-        assert not self.parked and not self.full_pending, (
+        assert not self.parked, (
             f"join{self.index} entered probe with parked build data"
         )
         self.state = self.PROBE
         self.probe_started_at = self.ctx.sim.now
-        if self.activated_at == self.activated_at:  # not NaN
-            self.ctx.spans.add(
-                f"join{self.index}", "build",
-                self.activated_at, self.probe_started_at,
-            )
+        self._span_since("build", self.activated_at)
         # One consolidation/sort pass over the stored table.
         yield from self._repack(self.store.stored_tuples)
         self.store.finalize()
 
-    def _on_probe_chunk(self, chunk: DataChunk) -> Generator[Any, Any, None]:
-        self.received_probe += 1
+    def _span_since(self, name: str, t0: float, **detail: Any) -> None:
+        """Log the span ``name`` from ``t0`` to now — unless ``t0`` is a
+        stamp this node never took (still NaN)."""
+        if t0 == t0:  # not NaN
+            self.ctx.spans.add(f"join{self.index}", name, t0,
+                               self.ctx.sim.now, **detail)
+
+    def _consume_probe(self, chunk: DataChunk) -> Generator[Any, Any, None]:
         if self.state != self.PROBE:
             # Defensive: the scheduler flips join nodes before the sources,
             # but if an S chunk ever outruns StartProbe, switch lazily.
@@ -856,7 +765,7 @@ class JoinProcess:
             yield from self._materialize_output(found)
         if self.spill is not None:
             yield from self.spill.write_s(chunk.values)
-        self._retire_probe_chunk()
+        self._retire(chunk)
 
     # ------------------------------------------------------------------
     # output materialization & probe-phase expansion (footnote 1)
@@ -867,22 +776,19 @@ class JoinProcess:
         if self.output_sink_node is not None:
             self._ship_output(pairs, self.output_sink_node)
             return
-        need = pairs * cfg.output_pair_bytes
-        if self.node.memory.try_alloc(need):
-            self.output_tuples += pairs
-            return
-        fit = self.node.memory.available // cfg.output_pair_bytes
-        if fit > 0:
+        fit = min(pairs, self.node.memory.available // cfg.output_pair_bytes)
+        if fit:
             self.node.memory.alloc(fit * cfg.output_pair_bytes)
             self.output_tuples += fit
             pairs -= fit
+        if not pairs:
+            return
         if not cfg.probe_expansion or self._output_spill_mode:
             # Paper's default assumption: overflow output goes to disk.
             yield from self._spill_output(pairs)
             return
         self.output_pending += pairs
-        if not self.output_full_pending:
-            self.output_full_pending = True
+        if self.output_pending == pairs:  # nothing was pending: announce once
             self.ctx.trace("output_full", f"join{self.index}",
                            materialized=self.output_tuples)
             yield from self._report_output_full()
@@ -903,123 +809,60 @@ class JoinProcess:
         they travel as zero-filled ``"O"`` chunks of the right size."""
         self._spawn_transfer(np.zeros(pairs, dtype=np.uint64), dest, Hop.OUTPUT)
 
-    def _on_output_chunk(self, chunk: DataChunk) -> Generator[Any, Any, None]:
+    def _consume_output(self, chunk: DataChunk) -> Generator[Any, Any, None]:
         """An output sink absorbing materialized pairs (it may itself
         overflow and chain-expand, exactly like the build-phase chains)."""
-        self.received_probe += 1
-        if self.state == self.DORMANT:
-            # Raced ahead of our ActivateJoin; replay on activation.
-            self.pre_activation.append(chunk)
-            self._msg_credit = False  # the parked entry owns the credit
-            return
         yield from self._materialize_output(chunk.tuples)
-        self._retire_probe_chunk()
+        self._retire(chunk)
 
     def _on_output_redirect(self, msg: OutputRedirect) -> Generator[Any, Any, None]:
-        self.output_sink_node = msg.new_node
+        return self._release_pending_output(msg.new_node)
+
+    def _release_pending_output(
+        self, sink: int | None
+    ) -> Generator[Any, Any, None]:
+        """The scheduler's answer to an output-full report: pending pairs
+        and all future overflow go to the new ``sink`` — or, with the pool
+        exhausted (``None``), straight to disk from now on."""
+        self.output_sink_node = sink
         pending, self.output_pending = self.output_pending, 0
-        self.output_full_pending = False
-        self.ctx.trace("output_redirect", f"join{self.index}",
-                       sink=msg.new_node, pending=pending)
-        if pending:
-            self._ship_output(pending, msg.new_node)
+        if sink is None:
+            self._output_spill_mode = True
+            if pending:
+                yield from self._spill_output(pending)
+            self.ctx.trace("output_spill_fallback", f"join{self.index}",
+                           pending=pending)
+        else:
+            self.ctx.trace("output_redirect", f"join{self.index}",
+                           sink=sink, pending=pending)
+            if pending:
+                self._ship_output(pending, sink)
         yield from self._reply(ReliefAck(self.index, still_full=False))
-
-    # ------------------------------------------------------------------
-    # control-plane fault tolerance (repro.core.membership)
-    # ------------------------------------------------------------------
-    def _on_heartbeat_ping(self, msg: HeartbeatPing) -> Generator[Any, Any, None]:
-        # Best-effort on purpose: a lost ack must look exactly like a dead
-        # node to the detector — that is what makes false positives real.
-        yield from self._reply(HeartbeatAck(self.index, msg.token),
-                               best_effort=True)
-
-    def _on_node_lost(self, msg: NodeLost) -> Generator[Any, Any, None]:
-        if msg.dead not in self.fenced:
-            self.fenced.add(msg.dead)
-            self._fenced_gids.add(self.ctx.join_node(msg.dead).node_id)
-            if self.successor == msg.dead:
-                self.successor = None
-            # Shed entries that pointed at the corpse become discards: the
-            # replay from the sources re-covers that range.
-            self.shed_chain = [
-                (pred, None if succ == msg.dead else succ)
-                for pred, succ in self.shed_chain
-            ]
-            if msg.purge and not self.quarantined:
-                self._purge(msg.dead)
-            self.ctx.trace("node_lost", f"join{self.index}",
-                           dead=msg.dead, purge=msg.purge)
-        yield from self._reply(NodeLostAck(self.index))
-
-    def _purge(self, dead: int) -> None:
-        """Drop this node's replica-chain segment after a co-member died.
-
-        Chain members hold *disjoint temporal segments* of one range, so
-        with any member dead the range cannot be served from survivors —
-        the whole entry collapses to a fresh target and the sources
-        re-stream it.  Survivors drop their segment (it would double-count
-        against the replay) and retire all further traffic on arrival.
-        """
-        self.quarantined = True
-        dumped = self._freed(
-            self.store.extract_position_range(0, self.ctx.cfg.hash_positions)
-        )
-        self.matches = 0
-        self.spill = None
-        while self.parked:
-            chunk = self.parked.popleft()
-            self._retire_build_chunk(chunk.origin)
-        self.full_pending = False
-        self.ctx.trace("purged", f"join{self.index}", dead=dead,
-                       dropped=int(dumped.size))
-
-    def _on_scheduler_failover(self, msg: SchedulerFailover) -> Generator[Any, Any, None]:
-        # The dead primary may have taken our un-acked announcements to its
-        # grave; re-announce anything still awaiting a scheduler decision
-        # (re-announcing something the backup already knows is harmless —
-        # the relief queue tolerates duplicate MemoryFull entries).
-        self.ctx.trace("scheduler_failover", f"join{self.index}",
-                       new_scheduler=msg.new_scheduler)
-        if self.full_pending and self.parked:
-            deficit = sum(c.nbytes for c in self.parked)
-            yield from self._reply(MemoryFull(self.index, deficit_bytes=deficit))
-        if self.output_full_pending:
-            yield from self._report_output_full()
 
     # ------------------------------------------------------------------
     # OOC final passes & shutdown
     # ------------------------------------------------------------------
     def _on_finalize_pass(self, msg: FinalizePass) -> Generator[Any, Any, None]:
-        if self._finalized_pass:
-            # Failover re-drive: the passes already ran; just re-ack.
-            yield from self._reply(PassDone(self.index))
-            return
-        self._finalized_pass = True
-        if self.probe_started_at == self.probe_started_at:  # not NaN
-            self.ctx.spans.add(
-                f"join{self.index}", "probe",
-                self.probe_started_at, self.ctx.sim.now,
+        # else: failover re-drive — the passes already ran; just re-ack.
+        if not self._finalized_pass:
+            self._finalized_pass = True
+            self._span_since("probe", self.probe_started_at)
+            if self.spill is not None:
+                t0 = self.ctx.sim.now
+                found = yield from self.spill.final_passes()
+                self._span_since("ooc", t0, matches=found)
+                self.matches += found
+                if found and self.ctx.cfg.materialize_output:
+                    # Pairs produced by the disk passes go straight to the
+                    # local output file — the pass is already disk-bound.
+                    yield from self._spill_output(found)
+                self.ctx.trace("ooc_pass", f"join{self.index}", matches=found)
+            # The dedup window has done its job once the query's data flow
+            # is over; record its high-water mark and release the memory.
+            self.ctx.metrics.set_gauge(
+                "node.dedup_window", len(self._seen_seqs), node=self.node.name
             )
-        if self.spill is not None:
-            t0 = self.ctx.sim.now
-            found = yield from self.spill.final_passes()
-            self.ctx.spans.add(
-                f"join{self.index}", "ooc", t0, self.ctx.sim.now,
-                matches=found,
-            )
-            self.matches += found
-            if found and self.ctx.cfg.materialize_output:
-                # Pairs produced by the disk passes go straight to the
-                # local output file — the pass is already disk-bound.
-                yield from self._spill_output(found)
-            self.ctx.trace("ooc_pass", f"join{self.index}", matches=found)
-        # The dedup window has done its job once the query's data flow is
-        # over; record its high-water mark and release the memory.
-        self.ctx.metrics.set_gauge(
-            "node.dedup_window", len(self._seen_seqs), node=self.node.name
-        )
-        self._seen_seqs.clear()
+            self._seen_seqs.clear()
         yield from self._reply(PassDone(self.index))
 
     def _on_shutdown(self, msg: Shutdown) -> Generator[Any, Any, None]:

@@ -1,9 +1,12 @@
-"""Control-plane fault tolerance for the scheduler, layered on.
+"""Control-plane fault tolerance for the scheduler and the join
+processes, layered on.
 
-:class:`FaultTolerantScheduler` is the paper's scheduler wrapped at its
-decision points; ``driver.spawn_scheduler`` builds it instead of the plain
-one exactly when the cluster has a standby scheduler machine — which
-``Cluster.build`` adds when the fault plan arms the membership layer.  It adds:
+:class:`FaultTolerantScheduler` and :class:`FaultTolerantJoinProcess` are
+the paper's actors wrapped at their decision points;
+``driver.spawn_scheduler`` / ``driver.spawn_join`` build them instead of
+the plain ones exactly when the cluster has a standby scheduler machine —
+which ``Cluster.build`` adds when the fault plan arms the membership
+layer.  The scheduler gains:
 
 * **write-ahead replication** — every checkpoint and in-flight relief or
   recovery decision reaches the standby (``BackupSchedulerProcess``) as a
@@ -16,25 +19,35 @@ one exactly when the cluster has a standby scheduler machine — which
   re-announce what the primary took to its grave, applies the logged
   decision again (``ExpansionStrategy.apply`` is idempotent) and resumes.
 
+The join process gains heartbeat acks, fencing of dead peers (traffic to
+them dropped, their share of the drain counters subtracted), the purge of a
+broken replica chain and re-announcement to a new scheduler.
+
 Build and probe phases only (docs/FAULTS.md §"Control-plane failure model").
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Generator
 from typing import Any
+
+import numpy as np
 
 from ..faults import UnrecoverableFaultError
 from ..hashing import HashRange, LinearHashRouter, RangeRouter
 from ..sim import Interrupt
 from .context import RunContext
+from .joinnode import JoinProcess
 from .membership import BackupSchedulerProcess, Membership
 from .messages import (
     ActivateAck,
     ActivateJoin,
+    DataChunk,
     DeathVerdict,
     Depose,
     HeartbeatAck,
+    HeartbeatPing,
     MemoryFull,
     NodeLost,
     NodeLostAck,
@@ -52,7 +65,7 @@ from .messages import (
 from .scheduler import SchedulerOutcome, SchedulerProcess
 from .strategy import Decision
 
-__all__ = ["FaultTolerantScheduler"]
+__all__ = ["FaultTolerantScheduler", "FaultTolerantJoinProcess"]
 
 
 class _NodeDied(Exception):
@@ -645,3 +658,132 @@ class FaultTolerantScheduler(SchedulerProcess):
         yield from self.log_decision(())
         if ack.still_full:
             self._requeue(ack.node)
+
+
+class FaultTolerantJoinProcess(JoinProcess):
+    """The join process plus heartbeat acks, fencing of dead peers, the
+    replica-chain purge and re-announcement after a scheduler failover."""
+
+    def __init__(self, ctx: RunContext, join_index: int) -> None:
+        super().__init__(ctx, join_index)
+        #: pool indices of peers the scheduler declared dead
+        self.fenced: set[int] = set()
+        #: purged after a replica-chain member died: stored segment dropped,
+        #: all further data discarded (the replay re-streams the range)
+        self.quarantined = False
+        # Per-peer drain-counter components, so a dead peer's contribution
+        # can be subtracted from the totals reported to the drain protocol
+        # (its own counters died with it, and the books must still balance).
+        self._recv_build_by_origin: defaultdict[int, int] = defaultdict(int)
+        self._proc_build_by_origin: defaultdict[int, int] = defaultdict(int)
+        self._emitted_build_by_dest: defaultdict[int, int] = defaultdict(int)
+        cls = type(self)
+        self._handlers.update({
+            HeartbeatPing: cls._on_heartbeat_ping,
+            NodeLost: cls._on_node_lost,
+            SchedulerFailover: cls._on_scheduler_failover,
+        })
+
+    # ------------------------------------------------------------------
+    # the wrapped decision points
+    # ------------------------------------------------------------------
+    def _count_arrival(self, chunk: DataChunk) -> None:
+        super()._count_arrival(chunk)
+        if chunk.relation == "R":
+            self._recv_build_by_origin[chunk.origin] += 1
+
+    def _retire(self, chunk: DataChunk) -> None:
+        super()._retire(chunk)
+        if chunk.relation == "R":
+            self._proc_build_by_origin[chunk.origin] += 1
+
+    def _count_build_emission(self, dest: int) -> None:
+        super()._count_build_emission(dest)
+        self._emitted_build_by_dest[dest] += 1
+
+    def _build_counters(self) -> tuple[int, int, int]:
+        # Adjusted counters: contributions from fenced (declared-dead) peers
+        # are subtracted at report time — raw counters are never mutated, so
+        # late in-flight arrivals from a dead peer stay balanced out too.
+        received, processed, emitted = super()._build_counters()
+        for dead in sorted(self.fenced):
+            gid = self.ctx.join_node(dead).node_id  # a chunk's ``origin``
+            received -= self._recv_build_by_origin[gid]
+            processed -= self._proc_build_by_origin[gid]
+            emitted -= self._emitted_build_by_dest[dead]
+        return received, processed, emitted
+
+    def _consume_build(
+        self, chunk: DataChunk, retry: bool = False
+    ) -> Generator[Any, Any, bool]:
+        if self.quarantined:
+            # Purged after a chain member died: the whole range is being
+            # re-streamed to a fresh target; stragglers are covered by it.
+            self._retire(chunk)
+            return True
+        return (yield from super()._consume_build(chunk, retry))
+
+    def _shed(self, out: np.ndarray, succ: int) -> Generator[Any, Any, None]:
+        # A shed target that was declared dead has its range re-streamed
+        # from the sources, so forwarding would double-deliver.  Drop,
+        # before paying to pack what will not travel.
+        if succ not in self.fenced:
+            yield from super()._shed(out, succ)
+
+    def _spawn_transfer(self, values: np.ndarray, dest: int, hop: str) -> None:
+        # To a destination declared dead, anything we would ship is covered
+        # by the recovery replay from the sources.  Drop.
+        if dest not in self.fenced:
+            super()._spawn_transfer(values, dest, hop)
+
+    # ------------------------------------------------------------------
+    # dispatch rows the layer adds
+    # ------------------------------------------------------------------
+    def _on_heartbeat_ping(self, msg: HeartbeatPing) -> Generator[Any, Any, None]:
+        # Best-effort on purpose: a lost ack must look exactly like a dead
+        # node to the detector — that is what makes false positives real.
+        return self._reply(HeartbeatAck(self.index, msg.token),
+                           best_effort=True)
+
+    def _on_node_lost(self, msg: NodeLost) -> Generator[Any, Any, None]:
+        if msg.dead not in self.fenced:
+            # Shed-chain entries and a replica successor that point at the
+            # corpse become discards from here on (_shed, _spawn_transfer).
+            self.fenced.add(msg.dead)
+            if msg.purge and not self.quarantined:
+                self._purge(msg.dead)
+            self.ctx.trace("node_lost", f"join{self.index}",
+                           dead=msg.dead, purge=msg.purge)
+        yield from self._reply(NodeLostAck(self.index))
+
+    def _purge(self, dead: int) -> None:
+        """Drop this node's replica-chain segment after a co-member died.
+
+        Chain members hold *disjoint temporal segments* of one range, so
+        with any member dead the range cannot be served from survivors —
+        the whole entry collapses to a fresh target and the sources
+        re-stream it.  Survivors drop their segment (it would double-count
+        against the replay) and retire all further traffic on arrival.
+        """
+        self.quarantined = True
+        dumped = self._freed(
+            self.store.extract_position_range(0, self.ctx.cfg.hash_positions)
+        )
+        self.matches = 0
+        self.spill = None
+        while self.parked:
+            self._retire(self.parked.popleft())
+        self.ctx.trace("purged", f"join{self.index}", dead=dead,
+                       dropped=int(dumped.size))
+
+    def _on_scheduler_failover(self, msg: SchedulerFailover) -> Generator[Any, Any, None]:
+        # The dead primary may have taken our un-acked announcements to its
+        # grave; re-announce anything still awaiting a scheduler decision
+        # (re-announcing something the backup already knows is harmless —
+        # the relief queue tolerates duplicate MemoryFull entries).
+        self.ctx.trace("scheduler_failover", f"join{self.index}",
+                       new_scheduler=msg.new_scheduler)
+        if self.parked:
+            yield from self._report_full()
+        if self.output_pending:
+            yield from self._report_output_full()

@@ -330,8 +330,8 @@ class FaultInjector:
         )
         #: pool indices of nodes killed so far
         self.crashed: set[int] = set()
-        self._joins: dict[int, Any] = {}  # pool index -> JoinProcess
-        self._procs: dict[int, Any] = {}  # pool index -> sim Process
+        #: pool index -> (JoinProcess, its sim Process)
+        self._joins: dict[int, tuple[Any, Any]] = {}
         self._scheduler_proc: Any = None  # primary scheduler sim Process
         self._fired: set[int] = set()  # indices into plan.crashes
         # resolved retransmission timing (rto_s may be derived from cost)
@@ -346,9 +346,8 @@ class FaultInjector:
         if self._rto_max is None:
             self._rto_max = 32.0 * self._rto
 
-    def attach_joins(self, procs: dict[int, Any], joins: dict[int, Any]) -> None:
-        """Register join processes so crash specs can find their targets."""
-        self._procs = dict(procs)
+    def attach_joins(self, joins: dict[int, tuple[Any, Any]]) -> None:
+        """Register ``driver.spawn_join``'s pairs as the crash targets."""
         self._joins = dict(joins)
         for i, spec in enumerate(self.plan.crashes):
             if spec.node not in self._joins:
@@ -400,8 +399,7 @@ class FaultInjector:
         if idx in self._fired:
             return
         self._fired.add(idx)
-        join = self._joins[spec.node]
-        proc = self._procs[spec.node]
+        join, proc = self._joins[spec.node]
         if spec.node in self.crashed or not proc.is_alive:
             self.trace("crash_noop", node=spec.node)
             return

@@ -33,10 +33,10 @@ from ..core.driver import (
     assemble_result,
     close_run,
     open_run,
+    spawn_join,
     spawn_scheduler,
     spawn_sources,
 )
-from ..core.joinnode import JoinProcess
 from ..core.messages import Shutdown
 from ..core.pool import PoolClient, PoolStats, ResourcePoolProcess
 from ..core.scheduler import SchedulerOutcome
@@ -88,8 +88,7 @@ def _query_runner(
         # A granted node may have served an earlier query: clear its
         # hardware state, then bind this query's join process to it.
         wc.reset_join_node(j)
-        jp = JoinProcess(ctx, j)
-        sim.spawn(jp.run(), name=f"join{j}-q{qid}")
+        spawn_join(ctx, j, f"join{j}-q{qid}")
 
     potential = PoolClient(node=pool.node, query_id=qid, adopt=adopt)
     ctx = RunContext(

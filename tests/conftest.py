@@ -62,3 +62,20 @@ def small_config(algorithm=Algorithm.HYBRID, initial=2, *, workload=None,
 @pytest.fixture
 def config_factory():
     return small_config
+
+
+@pytest.fixture
+def run_contexts(monkeypatch):
+    """The ``RunContext`` of every ``run_join`` the test makes, in order —
+    for assertions on hardware state the result does not carry."""
+    from repro.core import driver
+
+    made = []
+    build = driver.single_query_context
+
+    def capture(cfg):
+        made.append(build(cfg))
+        return made[-1]
+
+    monkeypatch.setattr(driver, "single_query_context", capture)
+    return made

@@ -345,6 +345,36 @@ def test_wg_no_sender(tmp_path):
     assert "Ghost.run" in found[0].message and "Ping" in found[0].message
 
 
+def test_wg_no_sender_sees_rows_a_layer_merges_into_an_inherited_table(tmp_path):
+    """The join-side form: a subclass with no mailbox wait of its own adds
+    rows with ``self._handlers.update({...})``; its base's table-driven
+    loop now waits for them, so each still needs a sender."""
+    layer = (
+        "from .messages import Ping, Pong\n\n\n"
+        "class Base:\n"
+        "    def __init__(self):\n"
+        "        self._handlers = {Pong: Base.on}\n\n"
+        "    def run(self, node):\n"
+        "        while True:\n"
+        "            msg = yield from node.mailbox.recv()\n"
+        "            self._handlers[type(msg)](self, msg)\n\n"
+        "    def on(self, msg):\n"
+        "        self.node.mailbox.put(Pong(0))\n\n\n"
+        "class Layer(Base):\n"
+        "    def __init__(self):\n"
+        "        super().__init__()\n"
+        "        self._handlers.update({Ping: Layer.on})\n"
+    )
+    root = make_repo(tmp_path, {
+        "src/repro/core/messages.py": _WG_MESSAGES,
+        "src/repro/core/actors.py": layer,
+    })
+    found = [v for v in run_lint(root, select=["wg-"])
+             if v.rule == "wg-no-sender"]
+    assert len(found) == 1
+    assert "Layer._handlers" in found[0].message and "Ping" in found[0].message
+
+
 def test_wg_no_sender_satisfied_from_sibling_dir(tmp_path):
     # a constructor anywhere in core/cluster/workload counts as a sender
     root = make_repo(tmp_path, {

@@ -150,6 +150,35 @@ def test_working_node_crash_during_probe_recovers(algorithm):
 
 
 @pytest.mark.chaos
+def test_crash_mid_parked_retry_returns_every_receive_credit(run_contexts):
+    """A working node dies while a bisect order's retry of its parked
+    backlog holds a chunk *popped* from the backlog (charging the CPU to
+    repack what it shed): that chunk is in neither backlog nor the message
+    in dispatch, and its receive credit used to leak — the corpse's window
+    stayed one short for the rest of the run.  The tombstone now returns
+    what the node owes by its own counters (received − processed)."""
+    def cfg(*crashes):
+        return small_config(
+            Algorithm.SPLIT, trace=True,
+            workload=small_workload(sigma=1e-5),
+            cluster=small_cluster(pool=32),
+            faults=membership_plan(crashes=crashes),
+        )
+
+    pilot = run_join(cfg())
+    bisect = next(r for r in pilot.tracer.select("bisect")
+                  if r.actor == "join0" and r.detail["moved"])
+    res = run_join(cfg(CrashSpec(node=0, at_time=bisect.time + 1e-5)))
+    assert res.matches == res.reference_matches == 89
+    # The crash landed right after the order executed: 10 us into the 16 us
+    # of CPU the retry charges to repack the first parked chunk it shed.
+    assert [r.time for r in res.tracer.select("bisect")
+            if r.actor == "join0"] == [bisect.time]
+    window = run_contexts[-1].join_node(0).recv_credits
+    assert window.in_use == 0, f"{window.in_use} of {window.capacity} leaked"
+
+
+@pytest.mark.chaos
 def test_probe_crash_with_exhausted_pool_is_unrecoverable():
     """No spare node to adopt the dead node's range -> documented abort,
     not a hang or a wrong answer (split uses the whole default pool)."""

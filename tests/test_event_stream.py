@@ -25,6 +25,7 @@ from repro.config import (
 )
 from repro.core import run_join
 from repro.core.joinnode import JoinProcess
+from repro.faults import CrashSpec, FaultPlan
 from repro.sim import Process
 from repro.workload import run_workload
 from tests.conftest import small_config, small_workload
@@ -106,6 +107,33 @@ def test_workload_trace_stream_matches_the_golden_order():
         digest.update(f"{rec.time!r} {rec.category} {rec.actor}\n".encode())
     assert digest.hexdigest() == (
         "fb18ab5ba0b01cae58504652e2669afa7f55cd9842291411e59603429be694f4"
+    )
+
+
+def test_membership_armed_trace_stream_matches_the_golden_order():
+    """The armed path's guard: a small skewed hybrid run whose working
+    node 1 crashes mid-build and whose primary scheduler is killed before
+    the detector's verdict — failover re-announcements, the standby's
+    recovery cycle (fence, five purges, replay), then pool exhaustion and
+    a spill fallback on the survivors.  Recorded at the parent of the
+    commit that layered the membership arms out of ``core/joinnode.py``."""
+    res = run_join(small_config(
+        trace=True,
+        workload=small_workload(sigma=1e-4),
+        faults=FaultPlan(
+            membership=True, heartbeat_interval_s=0.01,
+            crashes=(CrashSpec(node=1, at_time=0.02),),
+            kill_scheduler_at=0.06,
+        ),
+    ))
+    digest = hashlib.sha256()
+    for rec in res.tracer.records:
+        digest.update(f"{rec.time!r} {rec.category} {rec.actor}\n".encode())
+    assert res.matches == res.reference_matches == 8
+    assert len(res.tracer.records) == 115
+    assert metric_total(res, "sim.events_executed") == 21719
+    assert digest.hexdigest() == (
+        "a91a77a000b42a7506806be091b3ff0d9fef50ddede5b69f027707c6ec96cea5"
     )
 
 

@@ -1,11 +1,12 @@
 """The paper's protocol runs with the fault-tolerance layer absent.
 
 ``repro.core.membership`` (failure detector, standby) and
-``repro.core.recovery`` (WAL replication, node recovery, takeover) are
-wrapped *around* the scheduler, chosen by the driver only when the fault
-plan arms them.  So the fault-free path must neither import them nor miss
-them: with both made unimportable, all four algorithms still return the
-oracle's answer.
+``repro.core.recovery`` (WAL replication, node recovery, takeover; the
+join process's fencing, purge and re-announcement) are wrapped *around*
+the scheduler and the join process, chosen by the driver only when the
+fault plan arms them.  So the fault-free path must neither import them nor
+miss them: with both made unimportable, all four algorithms still return
+the oracle's answer.
 """
 
 import os
@@ -16,7 +17,9 @@ import pytest
 
 from tests.conftest import small_config, small_workload
 from repro.config import Algorithm
-from repro.core import run_join
+from repro.core import driver, run_join
+from repro.core.joinnode import JoinProcess
+from repro.core.messages import HeartbeatPing, NodeLost, SchedulerFailover
 from repro.faults import FaultPlan
 
 FAULT_LAYER = ("repro.core.membership", "repro.core.recovery")
@@ -43,11 +46,41 @@ def test_armed_plan_needs_the_layer(monkeypatch):
         run_join(cfg)
 
 
+@pytest.mark.parametrize("faults", [None, FaultPlan(drop_prob=0.02, seed=3)],
+                         ids=["fault-free", "drop-only"])
+def test_unarmed_runs_build_the_plain_join_process(faults, monkeypatch):
+    """No membership layer, no layered join process: lossy links alone
+    change the transport, not the actors.  The plain table has no row for
+    the layer's three messages, and says so if one ever reaches it."""
+    built = []
+    spawn_join = driver.spawn_join
+
+    def capture(ctx, j, name):
+        made = spawn_join(ctx, j, name)
+        built.append(made[0])
+        return made
+
+    monkeypatch.setattr(driver, "spawn_join", capture)
+    cfg = small_config(faults=faults, workload=small_workload(sigma=1e-5))
+    res = run_join(cfg)
+    assert res.matches == res.reference_matches == 89
+    layer_rows = (HeartbeatPing(token=1), NodeLost(dead=1),
+                  SchedulerFailover(new_scheduler=3))
+    assert len(built) == cfg.cluster.n_potential_nodes
+    for jp in built:
+        assert type(jp) is JoinProcess
+        assert not {type(m) for m in layer_rows} & set(jp._handlers)
+    for msg in layer_rows:
+        with pytest.raises(RuntimeError, match="unexpected message"):
+            built[0]._dispatch(msg)
+
+
 def test_importing_the_scheduler_does_not_import_the_fault_layer():
     """Checked in a fresh interpreter: this process has long since imported
     the layer on behalf of other tests."""
     code = (
         "import sys, repro.core, repro.core.scheduler, repro.core.driver\n"
+        "import repro.core.joinnode, repro.workload.driver\n"
         f"loaded = [m for m in {FAULT_LAYER!r} if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )

@@ -249,11 +249,12 @@ def test_crash_of_active_node_is_unrecoverable():
 
 
 @pytest.mark.chaos
-def test_recruit_failure_degrades_to_spill():
+def test_recruit_failure_degrades_to_spill(run_contexts):
     """Kill the whole potential pool: every recruitment times out, the
     scheduler retries different candidates, and on pool exhaustion the
     overflowing node degrades to the out-of-core spill path — still
-    producing the exact join answer."""
+    producing the exact join answer, with the corpses' receive windows
+    fully returned."""
     plan = FaultPlan(crashes=tuple(
         CrashSpec(node=n, at_time=0.0) for n in (2, 3)
     ))
@@ -269,6 +270,8 @@ def test_recruit_failure_degrades_to_spill():
     assert counter_total(res, "retries_total", kind="recruit") == 2
     assert counter_total(res, "faults_crashes") == 2
     assert res.nodes_used == 2  # nobody joined the party
+    assert [run_contexts[-1].join_node(n).recv_credits.in_use
+            for n in (2, 3)] == [0, 0]
 
 
 @pytest.mark.chaos

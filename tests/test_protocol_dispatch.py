@@ -8,8 +8,8 @@ the static pass cannot see fails only the static pass (prompting a
 checker fix); a checker bug that stops seeing real handlers fails here.
 
 The dispatch inventory is the union of the live handler tables — the
-``_handlers`` dict of a constructed join process, scheduler,
-fault-tolerant scheduler, data source and resource pool — and the
+``_handlers`` dict of a constructed join process, scheduler, their
+fault-tolerant layers, data source and resource pool — and the
 ``isinstance`` arms of the protocol waits, which are not table-driven.
 """
 
@@ -64,6 +64,8 @@ def handler_tables() -> dict[str, dict[type, object]]:
     )
     return {
         "JoinProcess": repro.core.joinnode.JoinProcess(ctx, 0)._handlers,
+        "FaultTolerantJoinProcess":
+            repro.core.recovery.FaultTolerantJoinProcess(ft_ctx, 0)._handlers,
         "SchedulerProcess":
             repro.core.scheduler.SchedulerProcess(ctx)._handlers,
         "FaultTolerantScheduler":
@@ -168,7 +170,8 @@ def test_unregistered_message_is_noticed(monkeypatch):
 
 def test_handler_tables_are_the_actors_dispatch():
     """every table row maps a registered message class to a handler
-    of its actor; the fault layer only *adds* to the scheduler's table."""
+    of its actor; the fault layer only *adds* to the scheduler's and the
+    join process's tables."""
     registered = set(concrete_message_classes())
     tables = handler_tables()
     for actor, table in tables.items():
@@ -181,6 +184,11 @@ def test_handler_tables_are_the_actors_dispatch():
     assert {m.__name__ for m in set(layered) - set(base)} == {
         "HeartbeatAck", "DeathVerdict", "ReplayDone", "NodeLostAck",
         "Depose", "ReliefAck",
+    }
+    base, layered = tables["JoinProcess"], tables["FaultTolerantJoinProcess"]
+    assert set(base) < set(layered)
+    assert {m.__name__ for m in set(layered) - set(base)} == {
+        "HeartbeatPing", "NodeLost", "SchedulerFailover",
     }
 
 
@@ -198,7 +206,11 @@ def test_data_source_control_path_is_one_table():
     ]
 
 
-def test_handler_table_does_not_make_the_actor_a_reference_cycle():
+@pytest.mark.parametrize("faults,cls", [
+    (None, repro.core.joinnode.JoinProcess),
+    (FaultPlan(membership=True), repro.core.recovery.FaultTolerantJoinProcess),
+], ids=["base", "layered"])
+def test_handler_table_does_not_make_the_actor_a_reference_cycle(faults, cls):
     """Rows are plain functions, not bound methods: a join process (and
     the hash table it holds) must be freed by reference counting when the
     run drops it, not whenever the cycle collector next runs — that delay
@@ -206,10 +218,10 @@ def test_handler_table_does_not_make_the_actor_a_reference_cycle():
     import gc
     import weakref
 
-    ctx = single_query_context(small_config())
+    ctx = single_query_context(small_config(faults=faults))
     gc.disable()
     try:
-        jp = repro.core.joinnode.JoinProcess(ctx, 0)
+        jp = cls(ctx, 0)
         ref = weakref.ref(jp)
         del jp
         assert ref() is None
