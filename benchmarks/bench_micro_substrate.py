@@ -8,10 +8,12 @@ the greedy reshuffle cut, and raw event throughput of the DES kernel.
 """
 
 import numpy as np
+import pytest
 
 from repro.config import Algorithm, ClusterSpec, RunConfig, WorkloadSpec
 from repro.core import run_join
 from repro.hashing import (
+    HashRange,
     NodeHashStore,
     PositionMap,
     RangeRouter,
@@ -37,6 +39,61 @@ def test_range_router_partition_throughput(benchmark):
     )
     parts = benchmark(router.partition_build, POSITIONS)
     assert sum(v.size for v in parts.values()) == POSITIONS.size
+
+
+def _bisected(initial: int, entries: int) -> RangeRouter:
+    """``initial`` equal ranges, the widest bisected until ``entries``:
+    the tables a split-based run of ``join-large`` ends up routing by."""
+    router = RangeRouter.initial(
+        partition_positions(1 << 18, initial), list(range(initial)), 1 << 18
+    )
+    while len(router.entries) < entries:
+        i = max(range(len(router.entries)),
+                key=lambda k: router.entries[k][0].width)
+        router = router.with_bisection(
+            i, router.entries[i][1][0], len(router.entries), router.version + 1
+        )
+    return router
+
+
+def _replicated() -> RangeRouter:
+    """4 ranges, the hot one a chain of 8: the replication-based table."""
+    router = _bisected(4, 4)
+    for node in range(4, 11):
+        router = router.with_replica(1, node, router.version + 1)
+    return router
+
+
+def _reshuffled() -> RangeRouter:
+    """The hybrid's post-reshuffle table: the hot range re-cut at arbitrary
+    (odd) positions, so the lookup table has one slot per position."""
+    lo, hi = 1 << 16, 1 << 17
+    cuts = [lo + (hi - lo) * k // 8 | 1 for k in range(1, 8)]
+    bounds = [0, lo, *cuts, hi, 3 << 16, 1 << 18]
+    return RangeRouter(1 << 18, tuple(
+        (HashRange(a, b), (n,)) for n, (a, b) in enumerate(zip(bounds, bounds[1:]))
+    ))
+
+
+@pytest.mark.parametrize("router", [
+    pytest.param(_bisected(4, 4), id="4-entries"),
+    pytest.param(_bisected(4, 8), id="8-entries"),
+    pytest.param(_bisected(8, 18), id="18-entries"),
+    pytest.param(_replicated(), id="replica-chain-x8"),
+    pytest.param(_reshuffled(), id="reshuffle-unaligned-cuts"),
+])
+def test_route_one_generation_batch(benchmark, router):
+    """What a source pays per 10 000-tuple batch at scale 1.0: the routing
+    kernel, the one gather and the per-range slices."""
+    values, positions = VALUES[:10_000], POSITIONS[:10_000]
+
+    def route_batch():
+        order, spans = router.route(positions)
+        gathered = values[order]
+        return [gathered[lo:hi] for _, lo, hi in spans]
+
+    slices = benchmark(route_batch)
+    assert sum(s.size for s in slices) == positions.size
 
 
 def test_store_probe_throughput(benchmark):

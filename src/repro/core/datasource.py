@@ -154,27 +154,37 @@ class DataSourceProcess:
         if values.size == 0:
             return
         positions = yield from self._route_positions(values)
-        if relation == "S":
-            # One gather per replica *group*: a range's probe tuples are
-            # materialized once and the same array object is appended to
-            # every replica's buffer (ChunkBuffer owns appended arrays and
-            # never mutates them, so sharing is safe — the wire chunk is
-            # re-materialized per destination at flush time regardless).
-            gathered: dict[int, list[np.ndarray]] = {}
-            assigned = 0
-            for dests, idx in self.router.probe_groups(positions):
-                shared = values[idx]
-                assigned += int(idx.size) * len(dests)
-                for dest in dests:
-                    gathered.setdefault(dest, []).append(shared)
-            self.dup_tuples += assigned - int(values.size)
-            for dest in sorted(gathered):
-                for shared in gathered[dest]:
-                    buffers.append(dest, shared)
-            return
-        parts = self.router.partition_build(positions)
-        for dest, idx in sorted(parts.items()):
-            buffers.append(dest, values[idx])
+        copies = self._buffer_routed(buffers, values, positions,
+                                     probe=relation == "S")
+        self.dup_tuples += copies - int(values.size)
+
+    def _buffer_routed(
+        self, buffers: ChunkBuffer, values: np.ndarray, positions: np.ndarray,
+        *, probe: bool, skip: int | None = None,
+    ) -> int:
+        """Partition ``values`` under the live table into ``buffers``
+        (``skip``'s share dropped); returns the tuple copies assigned.
+
+        One gather, then a contiguous slice per range — the same array for
+        every replica of a probe chain (ChunkBuffer never mutates it), and
+        its own memory, so a cold destination's few buffered tuples do not
+        pin the whole batch.  Destinations are appended in ascending order,
+        each one's slices in range order: part of the model's answer
+        (DATA_PLANE.md §2)."""
+        order, spans = self.router.route(positions)
+        gathered = values[order]
+        slices: dict[int, list[np.ndarray]] = {}
+        copies = 0
+        for chain, lo, hi in spans:
+            part = gathered[lo:hi].copy()
+            for dest in (chain if probe else chain[-1:]):
+                slices.setdefault(dest, []).append(part)
+                copies += hi - lo
+        for dest in sorted(slices):
+            if dest != skip:
+                for part in slices[dest]:
+                    buffers.append(dest, part)
+        return copies
 
     def _produce(self, batch: np.ndarray) -> Iterable[Any]:
         """What one batch costs to come by: generated on the fly, or — the
@@ -356,25 +366,15 @@ class DataSourceProcess:
             return
         assert order.router is not None
         positions = yield from self._route_positions(pool)
-        if order.relation == "S":
-            parts = self.router.partition_probe(positions)
-            for dest, idx in sorted(parts.items()):
-                if dest == order.target:
-                    continue
-                buffers.append(dest, pool[idx])
-            return
-        covered = order.router.partition_build(positions).get(order.target)
-        if covered is not None and covered.size:
+        probe = order.relation == "S"
+        if not probe:
+            covered = order.router.share_of(positions, order.target, probe=False)
             keep = np.ones(pool.size, dtype=bool)
             keep[covered] = False
             pool, positions = pool[keep], positions[keep]
-        if pool.size == 0:
-            return
-        parts = self.router.partition_build(positions)
-        for dest, idx in sorted(parts.items()):
-            if dest == order.target:
-                continue  # live share of the target's range is replayed
-            buffers.append(dest, pool[idx])
+        # the live share of the target's range is replayed too: skip it
+        self._buffer_routed(buffers, pool, positions, probe=probe,
+                            skip=order.target)
 
     def _replay_prefix(
         self, order: ReplayOrder, limit: int
@@ -383,7 +383,6 @@ class DataSourceProcess:
         ctx = self.ctx
         wl = ctx.cfg.workload
         router = order.router if order.router is not None else self.router
-        replay_probe = order.relation == "S"
         stream = RelationStream(wl, order.relation, ctx.n_sources, self.index)
         target = order.target
         buffer = ChunkBuffer(self.chunk_tuples)
@@ -399,12 +398,9 @@ class DataSourceProcess:
         for batch in stream.batches(limit=limit):
             yield from self._produce(batch)
             positions = yield from self._route_positions(batch)
-            parts = (router.partition_probe(positions) if replay_probe
-                     else router.partition_build(positions))
-            idx = parts.get(target)
-            if idx is None:
-                continue
-            buffer.append(target, batch[idx])
+            share = router.share_of(positions, target,
+                                    probe=order.relation == "S")
+            buffer.append(target, batch[share])
             while (chunk := buffer.pop_full_chunk(target)) is not None:
                 yield from ship(chunk)
         rest = buffer.pop_all(target)

@@ -113,24 +113,32 @@ class ChunkBuffer:
         self._parts.setdefault(dest, []).append(values)
         self._counts[dest] = self._counts.get(dest, 0) + int(values.size)
 
+    def _take(self, dest: int, n: int) -> np.ndarray:
+        """Remove the oldest ``n`` tuples of one destination as a fresh
+        array.  A part cut short stays as a view of its tail, so every
+        tuple is copied once however many chunks one append is popped in."""
+        parts = self._parts[dest]
+        self._counts[dest] -= n
+        taken = []
+        while n:
+            head = parts.pop(0)
+            if head.size > n:
+                parts.insert(0, head[n:])
+                head = head[:n]
+            taken.append(head)
+            n -= int(head.size)
+        return np.concatenate(taken)
+
     def pop_full_chunk(self, dest: int) -> np.ndarray | None:
         """Remove exactly ``chunk_tuples`` tuples if available."""
         if self._counts.get(dest, 0) < self.chunk_tuples:
             return None
-        pool = np.concatenate(self._parts[dest])
-        chunk, rest = pool[: self.chunk_tuples], pool[self.chunk_tuples:]
-        self._parts[dest] = [rest] if rest.size else []
-        self._counts[dest] = int(rest.size)
-        return chunk
+        return self._take(dest, self.chunk_tuples)
 
     def pop_all(self, dest: int) -> np.ndarray | None:
         """Remove and return everything buffered for one destination."""
-        if self._counts.get(dest, 0) == 0:
-            return None
-        pool = np.concatenate(self._parts[dest])
-        self._parts[dest] = []
-        self._counts[dest] = 0
-        return pool
+        count = self._counts.get(dest, 0)
+        return self._take(dest, count) if count else None
 
     def destinations(self) -> list[int]:
         """Destinations with at least one buffered tuple, ascending."""
@@ -138,12 +146,10 @@ class ChunkBuffer:
 
     def drain_everything(self) -> np.ndarray:
         """Remove and return every buffered tuple (for re-partitioning)."""
-        pools = [np.concatenate(p) for p in self._parts.values() if p]
+        parts = [a for dest_parts in self._parts.values() for a in dest_parts]
         self._parts.clear()
         self._counts.clear()
-        if not pools:
-            return empty_chunk()
-        return np.concatenate(pools)
+        return np.concatenate(parts) if parts else empty_chunk()
 
     @property
     def total_buffered(self) -> int:

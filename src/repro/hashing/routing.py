@@ -12,13 +12,18 @@ batch with it.  Two families:
   buckets are addressed by ``h_i(p) = p mod (n0 * 2^i)`` and, left of the
   split pointer, ``h_{i+1}``.
 
-Both partition vectorized batches of positions into per-node index arrays.
+Both reduce a batch of positions to small integer *group keys* (one per
+range / bucket) and share one partitioning kernel, :meth:`Router.route`:
+a stable counting sort of the keys.  docs/DATA_PLANE.md §2 has the cost
+argument and the order invariant.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,16 +31,36 @@ from .ranges import HashRange, ranges_partition_space
 
 __all__ = ["Router", "RangeRouter", "LinearHashRouter"]
 
+#: largest position -> entry lookup table a RangeRouter builds (slots);
+#: above it the per-tuple binary search is the fallback
+_LUT_CAP = 1 << 20
 
-def _group_indices(keys: np.ndarray, n_groups: int) -> list[np.ndarray]:
-    """Stable-partition ``arange(len(keys))`` by integer key in [0, n_groups)."""
-    if n_groups == 1:
-        # One group: every key is 0 and the stable order is the identity.
-        return [np.arange(keys.size, dtype=np.intp)]
+
+def _group_order(keys: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable-partition ``arange(len(keys))`` by integer key in [0, n_groups).
+
+    Returns ``(order, cuts)``: group ``g`` is ``order[cuts[g]:cuts[g + 1]]``,
+    its indices ascending.  Keys are narrowed first: NumPy's stable sort is
+    a radix (counting) sort for 8- and 16-bit keys, a merge sort above."""
+    keys = keys.astype(np.min_scalar_type(n_groups - 1), copy=False)
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    cuts = np.searchsorted(sorted_keys, np.arange(n_groups + 1))
-    return [order[cuts[g]: cuts[g + 1]] for g in range(n_groups)]
+    cuts = np.full(n_groups + 1, keys.size, dtype=np.intp)
+    cuts[0] = 0
+    cuts[1:-1] = np.searchsorted(keys[order], np.arange(1, n_groups, dtype=keys.dtype))
+    return order, cuts
+
+
+def _per_node(
+    shares: Iterable[tuple[Iterable[int], np.ndarray]]
+) -> dict[int, np.ndarray]:
+    """Collect ``(nodes, indices)`` shares into node -> indices, a node's
+    shares concatenated in the order given."""
+    out: dict[int, list[np.ndarray]] = {}
+    for nodes, idx in shares:
+        for n in nodes:
+            out.setdefault(n, []).append(idx)
+    return {n: np.concatenate(parts) if len(parts) > 1 else parts[0]
+            for n, parts in out.items()}
 
 
 class Router(ABC):
@@ -45,27 +70,69 @@ class Router(ABC):
     version: int
 
     @abstractmethod
-    def partition_build(self, positions: np.ndarray) -> dict[int, np.ndarray]:
-        """node_id -> indices of ``positions`` to send there (build phase)."""
+    def _chains(self) -> Sequence[tuple[int, ...]]:
+        """Destination chain of every routing group (range / bucket), by
+        group key.  The last member receives the group's build tuples;
+        every member receives its probe tuples."""
 
     @abstractmethod
+    def _keys(self, positions: np.ndarray) -> np.ndarray:
+        """Group key of each position (an index into :meth:`_chains`)."""
+
+    def route(
+        self, positions: np.ndarray
+    ) -> tuple[np.ndarray, list[tuple[tuple[int, ...], int, int]]]:
+        """The routing kernel: ``(order, spans)``.
+
+        ``order`` is the stable permutation bringing each group's tuples
+        together; ``spans`` lists ``(chain, lo, hi)`` for every non-empty
+        group, by group key: ``order[lo:hi]`` are its tuples, ascending.
+        A caller gathers ``values[order]`` once and slices it per span."""
+        chains = self._chains()
+        if len(chains) == 1:
+            # One group owning the whole space: the order is the identity.
+            n = int(positions.size)
+            return np.arange(n, dtype=np.intp), [(chains[0], 0, n)] if n else []
+        order, cuts = _group_order(self._keys(positions), len(chains))
+        return order, [(chain, lo, hi) for chain, lo, hi
+                       in zip(chains, cuts[:-1].tolist(), cuts[1:].tolist())
+                       if hi > lo]
+
+    def partition_build(self, positions: np.ndarray) -> dict[int, np.ndarray]:
+        """node_id -> indices of ``positions`` to send there (build phase)."""
+        order, spans = self.route(positions)
+        return _per_node((chain[-1:], order[lo:hi]) for chain, lo, hi in spans)
+
     def partition_probe(self, positions: np.ndarray) -> dict[int, np.ndarray]:
         """node_id -> indices (probe phase; may duplicate indices across nodes)."""
+        order, spans = self.route(positions)
+        return _per_node((chain, order[lo:hi]) for chain, lo, hi in spans)
 
     def probe_groups(
         self, positions: np.ndarray
     ) -> list[tuple[tuple[int, ...], np.ndarray]]:
         """Probe routing grouped by replica chain: ``(dests, indices)`` pairs.
 
-        Every destination in ``dests`` receives the *same* index set, so a
-        caller can materialize ``values[indices]`` once per group and hand
-        the shared array to each replica instead of gathering one private
-        copy per destination (the probe-broadcast amplification of the
-        replication-based algorithm).  The default covers non-replicating
-        routers: each destination is its own singleton group.
+        Every destination in ``dests`` receives the *same* index set.  The
+        default covers non-replicating routers: each destination is its
+        own singleton group.
         """
         return [((n,), idx)
                 for n, idx in sorted(self.partition_probe(positions).items())]
+
+    def share_of(
+        self, positions: np.ndarray, node: int, *, probe: bool
+    ) -> np.ndarray:
+        """Indices ``node`` receives in one phase — ``partition_build`` /
+        ``partition_probe`` ``.get(node)``, empty if none — read off the
+        group keys with one mask, the other nodes' shares never formed."""
+        keys = self._keys(positions)
+        hit = np.array([node in chain if probe else node == chain[-1]
+                        for chain in self._chains()])
+        idx = np.flatnonzero(hit[keys])
+        if hit.sum() > 1:  # several groups: group-major, as the partition is
+            idx = idx[np.argsort(keys[idx], kind="stable")]
+        return idx
 
     @abstractmethod
     def owners(self) -> set[int]:
@@ -116,30 +183,35 @@ class RangeRouter(Router):
         )
 
     # ------------------------------------------------------------------
-    def _range_indices(self, positions: np.ndarray) -> list[np.ndarray]:
-        if len(self.entries) == 1:
-            # Single range owning the whole space: no search needed.
-            return [np.arange(positions.size, dtype=np.intp)]
+    def _chains(self) -> Sequence[tuple[int, ...]]:
+        return [dests for _, dests in self.entries]
+
+    @cached_property
+    def _table(self) -> tuple[int, np.ndarray | None]:
+        """``(shift, lut)``: every bound is a multiple of ``2**shift`` (the
+        largest such power), so ``lut`` has one slot per aligned block.
+        Built by the first batch routed and not a dataclass field: ==,
+        hash, repr and the functional updates never see it.  ``lut`` is
+        None over the cap."""
+        low = 1 << (self.positions - 1).bit_length()  # never zero
+        for rng, _ in self.entries:
+            low |= rng.lo
+        shift = (low & -low).bit_length() - 1
+        slots = ((self.positions - 1) >> shift) + 1
+        if slots > _LUT_CAP:
+            return shift, None
+        lut = self._search(np.arange(slots, dtype=np.int64) << shift)
+        return shift, lut.astype(np.min_scalar_type(len(self.entries) - 1))
+
+    def _keys(self, positions: np.ndarray) -> np.ndarray:
+        shift, lut = self._table
+        if lut is None:  # binary search per tuple
+            return self._search(positions)
+        return lut[positions >> shift]
+
+    def _search(self, positions: np.ndarray) -> np.ndarray:
         bounds: np.ndarray = self._bounds  # type: ignore[attr-defined]
-        keys = np.searchsorted(bounds, positions, side="right") - 1
-        return _group_indices(keys, len(self.entries))
-
-    def partition_build(self, positions: np.ndarray) -> dict[int, np.ndarray]:
-        out: dict[int, list[np.ndarray]] = {}
-        for (rng, dests), idx in zip(self.entries, self._range_indices(positions)):
-            if idx.size:
-                out.setdefault(dests[-1], []).append(idx)
-        return {n: np.concatenate(parts) if len(parts) > 1 else parts[0]
-                for n, parts in out.items()}
-
-    def partition_probe(self, positions: np.ndarray) -> dict[int, np.ndarray]:
-        out: dict[int, list[np.ndarray]] = {}
-        for (rng, dests), idx in zip(self.entries, self._range_indices(positions)):
-            if idx.size:
-                for n in dests:
-                    out.setdefault(n, []).append(idx)
-        return {n: np.concatenate(parts) if len(parts) > 1 else parts[0]
-                for n, parts in out.items()}
+        return np.searchsorted(bounds, positions, side="right") - 1
 
     def probe_groups(
         self, positions: np.ndarray
@@ -147,12 +219,9 @@ class RangeRouter(Router):
         """One ``(replica chain, indices)`` pair per range with probe tuples.
 
         Chains longer than one are exactly the broadcast groups of
-        paper §4.2.2; sharing the gathered array across a chain removes
-        the per-replica duplicate materialization."""
-        return [(dests, idx)
-                for (rng, dests), idx
-                in zip(self.entries, self._range_indices(positions))
-                if idx.size]
+        paper §4.2.2."""
+        order, spans = self.route(positions)
+        return [(chain, order[lo:hi]) for chain, lo, hi in spans]
 
     def owners(self) -> set[int]:
         return {n for _, dests in self.entries for n in dests}
@@ -165,8 +234,7 @@ class RangeRouter(Router):
     # functional updates used by the strategies
     # ------------------------------------------------------------------
     def entry_index_for(self, position: int) -> int:
-        bounds: np.ndarray = self._bounds  # type: ignore[attr-defined]
-        return int(np.searchsorted(bounds, position, side="right") - 1)
+        return int(self._search(np.int64(position)))
 
     def entry_index_of(self, node: int) -> int:
         """Index of the entry whose replica chain holds ``node``."""
@@ -276,17 +344,11 @@ class LinearHashRouter(Router):
             b[pre] = positions[pre] % (m * 2)
         return b
 
-    def partition_build(self, positions: np.ndarray) -> dict[int, np.ndarray]:
-        buckets = self.bucket_of(positions)
-        out: dict[int, list[np.ndarray]] = {}
-        for b, idx in enumerate(_group_indices(buckets, self.n_buckets)):
-            if idx.size:
-                out.setdefault(self.bucket_nodes[b], []).append(idx)
-        return {n: np.concatenate(parts) if len(parts) > 1 else parts[0]
-                for n, parts in out.items()}
+    # split-based never replicates: every bucket is a chain of one
+    def _chains(self) -> Sequence[tuple[int, ...]]:
+        return [(n,) for n in self.bucket_nodes]
 
-    # split-based never replicates: probe routing == build routing
-    partition_probe = partition_build
+    _keys = bucket_of
 
     def owners(self) -> set[int]:
         return set(self.bucket_nodes)

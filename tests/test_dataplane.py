@@ -11,6 +11,7 @@ checked end to end for all four algorithms plus one chaos run.
 
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hypothesis.extra import numpy as hnp
 from tests.conftest import small_cluster, small_config, small_workload
 from repro.config import Algorithm
 from repro.core import run_join
+from repro.core.datasource import DataSourceProcess
 from repro.data import (
     KEY_DTYPE,
     ChunkBuffer,
@@ -29,8 +31,14 @@ from repro.data import (
     chunk_slices,
 )
 from repro.faults import CrashSpec, FaultPlan
-from repro.hashing import NodeHashStore, PositionMap
-from repro.hashing.routing import _group_indices
+from repro.hashing import (
+    HashRange,
+    LinearHashRouter,
+    NodeHashStore,
+    PositionMap,
+    RangeRouter,
+)
+from repro.hashing.routing import _LUT_CAP, _group_order
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -163,20 +171,186 @@ def test_as_key_chunk_rejections():
 # ----------------------------------------------------------------------
 @given(
     keys=hnp.arrays(dtype=np.int64, shape=st.integers(0, 300),
-                    elements=st.integers(0, 7)),
-    n_groups=st.integers(1, 8),
+                    elements=st.integers(0, 2**40)),
+    # uint8 keys up to 256 groups, uint16 up to 65 536, wide keys above
+    n_groups=st.sampled_from([1, 2, 8, 255, 256, 257, 70_000]),
 )
 @settings(max_examples=150, deadline=None)
 def test_group_indices_matches_per_tuple_grouping(keys, n_groups):
     keys = keys % n_groups
-    groups = _group_indices(keys, n_groups)
-    assert len(groups) == n_groups
-    reference = [[] for _ in range(n_groups)]
+    order, cuts = _group_order(keys, n_groups)
+    assert cuts.size == n_groups + 1 and cuts[0] == 0
+    reference: dict[int, list[int]] = {}
     for i, k in enumerate(keys.tolist()):  # the per-tuple ancestor
-        reference[k].append(i)
-    for got, want in zip(groups, reference):
-        # stable: indices appear in original order within each group
-        assert got.tolist() == want
+        reference.setdefault(k, []).append(i)
+    # stable: indices appear in original order within each group
+    assert order.tolist() == [i for k in sorted(reference) for i in reference[k]]
+    assert np.array_equal(np.diff(cuts),
+                          np.bincount(keys, minlength=n_groups))
+
+
+def per_tuple_routing(router, positions):
+    """The per-tuple ancestor of ``Router.route``: ``(chain, indices)`` per
+    non-empty range, in range order, found by scanning the entries."""
+    per_entry = [[] for _ in router.entries]
+    for i, p in enumerate(positions.tolist()):
+        (e,) = [k for k, (rng, _) in enumerate(router.entries) if rng.contains(p)]
+        per_entry[e].append(i)
+    return [(chain, idx) for (_, chain), idx in zip(router.entries, per_entry)
+            if idx]
+
+
+def per_node(shares):
+    out: dict[int, list[int]] = {}
+    for nodes, idx in shares:
+        for n in nodes:
+            out.setdefault(n, []).extend(idx)
+    return out
+
+
+@st.composite
+def range_routers(draw):
+    """A tiling of [0, positions) with replica chains: bounds aligned to a
+    drawn power of two (a short table) or not at all (one slot a position),
+    ``positions`` itself not always a power of two."""
+    align = draw(st.sampled_from([1, 1, 8, 64]))
+    blocks = draw(st.integers(1, 40))
+    positions = blocks * align
+    cuts = sorted(draw(st.sets(st.integers(1, blocks - 1), max_size=12))
+                  if blocks > 1 else [])
+    bounds = [0, *(c * align for c in cuts), positions]
+    nodes = iter(range(1000))
+    entries = tuple(
+        (HashRange(lo, hi),
+         tuple(next(nodes) for _ in range(draw(st.integers(1, 3)))))
+        for lo, hi in zip(bounds, bounds[1:])
+    )
+    return RangeRouter(positions, entries, version=draw(st.integers(0, 5)))
+
+
+@given(router=range_routers(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_range_routing_matches_per_tuple_reference(router, data):
+    positions = data.draw(hnp.arrays(
+        dtype=np.int64, shape=st.integers(0, 200),
+        elements=st.integers(0, router.positions - 1)))
+    values = (positions * 7 + 3).astype(np.uint64)
+    reference = per_tuple_routing(router, positions)
+
+    order, spans = router.route(positions)
+    assert sorted(order.tolist()) == list(range(positions.size))
+    gathered = values[order]
+    assert [(chain, gathered[lo:hi].tolist()) for chain, lo, hi in spans] \
+        == [(chain, values[idx].tolist()) for chain, idx in reference]
+
+    got = router.probe_groups(positions)
+    assert [(chain, idx.tolist()) for chain, idx in got] == reference
+    build = per_node((chain[-1:], idx) for chain, idx in reference)
+    probe = per_node(reference)
+    got_build = router.partition_build(positions)
+    got_probe = router.partition_probe(positions)
+    # tuple order exact, and the dict's key order too
+    assert [(n, i.tolist()) for n, i in got_build.items()] == list(build.items())
+    assert [(n, i.tolist()) for n, i in got_probe.items()] == list(probe.items())
+    for node in router.owners() | {-1}:
+        assert router.share_of(positions, node, probe=False).tolist() \
+            == build.get(node, [])
+        assert router.share_of(positions, node, probe=True).tolist() \
+            == probe.get(node, [])
+
+
+def test_share_of_is_group_major_when_a_node_owns_several_ranges():
+    """A takeover target can own non-adjacent ranges; its share comes in
+    the partition's order (range by range), not the batch's."""
+    router = RangeRouter(12, (
+        (HashRange(0, 4), (9,)), (HashRange(4, 8), (1,)), (HashRange(8, 12), (9,)),
+    ))
+    positions = np.array([10, 1, 5, 9, 0, 11], dtype=np.int64)
+    assert router.share_of(positions, 9, probe=False).tolist() == [1, 4, 0, 3, 5]
+    assert router.partition_build(positions)[9].tolist() == [1, 4, 0, 3, 5]
+
+
+@pytest.mark.parametrize("positions, table", [
+    (_LUT_CAP, True),        # unaligned cuts: one slot a position, at the cap
+    (2 * _LUT_CAP, False),   # over it: the binary search is the fallback
+])
+def test_table_size_cap_selects_the_fallback(positions, table):
+    cuts = [0, 3, positions // 3, positions // 2 + 1, positions - 5, positions]
+    router = RangeRouter(positions, tuple(
+        (HashRange(lo, hi), (n,)) for n, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+    ))
+    assert "_table" not in router.__dict__, "built on first use only"
+    edges = np.array([0, positions - 1,
+                      *(c + d for c in cuts[1:-1] for d in (-1, 0, 1))])
+    rand = np.random.default_rng(3).integers(0, positions, 2000)
+    pos = np.concatenate([edges, rand]).astype(np.int64)
+    got = router.probe_groups(pos)
+    shift, lut = router.__dict__["_table"]
+    assert shift == 0 and (lut is not None) == table
+    want = [np.flatnonzero((pos >= lo) & (pos < hi)) for lo, hi in zip(cuts, cuts[1:])]
+    assert [idx.tolist() for _, idx in got] == [w.tolist() for w in want if w.size]
+
+
+@given(
+    n0=st.integers(1, 5), level=st.integers(0, 3), data=st.data(),
+    positions=hnp.arrays(dtype=np.int64, shape=st.integers(0, 200),
+                         elements=st.integers(0, 1 << 18)),
+)
+@settings(max_examples=100, deadline=None)
+def test_linear_routing_matches_per_tuple_reference(n0, level, data, positions):
+    m = n0 << level
+    pointer = data.draw(st.integers(0, m - 1))  # anywhere, mid-level included
+    # several buckets may share a node (after a takeover)
+    nodes = tuple(data.draw(st.lists(st.integers(0, 6), min_size=m + pointer,
+                                     max_size=m + pointer)))
+    router = LinearHashRouter(n0, level, pointer, nodes)
+    per_bucket: dict[int, list[int]] = {}
+    for i, p in enumerate(positions.tolist()):  # Litwin's address function
+        b = p % m
+        if b < pointer:
+            b = p % (2 * m)
+        per_bucket.setdefault(b, []).append(i)
+    want = per_node(((nodes[b],), per_bucket[b]) for b in sorted(per_bucket))
+    got = router.partition_build(positions)
+    assert [(n, i.tolist()) for n, i in got.items()] == list(want.items())
+    assert router.partition_probe(positions).keys() == got.keys()
+    assert [(chain, idx.tolist()) for chain, idx in router.probe_groups(positions)] \
+        == [((n,), want[n]) for n in sorted(want)]
+    for node in set(nodes):
+        assert router.share_of(positions, node, probe=True).tolist() \
+            == want.get(node, [])
+
+
+@given(router=range_routers(), data=st.data(), probe=st.booleans(),
+       skip=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_buffering_a_routed_batch_keeps_the_append_order(router, data, probe, skip):
+    """One gather + slices fills the buffers exactly as one gather per
+    destination did: per-destination tuple order *and* the order
+    destinations are first appended in (what ``drain_everything`` walks)."""
+    positions = data.draw(hnp.arrays(
+        dtype=np.int64, shape=st.integers(0, 200),
+        elements=st.integers(0, router.positions - 1)))
+    values = (positions * 7 + 3).astype(np.uint64)
+    skipped = data.draw(st.sampled_from(sorted(router.owners()))) if skip else None
+
+    want = ChunkBuffer(16)
+    parts = (router.partition_probe if probe else router.partition_build)(positions)
+    for dest, idx in sorted(parts.items()):
+        if dest != skipped:
+            want.append(dest, values[idx])
+    got = ChunkBuffer(16)
+    copies = DataSourceProcess._buffer_routed(
+        SimpleNamespace(router=router), got, values, positions,
+        probe=probe, skip=skipped)
+
+    assert copies == sum(idx.size for idx in parts.values())
+    assert got.destinations() == want.destinations()
+    assert list(got._parts) == list(want._parts)
+    for dest in want.destinations():
+        assert np.array_equal(np.concatenate(got._parts[dest]),
+                              np.concatenate(want._parts[dest]))
+    assert np.array_equal(got.drain_everything(), want.drain_everything())
 
 
 # ----------------------------------------------------------------------
@@ -221,6 +395,70 @@ def test_chunk_buffer_preserves_order_and_multiset(appends, chunk):
             out.extend(rest.tolist())
         assert out == expect[dest]
     assert buf.total_buffered == 0
+
+
+@given(
+    ops=st.lists(st.one_of(
+        st.tuples(st.just("append"), st.integers(0, 3), small_key_arrays),
+        st.tuples(st.just("pop_full_chunk"), st.integers(0, 4)),
+        st.tuples(st.just("pop_all"), st.integers(0, 4)),
+        st.tuples(st.just("drain_everything")),
+    ), max_size=40),
+    chunk=st.integers(1, 60),
+)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_chunk_buffer_against_a_list_model(ops, chunk):
+    """Any interleaving of the four operations against plain lists: what
+    each pop returns, ``destinations()``, and the order ``drain_everything``
+    concatenates in — destinations by *first append since the last drain*,
+    a destination emptied by pops keeping its place."""
+    buf = ChunkBuffer(chunk)
+    model: dict[int, list[int]] = {}  # insertion order == first-append order
+    for op, *args in ops:
+        if op == "append":
+            dest, values = args
+            before = values.copy()
+            buf.append(dest, values)
+            if values.size:
+                model.setdefault(dest, []).extend(values.tolist())
+            assert np.array_equal(values, before), "appended arrays are never mutated"
+        elif op == "pop_full_chunk":
+            got = buf.pop_full_chunk(args[0])
+            have = model.get(args[0], [])
+            if len(have) < chunk:
+                assert got is None
+            else:
+                assert got.tolist() == have[:chunk]
+                del have[:chunk]
+        elif op == "pop_all":
+            got = buf.pop_all(args[0])
+            have = model.get(args[0], [])
+            assert (got is None) if not have else (got.tolist() == have)
+            have.clear()
+        else:
+            got = buf.drain_everything()
+            assert got.dtype == KEY_DTYPE
+            assert got.tolist() == [v for have in model.values() for v in have]
+            model.clear()
+        assert buf.destinations() == sorted(d for d, have in model.items() if have)
+        assert buf.total_buffered == sum(len(have) for have in model.values())
+
+
+def test_popping_one_large_append_copies_each_tuple_once():
+    """A 40-chunk re-partition pool popped chunk by chunk: every chunk is a
+    fresh array (the pool is not pinned by what was sent) and the backlog
+    is never re-concatenated — it stays a view of the one append."""
+    pool = np.arange(4000, dtype=np.uint64)
+    buf = ChunkBuffer(100)
+    buf.append(0, pool)
+    for k in range(39):
+        chunk = buf.pop_full_chunk(0)
+        assert chunk.base is None and chunk[0] == 100 * k
+        (rest,) = buf._parts[0]
+        assert rest.base is pool
+    assert buf.pop_full_chunk(0).tolist() == list(range(3900, 4000))
+    assert buf.pop_full_chunk(0) is None and buf.total_buffered == 0
 
 
 def test_relation_stream_limit_is_a_prefix():

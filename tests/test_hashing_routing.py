@@ -101,6 +101,39 @@ def test_entry_index_for_and_replicated_groups():
     assert len(groups) == 1 and groups[0][1] == (2, 9)
 
 
+def test_cached_table_is_invisible_and_never_inherited():
+    """The position -> entry table is built by the first routing call and
+    kept outside the dataclass fields: equality, hash and repr do not see
+    it, and every functional update starts without one (a stale table
+    would route by the old bounds)."""
+    routed, fresh = make_router(4), make_router(4)
+    before = repr(routed)
+    assert "_table" not in routed.__dict__
+    routed.partition_build(all_positions())
+    shift, lut = routed.__dict__["_table"]
+    assert (shift, lut.tolist()) == (10, [0, 1, 2, 3])  # 4 slots, not 4096
+    assert routed == fresh and hash(routed) == hash(fresh)
+    assert repr(routed) == before and "_table" not in before
+
+    pos = all_positions()
+    for update in (
+        routed.with_replica(1, 7, 1),
+        routed.with_bisection(1, 1, 7, 1),
+        routed.with_takeover({1, 2}, 7, 1),
+    ):
+        assert "_table" not in update.__dict__
+        twin = RangeRouter(update.positions, update.entries, update.version)
+        got, want = update.partition_probe(pos), twin.partition_probe(pos)
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[n], want[n]) for n in want)
+    # the bisected router routes by its own bounds: 1024..1535 | 1536..2047
+    bisected = routed.with_bisection(1, 1, 7, 1)
+    split = bisected.partition_build(pos)
+    assert split[1].tolist() == list(range(1024, 1536))
+    assert split[7].tolist() == list(range(1536, 2048))
+    assert bisected.__dict__["_table"][0] == 9
+
+
 def test_wire_bytes_grows_with_entries():
     small = make_router(2)
     big = make_router(16)
