@@ -72,7 +72,12 @@ from .config import (
     WorkloadSpec,
 )
 from .core import run_join
-from .faults import FaultPlan, FaultPlanError, crash_specs_from_cli
+from .faults import (
+    FaultPlan,
+    FaultPlanError,
+    UnrecoverableFaultError,
+    crash_specs_from_cli,
+)
 from .obs import ObsBudget
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -1104,6 +1109,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except FaultPlanError as exc:
         parser.error(str(exc))
+    except UnrecoverableFaultError as exc:
+        # A typed, explained end of the run (docs/FAULTS.md), not a bug:
+        # it surfaces as its message and exit code 3, like parser.error's 2.
+        print(f"repro: unrecoverable fault: {exc}", file=sys.stderr)
+        raise SystemExit(3) from None
 
 
 if __name__ == "__main__":  # pragma: no cover

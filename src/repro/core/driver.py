@@ -123,37 +123,40 @@ def single_query_context(cfg: RunConfig) -> RunContext:
     return ctx
 
 
+def actor_classes(
+    ctx: RunContext,
+) -> tuple[type[SchedulerProcess], type[JoinProcess], type[DataSourceProcess]]:
+    """The (scheduler, join process, data source) classes of one query: the
+    paper's three actors, or — all three, as the standby's verdicts need peers
+    that understand them — each wrapped in its fault-tolerance layer.  The
+    standby machine exists exactly when the fault plan arms the membership
+    layer; imported on demand, so the fault-free path runs with it absent."""
+    if ctx.backup_node is not None:
+        from .recovery import (
+            FaultTolerantDataSource,
+            FaultTolerantJoinProcess,
+            FaultTolerantScheduler,
+        )
+
+        return (FaultTolerantScheduler, FaultTolerantJoinProcess,
+                FaultTolerantDataSource)
+    return SchedulerProcess, JoinProcess, DataSourceProcess
+
+
 def spawn_scheduler(ctx: RunContext) -> SchedulerProcess:
     """Spawn one query's scheduler: its simulation process is
     ``scheduler.proc``, the finished query's outcome ``scheduler.result()``.
     Join processes come next (all of them up front, or one per grant),
     then :func:`spawn_sources` — the order is part of the event stream."""
-    scheduler: SchedulerProcess
-    if ctx.backup_node is not None:
-        # Control-plane fault tolerance: the same scheduler wrapped in WAL
-        # replication, node recovery and a standby that takes over on
-        # primary silence.  The standby machine exists exactly when the
-        # fault plan arms the membership layer; imported on demand — the
-        # fault-free path runs with the layer absent.
-        from .recovery import FaultTolerantScheduler
-
-        scheduler = FaultTolerantScheduler(ctx)
-    else:
-        scheduler = SchedulerProcess(ctx)
+    scheduler = actor_classes(ctx)[0](ctx)
     scheduler.spawn(f"scheduler-q{ctx.query}")
     return scheduler
 
 
 def spawn_join(ctx: RunContext, j: int, name: str) -> tuple[JoinProcess, Any]:
     """Spawn pool node ``j``'s join process (dormant until activated);
-    returns it and its simulation process.  Layered on the scheduler's
-    test: its failover and death verdicts need joins that understand them."""
-    if ctx.backup_node is not None:
-        from .recovery import FaultTolerantJoinProcess
-
-        jp: JoinProcess = FaultTolerantJoinProcess(ctx, j)
-    else:
-        jp = JoinProcess(ctx, j)
+    returns it and its simulation process."""
+    jp = actor_classes(ctx)[1](ctx, j)
     return jp, ctx.sim.spawn(jp.run(), name=name)
 
 
@@ -167,12 +170,14 @@ def _spawn_all_joins(ctx: RunContext, scheduler: SchedulerProcess) -> None:
         ctx.faults.start()
 
 
-def spawn_sources(ctx: RunContext, scheduler: SchedulerProcess) -> None:
-    sources = [
-        DataSourceProcess(ctx, s, scheduler.router) for s in range(ctx.n_sources)
-    ]
+def spawn_sources(ctx: RunContext, scheduler: SchedulerProcess) -> list[DataSourceProcess]:
+    """Spawn and return the query's data sources, each starting from the
+    scheduler's initial routing table."""
+    source = actor_classes(ctx)[2]
+    sources = [source(ctx, s, scheduler.router) for s in range(ctx.n_sources)]
     for sp in sources:
         ctx.sim.spawn(sp.run(), name=f"src{sp.index}-q{ctx.query}")
+    return sources
 
 
 def assemble_result(

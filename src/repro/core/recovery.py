@@ -1,12 +1,11 @@
-"""Control-plane fault tolerance for the scheduler and the join
-processes, layered on.
+"""Control-plane fault tolerance for the paper's three actors, layered on.
 
-:class:`FaultTolerantScheduler` and :class:`FaultTolerantJoinProcess` are
-the paper's actors wrapped at their decision points;
-``driver.spawn_scheduler`` / ``driver.spawn_join`` build them instead of
-the plain ones exactly when the cluster has a standby scheduler machine —
-which ``Cluster.build`` adds when the fault plan arms the membership
-layer.  The scheduler gains:
+:class:`FaultTolerantScheduler`, :class:`FaultTolerantJoinProcess` and
+:class:`FaultTolerantDataSource` are the scheduler, the join process and
+the data source wrapped at their decision points; ``driver.actor_classes``
+picks them instead of the plain ones exactly when the cluster has a
+standby scheduler machine — which ``Cluster.build`` adds when the fault
+plan arms the membership layer.  The scheduler gains:
 
 * **write-ahead replication** — every checkpoint and in-flight relief or
   recovery decision reaches the standby (``BackupSchedulerProcess``) as a
@@ -21,7 +20,8 @@ layer.  The scheduler gains:
 
 The join process gains heartbeat acks, fencing of dead peers (traffic to
 them dropped, their share of the drain counters subtracted), the purge of a
-broken replica chain and re-announcement to a new scheduler.
+broken replica chain and re-announcement to a new scheduler; the data
+source the replay of a dead node's hash range and the same re-announcement.
 
 Build and probe phases only (docs/FAULTS.md §"Control-plane failure model").
 """
@@ -34,10 +34,12 @@ from typing import Any
 
 import numpy as np
 
+from ..data import ChunkBuffer, RelationStream
 from ..faults import UnrecoverableFaultError
-from ..hashing import HashRange, LinearHashRouter, RangeRouter
+from ..hashing import HashRange, LinearHashRouter, RangeRouter, Router
 from ..sim import Interrupt
 from .context import RunContext
+from .datasource import DataSourceProcess
 from .joinnode import JoinProcess
 from .membership import BackupSchedulerProcess, Membership
 from .messages import (
@@ -65,7 +67,8 @@ from .messages import (
 from .scheduler import SchedulerOutcome, SchedulerProcess
 from .strategy import Decision
 
-__all__ = ["FaultTolerantScheduler", "FaultTolerantJoinProcess"]
+__all__ = ["FaultTolerantScheduler", "FaultTolerantJoinProcess",
+           "FaultTolerantDataSource"]
 
 
 class _NodeDied(Exception):
@@ -787,3 +790,172 @@ class FaultTolerantJoinProcess(JoinProcess):
             yield from self._report_full()
         if self.output_pending:
             yield from self._report_output_full()
+
+
+class FaultTolerantDataSource(DataSourceProcess):
+    """The data source plus the replay of a dead node's hash range and
+    re-announcement after a scheduler failover.
+
+    Relation streams are deterministic (seeded per source), so a source can
+    re-generate any prefix of its stream.  ``batches_done`` is the replay
+    cursor — when a :class:`ReplayOrder` arrives, the source re-generates
+    batches ``[0, cursor)``, partitions them under the routing table
+    *carried by the order* and re-streams only the recovery target's share.
+    The order doubles as the route update for the takeover table: installing
+    it and starting the replay are one atomic step at a batch boundary, so no
+    live chunk can ever be routed to the target for a tuple the replay also
+    covers.  Replay traffic is accounted separately (:class:`ReplayDone`):
+    the scheduler's drain arithmetic fences the dead node's deliveries.
+    """
+
+    def __init__(self, ctx: RunContext, source_index: int, initial_router: Router) -> None:
+        super().__init__(ctx, source_index, initial_router)
+        #: completed replays by (recovery_id, relation) — replays are
+        #: idempotent: a re-driven order re-sends the stored receipt
+        self._replays_done: dict[tuple[int, str], ReplayDone] = {}
+        self._pending_replays: list[ReplayOrder] = []
+        self._done_relations: list[str] = []
+        self._reannounce = False
+        # The two rows only note what arrived: what they must send needs
+        # generator context, which :meth:`_at_boundary` has.
+        cls = type(self)
+        self._handlers.update({
+            ReplayOrder: cls._on_replay_order,
+            SchedulerFailover: cls._on_failover,
+        })
+
+    # ------------------------------------------------------------------
+    # dispatch rows the layer adds
+    # ------------------------------------------------------------------
+    def _on_replay_order(self, msg: ReplayOrder) -> None:
+        self._pending_replays.append(msg)
+
+    def _on_failover(self, msg: SchedulerFailover) -> None:
+        # Re-announce everything the dead primary took to its grave.
+        self._reannounce = True
+
+    # ------------------------------------------------------------------
+    # the wrapped decision points
+    # ------------------------------------------------------------------
+    def _at_boundary(self, buffers: ChunkBuffer | None) -> Generator[Any, Any, None]:
+        """Act on what the rows noted: re-announce, then queued replays.
+
+        The base moves its cursor before calling, so an order acted on
+        here covers the batch just routed (``limit = batches_done``)."""
+        if self._reannounce:
+            self._reannounce = False
+            yield from self._announce_to_scheduler()
+        while self._pending_replays:
+            order = self._pending_replays.pop(0)
+            yield from self._execute_replay(order, buffers=buffers)
+
+    def _report_done(self, relation: str) -> Generator[Any, Any, None]:
+        if relation not in self._done_relations:
+            self._done_relations.append(relation)
+        return super()._report_done(relation)
+
+    def _announce_to_scheduler(self) -> Generator[Any, Any, None]:
+        """A standby took over: re-send everything the old primary knew.
+
+        SourceDone and ReplayDone are idempotent at the scheduler (keyed
+        on source / recovery id), so re-announcing is always safe."""
+        self.ctx.trace("source_reannounce", f"src{self.index}")
+        for relation in self._done_relations:
+            yield from self._report_done(relation)
+        for done in self._replays_done.values():
+            yield from self.ctx.send(self.node, self.ctx.scheduler_node, done)
+
+    def _execute_replay(
+        self, order: ReplayOrder, buffers: ChunkBuffer | None
+    ) -> Generator[Any, Any, None]:
+        """Re-stream the recovery target's share of this source's prefix.
+
+        Idempotent: a repeated order (standby re-drive after a scheduler
+        failover) re-sends the stored receipt without re-streaming."""
+        ctx = self.ctx
+        key = (order.recovery_id, order.relation)
+        done = self._replays_done.get(key)
+        if done is None:
+            limit = self.batches_done[order.relation]
+            # The order doubles as the takeover route update — except for
+            # a build-side (R) replay while this source streams S, where
+            # the scheduler flips the live probe table separately only
+            # after the target finishes rebuilding.
+            streaming_s = self._probe_router is not None
+            if order.router is not None and not (
+                    order.relation == "R" and streaming_s):
+                if order.router.version > self.router.version:
+                    self.router = order.router
+                if buffers is not None and buffers.total_buffered:
+                    # Buffered tuples the replay re-covers must not also
+                    # ship live, or the target would see them twice.
+                    pool = buffers.drain_everything()
+                    yield from self._requeue_excluding(buffers, pool, order)
+            done = yield from self._replay_prefix(order, limit)
+            self._replays_done[key] = done
+        yield from ctx.send(self.node, ctx.scheduler_node, done)
+
+    def _requeue_excluding(
+        self, buffers: ChunkBuffer, pool: np.ndarray, order: ReplayOrder
+    ) -> Generator[Any, Any, None]:
+        """Re-buffer ``pool`` under the live table, minus the replay's share.
+
+        Build tuples covered by the replay (assigned to the target under
+        the order's table) are dropped outright; probe tuples only lose
+        their target *copy* — copies for other replicas still flow live."""
+        if pool.size == 0:
+            return
+        assert order.router is not None
+        positions = yield from self._route_positions(pool)
+        probe = order.relation == "S"
+        if not probe:
+            covered = order.router.share_of(positions, order.target, probe=False)
+            keep = np.ones(pool.size, dtype=bool)
+            keep[covered] = False
+            pool, positions = pool[keep], positions[keep]
+        # the live share of the target's range is replayed too: skip it
+        self._buffer_routed(buffers, pool, positions, probe=probe,
+                            skip=order.target)
+
+    def _replay_prefix(
+        self, order: ReplayOrder, limit: int
+    ) -> Generator[Any, Any, ReplayDone]:
+        """Re-generate batches ``[0, limit)`` and stream the target's share."""
+        ctx = self.ctx
+        wl = ctx.cfg.workload
+        router = order.router if order.router is not None else self.router
+        stream = RelationStream(wl, order.relation, ctx.n_sources, self.index)
+        target = order.target
+        buffer = ChunkBuffer(self.chunk_tuples)
+        chunks = 0
+        tuples = 0
+
+        def ship(values: np.ndarray) -> Generator[Any, Any, None]:
+            # Counted in the ReplayDone receipt, never in the live
+            # ``chunks_sent`` maps (the scheduler fences those per-dest).
+            nonlocal chunks, tuples
+            chunks += 1
+            tuples += int(values.size)
+            return self._ship(target, order.relation, values, router.version)
+
+        for batch in stream.batches(limit=limit):
+            yield from self._produce(batch)
+            positions = yield from self._route_positions(batch)
+            share = router.share_of(positions, target,
+                                    probe=order.relation == "S")
+            buffer.append(target, batch[share])
+            while (chunk := buffer.pop_full_chunk(target)) is not None:
+                yield from ship(chunk)
+        rest = buffer.pop_all(target)
+        if rest is not None:
+            yield from ship(rest)
+        done = ReplayDone(
+            recovery_id=order.recovery_id,
+            source=self.index,
+            relation=order.relation,
+            chunks_sent={order.target: chunks} if chunks else {},
+            tuples=tuples,
+        )
+        ctx.trace("replay_done", f"src{self.index}", relation=order.relation,
+                  target=order.target, chunks=chunks, tuples=tuples)
+        return done

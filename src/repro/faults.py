@@ -34,7 +34,7 @@ the result.  See docs/FAULTS.md for the schema and worked examples.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING, Any
 
@@ -233,46 +233,31 @@ class FaultPlan:
 
     # -- JSON ------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "drop_prob": self.drop_prob,
-            "ack_drop_prob": self.ack_drop_prob,
-            "crashes": [
-                {"node": c.node, "at_time": c.at_time, "at_phase": c.at_phase}
-                for c in self.crashes
-            ],
-            "slowdowns": [
-                {"t0": s.t0, "t1": s.t1, "factor": s.factor,
-                 "src": s.src, "dst": s.dst}
-                for s in self.slowdowns
-            ],
-            "rto_s": self.rto_s,
-            "rto_backoff": self.rto_backoff,
-            "rto_max_s": self.rto_max_s,
-            "max_attempts": self.max_attempts,
-            "recruit_timeout_s": self.recruit_timeout_s,
-            "recruit_backoff_max_s": self.recruit_backoff_max_s,
-            "membership": self.membership,
-            "heartbeat_interval_s": self.heartbeat_interval_s,
-            "suspect_timeout_s": self.suspect_timeout_s,
-            "confirm_timeout_s": self.confirm_timeout_s,
-            "kill_scheduler_at": self.kill_scheduler_at,
-        }
+        data = asdict(self)
+        data["crashes"] = list(data["crashes"])
+        data["slowdowns"] = list(data["slowdowns"])
+        return data
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> FaultPlan:
         if not isinstance(data, dict):
             raise FaultPlanError(f"fault plan must be an object, got {type(data).__name__}")
-        known = {
-            "seed", "drop_prob", "ack_drop_prob", "crashes", "slowdowns",
-            "rto_s", "rto_backoff", "rto_max_s", "max_attempts",
-            "recruit_timeout_s", "recruit_backoff_max_s",
-            "membership", "heartbeat_interval_s", "suspect_timeout_s",
-            "confirm_timeout_s", "kill_scheduler_at",
-        }
-        unknown = set(data) - known
+        schema = {f.name: f.type for f in fields(cls)}  # annotations, as written
+        unknown = set(data) - set(schema)
         if unknown:
             raise FaultPlanError(f"unknown fault-plan keys: {sorted(unknown)}")
+        scalar = {"int": int, "float": (int, float), "bool": bool}
+        for name, value in data.items():
+            kind, _, nullable = schema[name].partition(" | ")
+            if kind not in scalar:
+                continue  # crashes / slowdowns: entries are checked below
+            if not (value is None and nullable) and not (
+                    isinstance(value, scalar[kind])
+                    and isinstance(value, bool) == (kind == "bool")):
+                raise FaultPlanError(
+                    f"fault-plan key {name!r} must be "
+                    f"{schema[name].replace(' | None', ' or null')}, got {value!r}"
+                )
         kwargs = dict(data)
         try:
             kwargs["crashes"] = tuple(
@@ -298,8 +283,12 @@ class FaultPlan:
 
     @classmethod
     def from_file(cls, path: str) -> FaultPlan:
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise FaultPlanError(f"cannot read fault plan {path!r}: {exc}") from exc
+        return cls.from_json(text)
 
 
 # ----------------------------------------------------------------------

@@ -259,6 +259,21 @@ def test_cli_run_with_scheduler_kill(capsys):
     assert "hybrid" in out
 
 
+@pytest.mark.chaos
+def test_cli_unrecoverable_fault_is_one_line_and_exit_3(capsys):
+    """A working node dies with no spare in the pool of 8: the typed,
+    explained error reaches the terminal as its message, not a traceback."""
+    with pytest.raises(SystemExit) as exit_:
+        main(cli_small([
+            "run", "--algorithm", "hybrid", "--initial-nodes", "2",
+            "--membership", "--crash-node", "1@0.02",
+        ]))
+    err = capsys.readouterr().err
+    assert exit_.value.code == 3
+    assert err.startswith("repro: unrecoverable fault: pool exhausted")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_workload_rejects_membership_flags(capsys):
     rc = main(["workload", "--queries", "1", "--membership"])
     err = capsys.readouterr().err

@@ -100,6 +100,24 @@ def test_plan_rejects_unknown_keys_and_bad_json():
         FaultPlan.from_json("[1, 2]")
 
 
+@pytest.mark.parametrize("doc", [
+    {"drop_prob": "0.1"}, {"max_attempts": None}, {"seed": 1.5},
+    {"seed": True}, {"membership": 1}, {"rto_s": "soon"},
+], ids=lambda doc: next(iter(doc)))
+def test_plan_rejects_wrongly_typed_scalars(doc):
+    """Each used to reach ``__post_init__`` (a bare ``TypeError``) or, for
+    the fractional seed, ``numpy.random.SeedSequence`` at run start."""
+    (key,) = doc
+    with pytest.raises(FaultPlanError, match=f"'{key}' must be"):
+        FaultPlan.from_dict(doc)
+
+
+def test_plan_accepts_ints_for_floats_and_null_for_optionals():
+    plan = FaultPlan.from_dict(
+        {"drop_prob": 0, "rto_s": 1, "kill_scheduler_at": None})
+    assert plan == FaultPlan(drop_prob=0, rto_s=1)
+
+
 def test_inactive_plan_is_detected():
     assert not FaultPlan().active
     assert FaultPlan(drop_prob=0.1).active
@@ -442,6 +460,25 @@ def test_cli_rejects_malformed_fault_plan(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(cli_args(["run", "--fault-plan", str(path)]))
     assert "unknown fault-plan keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,needle", [
+    ({"drop_prob": "0.1"}, "'drop_prob' must be float"),
+    ({"max_attempts": None}, "'max_attempts' must be int"),
+    ({"seed": 1.5}, "'seed' must be int"),
+    (None, "cannot read fault plan"),
+], ids=["str-for-float", "null-for-int", "float-seed", "no-such-file"])
+def test_cli_bad_fault_plan_is_a_one_line_error(doc, needle, tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "plan.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exit_:
+        main(cli_args(["run", "--fault-plan", str(path)]))
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    assert needle in err and "Traceback" not in err
 
 
 def test_cli_rejects_bad_crash_spec(capsys):

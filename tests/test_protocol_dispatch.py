@@ -73,6 +73,9 @@ def handler_tables() -> dict[str, dict[type, object]]:
         "DataSourceProcess": repro.core.datasource.DataSourceProcess(
             ctx, 0, repro.core.scheduler.SchedulerProcess(ctx).router,
         )._handlers,
+        "FaultTolerantDataSource": repro.core.recovery.FaultTolerantDataSource(
+            ft_ctx, 0, repro.core.scheduler.SchedulerProcess(ft_ctx).router,
+        )._handlers,
         "ResourcePoolProcess": repro.core.pool.ResourcePoolProcess(
             ctx.sim, ctx.cluster.network, ctx.scheduler_node,
             free_nodes=[], sched_nodes={},
@@ -170,8 +173,8 @@ def test_unregistered_message_is_noticed(monkeypatch):
 
 def test_handler_tables_are_the_actors_dispatch():
     """every table row maps a registered message class to a handler
-    of its actor; the fault layer only *adds* to the scheduler's and the
-    join process's tables."""
+    of its actor; the fault layer only *adds* to the three actors'
+    tables."""
     registered = set(concrete_message_classes())
     tables = handler_tables()
     for actor, table in tables.items():
@@ -190,14 +193,19 @@ def test_handler_tables_are_the_actors_dispatch():
     assert {m.__name__ for m in set(layered) - set(base)} == {
         "HeartbeatPing", "NodeLost", "SchedulerFailover",
     }
+    base, layered = tables["DataSourceProcess"], tables["FaultTolerantDataSource"]
+    assert set(base) < set(layered)
+    assert {m.__name__ for m in set(layered) - set(base)} == {
+        "ReplayOrder", "SchedulerFailover",
+    }
 
 
 def test_data_source_control_path_is_one_table():
-    """Everything a scheduler broadcasts to the sources has a row, and the
-    source reads its mailbox through that table alone."""
+    """Everything a scheduler broadcasts to the sources has a row (the
+    paper's three in the base), and the source reads its mailbox through
+    that table alone."""
     rows = {cls.__name__ for cls in handler_tables()["DataSourceProcess"]}
-    assert rows == {"RouteUpdate", "ReplayOrder", "SchedulerFailover",
-                    "StartProbe", "Shutdown"}
+    assert rows == {"RouteUpdate", "StartProbe", "Shutdown"}
     tree = ast.parse(textwrap.dedent(inspect.getsource(repro.core.datasource)))
     assert not [
         n for n in ast.walk(tree)
