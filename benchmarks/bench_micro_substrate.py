@@ -20,6 +20,7 @@ from repro.hashing import (
     greedy_contiguous_partition,
     partition_positions,
 )
+from repro.seqjoin import match_count
 from repro.sim import Simulator
 
 RNG = np.random.default_rng(42)
@@ -96,13 +97,63 @@ def test_route_one_generation_batch(benchmark, router):
     assert sum(s.size for s in slices) == positions.size
 
 
-def test_store_probe_throughput(benchmark):
+#: a node's share of ``join-large``: 2M tuples over 16 nodes, and the
+#: contiguous sixteenth of the 2**32 value space an order-preserving
+#: position map confines them to
+_NODE_TUPLES = 125_000
+_NODE_LO, _NODE_WIDTH = 5 << 28, 1 << 28
+
+
+def _uniform(n: int) -> np.ndarray:
+    return RNG.integers(_NODE_LO, _NODE_LO + _NODE_WIDTH, n, dtype=np.uint64)
+
+
+def _gaussian(n: int) -> np.ndarray:
+    """fig10's skew (sigma = 0.001 of the value space), cut to the central
+    band holding a sixteenth of the mass: a hot node's dense, narrow range."""
+    sigma = 0.001 * 2.0 ** 32
+    draws = RNG.normal(2.0 ** 31, sigma, 20 * n)
+    return draws[np.abs(draws - 2.0 ** 31) < 0.0784 * sigma][:n].astype(np.uint64)
+
+
+def _stripes(n: int, modulus: int = 16, bucket: int = 5) -> np.ndarray:
+    """What a ``LinearHashRouter`` bucket holds: positions congruent to
+    ``bucket`` (mod ``modulus``) — stripes across the whole value space."""
+    per_position = np.uint64((1 << 32) // POSMAP.positions)
+    k = RNG.integers(0, POSMAP.positions // modulus, n, dtype=np.uint64)
+    return ((k * np.uint64(modulus) + np.uint64(bucket)) * per_position
+            + RNG.integers(0, per_position, n, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("draw, chunk", [
+    pytest.param(_uniform, 10_000, id="uniform-10k-chunk"),
+    pytest.param(_gaussian, 10_000, id="gaussian-10k-chunk"),
+    pytest.param(_uniform, 200, id="small-200-chunk"),
+    pytest.param(_stripes, 10_000, id="linear-bucket-stripes"),
+])
+def test_store_probe_throughput(benchmark, draw, chunk):
+    """One probe chunk against a node-sized store, in the shapes runs
+    produce: scale-1.0 chunks (few matches / ~10 % matches), a scale-0.02
+    chunk, and the striped store the filter can reject little of."""
+    stored, probe = draw(_NODE_TUPLES), draw(chunk)
     store = NodeHashStore(POSMAP)
-    store.insert(VALUES.copy())
+    store.insert(stored)
     store.finalize()
-    probe = RNG.integers(0, 1 << 32, 100_000, dtype=np.uint64)
     count = benchmark(store.probe, probe)
-    assert count >= 0
+    assert count == match_count(stored, probe)
+
+
+def test_store_finalize_throughput(benchmark):
+    """Insert + finalize of a node's build side, as 10 000-tuple chunks."""
+    chunks = np.split(_uniform(_NODE_TUPLES), range(10_000, _NODE_TUPLES, 10_000))
+
+    def build():
+        store = NodeHashStore(POSMAP)
+        store.insert_chunks(chunks)
+        store.finalize()
+        return store
+
+    assert benchmark(build).stored_tuples == _NODE_TUPLES
 
 
 def test_greedy_cut_throughput(benchmark):

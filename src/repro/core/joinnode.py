@@ -26,7 +26,6 @@ import numpy as np
 from ..config import Algorithm
 from ..data import chunk_slices
 from ..hashing import HashRange, NodeHashStore
-from ..seqjoin import match_count
 from ..sim import Interrupt
 from .context import RunContext
 from .messages import (
@@ -170,7 +169,9 @@ class SpillStore:
             return 0
         yield from self.node.disk.read(int(s_p.size) * self._tb)
         yield from self.node.compute_per_tuple(cost.cpu_probe_tuple, s_p.size)
-        found = match_count(r_p, s_p)
+        store = NodeHashStore(self.ctx.posmap)
+        store.insert(r_p)
+        found = store.probe(s_p)
         yield from self.node.compute_per_tuple(cost.cpu_output_match, found)
         return found
 

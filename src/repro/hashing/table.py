@@ -1,11 +1,15 @@
 """Per-join-node hash-table storage with vectorized probe.
 
 Stores the build-relation tuples a node has accepted.  Values are appended
-chunk-wise (cheap) and consolidated into a deduplicated ``(unique values,
-counts)`` pair lazily when the probe phase — or a split extraction — needs
-ordered access.  Probing a chunk is then one ``np.searchsorted`` over the
-unique values (typically far smaller than the raw store) plus a gather of
-the match counts; see docs/DATA_PLANE.md §probe for the cost argument.
+chunk-wise (cheap) and consolidated lazily, when the probe phase needs
+ordered access, into the **one** array the store keeps — all stored values,
+duplicates included, sorted — behind a **bit filter** over
+``(value - min) >> shift``.  The position map is order-preserving, so a
+node's values sit in a narrow range and 8-16 filter slots a tuple (1-2
+bytes) reject most probe tuples that cannot match.  Probing a chunk tests
+every tuple against the filter with a handful of whole-chunk operations and
+sorts and binary-searches only the survivors; see docs/DATA_PLANE.md §2 for
+the geometry and the cost argument.
 
 Only the 64-bit join attributes are materialized; payload/index bytes are
 charged to the node's :class:`~repro.cluster.memory.MemoryAccount` by the
@@ -31,8 +35,12 @@ class NodeHashStore:
     def __init__(self, posmap: PositionMap) -> None:
         self.posmap = posmap
         self._chunks: list[np.ndarray] = []
-        self._uniq: np.ndarray | None = None
-        self._ucounts: np.ndarray | None = None
+        #: packed bit filter; ``None`` until ``finalize()``, and again after
+        #: any mutation.  While set, ``_chunks`` is one sorted array.
+        self._filter: np.ndarray | None = None
+        #: the filter's geometry, as 0-d arrays (a scalar operand is
+        #: converted on every whole-chunk op: ~0.4 us each on 200 tuples)
+        self._shift = self._sentinel = np.zeros((), np.uint64)
         self._count = 0
         #: optional metric counters (objects with ``inc(n)``; wired by the
         #: owning join process)
@@ -71,8 +79,7 @@ class NodeHashStore:
         if added == 0:
             return
         self._count += added
-        self._uniq = None
-        self._ucounts = None
+        self._filter = None
         if self.inserted_counter is not None:
             self.inserted_counter.inc(added)
 
@@ -85,16 +92,27 @@ class NodeHashStore:
         return self._chunks[0]
 
     def finalize(self) -> None:
-        """Consolidate stored values into (unique, counts) for probing.
+        """Sort the stored values into one array and build its bit filter.
 
-        Idempotent; invalidated by any mutation (insert/extract).  The
-        deduplicated form makes each probe chunk cost one binary-search
-        pass over ``|unique|`` elements instead of two over ``|stored|``.
+        Idempotent; invalidated by any mutation (insert/extract).
+        Duplicates stay in the array — a probe counts them as
+        ``right - left`` — so nothing but the filter is kept beside it.
         """
-        if self._uniq is None:
-            self._uniq, self._ucounts = np.unique(
-                self._all_values(), return_counts=True
-            )
+        if self._filter is not None or self._count == 0:
+            return
+        # np.sort copies: a ceded chunk may be a view of an array its sender
+        # still holds for retransmission, so it is never sorted in place.
+        values = np.sort(self._all_values())
+        self._chunks = [values]
+        # 8-16 slots a stored tuple, fewer when the values span fewer ...
+        span = int(values[-1] - values[0])
+        self._shift = np.array((span // (16 * self._count)).bit_length(), np.uint64)
+        slots = ((values - values[0]) >> self._shift).view(np.int64)
+        # ... and one always-clear slot past the last (see probe)
+        self._sentinel = np.array(slots[-1] + 1, np.uint64)
+        bits = np.zeros((int(self._sentinel) // 64 + 1) * 64, dtype=bool)
+        bits[slots] = True
+        self._filter = np.packbits(bits, bitorder="little").view("<u8")
 
     def probe(self, values: np.ndarray) -> int:
         """Number of join matches between ``values`` and the stored tuples.
@@ -108,15 +126,31 @@ class NodeHashStore:
         if values.size == 0 or self._count == 0:
             return 0
         self.finalize()
-        assert self._uniq is not None and self._ucounts is not None
-        # Sorting the probe chunk first keeps the searchsorted walk
-        # cache-local; the total is order-independent so this is free.
-        queries = np.sort(values)
-        idx = np.searchsorted(self._uniq, queries, side="left")
-        np.minimum(idx, self._uniq.size - 1, out=idx)
-        hit = self._uniq[idx] == queries
-        found = int(self._ucounts[idx[hit]].sum())
-        if self.match_counter is not None and found:
+        assert self._filter is not None
+        stored = self._chunks[0]
+        # Below-min values wrap high in uint64, so one clamp sends both
+        # sides of [min, max] to the always-clear sentinel slot.
+        slots = values - stored[0]
+        slots >>= self._shift
+        np.minimum(slots, self._sentinel, out=slots)
+        words = self._filter[slots.view(np.int64) >> 6]
+        slots &= 63
+        words >>= slots
+        words &= 1
+        queries = values[words.astype(bool)]
+        if queries.size == 0:
+            return 0
+        # Sorting the survivors keeps the searchsorted walk cache-local;
+        # the total is order-independent so this is free.
+        queries.sort()
+        left = stored.searchsorted(queries, side="left")
+        # a survivor above max (sharing its slot) clips onto max: no hit
+        hit = stored.take(left, mode="clip") == queries
+        if not np.count_nonzero(hit):
+            return 0
+        right = stored.searchsorted(queries[hit], side="right")
+        found = int((right - left[hit]).sum())
+        if self.match_counter is not None:
             self.match_counter.inc(found)
         return found
 
@@ -134,8 +168,7 @@ class NodeHashStore:
         keep = values[~mask]
         self._chunks = [keep] if keep.size else []
         self._count = int(keep.size)
-        self._uniq = None
-        self._ucounts = None
+        self._filter = None
         return out
 
     def extract_position_range(self, lo: int, hi: int) -> np.ndarray:

@@ -6,7 +6,7 @@ Two implementations of the same semantics:
   bucketed hash table (kept for documentation value and as an independent
   cross-check in tests; O(|R| + |S| * bucket occupancy)).
 * :func:`match_count` — the vectorized reference used as ground truth by
-  the whole test suite (sort + searchsorted, exact pair counting).
+  the whole test suite (unique + searchsorted, exact pair counting).
 
 Both count matching (r, s) pairs; the distributed algorithms are validated
 by comparing their total match counts against these.
@@ -45,8 +45,10 @@ def match_count(r_values: np.ndarray, s_values: np.ndarray) -> int:
 
     Deduplicating R first (unique + counts) makes the binary-search pass
     walk ``|unique(R)|`` elements instead of ``|R|``, and sorting the
-    probe side keeps that walk cache-local — same trick as
-    ``NodeHashStore.probe``; the count is order-independent.
+    probe side keeps that walk cache-local; the count is
+    order-independent.  Deliberately *not* how ``NodeHashStore.probe``
+    counts (one sorted array with duplicates, a bit filter, ``right -
+    left``): the runs this validates must not share code with it.
     """
     if r_values.size == 0 or s_values.size == 0:
         return 0

@@ -54,6 +54,55 @@ small_key_arrays = hnp.arrays(
 )
 
 
+U64_MAX = 2**64 - 1
+
+
+@st.composite
+def wide_and_clustered_keys(draw):
+    """``(stored, probes)`` shaped to stress the store's filter geometry:
+    a 64-bit span, span 0, one tuple, one heavy key, and the striped range
+    a ``LinearHashRouter`` bucket holds — probed inside the stored range,
+    entirely below it, entirely above it, and straddling both."""
+    shape = draw(st.sampled_from(
+        ["extremes", "all-equal", "single", "heavy-key", "stripes"]))
+    if shape == "extremes":
+        stored = [0, U64_MAX, *draw(uint64_arrays).tolist()]
+    elif shape == "all-equal":
+        stored = [draw(st.integers(0, U64_MAX))] * draw(st.integers(2, 300))
+    elif shape == "single":
+        stored = [draw(st.integers(0, U64_MAX))]
+    elif shape == "heavy-key":
+        base = draw(st.integers(0, U64_MAX - 10**6))
+        distinct = draw(st.lists(st.integers(0, 10**6), min_size=1,
+                                 max_size=100, unique=True))
+        stored = [base + d for d in distinct]
+        stored += stored[:1] * draw(st.integers(1000, 1500))
+    else:  # positions congruent to b (mod m), `width` values a position
+        width = 1 << draw(st.integers(0, 24))
+        m = draw(st.integers(2, 16))
+        b = draw(st.integers(0, m - 1))
+        cells = draw(st.lists(
+            st.tuples(st.integers(0, 500), st.integers(0, width - 1)),
+            min_size=1, max_size=200))
+        stored = [(k * m + b) * width + off for k, off in cells]
+    stored = draw(st.permutations(stored))
+    lo, hi = min(stored), max(stored)
+    near = st.sampled_from(stored).flatmap(
+        lambda v: st.integers(max(v - 2, 0), min(v + 2, U64_MAX)))
+    below = st.integers(0, lo - 1) if lo > 0 else near
+    above = st.integers(hi + 1, U64_MAX) if hi < U64_MAX else near
+    where = draw(st.sampled_from(
+        [near, below, above, st.one_of(near, below, above)]))
+    probes = draw(st.lists(where, max_size=200))
+    return (np.array(stored, dtype=np.uint64),
+            np.array(probes, dtype=np.uint64))
+
+
+#: what the three probe properties below run on
+key_pairs = st.one_of(st.tuples(small_key_arrays, small_key_arrays),
+                      wide_and_clustered_keys())
+
+
 def counter_total(res, name, **labels):
     return sum(
         inst["value"] for inst in res.metrics
@@ -81,9 +130,10 @@ def two_pass_probe(stored: np.ndarray, probes: np.ndarray) -> int:
     return int((right - left).sum())
 
 
-@given(stored=small_key_arrays, probes=small_key_arrays)
+@given(pair=key_pairs)
 @settings(max_examples=200, deadline=None)
-def test_bulk_probe_matches_both_references(stored, probes):
+def test_bulk_probe_matches_both_references(pair):
+    stored, probes = pair
     store = NodeHashStore(PositionMap(1 << 10))
     store.insert(stored)
     got = store.probe(probes)
@@ -91,12 +141,12 @@ def test_bulk_probe_matches_both_references(stored, probes):
     assert got == two_pass_probe(stored, probes)
 
 
-@given(stored=small_key_arrays, probes=small_key_arrays,
-       cut=st.integers(0, 300))
+@given(pair=key_pairs, cut=st.integers(0, 300))
 @settings(max_examples=100, deadline=None)
-def test_probe_count_invariant_to_chunking(stored, probes, cut):
+def test_probe_count_invariant_to_chunking(pair, cut):
     """Inserting/probing in one chunk or many yields the same pair count
     — the store-level face of the per-chunk cost-equivalence argument."""
+    stored, probes = pair
     one = NodeHashStore(PositionMap(1 << 10))
     one.insert(stored)
     many = NodeHashStore(PositionMap(1 << 10))
@@ -107,10 +157,11 @@ def test_probe_count_invariant_to_chunking(stored, probes, cut):
     assert one.probe(probes) == many.probe(probes[:j]) + many.probe(probes[j:])
 
 
-@given(stored=small_key_arrays, probes=small_key_arrays)
+@given(pair=key_pairs)
 @settings(max_examples=50, deadline=None)
-def test_probe_after_interleaved_insert_stays_exact(stored, probes):
+def test_probe_after_interleaved_insert_stays_exact(pair):
     """finalize() caches must invalidate on every mutation."""
+    stored, probes = pair
     store = NodeHashStore(PositionMap(1 << 10))
     k = stored.size // 2
     store.insert(stored[:k])

@@ -1,5 +1,7 @@
 """Unit tests for position maps, hash ranges and the node hash store."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -198,10 +200,12 @@ def test_store_insert_coerces_lossless_integer_dtypes():
     store.insert(np.array([6.0, 7.0], dtype=np.float64))  # integral floats
     assert store.stored_tuples == 7
     assert store.probe(np.array([5], dtype=np.uint64)) == 1
-    # internal storage is uniformly uint64
-    store.finalize()
-    assert store._uniq.dtype == np.uint64
-    assert int(store._ucounts.sum()) == 7
+    assert store.probe(np.arange(10, dtype=np.uint64)) == 7
+    # storage is uniformly uint64, whatever dtype each chunk arrived in
+    out = store.extract_position_range(0, 256)
+    assert out.dtype == np.uint64
+    assert sorted(out.tolist()) == [1, 2, 3, 4, 5, 6, 7]
+    assert store.stored_tuples == 0
 
 
 def test_store_insert_rejects_negative_values():
@@ -242,3 +246,37 @@ def test_store_insert_uint64_passthrough_is_zero_copy():
     values = np.array([9, 10], dtype=np.uint64)
     store.insert(values)
     assert store._chunks[0] is values  # caller cedes ownership, no copy
+
+
+@pytest.mark.parametrize("ceded", ["whole", "view"])
+def test_store_finalize_never_sorts_a_ceded_chunk_in_place(ceded):
+    """``_insert_or_park`` inserts ``values[:fit]`` — a view of a chunk
+    whose tail is parked and whose payload the at-least-once transport may
+    still hold for retransmission — so sorting for the probe must copy."""
+    payload = np.random.default_rng(11).integers(0, 1 << 20, 500, dtype=np.uint64)
+    before = payload.copy()
+    chunk = payload if ceded == "whole" else payload[:300]
+    store = NodeHashStore(PositionMap(256))
+    store.insert(chunk)
+    store.finalize()
+    assert store.probe(before) == match_count(chunk, before)
+    assert np.array_equal(payload, before)
+
+
+def test_finalized_store_keeps_one_array_and_a_filter():
+    """A finalized table costs its 8 B join attribute plus 1-2 B of filter
+    a tuple (it was 24 B: chunk + unique + counts) — what ``join-large``'s
+    ``peak_rss_mb`` pays for every node at once."""
+    n = 200_000
+    rng = np.random.default_rng(5)
+    store = NodeHashStore(PositionMap(1 << 16))
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            store.insert(rng.integers(1 << 28, 1 << 29, n // 20, dtype=np.uint64))
+        store.finalize()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert store.stored_tuples == n
+    assert held <= 11 * n

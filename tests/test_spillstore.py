@@ -1,7 +1,10 @@
 """Direct unit tests for the Grace-style SpillStore (recursion included)."""
 
+from pathlib import Path
+
 import numpy as np
 
+import repro.core.joinnode as joinnode
 from tests.conftest import small_config
 from repro.config import Algorithm
 from repro.core.driver import single_query_context
@@ -72,7 +75,8 @@ def test_final_passes_match_oracle_without_recursion():
 
 
 def test_final_passes_recurse_on_oversized_partition_and_stay_exact():
-    # capacity of 100 tuples; 3000 tuples into 2 parts -> heavy recursion
+    # capacity of 100 tuples; 3000 tuples into 2 parts -> heavy recursion;
+    # 500 distinct keys -> duplicates on both sides of every bucket pair
     ctx, node, store = make_store(memory=100 * 100, k_parts=2)
     rng = np.random.default_rng(4)
     r = rng.integers(0, 500, 3000, dtype=np.uint64)
@@ -108,3 +112,14 @@ def test_recursion_depth_is_bounded():
     found = drive(ctx, run_all())
     assert found == 2000 * 10
     assert store.recursive_passes <= SpillStore.MAX_RECURSION * 2
+
+
+def test_the_spill_pass_does_not_call_the_oracle():
+    """A bucket pair is joined by a ``NodeHashStore`` (sort + filter), the
+    run is validated by ``seqjoin.match_count`` (unique + searchsorted):
+    the out-of-core answer and its reference share no code.  The only
+    module under ``repro.core`` that names ``seqjoin`` is the validator."""
+    assert not hasattr(joinnode, "match_count")
+    core = Path(joinnode.__file__).parent
+    assert [p.name for p in sorted(core.glob("*.py"))
+            if "seqjoin" in p.read_text()] == ["driver.py"]
