@@ -97,6 +97,29 @@ def test_route_one_generation_batch(benchmark, router):
     assert sum(s.size for s in slices) == positions.size
 
 
+@pytest.mark.parametrize("batch,runs", [
+    pytest.param(200, 80, id="200x80"),      # grid-small: a 16 k-tuple block
+    pytest.param(10_000, 1, id="10000x1"),   # join-large: a block of one
+])
+def test_route_block_of_batches(benchmark, batch, runs):
+    """What a source pays per block: the position map, one sort of all the
+    block's runs, one gather — against ``runs`` calls of each."""
+    router = _bisected(4, 8)
+    values = VALUES[:batch * runs]
+
+    def route_block():
+        order, spans = router.route_batches(POSMAP(values), batch)
+        return values[order], spans
+
+    gathered, spans = benchmark(route_block)
+    assert len(spans) == runs
+    for r, run_spans in enumerate(spans):
+        lo = r * batch
+        order, want = router.route(POSMAP(values[lo:lo + batch]))
+        assert run_spans == [(chain, a + lo, z + lo) for chain, a, z in want]
+        assert np.array_equal(gathered[lo:lo + batch], values[lo:lo + batch][order])
+
+
 #: a node's share of ``join-large``: 2M tuples over 16 nodes, and the
 #: contiguous sixteenth of the 2**32 value space an order-preserving
 #: position map confines them to

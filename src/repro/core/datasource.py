@@ -12,18 +12,23 @@ In the probe phase a tuple whose range is replicated is sent to *every*
 replica (paper §4.2.2) — the source counts the extra copies, which is the
 probe-side overhead of the replication-based algorithm.
 
+Every simulated step is per batch; the *array* work is per block of batches:
+the rest of a block is position-mapped, routed and gathered in one pass, a
+lookahead that holds while ``self.router`` is the object it was built with
+(docs/DATA_PLANE.md §2).
+
 Crash recovery is layered on: ``recovery.FaultTolerantDataSource`` wraps
 this class at its batch boundaries (:meth:`DataSourceProcess._at_boundary`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator, Iterable
+from collections.abc import Callable, Generator, Iterable, Iterator
 from typing import Any
 
 import numpy as np
 
-from ..data import ChunkBuffer, RelationStream
+from ..data import ChunkBuffer, RelationStream, chunk_slices
 from ..hashing import Router
 from .context import RunContext
 from .messages import (
@@ -36,6 +41,33 @@ from .messages import (
 )
 
 __all__ = ["DataSourceProcess"]
+
+
+def _append_spans(
+    buffers: ChunkBuffer, gathered: np.ndarray,
+    spans: list[tuple[tuple[int, ...], int, int]],
+    *, probe: bool, skip: int | None = None,
+) -> int:
+    """Hand one routed batch — ``spans`` into ``gathered`` — to ``buffers``
+    (less ``skip``'s share); returns the copies assigned.
+
+    A contiguous slice per range — the same array for every replica of a
+    probe chain (ChunkBuffer never mutates it), and its own memory, so a
+    cold destination's few buffered tuples do not pin the whole gather.
+    Destinations are appended in ascending order, each one's slices in
+    range order: part of the model's answer (DATA_PLANE.md §2)."""
+    slices: dict[int, list[np.ndarray]] = {}
+    copies = 0
+    for chain, lo, hi in spans:
+        part = gathered[lo:hi].copy()
+        for dest in (chain if probe else chain[-1:]):
+            slices.setdefault(dest, []).append(part)
+            copies += hi - lo
+    for dest in sorted(slices):
+        if dest != skip:
+            for part in slices[dest]:
+                buffers.append(dest, part)
+    return copies
 
 
 class DataSourceProcess:
@@ -105,17 +137,30 @@ class DataSourceProcess:
         self, stream: RelationStream, relation: str
     ) -> Generator[Any, Any, None]:
         buffers = ChunkBuffer(self.chunk_tuples)
+        probe = relation == "S"
 
-        for batch in stream.batches():
-            yield from self._produce(batch)
-            if self._absorb_control() and buffers.total_buffered:
-                # Routing changed: re-partition unsent buffered tuples.
-                pool = buffers.drain_everything()
-                yield from self._route_into(buffers, pool, relation)
-            yield from self._route_into(buffers, batch, relation)
-            self.batches_done[relation] += 1
-            yield from self._at_boundary(buffers)
-            yield from self._flush_full(buffers, relation)
+        for block in stream.blocks():
+            planned: Router | None = None  # the table the lookahead was built under
+            for lo, hi in chunk_slices(block.size, self.chunk_tuples):
+                batch = block[lo:hi]
+                yield from self._produce(batch)
+                if self._absorb_control() and buffers.total_buffered:
+                    # Routing changed: re-partition unsent buffered tuples.
+                    pool = buffers.drain_everything()
+                    yield from self._charge_routing(pool.size)
+                    self.dup_tuples += self._buffer_routed(
+                        buffers, pool, self.ctx.posmap(pool), probe=probe) - pool.size
+                yield from self._charge_routing(batch.size)
+                if self.router is not planned:
+                    # First batch of the block, or a newer table since the
+                    # lookahead: route what is left of the block under it.
+                    planned = self.router
+                    gathered, ahead = self._route_ahead(block[lo:])
+                copies = _append_spans(buffers, gathered, next(ahead), probe=probe)
+                self.dup_tuples += copies - batch.size
+                self.batches_done[relation] += 1
+                yield from self._at_boundary(buffers)
+                yield from self._flush_full(buffers, relation)
 
         # Relation exhausted: flush every partial buffer.
         self._absorb_control()
@@ -125,43 +170,21 @@ class DataSourceProcess:
             if values is not None:
                 yield from self._send_chunk(dest, relation, values)
 
-    def _route_into(
-        self, buffers: ChunkBuffer, values: np.ndarray, relation: str
-    ) -> Generator[Any, Any, None]:
-        if values.size == 0:
-            return
-        positions = yield from self._route_positions(values)
-        copies = self._buffer_routed(buffers, values, positions,
-                                     probe=relation == "S")
-        self.dup_tuples += copies - int(values.size)
+    def _route_ahead(self, values: np.ndarray) -> tuple[np.ndarray, Iterator[list]]:
+        """Route ``values`` — the rest of a block — batch by batch under the
+        live table in one pass: the gather, and each batch's spans into it.
+        Positions and permutation die here; the caller lives all relation long."""
+        order, runs = self.router.route_batches(self.ctx.posmap(values), self.chunk_tuples)
+        return values[order], iter(runs)
 
     def _buffer_routed(
         self, buffers: ChunkBuffer, values: np.ndarray, positions: np.ndarray,
         *, probe: bool, skip: int | None = None,
     ) -> int:
         """Partition ``values`` under the live table into ``buffers`` (less
-        ``skip``'s share: the fault layer's); returns the copies assigned.
-
-        One gather, then a contiguous slice per range — the same array for
-        every replica of a probe chain (ChunkBuffer never mutates it), and
-        its own memory, so a cold destination's few buffered tuples do not
-        pin the whole batch.  Destinations are appended in ascending order,
-        each one's slices in range order: part of the model's answer
-        (DATA_PLANE.md §2)."""
+        ``skip``'s share: the fault layer's); returns the copies assigned."""
         order, spans = self.router.route(positions)
-        gathered = values[order]
-        slices: dict[int, list[np.ndarray]] = {}
-        copies = 0
-        for chain, lo, hi in spans:
-            part = gathered[lo:hi].copy()
-            for dest in (chain if probe else chain[-1:]):
-                slices.setdefault(dest, []).append(part)
-                copies += hi - lo
-        for dest in sorted(slices):
-            if dest != skip:
-                for part in slices[dest]:
-                    buffers.append(dest, part)
-        return copies
+        return _append_spans(buffers, values[order], spans, probe=probe, skip=skip)
 
     def _produce(self, batch: np.ndarray) -> Iterable[Any]:
         """What one batch costs to come by: generated on the fly, or — the
@@ -176,16 +199,10 @@ class DataSourceProcess:
             self.ctx.cost.cpu_generate_tuple, batch.size
         )
 
-    def _route_positions(
-        self, values: np.ndarray
-    ) -> Generator[Any, Any, np.ndarray]:
-        """Count one batch pushed through the router, charge its routing
-        CPU and return the hash positions to partition by."""
+    def _charge_routing(self, n: int) -> Iterable[Any]:
+        """Count one batch pushed through the router; its routing CPU."""
         self.chunks_routed.inc()
-        yield from self.node.compute_per_tuple(
-            self.ctx.cost.cpu_route_tuple, values.size
-        )
-        return self.ctx.posmap(values)
+        return self.node.compute_per_tuple(self.ctx.cost.cpu_route_tuple, n)
 
     def _flush_full(self, buffers: ChunkBuffer, relation: str) -> Generator[Any, Any, None]:
         for dest in buffers.destinations():

@@ -906,7 +906,8 @@ class FaultTolerantDataSource(DataSourceProcess):
         if pool.size == 0:
             return
         assert order.router is not None
-        positions = yield from self._route_positions(pool)
+        yield from self._charge_routing(pool.size)
+        positions = self.ctx.posmap(pool)
         probe = order.relation == "S"
         if not probe:
             covered = order.router.share_of(positions, order.target, probe=False)
@@ -940,8 +941,8 @@ class FaultTolerantDataSource(DataSourceProcess):
 
         for batch in stream.batches(limit=limit):
             yield from self._produce(batch)
-            positions = yield from self._route_positions(batch)
-            share = router.share_of(positions, target,
+            yield from self._charge_routing(batch.size)
+            share = router.share_of(ctx.posmap(batch), target,
                                     probe=order.relation == "S")
             buffer.append(target, batch[share])
             while (chunk := buffer.pop_full_chunk(target)) is not None:

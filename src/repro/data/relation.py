@@ -16,9 +16,14 @@ from collections.abc import Iterator
 import numpy as np
 
 from ..config import WorkloadSpec
+from .chunks import chunk_slices
 from .distributions import draw_values
 
 __all__ = ["RelationStream", "source_share", "materialize_relation"]
+
+#: tuples a source draws (and routes: core/datasource.py) per NumPy call —
+#: at 200 a call costs its overhead, not its data (PERFORMANCE.md §7: sweep)
+BLOCK_TUPLES = 1 << 14
 
 
 def source_share(total: int, n_sources: int, source_index: int) -> int:
@@ -63,30 +68,39 @@ class RelationStream:
         batch = self.spec.real_chunk_tuples
         return -(-self.total_tuples // batch)
 
+    def blocks(self, limit: int | None = None) -> Iterator[np.ndarray]:
+        """The stream a *block* at a time: a whole number of generation
+        batches (``BLOCK_TUPLES`` worth, at least one) from one
+        ``draw_values`` call.  NumPy's generators are split-consistent —
+        ``n`` draws then ``m`` are one draw of ``n + m`` — so this is bit for
+        bit the per-batch stream.  ``limit`` counts *batches*: nothing past
+        the ``limit``-th is drawn."""
+        batch = self.spec.real_chunk_tuples
+        remaining = self.total_tuples
+        if limit is not None:
+            remaining = min(remaining, max(limit, 0) * batch)
+        block = max(BLOCK_TUPLES // batch, 1) * batch
+        rng = self._rng()
+        while remaining > 0:
+            n = min(block, remaining)
+            yield draw_values(rng, n, self.spec, relation=self.relation)
+            remaining -= n
+
     def batches(self, limit: int | None = None) -> Iterator[np.ndarray]:
-        """Generation batches of join-attribute values (uint64 arrays).
+        """Generation batches of join-attribute values (uint64 arrays),
+        each a view of its :meth:`blocks` block.
 
         Batch size equals the communication chunk size: the source fills
         its per-destination buffers one generation batch at a time.
-
         ``limit`` stops after that many batches without drawing the rest —
         a pure wall-clock saving for replay cursors (each call uses a
         fresh seeded RNG, so a truncated iteration is a prefix of the
         full one).
         """
-        if limit is not None and limit <= 0:
-            return
-        rng = self._rng()
-        remaining = self.total_tuples
         batch = self.spec.real_chunk_tuples
-        produced = 0
-        while remaining > 0:
-            n = min(batch, remaining)
-            yield draw_values(rng, n, self.spec, relation=self.relation)
-            remaining -= n
-            produced += 1
-            if limit is not None and produced >= limit:
-                return
+        for block in self.blocks(limit):
+            for lo, hi in chunk_slices(block.size, batch):
+                yield block[lo:hi]
 
 
 def materialize_relation(spec: WorkloadSpec, relation: str, n_sources: int) -> np.ndarray:
@@ -97,7 +111,7 @@ def materialize_relation(spec: WorkloadSpec, relation: str, n_sources: int) -> n
     parts = []
     for s in range(n_sources):
         stream = RelationStream(spec, relation, n_sources, s)
-        parts.extend(stream.batches())
+        parts.extend(stream.blocks())
     if not parts:
         return np.empty(0, dtype=np.uint64)
     return np.concatenate(parts)

@@ -48,6 +48,10 @@ class PositionMap:
             raise ValueError(f"positions must be a power of two, got {self.positions}")
         if self.positions > (1 << VALUE_BITS):
             raise ValueError("positions exceeds the value space")
+        # Mixed values occupy the full 64-bit space.  A 0-d array made once
+        # (not a field), not a scalar built per call.
+        width = 64 if self.mix else VALUE_BITS
+        object.__setattr__(self, "_shift", np.array(width - self.bits, np.uint64))
 
     @property
     def bits(self) -> int:
@@ -56,11 +60,8 @@ class PositionMap:
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """Vectorized value -> position (uint64 in, int64 out)."""
         v = splitmix64(values) if self.mix else values.astype(np.uint64, copy=False)
-        shift = np.uint64(VALUE_BITS - self.bits)
-        if self.mix:
-            # mixed values occupy the full 64-bit space
-            shift = np.uint64(64 - self.bits)
-        return (v >> shift).astype(np.int64)
+        # positions are below 2**32: the int64 view is the same numbers
+        return (v >> self._shift).view(np.int64)  # type: ignore[attr-defined]
 
     def position_of(self, value: int) -> int:
         """Scalar convenience wrapper."""

@@ -12,10 +12,12 @@ batch with it.  Two families:
   buckets are addressed by ``h_i(p) = p mod (n0 * 2^i)`` and, left of the
   split pointer, ``h_{i+1}``.
 
-Both reduce a batch of positions to small integer *group keys* (one per
-range / bucket) and share one partitioning kernel, :meth:`Router.route`:
-a stable counting sort of the keys.  docs/DATA_PLANE.md §2 has the cost
-argument and the order invariant.
+Both reduce positions to small integer *group keys* (one per range /
+bucket) and share one partitioning kernel, :meth:`Router.route_batches`: a
+stable counting sort of the keys, of a whole block of generation batches at
+once — on a 200-tuple batch a sort costs its call, not its data.
+:meth:`Router.route` is the one-batch case.  docs/DATA_PLANE.md §2 has the
+cost argument and the order invariant.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ..data.chunks import chunk_slices
 from .ranges import HashRange, ranges_partition_space
 
 __all__ = ["Router", "RangeRouter", "LinearHashRouter"]
@@ -34,6 +37,8 @@ __all__ = ["Router", "RangeRouter", "LinearHashRouter"]
 #: largest position -> entry lookup table a RangeRouter builds (slots);
 #: above it the per-tuple binary search is the fallback
 _LUT_CAP = 1 << 20
+#: keys NumPy's stable argsort still radix-sorts (16 bits); a merge sort above
+_RADIX_KEYS = 1 << 16
 
 
 def _group_order(keys: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
@@ -82,21 +87,47 @@ class Router(ABC):
     def route(
         self, positions: np.ndarray
     ) -> tuple[np.ndarray, list[tuple[tuple[int, ...], int, int]]]:
-        """The routing kernel: ``(order, spans)``.
+        """One batch through the routing kernel: ``(order, spans)``.
 
         ``order`` is the stable permutation bringing each group's tuples
         together; ``spans`` lists ``(chain, lo, hi)`` for every non-empty
         group, by group key: ``order[lo:hi]`` are its tuples, ascending.
         A caller gathers ``values[order]`` once and slices it per span."""
+        order, runs = self.route_batches(positions, max(int(positions.size), 1))
+        return order, runs[0] if runs else []
+
+    def route_batches(
+        self, positions: np.ndarray, batch: int
+    ) -> tuple[np.ndarray, list[list[tuple[tuple[int, ...], int, int]]]]:
+        """The routing kernel, over consecutive runs of ``batch`` positions
+        (the last may be short): ``(order, runs)``.  ``runs[r]`` is run
+        ``r``'s ``spans`` as :meth:`route` defines them, indexing the one
+        ``order`` over all of ``positions``.  A tuple is keyed by ``run *
+        n_groups + group`` and the runs are sorted together — as many a
+        sort as keep the keys on the 16-bit radix path."""
         chains = self._chains()
-        if len(chains) == 1:
+        n, n_groups = int(positions.size), len(chains)
+        if n_groups == 1 or not n:
             # One group owning the whole space: the order is the identity.
-            n = int(positions.size)
-            return np.arange(n, dtype=np.intp), [(chains[0], 0, n)] if n else []
-        order, cuts = _group_order(self._keys(positions), len(chains))
-        return order, [(chain, lo, hi) for chain, lo, hi
-                       in zip(chains, cuts[:-1].tolist(), cuts[1:].tolist())
-                       if hi > lo]
+            return np.arange(n, dtype=np.intp), [
+                [(chains[0], lo, hi)] for lo, hi in chunk_slices(n, batch)]
+        keys = self._keys(positions)
+        step = max(_RADIX_KEYS // n_groups, 1) * batch
+        orders, runs = [], []
+        for start in range(0, n, step):
+            part = keys[start:start + step]
+            n_keys = -(-part.size // batch) * n_groups
+            if n_keys > n_groups:
+                dtype = np.min_scalar_type(n_keys - 1)
+                part = part.astype(dtype, copy=False) + np.repeat(
+                    np.arange(0, n_keys, n_groups, dtype=dtype), batch)[:part.size]
+            order, cuts = _group_order(part, n_keys)
+            orders.append(order + start if start else order)
+            cuts = (cuts + start).tolist()
+            runs += [[(chain, lo, hi) for chain, lo, hi in zip(
+                          chains, cuts[r:r + n_groups], cuts[r + 1:r + n_groups + 1])
+                      if hi > lo] for r in range(0, n_keys, n_groups)]
+        return orders[0] if len(orders) == 1 else np.concatenate(orders), runs
 
     def partition_build(self, positions: np.ndarray) -> dict[int, np.ndarray]:
         """node_id -> indices of ``positions`` to send there (build phase)."""

@@ -418,8 +418,7 @@ class FleetRunner:
             procs[s], conns[s] = proc, parent_end
             self.metrics.inc("fleet.shards_launched")
 
-        done: dict[int, dict[str, Any]] = {}
-        cohort_shard: dict[int, int] = {}
+        done: dict[int, CohortResult] = {}
         live: dict[int, Snapshot] = {}
         wall_by_shard: dict[int, float] = {}
         errors: dict[int, str] = {}
@@ -445,8 +444,7 @@ class FleetRunner:
                     continue
                 deadline[s] = now + cfg.worker_timeout_s
                 eof = self._drain_conn(
-                    conns[s], s, done, cohort_shard, live,
-                    wall_by_shard, errors,
+                    conns[s], s, done, live, wall_by_shard, errors,
                 )
                 if eof:
                     failure = self._reap_shard(
@@ -459,10 +457,7 @@ class FleetRunner:
                 alive.discard(s)
                 conns[s].close()
 
-        completed = [
-            self._cohort_result(done[ci], cohort_shard[ci])
-            for ci in sorted(done)
-        ]
+        completed = [done[ci] for ci in sorted(done)]
         merged: Snapshot | None = None
         if completed:
             merged = merge_snapshots([c.snapshot for c in completed])
@@ -484,13 +479,14 @@ class FleetRunner:
         self,
         conn: Connection,
         shard: int,
-        done: dict[int, dict[str, Any]],
-        cohort_shard: dict[int, int],
+        done: dict[int, CohortResult],
         live: dict[int, Snapshot],
         wall_by_shard: dict[int, float],
         errors: dict[int, str],
     ) -> bool:
-        """Receive every pending message; True when the pipe hit EOF."""
+        """Receive every pending message; True when the pipe hit EOF.  A
+        snapshot is parsed once (``merge`` returns a new object, so ``live``
+        shares a cohort's final one) and a periodic one only for a reader."""
         while True:
             try:
                 msg = conn.recv()
@@ -500,14 +496,14 @@ class FleetRunner:
                 return True
             kind = msg[0]
             if kind == "snapshot":
-                _, ci, snap_json = msg
-                live[ci] = Snapshot.from_json(snap_json)
-                self._emit_live(live)
+                if self.on_snapshot is not None:
+                    _, ci, snap_json = msg
+                    live[ci] = Snapshot.from_json(snap_json)
+                    self._emit_live(live)
             elif kind == "cohort_done":
                 _, ci, payload = msg
-                done[ci] = payload
-                cohort_shard[ci] = shard
-                live[ci] = Snapshot.from_json(payload["snapshot"])
+                done[ci] = self._cohort_result(payload, shard)
+                live[ci] = done[ci].snapshot
                 self._emit_live(live)
             elif kind == "worker_done":
                 _, s, wall = msg
@@ -534,7 +530,7 @@ class FleetRunner:
         proc: Any,
         shard: int,
         assigned: list[int],
-        done: dict[int, dict[str, Any]],
+        done: dict[int, CohortResult],
         kind: str,
         detail: str,
     ) -> ShardFailure:
@@ -557,7 +553,7 @@ class FleetRunner:
         proc: Any,
         shard: int,
         assigned: list[int],
-        done: dict[int, dict[str, Any]],
+        done: dict[int, CohortResult],
         errors: dict[int, str],
     ) -> ShardFailure | None:
         """Join a worker whose pipe closed; a failure when anything is

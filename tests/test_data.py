@@ -1,7 +1,11 @@
 """Unit tests for synthetic relation generation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import Distribution, WorkloadSpec
 from repro.data import (
@@ -106,6 +110,70 @@ def test_stream_batches_sum_to_share():
     batches = list(stream.batches())
     assert sum(b.size for b in batches) == stream.total_tuples
     assert all(b.size <= s.real_chunk_tuples for b in batches)
+
+
+def per_batch_stream(stream, limit=None):
+    """The reference: one ``draw_values`` call a batch (the loop
+    ``batches()`` was before it drew by the block)."""
+    rng = stream._rng()
+    remaining = stream.total_tuples
+    out = []
+    while remaining > 0 and (limit is None or len(out) < limit):
+        n = min(stream.spec.real_chunk_tuples, remaining)
+        out.append(draw_values(rng, n, stream.spec, relation=stream.relation))
+        remaining -= n
+    return out
+
+
+@given(
+    distribution=st.sampled_from(list(Distribution)),
+    relation=st.sampled_from(["R", "S"]),
+    batch=st.sampled_from([1, 7, 64, 199, 200, 1000]),
+    total=st.integers(0, 5000),
+    n_sources=st.integers(1, 4),
+    block=st.sampled_from([1, 100, 1500, 1 << 14]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_block_drawn_batches_are_the_per_batch_stream(
+        distribution, relation, batch, total, n_sources, block, data):
+    """Drawing a block of batches per NumPy call changes no value: NumPy's
+    generators are split-consistent for all three distributions, ragged
+    last batch and last block included; ``limit=k`` is a prefix that draws
+    no tuple past batch ``k``."""
+    from repro.data import relation as relation_module
+
+    wl = spec(r_tuples=total, s_tuples=total, chunk_tuples=batch,
+              distribution=distribution, zipf_s=1.3)
+    source = data.draw(st.integers(0, n_sources - 1))
+    stream = RelationStream(wl, relation, n_sources, source)
+    want = per_batch_stream(stream)
+    assert len(want) == stream.n_batches
+    limit = data.draw(st.integers(-1, stream.n_batches + 2))
+
+    drawn = []
+
+    def counting_draw(rng, n, *args, **kw):
+        drawn.append(n)
+        return draw_values(rng, n, *args, **kw)
+
+    with mock.patch.object(relation_module, "BLOCK_TUPLES", block), \
+            mock.patch.object(relation_module, "draw_values", counting_draw):
+        got = list(stream.batches())
+        blocks = list(stream.blocks())
+        drawn.clear()
+        prefix = list(stream.batches(limit=limit))
+        drawn_for_prefix = sum(drawn)
+
+    assert [b.tolist() for b in got] == [b.tolist() for b in want]
+    # a block is a whole number of batches (but for the stream's tail), at
+    # least one and as many as fit the constant
+    assert all(b.size == max(block // batch, 1) * batch for b in blocks[:-1])
+    assert np.array_equal(np.concatenate(blocks or [np.empty(0, np.uint64)]),
+                          np.concatenate(want or [np.empty(0, np.uint64)]))
+    k = min(max(limit, 0), len(want))
+    assert [b.tolist() for b in prefix] == [b.tolist() for b in want[:k]]
+    assert drawn_for_prefix == sum(b.size for b in want[:k])
 
 
 def test_stream_is_deterministic():

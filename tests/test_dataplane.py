@@ -12,6 +12,7 @@ checked end to end for all four algorithms plus one chaos run.
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from tests.conftest import small_cluster, small_config, small_workload
 from repro.config import Algorithm
 from repro.core import run_join
 from repro.core.datasource import DataSourceProcess
+from repro.core.driver import single_query_context
+from repro.core.messages import RouteUpdate, Shutdown, StartProbe
+from repro.core.scheduler import SchedulerProcess
 from repro.data import (
     KEY_DTYPE,
     ChunkBuffer,
@@ -37,7 +41,9 @@ from repro.hashing import (
     NodeHashStore,
     PositionMap,
     RangeRouter,
+    Router,
 )
+from repro.hashing import routing
 from repro.hashing.routing import _LUT_CAP, _group_order
 
 REPO = Path(__file__).resolve().parent.parent
@@ -372,6 +378,40 @@ def test_linear_routing_matches_per_tuple_reference(n0, level, data, positions):
             == want.get(node, [])
 
 
+@given(kind=st.sampled_from(["ranges", "single", "linear", "linear-wide"]),
+       batch=st.integers(1, 60), cap=st.sampled_from([1, 16, 1 << 16]),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_routing_a_block_of_batches_equals_routing_each_batch(kind, batch, cap, data):
+    """``route_batches`` is ``route`` run by run — order within a run, spans,
+    chains — with a ragged last run, and when ``runs * n_groups`` is past
+    the radix key space (``cap``: patched low, or 400 runs of 300 buckets
+    under the real one) and the block takes several sorts."""
+    if kind == "ranges":
+        router = data.draw(range_routers())
+    elif kind == "single":
+        router = RangeRouter(1 << 10, ((HashRange(0, 1 << 10), (3, 9)),))
+    else:
+        n0 = 300 if kind == "linear-wide" else data.draw(st.integers(1, 5))
+        pointer = data.draw(st.integers(0, n0 - 1))
+        router = LinearHashRouter(n0, 0, pointer, tuple(range(n0 + pointer)))
+    top = router.positions if isinstance(router, RangeRouter) else 1 << 18
+    positions = data.draw(hnp.arrays(
+        dtype=np.int64, shape=st.integers(0, 400),
+        elements=st.integers(0, top - 1)))
+
+    with mock.patch.object(routing, "_RADIX_KEYS", cap):
+        order, runs = router.route_batches(positions, batch)
+
+    assert order.dtype == np.intp
+    assert len(runs) == -(-positions.size // batch)
+    for r, spans in enumerate(runs):
+        lo = r * batch
+        want_order, want_spans = router.route(positions[lo:lo + batch])
+        assert (order[lo:lo + batch] - lo).tolist() == want_order.tolist()
+        assert spans == [(chain, a + lo, z + lo) for chain, a, z in want_spans]
+
+
 @given(router=range_routers(), data=st.data(), probe=st.booleans(),
        skip=st.booleans())
 @settings(max_examples=150, deadline=None)
@@ -402,6 +442,116 @@ def test_buffering_a_routed_batch_keeps_the_append_order(router, data, probe, sk
         assert np.array_equal(np.concatenate(got._parts[dest]),
                               np.concatenate(want._parts[dest]))
     assert np.array_equal(got.drain_everything(), want.drain_everything())
+
+
+class ScriptedSource(DataSourceProcess):
+    """A source that records its buffers and ``dup_tuples`` at every batch
+    boundary and every chunk it ships, and whose table is replaced at
+    scripted boundaries — keyed by ``(R batches done, S batches done)`` —
+    either by a message left in its mailbox for the next batch to absorb
+    (the scheduler's ``RouteUpdate`` / ``StartProbe``) or outright, as the
+    fault layer's ``_at_boundary`` installs a takeover table."""
+
+    def __init__(self, ctx, router, script):
+        super().__init__(ctx, 0, router)
+        self.script = script
+        self.seen = []
+        self.shipped = []
+
+    def _at_boundary(self, buffers):
+        if buffers is not None:
+            self.seen.append((
+                dict(self.batches_done), self.dup_tuples, self.router.version,
+                [(d, np.concatenate(buffers._parts[d]).tolist())
+                 for d in buffers._parts if buffers._parts[d]]))
+        for action in self.script.get(
+                (self.batches_done["R"], self.batches_done["S"]), ()):
+            if isinstance(action, Router):
+                self.router = action
+            else:
+                self.node.mailbox.put(action)
+        return ()
+
+    def _ship(self, dest, relation, values, version):
+        self.shipped.append((dest, relation, values.tolist(), version))
+        return ()
+
+
+class PerBatchSource(ScriptedSource):
+    """The reference: position-map, route and gather one batch at a time
+    (the loop ``_stream_relation`` was before it looked a block ahead)."""
+
+    def _route_into(self, buffers, values, relation):
+        yield from self._charge_routing(values.size)
+        copies = self._buffer_routed(buffers, values, self.ctx.posmap(values),
+                                     probe=relation == "S")
+        self.dup_tuples += copies - int(values.size)
+
+    def _stream_relation(self, stream, relation):
+        buffers = ChunkBuffer(self.chunk_tuples)
+        for batch in stream.batches():
+            yield from self._produce(batch)
+            if self._absorb_control() and buffers.total_buffered:
+                pool = buffers.drain_everything()
+                yield from self._route_into(buffers, pool, relation)
+            yield from self._route_into(buffers, batch, relation)
+            self.batches_done[relation] += 1
+            yield from self._at_boundary(buffers)
+            yield from self._flush_full(buffers, relation)
+        self._absorb_control()
+        yield from self._at_boundary(buffers)
+        for dest in buffers.destinations():
+            values = buffers.pop_all(dest)
+            if values is not None:
+                yield from self._send_chunk(dest, relation, values)
+
+
+@pytest.mark.parametrize("block_tuples", [64, 64 * 10, 1 << 14])
+def test_a_table_replaced_mid_block_buffers_what_the_per_batch_loop_buffers(
+        block_tuples):
+    """The lookahead's one invalidation rule: whenever ``self.router`` is
+    another object, the rest of the block is routed again.  Replicate
+    expansions and a bisection during the build, the build -> probe switch,
+    and tables installed at the boundary itself (in consecutive batches and
+    across a block edge) leave buffers, ``dup_tuples``, shipped chunks and
+    ``chunks_routed`` exactly as the per-batch loop leaves them."""
+    from repro.data import relation as relation_module
+
+    def run(cls):
+        ctx = single_query_context(small_config(
+            workload=small_workload(r=4000, s=4000, chunk=64)))
+        ctx.send = lambda src, dst, msg, **kw: ()
+        v0 = SchedulerProcess(ctx).router           # node 0 | node 1
+        v1 = v0.with_replica(1, 5, version=1)       # replicate expansion
+        v2 = v1.with_bisection(0, 0, 6, version=2)
+        v3 = v2.with_replica(2, 7, version=3)
+        probe = v3.with_replica(0, 8, version=4)    # chains of 2, 1 and 3
+        v5 = probe.with_takeover({5}, 9, version=5)
+        v6 = v5.with_replica(0, 10, version=6)
+        script = {
+            (3, 0): [RouteUpdate(v1)],
+            (4, 0): [RouteUpdate(v2)],              # the very next batch
+            (9, 0): [v3],                           # installed, last of a block
+            (31, 0): [StartProbe(router=probe)],
+            (32, 5): [RouteUpdate(v5, phase="probe")],
+            (32, 6): [v6],
+            (32, 32): [Shutdown()],
+        }
+        src = cls(ctx, v0, script)
+        with mock.patch.object(relation_module, "BLOCK_TUPLES", block_tuples):
+            ctx.sim.spawn(src.run())
+            ctx.sim.run()
+        assert src.batches_done == {"R": 32, "S": 32} and src._stopped
+        return src
+
+    got, want = run(ScriptedSource), run(PerBatchSource)
+    assert len(got.seen) == len(want.seen) == 66
+    for a, b in zip(got.seen, want.seen):
+        assert a == b
+    assert {v for _, _, v, _ in got.seen} == {0, 1, 2, 3, 4, 5, 6}
+    assert got.shipped == want.shipped
+    assert got.dup_tuples == want.dup_tuples > 0
+    assert got.chunks_routed.value == want.chunks_routed.value > 64
 
 
 # ----------------------------------------------------------------------

@@ -214,8 +214,34 @@ def test_worker_dying_mid_pipe_write_is_end_of_pipe():
     writer.close()
     walls: dict[int, float] = {}
     runner = FleetRunner(fleet_config())
-    assert runner._drain_conn(reader, 1, {}, {}, {}, walls, {}) is True
+    assert runner._drain_conn(reader, 1, {}, {}, walls, {}) is True
     assert walls == {1: 0.25}
+
+
+def test_periodic_snapshots_are_parsed_only_for_a_reader():
+    """``live`` feeds ``on_snapshot`` and nothing else: without one a
+    periodic snapshot is received and dropped unparsed; with one it is
+    parsed, merged and handed over."""
+    from multiprocessing import Pipe
+
+    from repro.obs.streaming import Snapshot
+    from repro.workload.fleet import FleetRunner
+
+    def drain(runner, snap_json):
+        reader, writer = Pipe(duplex=False)
+        writer.send(("snapshot", 3, snap_json))
+        writer.close()
+        live: dict[int, Snapshot] = {}
+        assert runner._drain_conn(reader, 0, {}, live, {}, {}) is True
+        return live
+
+    assert drain(FleetRunner(fleet_config()), "never parsed") == {}
+    seen: list[Snapshot] = []
+    snap = Snapshot(t=1.5, shards=("cohort3",), counters={"q": 2.0})
+    live = drain(FleetRunner(fleet_config(), on_snapshot=seen.append),
+                 snap.to_json())
+    assert live[3].to_json() == snap.to_json()
+    assert [s.to_json() for s in seen] == [snap.to_json()]
 
 
 # ----------------------------------------------------------------------

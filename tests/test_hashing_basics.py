@@ -63,6 +63,33 @@ def test_position_of_scalar():
     assert pm.position_of(0) == 0
 
 
+@pytest.mark.parametrize("mix", [False, True])
+@pytest.mark.parametrize("positions", [1, 1 << 10, 1 << 32])
+def test_position_map_is_the_high_bits_as_one_int64_array(positions, mix):
+    """The shift is made once and the result is the ``>>`` output viewed as
+    int64 — no second copy — and the same numbers the per-call
+    ``np.uint64(shift)`` + ``astype`` form gave, at both ends of the
+    position space; the cached shift is no field (==, hash, pickle)."""
+    import pickle
+
+    from repro.data import VALUE_BITS
+
+    pm = PositionMap(positions, mix=mix)
+    values = np.random.default_rng(3).integers(
+        0, 1 << 32, 5000, dtype=np.uint64)
+    values[:2] = 0, (1 << 32) - 1
+    bits = positions.bit_length() - 1
+    v = splitmix64(values) if mix else values
+    want = (v >> np.uint64((64 if mix else VALUE_BITS) - bits)).astype(np.int64)
+    got = pm(values)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert got.base is not None and got.base.dtype == np.uint64
+    assert 0 <= got.min() and got.max() < positions
+    clone = pickle.loads(pickle.dumps(pm))
+    assert clone == pm and hash(clone) == hash(pm)
+    assert np.array_equal(clone(values), want)
+
+
 # ----------------------------------------------------------------------
 # HashRange
 # ----------------------------------------------------------------------
