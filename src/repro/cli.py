@@ -957,8 +957,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_cli(p_fleet)
     p_fleet.add_argument("--shards", type=int, default=2, metavar="N",
-                         help="worker processes to launch (default 2; "
-                              "results are shard-count invariant)")
+                         help="worker processes to launch, at most one a "
+                              "non-empty cohort (default 2; results are "
+                              "shard-count invariant)")
     p_fleet.add_argument("--cohorts", type=int, default=8, metavar="N",
                          help="deterministic partition count — part of the "
                               "model, not the parallelism (default 8)")

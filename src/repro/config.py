@@ -482,7 +482,7 @@ class FleetConfig:
 
     The trace in ``workload`` is cut into ``n_cohorts`` independent
     sub-workloads by a stable hash of the query id; ``n_shards`` worker
-    processes execute the cohorts round-robin.  Results are a pure
+    processes pull the cohorts one at a time.  Results are a pure
     function of ``(workload, n_cohorts)`` — ``n_shards`` only chooses how
     much real parallelism executes them, so any shard count reproduces
     byte-identical merged results (the determinism contract of

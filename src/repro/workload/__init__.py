@@ -16,7 +16,7 @@ Layout:
 * :mod:`.results` — :class:`WorkloadResult` with latency/queueing-delay
   percentiles, pool utilization and denial counts.
 * :mod:`.fleet` — OS-process sharded fleet execution: deterministic
-  cohort partitioning, spawn-context workers streaming mergeable
+  cohort partitioning, workers that pull cohorts and stream mergeable
   snapshots over pipes, :class:`FleetResult` merge layer with
   structured :class:`ShardFailure` crash handling (docs/FLEET.md).
 """

@@ -4,9 +4,10 @@ One simulator runs one cohort of queries; a *fleet* runs many cohorts on
 real cores.  The trace is cut by :func:`cohort_of` — a stable blake2b
 hash of the query id — into ``n_cohorts`` independent sub-workloads,
 each with its own simulated cluster and pool (the sharded-service model:
-contention is within a cohort, never across).  ``n_shards`` spawn-context
-worker processes execute the cohorts round-robin and stream results back
-over pipes; the parent folds them into one :class:`FleetResult`.
+contention is within a cohort, never across).  ``n_shards`` worker
+processes (the interpreter's default start method) *pull* cohorts in id
+order through a shared claims array and stream results back over pipes;
+the parent folds them into one :class:`FleetResult`.
 
 The determinism contract (docs/FLEET.md):
 
@@ -21,8 +22,8 @@ The determinism contract (docs/FLEET.md):
   commutative, and the parent folds cohort snapshots in cohort-id order.
 
 Therefore the merged result is a pure function of ``(workload,
-n_cohorts)`` — ``--shards`` moves wall-clock only, and 1-shard and
-8-shard runs produce byte-identical merged snapshot JSON.
+n_cohorts)`` — ``--shards``, the start method and who claimed what move
+wall-clock only; 1- and 8-shard runs merge to byte-identical JSON.
 
 Worker protocol (one pickled tuple per pipe message)::
 
@@ -33,9 +34,10 @@ Worker protocol (one pickled tuple per pipe message)::
 
 Crash semantics: a worker that exits nonzero, dies silently, or stays
 silent past ``worker_timeout_s`` becomes a structured
-:class:`ShardFailure` carrying the cohorts it never reported; every
-surviving cohort still merges, and :attr:`FleetResult.exit_code`
-distinguishes clean (0) from oracle-invalid (1) from partial (3).
+:class:`ShardFailure` carrying the cohorts it had claimed and not
+reported; survivors run the unclaimed rest, every reported cohort still
+merges, and :attr:`FleetResult.exit_code` distinguishes clean (0) from
+oracle-invalid (1) from partial (3).
 """
 
 from __future__ import annotations
@@ -43,10 +45,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from multiprocessing import get_context
+from multiprocessing import get_context, parent_process
 from multiprocessing.connection import Connection, wait as conn_wait
 from typing import Any, Callable
 
@@ -73,7 +76,7 @@ EXIT_INVALID = 1
 EXIT_PARTIAL = 3
 
 #: test hook: a worker whose shard index matches this env var exits hard
-#: before doing any work (the crash-handling test kills a real process
+#: before claiming any work (the crash-handling test kills a real process
 #: this way — monkeypatching cannot reach a spawn child)
 _CRASH_ENV = "REPRO_FLEET_CRASH_SHARD"
 
@@ -133,24 +136,35 @@ def _worker_main(
     conn: Connection,
     shard: int,
     fleet: FleetConfig,
-    cohort_ids: list[int],
+    claims: Any,
     validate: bool,
 ) -> None:
-    """Spawn-context entry point: run this shard's cohorts sequentially.
+    """Worker entry point: claim and run cohorts until none is unclaimed.
 
     Regenerates the global trace rather than unpickling specs — the
     generator is deterministic under the workload seed, so parent and
-    worker provably agree on the partition with no data shipped.
+    worker agree on the partition with no data shipped and nothing
+    inherited, whatever the start method.
     """
     if os.environ.get(_CRASH_ENV) == str(shard):
         os._exit(17)
+    # Die with the parent, however it ends: a forked worker holds a read end
+    # of its own pipe, so an orphan's ``send`` would block, not break.
+    orphaned = parent_process().sentinel
+    threading.Thread(target=lambda: (conn_wait([orphaned]), os._exit(1)),
+                     daemon=True).start()
     t0 = time.monotonic()
     try:
         specs = generate_workload(fleet.workload)
         cohorts = partition_cohorts(specs, fleet.n_cohorts)
-        for ci in cohort_ids:
+        for ci, group in enumerate(cohorts):
+            with claims.get_lock():
+                if not group or claims[ci] >= 0:
+                    continue  # empty or taken; no claim is ever released
+                claims[ci] = shard
+            t_cohort = time.monotonic()
             sub, local, global_ids = _cohort_workload(
-                fleet.workload, ci, cohorts[ci]
+                fleet.workload, ci, group
             )
             on_snap: Callable[[Snapshot], None] | None = None
             if sub.obs.live_interval_s is not None:
@@ -175,6 +189,7 @@ def _worker_main(
                 "snapshot": res.snapshot.to_json(),
                 "spans_dropped": res.spans_dropped,
                 "edges_dropped": res.edges_dropped,
+                "wall_s": time.monotonic() - t_cohort,
             }))
         conn.send(("worker_done", shard, time.monotonic() - t0))
         conn.close()
@@ -191,10 +206,11 @@ def _worker_main(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ShardFailure:
-    """One worker process that did not deliver all its cohorts."""
+    """One worker process that died, hung or exited unclean."""
 
     shard: int
-    #: cohorts assigned to the worker but never reported
+    #: cohorts the worker had claimed and not reported, plus — on the last
+    #: worker reaped — those nobody was left to claim
     cohorts: tuple[int, ...]
     #: "crash" (nonzero/silent exit), "timeout" (silent past the
     #: deadline, terminated by the parent) or "error" (worker sent its
@@ -229,15 +245,18 @@ class CohortResult:
     snapshot: Snapshot
     spans_dropped: int
     edges_dropped: int
+    #: the claiming worker's wall-clock for this cohort (nondeterministic)
+    wall_s: float
 
 
 @dataclass
 class FleetResult:
     """Merged outcome of one fleet run.
 
-    Everything except the ``wall_*`` fields and ``metrics`` is a pure
-    function of ``(config.workload, config.n_cohorts)`` — byte-identical
-    at any shard count (the contract the shard-invariance tests pin).
+    Everything except ``n_shards``, the ``wall_*`` fields, each cohort's
+    ``shard`` / ``wall_s`` and ``metrics`` is a pure function of
+    ``(config.workload, config.n_cohorts)`` — byte-identical at any shard
+    count (the contract the shard-invariance tests pin).
     """
 
     config: FleetConfig
@@ -247,6 +266,8 @@ class FleetResult:
     #: fold of every completed cohort's final snapshot (cohort-id order);
     #: None only when every shard failed
     snapshot: Snapshot | None
+    #: worker processes launched: ``config.n_shards``, capped at the cohorts
+    n_shards: int
     #: parent-side wall-clock for the whole fleet (nondeterministic)
     wall_s: float
     #: per-shard worker wall-clock as self-reported at worker_done
@@ -332,11 +353,12 @@ class FleetResult:
             "failures": [f.to_dict() for f in self.failures],
             "queries": self.queries,
             "wall": {
-                "n_shards": self.config.n_shards,
+                "n_shards": self.n_shards,
                 "wall_s": self.wall_s,
                 "wall_s_by_shard": dict(sorted(
                     self.wall_s_by_shard.items()
                 )),
+                "wall_s_by_cohort": {c.cohort: c.wall_s for c in self.cohorts},
             },
         }
 
@@ -347,7 +369,7 @@ class FleetResult:
         lines = [
             f"fleet: {self.n_queries} queries in "
             f"{len(self.cohorts)}/{self.config.n_cohorts} cohorts on "
-            f"{self.config.n_shards} shard processes, "
+            f"{self.n_shards} shard processes, "
             f"policy={self.config.workload.policy.value}, "
             f"makespan={self.makespan_s:.2f}s, wall={self.wall_s:.2f}s",
             f"latency p50={lat['p50']:7.2f}s p90={lat['p90']:7.2f}s "
@@ -398,19 +420,20 @@ class FleetRunner:
         specs = generate_workload(cfg.workload)
         cohorts = partition_cohorts(specs, cfg.n_cohorts)
         nonempty = [ci for ci, group in enumerate(cohorts) if group]
-        # Shards beyond the nonempty cohort count would idle; don't spawn
-        # them (results are unaffected — parallelism only).
+        # Shards beyond the nonempty cohort count would find nothing to
+        # claim; don't start them (results are unaffected).
         n_shards = max(1, min(cfg.n_shards, len(nonempty)))
-        assignment = {s: nonempty[s::n_shards] for s in range(n_shards)}
 
-        ctx = get_context("spawn")
+        ctx = get_context()
+        # claims[ci]: the shard that took cohort ci, -1 while nobody has
+        claims = ctx.Array("i", [-1] * cfg.n_cohorts)
         procs: dict[int, Any] = {}
         conns: dict[int, Connection] = {}
-        for s, cids in assignment.items():
+        for s in range(n_shards):
             parent_end, child_end = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_end, s, cfg, cids, self.validate),
+                args=(child_end, s, cfg, claims, self.validate),
                 name=f"repro-fleet-shard{s}",
             )
             proc.start()
@@ -428,6 +451,12 @@ class FleetRunner:
         }
         alive = set(procs)
 
+        taken = claims.get_obj()  # lock-free view: a worker may die holding it
+
+        def lost(who: int) -> tuple[int, ...]:
+            return tuple(ci for ci in nonempty
+                         if ci not in done and taken[ci] == who)
+
         while alive:
             ready = conn_wait([conns[s] for s in alive], timeout=0.2)
             now = time.monotonic()
@@ -436,8 +465,7 @@ class FleetRunner:
                 if conns[s] not in ready:
                     if now > deadline[s]:
                         failures.append(self._kill_shard(
-                            procs[s], s, assignment[s], done,
-                            "timeout",
+                            procs[s], s, lost, "timeout",
                             f"no message for {cfg.worker_timeout_s:.0f}s",
                         ))
                         finished.append(s)
@@ -447,9 +475,7 @@ class FleetRunner:
                     conns[s], s, done, live, wall_by_shard, errors,
                 )
                 if eof:
-                    failure = self._reap_shard(
-                        procs[s], s, assignment[s], done, errors
-                    )
+                    failure = self._reap_shard(procs[s], s, lost, errors)
                     if failure is not None:
                         failures.append(failure)
                     finished.append(s)
@@ -457,6 +483,11 @@ class FleetRunner:
                 alive.discard(s)
                 conns[s].close()
 
+        if unclaimed := lost(-1):
+            # every worker failed (a clean one leaves nothing unclaimed):
+            # the last one reaped answers for what nobody was left to claim
+            failures[-1] = dataclasses.replace(
+                failures[-1], cohorts=failures[-1].cohorts + unclaimed)
         completed = [done[ci] for ci in sorted(done)]
         merged: Snapshot | None = None
         if completed:
@@ -464,11 +495,15 @@ class FleetRunner:
             self.metrics.inc("fleet.snapshots_merged", len(completed))
         for s, wall in sorted(wall_by_shard.items()):
             self.metrics.set_gauge("fleet.worker_wall_s", wall, shard=s)
+        for c in completed:
+            self.metrics.set_gauge("fleet.cohort_wall_s", c.wall_s,
+                                   cohort=c.cohort)
         return FleetResult(
             config=cfg,
             cohorts=completed,
             failures=failures,
             snapshot=merged,
+            n_shards=n_shards,
             wall_s=time.monotonic() - t0,
             wall_s_by_shard=wall_by_shard,
             metrics=self.metrics.snapshot(),
@@ -529,8 +564,7 @@ class FleetRunner:
         self,
         proc: Any,
         shard: int,
-        assigned: list[int],
-        done: dict[int, CohortResult],
+        lost: Callable[[int], tuple[int, ...]],
         kind: str,
         detail: str,
     ) -> ShardFailure:
@@ -542,7 +576,7 @@ class FleetRunner:
         self.metrics.inc("fleet.shards_failed")
         return ShardFailure(
             shard=shard,
-            cohorts=tuple(ci for ci in assigned if ci not in done),
+            cohorts=lost(shard),
             kind=kind,
             detail=detail,
             exitcode=proc.exitcode,
@@ -552,30 +586,28 @@ class FleetRunner:
         self,
         proc: Any,
         shard: int,
-        assigned: list[int],
-        done: dict[int, CohortResult],
+        lost: Callable[[int], tuple[int, ...]],
         errors: dict[int, str],
     ) -> ShardFailure | None:
-        """Join a worker whose pipe closed; a failure when anything is
-        missing or the exit was unclean."""
+        """Join a worker whose pipe closed; a failure when a claimed cohort
+        is missing or the exit was unclean."""
         proc.join(self.cfg.worker_timeout_s)
         if proc.is_alive():
             return self._kill_shard(
-                proc, shard, assigned, done, "timeout",
+                proc, shard, lost, "timeout",
                 "pipe closed but process did not exit",
             )
-        lost = tuple(ci for ci in assigned if ci not in done)
+        held = lost(shard)
         exitcode = proc.exitcode
-        if exitcode == 0 and not lost and shard not in errors:
+        if exitcode == 0 and not held and shard not in errors:
             return None
         self.metrics.inc("fleet.shards_failed")
         if shard in errors:
-            return ShardFailure(shard=shard, cohorts=lost, kind="error",
+            return ShardFailure(shard=shard, cohorts=held, kind="error",
                                 detail=errors[shard], exitcode=exitcode)
         return ShardFailure(
-            shard=shard, cohorts=lost, kind="crash",
-            detail=f"worker exited with code {exitcode} "
-                   f"before reporting cohorts {list(lost)}",
+            shard=shard, cohorts=held, kind="crash",
+            detail=f"worker exited with code {exitcode}",
             exitcode=exitcode,
         )
 
@@ -593,6 +625,7 @@ class FleetRunner:
             snapshot=Snapshot.from_json(payload["snapshot"]),
             spans_dropped=payload["spans_dropped"],
             edges_dropped=payload["edges_dropped"],
+            wall_s=payload["wall_s"],
         )
 
 

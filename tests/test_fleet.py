@@ -3,14 +3,23 @@
 The headline contract is shard-count invariance: the merged result is a
 pure function of ``(workload, n_cohorts)``, so running the same trace on
 1, 2 or 7 worker processes must produce byte-identical merged snapshots,
-exactly equal counters, and identical per-query stats.  On top of that:
-the blake2b cohort partitioner's stability properties, structured
-crash handling (a worker hard-exits, survivors still merge, exit code
-flags the run as partial), and the seeded arrival generators behind the
-autoscaling study.
+exactly equal counters, and identical per-query stats — and the same
+under every ``multiprocessing`` start method the platform offers.  On top
+of that: the blake2b cohort partitioner's stability properties,
+structured crash handling (a worker hard-exits, survivors run what it had
+not claimed and still merge, exit code flags the run as partial; a killed
+parent takes its workers with it), and the seeded arrival generators
+behind the autoscaling study.
 """
 
 import json
+import multiprocessing
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +41,7 @@ from repro.workload import (
     profile_arrivals,
     run_fleet,
 )
+from repro.workload import fleet
 from repro.workload.fleet import (
     EXIT_CLEAN,
     EXIT_PARTIAL,
@@ -41,7 +51,7 @@ from repro.workload.fleet import (
 from repro.workload.generator import generate_workload
 
 #: ~4 MB of hash memory per node post-scale — contention-free queries,
-#: which keeps every spawn worker fast
+#: which keeps every worker fast
 AMPLE_MEMORY = 200 * 1024 * 1024
 
 
@@ -155,7 +165,46 @@ def test_shard_count_invariance():
             assert lo / 1.011 <= pcts[f"p{q:g}"] <= hi * 1.011
 
 
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_start_method_invariance(method, monkeypatch):
+    """How workers are born moves nothing: a worker derives everything from
+    the pickled config, nothing from state a fork would have inherited."""
+    cfg = fleet_config(n_queries=10, n_cohorts=4, n_shards=2)
+    ref = run_fleet(cfg)
+    monkeypatch.setattr(
+        fleet, "get_context", lambda: multiprocessing.get_context(method))
+    res = run_fleet(cfg)
+    assert res.exit_code == EXIT_CLEAN
+    assert res.snapshot.to_json() == ref.snapshot.to_json()
+    for name in ref.snapshot.counters:
+        assert res.counter_total(name) == ref.counter_total(name)
+    assert res.queries == ref.queries
+
+
+def test_every_cohort_is_claimed_exactly_once_under_contention():
+    """Three times more workers than cores race for twelve short cohorts.
+    A claim lost to a race would run a cohort twice — invisible in the
+    merged result (same bytes, ``done`` overwritten) but one ``cohort_done``
+    too many, and a run without a live interval emits exactly one merged
+    snapshot per ``cohort_done``."""
+    cfg = fleet_config(n_queries=24, n_cohorts=12, n_shards=6)
+    nonempty = [ci for ci, group in enumerate(partition_cohorts(
+        generate_workload(cfg.workload), 12)) if group]
+    seen = []
+    res = run_fleet(cfg, validate=False, on_snapshot=seen.append)
+    assert res.exit_code == EXIT_CLEAN
+    assert res.n_shards == 6
+    assert [c.cohort for c in res.cohorts] == nonempty
+    assert len(seen) == len(nonempty)
+
+
 def test_fleet_metrics_and_wall_bookkeeping():
+    # 5 shards asked for, 3 non-empty cohorts: 3 launched, 3 reported
+    res = run_fleet(fleet_config(n_queries=6, n_cohorts=3, n_shards=5))
+    assert res.n_shards == 3
+    assert res.to_dict()["wall"]["n_shards"] == 3
+    assert "on 3 shard processes" in res.summary()
+
     res = run_fleet(fleet_config(n_queries=6, n_cohorts=3, n_shards=2))
     by_name = {}
     for inst in res.metrics:
@@ -168,12 +217,24 @@ def test_fleet_metrics_and_wall_bookkeeping():
     assert {i["labels"]["shard"] for i in walls} == {"0", "1"}
     assert set(res.wall_s_by_shard) == {0, 1}
     assert res.wall_s > 0
+    # per-cohort worker wall: one gauge and one `wall` entry per cohort,
+    # each inside the wall of the shard that claimed it
+    cohort_walls = by_name["fleet.cohort_wall_s"]
+    assert {i["labels"]["cohort"] for i in cohort_walls} == {"0", "1", "2"}
+    by_cohort = res.to_dict()["wall"]["wall_s_by_cohort"]
+    assert sorted(by_cohort) == [0, 1, 2]
+    for c in res.cohorts:
+        assert 0 < by_cohort[c.cohort] <= res.wall_s_by_shard[c.shard]
+    # every cohort was claimed by exactly one launched shard
+    assert {c.shard for c in res.cohorts} <= {0, 1}
 
 
 # ----------------------------------------------------------------------
 # crash handling
 # ----------------------------------------------------------------------
 def test_worker_crash_becomes_structured_failure(monkeypatch):
+    """A worker that dies before claiming anything loses nothing: the
+    survivor pulls every cohort, and the run is still flagged partial."""
     monkeypatch.setenv(_CRASH_ENV, "1")
     res = run_fleet(fleet_config(n_queries=10, n_cohorts=4, n_shards=2))
     assert res.partial
@@ -183,17 +244,119 @@ def test_worker_crash_becomes_structured_failure(monkeypatch):
     assert failure.shard == 1
     assert failure.kind == "crash"
     assert failure.exitcode == 17
-    assert failure.cohorts  # it lost everything it was assigned
-    # the surviving shard's cohorts merged normally
-    assert res.cohorts and res.snapshot is not None
-    survivor_cohorts = {c.cohort for c in res.cohorts}
-    assert survivor_cohorts.isdisjoint(set(failure.cohorts))
-    # survivors + lost cohorts together cover the whole partition
-    assert sorted(survivor_cohorts | set(failure.cohorts)) == \
-        list(range(4))
+    assert failure.cohorts == ()
+    # the survivor ran the whole partition and it merged normally
+    assert [c.cohort for c in res.cohorts] == list(range(4))
+    assert {c.shard for c in res.cohorts} == {0}
+    assert res.n_queries == 10 and res.snapshot is not None
     # summary + to_dict carry the failure
     assert "FAILED shard 1" in res.summary()
     assert res.to_dict()["failures"][0]["kind"] == "crash"
+
+
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="monkeypatching reaches only a forked worker")
+
+
+@FORK_ONLY
+def test_worker_dying_with_a_claim_loses_exactly_that_cohort(monkeypatch):
+    real = fleet.run_workload
+
+    def die_on_cohort2(cfg, **kw):
+        if cfg.obs.shard == "cohort2":
+            os._exit(17)
+        return real(cfg, **kw)
+
+    monkeypatch.setattr(fleet, "run_workload", die_on_cohort2)
+    res = run_fleet(fleet_config(n_queries=10, n_cohorts=4, n_shards=2))
+    assert res.exit_code == EXIT_PARTIAL
+    assert len(res.failures) == 1
+    failure = res.failures[0]
+    assert failure.kind == "crash" and failure.exitcode == 17
+    assert failure.cohorts == (2,)
+    # everything else — claimed by either worker before the death, or by
+    # the survivor after it — merged
+    assert [c.cohort for c in res.cohorts] == [0, 1, 3]
+    assert f"FAILED shard {failure.shard}" in res.summary()
+
+
+def _names_every_cohort(res, n_cohorts):
+    assert res.exit_code == EXIT_PARTIAL
+    assert res.cohorts == [] and res.snapshot is None
+    named = sorted(ci for f in res.failures for ci in f.cohorts)
+    assert named == list(range(n_cohorts))
+
+
+def test_only_worker_dying_names_every_cohort(monkeypatch):
+    """Nobody is left to claim: the unclaimed cohorts go to the last
+    worker reaped, so a cohort is never absent from both the results and
+    the failures."""
+    monkeypatch.setenv(_CRASH_ENV, "0")
+    res = run_fleet(fleet_config(n_queries=10, n_cohorts=4, n_shards=1))
+    assert len(res.failures) == 1
+    _names_every_cohort(res, 4)
+
+
+@FORK_ONLY
+def test_both_workers_dying_names_every_cohort(monkeypatch):
+    """Each dies holding its first claim; the two cohorts neither reached
+    ride on whichever was reaped last."""
+    monkeypatch.setattr(fleet, "run_workload", lambda *a, **kw: os._exit(17))
+    res = run_fleet(fleet_config(n_queries=10, n_cohorts=4, n_shards=2))
+    assert len(res.failures) == 2
+    assert sorted(len(f.cohorts) for f in res.failures) == [1, 3]
+    _names_every_cohort(res, 4)
+
+
+_STALLED_PARENT = """
+import multiprocessing, pickle, sys, time
+from repro.workload import run_fleet
+
+def stall(_snapshot):  # first cohort_done: name the workers, stop reading
+    print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+    time.sleep(60)
+
+run_fleet(pickle.load(sys.stdin.buffer), validate=False, on_snapshot=stall)
+"""
+
+
+def _running(pid):
+    """Neither gone nor a zombie awaiting its reaper."""
+    try:
+        stat = open(f"/proc/{pid}/stat").read()
+    except OSError:
+        return False
+    return stat.rsplit(") ", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL])
+def test_workers_do_not_outlive_a_killed_parent(sig):
+    """The parent stops reading and is killed with most cohorts still to
+    run.  A forked worker holds a read end of its own pipe, so left alone
+    it would fill the pipe and block in ``send`` for good."""
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _STALLED_PARENT], stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    try:
+        parent.stdin.write(pickle.dumps(
+            fleet_config(n_queries=40, n_cohorts=16, n_shards=2)))
+        parent.stdin.close()
+        workers = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(workers) == 2 and all(map(_running, workers))
+        parent.send_signal(sig)
+        parent.wait(timeout=30)
+    finally:
+        parent.kill()
+    deadline = time.monotonic() + 5
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in workers if _running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)  # a failing test leaves nothing either
+    assert not left
 
 
 def test_worker_dying_mid_pipe_write_is_end_of_pipe():
