@@ -59,6 +59,12 @@ class FigureHarness:
     TABLE_SIZES_M = (10, 20, 40, 80)
     TUPLE_BYTES = (100, 200, 400)
     SKEWS: tuple[float | None, ...] = (None, 0.001, 0.0001)
+    #: every reproduced figure plus the §4.2.4 model validation, in report
+    #: order; :meth:`figure` runs one by name
+    FIGURES = (
+        "fig02", "fig03", "fig04", "fig05", "fig06", "fig07",
+        "fig08", "fig09", "fig10", "fig11", "fig12", "fig13", "model",
+    )
 
     def __init__(self, scale: float = DEFAULT_SCALE, validate: bool = True):
         self.scale = scale
@@ -678,11 +684,8 @@ class FigureHarness:
         return rep
 
     # ------------------------------------------------------------------
-    def all_figures(self) -> list[FigureReport]:
-        """Every reproduced figure plus the analytic-model validation."""
-        return [
-            self.fig02(), self.fig03(), self.fig04(), self.fig05(),
-            self.fig06(), self.fig07(), self.fig08(), self.fig09(),
-            self.fig10(), self.fig11(), self.fig12(), self.fig13(),
-            self.model_validation(),
-        ]
+    def figure(self, name: str) -> FigureReport:
+        """Run the entry of :attr:`FIGURES` called ``name``."""
+        if name not in self.FIGURES:
+            raise KeyError(name)
+        return getattr(self, "model_validation" if name == "model" else name)()

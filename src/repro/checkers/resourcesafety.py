@@ -21,18 +21,11 @@ whole class unshippable instead of rediscovering it per-bug:
   withdraw the getter on Interrupt), or a bound ``ev = X.get()`` in a
   function that never calls ``X.cancel_get``.  Use
   ``yield from X.recv()``.
-* ``rs-killable-wait`` — a ``yield X.wait()`` on a ``Barrier`` or
-  ``Latch`` inside ``repro.core``/``repro.cluster``, where every process
-  is crash-injectable: neither primitive supports withdrawing an
-  arrival, so a killed waiter strands the remaining parties.  (The
-  barrier's party count can never be met again — prefer mailbox-based
-  rendezvous, which the failure detectors can reason about.)
 
 Receiver matching is name-based (dotted paths), like the protocol pass:
 ``self.node.mailbox.get()`` is a mailbox get because the receiver path
 ends in ``mailbox``; ``cfg.get(...)`` on a dict is not.  Local names
-bound from a ``Mailbox(...)``/``Barrier(...)``/``Latch(...)`` constructor
-are tracked file-wide.
+bound from a ``Mailbox(...)`` constructor are tracked file-wide.
 """
 
 from __future__ import annotations
@@ -59,9 +52,9 @@ def _receiver(call: ast.Call) -> str | None:
     return None
 
 
-def _primitive_bindings(tree: ast.AST, classes: frozenset[str]) -> set[str]:
-    """Names (plain or self-dotted) assigned from ``Cls(...)`` constructor
-    calls for any of the given class names, file-wide."""
+def _mailbox_bindings(tree: ast.AST) -> set[str]:
+    """Names (plain or self-dotted) assigned from ``Mailbox(...)``
+    constructor calls, file-wide."""
     bound: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
@@ -69,7 +62,7 @@ def _primitive_bindings(tree: ast.AST, classes: frozenset[str]) -> set[str]:
             cls = func.id if isinstance(func, ast.Name) else (
                 func.attr if isinstance(func, ast.Attribute) else None
             )
-            if cls not in classes:
+            if cls != "Mailbox":
                 continue
             for t in node.targets:
                 name = dotted_name(t)
@@ -113,8 +106,7 @@ class ResourceSafetyChecker(FileChecker):
     """Interrupt-safe acquisition and guaranteed release (PR-6 bug class)."""
 
     name = "resourcesafety"
-    rules = ("rs-bare-acquire", "rs-unpaired-grab", "rs-mailbox-get",
-             "rs-killable-wait")
+    rules = ("rs-bare-acquire", "rs-unpaired-grab", "rs-mailbox-get")
     scope = ("src/repro/sim", "src/repro/core", "src/repro/cluster",
              "src/repro/hashing", "src/repro/workload")
     explanations = {
@@ -144,25 +136,12 @@ class ResourceSafetyChecker(FileChecker):
             "from box.recv()` (withdraws the getter on any exception), or "
             "bind the event and call cancel_get() on the interrupt path."
         ),
-        "rs-killable-wait": (
-            "Barrier and Latch cannot withdraw an arrival: a crash-killed "
-            "waiter strands the surviving parties (the barrier's count is "
-            "never met again).  Inside repro.core/repro.cluster every "
-            "process is FaultPlan-killable, so phase rendezvous there "
-            "must go through mailboxes (which the failure detector and "
-            "drain protocol already cover)."
-        ),
     }
 
     def check_file(self, source: SourceFile) -> Iterator[Violation]:
         if source.rel == _SYNC_REL:
             return
-        mailboxy = _primitive_bindings(source.tree, frozenset({"Mailbox"}))
-        parkable = _primitive_bindings(source.tree,
-                                       frozenset({"Barrier", "Latch"}))
-        killable_scope = source.rel.startswith(
-            ("src/repro/core/", "src/repro/cluster/")
-        )
+        mailboxy = _mailbox_bindings(source.tree)
 
         for node in ast.walk(source.tree):
             if isinstance(node, ast.Call) \
@@ -177,8 +156,6 @@ class ResourceSafetyChecker(FileChecker):
         for fn in _functions(source.tree):
             yield from self._check_grabs(source, fn)
             yield from self._check_mailbox_gets(source, fn, mailboxy)
-            if killable_scope:
-                yield from self._check_parkable_waits(source, fn, parkable)
 
     # ------------------------------------------------------------------
     def _check_grabs(
@@ -234,23 +211,3 @@ class ResourceSafetyChecker(FileChecker):
                         "while waiting loses the next message",
                     )
 
-    def _check_parkable_waits(
-        self, source: SourceFile, fn: ast.AST, parkable: set[str]
-    ) -> Iterator[Violation]:
-        for node in own_nodes(fn):
-            if not (isinstance(node, ast.Yield)
-                    and isinstance(node.value, ast.Call)):
-                continue
-            call = node.value
-            if not (isinstance(call.func, ast.Attribute)
-                    and call.func.attr == "wait"):
-                continue
-            receiver = _receiver(call)
-            if receiver is not None and receiver in parkable:
-                yield source.violation(
-                    call, "rs-killable-wait",
-                    f"{receiver} is a Barrier/Latch: a crash-killable "
-                    "process parked on wait() cannot withdraw its arrival "
-                    "and strands the other parties — use mailbox-based "
-                    "rendezvous in repro.core/repro.cluster",
-                )

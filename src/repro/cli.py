@@ -152,9 +152,8 @@ def _add_fault_args(p: argparse.ArgumentParser) -> None:
                         "(implies --membership; the standby takes over)")
     p.add_argument("--lockdep", action="store_true",
                    help="arm the runtime deadlock detector (sim-time "
-                        "wait-for graph over resources, mailboxes, "
-                        "barriers and latches; pure observer, on by "
-                        "default under pytest — see "
+                        "wait-for graph over resources and mailboxes; "
+                        "pure observer, on by default under pytest — see "
                         "docs/STATIC_ANALYSIS.md)")
 
 
@@ -347,15 +346,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     from .bench import FigureHarness
 
     harness = FigureHarness(scale=args.scale, validate=not args.no_validate)
-    available = {
-        "fig02": harness.fig02, "fig03": harness.fig03,
-        "fig04": harness.fig04, "fig05": harness.fig05,
-        "fig06": harness.fig06, "fig07": harness.fig07,
-        "fig08": harness.fig08, "fig09": harness.fig09,
-        "fig10": harness.fig10, "fig11": harness.fig11,
-        "fig12": harness.fig12, "fig13": harness.fig13,
-        "model": harness.model_validation,
-    }
+    available = FigureHarness.FIGURES
     # --json alone snapshots the fig02 baseline without rendering reports;
     # combined with --only it does both (the sweep is memoized and shared).
     wanted = args.only or ([] if args.json else list(available))
@@ -373,7 +364,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
             return 2
     reports = []
     for name in wanted:
-        report = available[name]()
+        report = harness.figure(name)
         reports.append(report)
         print(report.render())
         print()
@@ -862,11 +853,17 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="keep only the most recent N trace records "
                              "(bounded-buffer mode; default unbounded)")
+    # one join of one algorithm: `run`, and the exporters below it that
+    # also refuse to replace an existing --out file without --force
+    one_join = argparse.ArgumentParser(add_help=False, parents=[common])
+    one_join.add_argument("--algorithm", default="hybrid",
+                          choices=[a.value for a in Algorithm])
+    exporter = argparse.ArgumentParser(add_help=False, parents=[one_join])
+    exporter.add_argument("--force", action="store_true",
+                          help="overwrite an existing --out file")
 
-    p_run = sub.add_parser("run", parents=[common],
+    p_run = sub.add_parser("run", parents=[one_join],
                            help="run one simulated join")
-    p_run.add_argument("--algorithm", default="hybrid",
-                       choices=[a.value for a in Algorithm])
     p_run.set_defaults(func=cmd_run, out=None, force=False)
 
     def _add_workload_cli(p: argparse.ArgumentParser) -> None:
@@ -985,46 +982,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_tail.set_defaults(func=cmd_tail)
 
     p_trace = sub.add_parser(
-        "trace", parents=[common],
+        "trace", parents=[exporter],
         help="run one join and export its execution trace",
     )
-    p_trace.add_argument("--algorithm", default="hybrid",
-                         choices=[a.value for a in Algorithm])
     p_trace.add_argument("--format", default="chrome",
                          choices=["chrome", "jsonl"],
                          help="chrome trace_event JSON (chrome://tracing / "
                               "Perfetto) or JSONL records")
     p_trace.add_argument("--out", help="write here instead of stdout "
                                        "(also prints the phase timeline)")
-    p_trace.add_argument("--force", action="store_true",
-                         help="overwrite an existing --out file")
     p_trace.set_defaults(func=cmd_trace)
 
     p_metrics = sub.add_parser(
-        "metrics", parents=[common],
+        "metrics", parents=[exporter],
         help="run one join and dump the metrics registry",
     )
-    p_metrics.add_argument("--algorithm", default="hybrid",
-                           choices=[a.value for a in Algorithm])
     p_metrics.add_argument("--format", default="table",
                            choices=["table", "jsonl"])
     p_metrics.add_argument("--out",
                            help="write here instead of stdout (either format)")
-    p_metrics.add_argument("--force", action="store_true",
-                           help="overwrite an existing --out file")
     p_metrics.set_defaults(func=cmd_metrics)
 
     p_explain = sub.add_parser(
-        "explain", parents=[common],
+        "explain", parents=[exporter],
         help="run one join and print the critical-path bottleneck report",
     )
-    p_explain.add_argument("--algorithm", default="hybrid",
-                           choices=[a.value for a in Algorithm])
     p_explain.add_argument("--format", default="text",
                            choices=["text", "json"])
     p_explain.add_argument("--out", help="write here instead of stdout")
-    p_explain.add_argument("--force", action="store_true",
-                           help="overwrite an existing --out file")
     p_explain.set_defaults(func=cmd_explain)
 
     p_bdiff = sub.add_parser(

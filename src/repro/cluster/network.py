@@ -325,35 +325,6 @@ class Network:
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        """Messages sent but not yet delivered."""
-        return self._in_flight
-
-    def total_sent_bytes(self, kind: str | None = None) -> int:
-        return sum(
-            v for (s, d, k), v in self.sent_bytes.items()
-            if kind is None or k == kind
-        )
-
-    def total_delivered_bytes(self, kind: str | None = None) -> int:
-        return sum(
-            v for (s, d, k), v in self.delivered_bytes.items()
-            if kind is None or k == kind
-        )
-
-    def total_dropped_bytes(self, kind: str | None = None) -> int:
-        return sum(
-            v for (s, d, k), v in self.dropped_bytes.items()
-            if kind is None or k == kind
-        )
-
-    def total_duplicate_bytes(self, kind: str | None = None) -> int:
-        return sum(
-            v for (s, d, k), v in self.duplicate_bytes.items()
-            if kind is None or k == kind
-        )
-
     def assert_conserved(self) -> None:
         """Check that every sent byte is accounted for (end of run).
 

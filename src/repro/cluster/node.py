@@ -9,7 +9,7 @@ hash-table memory budget, and a local disk.
 
 from __future__ import annotations
 
-from collections.abc import Generator, Iterable
+from collections.abc import Iterable
 from typing import Any
 
 from ..config import CostModel
@@ -47,10 +47,6 @@ class Node:
         self.mailbox = Mailbox(sim, name=f"{self.name}.mailbox")
         self.memory = MemoryAccount(hash_memory_bytes, name=f"{self.name}.mem")
         self.disk = Disk(sim, cost, name=f"{self.name}.disk")
-
-    def compute(self, seconds: float) -> Generator[Any, Any, None]:
-        """Occupy this node's CPU for ``seconds`` (yield-from in a process)."""
-        return self.cpu.use(seconds)
 
     def compute_per_tuple(self, cost_per_tuple: float, n: int) -> Iterable[Any]:
         """Charge a vectorized per-tuple CPU cost for ``n`` tuples

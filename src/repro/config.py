@@ -308,15 +308,11 @@ class ObsConfig:
     budget_bytes: int | None = None
     live_interval_s: float | None = None
     shard: str = "shard0"
-    #: simulated seconds per time-series ring bucket
-    ring_resolution_s: float = 0.25
 
     def __post_init__(self) -> None:
         ObsBudget.from_bytes(self.budget_bytes)  # rejects one too small
         if self.live_interval_s is not None and self.live_interval_s <= 0:
             raise ValueError("live_interval_s must be > 0 (or None)")
-        if self.ring_resolution_s <= 0:
-            raise ValueError("ring_resolution_s must be > 0")
         if not self.shard or any(c in self.shard for c in ",|"):
             raise ValueError(
                 f"shard name must be non-empty without ','/'|', "

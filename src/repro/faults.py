@@ -459,9 +459,6 @@ class FaultInjector:
         self.metrics.counter("retries_total", kind=kind).inc()
 
     # -- misc ------------------------------------------------------------
-    def is_crashed(self, pool_index: int) -> bool:
-        return pool_index in self.crashed
-
     def trace(self, event: str, **fields: Any) -> None:
         if self._trace is not None:
             self._trace(event, "faults", **fields)

@@ -68,22 +68,6 @@ class MessageEdge:
         """Send-to-deliver latency (NaN while in flight)."""
         return self.t_deliver - self.t_send
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "eid": self.eid,
-            "src": self.src,
-            "dst": self.dst,
-            "kind": self.kind,
-            "msg_type": self.msg_type,
-            "hop": self.hop,
-            "nbytes": self.nbytes,
-            "tuples": self.tuples,
-            "t_send": self.t_send,
-            "t_deliver": self.t_deliver if self.delivered else None,
-            "attempts": self.attempts,
-            "parent": self.parent,
-        }
-
 
 class CausalLog(SampledLog):
     """Log of message edges plus per-actor cause tracking.
@@ -208,6 +192,3 @@ class CausalLog(SampledLog):
     def retransmitted(self) -> list[MessageEdge]:
         """Edges that needed more than one wire transmission."""
         return [e for e in self.edges if e.attempts > 1]
-
-    def to_dicts(self) -> list[dict[str, Any]]:
-        return [e.to_dict() for e in self.edges]

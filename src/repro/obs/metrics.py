@@ -18,7 +18,6 @@ the registry's ``clock`` (wired to ``Simulator.now`` in a run).
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from collections.abc import Callable, Iterable
 from typing import Any
@@ -267,10 +266,6 @@ class MetricsRegistry:
     def snapshot(self) -> list[dict[str, Any]]:
         """Export every instrument as a plain-dict list (JSON-safe)."""
         return [inst.as_dict() for inst in self.instruments()]
-
-    def to_jsonl(self) -> str:
-        """One JSON object per instrument, one per line."""
-        return "\n".join(json.dumps(d) for d in self.snapshot())
 
     def find(self, name: str, **labels: Any) -> Any | None:
         """Look up an existing instrument without creating it."""

@@ -71,8 +71,9 @@ DEFAULT_RING_BUCKETS = 512
 DEFAULT_SPAN_SAMPLE = 256
 DEFAULT_SPAN_OUTLIERS = 32
 
-#: default ring resolution (simulated seconds per bucket)
-DEFAULT_RING_RESOLUTION_S = 0.25
+#: ring resolution (simulated seconds per bucket), fixed for every run so
+#: rings from any shard merge
+RING_RESOLUTION_S = 0.25
 
 # wire-field kinds and converters for the ``from_dict`` codecs (``take``)
 _NUMBER = (int, float)
@@ -693,12 +694,10 @@ class StreamingCollector:
     def __init__(self, clock: Any = None,
                  budget: ObsBudget = ObsBudget(),
                  shard: str = "shard0",
-                 ring_resolution_s: float = DEFAULT_RING_RESOLUTION_S,
                  alpha: float = DEFAULT_ALPHA) -> None:
         self.clock = clock or (lambda: 0.0)
         self.budget = budget
         self.shard = shard
-        self.ring_resolution_s = ring_resolution_s
         self.alpha = alpha
         self.spans = SpanLog(budget.span_sample, budget.span_outliers)
         self.sketches: dict[str, QuantileSketch] = {}
@@ -717,7 +716,7 @@ class StreamingCollector:
         ring = self.rings.get(name)
         if ring is None:
             ring = self.rings[name] = TimeSeriesRing(
-                self.ring_resolution_s, self.budget.ring_buckets)
+                RING_RESOLUTION_S, self.budget.ring_buckets)
         ring.observe(t, value)
 
     # -- snapshot ------------------------------------------------------

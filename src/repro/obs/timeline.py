@@ -73,9 +73,6 @@ class SpanLog(SampledLog):
             self._offer(f"{self.total:08d}|{track}|{name}", t1 - t0, span)
         return span
 
-    def for_track(self, track: str) -> list[Span]:
-        return [s for s in self.spans if s.track == track]
-
     def __len__(self) -> int:
         return len(self.spans)
 

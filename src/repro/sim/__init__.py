@@ -6,7 +6,7 @@ the OSUMed PC cluster the paper evaluated on.
 
 Public surface::
 
-    from repro.sim import Simulator, Process, Mailbox, Resource, Barrier
+    from repro.sim import Simulator, Process, Mailbox, Resource
 
     sim = Simulator()
 
@@ -25,18 +25,15 @@ Public surface::
 from .errors import DeadlockError, Interrupt, SimulationError
 from .kernel import Event, Simulator, Timeout
 from .lockdep import LockdepError, LockdepMonitor
-from .process import AllOf, AnyOf, Process
-from .sync import Barrier, Latch, Mailbox, Resource
+from .process import AllOf, Process
+from .sync import Mailbox, Resource
 from .trace import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "Barrier",
     "DeadlockError",
     "Event",
     "Interrupt",
-    "Latch",
     "LockdepError",
     "LockdepMonitor",
     "Mailbox",

@@ -12,10 +12,6 @@ class DeadlockError(SimulationError):
     the event queue is empty, i.e. no event can ever wake them again."""
 
 
-class StopProcess(SimulationError):
-    """Internal control-flow exception used to terminate a process early."""
-
-
 class Interrupt(SimulationError):
     """Thrown into a process when another process interrupts it.
 

@@ -232,17 +232,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def peek(self) -> float:
-        """Time of the next event, or ``inf`` when the queue is empty."""
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process exactly one event (and, like :meth:`run`, raise the
-        failure of a process that died in it unobserved)."""
-        if not self._queue:
-            raise IndexError("step() on an empty event queue")
-        self._loop(inf, 1)
-
     def run(self, until: float | None = None) -> None:
         """Run until the queue drains or simulated time exceeds ``until``.
 
@@ -257,7 +246,7 @@ class Simulator:
             raise ValueError(
                 f"run(until={until}) would move time backwards (now={self._now})"
             )
-        self._loop(inf if until is None else until, -1)
+        self._loop(inf if until is None else until)
         if not self._queue and self._active_processes > 0:
             msg = (
                 f"event queue empty but {self._active_processes} "
@@ -271,14 +260,13 @@ class Simulator:
         if until is not None:
             self._now = until
 
-    def _loop(self, until: float, steps: int) -> None:
+    def _loop(self, until: float) -> None:
         """The one event loop: pop the earliest event, stamp the clock and
-        ``current_event``, run its callbacks — for at most ``steps`` events
-        (negative: no limit) and none later than ``until``."""
+        ``current_event``, run its callbacks — for every event due no later
+        than ``until``."""
         queue = self._queue
         failed = self._failed_processes
-        while queue and steps and queue[0][0] <= until:
-            steps -= 1
+        while queue and queue[0][0] <= until:
             when, _, event = heappop(queue)
             assert when >= self._now, "event queue went backwards"
             self._now = when
@@ -293,9 +281,10 @@ class Simulator:
             if failed:
                 # Fail fast: an unobserved process death would otherwise
                 # show up only as a mysterious livelock or deadlock later.
-                # Several processes can fail in one step (e.g. a barrier
-                # releasing multiple waiters): raise the first *unobserved*
-                # failure; observed ones propagate to their waiters.
+                # Several processes can fail in one step (e.g. two waiters
+                # of one event both raise once it fires): raise the first
+                # *unobserved* failure; observed ones propagate to their
+                # waiters.
                 for proc in failed:
                     if not proc.callbacks and proc._exc is not None:
                         failed.clear()

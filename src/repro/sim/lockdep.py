@@ -2,8 +2,7 @@
 
 A simulation-time wait-for graph over the synchronization primitives in
 :mod:`repro.sim.sync`.  Every time a process blocks on a
-:class:`~repro.sim.sync.Resource`, :class:`~repro.sim.sync.Mailbox`,
-:class:`~repro.sim.sync.Barrier` or :class:`~repro.sim.sync.Latch`, the
+:class:`~repro.sim.sync.Resource` or :class:`~repro.sim.sync.Mailbox`, the
 monitor records *who* waits on *what*; every time a resource slot is
 granted it records *who holds what*.  Two detections fall out:
 
@@ -89,8 +88,8 @@ class LockdepMonitor:
         self.actor_of: Any | None = None
         # proc -> WaitRecord (a process waits on at most one event)
         self._waits: dict[Process, WaitRecord] = {}
-        # event -> procs blocked on it (Latch shares one event)
-        self._by_event: dict[Event, list[Process]] = {}
+        # event -> the proc blocked on it (every wait mints its own event)
+        self._by_event: dict[Event, Process] = {}
         # resource -> holder procs, oldest first
         self._holders: dict[Any, list[Process]] = {}
         self.waits_tracked = 0
@@ -121,7 +120,7 @@ class LockdepMonitor:
             return
         rec = WaitRecord(proc, primitive, event, self.sim._now)
         self._waits[proc] = rec
-        self._by_event.setdefault(event, []).append(proc)
+        self._by_event[event] = proc
         event.add_callback(self._on_fired)
         self.waits_tracked += 1
         if self._m_waits is not None:
@@ -146,9 +145,9 @@ class LockdepMonitor:
     def handed_off(self, resource: Any, event: Event) -> None:
         """A released slot is being handed to the waiter behind ``event``."""
         self.released(resource)  # the releaser drops its hold first
-        for proc in self._by_event.get(event, ()):  # at most one for Resource
+        proc = self._clear_event(event)
+        if proc is not None:
             self._holders.setdefault(resource, []).append(proc)
-        self._clear_event(event)
 
     def released(self, resource: Any) -> None:
         """A slot went back to the pool (no waiter to hand it to).
@@ -174,11 +173,14 @@ class LockdepMonitor:
     def _on_fired(self, event: Event) -> None:
         self._clear_event(event)
 
-    def _clear_event(self, event: Event) -> None:
-        for proc in self._by_event.pop(event, ()):
+    def _clear_event(self, event: Event) -> Process | None:
+        """Forget the wait behind ``event``; return the process it was."""
+        proc = self._by_event.pop(event, None)
+        if proc is not None:
             rec = self._waits.get(proc)
             if rec is not None and rec.event is event:
                 del self._waits[proc]
+        return proc
 
     def _find_cycle(self, start: Process) -> list[WaitRecord] | None:
         """DFS along proc -waits-on-> resource -held-by-> proc edges.
@@ -186,9 +188,9 @@ class LockdepMonitor:
         Only capacity-1 (mutex-like) resources contribute holder edges:
         on a multi-slot resource (receive-window credits, port pools) a
         waiter needs *any* slot, so "a holder is blocked" does not imply
-        deadlock — one of the other holders can still release.  Mailbox/
-        barrier/latch waits and multi-slot waits are leaves of the graph:
-        they show up in stall reports but cannot close a cycle here.
+        deadlock — one of the other holders can still release.  Mailbox
+        waits and multi-slot waits are leaves of the graph: they show up
+        in stall reports but cannot close a cycle here.
         """
         path: list[WaitRecord] = []
         on_path: set[int] = set()

@@ -16,7 +16,7 @@ from typing import Any
 from .errors import Interrupt, SimulationError
 from .kernel import PENDING, Event, Simulator, Timeout
 
-__all__ = ["Process", "AllOf", "AnyOf"]
+__all__ = ["Process", "AllOf"]
 
 
 class Process(Event):
@@ -155,24 +155,3 @@ class AllOf(Event):
         if self._remaining == 0:
             self.succeed([e._value for e in self._events])
 
-
-class AnyOf(Event):
-    """Fires as soon as any given event fires; value is ``(index, value)``."""
-
-    __slots__ = ("_events",)
-
-    def __init__(self, sim: Simulator, events: list[Event]) -> None:
-        if not events:
-            raise ValueError("AnyOf requires at least one event")
-        super().__init__(sim)
-        self._events = list(events)
-        for i, ev in enumerate(self._events):
-            ev.add_callback(lambda e, i=i: self._on_child(i, e))
-
-    def _on_child(self, index: int, ev: Event) -> None:
-        if self.triggered:
-            return
-        if ev._exc is not None:
-            self.fail(ev._exc)
-        else:
-            self.succeed((index, ev._value))

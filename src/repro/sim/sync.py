@@ -6,8 +6,6 @@ These cover everything the cluster substrate needs:
   (models a node's incoming message queue).
 * :class:`Resource` — FIFO server with integer capacity (models NICs, CPUs
   and disks: one request holds a slot for a computed service time).
-* :class:`Barrier` — n-party phase barrier.
-* :class:`Latch` — countdown latch (fires when count reaches zero).
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from typing import Any
 from .errors import SimulationError
 from .kernel import Event, Simulator, Timeout
 
-__all__ = ["Mailbox", "Resource", "Barrier", "Latch"]
+__all__ = ["Mailbox", "Resource"]
 
 
 class Mailbox:
@@ -241,65 +239,3 @@ class Resource:
         finally:
             self.release()
 
-
-class Barrier:
-    """A reusable barrier for a fixed party count.
-
-    ``wait()`` returns an event firing once all parties of the current
-    generation have arrived.
-    """
-
-    def __init__(self, sim: Simulator, parties: int, name: str = "barrier") -> None:
-        if parties < 1:
-            raise ValueError("parties must be >= 1")
-        self.sim = sim
-        self.name = name
-        self.parties = parties
-        self._arrived: list[Event] = []
-
-    def wait(self) -> Event:
-        ev = Event(self.sim)
-        self._arrived.append(ev)
-        if len(self._arrived) == self.parties:
-            arrived, self._arrived = self._arrived, []
-            for waiter in arrived:
-                waiter.succeed(None)
-        else:
-            ld = self.sim.lockdep
-            if ld is not None:
-                ld.blocked(self, ev)
-        return ev
-
-
-class Latch:
-    """Countdown latch: fires its event when the count reaches zero."""
-
-    def __init__(self, sim: Simulator, count: int, name: str = "latch") -> None:
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        self.sim = sim
-        self.name = name
-        self._count = count
-        self._event = Event(sim)
-        if count == 0:
-            self._event.succeed(None)
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def count_down(self, n: int = 1) -> None:
-        if self._count <= 0:
-            raise SimulationError(f"latch {self.name!r} already open")
-        if n < 1 or n > self._count:
-            raise ValueError(f"invalid count_down({n}) with count={self._count}")
-        self._count -= n
-        if self._count == 0:
-            self._event.succeed(None)
-
-    def wait(self) -> Event:
-        if not self._event.triggered:
-            ld = self.sim.lockdep
-            if ld is not None:
-                ld.blocked(self, self._event)
-        return self._event

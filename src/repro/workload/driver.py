@@ -210,7 +210,6 @@ def run_workload(
         clock=lambda: sim.now,
         budget=ObsBudget.from_bytes(cfg.obs.budget_bytes),
         shard=cfg.obs.shard,
-        ring_resolution_s=cfg.obs.ring_resolution_s,
     )
     spans = collector.spans
 

@@ -153,16 +153,6 @@ def test_request_pairs_matches_by_parent():
     assert log.request_pairs("Resp", "Req") == []
 
 
-def test_edge_to_dict_round_trips_json():
-    import json
-
-    log = CausalLog()
-    e = log.on_send("a", "b", FakeMsg(hop="primary", tuples=5), t=0.0)
-    d = json.loads(json.dumps(log.to_dicts()))[0]
-    assert d["eid"] == e.eid and d["hop"] == "primary"
-    assert d["t_deliver"] is None     # in flight -> null, not NaN
-
-
 # ----------------------------------------------------------------------
 # critical_path unit behaviour
 # ----------------------------------------------------------------------

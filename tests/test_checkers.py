@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.checkers import LintError, Violation, run_lint
+from repro.checkers import LintError, Violation, all_checkers, run_lint
 from repro.checkers.base import SourceFile
 from repro.checkers.metricsync import _catalogue_names
 from repro.cli import main
@@ -364,6 +364,25 @@ def test_sourcefile_records_suppression_lines(tmp_path):
 # ----------------------------------------------------------------------
 def test_repo_tree_is_lint_clean():
     assert run_lint(REPO_ROOT) == []
+
+
+def test_every_registered_rule_has_exactly_one_docs_row():
+    """docs/STATIC_ANALYSIS.md's rule tables and the registered passes
+    name the same rules, each once: a rule cannot ship undocumented, and
+    a removed rule's row cannot linger."""
+    from repro.checkers import passes  # noqa: F401  (registers every pass)
+
+    registered = sorted(rule for cls in all_checkers() for rule in cls.rules)
+    rows, in_rule_table = [], False
+    doc = REPO_ROOT / "docs" / "STATIC_ANALYSIS.md"
+    for line in doc.read_text(encoding="utf-8").splitlines():
+        if not line.startswith("|"):
+            in_rule_table = False
+        elif line.startswith("| rule |"):
+            in_rule_table = True
+        elif in_rule_table and not line.startswith("|---"):
+            rows.append(line.split("|")[1].strip().strip("`"))
+    assert sorted(rows) == registered
 
 
 def test_cli_lint_clean_exit_zero(capsys):

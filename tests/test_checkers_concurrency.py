@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.checkers import Violation, run_lint
 from repro.cli import main
 
@@ -135,39 +133,6 @@ def test_dict_get_not_confused_with_mailbox(tmp_path):
     snippet = "def f(cfg):\n    v = cfg.get('key')\n    yield v\n"
     root = make_repo(tmp_path, {"src/repro/core/mod.py": snippet})
     assert run_lint(root) == []
-
-
-# ----------------------------------------------------------------------
-# rs-killable-wait
-# ----------------------------------------------------------------------
-def test_barrier_wait_in_core_flagged(tmp_path):
-    snippet = ("from repro.sim import Barrier\n\n"
-               "def f(sim):\n"
-               "    bar = Barrier(sim, 3)\n"
-               "    yield bar.wait()\n")
-    root = make_repo(tmp_path, {"src/repro/core/mod.py": snippet})
-    assert "rs-killable-wait" in rules_of(run_lint(root))
-
-
-def test_latch_wait_via_self_attribute_flagged(tmp_path):
-    snippet = ("from repro.sim import Latch\n\n"
-               "class C:\n"
-               "    def __init__(self, sim):\n"
-               "        self.gate = Latch(sim, 2)\n"
-               "    def f(self):\n"
-               "        yield self.gate.wait()\n")
-    root = make_repo(tmp_path, {"src/repro/cluster/mod.py": snippet})
-    assert "rs-killable-wait" in rules_of(run_lint(root))
-
-
-def test_barrier_wait_outside_killable_scope_clean(tmp_path):
-    # repro.workload processes are not FaultPlan-killable
-    snippet = ("from repro.sim import Barrier\n\n"
-               "def f(sim):\n"
-               "    bar = Barrier(sim, 3)\n"
-               "    yield bar.wait()\n")
-    root = make_repo(tmp_path, {"src/repro/workload/mod.py": snippet})
-    assert "rs-killable-wait" not in rules_of(run_lint(root))
 
 
 # ----------------------------------------------------------------------

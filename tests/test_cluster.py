@@ -179,7 +179,7 @@ def test_node_compute_occupies_cpu():
     node = Node(sim, 3, "src", CostModel())
 
     def worker(sim, node):
-        yield from node.compute(1.5)
+        yield from node.cpu.use(1.5)
         yield from node.compute_per_tuple(2.0, 3)
 
     sim.spawn(worker(sim, node))

@@ -55,8 +55,8 @@ def test_byte_conservation_and_counters():
     sim.spawn(sender(sim, net, a, b))
     sim.run()
     net.assert_conserved()
-    assert net.total_sent_bytes("data") == 600
-    assert net.total_delivered_bytes("data") == 600
+    assert dict(net.sent_bytes) == {(0, 1, "data"): 600}
+    assert dict(net.delivered_bytes) == {(0, 1, "data"): 600}
     assert net.sent_messages["data"] == 3
     assert b.mailbox.total_put == 3
 

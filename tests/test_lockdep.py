@@ -15,7 +15,6 @@ from repro.config import Algorithm, FaultPlan, RunConfig
 from repro.core import run_join
 from repro.core.context import lockdep_enabled
 from repro.sim import (
-    Barrier,
     LockdepError,
     LockdepMonitor,
     Mailbox,
@@ -147,17 +146,17 @@ def test_stall_report_names_mailbox_waiter():
 def test_stall_report_includes_held_resources():
     sim = monitored_sim()
     lock = Resource(sim, 1, name="lock")
-    bar = Barrier(sim, 2, name="phase")
+    box = Mailbox(sim, name="phase")
 
     def stuck(sim):
         yield from lock.grab()
-        yield bar.wait()  # party #2 never arrives
+        yield box.get()  # nobody ever sends
 
     sim.spawn(stuck(sim), name="stuck")
     with pytest.raises(DeadlockError) as exc:
         sim.run()
     msg = str(exc.value)
-    assert "Barrier('phase')" in msg
+    assert "Mailbox('phase')" in msg
     assert "holds [Resource('lock')]" in msg
 
 

@@ -7,7 +7,7 @@ step, and time regression via run(until=...).
 
 import pytest
 
-from repro.sim import Barrier, Interrupt, Mailbox, Resource, Simulator
+from repro.sim import Interrupt, Mailbox, Resource, Simulator
 
 
 def test_interrupt_racing_termination_is_harmless():
@@ -105,14 +105,14 @@ def test_cancelled_mailbox_getter_does_not_eat_messages():
 
 def test_multiple_unobserved_failures_in_one_step_still_raise():
     sim = Simulator()
-    bar = Barrier(sim, parties=2)
+    gate = sim.timeout(1.0)  # wakes both failers in one step
 
-    def failer(sim, bar, msg):
-        yield bar.wait()
+    def failer(sim, gate, msg):
+        yield gate
         raise RuntimeError(msg)
 
-    sim.spawn(failer(sim, bar, "first"))
-    sim.spawn(failer(sim, bar, "second"))
+    sim.spawn(failer(sim, gate, "first"))
+    sim.spawn(failer(sim, gate, "second"))
     with pytest.raises(RuntimeError):
         sim.run()
 
@@ -121,13 +121,13 @@ def test_observed_failure_plus_unobserved_failure():
     """If one failure is observed by a waiter and another is not, the
     unobserved one must still surface from run()."""
     sim = Simulator()
-    bar = Barrier(sim, parties=2)
+    gate = sim.timeout(1.0)  # wakes both failers in one step
 
-    def failer(sim, bar, msg):
-        yield bar.wait()
+    def failer(sim, gate, msg):
+        yield gate
         raise RuntimeError(msg)
 
-    observed = sim.spawn(failer(sim, bar, "observed"))
+    observed = sim.spawn(failer(sim, gate, "observed"))
 
     def watcher(sim, target):
         try:
@@ -136,7 +136,7 @@ def test_observed_failure_plus_unobserved_failure():
             return "caught"
 
     sim.spawn(watcher(sim, observed))
-    sim.spawn(failer(sim, bar, "unobserved"))
+    sim.spawn(failer(sim, gate, "unobserved"))
     with pytest.raises(RuntimeError, match="unobserved"):
         sim.run()
 

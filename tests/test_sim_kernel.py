@@ -9,7 +9,7 @@ from repro.sim.errors import SimulationError
 def test_new_simulator_starts_at_zero():
     sim = Simulator()
     assert sim.now == 0.0
-    assert sim.peek() == float("inf")
+    assert sim.processed_events == 0
 
 
 def test_timeout_advances_clock():
@@ -116,11 +116,11 @@ def test_run_until_stops_the_clock():
     assert fired == [1.0, 2.0, 3.0]
 
 
-def test_step_processes_exactly_one_event():
+def test_run_until_processes_only_the_events_due():
     sim = Simulator()
     sim.timeout(1.0)
     sim.timeout(2.0)
-    sim.step()
+    sim.run(until=1.0)
     assert sim.now == 1.0
     assert sim.processed_events == 1
 
@@ -208,39 +208,10 @@ def test_raising_callback_leaves_no_current_event():
     with pytest.raises(RuntimeError):
         sim.run()
     assert sim.current_event is None
-    sim.timeout(1.0).add_callback(boom)
+    sim.timeout(1.0).add_callback(boom)  # the loop is re-entrant after a raise
     with pytest.raises(RuntimeError):
-        sim.step()
+        sim.run()
     assert sim.current_event is None
-
-
-def test_step_on_empty_queue_raises():
-    with pytest.raises(IndexError):
-        Simulator().step()
-
-
-def test_step_and_run_walk_the_same_events():
-    def build():
-        sim = Simulator()
-        log = []
-
-        def proc(sim, name):
-            for i in range(3):
-                yield sim.timeout(0.5 * (i + 1))
-                log.append((name, sim.now, sim.processed_events))
-
-        sim.spawn(proc(sim, "a"))
-        sim.spawn(proc(sim, "b"))
-        return sim, log
-
-    ran, ran_log = build()
-    ran.run()
-    stepped, stepped_log = build()
-    while stepped.peek() != float("inf"):
-        stepped.step()
-    assert stepped_log == ran_log
-    assert stepped.processed_events == ran.processed_events
-    assert stepped.now == ran.now
 
 
 def test_event_state_follows_its_lifecycle():

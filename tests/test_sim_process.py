@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, Simulator
+from repro.sim import AllOf, Interrupt, Simulator
 from repro.sim.errors import SimulationError
 
 
@@ -158,29 +158,6 @@ def test_allof_empty_fires_immediately():
     p = sim.spawn(parent(sim))
     sim.run()
     assert p.value == []
-
-
-def test_anyof_returns_first():
-    sim = Simulator()
-
-    def worker(sim, d):
-        yield sim.timeout(d)
-        return d
-
-    def parent(sim):
-        kids = [sim.spawn(worker(sim, d)) for d in (3.0, 1.0, 2.0)]
-        idx, val = yield AnyOf(sim, kids)
-        return idx, val
-
-    p = sim.spawn(parent(sim))
-    sim.run()
-    assert p.value == (1, 1.0)
-
-
-def test_anyof_requires_events():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        AnyOf(sim, [])
 
 
 def test_immediate_resume_on_processed_event():

@@ -1,8 +1,8 @@
-"""Unit tests for mailboxes, resources, barriers and latches."""
+"""Unit tests for mailboxes and resources."""
 
 import pytest
 
-from repro.sim import Barrier, Latch, Mailbox, Resource, Simulator
+from repro.sim import Mailbox, Resource, Simulator
 from repro.sim.errors import SimulationError
 
 
@@ -164,89 +164,3 @@ def test_resource_handoff_keeps_in_use_stable():
         sim.spawn(user(sim, res))
     sim.run(until=1.5)
     assert res.in_use == 1  # handed directly to the next waiter
-
-
-# ----------------------------------------------------------------------
-# Barrier / Latch
-# ----------------------------------------------------------------------
-def test_barrier_releases_all_parties_together():
-    sim = Simulator()
-    bar = Barrier(sim, parties=3)
-    times = []
-
-    def party(sim, bar, delay):
-        yield sim.timeout(delay)
-        yield bar.wait()
-        times.append(sim.now)
-
-    for d in (1.0, 2.0, 3.0):
-        sim.spawn(party(sim, bar, d))
-    sim.run()
-    assert times == [3.0, 3.0, 3.0]
-
-
-def test_barrier_is_reusable():
-    sim = Simulator()
-    bar = Barrier(sim, parties=2)
-    laps = []
-
-    def party(sim, bar, name):
-        for lap in range(2):
-            yield sim.timeout(1.0)
-            yield bar.wait()
-            laps.append((name, lap, sim.now))
-
-    sim.spawn(party(sim, bar, "a"))
-    sim.spawn(party(sim, bar, "b"))
-    sim.run()
-    assert [t for (_, _, t) in laps] == [1.0, 1.0, 2.0, 2.0]
-
-
-def test_barrier_invalid_parties():
-    with pytest.raises(ValueError):
-        Barrier(Simulator(), parties=0)
-
-
-def test_latch_opens_at_zero():
-    sim = Simulator()
-    latch = Latch(sim, count=2)
-    result = []
-
-    def waiter(sim, latch):
-        yield latch.wait()
-        result.append(sim.now)
-
-    def worker(sim, latch):
-        yield sim.timeout(1.0)
-        latch.count_down()
-        yield sim.timeout(1.0)
-        latch.count_down()
-
-    sim.spawn(waiter(sim, latch))
-    sim.spawn(worker(sim, latch))
-    sim.run()
-    assert result == [2.0]
-    assert latch.count == 0
-
-
-def test_latch_zero_count_is_open():
-    sim = Simulator()
-    latch = Latch(sim, count=0)
-
-    def waiter(sim, latch):
-        yield latch.wait()
-        return "through"
-
-    p = sim.spawn(waiter(sim, latch))
-    sim.run()
-    assert p.value == "through"
-
-
-def test_latch_overcounting_raises():
-    sim = Simulator()
-    latch = Latch(sim, count=1)
-    latch.count_down()
-    with pytest.raises(SimulationError):
-        latch.count_down()
-    with pytest.raises(ValueError):
-        Latch(sim, count=-1)

@@ -455,7 +455,7 @@ def test_causal_queries_agree_between_unbounded_and_roomy_bounded_log():
     assert [(eids(p)) for p in roomy.request_pairs("Req", "Resp")] == [
         eids(p) for p in pairs]
     for eid in (0, 3, 59):
-        assert roomy.edge(eid).to_dict() == plain.edge(eid).to_dict()
+        assert repr(roomy.edge(eid)) == repr(plain.edge(eid))
         assert eids(roomy.children(eid)) == eids(plain.children(eid))
     assert eids(plain.children(0)) == [1, 2]
     for log in logs:
