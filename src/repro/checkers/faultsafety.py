@@ -1,12 +1,9 @@
 """Fault-safety pass: exception handling on recovery paths.
 
-PR 2's recovery machinery distinguishes *maskable* faults (retried,
+The recovery machinery distinguishes *maskable* faults (retried,
 degraded, spilled) from *unmaskable* ones, which must surface as
-``UnrecoverableFaultError``.  Two rules keep handlers honest:
+``UnrecoverableFaultError``.  One rule keeps handlers honest:
 
-* ``fault-bare-except`` — a bare ``except:`` catches ``SystemExit``,
-  ``KeyboardInterrupt`` and the simulator's own interrupt plumbing;
-  name the exception type instead.
 * ``fault-swallowed`` — a handler catching ``Exception``,
   ``BaseException`` or ``UnrecoverableFaultError`` whose body never
   ``raise``\\ s swallows exactly the class of failures the fault model
@@ -14,7 +11,7 @@ degraded, spilled) from *unmaskable* ones, which must surface as
   exception being masked.
 
 Narrow handlers (``except ValueError: pass`` around a best-effort
-cleanup) are fine and not flagged.
+cleanup) are fine and not flagged.  Bare ``except:`` is ruff's E722.
 """
 
 from __future__ import annotations
@@ -30,13 +27,12 @@ __all__ = ["FaultSafetyChecker"]
 _BROAD = frozenset({"Exception", "BaseException", "UnrecoverableFaultError"})
 
 
-def _handler_types(handler: ast.ExceptHandler) -> set[str]:
-    """Leaf type names caught by a handler (``a.b.C`` -> ``C``)."""
-    node = handler.type
-    elts = node.elts if isinstance(node, ast.Tuple) else [node]
+def _handler_types(caught: ast.expr) -> set[str]:
+    """Leaf type names a handler's ``except`` clause names (``a.b.C`` -> ``C``)."""
+    elts = caught.elts if isinstance(caught, ast.Tuple) else [caught]
     out: set[str] = set()
     for e in elts:
-        name = dotted_name(e) if e is not None else None
+        name = dotted_name(e)
         if name is not None:
             out.add(name.rsplit(".", 1)[-1])
     return out
@@ -48,17 +44,11 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
 
 @register
 class FaultSafetyChecker(FileChecker):
-    """No bare excepts; broad/unrecoverable catches must re-raise."""
+    """Broad/unrecoverable catches must re-raise."""
 
     name = "faultsafety"
-    rules = ("fault-bare-except", "fault-swallowed")
+    rules = ("fault-swallowed",)
     explanations = {
-        "fault-bare-except": (
-            "A bare `except:` catches SystemExit, KeyboardInterrupt and "
-            "the simulator's process interrupts, so a killed process can "
-            "keep running as a zombie.  Name the exception types the "
-            "handler actually expects."
-        ),
         "fault-swallowed": (
             "A handler catches Exception/BaseException/"
             "UnrecoverableFaultError without re-raising.  Unmaskable "
@@ -70,16 +60,9 @@ class FaultSafetyChecker(FileChecker):
 
     def check_file(self, source: SourceFile) -> Iterator[Violation]:
         for node in ast.walk(source.tree):
-            if not isinstance(node, ast.ExceptHandler):
+            if not isinstance(node, ast.ExceptHandler) or node.type is None:
                 continue
-            if node.type is None:
-                yield source.violation(
-                    node, "fault-bare-except",
-                    "bare except catches SystemExit/KeyboardInterrupt and "
-                    "simulator interrupts; name the exception type",
-                )
-                continue
-            broad = _handler_types(node) & _BROAD
+            broad = _handler_types(node.type) & _BROAD
             if broad and not _reraises(node):
                 caught = ", ".join(sorted(broad))
                 yield source.violation(

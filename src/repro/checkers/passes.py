@@ -11,7 +11,6 @@ from .determinism import DeterminismChecker
 from .faultsafety import FaultSafetyChecker
 from .metricsync import MetricSyncChecker
 from .protocol import ProtocolChecker
-from .resourcesafety import ResourceSafetyChecker
 from .waitgraph import WaitGraphChecker
 
 __all__ = [
@@ -19,6 +18,5 @@ __all__ = [
     "ProtocolChecker",
     "MetricSyncChecker",
     "FaultSafetyChecker",
-    "ResourceSafetyChecker",
     "WaitGraphChecker",
 ]

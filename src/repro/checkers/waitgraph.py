@@ -4,7 +4,7 @@ The runtime protocol is request/response between long-lived process
 classes (scheduler, join node, data source, pool, backup scheduler).
 A *wait-state* is a method that parks on the class's mailbox until a
 specific message type arrives (an ``isinstance`` exit condition around a
-``recv()``/``get()`` loop).  Two things can rot as the protocol grows:
+``recv()`` loop).  Two things can rot as the protocol grows:
 
 * ``wg-cycle`` — class A blocks waiting for a message only B sends while
   B blocks waiting for a message only A sends: a potential distributed
@@ -57,8 +57,7 @@ from ._astutil import (
 
 __all__ = ["WaitGraphChecker"]
 
-#: receiver path segments that identify a mailbox object (shared shape
-#: with the resource-safety pass)
+#: receiver path segments that identify a mailbox object
 _MAILBOXY = frozenset({"mailbox", "inbox"})
 
 #: directories scanned for senders of a message
@@ -66,10 +65,10 @@ _SENDER_DIRS = ("src/repro/core", "src/repro/cluster", "src/repro/workload")
 
 
 def _is_mailbox_wait(call: ast.Call) -> bool:
-    """``X.get()`` / ``X.recv()`` where X's dotted path ends in a mailbox."""
+    """``X.recv()`` where X's dotted path ends in a mailbox."""
     if not isinstance(call.func, ast.Attribute):
         return False
-    if call.func.attr not in ("get", "recv"):
+    if call.func.attr != "recv":
         return False
     receiver = dotted_name(call.func.value)
     if receiver is None:

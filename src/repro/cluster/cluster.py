@@ -192,4 +192,4 @@ class WorkloadCluster:
             f"reset of {node.name} with senders still waiting for credits"
         )
         for _ in range(credits.in_use):
-            credits.release()
+            credits.give()

@@ -174,15 +174,11 @@ class Network:
                 # behind the jammed TX (observed in the reshuffle step).
                 # One credit covers the logical message across every
                 # retransmission attempt (TCP's window tracks sequence space,
-                # not wire copies), so duplicates cannot leak credits.
-                # grab(), not acquire(): a sender crashed while queued for
-                # the window must withdraw its request, or the receiver's
-                # next credit release is handed to the corpse and the
-                # window shrinks by one forever.  The matching release is
-                # on the *consumer* (the join node retires the chunk), so
-                # no try/finally here can pair it — that asymmetry is the
-                # credit protocol, not a leak.
-                yield from dst.recv_credits.grab()  # repro: allow[rs-unpaired-grab]
+                # not wire copies), so duplicates cannot leak credits.  The
+                # matching give() is on the *consumer* (the join node
+                # retires the chunk) — that asymmetry is the credit
+                # protocol, not a leak.
+                yield from dst.recv_credits.take()
             faults = self.faults
             if faults is None or not faults.links_active or src is dst:
                 attempt_open = True
@@ -258,30 +254,20 @@ class Network:
             wire *= self.faults.slowdown_factor(
                 src.node_id, dst.node_id, self.sim.now
             )
-        # grab(), not acquire(), throughout: a crashed process abandoned
-        # mid-wait must withdraw its queued request, or the next release
-        # grants the link to the corpse — jamming the port forever (every
-        # later sender queues behind a slot nobody will ever release).
         if self._hub is not None:
-            yield from self._hub.grab()
-            try:
+            with self._hub.request() as medium:
+                yield medium
                 yield self.sim.timeout(self.cost.net_latency + wire)
                 self._hub.busy_time += wire
-            finally:
-                self._hub.release()
         else:
-            yield from src.tx.grab()
-            try:
+            with src.tx.request() as tx:
+                yield tx
                 yield self.sim.timeout(self.cost.net_latency)
-                yield from dst.rx.grab()
-                try:
+                with dst.rx.request() as rx:
+                    yield rx
                     yield self.sim.timeout(wire)
                     src.tx.busy_time += wire
                     dst.rx.busy_time += wire
-                finally:
-                    dst.rx.release()
-            finally:
-                src.tx.release()
 
     def _spawn_deliver(
         self,

@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from typing import Any
 
 from ..config import CostModel
-from ..sim import Mailbox, Resource, Simulator
+from ..sim import CreditWindow, Mailbox, Resource, Simulator
 from .disk import Disk
 from .memory import MemoryAccount
 
@@ -40,8 +40,8 @@ class Node:
         self.tx = Resource(sim, capacity=1, name=f"{self.name}.tx")
         self.rx = Resource(sim, capacity=1, name=f"{self.name}.rx")
         #: receive-window credits for data chunks (see Network docstring);
-        #: the consuming process must release one credit per retired chunk
-        self.recv_credits = Resource(
+        #: the consuming process gives back one credit per retired chunk
+        self.recv_credits = CreditWindow(
             sim, capacity=cost.recv_window_chunks, name=f"{self.name}.rwnd"
         )
         self.mailbox = Mailbox(sim, name=f"{self.name}.mailbox")

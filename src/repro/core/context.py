@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import os
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 from typing import Any
 
 from ..cluster import Cluster, Node
@@ -19,11 +19,11 @@ from ..config import RunConfig, WorkloadConfig
 from ..faults import FaultInjector
 from ..hashing import PositionMap
 from ..obs import CausalLog, MetricsRegistry, ObsBudget, SpanLog
-from ..sim import LockdepMonitor, Resource, Simulator, Tracer
-from .messages import DataChunk
+from ..sim import LockdepMonitor, Mailbox, Resource, Simulator, Tracer
+from .messages import DataChunk, PollTick
 from .results import CommStats
 
-__all__ = ["RunContext", "install_lockdep", "lockdep_enabled"]
+__all__ = ["RunContext", "install_lockdep", "lockdep_enabled", "poll_ticker"]
 
 
 def lockdep_enabled(cfg: RunConfig | WorkloadConfig) -> bool:
@@ -53,6 +53,20 @@ def install_lockdep(
     report name the message chain behind each stuck actor."""
     if lockdep_enabled(cfg):
         LockdepMonitor(sim, metrics=metrics, causal=causal).install()
+
+
+def poll_ticker(
+    sim: Simulator, mailbox: Mailbox, interval: float,
+    stopped: Callable[[], bool],
+) -> Generator[Any, Any, None]:
+    """Drop a :class:`PollTick` into ``mailbox`` every ``interval``
+    simulated seconds until ``stopped()`` — the drain poll, the pool's
+    deadline checks and the standby's dead-man timer.  The ticker runs on
+    the mailbox's own node, so ticks never cross the network."""
+    timeout, put = sim.timeout, mailbox.put
+    while not stopped():
+        yield timeout(interval)
+        put(PollTick())
 
 
 class RunContext:

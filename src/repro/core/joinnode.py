@@ -302,13 +302,13 @@ class JoinProcess:
         owed = (self.received_build + self.received_probe
                 - self.processed_build - self.processed_probe)
         for _ in range(owed):
-            self.node.recv_credits.release()
+            self.node.recv_credits.give()
         self.parked.clear()
         self.pre_activation.clear()
         while True:
             msg = yield from self.node.mailbox.recv()
             if isinstance(msg, DataChunk):
-                self.node.recv_credits.release()
+                self.node.recv_credits.give()
             elif isinstance(msg, Shutdown):
                 return
 
@@ -407,7 +407,7 @@ class JoinProcess:
             self.processed_build += 1
         else:
             self.processed_probe += 1
-        self.node.recv_credits.release()
+        self.node.recv_credits.give()
 
     def _count_build_emission(self, dest: int) -> None:
         self.emitted_build += 1
@@ -560,15 +560,23 @@ class JoinProcess:
         cause: int | None = None,
     ) -> Generator[Any, Any, None]:
         t0 = self.ctx.sim.now
+        if hop != Hop.SPLIT:
+            yield from self._ship(values, dest, hop, cause, t0)
+            return
+        # Barrier split pointer: one split transfer on the wire at a time
+        # (the paper's 'done' message gates the next split).
+        with self.ctx.split_transfer_token.request() as token:
+            yield token
+            yield from self._ship(values, dest, hop, cause, t0)
+
+    def _ship(
+        self, values: np.ndarray, dest: int, hop: str, cause: int | None,
+        t0: float,
+    ) -> Generator[Any, Any, None]:
         output = hop == Hop.OUTPUT
         relation, tb = (
             ("O", self.ctx.cfg.output_pair_bytes) if output else ("R", self._tb)
         )
-        serialized = hop == Hop.SPLIT
-        if serialized:
-            # Barrier split pointer: one split transfer on the wire at a
-            # time (the paper's 'done' message gates the next split).
-            yield from self.ctx.split_transfer_token.grab()
         try:
             chunk_tuples = self.ctx.cfg.workload.real_chunk_tuples
             for lo, hi in chunk_slices(int(values.size), chunk_tuples):
@@ -584,8 +592,7 @@ class JoinProcess:
                     parent=cause,
                 )
         finally:
-            if serialized:
-                self.ctx.split_transfer_token.release()
+            if hop == Hop.SPLIT:
                 self.split_transfer_s += self.ctx.sim.now - t0
             self.transfers_pending -= 1
             if hop in (Hop.SPLIT, Hop.RESHUFFLE):  # spans named as the hop

@@ -31,11 +31,12 @@ the whole control plane; all three can be pinned in the fault plan.
 
 from __future__ import annotations
 
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from ..sim import Interrupt
+from .context import poll_ticker
 from .messages import (
     DeathVerdict,
     Depose,
@@ -110,7 +111,7 @@ class Membership:
                 self.ctx.trace("suspicion_cleared", "scheduler", node=j)
 
     # ------------------------------------------------------------------
-    def loop(self, flag: Any) -> Generator[Any, Any, None]:
+    def loop(self, stopped: Callable[[], bool]) -> Generator[Any, Any, None]:
         """Ping watched nodes each interval and grade their silence.
 
         Pings are best-effort (single transmit, no retransmission): a
@@ -118,21 +119,21 @@ class Membership:
         detector would be an oracle.  The standby is pinged too, so its
         dead-man timer stays fresh between state syncs.
 
-        The stop flag covers the idle path; a halt that lands while a
-        ping is mid-send arrives as an :class:`Interrupt` instead (a
-        crashed primary can strand this loop on its node's dead CPU
-        forever — the flag alone is only checked between ticks)."""
+        The ``stopped`` predicate covers the idle path; a halt that lands
+        while a ping is mid-send arrives as an :class:`Interrupt` instead
+        (a crashed primary can strand this loop on its node's dead CPU
+        forever — the predicate is only checked between ticks)."""
         try:
-            yield from self._loop(flag)
+            yield from self._loop(stopped)
         except Interrupt:
             return
 
-    def _loop(self, flag: Any) -> Generator[Any, Any, None]:
+    def _loop(self, stopped: Callable[[], bool]) -> Generator[Any, Any, None]:
         ctx = self.ctx
         sched = self.sched
-        while not flag.stopped:
+        while not stopped():
             yield ctx.sim.timeout(self.timing.interval)
-            if flag.stopped:
+            if stopped():
                 return
             self._token += 1
             now = ctx.sim.now
@@ -205,7 +206,11 @@ class BackupSchedulerProcess:
     # ------------------------------------------------------------------
     def run(self) -> Generator[Any, Any, None]:
         ctx = self.ctx
-        ctx.sim.spawn(self._tick_loop(), name="backup-deadman")
+        ctx.sim.spawn(
+            poll_ticker(ctx.sim, self.node.mailbox, self.timing.interval,
+                        lambda: self._stopped),
+            name="backup-deadman",
+        )
         last_primary = ctx.sim.now
         sync: StateSync | None = None
         try:
@@ -227,12 +232,6 @@ class BackupSchedulerProcess:
                 # anything else is stray traffic for a standby: ignore
         finally:
             self._stopped = True
-
-    def _tick_loop(self) -> Generator[Any, Any, None]:
-        """Local dead-man ticks (never cross the network)."""
-        while not self._stopped:
-            yield self.ctx.sim.timeout(self.timing.interval)
-            self.node.mailbox.put(PollTick())
 
     # ------------------------------------------------------------------
     def _takeover(self, sync: StateSync | None) -> Generator[Any, Any, Any]:

@@ -44,6 +44,7 @@ from typing import Any
 
 from ..config import PoolPolicy
 from ..cluster import Node
+from .context import poll_ticker
 from .messages import (
     PollTick,
     QueryDone,
@@ -252,7 +253,11 @@ class ResourcePoolProcess:
     # main loop
     # ------------------------------------------------------------------
     def run(self) -> Generator[Any, Any, PoolStats]:
-        self.sim.spawn(self._ticker(), name="pool-ticker")
+        self.sim.spawn(
+            poll_ticker(self.sim, self.node.mailbox, self.poll_interval,
+                        lambda: self._stopped),
+            name="pool-ticker",
+        )
         self._sample_levels()
         recv, handlers = self.node.mailbox.recv, self._handlers
         while not self._stopped:
@@ -273,14 +278,6 @@ class ResourcePoolProcess:
                 self.stats.leaked_nodes.append(j)
         self._sample_levels()
         return self.stats
-
-    def _ticker(self) -> Generator[Any, Any, None]:
-        """PollTicks for deadline checks; runs on the pool node, so ticks
-        never cross the network (mirrors the scheduler's drain ticker)."""
-        timeout, put = self.sim.timeout, self.node.mailbox.put
-        while not self._stopped:
-            yield timeout(self.poll_interval)
-            put(PollTick())
 
     # ------------------------------------------------------------------
     # dispatch

@@ -278,17 +278,19 @@ class FaultTolerantScheduler(SchedulerProcess):
             raise self._unrecoverable_death(e.node) from e
 
     def _start_background(self) -> None:
-        """The failure detector gates on the ticker's stop flag: a crashed
-        or deposed primary stops both, and that silence is exactly what
-        the standby's dead-man timer and the joins' ping loss observe."""
+        """The failure detector gates on the ticker's stop predicate: a
+        crashed or deposed primary stops both, and that silence is exactly
+        what the standby's dead-man timer and the joins' ping loss
+        observe."""
         super()._start_background()
         self._membership_proc = self.ctx.sim.spawn(
-            self.membership.loop(self._ticker_flag), name="membership"
+            self.membership.loop(lambda: self._background_stopped),
+            name="membership",
         )
 
     def _halt_background(self) -> None:
         super()._halt_background()
-        # The flag only covers the detector's idle path: a ping that is
+        # The predicate only covers the detector's idle path: a ping that is
         # mid-send when the primary dies would wait on the dead node's
         # CPU forever.  Interrupt it out of the send (it treats the
         # Interrupt as a clean stop).

@@ -35,8 +35,7 @@ from typing import Any
 
 from ..faults import UnrecoverableFaultError
 from ..hashing import RangeRouter, Router
-from ..sim import Mailbox
-from .context import RunContext
+from .context import RunContext, poll_ticker
 from .messages import (
     ActivateAck,
     ActivateJoin,
@@ -78,13 +77,6 @@ class SchedulerOutcome:
     final_reports: dict[int, FinalReport] = field(default_factory=dict)
     probe_dup_tuples: int = 0
     activated: list[int] = field(default_factory=list)
-
-
-class _StopFlag:
-    """Shared stop signal for the drain ticker."""
-
-    def __init__(self) -> None:
-        self.stopped = False
 
 
 class SchedulerProcess:
@@ -163,7 +155,8 @@ class SchedulerProcess:
         self._prev_round: dict[int, tuple] | None = None
         self._drained = False
         self._phase = "build"
-        self._ticker_flag = _StopFlag()
+        #: stops the background loops (drain ticker, failure detector)
+        self._background_stopped = False
 
         #: message type -> handler for traffic that may arrive at any time
         #: (the dispatch inventory the protocol lint and its runtime mirror
@@ -456,15 +449,15 @@ class SchedulerProcess:
 
     def _start_background(self) -> None:
         """Spawn the drain ticker (runs until :meth:`_halt_background`)."""
-        self._ticker_flag = _StopFlag()
         self.ctx.sim.spawn(
-            _ticker(self.ctx, self._ticker_flag,
-                    self.cfg.effective_drain_poll, self.node.mailbox),
+            poll_ticker(self.ctx.sim, self.node.mailbox,
+                        self.cfg.effective_drain_poll,
+                        lambda: self._background_stopped),
             name="drain-ticker",
         )
 
     def _halt_background(self) -> None:
-        self._ticker_flag.stopped = True
+        self._background_stopped = True
 
     def _notify_faults(self, phase: str) -> None:
         """Synchronous phase-entry hook for phase-triggered crash specs."""
@@ -651,14 +644,3 @@ class SchedulerProcess:
             )
             self.outcome.final_reports[msg.node] = msg
         yield from self.potential.release(self)
-
-
-def _ticker(
-    ctx: RunContext, flag: _StopFlag, interval: float, mailbox: Mailbox
-) -> Generator[Any, Any, None]:
-    """Drops PollTicks into the scheduler mailbox until stopped.
-
-    Runs on the scheduler node, so ticks never cross the network."""
-    while not flag.stopped:
-        yield ctx.sim.timeout(interval)
-        mailbox.put(PollTick())

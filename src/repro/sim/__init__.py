@@ -11,7 +11,7 @@ Public surface::
     sim = Simulator()
 
     def worker(sim, box):
-        msg = yield box.get()
+        msg = yield from box.recv()
         yield sim.timeout(1.5)
         return msg * 2
 
@@ -26,11 +26,12 @@ from .errors import DeadlockError, Interrupt, SimulationError
 from .kernel import Event, Simulator, Timeout
 from .lockdep import LockdepError, LockdepMonitor
 from .process import AllOf, Process
-from .sync import Mailbox, Resource
+from .sync import CreditWindow, Mailbox, Resource
 from .trace import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
+    "CreditWindow",
     "DeadlockError",
     "Event",
     "Interrupt",

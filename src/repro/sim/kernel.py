@@ -46,19 +46,13 @@ class Event:
     mailboxes, resources and processes are all built on top of them.
     """
 
-    __slots__ = ("sim", "callbacks", "parent", "_value", "_exc")
+    __slots__ = ("sim", "callbacks", "_value", "_exc")
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         #: callables invoked with this event once it is processed; None
         #: from then on (that *is* the processed flag)
         self.callbacks: list[Callable[[Event], None]] | None = []
-        #: optional provenance tag: the event being processed when this one
-        #: was triggered (see :attr:`Simulator.current_event`).  Purely
-        #: observational — the kernel never reads it — and opt-in, so the
-        #: common case keeps no back-references alive.  Stampers must keep
-        #: chains bounded (e.g. mailboxes tag hand-offs one hop deep).
-        self.parent: Event | None = None
         #: PENDING until triggered (that *is* the triggered flag)
         self._value: Any = PENDING
         self._exc: BaseException | None = None
@@ -155,7 +149,6 @@ class Timeout(Event):
         # Event.__init__ + succeed(), flattened.
         self.sim = sim
         self.callbacks = []
-        self.parent = None
         self._value = value
         self._exc = None
         sim._seq = seq = sim._seq + 1
@@ -181,7 +174,6 @@ class Simulator:
         self._processed_events = 0
         #: processes that died with an exception (maintained by Process)
         self._failed_processes: list = []
-        self._current_event: Event | None = None
         #: process whose generator is executing right now (maintained by
         #: Process._resume); sync primitives use it to attribute waits
         self._current_process: Any | None = None
@@ -201,12 +193,6 @@ class Simulator:
     def processed_events(self) -> int:
         """Total number of events processed so far (for tests/diagnostics)."""
         return self._processed_events
-
-    @property
-    def current_event(self) -> Event | None:
-        """The event whose callbacks are running right now (None between
-        steps).  Provenance stampers use it to set :attr:`Event.parent`."""
-        return self._current_event
 
     @property
     def current_process(self) -> Any | None:
@@ -261,9 +247,8 @@ class Simulator:
             self._now = until
 
     def _loop(self, until: float) -> None:
-        """The one event loop: pop the earliest event, stamp the clock and
-        ``current_event``, run its callbacks — for every event due no later
-        than ``until``."""
+        """The one event loop: pop the earliest event, stamp the clock, run
+        its callbacks — for every event due no later than ``until``."""
         queue = self._queue
         failed = self._failed_processes
         while queue and queue[0][0] <= until:
@@ -271,13 +256,9 @@ class Simulator:
             assert when >= self._now, "event queue went backwards"
             self._now = when
             self._processed_events += 1
-            self._current_event = event
             callbacks, event.callbacks = event.callbacks, None
-            try:
-                for fn in callbacks:
-                    fn(event)
-            finally:
-                self._current_event = None
+            for fn in callbacks:
+                fn(event)
             if failed:
                 # Fail fast: an unobserved process death would otherwise
                 # show up only as a mysterious livelock or deadlock later.

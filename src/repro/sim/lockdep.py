@@ -133,7 +133,7 @@ class LockdepMonitor:
             raise LockdepError(self._render_cycle(cycle))
 
     def unblocked(self, event: Event) -> None:
-        """A pending wait was withdrawn (``cancel`` / ``cancel_get``)."""
+        """A pending wait was withdrawn (the waiting process was interrupted)."""
         self._clear_event(event)
 
     def acquired(self, resource: Any) -> None:

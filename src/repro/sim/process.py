@@ -49,10 +49,10 @@ class Process(Event):
 
         The event the process was waiting on is abandoned (its stale wakeup
         is dropped when it fires); the process decides how to recover.
-        Caveats of abandonment: a pending ``Resource.acquire`` /
-        ``Mailbox.get`` must be withdrawn with ``cancel`` / ``cancel_get``
-        (``Resource.use`` does this itself), and if the abandoned event was
-        a *process* that later fails, this waiter no longer observes the
+        The sync primitives withdraw their own abandoned waits
+        (``Mailbox.recv``, ``Resource.use``, a ``with res.request()``
+        hold, ``CreditWindow.take``).  If the abandoned event was a
+        *process* that later fails, this waiter no longer observes the
         failure — it surfaces from ``Simulator.run`` only if no other
         observer exists.
         """

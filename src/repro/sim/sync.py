@@ -1,27 +1,34 @@
 """Synchronization primitives built on kernel events.
 
-These cover everything the cluster substrate needs:
+These cover everything the cluster substrate needs, and offer only forms
+that survive an exception thrown into a waiting or holding process (crash
+injection, shutdown) without leaking a slot or losing a message:
 
-* :class:`Mailbox` — unbounded FIFO message queue with blocking ``get()``
-  (models a node's incoming message queue).
+* :class:`Mailbox` — unbounded FIFO message queue, read with
+  ``msg = yield from box.recv()`` (models a node's incoming message queue).
 * :class:`Resource` — FIFO server with integer capacity (models NICs, CPUs
-  and disks: one request holds a slot for a computed service time).
+  and disks).  ``yield from res.use(seconds)`` holds one slot for a
+  computed service time; ``with res.request() as req: yield req`` holds it
+  for the rest of the block.
+* :class:`CreditWindow` — a Resource whose slots one actor takes and
+  another gives back (the TCP-like receive window).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Generator
+from heapq import heappush
 from typing import Any
 
 from .errors import SimulationError
-from .kernel import Event, Simulator, Timeout
+from .kernel import PENDING, Event, Simulator, Timeout
 
-__all__ = ["Mailbox", "Resource"]
+__all__ = ["CreditWindow", "Mailbox", "Request", "Resource"]
 
 
 class Mailbox:
-    """Unbounded FIFO queue of messages with event-based blocking ``get``."""
+    """Unbounded FIFO queue of messages with an interrupt-safe ``recv``."""
 
     def __init__(self, sim: Simulator, name: str = "mailbox") -> None:
         self.sim = sim
@@ -34,7 +41,7 @@ class Mailbox:
         #: ``observe(time, depth)``; wired by the cluster's metrics setup)
         self.depth_probe: Any | None = None
         #: optional dequeue hook, called with each item the moment the
-        #: owning actor takes it out (immediate get, put hand-off or
+        #: owning actor takes it out (immediate receive, put hand-off or
         #: drain); wired to the run's causal log by RunContext
         self.deq_probe: Any | None = None
 
@@ -42,13 +49,10 @@ class Mailbox:
         return len(self._items)
 
     def put(self, item: Any) -> None:
-        """Deposit a message; wakes the oldest waiting getter, if any."""
+        """Deposit a message; wakes the oldest waiting receiver, if any."""
         self.total_put += 1
         if self._getters:
             getter = self._getters.popleft()
-            # Provenance: the hand-off resumes the getter from whatever
-            # event is firing right now (one hop, so no long chains).
-            getter.parent = self.sim._current_event
             if self.deq_probe is not None:
                 self.deq_probe(item)
             getter.succeed(item)
@@ -57,55 +61,18 @@ class Mailbox:
             if self.depth_probe is not None:
                 self.depth_probe.observe(self.sim._now, len(self._items))
 
-    def get(self) -> Event:
-        """Return an event that fires with the next message (FIFO).
-
-        A process that abandons a pending get (e.g. recovering from an
-        :class:`~repro.sim.errors.Interrupt`) must call :meth:`cancel_get`
-        with the event, or the next put() would be consumed by the dead
-        getter and the message silently lost.
-        """
-        sim = self.sim
-        if self._items:
-            item = self._items.popleft()
-            if self.deq_probe is not None:
-                self.deq_probe(item)
-            ev: Event = Timeout(sim, 0.0, item)  # it was waiting
-            ev.parent = sim._current_event
-            if self.depth_probe is not None:
-                self.depth_probe.observe(sim._now, len(self._items))
-        else:
-            ev = Event(sim)
-            self._getters.append(ev)
-            ld = sim.lockdep
-            if ld is not None:
-                ld.blocked(self, ev)
-        return ev
-
-    def cancel_get(self, ev: Event) -> None:
-        """Withdraw a pending getter (no-op if it already fired)."""
-        try:
-            self._getters.remove(ev)
-        except ValueError:
-            return
-        ld = self.sim.lockdep
-        if ld is not None:
-            ld.unblocked(ev)
-
     def recv(self) -> Generator[Event, Any, Any]:
-        """Blocking receive, interrupt-safe: ``msg = yield from box.recv()``.
+        """Blocking receive: ``msg = yield from box.recv()`` (FIFO).
 
-        Wraps :meth:`get` so an exception thrown into the waiting process
-        (crash injection, shutdown) withdraws the pending getter before
-        propagating — the manual ``cancel_get`` dance :meth:`get` demands.
-        Use this instead of ``yield box.get()`` in any process a
-        :class:`~repro.faults.FaultPlan` can kill (the ``rs-mailbox-get``
-        lint rule enforces it)."""
-        ev = self.get()
+        An exception thrown into the waiting process withdraws its claim
+        before propagating: a pending getter leaves the queue, and a
+        message already handed to it goes back to the head of the queue,
+        so the next receiver gets it instead of a dead waiter."""
+        ev = self._get()
         try:
             item = yield ev
         except BaseException:
-            self.cancel_get(ev)
+            self._withdraw(ev)
             raise
         return item
 
@@ -118,16 +85,78 @@ class Mailbox:
                 self.deq_probe(item)
         return items
 
+    def _get(self) -> Event:
+        """An event that fires with the next message."""
+        sim = self.sim
+        if self._items:
+            item = self._items.popleft()
+            if self.deq_probe is not None:
+                self.deq_probe(item)
+            ev: Event = Timeout(sim, 0.0, item)  # it was waiting
+            if self.depth_probe is not None:
+                self.depth_probe.observe(sim._now, len(self._items))
+        else:
+            ev = Event(sim)
+            self._getters.append(ev)
+            ld = sim.lockdep
+            if ld is not None:
+                ld.blocked(self, ev)
+        return ev
+
+    def _withdraw(self, ev: Event) -> None:
+        """Undo a :meth:`_get` whose event the receiver will never consume."""
+        if ev.triggered:
+            # Already handed a message (a put, or a queued item, landed in
+            # the same tick as the interrupt): requeue it, oldest first.
+            self._items.appendleft(ev._value)
+            if self.depth_probe is not None:
+                self.depth_probe.observe(self.sim._now, len(self._items))
+            return
+        self._getters.remove(ev)
+        ld = self.sim.lockdep
+        if ld is not None:
+            ld.unblocked(ev)
+
+
+class Request(Event):
+    """One claim on a :class:`Resource` slot; fires when the slot is granted.
+
+    A context manager: leaving the ``with`` block — normally or by an
+    exception — withdraws the claim if it is still queued, or releases
+    the slot if it was granted."""
+
+    __slots__ = ("resource",)
+
+    def __init__(self, resource: Resource) -> None:
+        # Event.__init__, flattened (one of these per hold).
+        self.sim = resource.sim
+        self.callbacks = []
+        self._value = PENDING
+        self._exc = None
+        self.resource = resource
+
+    def __enter__(self) -> Request:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.resource._cancel(self)
+
 
 class Resource:
     """A FIFO server with ``capacity`` identical slots.
 
-    ``acquire()`` returns an event that fires when a slot is granted;
-    ``release()`` frees a slot.  The common hold-for-a-duration pattern is
-    packaged as :meth:`use`, a generator to be ``yield from``-ed inside a
-    process::
+    A slot is held either for a duration or for a block of process code::
 
         yield from nic.use(nbytes / bandwidth)
+
+        with port.request() as req:
+            yield req                 # wait for the slot (FIFO)
+            ...                       # held until the block is left
+
+    Both forms are interrupt-safe: an exception thrown into the process
+    while it waits withdraws its request, and one thrown while it holds
+    the slot releases it — so a crashed process never takes a slot with
+    it.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "resource") -> None:
@@ -137,7 +166,7 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        self._waiters: deque[Request] = deque()
         #: cumulative busy time integrated over slots (utilization metric)
         self.busy_time = 0.0
 
@@ -149,28 +178,41 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def acquire(self) -> Event:
+    def request(self) -> Request:
+        """Claim one slot: ``with res.request() as req: yield req``."""
         sim = self.sim
         ld = sim.lockdep
+        req = Request(self)
         if self._in_use < self.capacity:
             self._in_use += 1
-            ev: Event = Timeout(sim, 0.0)  # granted on the spot
+            # Granted on the spot: fires now, like a zero-delay Timeout.
+            req._value = None
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._queue, (sim._now, seq, req))
             if ld is not None:
                 ld.acquired(self)
         else:
-            ev = Event(sim)
-            self._waiters.append(ev)
+            self._waiters.append(req)
             if ld is not None:
                 try:
-                    ld.blocked(self, ev)
+                    ld.blocked(self, req)
                 except BaseException:
                     # A wait-for cycle just closed: withdraw the doomed
                     # request so the report's state stays consistent.
-                    self.cancel(ev)
+                    self._cancel(req)
                     raise
-        return ev
+        return req
 
-    def release(self) -> None:
+    def use(self, duration: float) -> Generator[Event, Any, None]:
+        """Hold one slot for ``duration`` simulated seconds (FIFO order)."""
+        if duration < 0:
+            raise ValueError(f"negative duration: {duration}")
+        with self.request() as req:
+            yield req
+            yield Timeout(self.sim, duration)
+            self.busy_time += duration
+
+    def _release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
         ld = self.sim.lockdep
@@ -185,57 +227,39 @@ class Resource:
             if ld is not None:
                 ld.released(self)
 
-    def cancel(self, ev: Event) -> None:
-        """Withdraw an acquire that will never be consumed.
-
-        If the request is still queued it is removed; if the slot was
-        already granted it is released.  Required when a process abandons
-        a pending acquire (e.g. on :class:`~repro.sim.errors.Interrupt`) —
-        otherwise a later release() would hand the slot to the dead waiter
-        and leak it forever.
-        """
-        try:
-            self._waiters.remove(ev)
-        except ValueError:
-            if ev.triggered:
-                self.release()
+    def _cancel(self, req: Request) -> None:
+        """Withdraw ``req``: release its slot if it was granted, else take
+        it out of the queue."""
+        if req._value is not PENDING:
+            self._release()
             return
+        self._waiters.remove(req)
         ld = self.sim.lockdep
         if ld is not None:
-            ld.unblocked(ev)
+            ld.unblocked(req)
 
-    def grab(self) -> Generator[Event, Any, None]:
-        """Acquire one slot, interrupt-safely, without a fixed duration.
 
-        ``yield from res.grab()`` instead of ``yield res.acquire()``
-        whenever the waiting process can be interrupted (crash injection):
-        a bare ``acquire()`` abandoned mid-wait leaves its request queued,
-        and the next ``release()`` hands the slot to the dead waiter —
-        leaking it forever.  The caller still owns the eventual
-        ``release()`` (typically in a ``finally``)."""
-        req = self.acquire()
+class CreditWindow(Resource):
+    """Credits that one actor takes and another gives back.
+
+    The receive window of the network's flow control: a sender takes one
+    credit per data chunk before transmitting, and the receiving actor
+    gives it back when it retires the chunk.  The take and the give run
+    in different processes, so they cannot share a ``with`` block; this
+    pair is the only way to hold a slot without one.
+    """
+
+    def take(self) -> Generator[Event, Any, None]:
+        """Wait for one credit: ``yield from window.take()``.  An exception
+        thrown into the waiting process withdraws the request, so a
+        crashed sender never strands a credit."""
+        req = self.request()
         try:
             yield req
         except BaseException:
-            self.cancel(req)
+            self._cancel(req)
             raise
 
-    def use(self, duration: float) -> Generator[Event, Any, None]:
-        """Hold one slot for ``duration`` simulated seconds (FIFO order).
-
-        Interrupt-safe: an Interrupt while waiting for the slot cancels the
-        request; an Interrupt while holding it releases the slot."""
-        if duration < 0:
-            raise ValueError(f"negative duration: {duration}")
-        req = self.acquire()
-        try:
-            yield req
-        except BaseException:
-            self.cancel(req)
-            raise
-        try:
-            yield Timeout(self.sim, duration)
-            self.busy_time += duration
-        finally:
-            self.release()
-
+    def give(self) -> None:
+        """Return one credit; the oldest waiting taker gets it."""
+        self._release()

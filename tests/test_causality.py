@@ -1,6 +1,6 @@
 """Causal tracing and critical-path analysis (repro.obs.causality/critpath).
 
-Unit tests for the CausalLog / kernel provenance plumbing, plus
+Unit tests for the CausalLog and the mailbox dequeue hook, plus
 whole-system assertions: every run yields a complete causal DAG, the
 extracted critical path tiles the makespan (within 1%, the ISSUE's
 acceptance bound — by construction it is exact up to float noise), and
@@ -37,49 +37,8 @@ class FakeMsg:
 
 
 # ----------------------------------------------------------------------
-# kernel provenance
+# mailbox dequeue hook
 # ----------------------------------------------------------------------
-def test_event_parent_defaults_to_none():
-    sim = Simulator()
-    ev = sim.event()
-    assert ev.parent is None
-
-
-def test_current_event_set_during_step():
-    sim = Simulator()
-    seen = []
-    ev = sim.event()
-    ev.add_callback(lambda e: seen.append(sim.current_event))
-    ev.succeed(None)
-    assert sim.current_event is None
-    sim.run()
-    assert seen == [ev]
-    assert sim.current_event is None
-
-
-def test_mailbox_handoff_stamps_parent():
-    sim = Simulator()
-    box = Mailbox(sim)
-    got = {}
-
-    def getter():
-        ev = box.get()          # blocks: queue is empty
-        msg = yield ev
-        got["msg"] = msg
-        got["parent"] = ev.parent
-
-    def putter():
-        yield sim.timeout(1.0)
-        box.put("hello")
-
-    sim.spawn(getter())
-    sim.spawn(putter())
-    sim.run()
-    assert got["msg"] == "hello"
-    # The getter was resumed by the putter's timeout event.
-    assert got["parent"] is not None
-
-
 def test_mailbox_deq_probe_fires_on_get_and_drain():
     sim = Simulator()
     box = Mailbox(sim)
@@ -88,9 +47,9 @@ def test_mailbox_deq_probe_fires_on_get_and_drain():
     box.put("a")
     box.put("b")
     assert dequeued == []        # nothing dequeued yet
-    ev = box.get()
+    p = sim.spawn(box.recv())
     sim.run()
-    assert ev.value == "a"
+    assert p.value == "a"
     assert dequeued == ["a"]
     assert box.drain() == ["b"]
     assert dequeued == ["a", "b"]

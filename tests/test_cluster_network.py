@@ -85,9 +85,9 @@ def test_per_pair_fifo_ordering():
 
     def receiver(sim, b):
         for _ in range(5):
-            msg = yield b.mailbox.get()
+            msg = yield from b.mailbox.recv()
             tags.append(msg.nbytes)
-            b.recv_credits.release()  # retire the chunk
+            b.recv_credits.give()  # retire the chunk
 
     sim.spawn(sender(sim, net, a, b))
     sim.spawn(receiver(sim, b))
@@ -173,9 +173,9 @@ def test_receiver_credit_release_unblocks_sender():
 
     def consumer(sim, b):
         for _ in range(3):
-            msg = yield b.mailbox.get()
+            yield from b.mailbox.recv()
             yield sim.timeout(0.5)       # processing time
-            b.recv_credits.release()     # retire the chunk
+            b.recv_credits.give()        # retire the chunk
 
     sim.spawn(sender(sim, net, a, b))
     sim.spawn(consumer(sim, b))
@@ -185,8 +185,8 @@ def test_receiver_credit_release_unblocks_sender():
 
 
 def test_loopback_data_send_consumes_a_credit():
-    """The receiver releases one credit per retired data chunk regardless
-    of where it came from, so loopback delivery must acquire one too."""
+    """The receiver gives back one credit per retired data chunk regardless
+    of where it came from, so loopback delivery must take one too."""
     sim, net, a, b, cost = make_pair()
 
     def sender(sim, net, a):
@@ -195,16 +195,16 @@ def test_loopback_data_send_consumes_a_credit():
     sim.spawn(sender(sim, net, a))
     sim.run()
     assert a.recv_credits.in_use == 1
-    a.recv_credits.release()  # the consumer's retire balances it
+    a.recv_credits.give()  # the consumer's retire balances it
     assert a.recv_credits.in_use == 0
 
 
 def test_sender_killed_while_queued_does_not_jam_the_port():
     """Regression: a process crashed while *queued* for a busy rx port
-    must withdraw its request.  Before Resource.grab, the next release
-    handed the slot to the corpse and every later sender to that node
-    wedged forever (observed as a cluster-wide livelock when the primary
-    scheduler was killed mid-transmit)."""
+    must withdraw its request.  Otherwise the next release hands the slot
+    to the corpse and every later sender to that node wedges forever
+    (observed as a cluster-wide livelock when the primary scheduler was
+    killed mid-transmit)."""
     from repro.sim import Interrupt
 
     sim, net, a, b, cost = make_pair()

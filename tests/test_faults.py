@@ -161,8 +161,10 @@ def test_joinnode_suppresses_duplicate_chunks():
                          transfer_seq=seq)
 
     # The network holds one receive credit per delivered data chunk; take
-    # one so the duplicate's release has something to return.
-    node.recv_credits.acquire()
+    # one so the duplicate's give-back has something to return.
+    ctx.sim.spawn(node.recv_credits.take())
+    ctx.sim.run()
+    assert node.recv_credits.in_use == 1
     assert not jp._suppress_duplicate(chunk(5))      # first sighting
     assert jp._suppress_duplicate(chunk(5))          # re-delivery
     # The duplicate is counted received AND processed (drain stays balanced)

@@ -15,6 +15,7 @@ from repro.config import Algorithm, FaultPlan, RunConfig
 from repro.core import run_join
 from repro.core.context import lockdep_enabled
 from repro.sim import (
+    CreditWindow,
     LockdepError,
     LockdepMonitor,
     Mailbox,
@@ -43,14 +44,18 @@ def test_abba_cycle_detected_naming_both_waiters():
     b = Resource(sim, 1, name="B")
 
     def p1(sim):
-        yield from a.grab()
-        yield sim.timeout(0.01)
-        yield from b.grab()
+        with a.request() as ra:
+            yield ra
+            yield sim.timeout(0.01)
+            with b.request() as rb:
+                yield rb
 
     def p2(sim):
-        yield from b.grab()
-        yield sim.timeout(0.01)
-        yield from a.grab()
+        with b.request() as rb:
+            yield rb
+            yield sim.timeout(0.01)
+            with a.request() as ra:
+                yield ra
 
     sim.spawn(p1(sim), name="p1")
     sim.spawn(p2(sim), name="p2")
@@ -69,9 +74,11 @@ def test_three_party_cycle_detected():
     res = {n: Resource(sim, 1, name=n) for n in "ABC"}
 
     def worker(sim, mine, then):
-        yield from res[mine].grab()
-        yield sim.timeout(0.01)
-        yield from res[then].grab()
+        with res[mine].request() as held:
+            yield held
+            yield sim.timeout(0.01)
+            with res[then].request() as wanted:
+                yield wanted
 
     for mine, then in [("A", "B"), ("B", "C"), ("C", "A")]:
         sim.spawn(worker(sim, mine, then), name=f"w{mine}")
@@ -104,18 +111,18 @@ def test_multislot_self_wait_is_not_a_cycle():
     resource "a holder is blocked" does not imply deadlock, so the cycle
     DFS must not follow holder edges through it."""
     sim = monitored_sim()
-    credits = Resource(sim, 2, name="credits")
+    credits = CreditWindow(sim, 2, name="credits")
     done = []
 
     def producer(sim):
-        yield from credits.grab()
-        yield from credits.grab()
-        yield from credits.grab()  # blocks holding both slots
+        yield from credits.take()
+        yield from credits.take()
+        yield from credits.take()  # blocks holding both slots
         done.append(sim.now)
 
     def consumer(sim):
         yield sim.timeout(0.05)
-        credits.release()  # cross-actor release, as the join node does
+        credits.give()  # cross-actor give, as the join node does
 
     sim.spawn(producer(sim), name="producer")
     sim.spawn(consumer(sim), name="consumer")
@@ -149,8 +156,9 @@ def test_stall_report_includes_held_resources():
     box = Mailbox(sim, name="phase")
 
     def stuck(sim):
-        yield from lock.grab()
-        yield box.get()  # nobody ever sends
+        with lock.request() as req:
+            yield req
+            yield from box.recv()  # nobody ever sends
 
     sim.spawn(stuck(sim), name="stuck")
     with pytest.raises(DeadlockError) as exc:
@@ -165,7 +173,7 @@ def test_without_monitor_plain_deadlock_error():
     box = Mailbox(sim)
 
     def lonely(sim):
-        yield box.get()
+        yield from box.recv()
 
     sim.spawn(lonely(sim), name="lonely")
     with pytest.raises(DeadlockError) as exc:
@@ -185,7 +193,8 @@ def test_interrupt_withdraws_wait_records():
 
     def waiter(sim):
         try:
-            yield from res.grab()
+            with res.request() as req:
+                yield req
         except Interrupt:
             return "bailed"
         return "acquired"

@@ -78,15 +78,13 @@ def test_cancelled_mailbox_getter_does_not_eat_messages():
     got = []
 
     def abandoner(sim, box):
-        ev = box.get()
         try:
-            yield ev
+            yield from box.recv()
         except Interrupt:
-            box.cancel_get(ev)
             return "gone"
 
     def consumer(sim, box):
-        msg = yield box.get()
+        msg = yield from box.recv()
         got.append(msg)
 
     a = sim.spawn(abandoner(sim, box))
@@ -153,9 +151,9 @@ def test_run_until_cannot_move_time_backwards():
 
 
 def test_interrupted_grab_waiter_does_not_leak_slot():
-    """grab() is the interrupt-safe bare acquire: a waiter killed while
-    queued must withdraw its request, or the next release hands the slot
-    to the corpse and the resource is held forever."""
+    """A ``with res.request()`` hold killed while queued must withdraw its
+    request, or the next release hands the slot to the corpse and the
+    resource is held forever."""
     sim = Simulator()
     res = Resource(sim, capacity=1)
     order = []
@@ -165,17 +163,16 @@ def test_interrupted_grab_waiter_does_not_leak_slot():
 
     def doomed(sim, res):
         try:
-            yield from res.grab()
+            with res.request() as req:
+                yield req
         except Interrupt:
             order.append(("interrupted", sim.now))
-            return
-        res.release()
 
     def patient(sim, res):
         yield sim.timeout(2.0)
-        yield from res.grab()
-        order.append(("patient", sim.now))
-        res.release()
+        with res.request() as req:
+            yield req
+            order.append(("patient", sim.now))
 
     sim.spawn(holder(sim, res))
     d = sim.spawn(doomed(sim, res))
@@ -190,3 +187,96 @@ def test_interrupted_grab_waiter_does_not_leak_slot():
     assert ("interrupted", 1.0) in order
     assert ("patient", 10.0) in order
     assert res.in_use == 0
+
+
+def _recovering_receiver(sim, box, got, wait=0.0):
+    """Receive once, shrug off an interrupt, then receive again."""
+    if wait:
+        yield sim.timeout(wait)
+    try:
+        got.append((yield from box.recv()))
+    except Interrupt:
+        got.append("interrupted")
+    got.append((yield from box.recv()))
+
+
+def test_interrupt_before_a_same_tick_put_keeps_the_message():
+    """The interrupt is scheduled first, then a put in the same tick hands
+    the message to the still-registered getter.  The withdrawn receive
+    must put it back: on a crashed join node a lost chunk is one receive
+    credit that is never returned."""
+    sim = Simulator()
+    box = Mailbox(sim)
+    got = []
+    r = sim.spawn(_recovering_receiver(sim, box, got))
+
+    def driver(sim):
+        yield sim.timeout(1.0)
+        r.interrupt()
+        box.put("precious")
+
+    sim.spawn(driver(sim))
+    sim.run()
+    assert got == ["interrupted", "precious"]
+    assert len(box) == 0
+
+
+def test_interrupt_before_a_same_tick_immediate_receive_keeps_the_message():
+    """Same race from the other side: the message was already queued, the
+    receiver takes it in the tick its interrupt is pending, and the
+    interrupt lands before the receive completes."""
+    sim = Simulator()
+    box = Mailbox(sim)
+    got = []
+
+    def driver(sim):
+        yield sim.timeout(1.0)  # fires before the receiver's own timeout
+        r.interrupt()
+        box.put("precious")
+
+    sim.spawn(driver(sim))
+    r = sim.spawn(_recovering_receiver(sim, box, got, wait=1.0))
+    sim.run()
+    assert got == ["interrupted", "precious"]
+    assert len(box) == 0
+
+
+def test_interrupt_before_a_same_tick_grant_releases_the_slot():
+    """The interrupt is scheduled first, then the holder's release hands
+    the slot to the queued request in the same tick: the withdrawn hold
+    must release it again, not strand it."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    order = []
+
+    def holder(sim):
+        yield sim.timeout(0.5)
+        with res.request() as req:
+            yield req
+            yield sim.timeout(0.5)  # leaves at t=1, after the interrupt
+
+    def doomed(sim):
+        yield sim.timeout(0.5)
+        try:
+            with res.request() as req:
+                yield req
+                order.append("doomed held")
+        except Interrupt:
+            order.append(("interrupted", sim.now))
+
+    def patient(sim):
+        yield sim.timeout(2.0)
+        yield from res.use(1.0)
+        order.append(("patient", sim.now))
+
+    def killer(sim):
+        yield sim.timeout(1.0)  # queued before the holder's timeout
+        d.interrupt()
+
+    sim.spawn(killer(sim))
+    sim.spawn(holder(sim))
+    d = sim.spawn(doomed(sim))
+    sim.spawn(patient(sim))
+    sim.run()
+    assert order == [("interrupted", 1.0), ("patient", 3.0)]
+    assert res.in_use == 0 and res.queue_length == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Mailbox, Resource, Simulator
+from repro.sim import CreditWindow, Interrupt, Mailbox, Resource, Simulator
 from repro.sim.errors import SimulationError
 
 
@@ -16,7 +16,7 @@ def test_mailbox_fifo_order():
 
     def consumer(sim, box):
         for _ in range(3):
-            msg = yield box.get()
+            msg = yield from box.recv()
             got.append(msg)
 
     sim.spawn(consumer(sim, box))
@@ -31,7 +31,7 @@ def test_mailbox_blocking_get_waits_for_put():
     box = Mailbox(sim)
 
     def consumer(sim, box):
-        msg = yield box.get()
+        msg = yield from box.recv()
         return (msg, sim.now)
 
     def producer(sim, box):
@@ -50,7 +50,7 @@ def test_mailbox_multiple_getters_fifo():
     results = []
 
     def consumer(sim, box, name):
-        msg = yield box.get()
+        msg = yield from box.recv()
         results.append((name, msg))
 
     sim.spawn(consumer(sim, box, "first"))
@@ -112,10 +112,11 @@ def test_resource_capacity_allows_parallelism():
 
 
 def test_resource_release_of_idle_raises():
+    # A CreditWindow's give() is the one release not paired with a hold.
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    window = CreditWindow(sim, capacity=1)
     with pytest.raises(SimulationError):
-        res.release()
+        window.give()
 
 
 def test_resource_invalid_capacity():
@@ -164,3 +165,112 @@ def test_resource_handoff_keeps_in_use_stable():
         sim.spawn(user(sim, res))
     sim.run(until=1.5)
     assert res.in_use == 1  # handed directly to the next waiter
+
+
+def test_request_block_holds_until_left():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    seen = []
+
+    def holder(sim, res, i):
+        with res.request() as req:
+            yield req
+            seen.append((i, sim.now, res.in_use))
+            yield sim.timeout(1.0)
+        seen.append((i, "left", res.in_use))
+
+    sim.spawn(holder(sim, res, 0))
+    sim.spawn(holder(sim, res, 1))
+    sim.run()
+    # FIFO; the slot passes straight from the first block to the second.
+    assert seen == [(0, 0.0, 1), (0, "left", 1), (1, 1.0, 1), (1, "left", 0)]
+
+
+def test_request_block_releases_on_exception():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+
+    def failing(sim, res):
+        with res.request() as req:
+            yield req
+            raise ValueError("inside the hold")
+
+    def watcher(sim, target):
+        try:
+            yield target
+        except ValueError:
+            return "caught"
+
+    p = sim.spawn(failing(sim, res))
+    w = sim.spawn(watcher(sim, p))
+    sim.run()
+    assert w.value == "caught"
+    assert res.in_use == 0 and res.queue_length == 0
+
+
+def test_credit_window_take_waits_for_a_give():
+    sim = Simulator()
+    window = CreditWindow(sim, capacity=1)
+    taken = []
+
+    def sender(sim):
+        for _ in range(3):
+            yield from window.take()
+            taken.append(sim.now)
+
+    def consumer(sim):
+        for _ in range(3):
+            yield sim.timeout(1.0)
+            window.give()
+
+    sim.spawn(sender(sim))
+    sim.spawn(consumer(sim))
+    sim.run()
+    assert taken == [0.0, 1.0, 2.0]
+    assert window.in_use == 0
+
+
+def test_credit_window_take_withdraws_on_interrupt():
+    sim = Simulator()
+    window = CreditWindow(sim, capacity=1)
+    got = []
+
+    def hog(sim):
+        yield from window.take()  # never given back until the consumer runs
+
+    def doomed(sim):
+        try:
+            yield from window.take()
+        except Interrupt:
+            return
+        got.append("doomed")
+
+    def patient(sim):
+        yield sim.timeout(2.0)
+        yield from window.take()
+        got.append(("patient", sim.now))
+
+    sim.spawn(hog(sim))
+    d = sim.spawn(doomed(sim))
+    sim.spawn(patient(sim))
+
+    def driver(sim):
+        yield sim.timeout(1.0)
+        d.interrupt()
+        yield sim.timeout(2.0)
+        window.give()  # the hog's credit: must reach the patient sender
+
+    sim.spawn(driver(sim))
+    sim.run()
+    assert got == [("patient", 3.0)]
+    assert window.in_use == 1 and window.queue_length == 0
+
+
+def test_sync_primitives_expose_only_safe_forms():
+    """Every blocking wait and every hold comes with its own withdrawal:
+    the raw forms a crashed process could abandon are not public."""
+    for name in ("get", "cancel_get"):
+        assert not hasattr(Mailbox, name)
+    for name in ("acquire", "release", "grab", "cancel"):
+        assert not hasattr(Resource, name)
+        assert not hasattr(CreditWindow, name)
