@@ -8,34 +8,26 @@ for the rule catalogue, suppression syntax and extension guide.
 from __future__ import annotations
 
 from .base import (
-    FRAMEWORK_EXPLANATIONS,
     UNUSED_ALLOW_RULE,
     Checker,
-    FileChecker,
     LintError,
     Project,
     SourceFile,
     Violation,
-    all_checkers,
-    register,
     run_lint,
 )
-from .reporting import report_json, report_sarif, report_text, rule_counts
+from .passes import PASSES
+from .reporting import report_sarif, report_text
 
 __all__ = [
     "Checker",
-    "FileChecker",
     "LintError",
+    "PASSES",
     "Project",
     "SourceFile",
     "Violation",
-    "all_checkers",
-    "register",
     "run_lint",
-    "report_json",
     "report_sarif",
     "report_text",
-    "rule_counts",
-    "FRAMEWORK_EXPLANATIONS",
     "UNUSED_ALLOW_RULE",
 ]

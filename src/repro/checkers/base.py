@@ -1,16 +1,11 @@
-"""Checker framework: source model, suppression, registration, runner.
+"""Checker framework: source model, suppression, runner.
 
 The framework parses every Python file under the linted tree once, wraps
 it in a :class:`SourceFile` (AST + per-line suppressions), and hands the
-whole :class:`Project` to each registered checker.  Checkers come in two
-shapes:
-
-* a :class:`Checker` subclass overriding :meth:`Checker.check` — gets the
-  full project, for cross-file invariants (protocol exhaustiveness,
-  metrics-catalogue sync);
-* a :class:`FileChecker` subclass overriding
-  :meth:`FileChecker.check_file` — called once per in-scope file, for
-  local passes (determinism, fault safety).
+whole :class:`Project` to each :class:`Checker` in
+:data:`repro.checkers.passes.PASSES`.  A pass picks its own files —
+``project.in_dir(...)`` for a scoped pass, ``project.files`` for the
+whole tree — so local and cross-file invariants share one shape.
 
 Suppression: a violation on line N is dropped when line N (or the
 enclosing statement's first line) carries a comment of the form::
@@ -30,7 +25,7 @@ import re
 import tokenize
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
@@ -38,13 +33,9 @@ __all__ = [
     "SourceFile",
     "Project",
     "Checker",
-    "FileChecker",
-    "register",
-    "all_checkers",
     "run_lint",
     "LintError",
     "UNUSED_ALLOW_RULE",
-    "FRAMEWORK_EXPLANATIONS",
 ]
 
 #: comment syntax recognized as an inline suppression
@@ -52,8 +43,8 @@ _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([^\]]*)\]")
 
 
 class LintError(Exception):
-    """A problem with the lint invocation itself (bad path, unparsable
-    tree root) — distinct from violations found in linted code."""
+    """A problem with the lint invocation itself (bad path, unreadable or
+    unparsable file) — distinct from violations found in linted code."""
 
 
 @dataclass(frozen=True, order=True)
@@ -68,14 +59,6 @@ class Violation:
     def format(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "rule": self.rule,
-            "message": self.message,
-        }
-
 
 class SourceFile:
     """One parsed Python source file plus its suppression table."""
@@ -83,7 +66,10 @@ class SourceFile:
     def __init__(self, root: Path, path: Path):
         self.path = path
         self.rel = path.relative_to(root).as_posix()
-        self.text = path.read_text(encoding="utf-8")
+        try:
+            self.text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise LintError(f"cannot read {self.rel}: {exc}") from exc
         try:
             self.tree = ast.parse(self.text, filename=str(path))
         except SyntaxError as exc:
@@ -144,49 +130,17 @@ class Project:
 
 
 class Checker(ABC):
-    """A project-wide pass; yields violations (pre-suppression)."""
+    """A lint pass; yields violations (pre-suppression).  Its docstring
+    is the rule description in the SARIF report."""
 
     #: short kebab-case pass name (shown in ``lint --list``)
     name: str = ""
     #: rule ids this pass can emit, for documentation and --select
     rules: tuple[str, ...] = ()
-    #: rule id -> long-form rationale shown by ``repro lint --explain``
-    explanations: dict[str, str] = {}
 
     @abstractmethod
     def check(self, project: Project) -> Iterator[Violation]:
         raise NotImplementedError
-
-
-class FileChecker(Checker):
-    """A per-file pass over a scoped subset of the tree."""
-
-    #: repo-relative directories this pass applies to (empty = whole tree)
-    scope: tuple[str, ...] = ()
-
-    def check(self, project: Project) -> Iterator[Violation]:
-        files = project.in_dir(*self.scope) if self.scope else project.files
-        for f in files:
-            yield from self.check_file(f)
-
-    @abstractmethod
-    def check_file(self, source: SourceFile) -> Iterator[Violation]:
-        raise NotImplementedError
-
-
-_REGISTRY: list[type[Checker]] = []
-
-
-def register(cls: type[Checker]) -> type[Checker]:
-    """Class decorator adding a checker to the default pass list."""
-    if not cls.name:
-        raise ValueError(f"checker {cls.__name__} needs a name")
-    _REGISTRY.append(cls)
-    return cls
-
-
-def all_checkers() -> list[type[Checker]]:
-    return list(_REGISTRY)
 
 
 def _discover(root: Path, paths: Iterable[str] | None) -> list[Path]:
@@ -215,24 +169,13 @@ def _discover(root: Path, paths: Iterable[str] | None) -> list[Path]:
 #: suppress nothing (keeps the allowlist from rotting as code changes)
 UNUSED_ALLOW_RULE = "lint-unused-allow"
 
-#: framework-level rule rationale, merged into ``lint --explain``
-FRAMEWORK_EXPLANATIONS = {
-    UNUSED_ALLOW_RULE: (
-        "A `# repro: allow[rule]` comment suppressed nothing in this run: "
-        "either the flagged code was fixed (delete the comment), the rule "
-        "id is misspelled, or the comment sits on the wrong line.  Stale "
-        "suppressions are how real findings sneak back in — the allowlist "
-        "must shrink the moment the exception it covered goes away."
-    ),
-}
-
 
 def run_lint(
     root: Path,
     paths: Iterable[str] | None = None,
     select: Iterable[str] | None = None,
 ) -> list[Violation]:
-    """Run every registered checker; returns surviving violations sorted
+    """Run every pass in ``PASSES``; returns surviving violations sorted
     by (path, line, rule).  ``select`` restricts to pass names or rule-id
     prefixes (e.g. ``determinism`` or ``det-``).
 
@@ -241,8 +184,7 @@ def run_lint(
     a selected run skips this, since the unexercised passes would make
     their suppressions look stale.
     """
-    # Imported here so registration happens on first use, not import of base.
-    from . import passes  # noqa: F401  (registration side effect)
+    from .passes import PASSES  # the passes import this module
 
     root = root.resolve()
     files = [SourceFile(root, p) for p in _discover(root, paths)]
@@ -250,7 +192,7 @@ def run_lint(
     wanted = {s.rstrip("-") for s in select} if select else None
     out: list[Violation] = []
     consumed: set[tuple[str, int, str]] = set()
-    for cls in all_checkers():
+    for cls in PASSES:
         if wanted is not None:
             names = {cls.name, *(r.split("-")[0] for r in cls.rules)}
             if not (wanted & names) and not any(

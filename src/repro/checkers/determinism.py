@@ -31,7 +31,7 @@ import ast
 from collections.abc import Iterator
 
 from ._astutil import ImportMap, call_name, dotted_name
-from .base import FileChecker, SourceFile, Violation, register
+from .base import Checker, Project, SourceFile, Violation
 
 __all__ = ["DeterminismChecker"]
 
@@ -115,41 +115,18 @@ def _set_bindings(tree: ast.AST) -> tuple[set[str], set[str]]:
     return names, attrs
 
 
-@register
-class DeterminismChecker(FileChecker):
+class DeterminismChecker(Checker):
     """No wall clock, no global RNG, no unordered iteration in the core."""
 
     name = "determinism"
     rules = ("det-wallclock", "det-global-rng", "det-set-iter", "det-fs-order")
-    scope = ("src/repro/sim", "src/repro/core",
-             "src/repro/cluster", "src/repro/hashing")
-    explanations = {
-        "det-wallclock": (
-            "The simulated core read the wall clock (time.time(), "
-            "datetime.now(), perf_counter).  Simulated time comes from "
-            "the event loop only; wall-clock reads make runs "
-            "irreproducible and break the bisectable-chaos guarantee."
-        ),
-        "det-global-rng": (
-            "Code used the global random module or np.random.* free "
-            "functions.  All randomness must flow from the run seed "
-            "through an explicit Generator so two runs with the same "
-            "config are bit-identical."
-        ),
-        "det-set-iter": (
-            "Iteration over a set (or frozenset) in the core.  Set order "
-            "depends on insertion history and hash randomization; wrap "
-            "the iteration in sorted() or use a list/dict to keep event "
-            "order deterministic."
-        ),
-        "det-fs-order": (
-            "Filesystem enumeration (os.listdir, glob, iterdir) without "
-            "sorted().  Directory order is platform-dependent; sort the "
-            "listing before acting on it."
-        ),
-    }
 
-    def check_file(self, source: SourceFile) -> Iterator[Violation]:
+    def check(self, project: Project) -> Iterator[Violation]:
+        for source in project.in_dir("src/repro/sim", "src/repro/core",
+                                     "src/repro/cluster", "src/repro/hashing"):
+            yield from self._check_file(source)
+
+    def _check_file(self, source: SourceFile) -> Iterator[Violation]:
         imports = ImportMap(source.tree)
         set_names, set_attrs = _set_bindings(source.tree)
         sorted_args = {

@@ -20,7 +20,7 @@ import ast
 from collections.abc import Iterator
 
 from ._astutil import dotted_name
-from .base import FileChecker, SourceFile, Violation, register
+from .base import Checker, Project, Violation
 
 __all__ = ["FaultSafetyChecker"]
 
@@ -42,31 +42,22 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
     return any(isinstance(n, ast.Raise) for n in ast.walk(handler))
 
 
-@register
-class FaultSafetyChecker(FileChecker):
+class FaultSafetyChecker(Checker):
     """Broad/unrecoverable catches must re-raise."""
 
     name = "faultsafety"
     rules = ("fault-swallowed",)
-    explanations = {
-        "fault-swallowed": (
-            "A handler catches Exception/BaseException/"
-            "UnrecoverableFaultError without re-raising.  Unmaskable "
-            "faults must surface to the kernel — swallowing them turns a "
-            "crash the fault injector planted into a silent wrong "
-            "answer.  Narrow the except clause or re-raise."
-        ),
-    }
 
-    def check_file(self, source: SourceFile) -> Iterator[Violation]:
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.ExceptHandler) or node.type is None:
-                continue
-            broad = _handler_types(node.type) & _BROAD
-            if broad and not _reraises(node):
-                caught = ", ".join(sorted(broad))
-                yield source.violation(
-                    node, "fault-swallowed",
-                    f"handler catches {caught} without re-raising — "
-                    "unmaskable faults must surface, not be swallowed",
-                )
+    def check(self, project: Project) -> Iterator[Violation]:
+        for source in project.files:
+            for node in ast.walk(source.tree):
+                if not isinstance(node, ast.ExceptHandler) or node.type is None:
+                    continue
+                broad = _handler_types(node.type) & _BROAD
+                if broad and not _reraises(node):
+                    caught = ", ".join(sorted(broad))
+                    yield source.violation(
+                        node, "fault-swallowed",
+                        f"handler catches {caught} without re-raising — "
+                        "unmaskable faults must surface, not be swallowed",
+                    )

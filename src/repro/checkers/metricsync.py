@@ -26,7 +26,7 @@ import re
 from collections.abc import Iterator
 
 from ._astutil import first_str_arg
-from .base import Checker, Project, Violation, register
+from .base import Checker, Project, Violation
 
 __all__ = ["MetricSyncChecker"]
 
@@ -61,25 +61,11 @@ def _catalogue_names(text: str) -> dict[str, int]:
     return names
 
 
-@register
 class MetricSyncChecker(Checker):
     """Published metric names and the docs catalogue agree, both ways."""
 
     name = "metrics"
     rules = ("metrics-uncatalogued", "metrics-stale-catalogue")
-    explanations = {
-        "metrics-uncatalogued": (
-            "A metric is published in code but missing from the metric "
-            "catalogue table in docs/OBSERVABILITY.md.  Every instrument "
-            "must be documented — add a catalogue row (name, type, "
-            "meaning) in the '## Metric catalogue' section."
-        ),
-        "metrics-stale-catalogue": (
-            "The docs catalogue lists a metric no code publishes any "
-            "more.  Remove the row (or restore the instrument) so the "
-            "catalogue stays a trustworthy inventory."
-        ),
-    }
 
     def check(self, project: Project) -> Iterator[Violation]:
         text = project.doc(_CATALOGUE_REL)

@@ -35,7 +35,7 @@ import ast
 from collections.abc import Iterator
 
 from ._astutil import isinstance_class_names, sent_classes
-from .base import Checker, Project, SourceFile, Violation, register
+from .base import Checker, Project, SourceFile, Violation
 
 __all__ = ["ProtocolChecker"]
 
@@ -115,32 +115,12 @@ def _dispatch_refs(source: SourceFile) -> set[str]:
     return refs
 
 
-@register
 class ProtocolChecker(Checker):
     """messages.py, its dispatch arms, and transport payloads stay in sync."""
 
     name = "protocol"
     rules = ("proto-unhandled", "proto-unregistered-send",
              "proto-missing-export")
-    explanations = {
-        "proto-unhandled": (
-            "A message class in core/messages.py has no dispatch arm "
-            "anywhere in repro/core.  A receiver getting it would drop "
-            "it on the floor or park forever — wire a handler or delete "
-            "the message."
-        ),
-        "proto-unregistered-send": (
-            "Code sends a payload type that is not declared in "
-            "core/messages.py.  The protocol inventory (which the "
-            "wait-graph pass also consumes) must list every type that "
-            "crosses the network."
-        ),
-        "proto-missing-export": (
-            "A message class is defined in core/messages.py but missing "
-            "from its __all__ — add it so the protocol surface stays "
-            "explicit."
-        ),
-    }
 
     def check(self, project: Project) -> Iterator[Violation]:
         messages = project.get(_MESSAGES_REL)

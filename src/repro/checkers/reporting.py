@@ -1,28 +1,19 @@
-"""Violation reporters: text, machine-readable JSON, and SARIF.
+"""Violation reporters: text and SARIF.
 
-The JSON document carries per-rule counts (``"rules"``) with *stable*
-rule ids, so diff-style tooling can gate on "no new findings per rule"
-against a committed baseline (see ``repro lint --baseline`` and the
-``LINT_BASE.json`` at the repo root).  The SARIF 2.1.0 document is what
-the CI lint job uploads to GitHub code scanning, turning findings into
-PR annotations at the exact line.
+The SARIF 2.1.0 document is what the CI lint job uploads to GitHub code
+scanning, turning findings into PR annotations at the exact line.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from collections.abc import Sequence
 from typing import Any, TextIO
 
-from .base import FRAMEWORK_EXPLANATIONS, Violation, all_checkers
+from .base import UNUSED_ALLOW_RULE, Violation
+from .passes import PASSES
 
-__all__ = ["report_text", "report_json", "report_sarif", "rule_counts"]
-
-
-def rule_counts(violations: Sequence[Violation]) -> dict[str, int]:
-    """Stable rule-id -> finding-count map (sorted keys)."""
-    return dict(sorted(Counter(v.rule for v in violations).items()))
+__all__ = ["report_text", "report_sarif"]
 
 
 def report_text(violations: Sequence[Violation], out: TextIO) -> None:
@@ -38,38 +29,6 @@ def report_text(violations: Sequence[Violation], out: TextIO) -> None:
         out.write("clean: no violations\n")
 
 
-def report_json(violations: Sequence[Violation], out: TextIO) -> None:
-    """Stable JSON document::
-
-        {"count": N, "rules": {"rule-id": n, ...}, "violations": [...]}
-
-    ``rules`` keys are the stable rule ids every pass declares; a
-    baseline gate compares these counts, never message text (messages
-    may be reworded freely).
-    """
-    doc = {
-        "count": len(violations),
-        "rules": rule_counts(violations),
-        "violations": [v.as_dict() for v in violations],
-    }
-    json.dump(doc, out, indent=2, sort_keys=True)
-    out.write("\n")
-
-
-def _rule_index() -> dict[str, str]:
-    """rule id -> short description, from every registered pass."""
-    from . import passes  # noqa: F401  (registration side effect)
-
-    index: dict[str, str] = dict(FRAMEWORK_EXPLANATIONS)
-    for cls in all_checkers():
-        for rule in cls.rules:
-            index.setdefault(
-                rule,
-                cls.explanations.get(rule, cls.__doc__ or cls.name),
-            )
-    return index
-
-
 def report_sarif(violations: Sequence[Violation], out: TextIO) -> None:
     """SARIF 2.1.0 for GitHub code scanning (PR annotations).
 
@@ -78,9 +37,9 @@ def report_sarif(violations: Sequence[Violation], out: TextIO) -> None:
     the code-scanning UI), and each result carries a repo-relative
     artifact location.
     """
-    index = _rule_index()
-    for v in violations:  # rules observed but undeclared (defensive)
-        index.setdefault(v.rule, v.rule)
+    index = {UNUSED_ALLOW_RULE: "An allow comment that suppressed nothing."}
+    for cls in PASSES:
+        index.update(dict.fromkeys(cls.rules, cls.__doc__ or cls.name))
     rules: list[dict[str, Any]] = [
         {
             "id": rule,

@@ -40,7 +40,7 @@ import ast
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .base import Checker, Project, SourceFile, Violation, register
+from .base import Checker, Project, SourceFile, Violation
 from .protocol import (
     _HANDLER_TABLE,
     _MESSAGES_REL,
@@ -184,37 +184,11 @@ def _analyze_class(
     return pc
 
 
-@register
 class WaitGraphChecker(Checker):
-    """Distributed-deadlock hazards in the message protocol (see module)."""
+    """Distributed-deadlock hazards in the message protocol."""
 
     name = "waitgraph"
     rules = ("wg-cycle", "wg-no-sender")
-    explanations = {
-        "wg-cycle": (
-            "Two (or more) process classes each sit in an *exclusive* "
-            "wait-state — a mailbox loop that exits only on specific "
-            "message types and never calls a general dispatcher — and "
-            "each one's exit message is sent only by another class in the "
-            "ring.  If those waits ever overlap in time, nobody can send "
-            "and nobody can proceed: a distributed deadlock.  Break it by "
-            "servicing other traffic while waiting (route unmatched "
-            "messages through a _dispatch* method), by sending the "
-            "ring-breaking message from inside the wait loop, or — if "
-            "the waits provably never overlap — suppress with "
-            "`# repro: allow[wg-cycle]` on the wait method and document "
-            "the phase argument."
-        ),
-        "wg-no-sender": (
-            "A wait-state's exit message is constructed nowhere in "
-            "repro.core/repro.cluster/repro.workload outside messages.py, "
-            "so the wait can never be satisfied: either dead protocol "
-            "(delete the wait and the message) or a sender that was "
-            "renamed/removed without updating the receiver.  The "
-            "runtime symptom would be a DeadlockError at end of run — "
-            "this catches it at lint time."
-        ),
-    }
 
     def check(self, project: Project) -> Iterator[Violation]:
         msgfile = project.get(_MESSAGES_REL)
@@ -321,5 +295,5 @@ class WaitGraphChecker(Checker):
             first.lineno, "wg-cycle",
             f"potential distributed deadlock: {hops} — if these waits "
             "overlap, no participant can proceed "
-            "(see `repro lint --explain wg-cycle`)",
+            "(see docs/STATIC_ANALYSIS.md, `waitgraph`)",
         )

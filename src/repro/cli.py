@@ -22,8 +22,8 @@ Eleven commands:
 * ``tail``    — render a ``--snapshot-out`` JSONL snapshot stream as
   per-snapshot progress lines plus a final-state digest.
 * ``lint``    — run the repo's own static-analysis passes (determinism,
-  protocol exhaustiveness, metrics-catalogue sync, fault safety); see
-  ``docs/STATIC_ANALYSIS.md``.
+  fault safety, metrics-catalogue sync, protocol exhaustiveness, wait
+  graph); see ``docs/STATIC_ANALYSIS.md``.
 
 Examples::
 
@@ -42,7 +42,7 @@ Examples::
     python -m repro explain --algorithm replicate --sigma 0.05
     python -m repro bench-diff BENCH_2.json BENCH_new.json --threshold 2
     python -m repro lint
-    python -m repro lint --format json src/repro/core
+    python -m repro lint --format sarif src/repro/core
 """
 
 from __future__ import annotations
@@ -756,39 +756,13 @@ def cmd_tail(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    import textwrap
     from pathlib import Path
 
-    from .checkers import (
-        FRAMEWORK_EXPLANATIONS,
-        LintError,
-        all_checkers,
-        report_json,
-        report_sarif,
-        report_text,
-        rule_counts,
-        run_lint,
-    )
-
-    # Force registration so listings and explanations match a real run.
-    from .checkers import passes  # noqa: F401
+    from .checkers import PASSES, LintError, report_sarif, report_text, run_lint
 
     if args.list:
-        for cls in all_checkers():
+        for cls in PASSES:
             print(f"{cls.name}: {', '.join(cls.rules)}")
-        return 0
-    if args.explain:
-        index: dict[str, str] = dict(FRAMEWORK_EXPLANATIONS)
-        for cls in all_checkers():
-            index.update(cls.explanations)
-        text = index.get(args.explain)
-        if text is None:
-            print(f"lint: unknown rule {args.explain!r}; known rules:\n  "
-                  + "\n  ".join(sorted(index)), file=sys.stderr)
-            return 2
-        print(f"{args.explain}:")
-        print(textwrap.fill(text, width=76, initial_indent="  ",
-                            subsequent_indent="  "))
         return 0
     root = Path(args.root) if args.root else Path.cwd()
     try:
@@ -797,31 +771,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     except LintError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        report_json(violations, sys.stdout)
-    elif args.format == "sarif":
-        report_sarif(violations, sys.stdout)
-    else:
-        report_text(violations, sys.stdout)
-    if args.baseline:
-        try:
-            with open(args.baseline, encoding="utf-8") as fh:
-                base = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"lint: cannot read baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
-        allowed = base.get("rules", {})
-        current = rule_counts(violations)
-        regressed = {r: (allowed.get(r, 0), n) for r, n in current.items()
-                     if n > allowed.get(r, 0)}
-        if regressed:
-            for rule, (old, new) in sorted(regressed.items()):
-                print(f"baseline: {rule}: {new} finding(s) > {old} allowed "
-                      f"by {args.baseline}", file=sys.stderr)
-            return 1
-        print(f"baseline: ok — no rule above its count in {args.baseline}")
-        return 0
+    report = report_sarif if args.format == "sarif" else report_text
+    report(violations, sys.stdout)
     return 1 if violations else 0
 
 
@@ -1050,8 +1001,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser(
         "lint",
         help="run the repo's static-analysis passes (determinism, "
-             "protocol, metrics sync, fault safety, resource safety, "
-             "wait graph)",
+             "fault safety, metrics sync, protocol, wait graph)",
     )
     p_lint.add_argument("paths", nargs="*", metavar="PATH",
                         help="files/directories to lint (default: src/repro "
@@ -1059,22 +1009,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--root", default=None,
                         help="repo root for repo-relative scoping "
                              "(default: current directory)")
-    p_lint.add_argument("--format", default="text",
-                        choices=["text", "json", "sarif"],
-                        help="text, machine-readable json (stable rule-id "
-                             "counts), or SARIF 2.1.0 for code scanning")
+    p_lint.add_argument("--format", default="text", choices=["text", "sarif"],
+                        help="text, or SARIF 2.1.0 for code scanning")
     p_lint.add_argument("--select", nargs="*", metavar="RULE",
                         help="restrict to pass names or rule-id prefixes, "
                              "e.g. determinism or det-")
     p_lint.add_argument("--list", action="store_true",
-                        help="list registered passes and their rule ids")
-    p_lint.add_argument("--explain", metavar="RULE",
-                        help="print the long-form rationale for one rule id "
-                             "and exit")
-    p_lint.add_argument("--baseline", metavar="PATH",
-                        help="gate against a committed --format json "
-                             "document (LINT_BASE.json): exit 1 only when "
-                             "some rule exceeds its baselined count")
+                        help="list the passes and their rule ids")
     p_lint.set_defaults(func=cmd_lint)
 
     return parser

@@ -2,11 +2,9 @@
 
 The basic out-of-core algorithm: partition R into ``k`` position-range
 buckets on disk, partition S the same way, then join bucket pairs in core.
-This standalone version (no cluster, no scheduler) serves two roles:
-
-* ground truth for the distributed OOC baseline's spill bookkeeping;
-* a cost calculator for the disk traffic an out-of-core join implies,
-  reused by the analysis module.
+A standalone sequential join (no cluster, no scheduler) that also estimates
+the disk traffic and time the out-of-core plan implies; nothing else in the
+package calls it, and its tests check it on its own.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.checkers import LintError, Violation, all_checkers, run_lint
+from repro.checkers import PASSES, Checker, LintError, Violation, run_lint
 from repro.checkers.base import SourceFile
 from repro.checkers.metricsync import _catalogue_names
 from repro.cli import main
@@ -360,13 +360,31 @@ def test_repo_tree_is_lint_clean():
     assert run_lint(REPO_ROOT) == []
 
 
+def test_every_checker_class_is_a_pass():
+    """Every concrete Checker a repro.checkers module defines runs: it
+    appears in PASSES, exactly once."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import repro.checkers
+
+    defined = []
+    for info in pkgutil.iter_modules(repro.checkers.__path__):
+        module = importlib.import_module(f"repro.checkers.{info.name}")
+        defined += [
+            cls for cls in vars(module).values()
+            if inspect.isclass(cls) and issubclass(cls, Checker)
+            and not inspect.isabstract(cls) and cls.__module__ == module.__name__
+        ]
+    assert sorted(c.__name__ for c in PASSES) == sorted(c.__name__ for c in defined)
+
+
 def test_every_registered_rule_has_exactly_one_docs_row():
-    """docs/STATIC_ANALYSIS.md's rule tables and the registered passes
+    """docs/STATIC_ANALYSIS.md's rule tables and the passes in PASSES
     name the same rules, each once: a rule cannot ship undocumented, and
     a removed rule's row cannot linger."""
-    from repro.checkers import passes  # noqa: F401  (registers every pass)
-
-    registered = sorted(rule for cls in all_checkers() for rule in cls.rules)
+    registered = sorted(rule for cls in PASSES for rule in cls.rules)
     rows, in_rule_table = [], False
     doc = REPO_ROOT / "docs" / "STATIC_ANALYSIS.md"
     for line in doc.read_text(encoding="utf-8").splitlines():
@@ -395,28 +413,24 @@ def test_cli_lint_violations_exit_one(tmp_path, capsys):
     assert "src/repro/sim/mod.py:4: det-wallclock" in out
 
 
-def test_cli_lint_json_format(tmp_path, capsys):
-    import json
-
-    make_repo(tmp_path, {
-        "src/repro/sim/mod.py": "import time\n\ndef f():\n    return time.time()\n",
-    })
-    rc = main(["lint", "--root", str(tmp_path), "--format", "json"])
-    doc = json.loads(capsys.readouterr().out)
-    assert rc == 1 and doc["count"] == 1
-    assert doc["violations"][0]["rule"] == "det-wallclock"
-    assert doc["violations"][0]["line"] == 4
-
-
-def test_cli_lint_bad_path_exit_two(capsys):
-    rc = main(["lint", "--root", str(REPO_ROOT), "no/such/dir"])
-    err = capsys.readouterr().err
-    assert rc == 2 and "no such file" in err
+def test_cli_lint_bad_path_exit_two(tmp_path, capsys):
+    """A missing path or a file that is not UTF-8 is an invocation error:
+    exit 2 with one stderr line, not findings and not a traceback."""
+    root = make_repo(tmp_path, {})
+    (root / "src/repro/latin1.py").write_bytes(b"# caf\xe9\n")
+    for argv, expected in [
+        (["--root", str(REPO_ROOT), "no/such/dir"], "no such file"),
+        (["--root", str(root)], "cannot read src/repro/latin1.py"),
+    ]:
+        rc = main(["lint", *argv])
+        err = capsys.readouterr().err
+        assert rc == 2 and expected in err and err.count("\n") == 1
 
 
 def test_cli_lint_list_passes(capsys):
     rc = main(["lint", "--list"])
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
     assert rc == 0
-    for pass_name in ("determinism", "protocol", "metrics", "faultsafety"):
-        assert pass_name in out
+    assert lines == [f"{cls.name}: {', '.join(cls.rules)}" for cls in PASSES]
+    assert {cls.name for cls in PASSES} == {
+        "determinism", "faultsafety", "metrics", "protocol", "waitgraph"}
