@@ -4,7 +4,8 @@ Unlike the figure benches (which time simulated protocol runs), these
 measure the Python/NumPy implementation itself, guarding against
 performance regressions in the per-chunk code the simulator executes
 millions of times: position mapping, routing partitions, store probing,
-the greedy reshuffle cut, and raw event throughput of the DES kernel.
+the reshuffle's position counts and greedy cut, and raw event throughput
+of the DES kernel.
 """
 
 import numpy as np
@@ -177,6 +178,22 @@ def test_store_finalize_throughput(benchmark):
         return store
 
     assert benchmark(build).stored_tuples == _NODE_TUPLES
+
+
+def test_position_counts_throughput(benchmark):
+    """A reshuffle member's count reply: 2.5 M stored tuples over a
+    2**16-wide range, returned as occupied offsets and their counts."""
+    posmap = PositionMap(1 << 16)
+    values = RNG.integers(0, 1 << 32, 2_500_000, dtype=np.uint64)
+    store = NodeHashStore(posmap)
+    store.insert(values)
+    lo, hi = 0, 1 << 16
+    offsets, counts = benchmark(store.position_counts, lo, hi)
+    pos = posmap(values)
+    dense = np.bincount(pos[(pos >= lo) & (pos < hi)] - lo, minlength=hi - lo)
+    folded = np.zeros(hi - lo, dtype=np.int64)
+    folded[offsets] += counts
+    assert np.array_equal(folded, dense)
 
 
 def test_greedy_cut_throughput(benchmark):

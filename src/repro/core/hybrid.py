@@ -50,26 +50,27 @@ class HybridStrategy(ReplicationStrategy):
         if not members:
             return
 
-        # 1. Gather per-position counts from every replica-chain member.
+        # 1. Gather per-position counts from every replica-chain member,
+        #    folding each sparse vector into its group's total on arrival.
         for rng, chain in members:
             for j in chain:
                 yield from sched.send_to_join(j, CountRequest(rng.lo, rng.hi))
         expected = sum(len(chain) for _, chain in members)
-        vectors: dict[int, np.ndarray] = {}
-        while len(vectors) < expected:
+        totals = {rng.lo: np.zeros(rng.width, dtype=np.int64) for rng, _ in members}
+        reported: set[int] = set()
+        while len(reported) < expected:
             msg = yield from sched.await_message(
                 lambda m: isinstance(m, CountVector)
             )
-            vectors[msg.node] = msg.counts
+            if msg.node not in reported:
+                reported.add(msg.node)
+                totals[msg.lo][msg.offsets] += msg.counts
 
         # 2. Greedy contiguous cut per group; dispatch redistribution orders.
         new_entries = [e for e in router.entries if e not in members]
         n_orders = 0
         for rng, chain in members:
-            total = np.zeros(rng.width, dtype=np.int64)
-            for j in chain:
-                total += vectors[j]
-            cuts = partition_range_by_counts(rng, total, len(chain))
+            cuts = partition_range_by_counts(rng, totals[rng.lo], len(chain))
             assignments = tuple(zip(chain, cuts))
             order = ReshuffleOrder(assignments=assignments)
             for j in chain:

@@ -706,12 +706,12 @@ class JoinProcess:
     # reshuffle (hybrid)
     # ------------------------------------------------------------------
     def _on_count_request(self, msg: CountRequest) -> Generator[Any, Any, None]:
-        counts = self.store.position_counts(msg.lo, msg.hi)
+        offsets, counts = self.store.position_counts(msg.lo, msg.hi)
         yield from self.node.compute_per_tuple(
             self.ctx.cost.cpu_route_tuple, self.store.stored_tuples
         )
         yield from self._reply(
-            CountVector(self.index, msg.lo, msg.hi, counts,
+            CountVector(self.index, msg.lo, msg.hi, offsets, counts,
                         wire_scale=self.ctx.cfg.workload.scale)
         )
 

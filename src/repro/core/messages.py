@@ -328,14 +328,19 @@ class StatusReport(_Control):
 class CountVector:
     """Per-position tuple counts for the reshuffle step.
 
-    The wire size is co-scaled with the workload (``wire_scale``): count
-    vectors are proportional to the *fixed* hash-table resolution, so at a
-    reduced workload scale their full-resolution size would be over-weighted
+    The host carries only the occupied positions of ``[lo, hi)``:
+    ``offsets`` (ascending, relative to ``lo``) and their ``counts``, as
+    :meth:`NodeHashStore.position_counts` returns them.  The wire size
+    models the paper's dense vector, 8 B a position, however sparse it is.
+    It is co-scaled with the workload (``wire_scale``): count vectors are
+    proportional to the *fixed* hash-table resolution, so at a reduced
+    workload scale their full-resolution size would be over-weighted
     relative to the data traffic (see CostModel.scaled)."""
 
     node: int
     lo: int
     hi: int
+    offsets: np.ndarray
     counts: np.ndarray
     wire_scale: float = 1.0
 
@@ -343,7 +348,7 @@ class CountVector:
 
     @property
     def nbytes(self) -> int:
-        return 32 + int(8 * self.counts.size * self.wire_scale)
+        return 32 + int(8 * (self.hi - self.lo) * self.wire_scale)
 
 
 @dataclass

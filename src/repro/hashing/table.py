@@ -184,13 +184,20 @@ class NodeHashStore:
         return self.extract_where(lambda pos: (pos % (2 * modulus)) == new_bucket)
 
     # ------------------------------------------------------------------
-    def position_counts(self, lo: int, hi: int) -> np.ndarray:
-        """Tuples stored per hash position over ``[lo, hi)`` (reshuffle input)."""
+    def position_counts(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Tuples stored per occupied hash position of ``[lo, hi)``
+        (reshuffle input), as ``(offsets, counts)``.
+
+        ``offsets`` are ascending, relative to ``lo``, in the smallest
+        unsigned dtype that holds ``hi - lo - 1``; ``counts`` are int64 and
+        positive.  Positions holding no tuple are left out, so the result
+        scales with the tuples stored, not with the range width.
+        """
         if hi <= lo:
             raise ValueError("empty counting range")
         values = self._all_values()
-        if values.size == 0:
-            return np.zeros(hi - lo, dtype=np.int64)
         pos = self.posmap(values)
-        inside = (pos >= lo) & (pos < hi)
-        return np.bincount(pos[inside] - lo, minlength=hi - lo).astype(np.int64)
+        dense = np.bincount(pos[(pos >= lo) & (pos < hi)] - lo, minlength=hi - lo)
+        offsets = np.flatnonzero(dense)
+        return (offsets.astype(np.min_scalar_type(hi - lo - 1)),
+                dense[offsets].astype(np.int64, copy=False))

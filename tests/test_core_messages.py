@@ -16,7 +16,13 @@ from repro.core.messages import (
     StartProbe,
     StatusReport,
 )
-from repro.hashing import HashRange, RangeRouter, partition_positions
+from repro.hashing import (
+    HashRange,
+    NodeHashStore,
+    PositionMap,
+    RangeRouter,
+    partition_positions,
+)
 
 
 def test_data_chunk_size_is_logical_tuple_bytes():
@@ -62,12 +68,26 @@ def test_start_probe_size_with_and_without_router():
 
 
 def test_count_vector_wire_scaling():
-    counts = np.zeros(1000, dtype=np.int64)
-    full = CountVector(0, 0, 1000, counts, wire_scale=1.0)
-    scaled = CountVector(0, 0, 1000, counts, wire_scale=0.02)
+    """The wire size is the dense 8 B a position, however few are carried."""
+    offsets = np.array([0, 17, 999], dtype=np.uint16)
+    counts = np.array([4, 1, 2], dtype=np.int64)
+    full = CountVector(0, 0, 1000, offsets, counts, wire_scale=1.0)
+    scaled = CountVector(0, 0, 1000, offsets, counts, wire_scale=0.02)
     assert full.nbytes == 32 + 8000
     assert scaled.nbytes == 32 + 160
     assert scaled.kind == "counts"
+
+
+def test_count_vector_carries_only_occupied_positions():
+    store = NodeHashStore(PositionMap(1 << 18))
+    store.insert(np.array([3, 1 << 20, 1 << 20, 5 << 28, (1 << 32) - 1],
+                          dtype=np.uint64))
+    lo, hi = 0, 1 << 18
+    offsets, counts = store.position_counts(lo, hi)
+    vec = CountVector(0, lo, hi, offsets, counts, wire_scale=1.0)
+    assert vec.offsets.size == vec.counts.size <= 5
+    assert int(vec.counts.sum()) == 5
+    assert vec.nbytes == 32 + int(8 * (hi - lo) * 1.0)
 
 
 def test_reshuffle_order_size_tracks_assignments():

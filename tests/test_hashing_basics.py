@@ -196,10 +196,11 @@ def test_store_position_counts():
     v1 = np.full(3, 1 << 28, dtype=np.uint64)  # position 1 of 16
     store.insert(v0)
     store.insert(v1)
-    counts = store.position_counts(0, 16)
-    assert counts[0] == 5 and counts[1] == 3 and counts.sum() == 8
-    sub = store.position_counts(1, 3)
-    assert sub.tolist() == [3, 0]
+    offsets, counts = store.position_counts(0, 16)
+    assert dict(zip(offsets.tolist(), counts.tolist())) == {0: 5, 1: 3}
+    assert counts.dtype == np.int64 and counts.sum() == 8
+    offsets, counts = store.position_counts(1, 3)  # offsets relative to lo
+    assert dict(zip(offsets.tolist(), counts.tolist())) == {0: 3}
     with pytest.raises(ValueError):
         store.position_counts(5, 5)
 

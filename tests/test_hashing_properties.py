@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.hashing import (
     HashRange,
     LinearHashDirectory,
+    NodeHashStore,
     PositionMap,
     RangeRouter,
     greedy_contiguous_partition,
@@ -121,6 +122,44 @@ def test_partition_range_by_counts_tiles_the_range(width, parts, seed):
     assert ranges_partition_space(
         [HashRange(c.lo - 100, c.hi - 100) for c in spans], width
     )
+
+
+@given(
+    bits=st.integers(1, 14),
+    mix=st.booleans(),
+    members=st.integers(1, 8),
+    empty=st.integers(0, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_folded_sparse_counts_equal_dense_reference(bits, mix, members, empty, seed):
+    """The reshuffle's cut depends only on the summed per-position counts:
+    folding each member's occupied ``(offsets, counts)`` into one total
+    equals summing dense ``np.bincount`` vectors, so the cuts are the same."""
+    rng = np.random.default_rng(seed)
+    pm = PositionMap(1 << bits, mix=mix)
+    lo = int(rng.integers(0, pm.positions))
+    hi = int(rng.integers(lo + 1, pm.positions + 1))
+    width = hi - lo
+    # a small key pool: duplicate keys within and across members
+    pool = rng.integers(0, 1 << 32, int(rng.integers(1, 400)), dtype=np.uint64)
+    folded = np.zeros(width, dtype=np.int64)
+    reference = np.zeros(width, dtype=np.int64)
+    for m in range(members):
+        n = 0 if m == empty % members else int(rng.integers(1, 600))
+        values = rng.choice(pool, n)
+        store = NodeHashStore(pm)
+        store.insert(values.copy())
+        offsets, counts = store.position_counts(lo, hi)
+        assert offsets.dtype.kind == "u" and counts.dtype == np.int64
+        assert (np.diff(offsets.astype(np.int64)) > 0).all() and (counts > 0).all()
+        folded[offsets] += counts
+        pos = pm(values)
+        reference += np.bincount(pos[(pos >= lo) & (pos < hi)] - lo, minlength=width)
+    assert np.array_equal(folded, reference)
+    hr = HashRange(lo, hi)
+    assert (partition_range_by_counts(hr, folded, members)
+            == partition_range_by_counts(hr, reference, members))
 
 
 @given(bits=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))

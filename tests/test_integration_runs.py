@@ -6,10 +6,12 @@ build tuples == generated) and network byte conservation — these tests add
 algorithm-specific structural assertions on top.
 """
 
+import tracemalloc
+
 import pytest
 
 from tests.conftest import small_cluster, small_config, small_workload
-from repro.config import Algorithm, Distribution
+from repro.config import Algorithm, Distribution, RunConfig, WorkloadSpec
 from repro.core import run_join
 from repro.core.messages import Hop
 
@@ -84,6 +86,23 @@ def test_hybrid_reshuffles_and_probes_single_destination():
     # reshuffle balances the stored load
     avg, mx, mn = res.load_stats()
     assert mx <= avg * 1.5 + 1
+
+
+def test_hybrid_reshuffle_host_memory_tracks_tuples_not_positions():
+    """BENCH_2's hybrid/2 cell (10M x 10M, scale 0.02): 16 chain members
+    over two 131 072-position ranges.  With one dense count vector per
+    member the traced peak was 22.4 MiB under pytest (lockdep on); with the
+    occupied positions only, and one dense total a group, it is 8.7 MiB."""
+    cfg = RunConfig(algorithm=Algorithm.HYBRID, initial_nodes=2, trace=False,
+                    workload=WorkloadSpec(scale=0.02))
+    tracemalloc.start()
+    try:
+        res = run_join(cfg, validate=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.nodes_used == 16 and res.reshuffle_moved_tuples > 0
+    assert peak <= 14 << 20
 
 
 def test_ooc_spills_and_joins_on_disk():
