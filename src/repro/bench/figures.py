@@ -44,14 +44,6 @@ _LABEL = {
 }
 
 
-def _growth_ratio(rows: list[list], col_model: int, col_hyb: int) -> bool:
-    """True when measured split/reshuffle traffic ratio grows with the
-    expansion factor (rows are ordered by initial nodes ascending, i.e.
-    expansion descending)."""
-    ratios = [row[col_model] / row[col_hyb] for row in rows if row[col_hyb] > 0]
-    return len(ratios) >= 2 and ratios[0] > ratios[-1]
-
-
 class FigureHarness:
     """Runs and caches the simulated experiments behind Figures 2-13."""
 

@@ -28,14 +28,14 @@ delivered — a cheap full-system invariant the test suite leans on.
 :class:`~repro.faults.FaultInjector` with link faults is attached, every
 inter-node ``send`` runs an at-least-once loop: transmit, consult the
 seeded drop verdicts, and either finish after one ack propagation delay or
-back off (``FaultPlan.rto_s`` x ``rto_backoff^k``, capped) and retransmit.
+back off (``FaultInjector.rto``: doubling, capped) and retransmit.
 A lost *payload* is retransmitted until it lands; a lost *ack* means the
 payload already landed, so the retransmission is counted as a duplicate
 and suppressed — exactly one mailbox delivery per logical message, so
 receive-window credits and the drain protocol's message counts stay
 balanced.  Dropped and duplicate bytes are accounted per link and
 :meth:`assert_conserved` then checks ``sent == delivered + dropped +
-duplicates``.  A message that exhausts ``max_attempts`` raises
+duplicates``.  A message that exhausts ``MAX_ATTEMPTS`` raises
 :class:`~repro.faults.UnrecoverableFaultError` instead of deadlocking.
 """
 
@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Any, Protocol
 import numpy as np
 
 from ..config import CostModel
-from ..faults import UnrecoverableFaultError
+from ..faults import MAX_ATTEMPTS, UnrecoverableFaultError
 from ..sim import Resource, Simulator
 from .node import Node
 
@@ -71,7 +71,7 @@ class Wireable(Protocol):
 class Network:
     """The cluster interconnect."""
 
-    def __init__(self, sim: Simulator, cost: CostModel, jitter_seed: int = 0,
+    def __init__(self, sim: Simulator, cost: CostModel,
                  shared_hub: bool = False,
                  faults: FaultInjector | None = None) -> None:
         self.sim = sim
@@ -80,7 +80,7 @@ class Network:
         self.faults = faults
         # Deterministic jitter stream (only consulted when net_jitter > 0).
         self._jitter_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=jitter_seed, spawn_key=(74,))
+            np.random.SeedSequence(entropy=0, spawn_key=(74,))
         )
         # SHARED_HUB topology: one half-duplex collision domain — every
         # transfer serializes on this single medium instead of the
@@ -225,13 +225,13 @@ class Network:
                     yield self.sim.timeout(self.cost.net_latency)
                     return
                 attempt += 1
-                if attempt >= faults.max_attempts:
+                if attempt >= MAX_ATTEMPTS:
                     raise UnrecoverableFaultError(
                         f"message {src.name}->{dst.name} ({message.kind}, "
-                        f"{nbytes} B) exhausted {faults.max_attempts} "
+                        f"{nbytes} B) exhausted {MAX_ATTEMPTS} "
                         "transmission attempts; the configured drop "
                         "probability is beyond the transport's recovery "
-                        "envelope (raise max_attempts or lower drop_prob)"
+                        "envelope"
                     )
                 self.retransmissions += 1
                 faults.count_retry(message.kind)

@@ -35,6 +35,7 @@ __all__ = [
     "FleetConfig",
     "MTUPLES",
     "DEFAULT_SCALE",
+    "DRAIN_POLL_S",
 ]
 
 #: convenience: 1 "M tuples" in the paper's units
@@ -42,6 +43,11 @@ MTUPLES = 1_000_000
 
 #: default down-scaling for benchmarks (10M paper tuples -> 200k real tuples)
 DEFAULT_SCALE = 1.0 / 50.0
+
+#: scheduler / pool poll interval for drain and termination detection, in
+#: seconds at scale 1.0; co-scaled with the workload like the other fixed
+#: time costs
+DRAIN_POLL_S = 0.010
 
 
 class Algorithm(enum.Enum):
@@ -122,8 +128,6 @@ class CostModel:
     net_jitter: float = 0.0
     #: fixed CPU cost to send or receive one message (syscall + memcpy)
     net_per_message_cpu: float = 40e-6
-    #: size charged for control-plane messages
-    control_msg_bytes: int = 64
 
     #: CPU cost to generate one tuple at a data source (select/filter + rng)
     cpu_generate_tuple: float = 0.35e-6
@@ -179,7 +183,6 @@ class CostModel:
             net_jitter=self.net_jitter * scale,
             net_per_message_cpu=self.net_per_message_cpu * scale,
             disk_seek=self.disk_seek * scale,
-            control_msg_bytes=max(1, int(self.control_msg_bytes * scale)),
         )
 
 
@@ -354,7 +357,6 @@ class QueryMixEntry:
     s_tuples: int = 2 * MTUPLES
     tuple_bytes: int = 100
     distribution: Distribution = Distribution.UNIFORM
-    gauss_mean: float = 0.5
     gauss_sigma: float = 0.001
     initial_nodes: int = 2
 
@@ -400,7 +402,6 @@ class WorkloadConfig:
     grant_timeout_s: float | None = None
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     scale: float = DEFAULT_SCALE
-    drain_poll_interval: float = 0.010
     trace: bool = False
     #: shared fault plan (link drops / slowdowns / dormant-node crashes);
     #: workload mode forbids ack drops and phase-triggered crashes (see
@@ -469,7 +470,7 @@ class WorkloadConfig:
         """Parked-recruit deadline in simulated seconds."""
         if self.grant_timeout_s is not None:
             return self.grant_timeout_s
-        return 200.0 * self.drain_poll_interval * self.scale
+        return 200.0 * DRAIN_POLL_S * self.scale
 
 
 @dataclass(frozen=True)
@@ -527,8 +528,6 @@ class RunConfig:
     #: to disk or forwarded to the client"; materialization is the
     #: multi-way-join scenario of §6's future work)
     materialize_output: bool = False
-    #: logical bytes per materialized output pair (r + s tuple)
-    output_pair_bytes: int = 200
     #: probe-phase expansion (paper footnote 1): when materialized output
     #: overflows a node's memory, recruit a fresh node as an output sink
     #: and forward further pairs there; without it, overflow spills to the
@@ -537,8 +536,6 @@ class RunConfig:
     #: data sources read the relations from their local disks instead of
     #: generating them on the fly (both modes appear in paper §4.1.2)
     sources_from_disk: bool = False
-    #: scheduler poll interval for drain/termination detection (seconds)
-    drain_poll_interval: float = 0.010
     trace: bool = True
     #: cap on retained trace records (None = unbounded); with a bound the
     #: tracer keeps the most recent records and counts the dropped ones
@@ -577,4 +574,4 @@ class RunConfig:
     @property
     def effective_drain_poll(self) -> float:
         """Drain poll interval, co-scaled like the other fixed time costs."""
-        return self.drain_poll_interval * self.workload.scale
+        return DRAIN_POLL_S * self.workload.scale

@@ -78,8 +78,7 @@ def open_run(plan: FaultPlan | None, cost: CostModel, *, trace: bool,
 
     faults = None
     if plan is not None and plan.active:
-        faults = FaultInjector(plan, sim, metrics, trace=emit)
-        faults.resolve_timing(cost)
+        faults = FaultInjector(plan, sim, metrics, cost, trace=emit)
     return Run(sim, metrics, tracer, faults, emit)
 
 

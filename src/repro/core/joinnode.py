@@ -57,6 +57,10 @@ from .messages import (
 
 __all__ = ["JoinProcess", "SpillStore"]
 
+#: logical bytes per materialized output pair (an r and an s tuple at the
+#: default 100 B tuple size)
+OUTPUT_PAIR_BYTES = 200
+
 ShedPredicate = Callable[[np.ndarray], np.ndarray]
 
 
@@ -575,7 +579,7 @@ class JoinProcess:
     ) -> Generator[Any, Any, None]:
         output = hop == Hop.OUTPUT
         relation, tb = (
-            ("O", self.ctx.cfg.output_pair_bytes) if output else ("R", self._tb)
+            ("O", OUTPUT_PAIR_BYTES) if output else ("R", self._tb)
         )
         try:
             chunk_tuples = self.ctx.cfg.workload.real_chunk_tuples
@@ -784,9 +788,9 @@ class JoinProcess:
         if self.output_sink_node is not None:
             self._ship_output(pairs, self.output_sink_node)
             return
-        fit = min(pairs, self.node.memory.available // cfg.output_pair_bytes)
+        fit = min(pairs, self.node.memory.available // OUTPUT_PAIR_BYTES)
         if fit:
-            self.node.memory.alloc(fit * cfg.output_pair_bytes)
+            self.node.memory.alloc(fit * OUTPUT_PAIR_BYTES)
             self.output_tuples += fit
             pairs -= fit
         if not pairs:
@@ -804,12 +808,12 @@ class JoinProcess:
     def _spill_output(self, pairs: int) -> Generator[Any, Any, None]:
         """Write ``pairs`` materialized pairs to the local output file."""
         self.output_spilled += pairs
-        return self.node.disk.write(pairs * self.ctx.cfg.output_pair_bytes)
+        return self.node.disk.write(pairs * OUTPUT_PAIR_BYTES)
 
     def _report_output_full(self) -> Generator[Any, Any, None]:
         return self._reply(MemoryFull(
             self.index,
-            deficit_bytes=self.output_pending * self.ctx.cfg.output_pair_bytes,
+            deficit_bytes=self.output_pending * OUTPUT_PAIR_BYTES,
         ))
 
     def _ship_output(self, pairs: int, dest: int) -> None:

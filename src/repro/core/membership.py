@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .context import RunContext
     from .recovery import FaultTolerantScheduler
 
-__all__ = ["MembershipTiming", "resolve_timing", "Membership",
+__all__ = ["MembershipTiming", "detector_timing", "Membership",
            "BackupSchedulerProcess"]
 
 
@@ -66,7 +66,7 @@ class MembershipTiming:
     confirm: float   #: silence before a suspected node is declared dead
 
 
-def resolve_timing(plan: FaultPlan, cfg: RunConfig) -> MembershipTiming:
+def detector_timing(plan: FaultPlan, cfg: RunConfig) -> MembershipTiming:
     """Fill unset knobs from the drain-poll interval.
 
     Defaults are deliberately generous (suspect at 6 missed heartbeats,
@@ -93,7 +93,7 @@ class Membership:
         self.sched = sched
         self.ctx: RunContext = sched.ctx
         assert self.ctx.faults is not None
-        self.timing = resolve_timing(self.ctx.faults.plan, self.ctx.cfg)
+        self.timing = detector_timing(self.ctx.faults.plan, self.ctx.cfg)
         self._token = 0
         self._last_ack: dict[int, float] = {}
         self.suspected: set[int] = set()
@@ -200,7 +200,7 @@ class BackupSchedulerProcess:
         self.scheduler: FaultTolerantScheduler | None = None
         #: the spawned simulation process (set by the primary's ``spawn``)
         self.proc: Any = None
-        self.timing = resolve_timing(ctx.faults.plan, ctx.cfg)
+        self.timing = detector_timing(ctx.faults.plan, ctx.cfg)
         self._stopped = False
 
     # ------------------------------------------------------------------

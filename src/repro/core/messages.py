@@ -3,7 +3,7 @@
 Every message reports ``nbytes`` (what the network charges) and ``kind``
 (used for traffic accounting and byte-conservation checks).  Data chunks
 carry real NumPy arrays of join-attribute values; control messages are
-charged the cost model's fixed control size.
+charged a fixed :data:`CONTROL_BYTES` at every workload scale.
 
 ``hop`` on a data chunk records *why* the chunk crossed the wire, which is
 how the benchmarks reconstruct the paper's "extra communication volume"
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import CostModel
 from ..hashing import HashRange, Router
 
 __all__ = [
@@ -65,8 +64,9 @@ __all__ = [
     "DeathVerdict",
 ]
 
-#: default control-plane size; kept in sync with CostModel.control_msg_bytes
-CONTROL_BYTES = CostModel().control_msg_bytes
+#: wire size of a control-plane message; fixed at every workload scale
+#: (the one fixed cost ``CostModel.scaled`` does not shrink)
+CONTROL_BYTES = 64
 
 
 class Hop:

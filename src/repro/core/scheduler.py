@@ -122,25 +122,18 @@ class SchedulerProcess:
         # dominate the worst case for a *healthy* recruit: its receive port
         # can hold at most the credit window of data chunks ahead of the
         # ActivateJoin, so a generous multiple of one chunk's wire time is
-        # safe at every workload scale.
-        plan = ctx.cfg.faults
+        # safe at every workload scale.  Between recruits the scheduler
+        # backs off from half this deadline, doubling up to 8 x it.
         wl = self.cfg.workload
         chunk_wire = ctx.cost.net_latency + ctx.cost.wire_time(
             wl.chunk_tuples * wl.tuple_bytes
         )
-        self._recruit_timeout_s = (
-            plan.recruit_timeout_s
-            if plan is not None and plan.recruit_timeout_s is not None
-            else 16.0 * chunk_wire + 20.0 * self.cfg.effective_drain_poll
-        )
-        self._recruit_backoff_max_s = (
-            plan.recruit_backoff_max_s
-            if plan is not None and plan.recruit_backoff_max_s is not None
-            else 8.0 * self._recruit_timeout_s
+        self._recruit_timeout = (
+            16.0 * chunk_wire + 20.0 * self.cfg.effective_drain_poll
         )
         #: how long the initial nodes get to ack (the fault layer waits
         #: longer: its failure detector subsumes this deadline)
-        self._initial_ack_timeout_s = self._recruit_timeout_s
+        self._initial_ack_timeout_s = self._recruit_timeout
 
         # source bookkeeping.  Chunk counts are kept *per destination* so
         # the fault layer's drain balance can exclude chunks sent to a node
@@ -225,7 +218,7 @@ class SchedulerProcess:
         ``_dispatch_common`` and its FinalReport is accepted (but not
         awaited) at shutdown, so correctness is unaffected either way.
         """
-        backoff = self._recruit_timeout_s / 2.0
+        backoff = self._recruit_timeout / 2.0
         while True:
             cand = yield from self.potential.take(self, phase)
             if cand is None:
@@ -234,7 +227,7 @@ class SchedulerProcess:
             yield from self.send_to_join(cand, make_activate(cand),
                                          parent=parent)
             if (yield from self._await_activate_acks(
-                    {cand}, self._recruit_timeout_s)):
+                    {cand}, self._recruit_timeout)):
                 self.working.append(cand)
                 self.activated.append(cand)
                 self.outcome.expansion_trace.append((self.ctx.sim.now, cand))
@@ -245,7 +238,7 @@ class SchedulerProcess:
             self.ctx.trace("recruit_timeout", "scheduler",
                            node=cand, phase=phase)
             yield from self._await_backoff(backoff)
-            backoff = min(backoff * 2.0, self._recruit_backoff_max_s)
+            backoff = min(backoff * 2.0, 8.0 * self._recruit_timeout)
 
     def _await_activate_acks(
         self, pending: set[int], timeout: float

@@ -2,17 +2,18 @@
 
 Three policies (see ``SplitPolicy`` and DESIGN.md §2):
 
-* ``LINEAR_POINTER`` (default) — order-preserving linear hashing.  The
+* ``TARGETED_BISECT`` (default) — bisect the range of the node that
+  reported memory full directly (the abstract's minimal reading).  Under
+  skew the full node's range is re-bisected and its hot mass re-shipped
+  each time — the re-communication the paper observes in Figures 10-13.
+* ``LINEAR_POINTER`` — order-preserving linear hashing (ablation).  The
   scheduler's **split pointer** walks the buckets round-robin; when memory
   fills anywhere, the *pointed* bucket's contiguous hash range is bisected
   and the upper half (stored tuples included) moves to the new node.  The
   **barrier split pointer** is realized by the scheduler's serialized
   relief cycles: a bucket is never asked to split while a split is in
   flight.  Because the pointer, not the overflow, picks the victim, a
-  full node under skew may wait through many futile splits of cold
-  buckets — the cascade the paper observes in Figures 10-13.
-* ``TARGETED_BISECT`` — bisect the range of the node that reported memory
-  full directly (the abstract's minimal reading).
+  full node under skew waits through futile splits of cold buckets.
 * ``LINEAR_MOD`` — classic Litwin linear hashing with modulo addressing
   (``h_i(p) = p mod n0*2^i``), kept as an ablation: the modulo scatters
   contiguous hot positions across buckets and thereby *suppresses* the

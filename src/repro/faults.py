@@ -41,11 +41,13 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
+    from .config import CostModel
     from .obs import MetricsRegistry
     from .sim import Simulator
 
 __all__ = [
     "PHASES",
+    "MAX_ATTEMPTS",
     "CrashSpec",
     "LinkSlowdown",
     "FaultPlan",
@@ -57,6 +59,9 @@ __all__ = [
 #: phase names a :class:`CrashSpec` may trigger on (scheduler phase entry)
 PHASES = ("build", "reshuffle", "probe", "ooc")
 
+#: transmission attempts per message before the link is unrecoverable
+MAX_ATTEMPTS = 50
+
 
 class FaultPlanError(ValueError):
     """The fault plan is malformed or references nonexistent targets."""
@@ -67,8 +72,8 @@ class UnrecoverableFaultError(RuntimeError):
 
     Raised when a crash targets a node that already holds join state
     (recovery would need replication/replay — out of scope, see module
-    docstring) or when a link is so lossy that a message exhausts
-    ``FaultPlan.max_attempts`` retransmissions.
+    docstring) or when a link is so lossy that a message exhausts its
+    :data:`MAX_ATTEMPTS` transmissions.
     """
 
 
@@ -139,10 +144,10 @@ class FaultPlan:
     and replayable.  ``drop_prob`` applies to the payload of **every**
     inter-node message; ``ack_drop_prob`` independently loses the delivery
     acknowledgement (the payload arrived, so the retransmission is a
-    duplicate the receiver must suppress).  Retransmission timing follows
-    ``rto_s * rto_backoff**k`` capped at ``rto_max_s``; a message that
-    exhausts ``max_attempts`` raises :class:`UnrecoverableFaultError`
-    rather than deadlocking the run.
+    duplicate the receiver must suppress).  Retransmission timing is
+    derived from the run's cost model (:class:`FaultInjector`); a message
+    that exhausts :data:`MAX_ATTEMPTS` raises
+    :class:`UnrecoverableFaultError` rather than deadlocking the run.
     """
 
     seed: int = 0
@@ -150,18 +155,6 @@ class FaultPlan:
     ack_drop_prob: float = 0.0
     crashes: tuple[CrashSpec, ...] = ()
     slowdowns: tuple[LinkSlowdown, ...] = ()
-    #: base retransmission timeout; ``None`` derives it from the cost
-    #: model at run start (4 x (propagation latency + 64 KiB wire time))
-    rto_s: float | None = None
-    rto_backoff: float = 2.0
-    rto_max_s: float | None = None
-    max_attempts: int = 50
-    #: recruit-ack timeout in simulated seconds, checked at drain-poll-tick
-    #: granularity (no extra timer events); ``None`` derives it from the
-    #: cost model and chunk size so it always dominates worst-case
-    #: receive-port queueing of a healthy recruit
-    recruit_timeout_s: float | None = None
-    recruit_backoff_max_s: float | None = None
     #: control-plane fault tolerance (repro.core.membership).  Setting
     #: ``membership=True`` (or any of the knobs below) arms the heartbeat
     #: failure detector and the backup scheduler, which lifts the
@@ -183,17 +176,6 @@ class FaultPlan:
             p = getattr(self, name)
             if not (0.0 <= p < 1.0):
                 raise FaultPlanError(f"{name} must be in [0, 1), got {p}")
-        if self.rto_s is not None and self.rto_s <= 0:
-            raise FaultPlanError("rto_s must be > 0")
-        if self.rto_backoff < 1.0:
-            raise FaultPlanError("rto_backoff must be >= 1")
-        if self.max_attempts < 1:
-            raise FaultPlanError("max_attempts must be >= 1")
-        if self.recruit_timeout_s is not None and self.recruit_timeout_s <= 0:
-            raise FaultPlanError("recruit_timeout_s must be > 0")
-        if (self.recruit_backoff_max_s is not None
-                and self.recruit_backoff_max_s <= 0):
-            raise FaultPlanError("recruit_backoff_max_s must be > 0")
         for name in ("heartbeat_interval_s", "suspect_timeout_s",
                      "confirm_timeout_s"):
             v = getattr(self, name)
@@ -301,6 +283,10 @@ class FaultInjector:
     retransmission timeouts); the driver attaches the join processes and
     calls :meth:`start`; the scheduler reports phase entries through
     :meth:`notify_phase` so phase-triggered crashes fire synchronously.
+
+    The base retransmission timeout is ``4 x (net_latency + wire time of
+    64 KiB)`` on the run's cost model; it doubles per retransmission up
+    to 32 x the base.
     """
 
     def __init__(
@@ -308,6 +294,7 @@ class FaultInjector:
         plan: FaultPlan,
         sim: Simulator,
         metrics: MetricsRegistry,
+        cost: CostModel,
         trace: Callable[..., None] | None = None,
     ):
         self.plan = plan
@@ -323,18 +310,9 @@ class FaultInjector:
         self._joins: dict[int, tuple[Any, Any]] = {}
         self._scheduler_proc: Any = None  # primary scheduler sim Process
         self._fired: set[int] = set()  # indices into plan.crashes
-        # resolved retransmission timing (rto_s may be derived from cost)
-        self._rto = plan.rto_s
-        self._rto_max = plan.rto_max_s
+        self._rto = 4.0 * (cost.net_latency + cost.wire_time(64 * 1024))
 
     # -- wiring ----------------------------------------------------------
-    def resolve_timing(self, cost: Any) -> None:
-        """Derive default RTO from the cost model (driver calls this)."""
-        if self._rto is None:
-            self._rto = 4.0 * (cost.net_latency + cost.wire_time(64 * 1024))
-        if self._rto_max is None:
-            self._rto_max = 32.0 * self._rto
-
     def attach_joins(self, joins: dict[int, tuple[Any, Any]]) -> None:
         """Register ``driver.spawn_join``'s pairs as the crash targets."""
         self._joins = dict(joins)
@@ -443,17 +421,9 @@ class FaultInjector:
 
     # -- retransmission timing -------------------------------------------
     def rto(self, attempt: int) -> float:
-        """Timeout before retransmission ``attempt`` (1-based), backed off
-        exponentially and capped at ``rto_max_s``."""
-        assert self._rto is not None, "resolve_timing() not called"
-        return min(
-            self._rto * self.plan.rto_backoff ** max(attempt - 1, 0),
-            self._rto_max if self._rto_max is not None else float("inf"),
-        )
-
-    @property
-    def max_attempts(self) -> int:
-        return self.plan.max_attempts
+        """Timeout before retransmission ``attempt`` (1-based): the base
+        RTO doubled per earlier retransmission, capped at 32 x the base."""
+        return min(self._rto * 2.0 ** max(attempt - 1, 0), 32.0 * self._rto)
 
     def count_retry(self, kind: str) -> None:
         self.metrics.counter("retries_total", kind=kind).inc()

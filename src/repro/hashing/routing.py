@@ -8,9 +8,10 @@ batch with it.  Two families:
   a range's tuples flow to the newest replica only; during the probe phase
   a tuple is **broadcast to every replica** of its range (paper §4.2.2).
 * :class:`LinearHashRouter` — the Litwin/Larson linear-hashing address
-  function used by the split-based algorithm's LINEAR_POINTER policy:
+  function used by the split-based algorithm's LINEAR_MOD policy:
   buckets are addressed by ``h_i(p) = p mod (n0 * 2^i)`` and, left of the
-  split pointer, ``h_{i+1}``.
+  split pointer, ``h_{i+1}``.  (LINEAR_POINTER bisects the contiguous
+  ranges of a :class:`RangeRouter`.)
 
 Both reduce positions to small integer *group keys* (one per range /
 bucket) and share one partitioning kernel, :meth:`Router.route_batches`: a
@@ -333,7 +334,7 @@ class RangeRouter(Router):
 
 
 class LinearHashRouter(Router):
-    """Linear-hashing bucket addressing (split-based, LINEAR_POINTER policy).
+    """Linear-hashing bucket addressing (split-based, LINEAR_MOD policy).
 
     State mirrors Litwin's scheme on the *position* key space: ``n0``
     initial buckets, level ``i``, split pointer ``s``.  Bucket ``b`` of a

@@ -1,16 +1,9 @@
-"""Sequential reference joins: Algorithm 1 (in-core) and Grace (out-of-core).
+"""Sequential reference joins: Algorithm 1 and the vectorized oracle.
 
 These are the correctness oracles: every distributed run's match count is
 checked against :func:`match_count` on the materialized relations.
 """
 
-from .basic import hash_join_count, match_count, match_count_by_value
-from .grace import GraceJoinResult, grace_join
+from .basic import hash_join_count, match_count
 
-__all__ = [
-    "GraceJoinResult",
-    "grace_join",
-    "hash_join_count",
-    "match_count",
-    "match_count_by_value",
-]
+__all__ = ["hash_join_count", "match_count"]

@@ -18,7 +18,7 @@ from collections import defaultdict
 
 import numpy as np
 
-__all__ = ["hash_join_count", "match_count", "match_count_by_value"]
+__all__ = ["hash_join_count", "match_count"]
 
 
 def hash_join_count(r_values: np.ndarray, s_values: np.ndarray, n_buckets: int = 1024) -> int:
@@ -58,14 +58,3 @@ def match_count(r_values: np.ndarray, s_values: np.ndarray) -> int:
     np.minimum(idx, r_uniq.size - 1, out=idx)
     hit = r_uniq[idx] == queries
     return int(r_counts[idx[hit]].sum())
-
-
-def match_count_by_value(r_values: np.ndarray, s_values: np.ndarray) -> dict[int, int]:
-    """Per-join-value pair counts (diagnostics for skew analysis)."""
-    r_vals, r_cnt = np.unique(r_values, return_counts=True)
-    s_vals, s_cnt = np.unique(s_values, return_counts=True)
-    common, r_idx, s_idx = np.intersect1d(r_vals, s_vals, return_indices=True)
-    return {
-        int(v): int(rc * sc)
-        for v, rc, sc in zip(common, r_cnt[r_idx], s_cnt[s_idx])
-    }

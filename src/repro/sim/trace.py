@@ -2,9 +2,9 @@
 
 Algorithm processes emit trace records ("node 7 recruited at t=3.2s",
 "split #4: bucket [lo,hi) -> ...") that the driver collects into the run
-result.  Tracing is cheap enough to stay on by default; a category filter
-lets tests subscribe narrowly, and ``maxlen`` bounds the buffer for long
-runs (oldest records are evicted, ``dropped`` counts them).
+result.  Tracing is cheap enough to stay on by default; ``maxlen`` bounds
+the buffer for long runs (oldest records are evicted, ``dropped`` counts
+them).
 """
 
 from __future__ import annotations
@@ -46,13 +46,11 @@ class Tracer:
     def __init__(
         self,
         enabled: bool = True,
-        categories: set[str] | None = None,
         maxlen: int | None = None,
     ) -> None:
         if maxlen is not None and maxlen < 1:
             raise ValueError(f"maxlen must be positive, got {maxlen}")
         self.enabled = enabled
-        self.categories = categories
         self.maxlen = maxlen
         self.records: Sequence[TraceRecord] = (
             deque(maxlen=maxlen) if maxlen is not None else []
@@ -62,8 +60,6 @@ class Tracer:
 
     def emit(self, time: float, category: str, actor: str, **detail: Any) -> None:
         if not self.enabled:
-            return
-        if self.categories is not None and category not in self.categories:
             return
         if self.maxlen is not None and len(self.records) == self.maxlen:
             self.dropped += 1

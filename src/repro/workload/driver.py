@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from typing import Any
 
 from ..cluster import WorkloadCluster
-from ..config import WorkloadConfig
+from ..config import DRAIN_POLL_S, WorkloadConfig
 from ..core.context import RunContext, install_lockdep
 from ..core.driver import (
     Run,
@@ -227,7 +227,7 @@ def run_workload(
         policy=cfg.policy,
         fair_share_cap=cfg.fair_share_cap,
         grant_timeout_s=cfg.effective_grant_timeout,
-        poll_interval=cfg.drain_poll_interval * cfg.scale,
+        poll_interval=DRAIN_POLL_S * cfg.scale,
         memory_of=cluster_spec.memory_of,
         metrics=metrics,
         trace=run.trace,

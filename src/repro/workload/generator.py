@@ -194,7 +194,7 @@ def generate_workload(cfg: WorkloadConfig) -> list[QuerySpec]:
 def query_run_config(cfg: WorkloadConfig, spec: QuerySpec) -> RunConfig:
     """The single-query :class:`RunConfig` equivalent of one workload query.
 
-    Shares the workload's cluster spec, scale, poll interval and fault
+    Shares the workload's cluster spec, scale and fault
     plan; data shape and algorithm come from the drawn mix entry, the data
     seed from the generator — so each query joins *different* relations
     and is validated against its own oracle.
@@ -208,13 +208,11 @@ def query_run_config(cfg: WorkloadConfig, spec: QuerySpec) -> RunConfig:
             s_tuples=entry.s_tuples,
             tuple_bytes=entry.tuple_bytes,
             distribution=entry.distribution,
-            gauss_mean=entry.gauss_mean,
             gauss_sigma=entry.gauss_sigma,
             scale=cfg.scale,
             seed=spec.seed,
         ),
         cluster=cfg.cluster,
-        drain_poll_interval=cfg.drain_poll_interval,
         trace=cfg.trace,
         faults=cfg.faults,
         lockdep=cfg.lockdep,

@@ -1,13 +1,18 @@
 """Unit tests for configuration, validation, and the co-scaling rule."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import (
+    DRAIN_POLL_S,
     Algorithm,
     ClusterSpec,
     CostModel,
     Distribution,
+    FleetConfig,
     MTUPLES,
+    ObsConfig,
     PoolPolicy,
     QueryMixEntry,
     RunConfig,
@@ -15,7 +20,7 @@ from repro.config import (
     WorkloadConfig,
     WorkloadSpec,
 )
-from repro.faults import CrashSpec, FaultPlan
+from repro.faults import CrashSpec, FaultPlan, LinkSlowdown
 
 
 def test_algorithm_expanding_flag():
@@ -91,8 +96,7 @@ def test_run_config_effective_cluster_scales_with_workload():
     cfg = RunConfig(workload=WorkloadSpec(scale=0.5))
     eff = cfg.effective_cluster
     assert eff.hash_memory_bytes == ClusterSpec().hash_memory_bytes // 2
-    assert cfg.effective_drain_poll == pytest.approx(
-        cfg.drain_poll_interval * 0.5)
+    assert cfg.effective_drain_poll == pytest.approx(DRAIN_POLL_S * 0.5)
 
 
 def test_default_calibration_sixteen_nodes_hold_ten_million_tuples():
@@ -185,6 +189,62 @@ def test_workload_config_fault_restrictions():
 def test_workload_config_effective_grant_timeout():
     assert WorkloadConfig(grant_timeout_s=1.25).effective_grant_timeout \
         == pytest.approx(1.25)
-    derived = WorkloadConfig(scale=0.02, drain_poll_interval=0.010)
+    derived = WorkloadConfig(scale=0.02)
     assert derived.effective_grant_timeout == pytest.approx(
-        200.0 * 0.010 * 0.02)
+        200.0 * DRAIN_POLL_S * 0.02)
+
+
+def test_settable_surface():
+    """Every field of the config dataclasses, by name.  A new setting must
+    change this list, so it shows up in review with its caller."""
+    surface = {
+        cls.__name__: [f.name for f in dataclasses.fields(cls)]
+        for cls in (CostModel, ClusterSpec, WorkloadSpec, ObsConfig,
+                    QueryMixEntry, WorkloadConfig, FleetConfig, RunConfig,
+                    CrashSpec, LinkSlowdown, FaultPlan)
+    }
+    assert surface == {
+        "CostModel": [
+            "net_bandwidth", "net_latency", "net_jitter",
+            "net_per_message_cpu", "cpu_generate_tuple", "cpu_route_tuple",
+            "cpu_insert_tuple", "cpu_probe_tuple", "cpu_output_match",
+            "cpu_repack_tuple", "disk_bandwidth", "disk_seek",
+            "recv_window_chunks",
+        ],
+        "ClusterSpec": [
+            "n_sources", "n_potential_nodes", "hash_memory_bytes",
+            "node_memory_overrides", "cost", "topology",
+        ],
+        "WorkloadSpec": [
+            "r_tuples", "s_tuples", "tuple_bytes", "distribution",
+            "gauss_mean", "gauss_sigma", "zipf_s", "s_distribution",
+            "s_gauss_mean", "s_gauss_sigma", "chunk_tuples", "scale", "seed",
+        ],
+        "ObsConfig": ["budget_bytes", "live_interval_s", "shard"],
+        "QueryMixEntry": [
+            "weight", "algorithm", "r_tuples", "s_tuples", "tuple_bytes",
+            "distribution", "gauss_sigma", "initial_nodes",
+        ],
+        "WorkloadConfig": [
+            "n_queries", "arrival_rate_qps", "arrival_times", "seed", "mix",
+            "policy", "fair_share_cap", "grant_timeout_s", "cluster",
+            "scale", "trace", "faults", "lockdep", "obs",
+        ],
+        "FleetConfig": [
+            "workload", "n_cohorts", "n_shards", "worker_timeout_s",
+        ],
+        "RunConfig": [
+            "algorithm", "initial_nodes", "workload", "cluster",
+            "split_policy", "hash_positions", "mix_hash",
+            "materialize_output", "probe_expansion", "sources_from_disk",
+            "trace", "trace_buffer", "faults", "lockdep", "obs_budget_bytes",
+        ],
+        "CrashSpec": ["node", "at_time", "at_phase"],
+        "LinkSlowdown": ["t0", "t1", "factor", "src", "dst"],
+        "FaultPlan": [
+            "seed", "drop_prob", "ack_drop_prob", "crashes", "slowdowns",
+            "membership", "heartbeat_interval_s", "suspect_timeout_s",
+            "confirm_timeout_s", "kill_scheduler_at",
+        ],
+    }
+    assert sum(map(len, surface.values())) == 94

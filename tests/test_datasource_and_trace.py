@@ -284,13 +284,6 @@ def test_tracer_disabled_records_nothing():
     assert len(tr) == 0
 
 
-def test_tracer_category_filter():
-    tr = Tracer(categories={"keep"})
-    tr.emit(1.0, "keep", "a")
-    tr.emit(2.0, "drop", "b")
-    assert [r.category for r in tr.records] == ["keep"]
-
-
 def test_trace_record_formatting():
     rec = TraceRecord(1.5, "split", "join0", {"moved": 3})
     text = str(rec)

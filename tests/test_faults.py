@@ -86,7 +86,7 @@ def test_plan_json_roundtrip():
         crashes=(CrashSpec(node=3, at_phase="build"),
                  CrashSpec(node=4, at_time=1.5)),
         slowdowns=(LinkSlowdown(t0=0.0, t1=2.0, factor=3.0, dst=7),),
-        max_attempts=20,
+        kill_scheduler_at=0.5,
     )
     assert FaultPlan.from_json(plan.to_json()) == plan
 
@@ -94,6 +94,11 @@ def test_plan_json_roundtrip():
 def test_plan_rejects_unknown_keys_and_bad_json():
     with pytest.raises(FaultPlanError):
         FaultPlan.from_dict({"seed": 1, "drop_probability": 0.1})
+    # the derived transport and recruit timers are not plan settings
+    for key in ("rto_s", "rto_backoff", "rto_max_s", "max_attempts",
+                "recruit_timeout_s", "recruit_backoff_max_s"):
+        with pytest.raises(FaultPlanError, match="unknown fault-plan keys"):
+            FaultPlan.from_dict({key: 1})
     with pytest.raises(FaultPlanError):
         FaultPlan.from_json("{not json")
     with pytest.raises(FaultPlanError):
@@ -101,8 +106,8 @@ def test_plan_rejects_unknown_keys_and_bad_json():
 
 
 @pytest.mark.parametrize("doc", [
-    {"drop_prob": "0.1"}, {"max_attempts": None}, {"seed": 1.5},
-    {"seed": True}, {"membership": 1}, {"rto_s": "soon"},
+    {"drop_prob": "0.1"}, {"seed": 1.5}, {"seed": True}, {"seed": None},
+    {"membership": 1}, {"kill_scheduler_at": "soon"},
 ], ids=lambda doc: next(iter(doc)))
 def test_plan_rejects_wrongly_typed_scalars(doc):
     """Each used to reach ``__post_init__`` (a bare ``TypeError``) or, for
@@ -114,8 +119,8 @@ def test_plan_rejects_wrongly_typed_scalars(doc):
 
 def test_plan_accepts_ints_for_floats_and_null_for_optionals():
     plan = FaultPlan.from_dict(
-        {"drop_prob": 0, "rto_s": 1, "kill_scheduler_at": None})
-    assert plan == FaultPlan(drop_prob=0, rto_s=1)
+        {"drop_prob": 0, "kill_scheduler_at": 1, "heartbeat_interval_s": None})
+    assert plan == FaultPlan(drop_prob=0, kill_scheduler_at=1)
 
 
 def test_inactive_plan_is_detected():
@@ -186,7 +191,7 @@ def test_injector_draws_no_rng_when_probability_zero():
     cfg = small_config()
     ctx = single_query_context(cfg)
     inj = FaultInjector(FaultPlan(crashes=(CrashSpec(node=1, at_time=0.0),)),
-                        ctx.sim, ctx.metrics)
+                        ctx.sim, ctx.metrics, ctx.cost)
     state_before = inj._rng.bit_generator.state["state"]
     assert not inj.roll_drop(1, 2)
     assert not inj.roll_ack_drop(1, 2)
@@ -196,17 +201,21 @@ def test_injector_draws_no_rng_when_probability_zero():
 def test_injector_loopback_never_drops():
     cfg = small_config()
     ctx = single_query_context(cfg)
-    inj = FaultInjector(FaultPlan(drop_prob=0.999), ctx.sim, ctx.metrics)
+    inj = FaultInjector(FaultPlan(drop_prob=0.999), ctx.sim, ctx.metrics,
+                        ctx.cost)
     assert not any(inj.roll_drop(4, 4) for _ in range(50))
 
 
 def test_rto_backoff_is_exponential_and_capped():
     cfg = small_config()
     ctx = single_query_context(cfg)
-    inj = FaultInjector(FaultPlan(drop_prob=0.1, rto_s=1.0, rto_backoff=2.0,
-                                  rto_max_s=5.0), ctx.sim, ctx.metrics)
-    inj.resolve_timing(ctx.cost)
-    assert [inj.rto(k) for k in (1, 2, 3, 4, 5)] == [1.0, 2.0, 4.0, 5.0, 5.0]
+    inj = FaultInjector(FaultPlan(drop_prob=0.1), ctx.sim, ctx.metrics,
+                        ctx.cost)
+    base = 4.0 * (ctx.cost.net_latency + ctx.cost.wire_time(64 * 1024))
+    assert [inj.rto(k) for k in range(1, 9)] == [
+        base, 2 * base, 4 * base, 8 * base, 16 * base, 32 * base,
+        32 * base, 32 * base,
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -411,6 +420,45 @@ def test_assert_conserved_balances_drops_and_duplicates():
 
 
 # ----------------------------------------------------------------------
+# the transport's typed end: a message out of attempts
+# ----------------------------------------------------------------------
+def test_send_exhausting_attempts_raises_with_bytes_conserved():
+    from repro.cluster import Network, Node
+    from repro.config import CostModel
+    from repro.core.messages import CONTROL_BYTES, StartProbe
+    from repro.faults import MAX_ATTEMPTS
+    from repro.obs import MetricsRegistry
+
+    sim, cost = Simulator(), CostModel()
+    inj = FaultInjector(FaultPlan(drop_prob=0.999), sim,
+                        MetricsRegistry(clock=lambda: sim.now), cost)
+    net = Network(sim, cost, faults=inj)
+    a, b = Node(sim, 0, "src", cost), Node(sim, 1, "join", cost)
+
+    def sender():
+        yield from net.send(a, b, StartProbe(router=None))
+
+    sim.spawn(sender())
+    with pytest.raises(UnrecoverableFaultError,
+                       match=f"exhausted {MAX_ATTEMPTS} transmission"):
+        sim.run()
+    key = (0, 1, "control")
+    assert MAX_ATTEMPTS == 50
+    assert net.sent_bytes[key] == net.dropped_bytes[key] \
+        == MAX_ATTEMPTS * CONTROL_BYTES == 3200
+    assert net.retransmissions == MAX_ATTEMPTS - 1
+    assert net.delivered_bytes[key] == 0 and len(b.mailbox) == 0
+    net.assert_conserved()  # nothing left in flight
+
+
+def test_drop_only_plan_beyond_the_envelope_is_a_typed_error():
+    """A lossy-enough link ends the run in the typed error, not a hang."""
+    cfg = small_config(faults=FaultPlan(seed=1, drop_prob=0.99))
+    with pytest.raises(UnrecoverableFaultError):
+        run_join(cfg)
+
+
+# ----------------------------------------------------------------------
 # CLI integration
 # ----------------------------------------------------------------------
 def cli_args(extra):
@@ -466,7 +514,7 @@ def test_cli_rejects_malformed_fault_plan(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc,needle", [
     ({"drop_prob": "0.1"}, "'drop_prob' must be float"),
-    ({"max_attempts": None}, "'max_attempts' must be int"),
+    ({"seed": None}, "'seed' must be int"),
     ({"seed": 1.5}, "'seed' must be int"),
     (None, "cannot read fault plan"),
 ], ids=["str-for-float", "null-for-int", "float-seed", "no-such-file"])

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import CostModel
-from repro.hashing import PositionMap
-from repro.seqjoin import (
-    grace_join,
-    hash_join_count,
-    match_count,
-    match_count_by_value,
-)
+from repro.seqjoin import hash_join_count, match_count
 
 
 def arrays(seed=0, n=2000, values=200):
@@ -51,54 +44,3 @@ def test_algorithm1_validates_buckets():
     r, s = arrays()
     with pytest.raises(ValueError):
         hash_join_count(r, s, n_buckets=0)
-
-
-def test_match_count_by_value_sums_to_total():
-    r, s = arrays(seed=2, values=40)
-    per_value = match_count_by_value(r, s)
-    assert sum(per_value.values()) == match_count(r, s)
-    for v, c in per_value.items():
-        assert c == int((r == v).sum()) * int((s == v).sum())
-
-
-# ----------------------------------------------------------------------
-# Grace out-of-core join
-# ----------------------------------------------------------------------
-def test_grace_in_core_fast_path():
-    r, s = arrays(seed=3)
-    res = grace_join(r, s, memory_tuples=10_000, tuple_bytes=100,
-                     cost=CostModel())
-    assert res.matches == match_count(r, s)
-    assert res.partitions == 1
-    assert res.disk_write_bytes == 0
-
-
-def test_grace_out_of_core_correctness():
-    rng = np.random.default_rng(4)
-    r = rng.integers(0, 1 << 32, 20_000, dtype=np.uint64)
-    s = rng.integers(0, 1 << 32, 20_000, dtype=np.uint64)
-    res = grace_join(r, s, memory_tuples=3_000, tuple_bytes=100,
-                     cost=CostModel())
-    assert res.matches == match_count(r, s)
-    assert res.partitions == -(-20_000 // 3_000)
-    assert res.disk_write_bytes == (r.size + s.size) * 100
-    assert res.disk_read_bytes == res.disk_write_bytes
-    assert res.estimated_time > 0
-    assert sum(res.partition_r_tuples) == r.size
-
-
-def test_grace_partitions_respect_position_ranges():
-    """Tuples in different partitions can never join (disjoint positions)."""
-    rng = np.random.default_rng(5)
-    r = rng.integers(0, 1 << 32, 5_000, dtype=np.uint64)
-    pm = PositionMap(1 << 18)
-    res = grace_join(r, r, memory_tuples=1_000, tuple_bytes=100,
-                     cost=CostModel(), posmap=pm)
-    # joining a relation with itself: every tuple matches at least itself
-    assert res.matches >= r.size
-
-
-def test_grace_validates_memory():
-    r, s = arrays()
-    with pytest.raises(ValueError):
-        grace_join(r, s, memory_tuples=0, tuple_bytes=100, cost=CostModel())
