@@ -483,7 +483,6 @@ class StateSync(_Control):
     sync_seq: int
     phase: str = "build"
     router: Router | None = None
-    version: int = 0
     activated: tuple[int, ...] = ()
     fenced: tuple[int, ...] = ()
     #: in-flight decision descriptor, e.g. ("replicate", reporter, new_node);

@@ -238,8 +238,7 @@ class FaultTolerantScheduler(SchedulerProcess):
             self.node, backup,
             StateSync(
                 sync_seq=self._sync_seq, phase=self._phase,
-                router=self.router, version=self._version,
-                activated=tuple(self.activated),
+                router=self.router, activated=tuple(self.activated),
                 fenced=tuple(sorted(self.fenced)),
                 pending=self._pending,
             ),
@@ -397,9 +396,8 @@ class FaultTolerantScheduler(SchedulerProcess):
             self._round_reports = {}
             self._prev_round = None
             self.fenced.add(dead)
-            for pool in (self.activated, self.working, self.full_nodes):
-                if dead in pool:
-                    pool.remove(dead)
+            if dead in self.activated:
+                self.activated.remove(dead)
             if dead not in self.dead_nodes:
                 self.dead_nodes.append(dead)
             self.spilled_nodes.discard(dead)
@@ -469,7 +467,7 @@ class FaultTolerantScheduler(SchedulerProcess):
             self.router = self.router.with_takeover(
                 lost, target, self.next_version()
             )
-            self.strategy.adopt_router(self.router, self.activated)
+            self.strategy.adopt_router(self.router)
 
             # 6-7. Flip the sources and re-stream the lost range.  The
             # ReplayOrder carries the takeover table: the source installs
@@ -589,31 +587,24 @@ class FaultTolerantScheduler(SchedulerProcess):
     def adopt_snapshot(self, sync: StateSync | None) -> str:
         """Install a replicated snapshot; returns the phase to resume.
 
-        Lists are inferred rather than synced: full nodes are the
-        non-tail members of replica chains, working nodes the rest, and
-        the potential list is everything never activated nor fenced — the
-        standby's own copy either way."""
+        The potential list is inferred rather than synced: everything
+        never activated nor fenced — the standby's own copy either way.
+        Full nodes need no list: they are the non-tail members of the
+        table's replica chains."""
         if sync is None:
             self.potential = self.potential.rebuilt(set(self.activated))
             return "fresh"
         if sync.router is not None:
             self.router = sync.router
-        self._version = max(self._version, sync.version)
         self.activated = list(sync.activated)
         self.fenced = set(sync.fenced)
         self.dead_nodes = sorted(self.fenced)
-        full: set[int] = set()
-        if isinstance(self.router, RangeRouter):
-            for _rng, chain in self.router.entries:
-                full.update(chain[:-1])
-        self.full_nodes = [j for j in self.activated if j in full]
-        self.working = [j for j in self.activated if j not in full]
         self.potential = self.potential.rebuilt(
             set(self.activated) | self.fenced
         )
         self._pending = sync.pending
         self._phase = sync.phase
-        self.strategy.adopt_router(self.router, self.activated)
+        self.strategy.adopt_router(self.router)
         return sync.phase
 
     def resume_after_takeover(

@@ -3,10 +3,12 @@
 When a join node's bucket overflows, its hash-table range is **replicated**
 on a freshly recruited node: the full node stops receiving build tuples
 (forwarding anything pending), the data sources redirect the range's
-remaining build traffic to the replica.  No stored tuple ever moves, so the
-build phase stays cheap — but every probe tuple whose hash falls in a
-replicated range must be broadcast to the entire replica chain, which is
-the strategy's probe-phase cost (handled by ``RangeRouter.partition_probe``).
+remaining build traffic to the replica.  The node stays full because it
+is no longer the tail of its range's replica chain.  No stored tuple ever
+moves, so the build phase stays cheap — but every probe tuple whose hash
+falls in a replicated range must be broadcast to the entire replica chain,
+which is the strategy's probe-phase cost (handled by
+``RangeRouter.partition_probe``).
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class ReplicationStrategy(ExpansionStrategy):
             sched.router = router.with_replica(idx, new_node, sched.next_version())
         yield from sched.send_to_join(full, ReplicateOrder(new_node=new_node))
         yield from sched.broadcast_to_sources(RouteUpdate(sched.router))
-        sched.mark_full(full)
         sched.ctx.trace("expand_replicate", "scheduler",
                         reporter=full, new_node=new_node, range=str(rng))
         return (yield from sched.await_relief_ack(full))

@@ -2,7 +2,10 @@
 
 Coordinates the whole join, and is written to read like the paper:
 
-* three node lists — **working**, **full** and **potential** join nodes;
+* the paper's **working**, **full** and **potential** join nodes: the
+  potential list is the pool's, and the routing table tells the other two
+  apart — a full node is a non-tail member of a replica chain, every
+  other activated node is working;
 * the **memory-full protocol**: reports queue up and are answered one
   relief cycle at a time (the generalization of the paper's barrier split
   pointer) by the configured expansion strategy, ``decide`` then ``apply``;
@@ -91,15 +94,13 @@ class SchedulerProcess:
         self.proc: Any = None
         self.strategy = make_strategy(self, self.cfg)
 
-        # node lists (paper: working / full / potential join nodes).  The
-        # potential list is the driver's: private, or a shared pool's client.
+        # The potential list is the driver's: private, or a shared pool's
+        # client.  Working and full nodes are read off the routing table
+        # (module docstring).
         self.potential = ctx.potential
-        self.working: list[int] = list(self.potential.initial)
-        self.full_nodes: list[int] = []
-        self.activated: list[int] = list(self.working)
+        self.activated: list[int] = list(self.potential.initial)
 
-        self.router: Router = self.strategy.make_initial_router(list(self.working))
-        self._version = 0
+        self.router: Router = self.strategy.make_initial_router(list(self.activated))
 
         # relief machinery
         #: memory-full reporters awaiting their relief cycle
@@ -171,8 +172,9 @@ class SchedulerProcess:
     # fault-layer decision points (no-ops here; see repro.core.recovery)
     # ------------------------------------------------------------------
     def checkpoint(self) -> Generator[Any, Any, None]:
-        """State a successor would need just changed (phase, table, node
-        lists).  The fault layer replicates it to a standby scheduler."""
+        """State a successor would need just changed (phase, table,
+        activated nodes).  The fault layer replicates it to a standby
+        scheduler."""
         return
         yield  # pragma: no cover - makes this a generator
 
@@ -193,8 +195,7 @@ class SchedulerProcess:
     # helpers used by strategies
     # ------------------------------------------------------------------
     def next_version(self) -> int:
-        self._version += 1
-        return self._version
+        return self.router.version + 1
 
     def recruit_node(
         self, make_activate: Callable[[int], ActivateJoin], phase: str = "build",
@@ -228,7 +229,6 @@ class SchedulerProcess:
                                          parent=parent)
             if (yield from self._await_activate_acks(
                     {cand}, self._recruit_timeout)):
-                self.working.append(cand)
                 self.activated.append(cand)
                 self.outcome.expansion_trace.append((self.ctx.sim.now, cand))
                 return cand
@@ -273,13 +273,6 @@ class SchedulerProcess:
             msg = yield from self.node.mailbox.recv()
             if not isinstance(msg, PollTick):
                 self._dispatch_common(msg)
-
-    def mark_full(self, node: int) -> None:
-        """Move a node from the working to the full list (replication)."""
-        if node in self.working:
-            self.working.remove(node)
-        if node not in self.full_nodes:
-            self.full_nodes.append(node)
 
     def record_split(self, moved: int, busy: float) -> None:
         self.outcome.n_splits += 1
@@ -460,9 +453,24 @@ class SchedulerProcess:
     def _await_initial_acks(self, pending: set[int]) -> Generator[Any, Any, None]:
         """Initial nodes are not replaceable here (the initial router is
         fixed before activation), so a missing ack is unrecoverable —
-        unlike mid-run recruits, which retry a different pool node."""
+        unlike mid-run recruits, which retry a different pool node.  The
+        error names the cause: a crash of a pending node, or else the
+        lossy links, whose retransmission backoff outlasted the deadline."""
         if not (yield from self._await_activate_acks(
                 pending, self._initial_ack_timeout_s)):
+            assert self.ctx.faults is not None  # fault runs have deadlines
+            plan = self.ctx.faults.plan
+            crashed = any(c.node in pending for c in plan.crashes)
+            if not crashed and (plan.drop_prob > 0 or plan.ack_drop_prob > 0):
+                raise UnrecoverableFaultError(
+                    f"initial join node(s) {sorted(pending)} never "
+                    "acknowledged activation: no crash targets them, but "
+                    "the scheduler<->join links are lossy (drop_prob="
+                    f"{plan.drop_prob}, ack_drop_prob={plan.ack_drop_prob}) "
+                    "and the activation was still being retransmitted at "
+                    "its deadline — the plan is beyond the lossy-link "
+                    "envelope (docs/FAULTS.md)"
+                )
             raise UnrecoverableFaultError(
                 f"initial join node(s) {sorted(pending)} never "
                 "acknowledged activation — without the failure "

@@ -17,7 +17,9 @@ Three policies (see ``SplitPolicy`` and DESIGN.md §2):
 * ``LINEAR_MOD`` — classic Litwin linear hashing with modulo addressing
   (``h_i(p) = p mod n0*2^i``), kept as an ablation: the modulo scatters
   contiguous hot positions across buckets and thereby *suppresses* the
-  paper's skew pathology.
+  paper's skew pathology.  The :class:`LinearHashRouter` is the whole
+  Litwin state (level, split pointer, bucket -> node map); the barrier
+  split pointer is again the serialized relief cycle.
 
 In every policy the hash space stays partitioned (never replicated), so
 the probe phase needs no extra communication — the strategy's defining
@@ -31,12 +33,7 @@ from collections.abc import Generator
 from typing import TYPE_CHECKING, Any
 
 from ..config import SplitPolicy
-from ..hashing import (
-    LinearHashDirectory,
-    LinearHashRouter,
-    RangeRouter,
-    Router,
-)
+from ..hashing import LinearHashRouter, RangeRouter, Router
 from .messages import (
     ActivateJoin,
     BisectOrder,
@@ -60,16 +57,13 @@ class SplitStrategy(ExpansionStrategy):
     def __init__(self, sched: SchedulerProcess, policy: SplitPolicy) -> None:
         super().__init__(sched)
         self.policy = policy
-        #: classic-Litwin directory (LINEAR_MOD only)
-        self.directory: LinearHashDirectory | None = None
         #: round-robin split order over bucket owners (LINEAR_POINTER only)
         self.split_order: deque[int] = deque()
 
     # ------------------------------------------------------------------
     def make_initial_router(self, initial: list[int]) -> Router:
         if self.policy is SplitPolicy.LINEAR_MOD:
-            self.directory = LinearHashDirectory(len(initial), list(initial))
-            return self.directory.router(version=0)
+            return LinearHashRouter(len(initial), 0, 0, tuple(initial))
         if self.policy is SplitPolicy.LINEAR_POINTER:
             self.split_order = deque(initial)
         return super().make_initial_router(initial)
@@ -80,13 +74,13 @@ class SplitStrategy(ExpansionStrategy):
     def decide(self, reporter: int) -> Generator[Any, Any, Decision | None]:
         sched = self.sched
         if self.policy is SplitPolicy.LINEAR_MOD:
-            assert self.directory is not None
-            # The new bucket id is known before the recruit is (densely
-            # grown: modulus + split pointer), so the ActivateJoin can be
-            # built for any candidate and the directory committed only
-            # when the decision is applied.
-            donor = self.directory.owner_of_bucket(self.directory.split_pointer)
-            kind, arg = "linear", self.directory.next_new_bucket
+            # The new bucket id is known before the recruit is (buckets
+            # grow densely: m + s), so the ActivateJoin can be built for
+            # any candidate and the table changed only when the decision
+            # is applied.
+            table: LinearHashRouter = sched.router  # type: ignore[assignment]
+            donor = table.bucket_nodes[table.split_pointer]
+            kind, arg = "linear", table.n_buckets
             slot: dict[str, Any] = {"bucket": arg}
         else:
             victim = self._victim(reporter)
@@ -175,47 +169,38 @@ class SplitStrategy(ExpansionStrategy):
     def _apply_linear(self, d: Decision) -> Generator[Any, Any, None]:
         """LINEAR_MOD: classic Litwin addressing (ablation)."""
         sched = self.sched
-        assert self.directory is not None
-        if self.directory.next_new_bucket != d.arg:
-            return  # the split already executed and is in the directory
+        router: LinearHashRouter = sched.router  # type: ignore[assignment]
+        if router.n_buckets != d.arg:
+            return  # the split already executed and is in the table
         t0 = sched.ctx.sim.now
-        # Buckets grow densely, so a directory rebuilt from the pre-split
-        # table reproduces exactly the ticket the decision was made for.
-        ticket = self.directory.begin_split(d.new_node)
-        assert (ticket.new_bucket, ticket.owner_node) == (d.arg, d.donor)
+        # Buckets grow densely, so the pre-split table still names the
+        # bucket and donor the decision was made for.
+        bucket = router.split_pointer
+        assert router.bucket_nodes[bucket] == d.donor
         yield from sched.send_to_join(
-            ticket.owner_node,
+            d.donor,
             LinearSplitOrder(
-                new_bucket=ticket.new_bucket,
-                modulus=ticket.modulus,
-                new_node=d.new_node,
+                new_bucket=d.arg, modulus=router.modulus, new_node=d.new_node,
             ),
         )
         done: SplitDone = yield from sched.await_message(
-            lambda m: isinstance(m, SplitDone) and m.node == ticket.owner_node
+            lambda m: isinstance(m, SplitDone) and m.node == d.donor
         )
-        self.directory.complete_split(ticket)
-        sched.router = self.directory.router(sched.next_version())
+        sched.router = router.with_split(d.new_node, sched.next_version())
         yield from sched.broadcast_to_sources(RouteUpdate(sched.router))
         sched.ctx.trace("expand_linear_mod", "scheduler",
-                        reporter=d.reporter, owner=ticket.owner_node,
-                        new_node=d.new_node, bucket=ticket.bucket,
-                        new_bucket=ticket.new_bucket)
+                        reporter=d.reporter, owner=d.donor,
+                        new_node=d.new_node, bucket=bucket, new_bucket=d.arg)
         sched.record_split(moved=done.moved_tuples, busy=sched.ctx.sim.now - t0)
 
     # ------------------------------------------------------------------
     # fault-layer hook (repro.core.recovery)
     # ------------------------------------------------------------------
-    def adopt_router(self, router: Router, activated: list[int]) -> None:
-        """Rebuild the directory / split order from a routing table.
-
-        Exact reconstruction for LINEAR_MOD (the table carries the whole
-        Litwin state); for LINEAR_POINTER the round-robin order restarts
-        in entry order — a fairness detail, not a correctness one."""
-        if self.policy is SplitPolicy.LINEAR_MOD:
-            assert isinstance(router, LinearHashRouter)
-            self.directory = LinearHashDirectory.from_router(router)
-        elif self.policy is SplitPolicy.LINEAR_POINTER:
+    def adopt_router(self, router: Router) -> None:
+        """Rebuild the LINEAR_POINTER split order from a routing table: the
+        round-robin restarts in entry order — a fairness detail, not a
+        correctness one."""
+        if self.policy is SplitPolicy.LINEAR_POINTER:
             assert isinstance(router, RangeRouter)
             order: list[int] = []
             for _rng, chain in router.entries:

@@ -80,7 +80,7 @@ class ExpansionStrategy(ABC):
         raise NotImplementedError
         yield  # pragma: no cover - makes this a generator
 
-    def adopt_router(self, router: Router, activated: list[int]) -> None:
+    def adopt_router(self, router: Router) -> None:
         """Rebuild strategy-private state from a routing table.
 
         Called by the fault layer after a standby takeover (the table came

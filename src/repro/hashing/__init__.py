@@ -1,8 +1,7 @@
-"""Hash-table machinery: position maps, ranges, routers, linear hashing,
-per-node stores, and the hybrid reshuffle partitioner."""
+"""Hash-table machinery: position maps, ranges, routers (range and
+linear-hash), per-node stores, and the hybrid reshuffle partitioner."""
 
 from .hashfn import PositionMap, splitmix64
-from .linear import LinearHashDirectory, SplitTicket
 from .ranges import HashRange, partition_positions, ranges_partition_space
 from .reshuffle import greedy_contiguous_partition, partition_range_by_counts
 from .routing import LinearHashRouter, RangeRouter, Router
@@ -10,13 +9,11 @@ from .table import NodeHashStore
 
 __all__ = [
     "HashRange",
-    "LinearHashDirectory",
     "LinearHashRouter",
     "NodeHashStore",
     "PositionMap",
     "RangeRouter",
     "Router",
-    "SplitTicket",
     "greedy_contiguous_partition",
     "partition_positions",
     "partition_range_by_counts",

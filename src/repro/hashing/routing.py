@@ -344,7 +344,10 @@ class LinearHashRouter(Router):
         b = p mod m
         if b < s:  b = p mod 2m        # either b or b + m
 
-    Buckets map to nodes through ``bucket_nodes``.
+    Buckets map to nodes through ``bucket_nodes``.  The table is the whole
+    Litwin state: the scheduler splits by installing :meth:`with_split`,
+    and its serialized relief cycles are the barrier split pointer (no
+    bucket splits while a split is in flight).
     """
 
     def __init__(self, n0: int, level: int, split_pointer: int,
@@ -368,8 +371,13 @@ class LinearHashRouter(Router):
     def n_buckets(self) -> int:
         return len(self.bucket_nodes)
 
+    @property
+    def modulus(self) -> int:
+        """``m = n0 * 2**level``."""
+        return self.n0 << self.level
+
     def bucket_of(self, positions: np.ndarray) -> np.ndarray:
-        m = np.int64(self.n0 << self.level)
+        m = np.int64(self.modulus)
         b = (positions % m).astype(np.int64)
         pre = b < self.split_pointer
         if pre.any():
@@ -387,6 +395,17 @@ class LinearHashRouter(Router):
 
     def wire_bytes(self) -> int:
         return 32 + 4 * self.n_buckets
+
+    def with_split(self, new_node: int, version: int) -> LinearHashRouter:
+        """Split the bucket at the split pointer: the new bucket ``m + s``
+        goes to ``new_node`` and the pointer advances; a full round of
+        splits doubles the modulus and wraps the pointer to 0."""
+        level, pointer = self.level, self.split_pointer + 1
+        if pointer == self.modulus:
+            level, pointer = level + 1, 0
+        return LinearHashRouter(
+            self.n0, level, pointer, (*self.bucket_nodes, new_node), version
+        )
 
     def with_takeover(
         self, lost: set[int], target: int, version: int

@@ -50,12 +50,13 @@ def membership_plan(**kw) -> FaultPlan:
     return FaultPlan(membership=True, heartbeat_interval_s=0.01, **kw)
 
 
-def run_with(algorithm, plan, *, pool=16):
+def run_with(algorithm, plan, *, pool=16, **kw):
     cfg = small_config(
         algorithm,
         workload=small_workload(sigma=1e-5),  # 89 oracle matches
         cluster=small_cluster(pool=pool),
         faults=plan,
+        **kw,
     )
     return run_join(cfg)
 
@@ -120,13 +121,19 @@ def test_failover_mid_expansion_reapplies_the_logged_decision(kind):
 
 
 @pytest.mark.chaos
-@pytest.mark.parametrize("algorithm", ALGOS)
-def test_working_node_crash_during_build_recovers(algorithm):
+@pytest.mark.parametrize("algorithm, policy", [
+    *(pytest.param(a, SplitPolicy.TARGETED_BISECT, id=str(a)) for a in ALGOS),
+    pytest.param(Algorithm.SPLIT, SplitPolicy.LINEAR_MOD,
+                 id="Algorithm.SPLIT-linear_mod"),
+])
+def test_working_node_crash_during_build_recovers(algorithm, policy):
     """Join node 0 (an *initial* node, activated from the start) crashes
     while the build stream is live; the detector declares it, the range
-    collapses onto a recruit and the sources replay from their cursors."""
+    collapses onto a recruit and the sources replay from their cursors.
+    Under Litwin addressing the takeover rewrites the bucket map, and the
+    splits that follow run off the rewritten table."""
     plan = membership_plan(crashes=(CrashSpec(node=0, at_phase="build"),))
-    res = run_with(algorithm, plan)
+    res = run_with(algorithm, plan, split_policy=policy)
     assert res.matches == res.reference_matches == 89
     assert counter_total(res, "membership.deaths_declared") >= 1
     assert counter_total(res, "sched.recovery_cycles") >= 1

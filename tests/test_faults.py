@@ -452,10 +452,14 @@ def test_send_exhausting_attempts_raises_with_bytes_conserved():
 
 
 def test_drop_only_plan_beyond_the_envelope_is_a_typed_error():
-    """A lossy-enough link ends the run in the typed error, not a hang."""
-    cfg = small_config(faults=FaultPlan(seed=1, drop_prob=0.99))
-    with pytest.raises(UnrecoverableFaultError):
-        run_join(cfg)
+    """A lossy-enough link ends the run in the typed error, not a hang,
+    and the error blames the lossy links: the plan crashes no node."""
+    for p in (0.9, 0.95, 0.99):
+        cfg = small_config(faults=FaultPlan(seed=1, drop_prob=p))
+        with pytest.raises(UnrecoverableFaultError) as err:
+            run_join(cfg)
+        assert "scheduler<->join links are lossy" in str(err.value)
+        assert f"drop_prob={p}," in str(err.value)
 
 
 # ----------------------------------------------------------------------

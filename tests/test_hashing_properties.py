@@ -4,9 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.distributions import VALUE_BITS
 from repro.hashing import (
     HashRange,
-    LinearHashDirectory,
+    LinearHashRouter,
     NodeHashStore,
     PositionMap,
     RangeRouter,
@@ -65,24 +66,29 @@ def test_range_router_tiles_after_any_mutation_sequence(n_ops, seed):
 
 @given(splits=st.integers(0, 20), n0=st.integers(1, 6))
 @settings(max_examples=100, deadline=None)
-def test_linear_directory_invariants_over_any_split_count(splits, n0):
-    d = LinearHashDirectory(n0, list(range(n0)))
-    new = 100
-    for _ in range(splits):
-        t = d.begin_split(new)
-        d.check_invariants()
-        d.complete_split(t)
-        d.check_invariants()
-        new += 1
-    assert d.n_buckets == n0 + splits
-    router = d.router(version=1)
+def test_litwin_split_fold_agrees_with_the_join_node_shed(splits, n0):
+    """Fold ``with_split`` the way the scheduler installs it.  After every
+    split the table routes each position to exactly one node, and the
+    tuples the donor's store sheds for the split (the join node's
+    ``extract_linear_bucket`` predicate) are exactly the ones the new
+    table routes to the new node."""
+    posmap = PositionMap(P)
     positions = np.arange(P, dtype=np.int64)
-    parts = router.partition_build(positions)
-    merged = np.sort(np.concatenate(list(parts.values())))
-    assert np.array_equal(merged, positions)
-    # every bucket's positions rehash to that bucket under the directory
-    buckets = router.bucket_of(positions)
-    assert buckets.min() >= 0 and buckets.max() < d.n_buckets
+    values = positions.astype(np.uint64) << np.uint64(VALUE_BITS - posmap.bits)
+    router = LinearHashRouter(n0, 0, 0, tuple(range(n0)))
+    for new_node in range(100, 100 + splits):
+        donor = router.bucket_nodes[router.split_pointer]
+        store = NodeHashStore(posmap)
+        store.insert(values[router.partition_build(positions)[donor]])
+        new_bucket, modulus = router.n_buckets, router.modulus
+        router = router.with_split(new_node, router.version + 1)
+        build = router.partition_build(positions)
+        merged = np.sort(np.concatenate(list(build.values())))
+        assert np.array_equal(merged, positions), "each position exactly once"
+        shed = store.extract_linear_bucket(new_bucket, modulus)
+        assert np.array_equal(np.sort(posmap(shed)), np.sort(build[new_node]))
+        assert store.stored_tuples == build[donor].size
+    assert router.n_buckets == n0 + splits
 
 
 @given(
