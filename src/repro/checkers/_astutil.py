@@ -6,7 +6,7 @@ import ast
 from collections.abc import Iterable, Iterator
 
 __all__ = [
-    "ImportMap", "dotted_name", "call_name", "first_str_arg",
+    "ImportMap", "dotted_name", "call_name",
     "own_nodes", "isinstance_class_names", "sent_classes",
 ]
 
@@ -58,14 +58,6 @@ def call_name(node: ast.Call, imports: ImportMap) -> str | None:
     if local is None:
         return None
     return imports.resolve(local)
-
-
-def first_str_arg(node: ast.Call) -> str | None:
-    """The first positional argument if it is a plain string literal."""
-    if node.args and isinstance(node.args[0], ast.Constant) \
-            and isinstance(node.args[0].value, str):
-        return node.args[0].value
-    return None
 
 
 def own_nodes(fn: ast.AST) -> Iterator[ast.AST]:

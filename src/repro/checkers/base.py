@@ -106,10 +106,9 @@ def _collect_suppressions(text: str) -> dict[int, set[str]]:
 
 
 class Project:
-    """The linted tree: every parsed source file plus the docs directory."""
+    """The linted tree: every parsed source file."""
 
-    def __init__(self, root: Path, files: Sequence[SourceFile]):
-        self.root = root
+    def __init__(self, files: Sequence[SourceFile]):
         self.files = list(files)
         self._by_rel = {f.rel: f for f in self.files}
 
@@ -120,13 +119,6 @@ class Project:
         """Files whose repo-relative path starts with any given directory."""
         prefixes = tuple(d.rstrip("/") + "/" for d in rel_dirs)
         return [f for f in self.files if f.rel.startswith(prefixes)]
-
-    def doc(self, rel: str) -> str | None:
-        """Read a non-Python file (e.g. a docs page); None when absent."""
-        path = self.root / rel
-        if not path.is_file():
-            return None
-        return path.read_text(encoding="utf-8")
 
 
 class Checker(ABC):
@@ -188,7 +180,7 @@ def run_lint(
 
     root = root.resolve()
     files = [SourceFile(root, p) for p in _discover(root, paths)]
-    project = Project(root, files)
+    project = Project(files)
     wanted = {s.rstrip("-") for s in select} if select else None
     out: list[Violation] = []
     consumed: set[tuple[str, int, str]] = set()

@@ -9,7 +9,6 @@ from __future__ import annotations
 from .base import Checker
 from .determinism import DeterminismChecker
 from .faultsafety import FaultSafetyChecker
-from .metricsync import MetricSyncChecker
 from .protocol import ProtocolChecker
 from .waitgraph import WaitGraphChecker
 
@@ -18,7 +17,6 @@ __all__ = ["PASSES"]
 PASSES: tuple[type[Checker], ...] = (
     DeterminismChecker,
     FaultSafetyChecker,
-    MetricSyncChecker,
     ProtocolChecker,
     WaitGraphChecker,
 )

@@ -22,8 +22,8 @@ Eleven commands:
 * ``tail``    — render a ``--snapshot-out`` JSONL snapshot stream as
   per-snapshot progress lines plus a final-state digest.
 * ``lint``    — run the repo's own static-analysis passes (determinism,
-  fault safety, metrics-catalogue sync, protocol exhaustiveness, wait
-  graph); see ``docs/STATIC_ANALYSIS.md``.
+  fault safety, protocol exhaustiveness, wait graph); see
+  ``docs/STATIC_ANALYSIS.md``.
 
 Examples::
 
@@ -1001,7 +1001,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser(
         "lint",
         help="run the repo's static-analysis passes (determinism, "
-             "fault safety, metrics sync, protocol, wait graph)",
+             "fault safety, protocol, wait graph)",
     )
     p_lint.add_argument("paths", nargs="*", metavar="PATH",
                         help="files/directories to lint (default: src/repro "

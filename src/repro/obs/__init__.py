@@ -16,8 +16,9 @@ bottleneck report (``repro explain``).
 
 Deliberately dependency-free: ``repro.obs`` imports nothing from the rest
 of ``repro``, so the simulation substrate, the cluster model and the join
-protocol can all publish into it without import cycles.  See
-``docs/OBSERVABILITY.md`` for the metric catalogue and CLI usage.
+protocol can all publish into it without import cycles.  Every metric
+name is declared once, in :mod:`repro.obs.catalogue`; see
+``docs/OBSERVABILITY.md`` for the generated catalogue and CLI usage.
 """
 
 from .causality import CausalLog, MessageEdge

@@ -12,7 +12,8 @@ Three instrument kinds cover everything the simulator needs to report:
 
 Instruments are addressed by ``(name, labels)``; the registry memoizes
 them, so publishing sites can call ``registry.counter(...)`` every time
-or hold on to the instrument — both are cheap.  All timestamps come from
+or hold on to the instrument — both are cheap.  Creating one checks it
+against :data:`repro.obs.catalogue.METRICS`.  All timestamps come from
 the registry's ``clock`` (wired to ``Simulator.now`` in a run).
 """
 
@@ -21,6 +22,8 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterable
 from typing import Any
+
+from .catalogue import METRICS
 
 __all__ = ["Counter", "Gauge", "TimeWeightedHistogram", "MetricsRegistry"]
 
@@ -37,6 +40,17 @@ LabelKey = tuple[tuple[str, str], ...]
 
 def _label_key(labels: dict[str, Any]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+def _check_declared(name: str, kind: str, labels: LabelKey) -> None:
+    """Refuse an instrument the catalogue does not declare as given."""
+    m = METRICS.get(name)
+    keys = tuple(k for k, _ in labels)
+    if m is None or m.kind != kind or keys != tuple(sorted(m.labels)):
+        declared = ("undeclared" if m is None
+                    else f"declared as a {m.kind} labelled {m.labels}")
+        raise ValueError(f"metric {name!r} is {declared} in "
+                         f"repro.obs.catalogue, not a {kind} labelled {keys}")
 
 
 class Counter:
@@ -191,7 +205,9 @@ class MetricsRegistry:
     """One registry per run; every subsystem publishes into it.
 
     The ``clock`` callable supplies timestamps (``lambda: sim.now`` in a
-    simulation); instruments are memoized by ``(name, labels)``.
+    simulation); instruments are memoized by ``(name, labels)``.  Creating
+    an instrument the catalogue does not declare with that kind and those
+    label keys raises ``ValueError``; a memoized lookup checks nothing.
     """
 
     def __init__(self, clock: Callable[[], float] | None = None):
@@ -207,6 +223,7 @@ class MetricsRegistry:
         key = (name, _label_key(labels))
         inst = self._counters.get(key)
         if inst is None:
+            _check_declared(name, "counter", key[1])
             inst = self._counters[key] = Counter(name, key[1])
         return inst
 
@@ -214,6 +231,7 @@ class MetricsRegistry:
         key = (name, _label_key(labels))
         inst = self._gauges.get(key)
         if inst is None:
+            _check_declared(name, "gauge", key[1])
             inst = self._gauges[key] = Gauge(name, key[1])
         return inst
 
@@ -226,6 +244,7 @@ class MetricsRegistry:
         key = (name, _label_key(labels))
         inst = self._histograms.get(key)
         if inst is None:
+            _check_declared(name, "histogram", key[1])
             inst = self._histograms[key] = TimeWeightedHistogram(
                 name, key[1], bounds
             )

@@ -14,7 +14,6 @@ import pytest
 
 from repro.checkers import PASSES, Checker, LintError, Violation, run_lint
 from repro.checkers.base import SourceFile
-from repro.checkers.metricsync import _catalogue_names
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -246,70 +245,6 @@ def test_protocol_handler_table_and_reply_helper(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# metrics-catalogue sync
-# ----------------------------------------------------------------------
-_MINI_CATALOGUE = """\
-# Observability
-
-## Metric catalogue
-
-| metric | kind |
-|---|---|
-| `app.requests` | counter |
-| `app.errors`, `app.retries` | counter |
-
-## Something else
-
-| `NotAMetric` | ignore me |
-"""
-
-
-def test_catalogue_parser_reads_multiname_rows():
-    names = _catalogue_names(_MINI_CATALOGUE)
-    assert set(names) == {"app.requests", "app.errors", "app.retries"}
-
-
-def test_metrics_uncatalogued(tmp_path):
-    code = ('def f(registry):\n'
-            '    registry.counter("app.unknown").inc(1)\n')
-    root = make_repo(tmp_path, {
-        "src/repro/obs/mod.py": code,
-        "docs/OBSERVABILITY.md": _MINI_CATALOGUE,
-    })
-    found = [v for v in run_lint(root) if v.rule == "metrics-uncatalogued"]
-    assert len(found) == 1 and "app.unknown" in found[0].message
-
-
-def test_metrics_stale_catalogue(tmp_path):
-    code = ('def f(registry):\n'
-            '    registry.counter("app.requests").inc(1)\n'
-            '    registry.counter("app.errors").inc(1)\n'
-            '    registry.counter("app.retries").inc(1)\n')
-    root = make_repo(tmp_path, {"src/repro/obs/mod.py": code,
-                                "docs/OBSERVABILITY.md": _MINI_CATALOGUE})
-    assert run_lint(root) == []
-    # drop one publisher -> its catalogue row goes stale
-    (root / "src/repro/obs/mod.py").write_text(
-        'def f(registry):\n'
-        '    registry.counter("app.requests").inc(1)\n'
-        '    registry.counter("app.errors").inc(1)\n')
-    found = [v for v in run_lint(root) if v.rule == "metrics-stale-catalogue"]
-    assert len(found) == 1 and "app.retries" in found[0].message
-    assert found[0].path == "docs/OBSERVABILITY.md"
-
-
-def test_instrument_level_calls_not_confused_with_registry(tmp_path):
-    # counter.inc(5) / hist.observe(t, v) carry no metric-name literal.
-    code = ('def f(counter, hist, t):\n'
-            '    counter.inc(5)\n'
-            '    hist.observe(t, 3)\n')
-    root = make_repo(tmp_path, {"src/repro/obs/mod.py": code,
-                                "docs/OBSERVABILITY.md":
-                                    "# x\n\n## Metric catalogue\n"})
-    assert run_lint(root) == []
-
-
-# ----------------------------------------------------------------------
 # framework behavior
 # ----------------------------------------------------------------------
 def test_violations_sorted_and_formatted(tmp_path):
@@ -433,4 +368,4 @@ def test_cli_lint_list_passes(capsys):
     assert rc == 0
     assert lines == [f"{cls.name}: {', '.join(cls.rules)}" for cls in PASSES]
     assert {cls.name for cls in PASSES} == {
-        "determinism", "faultsafety", "metrics", "protocol", "waitgraph"}
+        "determinism", "faultsafety", "protocol", "waitgraph"}

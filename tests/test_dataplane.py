@@ -721,7 +721,7 @@ def test_dataplane_docs_are_linked_from_indexes():
     arch = (REPO / "docs" / "ARCHITECTURE.md").read_text()
     assert "DATA_PLANE.md" in arch
     assert "PERFORMANCE.md" in arch
-    # the catalogue rows repro lint checks for exist
+    # the data-plane metrics are declared, so the generated catalogue lists them
     obs = (REPO / "docs" / "OBSERVABILITY.md").read_text()
     assert "`dataplane.chunks_routed`" in obs
     assert "`dataplane.bulk_probe_rows`" in obs

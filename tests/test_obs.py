@@ -6,13 +6,16 @@ wiring through a full simulated join: the chrome trace's per-node
 build/probe spans must agree with the phase times in JoinRunResult.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.config import Algorithm
 from repro.core import run_join
+from repro.obs import metrics as metrics_module
 from repro.obs import (
     Counter,
     Gauge,
@@ -24,6 +27,7 @@ from repro.obs import (
     metrics_to_jsonl,
     trace_to_jsonl,
 )
+from repro.obs.catalogue import METRICS, catalogue_table
 from repro.sim import Tracer
 
 from .conftest import small_config
@@ -66,25 +70,83 @@ def test_histogram_charges_time_at_previous_level():
 
 def test_registry_memoizes_by_name_and_labels():
     reg = MetricsRegistry()
-    a = reg.counter("net.bytes", src="a", dst="b")
-    b = reg.counter("net.bytes", dst="b", src="a")  # label order irrelevant
-    c = reg.counter("net.bytes", src="a", dst="c")
+    a = reg.counter("net.sent_bytes", src="a", dst="b", kind="data")
+    b = reg.counter("net.sent_bytes", dst="b", kind="data", src="a")  # label order irrelevant
+    c = reg.counter("net.sent_bytes", src="a", dst="c", kind="data")
     assert a is b and a is not c
     a.inc(7)
-    assert reg.find("net.bytes", src="a", dst="b").value == 7
-    assert reg.find("net.bytes", src="zz") is None
+    assert reg.find("net.sent_bytes", src="a", dst="b", kind="data").value == 7
+    assert reg.find("net.sent_bytes", src="zz") is None
 
 
 def test_registry_clock_feeds_convenience_publishers():
     now = [0.0]
     reg = MetricsRegistry(clock=lambda: now[0])
-    reg.observe("depth", 3, node="j0")
+    reg.observe("mailbox.depth", 3, node="j0")
     now[0] = 2.0
     reg.close()
-    hist = reg.find("depth", node="j0")
+    hist = reg.find("mailbox.depth", node="j0")
     assert hist.total_seconds == pytest.approx(2.0)
     snapshot = reg.snapshot()
     assert all(json.dumps(d) for d in snapshot)  # JSON-safe
+
+
+@pytest.mark.parametrize("publish, refusal", [
+    (lambda reg: reg.inc("net.bytes"), "undeclared"),
+    (lambda reg: reg.set_gauge("sim.events_executed", 1.0), "a counter"),
+    (lambda reg: reg.observe("mailbox.depth", 1), "labelled ('node',)"),
+    (lambda reg: reg.counter("net.sent_bytes", src="a", dst="b"),
+     "labelled ('src', 'dst', 'kind')"),
+    # one gauge across all admissions: publishing it per query would
+    # rename its key in every workload snapshot
+    (lambda reg: reg.set_gauge("pool.admission_wait_s", 1.0, query=3),
+     "labelled ()"),
+])
+def test_registry_refuses_instruments_the_catalogue_does_not_declare(
+        publish, refusal):
+    reg = MetricsRegistry()
+    with pytest.raises(ValueError, match="metric '") as err:
+        publish(reg)
+    assert refusal in str(err.value)
+    assert reg.instruments() == []
+
+
+def test_memoized_lookup_runs_no_catalogue_check(monkeypatch):
+    reg = MetricsRegistry()
+    first = reg.counter("disk.ops", node="j0")
+
+    def refuse(*args):
+        raise AssertionError("checked on a memoized lookup")
+
+    monkeypatch.setattr(metrics_module, "_check_declared", refuse)
+    assert reg.counter("disk.ops", node="j0") is first
+    with pytest.raises(AssertionError):
+        reg.counter("disk.ops", node="j1")
+
+
+def test_observability_doc_catalogue_is_the_generated_table():
+    doc = (Path(__file__).resolve().parents[1] / "docs"
+           / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    begin = "<!-- begin generated: repro.obs.catalogue.catalogue_table() -->\n"
+    end = "<!-- end generated -->"
+    block = doc.split(begin, 1)[1].split(end, 1)[0]
+    expected = catalogue_table()
+    assert block == expected, (
+        "docs/OBSERVABILITY.md's metric catalogue differs from "
+        "repro/obs/catalogue.py; replace the block with:\n" + expected)
+
+
+def test_every_declared_metric_has_a_publisher():
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    literals: set[str] = set()
+    for path in sorted(src.rglob("*.py")):
+        if path.relative_to(src).as_posix() == "obs/catalogue.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        literals.update(node.value for node in ast.walk(tree)
+                        if isinstance(node, ast.Constant)
+                        and isinstance(node.value, str))
+    assert sorted(set(METRICS) - literals) == []
 
 
 # ----------------------------------------------------------------------
@@ -143,9 +205,9 @@ def test_trace_and_metrics_jsonl_round_trip():
                    "detail": {"tuples": 7}}
 
     reg = MetricsRegistry()
-    reg.inc("x", 3)
+    reg.inc("sim.events_executed", 3)
     out = [json.loads(line) for line in metrics_to_jsonl(reg.snapshot())]
-    assert out[0]["name"] == "x" and out[0]["value"] == 3
+    assert out[0]["name"] == "sim.events_executed" and out[0]["value"] == 3
 
 
 def test_chrome_trace_structure():
