@@ -18,7 +18,7 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.sim`      — discrete-event simulation kernel
 - :mod:`repro.cluster`  — simulated PC cluster (nodes, NICs, disks, memory)
 - :mod:`repro.data`     — synthetic relation streams (uniform / Gaussian / Zipf)
-- :mod:`repro.hashing`  — position maps, routers, linear hashing, reshuffle
+- :mod:`repro.hashing`  — hash functions, routers, node hash stores, reshuffle
 - :mod:`repro.seqjoin`  — sequential reference joins (correctness oracles)
 - :mod:`repro.core`     — the expanding hash-join algorithms + run driver
 - :mod:`repro.faults`   — deterministic fault injection + recovery plans
@@ -26,56 +26,82 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.analysis` — §4.2.4 cost model, load-balance stats, reports
 - :mod:`repro.bench`    — figure-reproduction harness used by benchmarks/
 - :mod:`repro.workload` — multi-tenant workloads on one shared node pool
+- :mod:`repro.checkers` — the repo's own static-analysis passes (``repro lint``)
+
+The top-level names below resolve on first use: ``import repro`` loads no
+subpackage, so ``import repro.sim`` loads only the kernel, and reading
+``repro.run_join`` is what imports :mod:`repro.core`.
 """
 
-from .config import (
-    Algorithm,
-    ClusterSpec,
-    CostModel,
-    DEFAULT_SCALE,
-    Distribution,
-    MTUPLES,
-    PoolPolicy,
-    QueryMixEntry,
-    RunConfig,
-    SplitPolicy,
-    WorkloadConfig,
-    WorkloadSpec,
-)
-from .core import JoinRunResult, run_join
-from .workload import QueryStats, WorkloadResult, run_workload
-from .faults import (
-    CrashSpec,
-    FaultPlan,
-    FaultPlanError,
-    LinkSlowdown,
-    UnrecoverableFaultError,
-)
+import importlib
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - the same names, for type checkers
+    from .config import (
+        DEFAULT_SCALE,
+        MTUPLES,
+        Algorithm,
+        ClusterSpec,
+        CostModel,
+        Distribution,
+        PoolPolicy,
+        QueryMixEntry,
+        RunConfig,
+        SplitPolicy,
+        WorkloadConfig,
+        WorkloadSpec,
+    )
+    from .core import JoinRunResult, run_join
+    from .faults import (
+        CrashSpec,
+        FaultPlan,
+        FaultPlanError,
+        LinkSlowdown,
+        UnrecoverableFaultError,
+    )
+    from .workload import QueryStats, WorkloadResult, run_workload
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Algorithm",
-    "ClusterSpec",
-    "CostModel",
-    "CrashSpec",
-    "DEFAULT_SCALE",
-    "Distribution",
-    "FaultPlan",
-    "FaultPlanError",
-    "JoinRunResult",
-    "LinkSlowdown",
-    "MTUPLES",
-    "PoolPolicy",
-    "QueryMixEntry",
-    "QueryStats",
-    "RunConfig",
-    "SplitPolicy",
-    "UnrecoverableFaultError",
-    "WorkloadConfig",
-    "WorkloadResult",
-    "WorkloadSpec",
-    "run_join",
-    "run_workload",
-    "__version__",
-]
+#: public name -> the submodule that defines it, imported on first access
+_SOURCES = {
+    "Algorithm": "config",
+    "ClusterSpec": "config",
+    "CostModel": "config",
+    "CrashSpec": "faults",
+    "DEFAULT_SCALE": "config",
+    "Distribution": "config",
+    "FaultPlan": "faults",
+    "FaultPlanError": "faults",
+    "JoinRunResult": "core",
+    "LinkSlowdown": "faults",
+    "MTUPLES": "config",
+    "PoolPolicy": "config",
+    "QueryMixEntry": "config",
+    "QueryStats": "workload",
+    "RunConfig": "config",
+    "SplitPolicy": "config",
+    "UnrecoverableFaultError": "faults",
+    "WorkloadConfig": "config",
+    "WorkloadResult": "workload",
+    "WorkloadSpec": "config",
+    "run_join": "core",
+    "run_workload": "workload",
+}
+
+__all__ = [*_SOURCES, "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    try:
+        module = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

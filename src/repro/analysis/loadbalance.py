@@ -8,8 +8,10 @@ coefficient (max/avg) used throughout the parallel-join literature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..core.results import JoinRunResult
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from ..core.results import JoinRunResult
 
 __all__ = ["LoadBalance", "load_balance"]
 

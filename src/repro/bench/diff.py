@@ -48,8 +48,8 @@ def load_document(path: str | Path) -> dict[str, Any]:
     """
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise BaselineError(f"{p}: cannot read baseline: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     try:

@@ -55,7 +55,6 @@ from dataclasses import replace
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Any
 
-from .analysis import format_table
 from .config import (
     Algorithm,
     ClusterSpec,
@@ -71,7 +70,6 @@ from .config import (
     WorkloadConfig,
     WorkloadSpec,
 )
-from .core import run_join
 from .faults import (
     FaultPlan,
     FaultPlanError,
@@ -251,16 +249,26 @@ def _config(args: argparse.Namespace, algorithm: Algorithm,
     )
 
 
-def _refuse_overwrite(path: str | None, force: bool, command: str) -> bool:
-    """True when ``path`` exists and ``--force`` was not given.
+def _refuse_overwrite(path: str | None, force: bool, command: str,
+                      makes_parent: bool = False) -> bool:
+    """True (after a message) when ``path`` cannot be written as asked: it
+    exists and ``--force`` was not given, or its directory does not exist
+    (unless the command creates it: ``makes_parent``).
 
-    Checked before the simulation runs, so a collision fails in
-    milliseconds instead of after the join completes — and an existing
-    export is never clobbered by a fat-fingered re-run.
+    Checked before the simulation runs, so a collision or a typo in a
+    directory fails in milliseconds instead of after the join completes —
+    and an existing export is never clobbered by a fat-fingered re-run.
     """
-    if path and os.path.exists(path) and not force:
+    if not path:
+        return False
+    if os.path.exists(path) and not force:
         print(f"{command}: refusing to overwrite existing {path}; "
               f"pass --force to replace it", file=sys.stderr)
+        return True
+    parent = os.path.dirname(path) or os.curdir
+    if not makes_parent and not os.path.isdir(parent):
+        print(f"{command}: cannot write {path}: no directory {parent}",
+              file=sys.stderr)
         return True
     return False
 
@@ -295,7 +303,9 @@ def _run_single(args: argparse.Namespace, command: str,
                 **config_kw: Any) -> JoinRunResult | None:
     """The one join ``run``/``trace``/``metrics``/``explain`` run: the
     first of ``--initial-nodes``.  ``None`` (after a message) when ``--out``
-    would be overwritten — checked before the simulation, not after."""
+    cannot be written — checked before the simulation, not after."""
+    from .core import run_join
+
     if _refuse_overwrite(args.out, args.force, command):
         return None
     cfg = _config(args, Algorithm(args.algorithm),
@@ -323,6 +333,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .analysis import format_table
+    from .core import run_join
+
     algorithms = (
         list(Algorithm) if args.algorithms == "all"
         else [Algorithm(a) for a in args.algorithms.split(",")]
@@ -359,8 +372,10 @@ def cmd_figures(args: argparse.Namespace) -> int:
         [os.path.join(args.csv_dir, f"{name}.csv") for name in wanted]
         if args.csv_dir else []
     )
-    for path in (args.out, args.json, *csv_paths):
-        if _refuse_overwrite(path, args.force, "figures"):
+    outputs = [(args.out, False), (args.json, False)]
+    outputs += [(path, True) for path in csv_paths]  # --csv-dir is made below
+    for path, made in outputs:
+        if _refuse_overwrite(path, args.force, "figures", makes_parent=made):
             return 2
     reports = []
     for name in wanted:
@@ -402,6 +417,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    from .analysis import format_table
     from .obs import metrics_to_jsonl
 
     res = _run_single(args, "metrics")
@@ -534,7 +550,7 @@ def _run_streaming(
     run: Callable[[Callable[[Snapshot], None]], Any],
 ) -> Any:
     """``run(on_snapshot)`` with the output guards and live telemetry of
-    the multi-query commands; ``None`` when an output would be overwritten.
+    the multi-query commands; ``None`` when an output cannot be written.
 
     One progress line per periodic snapshot (``--live``), optionally
     streamed to JSONL (``--snapshot-out``; `repro tail` renders it).  The
@@ -714,12 +730,13 @@ def cmd_bench_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_tail(args: argparse.Namespace) -> int:
+    from .analysis import format_table
     from .obs import Snapshot
 
     try:
         with open(args.path, encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"tail: cannot read {args.path}: {exc}", file=sys.stderr)
         return 2
     if not lines:

@@ -17,8 +17,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
+# re-exported (``from repro.config import FaultPlan``); repro.faults is
+# stdlib-only at import time, so this loads neither NumPy nor the simulator
 from .faults import FaultPlan
-from .obs import ObsBudget
 
 __all__ = [
     "Algorithm",
@@ -313,6 +314,8 @@ class ObsConfig:
     shard: str = "shard0"
 
     def __post_init__(self) -> None:
+        from .obs import ObsBudget
+
         ObsBudget.from_bytes(self.budget_bytes)  # rejects one too small
         if self.live_interval_s is not None and self.live_interval_s <= 0:
             raise ValueError("live_interval_s must be > 0 (or None)")
@@ -555,6 +558,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.initial_nodes < 1:
             raise ValueError("initial_nodes must be >= 1")
+        from .obs import ObsBudget
+
         ObsBudget.from_bytes(self.obs_budget_bytes)  # rejects one too small
         if self.trace_buffer is not None and self.trace_buffer < 1:
             raise ValueError("trace_buffer must be >= 1 (or None)")

@@ -38,8 +38,6 @@ from dataclasses import asdict, dataclass, fields, replace
 from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from .config import CostModel
     from .obs import MetricsRegistry
@@ -268,7 +266,7 @@ class FaultPlan:
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise FaultPlanError(f"cannot read fault plan {path!r}: {exc}") from exc
         return cls.from_json(text)
 
@@ -301,6 +299,8 @@ class FaultInjector:
         self.sim = sim
         self.metrics = metrics
         self._trace = trace
+        import numpy as np  # here, so the plan and error types load without it
+
         self._rng = np.random.default_rng(
             np.random.SeedSequence(entropy=plan.seed, spawn_key=(91,))
         )

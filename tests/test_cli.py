@@ -285,6 +285,50 @@ def test_fleet_outputs_refuse_overwrite_without_force(tmp_path, capsys):
     assert target.read_text() == "precious"
 
 
+class _JoinStarted(Exception):
+    """Raised by a patched ``Simulator``: the command got past its checks."""
+
+
+@pytest.fixture
+def no_simulator(monkeypatch):
+    """Building a simulator raises ``_JoinStarted`` instead."""
+    from repro.sim import Simulator
+
+    def started(self, *args, **kwargs):
+        raise _JoinStarted
+
+    monkeypatch.setattr(Simulator, "__init__", started)
+
+
+@pytest.mark.parametrize("argv", [
+    small_args(["trace", "--out", "MISSING/t.json"]),
+    small_args(["metrics", "--out", "MISSING/m.txt"]),
+    small_args(["explain", "--out", "MISSING/e.txt"]),
+    ["workload", "--queries", "1", "--snapshot-out", "MISSING/s.jsonl"],
+    ["workload", "--queries", "1", "--metrics-out", "MISSING/m.jsonl"],
+    ["figures", "--only", "fig02", "--json", "MISSING/b.json"],
+    ["figures", "--only", "fig02", "--out", "MISSING/r.md"],
+], ids=["trace-out", "metrics-out", "explain-out", "workload-snapshot-out",
+        "workload-metrics-out", "figures-json", "figures-out"])
+def test_output_in_a_missing_directory_is_refused_before_the_run(
+        argv, tmp_path, no_simulator, capsys):
+    """One stderr line naming the path, exit 2, and no simulator built."""
+    missing = tmp_path / "missing"
+    argv = [a.replace("MISSING", str(missing)) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(missing) in err and "Traceback" not in err
+    assert not missing.exists()
+
+
+def test_csv_dir_may_be_missing_because_figures_creates_it(
+        tmp_path, no_simulator):
+    with pytest.raises(_JoinStarted):  # past the output checks
+        main(["figures", "--only", "fig02",
+              "--csv-dir", str(tmp_path / "new" / "csv")])
+
+
 # ----------------------------------------------------------------------
 # live telemetry: --live / --snapshot-out / tail / snapshot bench-diff
 # ----------------------------------------------------------------------
@@ -408,6 +452,21 @@ def test_malformed_snapshot_is_a_one_line_error(tmp_path, capsys, line, names):
         assert len(err.strip().splitlines()) == 1
         assert "bad.jsonl" in err and names in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tail", "BAD"],
+    ["bench-diff", "BAD", "BENCH_2.json"],
+    ["bench-diff", "BENCH_2.json", "BAD"],
+], ids=["tail", "bench-diff-old", "bench-diff-new"])
+def test_non_utf8_input_is_a_one_line_error_naming_the_file(
+        argv, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    assert main([str(bad) if a == "BAD" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(bad) in err and "Traceback" not in err
 
 
 def test_failed_out_write_leaves_existing_file_intact(

@@ -521,12 +521,16 @@ def test_cli_rejects_malformed_fault_plan(tmp_path, capsys):
     ({"seed": None}, "'seed' must be int"),
     ({"seed": 1.5}, "'seed' must be int"),
     (None, "cannot read fault plan"),
-], ids=["str-for-float", "null-for-int", "float-seed", "no-such-file"])
+    (b"\xff\xfe", "plan.json': 'utf-8' codec can't decode"),
+], ids=["str-for-float", "null-for-int", "float-seed", "no-such-file",
+        "non-utf8"])
 def test_cli_bad_fault_plan_is_a_one_line_error(doc, needle, tmp_path, capsys):
     from repro.cli import main
 
     path = tmp_path / "plan.json"
-    if doc is not None:
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    elif doc is not None:
         path.write_text(json.dumps(doc))
     with pytest.raises(SystemExit) as exit_:
         main(cli_args(["run", "--fault-plan", str(path)]))
