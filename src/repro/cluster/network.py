@@ -100,7 +100,6 @@ class Network:
         #: the receiver-side sequence check suppresses these
         self.duplicate_bytes: dict[tuple[int, int, str], int] = defaultdict(int)
         self.duplicate_messages: dict[str, int] = defaultdict(int)
-        self.retransmissions = 0
         self._in_flight = 0
         #: high-water mark of concurrent in-flight messages
         self.in_flight_peak = 0
@@ -233,7 +232,6 @@ class Network:
                         "probability is beyond the transport's recovery "
                         "envelope"
                     )
-                self.retransmissions += 1
                 faults.count_retry(message.kind)
                 if edge is not None:
                     self.causality.on_attempt(edge)

@@ -222,9 +222,6 @@ class RunContext:
             self.comm.chunks_by_hop[msg.hop] = (
                 self.comm.chunks_by_hop.get(msg.hop, 0) + 1
             )
-        self.comm.bytes_by_kind[msg.kind] = (
-            self.comm.bytes_by_kind.get(msg.kind, 0) + msg.nbytes
-        )
         return self.cluster.network.send(
             src, dst, msg, parent=parent, best_effort=best_effort
         )

@@ -86,7 +86,6 @@ class DataSourceProcess:
         )
         # per-relation per-destination send counters (drain ground truth)
         self.chunks_sent: dict[str, dict[int, int]] = {"R": {}, "S": {}}
-        self.tuples_sent: dict[str, dict[int, int]] = {"R": {}, "S": {}}
         self.dup_tuples = 0
         #: batches of each relation fully routed so far — the streams are
         #: deterministic (seeded per source), so this is a cursor into them
@@ -216,9 +215,6 @@ class DataSourceProcess:
         self, dest: int, relation: str, values: np.ndarray
     ) -> Generator[Any, Any, None]:
         self.chunks_sent[relation][dest] = self.chunks_sent[relation].get(dest, 0) + 1
-        self.tuples_sent[relation][dest] = (
-            self.tuples_sent[relation].get(dest, 0) + int(values.size)
-        )
         return self._ship(dest, relation, values, self.router.version)
 
     def _ship(
@@ -290,7 +286,6 @@ class DataSourceProcess:
             source=self.index,
             relation=relation,
             chunks_sent=dict(self.chunks_sent[relation]),
-            tuples_sent=dict(self.tuples_sent[relation]),
             dup_tuples=self.dup_tuples,
         )
         ctx.trace("source_done", f"src{self.index}", relation=relation,

@@ -14,10 +14,14 @@ extra work caused by the expansion strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..hashing import HashRange, Router
+
+if TYPE_CHECKING:  # pragma: no cover - strategy imports this module
+    from .strategy import Decision
 
 __all__ = [
     "CONTROL_BYTES",
@@ -439,23 +443,22 @@ class QueryDone(_Control):
 class SourceDone(_Control):
     """A source finished streaming one relation.
 
-    ``chunks_sent``/``tuples_sent`` are per-destination totals for that
-    relation (the drain protocol's ground truth).
+    ``chunks_sent`` holds per-destination totals for that relation (the
+    drain protocol's ground truth).
     """
 
     source: int
     relation: str
     chunks_sent: dict[int, int] = field(default_factory=dict)
-    tuples_sent: dict[int, int] = field(default_factory=dict)
     dup_tuples: int = 0  # probe-phase replica copies beyond the first
 
 
 # ----------------------------------------------------------------------
-# control-plane fault tolerance (repro.core.membership)
+# control-plane fault tolerance (repro.core.recovery)
 # ----------------------------------------------------------------------
 @dataclass
 class HeartbeatPing(_Control):
-    """Membership detector ping (scheduler -> watched node, best effort).
+    """Failure-detector ping (scheduler -> watched node, best effort).
 
     Sent single-shot over the faulty network — no retransmission, no ack
     wait — so a lossy or slow link manifests as a *missing* ack and the
@@ -485,9 +488,9 @@ class StateSync(_Control):
     router: Router | None = None
     activated: tuple[int, ...] = ()
     fenced: tuple[int, ...] = ()
-    #: in-flight decision descriptor, e.g. ("replicate", reporter, new_node);
-    #: empty tuple when no decision is mid-flight
-    pending: tuple = ()
+    #: in-flight decision (an expansion or a recovery); None when no
+    #: decision is mid-flight
+    pending: Decision | None = None
 
     @property
     def nbytes(self) -> int:
@@ -585,7 +588,7 @@ class PollTick:
 
 @dataclass
 class DeathVerdict:
-    """Membership detector -> scheduler main loop: ``node`` is declared
+    """Failure detector -> scheduler main loop: ``node`` is declared
     dead (confirm timeout expired).  Local hand-off on the scheduler node
     — never crosses the network."""
 

@@ -116,7 +116,6 @@ class PoolClient:
         if isinstance(msg, RecruitDeny):
             ctx.trace("recruit_denied", "scheduler",
                       reason=msg.reason, phase=phase)
-            ctx.metrics.inc("sched.recruit_denied", 1, reason=msg.reason)
             return None
         cand = msg.nodes[0]
         self.adopt(ctx, cand)

@@ -5,18 +5,21 @@
 the data source wrapped at their decision points; ``driver.actor_classes``
 picks them instead of the plain ones exactly when the cluster has a
 standby scheduler machine — which ``Cluster.build`` adds when the fault
-plan arms the membership layer.  The scheduler gains:
+plan arms the membership layer.  The scheduler is the whole control plane,
+as the primary and as the standby it spawns on the backup node; it gains:
 
-* **write-ahead replication** — every checkpoint and in-flight relief or
-  recovery decision reaches the standby (``BackupSchedulerProcess``) as a
+* **failure detection** — heartbeats over the same faulty network the
+  data uses, silence graded *suspect* then *confirm*.  There is no
+  oracle, so a verdict can be false: the node is fenced all the same;
+* **write-ahead replication** — every checkpoint and in-flight
+  :class:`Decision` (an expansion or a recovery) reaches the standby as a
   :class:`StateSync` *before* the primary acts on it;
-* **working-node recovery** — a :class:`DeathVerdict` from the heartbeat
-  detector (``Membership``) unwinds whatever wait is in progress to the
-  drain loop, which fences the node, collapses its hash range onto a
-  fresh recruit and has the sources re-stream it;
-* **takeover** — a standby adopts the last snapshot, makes everyone
-  re-announce what the primary took to its grave, applies the logged
-  decision again (``ExpansionStrategy.apply`` is idempotent) and resumes.
+* **working-node recovery** — a :class:`DeathVerdict` unwinds whatever
+  wait is in progress to the drain loop, which fences the node, collapses
+  its hash range onto a fresh recruit and has the sources re-stream it;
+* **takeover** — on primary silence the standby adopts the last snapshot,
+  makes everyone re-announce what the primary took to its grave,
+  re-drives the logged decision (every step is idempotent) and resumes.
 
 The join process gains heartbeat acks, fencing of dead peers (traffic to
 them dropped, their share of the drain counters subtracted), the purge of a
@@ -38,10 +41,9 @@ from ..data import ChunkBuffer, RelationStream
 from ..faults import UnrecoverableFaultError
 from ..hashing import HashRange, LinearHashRouter, RangeRouter, Router
 from ..sim import Interrupt
-from .context import RunContext
+from .context import RunContext, poll_ticker
 from .datasource import DataSourceProcess
 from .joinnode import JoinProcess
-from .membership import BackupSchedulerProcess, Membership
 from .messages import (
     ActivateAck,
     ActivateJoin,
@@ -89,7 +91,8 @@ class _Deposed(Exception):
 
 
 class FaultTolerantScheduler(SchedulerProcess):
-    """The scheduler plus WAL replication, node recovery and takeover."""
+    """The scheduler plus its failure detector, WAL replication, node
+    recovery and — in its standby role — takeover."""
 
     def __init__(self, ctx: RunContext) -> None:
         super().__init__(ctx)
@@ -98,7 +101,7 @@ class FaultTolerantScheduler(SchedulerProcess):
         #: the sent-side of the drain balance
         self.fenced: set[int] = set()
         #: in-flight relief/recovery decision, WAL-replicated to the backup
-        self._pending: tuple = ()
+        self._pending: Decision | None = None
         #: reporter whose relief cycle a recovery unwind abandoned
         self._abandoned_reporter: int | None = None
         self._recovering = False
@@ -110,18 +113,35 @@ class FaultTolerantScheduler(SchedulerProcess):
         #: ActivateAcks consumed by _dispatch_common while another await
         #: held the main loop (e.g. a recovery during initial activation)
         self._stray_activate_acks: set[int] = set()
-        #: heartbeat failure detector (its loop runs from _start_background)
-        self.membership = Membership(self)
-        self._membership_proc: Any = None
+        # Detector timings (simulated s) default from the drain-poll
+        # interval, so one knob scales the whole control plane.  They are
+        # generous — suspect at 6 missed heartbeats, confirm at 20 — so
+        # congestion alone rarely produces a false verdict; tests pin
+        # tighter values to exercise the false-positive path.
+        plan = ctx.faults.plan
+        self._hb_interval = (plan.heartbeat_interval_s
+                             or 2.0 * self.cfg.effective_drain_poll)
+        self._suspect_s = plan.suspect_timeout_s or 6.0 * self._hb_interval
+        self._confirm_s = max(plan.confirm_timeout_s
+                              or 20.0 * self._hb_interval, self._suspect_s)
+        # detector state (its loop, :meth:`_detect`, runs on the primary)
+        self._hb_token = 0
+        self._last_ack: dict[int, float] = {}
+        self.suspected: set[int] = set()
+        self._declared: set[int] = set()
+        self._detector_proc: Any = None
+        #: stops the standby's dead-man ticker (``_background_stopped``
+        #: gates this scheduler's own loops once it took over)
+        self._deadman_stopped = False
         # The failure detector subsumes the initial-ack deadline: a dead
         # initial node is *recoverable* (confirmed death → recovery cycle),
         # so give the detector time to reach its verdict first.
-        timing = self.membership.timing
         self._initial_ack_timeout_s = max(
-            self._initial_ack_timeout_s, timing.confirm + 4.0 * timing.interval
+            self._initial_ack_timeout_s,
+            self._confirm_s + 4.0 * self._hb_interval,
         )
         #: the standby scheduler (primary only; set by :meth:`spawn`)
-        self.standby: BackupSchedulerProcess | None = None
+        self.standby: FaultTolerantScheduler | None = None
         cls = type(self)
         self._handlers.update({
             HeartbeatAck: cls._on_heartbeat_ack,
@@ -133,20 +153,20 @@ class FaultTolerantScheduler(SchedulerProcess):
         })
 
     def spawn(self, name: str) -> None:
-        """Spawn the primary and, beside it, the standby that passively
-        replicates its state and takes over on primary silence."""
+        """Spawn the primary and, on the backup node, the standby: this
+        class in its other role (:meth:`_stand_by`)."""
         super().spawn(name)
-        self.standby = BackupSchedulerProcess(self.ctx)
-        self.standby.proc = self.ctx.sim.spawn(
-            self.standby.run(), name="sched-backup"
-        )
+        standby = self.standby = type(self)(self.ctx)
+        standby.node = self.ctx.backup_node  # before anything reads it
+        standby.proc = self.ctx.sim.spawn(standby._stand_by(),
+                                          name="sched-backup")
 
     def result(self) -> SchedulerOutcome | None:
         """The outcome from whichever of the two finished the query: a
         killed (or deposed) primary returns none and the standby owns it."""
         outcome = super().result()
         if outcome is None and self.standby is not None:
-            outcome = self.standby.outcome
+            outcome = self.standby.result()
         return outcome
 
     # ------------------------------------------------------------------
@@ -157,7 +177,14 @@ class FaultTolerantScheduler(SchedulerProcess):
             super()._on_memory_full(msg)
 
     def _on_heartbeat_ack(self, msg: HeartbeatAck) -> None:
-        self.membership.note_ack(msg)
+        """An ack arrived; a live suspicion resolving is a false positive."""
+        j = msg.node
+        self._last_ack[j] = self.ctx.sim.now
+        if j in self.suspected:
+            self.suspected.discard(j)
+            if j not in self._declared:
+                self.ctx.metrics.inc("membership.false_positive", 1)
+                self.ctx.trace("suspicion_cleared", "scheduler", node=j)
 
     def _on_death_verdict(self, msg: DeathVerdict) -> None:
         if msg.node in self.fenced or msg.node not in self.activated:
@@ -231,7 +258,7 @@ class FaultTolerantScheduler(SchedulerProcess):
         """Ship a state snapshot to the standby scheduler (not after a
         takeover: the standby does not re-replicate to itself)."""
         backup = self.ctx.backup_node
-        if backup is None or backup is self.node:
+        if backup is self.node:
             return
         self._sync_seq += 1
         yield from self.ctx.send(
@@ -244,10 +271,10 @@ class FaultTolerantScheduler(SchedulerProcess):
             ),
         )
 
-    def log_decision(self, decision: tuple) -> Generator[Any, Any, None]:
+    def log_decision(self, decision: Decision | None) -> Generator[Any, Any, None]:
         """Record an in-flight decision *before* acting on it, so the
-        standby can apply it again after a takeover; ``()`` clears it."""
-        if decision or self._pending:
+        standby can apply it again after a takeover; ``None`` clears it."""
+        if decision is not None or self._pending is not None:
             self._pending = decision
             yield from self.checkpoint()
 
@@ -277,25 +304,80 @@ class FaultTolerantScheduler(SchedulerProcess):
             raise self._unrecoverable_death(e.node) from e
 
     def _start_background(self) -> None:
-        """The failure detector gates on the ticker's stop predicate: a
-        crashed or deposed primary stops both, and that silence is exactly
-        what the standby's dead-man timer and the joins' ping loss
-        observe."""
+        """The failure detector gates on the ticker's stop flag: a crashed
+        or deposed primary stops both, and that silence is exactly what
+        the standby's dead-man timer and the joins' ping loss observe."""
         super()._start_background()
-        self._membership_proc = self.ctx.sim.spawn(
-            self.membership.loop(lambda: self._background_stopped),
-            name="membership",
-        )
+        self._detector_proc = self.ctx.sim.spawn(self._detect(),
+                                                 name="membership")
 
     def _halt_background(self) -> None:
         super()._halt_background()
-        # The predicate only covers the detector's idle path: a ping that is
+        # The flag only covers the detector's idle path: a ping that is
         # mid-send when the primary dies would wait on the dead node's
         # CPU forever.  Interrupt it out of the send (it treats the
         # Interrupt as a clean stop).
-        proc, self._membership_proc = self._membership_proc, None
+        proc, self._detector_proc = self._detector_proc, None
         if proc is not None and proc.is_alive:
             proc.interrupt(cause=("membership_halt",))
+
+    def _detect(self) -> Generator[Any, Any, None]:
+        """The heartbeat failure detector: ping the watched nodes each
+        interval and grade their silence.
+
+        Pings are best-effort (single transmit, no retransmission): a
+        *lost* heartbeat must look exactly like a dead peer, or the
+        detector would be an oracle.  The standby is pinged too, so its
+        dead-man timer stays fresh between state syncs.  A verdict enters
+        this scheduler's own mailbox as a :class:`DeathVerdict`, consumed
+        at a message boundary, never mid-decision."""
+        ctx = self.ctx
+        try:
+            while not self._background_stopped:
+                yield ctx.sim.timeout(self._hb_interval)
+                if self._background_stopped:
+                    return
+                self._hb_token += 1
+                now = ctx.sim.now
+                watched = [j for j in self.activated if j not in self.fenced]
+                for j in watched:
+                    self._last_ack.setdefault(j, now)
+                    yield from ctx.send(
+                        self.node, ctx.join_node(j),
+                        HeartbeatPing(self._hb_token), best_effort=True,
+                    )
+                    ctx.metrics.inc("membership.pings", 1)
+                if ctx.backup_node is not self.node:
+                    yield from ctx.send(
+                        self.node, ctx.backup_node,
+                        HeartbeatPing(self._hb_token), best_effort=True,
+                    )
+                if self._phase not in ("build", "probe"):
+                    # Grading pauses outside the recovery envelope:
+                    # reshuffle and out-of-core passes park nodes in long
+                    # disk/transfer operations where silence means busy,
+                    # not dead — and a verdict here could not be acted on
+                    # anyway.  Pings (and the standby dead-man refresh)
+                    # continue so acks keep clearing suspicions.
+                    continue
+                for j in watched:
+                    if j in self._declared:
+                        continue
+                    silent = now - self._last_ack.get(j, now)
+                    if silent >= self._confirm_s and j in self.suspected:
+                        self._declared.add(j)
+                        ctx.metrics.inc("membership.deaths_declared", 1)
+                        ctx.trace("death_declared", "scheduler", node=j,
+                                  silent_s=silent)
+                        self.node.mailbox.put(DeathVerdict(j))
+                    elif (silent >= self._suspect_s
+                          and j not in self.suspected):
+                        self.suspected.add(j)
+                        ctx.metrics.inc("membership.suspected", 1)
+                        ctx.trace("suspected", "scheduler", node=j,
+                                  silent_s=silent)
+        except Interrupt:
+            return  # halted mid-send (see _halt_background)
 
     def _await_initial_acks(self, pending: set[int]) -> Generator[Any, Any, None]:
         while pending:
@@ -333,9 +415,9 @@ class FaultTolerantScheduler(SchedulerProcess):
     def _shutdown(self) -> Generator[Any, Any, None]:
         self._halt_background()
         # Stand the standby down, or its dead-man ticker outlives the query.
-        backup = self.ctx.backup_node
-        if backup is not None and backup is not self.node:
-            yield from self.ctx.send(self.node, backup, Shutdown())
+        if self.ctx.backup_node is not self.node:
+            yield from self.ctx.send(self.node, self.ctx.backup_node,
+                                     Shutdown())
         yield from super()._shutdown()
 
     # ------------------------------------------------------------------
@@ -352,7 +434,7 @@ class FaultTolerantScheduler(SchedulerProcess):
         cut_short = self._pending
         parties = (
             (cut_short.donor, cut_short.new_node)
-            if isinstance(cut_short, Decision) else ()
+            if cut_short is not None and cut_short.kind != "recover" else ()
         )
         yield from self._recovery_cycle(dead, parties=parties)
         if victim is not None and victim != dead:
@@ -373,10 +455,10 @@ class FaultTolerantScheduler(SchedulerProcess):
         verdict was false, the live node self-quarantines instead of
         double-counting matches; if it was true, the tombstone ignores it.
 
-        The decision is WAL'd (``("recover", dead, target)``) with the
-        recruited target pinned, and every step is idempotent keyed on
-        ``recovery_id == dead``, so a standby can re-drive the cycle
-        mid-flight after a primary failover.
+        The decision is WAL'd (``Decision("recover", dead, target, dead)``)
+        with the recruited target pinned, and every step is idempotent
+        keyed on ``recovery_id == dead``, so a standby can re-drive the
+        cycle mid-flight after a primary failover.
         """
         ctx = self.ctx
         if dead in self.fenced and not redrive:
@@ -384,7 +466,7 @@ class FaultTolerantScheduler(SchedulerProcess):
         if self._phase not in ("build", "probe"):
             raise self._unrecoverable_death(dead)
         self._recovering = True
-        self._pending = ()
+        self._pending = None
         t0 = ctx.sim.now
         ctx.metrics.inc("sched.recovery_cycles", 1, phase=self._phase)
         ctx.trace("recovery_begin", "scheduler", dead=dead,
@@ -443,7 +525,8 @@ class FaultTolerantScheduler(SchedulerProcess):
                     )
 
             # 3. WAL the decision with the target pinned.
-            yield from self.log_decision(("recover", dead, target))
+            yield from self.log_decision(Decision(
+                "recover", donor=dead, new_node=target, reporter=dead))
 
             # 4. Disseminate: every live node fences the dead peer's
             # global id (late in-flight chunks are retired, its counter
@@ -478,7 +561,7 @@ class FaultTolerantScheduler(SchedulerProcess):
                 yield from self._probe_recovery(dead, target)
 
             # 8. Done: clear the WAL and force fresh drain rounds.
-            yield from self.log_decision(())
+            yield from self.log_decision(None)
             self._prev_round = None
             ctx.trace("recovery_done", "scheduler", dead=dead,
                       target=target, purged=sorted(purge))
@@ -582,8 +665,55 @@ class FaultTolerantScheduler(SchedulerProcess):
         yield from self._order_replay("S", dead, target)
 
     # ------------------------------------------------------------------
-    # standby takeover (BackupSchedulerProcess drives this)
+    # the standby role
     # ------------------------------------------------------------------
+    def _stand_by(self) -> Generator[Any, Any, SchedulerOutcome | None]:
+        """The standby's life: replicate passively, take over on silence.
+
+        The dead-man timer resets on *any* primary traffic (heartbeats or
+        state syncs) and fires after the confirm timeout.  On takeover
+        this node becomes "the scheduler" for every actor (see
+        ``RunContext.set_scheduler_node``), and this scheduler adopts the
+        newest snapshot and finishes the query; its process value is the
+        outcome :meth:`result` falls back to."""
+        ctx = self.ctx
+        ctx.sim.spawn(
+            poll_ticker(ctx.sim, self.node.mailbox, self._hb_interval,
+                        lambda: self._deadman_stopped),
+            name="backup-deadman",
+        )
+        last_primary = ctx.sim.now
+        sync: StateSync | None = None
+        try:
+            while True:
+                msg = yield from self.node.mailbox.recv()
+                if isinstance(msg, StateSync):
+                    if sync is None or msg.sync_seq > sync.sync_seq:
+                        sync = msg
+                    last_primary = ctx.sim.now
+                elif isinstance(msg, HeartbeatPing):
+                    last_primary = ctx.sim.now
+                elif isinstance(msg, PollTick):
+                    if ctx.sim.now - last_primary >= self._confirm_s:
+                        break
+                elif isinstance(msg, Shutdown):
+                    return None  # primary finished the query; stand down
+                # anything else is stray traffic for a standby: ignore
+        finally:
+            self._deadman_stopped = True
+        ctx.metrics.inc("sched.failover_count", 1)
+        ctx.trace("failover", "backup",
+                  phase=sync.phase if sync is not None else "fresh",
+                  sync_seq=sync.sync_seq if sync is not None else -1)
+        old_primary = ctx.cluster.scheduler_node
+        ctx.set_scheduler_node(self.node)
+        # Split-brain backstop: if the primary is merely slow (a false
+        # dead-man verdict), it must stand down — two schedulers driving
+        # one query would both run relief cycles and corrupt the router.
+        yield from ctx.send(self.node, old_primary,
+                            Depose(self.node.node_id))
+        return (yield from self._guarded(self._resume(sync)))
+
     def adopt_snapshot(self, sync: StateSync | None) -> str:
         """Install a replicated snapshot; returns the phase to resume.
 
@@ -606,12 +736,6 @@ class FaultTolerantScheduler(SchedulerProcess):
         self._phase = sync.phase
         self.strategy.adopt_router(self.router)
         return sync.phase
-
-    def resume_after_takeover(
-        self, sync: StateSync | None
-    ) -> Generator[Any, Any, SchedulerOutcome | None]:
-        """Standby entry point: adopt the snapshot and finish the query."""
-        return self._guarded(self._resume(sync))
 
     def _resume(
         self, sync: StateSync | None
@@ -642,16 +766,15 @@ class FaultTolerantScheduler(SchedulerProcess):
         """Idempotently re-drive the decision the primary WAL'd but may
         not have finished."""
         pending = self._pending
-        if not pending:
+        if pending is None:
             return
         self.ctx.trace("redrive", "scheduler", pending=list(pending))
-        if pending[0] == "recover":
-            dead, target = int(pending[1]), int(pending[2])
-            yield from self._recovery_cycle(dead, target=target, redrive=True)
+        if pending.kind == "recover":
+            yield from self._recovery_cycle(
+                pending.donor, target=pending.new_node, redrive=True)
             return
-        assert isinstance(pending, Decision), pending
         ack = yield from self.strategy.apply(pending)
-        yield from self.log_decision(())
+        yield from self.log_decision(None)
         if ack.still_full:
             self._requeue(ack.node)
 

@@ -47,7 +47,6 @@ class CommStats:
 
     tuples_by_hop: dict[str, int] = field(default_factory=dict)
     chunks_by_hop: dict[str, int] = field(default_factory=dict)
-    bytes_by_kind: dict[str, int] = field(default_factory=dict)
 
     def tuples(self, *hops: str) -> int:
         return sum(self.tuples_by_hop.get(h, 0) for h in hops)

@@ -178,8 +178,8 @@ class SchedulerProcess:
         return
         yield  # pragma: no cover - makes this a generator
 
-    def log_decision(self, decision: tuple) -> Generator[Any, Any, None]:
-        """Called with a decision *before* it is acted on and with ``()``
+    def log_decision(self, decision: Decision | None) -> Generator[Any, Any, None]:
+        """Called with a decision *before* it is acted on and with ``None``
         once it completed — write-ahead, so a standby can apply it again."""
         return
         yield  # pragma: no cover - makes this a generator
@@ -549,7 +549,7 @@ class SchedulerProcess:
             # Logged before the table is touched: a successor re-applies it.
             yield from self.log_decision(decision)
             ack = yield from self.strategy.apply(decision)
-            yield from self.log_decision(())
+            yield from self.log_decision(None)
         if ack.still_full:
             self.full_queue.append(reporter)
 

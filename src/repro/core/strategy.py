@@ -33,9 +33,11 @@ __all__ = ["Decision", "ExpansionStrategy", "make_strategy"]
 
 class Decision(NamedTuple):
     """One expansion, named before it is carried out.  A plain tuple on
-    purpose: it is the fault layer's write-ahead record of the cycle."""
+    purpose: it is the fault layer's write-ahead record of the cycle, and
+    of its recovery cycles too (kind ``"recover"``: the dead node is the
+    donor and the reporter, the takeover target the new node)."""
 
-    kind: str      #: "replicate" | "bisect" | "linear"
+    kind: str      #: "replicate" | "bisect" | "linear" | "recover"
     donor: int     #: node whose range/bucket is replicated or split
     new_node: int  #: the recruit taking part of the donor's load
     reporter: int  #: the full node this relief cycle is for

@@ -153,7 +153,7 @@ class FaultPlan:
     ack_drop_prob: float = 0.0
     crashes: tuple[CrashSpec, ...] = ()
     slowdowns: tuple[LinkSlowdown, ...] = ()
-    #: control-plane fault tolerance (repro.core.membership).  Setting
+    #: control-plane fault tolerance (repro.core.recovery).  Setting
     #: ``membership=True`` (or any of the knobs below) arms the heartbeat
     #: failure detector and the backup scheduler, which lifts the
     #: dormant-only crash ban: working-node crashes become recoverable.
@@ -380,7 +380,6 @@ class FaultInjector:
         self.crashed.add(spec.node)
         proc.interrupt(cause=("node_crash", spec.node))
         self.metrics.counter("faults_injected", kind="crash").inc()
-        self.metrics.counter("faults_crashes").inc()
         self.trace("node_crash", node=spec.node, state=join.state)
 
     # -- link verdicts (network hot path) --------------------------------

@@ -309,7 +309,7 @@ class RangeRouter(Router):
         Replica chains hold *disjoint temporal segments*, not copies, so a
         chain that lost any member cannot serve its range from survivors;
         the whole entry collapses to the single fresh ``target`` and the
-        sources re-stream the range to it (see repro.core.membership).
+        sources re-stream the range to it (see repro.core.recovery).
         Adjacent collapsed entries are merged so the target ends up owning
         one contiguous range — exactly what its ActivateJoin advertised —
         and a later bisection of the target stays well-defined.

@@ -32,7 +32,6 @@ METRICS: dict[str, Metric] = {
     "disk.bytes_read": Metric("counter", ("node",), "`Disk`, live, on transfer *completion*"),
     "disk.bytes_written": Metric("counter", ("node",), "`Disk`, live, on transfer *completion*"),
     "disk.ops": Metric("counter", ("node",), "harvested"),
-    "faults_crashes": Metric("counter", (), "fault injector, one per fired crash"),
     "faults_duplicates_suppressed": Metric(
         "counter", ("node",), "join node, one per deduplicated re-delivery"),
     "faults_injected": Metric(
@@ -79,7 +78,6 @@ METRICS: dict[str, Metric] = {
     "net.duplicate_messages": Metric("counter", ("kind",), "network (harvested)"),
     "net.in_flight_peak": Metric(
         "gauge", (), "network high-water mark of concurrently in-flight messages (harvested)"),
-    "net.retransmissions": Metric("counter", (), "network (harvested, only if nonzero)"),
     "net.sent_bytes": Metric("counter", ("src", "dst", "kind"), "network (harvested)"),
     "net.sent_messages": Metric("counter", ("kind",), "network (harvested)"),
     "node.dedup_window": Metric(
@@ -119,8 +117,6 @@ METRICS: dict[str, Metric] = {
     "sched.recovery_cycles": Metric(
         "counter", ("phase",), "scheduler, one per working-node recovery cycle"),
     "sched.recovery_latency_s": Metric("gauge", ("phase",), "scheduler, per-recovery latency"),
-    "sched.recruit_denied": Metric(
-        "counter", ("reason",), "scheduler, one per pool denial it degraded from (spill follows)"),
     "sched.relief_cycles": Metric("counter", ("phase",), "scheduler, one per relief cycle"),
     "sched.relief_latency_s": Metric("gauge", ("phase",), "scheduler, per-cycle latency"),
     "sim.events_executed": Metric("counter", (), "kernel (harvested at end of run)"),

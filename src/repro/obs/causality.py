@@ -148,9 +148,11 @@ class CausalLog(SampledLog):
         if eid is not None:
             self._cause[self.alias(actor)] = eid
 
-    def cause_of(self, actor: str) -> int | None:
-        """The eid of the message ``actor`` is currently processing."""
-        return self._cause.get(self.alias(actor))
+    def cause_of(self, track: str) -> int | None:
+        """The eid of the message the actor on ``track`` is processing.
+        A track name, never a node name: the two can collide (``join7``
+        is pool index 7 as a track, global id 7 as a node)."""
+        return self._cause.get(track)
 
     # ------------------------------------------------------------------
     # queries

@@ -51,8 +51,6 @@ def harvest(registry: MetricsRegistry, sim: Any, network: Any,
         registry.counter("net.dropped_messages", kind=kind).inc(count)
     for kind, count in network.duplicate_messages.items():
         registry.counter("net.duplicate_messages", kind=kind).inc(count)
-    if network.retransmissions:
-        registry.counter("net.retransmissions").inc(network.retransmissions)
     if network.in_flight_peak:
         registry.set_gauge("net.in_flight_peak", network.in_flight_peak)
 

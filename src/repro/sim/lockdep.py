@@ -73,7 +73,8 @@ class LockdepMonitor:
     ``metrics`` (optional) is any object with ``counter(name) -> c`` where
     ``c.inc()`` exists — the run's metrics registry.  ``causal`` (optional)
     is a :class:`repro.obs.causality.CausalLog`; when present, stall
-    reports include each stuck actor's causal parent chain.
+    reports include each stuck actor's causal parent chain, read off the
+    track a process named ``<track>`` or ``<track>-q<query>`` runs.
     """
 
     def __init__(
@@ -84,8 +85,6 @@ class LockdepMonitor:
     ) -> None:
         self.sim = sim
         self.causal = causal
-        #: actor-name aliasing for causal lookups (RunContext fills this)
-        self.actor_of: Any | None = None
         # proc -> WaitRecord (a process waits on at most one event)
         self._waits: dict[Process, WaitRecord] = {}
         # event -> the proc blocked on it (every wait mints its own event)
@@ -229,11 +228,8 @@ class LockdepMonitor:
     def _causal_line(self, proc: Process) -> str | None:
         if self.causal is None:
             return None
-        actor = proc.name
-        if self.actor_of is not None:
-            actor = self.actor_of(proc) or actor
         try:
-            eid = self.causal.cause_of(actor)
+            eid = self.causal.cause_of(proc.name.split("-q", 1)[0])
         except (KeyError, AttributeError):  # pragma: no cover - best effort
             return None
         if eid is None:

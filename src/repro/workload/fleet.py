@@ -187,8 +187,6 @@ def _worker_main(
                 "pool_utilization": res.pool_utilization,
                 "all_valid": res.all_valid,
                 "snapshot": res.snapshot.to_json(),
-                "spans_dropped": res.spans_dropped,
-                "edges_dropped": res.edges_dropped,
                 "wall_s": time.monotonic() - t_cohort,
             }))
         conn.send(("worker_done", shard, time.monotonic() - t0))
@@ -243,8 +241,6 @@ class CohortResult:
     pool_utilization: float
     all_valid: bool
     snapshot: Snapshot
-    spans_dropped: int
-    edges_dropped: int
     #: the claiming worker's wall-clock for this cohort (nondeterministic)
     wall_s: float
 
@@ -623,8 +619,6 @@ class FleetRunner:
             pool_utilization=payload["pool_utilization"],
             all_valid=payload["all_valid"],
             snapshot=Snapshot.from_json(payload["snapshot"]),
-            spans_dropped=payload["spans_dropped"],
-            edges_dropped=payload["edges_dropped"],
             wall_s=payload["wall_s"],
         )
 

@@ -99,7 +99,6 @@ class WorkloadResult:
     #: records shed by the bounded collectors (zero unless a --obs-budget
     #: was armed; nothing is ever silently truncated)
     spans_dropped: int = 0
-    edges_dropped: int = 0
 
     # ------------------------------------------------------------------
     @property
@@ -153,7 +152,6 @@ class WorkloadResult:
             out["obs"] = {
                 "budget_bytes": self.config.obs.budget_bytes,
                 "spans_dropped": self.spans_dropped,
-                "edges_dropped": self.edges_dropped,
             }
         return out
 
@@ -179,11 +177,10 @@ class WorkloadResult:
             f"crashed={self.pool.get('crashed_nodes', [])}, "
             f"leaked={self.pool.get('leaked_nodes', [])}",
         ]
-        if self.spans_dropped or self.edges_dropped:
+        if self.spans_dropped:
             lines.append(
-                f"obs: budget shed {self.spans_dropped} spans, "
-                f"{self.edges_dropped} causal edges (sampled summaries "
-                f"remain exact for counters, ~1% for quantiles)"
+                f"obs: budget shed {self.spans_dropped} spans (sampled "
+                f"summaries remain exact for counters, ~1% for quantiles)"
             )
         for q in self.queries:
             ok = "ok" if q.matches == (

@@ -66,9 +66,10 @@ def test_causal_log_records_edges_and_causes():
     assert not e1.delivered
     log.on_deliver(e1, m1, t=1.5)
     assert e1.delivered and e1.wire_s == pytest.approx(0.5)
-    # The receiver dequeues it: it becomes join0's current cause...
+    # The receiver dequeues it: it becomes join0's current cause, read
+    # under the track name (the node name is another node's track)...
     log.note_dequeue("join3", m1)
-    assert log.cause_of("join3") == 0 == log.cause_of("join0")
+    assert log.cause_of("join0") == 0 and log.cause_of("join3") is None
     # ...so its reply is parented on it.
     e2 = log.on_send("join3", "scheduler0", m2, t=2.0)
     assert e2.parent == 0
@@ -165,6 +166,10 @@ def test_run_produces_complete_causal_dag(algorithm):
         assert e.attempts == 1          # fault-free run
         if e.parent is not None:        # parents precede children
             assert log.edges[e.parent].t_send <= e.t_send
+        if e.kind == "data" and e.src.startswith("join") and e.parent is not None:
+            # A join node's transfer hangs off a message that node got
+            # (its cause is read by track, never through the node names).
+            assert log.edges[e.parent].dst == e.src
     # Track names are the pool-indexed span tracks, not global node names.
     actors = {e.src for e in log.edges} | {e.dst for e in log.edges}
     assert "scheduler" in actors

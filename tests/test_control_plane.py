@@ -115,6 +115,22 @@ def test_failover_mid_expansion_reapplies_the_logged_decision(kind):
     assert [p[0] for p in redriven] == [kind]
 
 
+@pytest.mark.chaos
+def test_failover_mid_recovery_redrives_the_logged_recovery():
+    """Killed inside node 0's recovery cycle (t = 0.23366 onwards), after
+    it WAL'd the decision with the target pinned, the primary leaves the
+    standby a pending ``recover`` decision; the standby runs the cycle
+    again on the same target and ends oracle-exact."""
+    plan = membership_plan(crashes=(CrashSpec(node=0, at_time=0.02),),
+                           kill_scheduler_at=0.2352)
+    res = run_with(Algorithm.HYBRID, plan, trace=True)
+    assert res.matches == res.reference_matches == 89
+    redriven = [r.detail["pending"] for r in res.tracer.select("redrive")]
+    assert [p[0] for p in redriven] == ["recover"]
+    assert counter_total(res, "sched.recovery_cycles") == 2
+    assert counter_total(res, "sim.events_executed") == 16575
+
+
 # ---------------------------------------------------------------------------
 # working-node crash -> heartbeat detection -> range re-stream
 # ---------------------------------------------------------------------------

@@ -100,7 +100,6 @@ def test_reshuffle_order_size_tracks_assignments():
 def test_source_done_carries_counters():
     done = SourceDone(source=2, relation="S",
                       chunks_sent={1: 10, 3: 5},
-                      tuples_sent={1: 2000, 3: 1000},
                       dup_tuples=500)
     assert done.nbytes == CONTROL_BYTES
     assert sum(done.chunks_sent.values()) == 15

@@ -246,7 +246,7 @@ def test_chaos_preserves_exact_match_count(algorithm):
     assert counter_total(res, "faults_injected") > 0
     assert counter_total(res, "faults_injected", kind="message_drop") > 0
     assert counter_total(res, "retries_total") > 0
-    assert counter_total(res, "faults_crashes") == 1
+    assert counter_total(res, "faults_injected", kind="crash") == 1
     assert counter_total(res, "net.dropped_bytes") > 0
     # The fault-free run must carry no fault accounting at all.
     assert counter_total(base, "faults_injected") == 0
@@ -264,7 +264,7 @@ def test_crash_of_unused_dormant_node_is_invisible(algorithm):
     res = run_join(small_config(algorithm, initial=12, faults=plan))
     assert res.matches == base.matches
     assert res.times == base.times
-    assert counter_total(res, "faults_crashes") == 1
+    assert counter_total(res, "faults_injected", kind="crash") == 1
     assert counter_total(res, "retries_total") == 0
 
 
@@ -297,7 +297,7 @@ def test_recruit_failure_degrades_to_spill(run_contexts):
     assert res.spilled_r_tuples > 0
     assert counter_total(res, "faults_recruit_failures") == 2
     assert counter_total(res, "retries_total", kind="recruit") == 2
-    assert counter_total(res, "faults_crashes") == 2
+    assert counter_total(res, "faults_injected", kind="crash") == 2
     assert res.nodes_used == 2  # nobody joined the party
     assert [run_contexts[-1].join_node(n).recv_credits.in_use
             for n in (2, 3)] == [0, 0]
@@ -430,8 +430,8 @@ def test_send_exhausting_attempts_raises_with_bytes_conserved():
     from repro.obs import MetricsRegistry
 
     sim, cost = Simulator(), CostModel()
-    inj = FaultInjector(FaultPlan(drop_prob=0.999), sim,
-                        MetricsRegistry(clock=lambda: sim.now), cost)
+    metrics = MetricsRegistry(clock=lambda: sim.now)
+    inj = FaultInjector(FaultPlan(drop_prob=0.999), sim, metrics, cost)
     net = Network(sim, cost, faults=inj)
     a, b = Node(sim, 0, "src", cost), Node(sim, 1, "join", cost)
 
@@ -446,7 +446,8 @@ def test_send_exhausting_attempts_raises_with_bytes_conserved():
     assert MAX_ATTEMPTS == 50
     assert net.sent_bytes[key] == net.dropped_bytes[key] \
         == MAX_ATTEMPTS * CONTROL_BYTES == 3200
-    assert net.retransmissions == MAX_ATTEMPTS - 1
+    assert metrics.counter("retries_total", kind="control").value \
+        == MAX_ATTEMPTS - 1
     assert net.delivered_bytes[key] == 0 and len(b.mailbox) == 0
     net.assert_conserved()  # nothing left in flight
 

@@ -14,6 +14,8 @@ import pytest
 from repro.config import Algorithm, FaultPlan, RunConfig
 from repro.core import run_join
 from repro.core.context import lockdep_enabled
+from repro.core.driver import single_query_context
+from repro.core.messages import HeartbeatAck, ReliefPing, StatusRequest
 from repro.sim import (
     CreditWindow,
     LockdepError,
@@ -166,6 +168,44 @@ def test_stall_report_includes_held_resources():
     msg = str(exc.value)
     assert "Mailbox('phase')" in msg
     assert "holds [Resource('lock')]" in msg
+
+
+def test_stall_report_prints_each_stuck_actors_own_chain():
+    """A stuck actor's causal chain is read off its track, not through
+    the node-name map: node names carry global ids (with four sources,
+    join node 7 is ``join12`` and node ``join7`` is join node 2), so that
+    map once gave ``join7`` join node 2's chain and the scheduler none."""
+    ctx = single_query_context(RunConfig(lockdep=True))
+    log = ctx.causal
+
+    def deliver(src, dst, msg):
+        edge = log.on_send(src.name, dst.name, msg, t=0.0)
+        log.on_deliver(edge, msg, t=0.0)
+        log.note_dequeue(dst.name, msg)
+
+    sched = ctx.scheduler_node
+    deliver(sched, ctx.join_node(2), ReliefPing())
+    deliver(sched, ctx.join_node(7), StatusRequest(7))
+    deliver(ctx.join_node(7), sched, HeartbeatAck(7, 1))
+
+    def stuck():
+        yield from Mailbox(ctx.sim).recv()  # nobody ever sends
+
+    for name in ("join2", "join7", "scheduler-q0"):
+        ctx.sim.spawn(stuck(), name=name)
+    with pytest.raises(DeadlockError) as exc:
+        ctx.sim.run()
+    lines = str(exc.value).splitlines()
+    chain = {
+        line.split("'")[1]: nxt.strip()
+        for line, nxt in zip(lines, lines[1:]) if line.startswith("  '")
+    }
+    assert chain == {
+        "join2": "last delivered: ReliefPing(scheduler->join2)",
+        "join7": "last delivered: StatusRequest(scheduler->join7)",
+        "scheduler-q0": "last delivered: HeartbeatAck(join7->scheduler) "
+                        "<- StatusRequest(scheduler->join7)",
+    }
 
 
 def test_without_monitor_plain_deadlock_error():

@@ -27,7 +27,6 @@ import pytest
 import repro.core.datasource
 import repro.core.hybrid
 import repro.core.joinnode
-import repro.core.membership
 import repro.core.ooc
 import repro.core.pool
 import repro.core.recovery
@@ -51,7 +50,6 @@ DISPATCH_MODULES = (
     repro.core.hybrid,
     repro.core.ooc,
     repro.core.pool,
-    repro.core.membership,
 )
 
 
