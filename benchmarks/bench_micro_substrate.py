@@ -13,6 +13,7 @@ import pytest
 
 from repro.config import Algorithm, ClusterSpec, RunConfig, WorkloadSpec
 from repro.core import run_join
+from repro.data import ChunkBuffer
 from repro.hashing import (
     HashRange,
     NodeHashStore,
@@ -109,16 +110,71 @@ def test_route_block_of_batches(benchmark, batch, runs):
     values = VALUES[:batch * runs]
 
     def route_block():
-        order, spans = router.route_batches(POSMAP(values), batch)
-        return values[order], spans
+        order, counts = router.route_batches(POSMAP(values), batch)
+        return values[order], counts
 
-    gathered, spans = benchmark(route_block)
-    assert len(spans) == runs
-    for r, run_spans in enumerate(spans):
+    gathered, counts = benchmark(route_block)
+    assert counts.shape == (runs, len(router.entries))
+    for r, run in enumerate(counts.tolist()):
         lo = r * batch
         order, want = router.route(POSMAP(values[lo:lo + batch]))
-        assert run_spans == [(chain, a + lo, z + lo) for chain, a, z in want]
+        assert [n for n in run if n] == [z - a for _, a, z in want]
         assert np.array_equal(gathered[lo:lo + batch], values[lo:lo + batch][order])
+
+
+def _per_batch_chunks(router, values, batch, probe):
+    """The reference the buffer plan replaced: route each batch alone,
+    append each destination's slices in ascending order, ship full chunks."""
+    buf, shipped = ChunkBuffer(batch), []
+    for lo in range(0, values.size, batch):
+        part = values[lo:lo + batch]
+        order, spans = router.route(POSMAP(part))
+        slices: dict[int, list[np.ndarray]] = {}
+        for chain, a, z in spans:
+            for dest in (chain if probe else chain[-1:]):
+                slices.setdefault(dest, []).append(part[order[a:z]])
+        for dest in sorted(slices):
+            for piece in slices[dest]:
+                buf.append(dest, piece)
+        for dest in buf.destinations():
+            while (chunk := buf.pop_full_chunk(dest)) is not None:
+                shipped.append((dest, chunk.tolist()))
+    return shipped + [(d, buf.pop_all(d).tolist()) for d in buf.destinations()]
+
+
+@pytest.mark.parametrize("probe", [False, True], ids=["build", "probe"])
+@pytest.mark.parametrize("batch,runs", [
+    pytest.param(200, 81, id="200x81"),      # grid-small: a 16 k-tuple block
+    pytest.param(10_000, 2, id="10000x1"),   # join-large: blocks of one
+])
+def test_buffer_plan_of_a_block(benchmark, batch, runs, probe):
+    """What a source pays to buffer and ship a block: one destination-major
+    routing of it, one plan, then a show and the full chunks per batch — the
+    chunks, the partial ones flushed at the end, their destinations and
+    their order those of the per-batch loop (replica chains in the probe
+    phase; at 10 000 tuples two blocks of one, the second carrying the
+    first's partial buffers)."""
+    router = _replicated()
+    values = VALUES[:batch * runs]
+    blocks = [values] if runs > 2 else [values[:batch], values[batch:]]
+
+    def plan_blocks():
+        buf, shipped = ChunkBuffer(batch), []
+        for block in blocks:
+            index, dests, counts = router.route_by_destination(
+                POSMAP(block), batch, probe=probe)
+            buf.plan(block[index], dests, counts)
+            while buf.batches_ahead:
+                buf.show()
+                for dest in buf.full():
+                    while (chunk := buf.pop_full_chunk(dest)) is not None:
+                        shipped.append((dest, chunk))
+        return shipped + [(d, buf.pop_all(d)) for d in buf.destinations()]
+
+    shipped = benchmark(plan_blocks)
+    assert [(d, c.tolist()) for d, c in shipped] \
+        == _per_batch_chunks(router, values, batch, probe)
+    assert sum(c.size for _, c in shipped) >= values.size
 
 
 #: a node's share of ``join-large``: 2M tuples over 16 nodes, and the

@@ -19,7 +19,7 @@ from ..config import RunConfig, WorkloadConfig
 from ..faults import FaultInjector
 from ..hashing import PositionMap
 from ..obs import CausalLog, MetricsRegistry, ObsBudget, SpanLog
-from ..sim import LockdepMonitor, Mailbox, Resource, Simulator, Tracer
+from ..sim import LockdepMonitor, Mailbox, Resource, Simulator, Timeout, Tracer
 from .messages import DataChunk, PollTick
 from .results import CommStats
 
@@ -63,10 +63,10 @@ def poll_ticker(
     simulated seconds until ``stopped()`` — the drain poll, the pool's
     deadline checks and the standby's dead-man timer.  The ticker runs on
     the mailbox's own node, so ticks never cross the network."""
-    timeout, put = sim.timeout, mailbox.put
+    put, tick = mailbox.put, PollTick()  # stateless: one serves every tick
     while not stopped():
-        yield timeout(interval)
-        put(PollTick())
+        yield Timeout(sim, interval)
+        put(tick)
 
 
 class RunContext:

@@ -13,9 +13,10 @@ replica (paper §4.2.2) — the source counts the extra copies, which is the
 probe-side overhead of the replication-based algorithm.
 
 Every simulated step is per batch; the *array* work is per block of batches:
-the rest of a block is position-mapped, routed and gathered in one pass, a
+the rest of a block is position-mapped, routed and gathered in one pass into
+the buffer's plan, and each batch boundary only shows that batch's share — a
 lookahead that holds while ``self.router`` is the object it was built with
-(docs/DATA_PLANE.md §2).
+and the buffer keeps the plan (docs/DATA_PLANE.md §2).
 
 Crash recovery is layered on: ``recovery.FaultTolerantDataSource`` wraps
 this class at its batch boundaries (:meth:`DataSourceProcess._at_boundary`).
@@ -23,7 +24,7 @@ this class at its batch boundaries (:meth:`DataSourceProcess._at_boundary`).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator, Iterable, Iterator
+from collections.abc import Callable, Generator, Iterable
 from typing import Any
 
 import numpy as np
@@ -41,33 +42,6 @@ from .messages import (
 )
 
 __all__ = ["DataSourceProcess"]
-
-
-def _append_spans(
-    buffers: ChunkBuffer, gathered: np.ndarray,
-    spans: list[tuple[tuple[int, ...], int, int]],
-    *, probe: bool, skip: int | None = None,
-) -> int:
-    """Hand one routed batch — ``spans`` into ``gathered`` — to ``buffers``
-    (less ``skip``'s share); returns the copies assigned.
-
-    A contiguous slice per range — the same array for every replica of a
-    probe chain (ChunkBuffer never mutates it), and its own memory, so a
-    cold destination's few buffered tuples do not pin the whole gather.
-    Destinations are appended in ascending order, each one's slices in
-    range order: part of the model's answer (DATA_PLANE.md §2)."""
-    slices: dict[int, list[np.ndarray]] = {}
-    copies = 0
-    for chain, lo, hi in spans:
-        part = gathered[lo:hi].copy()
-        for dest in (chain if probe else chain[-1:]):
-            slices.setdefault(dest, []).append(part)
-            copies += hi - lo
-    for dest in sorted(slices):
-        if dest != skip:
-            for part in slices[dest]:
-                buffers.append(dest, part)
-    return copies
 
 
 class DataSourceProcess:
@@ -138,8 +112,8 @@ class DataSourceProcess:
         buffers = ChunkBuffer(self.chunk_tuples)
         probe = relation == "S"
 
+        planned: Router | None = None  # the table the plan was built under
         for block in stream.blocks():
-            planned: Router | None = None  # the table the lookahead was built under
             for lo, hi in chunk_slices(block.size, self.chunk_tuples):
                 batch = block[lo:hi]
                 yield from self._produce(batch)
@@ -150,13 +124,12 @@ class DataSourceProcess:
                     self.dup_tuples += self._buffer_routed(
                         buffers, pool, self.ctx.posmap(pool), probe=probe) - pool.size
                 yield from self._charge_routing(batch.size)
-                if self.router is not planned:
-                    # First batch of the block, or a newer table since the
-                    # lookahead: route what is left of the block under it.
+                if self.router is not planned or not buffers.batches_ahead:
+                    # First batch of the block, a newer table, or a plan
+                    # ended early: route what is left of the block.
                     planned = self.router
-                    gathered, ahead = self._route_ahead(block[lo:])
-                copies = _append_spans(buffers, gathered, next(ahead), probe=probe)
-                self.dup_tuples += copies - batch.size
+                    self._route_ahead(buffers, block[lo:], probe=probe)
+                self.dup_tuples += buffers.show() - batch.size
                 self.batches_done[relation] += 1
                 yield from self._at_boundary(buffers)
                 yield from self._flush_full(buffers, relation)
@@ -169,21 +142,29 @@ class DataSourceProcess:
             if values is not None:
                 yield from self._send_chunk(dest, relation, values)
 
-    def _route_ahead(self, values: np.ndarray) -> tuple[np.ndarray, Iterator[list]]:
-        """Route ``values`` — the rest of a block — batch by batch under the
-        live table in one pass: the gather, and each batch's spans into it.
-        Positions and permutation die here; the caller lives all relation long."""
-        order, runs = self.router.route_batches(self.ctx.posmap(values), self.chunk_tuples)
-        return values[order], iter(runs)
+    def _route_ahead(self, buffers: ChunkBuffer, values: np.ndarray, *, probe: bool) -> None:
+        """Plan ``buffers`` with ``values`` — the rest of a block — routed
+        batch by batch under the live table in one pass.  Positions and
+        permutation die here; the caller lives all relation long."""
+        index, dests, counts = self.router.route_by_destination(
+            self.ctx.posmap(values), self.chunk_tuples, probe=probe)
+        buffers.plan(values[index], dests, counts)
 
     def _buffer_routed(
         self, buffers: ChunkBuffer, values: np.ndarray, positions: np.ndarray,
         *, probe: bool, skip: int | None = None,
     ) -> int:
         """Partition ``values`` under the live table into ``buffers`` (less
-        ``skip``'s share: the fault layer's); returns the copies assigned."""
-        order, spans = self.router.route(positions)
-        return _append_spans(buffers, values[order], spans, probe=probe, skip=skip)
+        ``skip``'s share: the fault layer's), visible at once; returns the
+        copies assigned, ``skip``'s included."""
+        index, dests, counts = self.router.route_by_destination(
+            positions, max(values.size, 1), probe=probe)
+        copies, keep = int(counts.sum()), dests != skip
+        index = index[np.repeat(keep, counts.sum(axis=0))]
+        buffers.plan(values[index], dests[keep], counts[:, keep])
+        if values.size:  # one batch, shown at once
+            buffers.show()
+        return copies
 
     def _produce(self, batch: np.ndarray) -> Iterable[Any]:
         """What one batch costs to come by: generated on the fly, or — the
@@ -204,11 +185,8 @@ class DataSourceProcess:
         return self.node.compute_per_tuple(self.ctx.cost.cpu_route_tuple, n)
 
     def _flush_full(self, buffers: ChunkBuffer, relation: str) -> Generator[Any, Any, None]:
-        for dest in buffers.destinations():
-            while True:
-                chunk = buffers.pop_full_chunk(dest)
-                if chunk is None:
-                    break
+        for dest in buffers.full():
+            while (chunk := buffers.pop_full_chunk(dest)) is not None:
                 yield from self._send_chunk(dest, relation, chunk)
 
     def _send_chunk(

@@ -26,6 +26,7 @@ import numpy as np
 from ..config import Algorithm
 from ..data import chunk_slices
 from ..hashing import HashRange, NodeHashStore
+from ..hashing.routing import _group_order
 from ..sim import Interrupt
 from .context import RunContext
 from .messages import (
@@ -102,25 +103,26 @@ class SpillStore:
         rel = np.clip(positions - self.lo, 0, width - 1)
         return np.minimum(rel * self.k // width, self.k - 1)
 
+    def _split(self, values: np.ndarray) -> list[np.ndarray]:
+        """``values`` by sub-partition, in arrival order: one radix sort."""
+        order, cuts = _group_order(self._part_of(self.ctx.posmap(values)), self.k)
+        values = values[order]
+        return [values[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+
     def write_r(self, values: np.ndarray) -> Generator[Any, Any, None]:
-        parts = self._part_of(self.ctx.posmap(values))
-        for p in range(self.k):
-            sel = values[parts == p]
+        for part, sel in zip(self._r_parts, self._split(values)):
             if sel.size:
-                self._r_parts[p].append(sel)
+                part.append(sel)
         self.spilled_r += int(values.size)
         yield from self.node.disk.write(int(values.size) * self._tb)
 
     def write_s(self, values: np.ndarray) -> Generator[Any, Any, int]:
         """Spill only probe tuples whose sub-partition has spilled R."""
-        parts = self._part_of(self.ctx.posmap(values))
         written = 0
-        for p in range(self.k):
-            if not self._r_parts[p]:
-                continue
-            sel = values[parts == p]
-            if sel.size:
-                self._s_parts[p].append(sel)
+        for r_part, s_part, sel in zip(self._r_parts, self._s_parts,
+                                       self._split(values)):
+            if r_part and sel.size:
+                s_part.append(sel)
                 written += int(sel.size)
         if written:
             self.spilled_s += written

@@ -19,6 +19,7 @@ stage may assume ``KEY_DTYPE`` without re-checking.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import accumulate
 
 import numpy as np
 
@@ -92,12 +93,13 @@ class ChunkBuffer:
     """Per-destination columnar accumulation with fixed-size chunk flushing.
 
     Data sources (and anything else that re-partitions a stream) append
-    index-selected slices of generation batches per destination; the
-    buffer consolidates them lazily and hands back exactly
-    ``chunk_tuples``-sized chunks for the wire.  Appended arrays are
-    *owned* by the buffer (callers must not mutate them afterwards) and
-    are assumed to already be key chunks — admission validation happens
-    upstream at :func:`as_key_chunk`.
+    index-selected slices of generation batches per destination, or plan a
+    block of batches at once and show it batch by batch; the buffer
+    consolidates them lazily and hands back exactly ``chunk_tuples``-sized
+    chunks for the wire.  Handed-in arrays are *owned* by the buffer
+    (callers must not mutate them afterwards) and are assumed to already be
+    key chunks — admission validation happens upstream at
+    :func:`as_key_chunk`.
     """
 
     def __init__(self, chunk_tuples: int) -> None:
@@ -105,28 +107,71 @@ class ChunkBuffer:
             raise ValueError(f"chunk_tuples must be >= 1, got {chunk_tuples}")
         self.chunk_tuples = chunk_tuples
         self._parts: dict[int, list[np.ndarray]] = {}
+        #: visible tuples per destination, a plan's shown ones included
         self._counts: dict[int, int] = {}
+        self._gather, self._dests, self._rows, self._lo, self._hi = None, [], [], [], []
 
     def append(self, dest: int, values: np.ndarray) -> None:
         if values.size == 0:
             return
+        self._end_plan()
         self._parts.setdefault(dest, []).append(values)
         self._counts[dest] = self._counts.get(dest, 0) + int(values.size)
 
+    def plan(self, gather: np.ndarray, dests: np.ndarray, counts: np.ndarray) -> None:
+        """Take a block at once: ``gather`` holds the tuples of each of
+        ``dests`` (ascending) end to end, ``counts[b, i]`` of ``dests[i]``'s
+        from batch ``b``, each invisible until :meth:`show` reaches its
+        batch.  Ends the previous plan, as :meth:`append` does."""
+        self._end_plan()
+        # the batches not shown (last first); per destination the span of
+        # the gather shown and not popped
+        self._gather, self._dests, self._rows = gather, dests.tolist(), counts.tolist()[::-1]
+        self._lo = list(accumulate(map(sum, zip(*self._rows)), initial=0))
+        self._hi = self._lo[:]
+
+    @property
+    def batches_ahead(self) -> int:
+        return len(self._rows)
+
+    def show(self) -> int:
+        """Make the plan's next batch visible; returns its tuple count."""
+        row = self._rows.pop()
+        for i, (dest, n) in enumerate(zip(self._dests, row)):
+            if n:
+                self._parts.setdefault(dest, [])
+                self._counts[dest] = self._counts.get(dest, 0) + n
+                self._hi[i] += n
+        return sum(row)
+
+    def _end_plan(self) -> None:
+        """Copy what the plan showed and nobody popped out as parts of their
+        own — a view would pin the whole block while a cold destination
+        slowly fills a chunk — and drop what it did not show."""
+        for dest, lo, hi in zip(self._dests, self._lo, self._hi):
+            if hi > lo:
+                self._parts[dest].append(self._gather[lo:hi].copy())
+        self._gather, self._dests, self._rows, self._lo, self._hi = None, [], [], [], []
+
     def _take(self, dest: int, n: int) -> np.ndarray:
         """Remove the oldest ``n`` tuples of one destination as a fresh
-        array.  A part cut short stays as a view of its tail, so every
-        tuple is copied once however many chunks one append is popped in."""
+        array — parts first, then the plan's.  A part cut short stays as a
+        view of its tail, so every tuple is copied once however many chunks
+        one append is popped in."""
         parts = self._parts[dest]
         self._counts[dest] -= n
         taken = []
-        while n:
+        while n and parts:
             head = parts.pop(0)
             if head.size > n:
                 parts.insert(0, head[n:])
                 head = head[:n]
             taken.append(head)
             n -= int(head.size)
+        if n:
+            i = self._dests.index(dest)
+            taken.append(self._gather[self._lo[i]:self._lo[i] + n])
+            self._lo[i] += n
         return np.concatenate(taken)
 
     def pop_full_chunk(self, dest: int) -> np.ndarray | None:
@@ -140,16 +185,31 @@ class ChunkBuffer:
         count = self._counts.get(dest, 0)
         return self._take(dest, count) if count else None
 
+    def full(self) -> list[int]:
+        """Destinations holding at least ``chunk_tuples`` tuples, ascending."""
+        return sorted(d for d, c in self._counts.items() if c >= self.chunk_tuples)
+
     def destinations(self) -> list[int]:
         """Destinations with at least one buffered tuple, ascending."""
         return sorted(d for d, c in self._counts.items() if c > 0)
 
+    def contents(self) -> list[tuple[int, np.ndarray]]:
+        """``(dest, tuples)`` per destination holding any, in the order
+        each first got tuples (since the last drain)."""
+        shown = {dest: self._gather[lo:hi]
+                 for dest, lo, hi in zip(self._dests, self._lo, self._hi)}
+        return [(dest, np.concatenate([*parts, shown[dest]] if dest in shown else parts))
+                for dest, parts in self._parts.items() if self._counts[dest]]
+
     def drain_everything(self) -> np.ndarray:
-        """Remove and return every buffered tuple (for re-partitioning)."""
-        parts = [a for dest_parts in self._parts.values() for a in dest_parts]
+        """Remove and return every buffered tuple (for re-partitioning);
+        a plan ends with it."""
+        drained = [values for _, values in self.contents()]
         self._parts.clear()
         self._counts.clear()
-        return np.concatenate(parts) if parts else empty_chunk()
+        self._dests = []  # its shown tuples are drained: nothing to carry over
+        self._end_plan()
+        return np.concatenate(drained) if drained else empty_chunk()
 
     @property
     def total_buffered(self) -> int:

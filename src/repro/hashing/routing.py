@@ -17,8 +17,10 @@ Both reduce positions to small integer *group keys* (one per range /
 bucket) and share one partitioning kernel, :meth:`Router.route_batches`: a
 stable counting sort of the keys, of a whole block of generation batches at
 once — on a 200-tuple batch a sort costs its call, not its data.
-:meth:`Router.route` is the one-batch case.  docs/DATA_PLANE.md §2 has the
-cost argument and the order invariant.
+:meth:`Router.route` is the one-batch case, and
+:meth:`Router.route_by_destination` the same sort laid out receiver by
+receiver, as a data source's buffer takes it.  docs/DATA_PLANE.md §2 has
+the cost argument and the order invariant.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
-from ..data.chunks import chunk_slices
 from .ranges import HashRange, ranges_partition_space
 
 __all__ = ["Router", "RangeRouter", "LinearHashRouter"]
@@ -94,27 +96,29 @@ class Router(ABC):
         together; ``spans`` lists ``(chain, lo, hi)`` for every non-empty
         group, by group key: ``order[lo:hi]`` are its tuples, ascending.
         A caller gathers ``values[order]`` once and slices it per span."""
-        order, runs = self.route_batches(positions, max(int(positions.size), 1))
-        return order, runs[0] if runs else []
+        order, counts = self.route_batches(positions, max(int(positions.size), 1))
+        cuts = [0, *accumulate(counts.sum(axis=0).tolist())]
+        return order, [(chain, lo, hi) for chain, lo, hi in zip(
+                           self._chains(), cuts, cuts[1:]) if hi > lo]
 
     def route_batches(
         self, positions: np.ndarray, batch: int
-    ) -> tuple[np.ndarray, list[list[tuple[tuple[int, ...], int, int]]]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The routing kernel, over consecutive runs of ``batch`` positions
-        (the last may be short): ``(order, runs)``.  ``runs[r]`` is run
-        ``r``'s ``spans`` as :meth:`route` defines them, indexing the one
-        ``order`` over all of ``positions``.  A tuple is keyed by ``run *
-        n_groups + group`` and the runs are sorted together — as many a
-        sort as keep the keys on the 16-bit radix path."""
-        chains = self._chains()
-        n, n_groups = int(positions.size), len(chains)
+        (the last may be short): ``(order, counts)`` — one stable
+        permutation of all of ``positions``, run by run and group by group,
+        and ``counts[r, g]`` tuples of run ``r`` in group ``g``.  A tuple is
+        keyed by ``run * n_groups + group`` and the runs are sorted together
+        — as many a sort as keep the keys on the 16-bit radix path."""
+        n, n_groups = int(positions.size), len(self._chains())
+        n_runs = -(-n // batch)
         if n_groups == 1 or not n:
             # One group owning the whole space: the order is the identity.
-            return np.arange(n, dtype=np.intp), [
-                [(chains[0], lo, hi)] for lo, hi in chunk_slices(n, batch)]
+            runs = np.diff(np.minimum(np.arange(n_runs + 1) * batch, n))
+            return np.arange(n, dtype=np.intp), np.repeat(runs[:, None], n_groups, axis=1)
         keys = self._keys(positions)
         step = max(_RADIX_KEYS // n_groups, 1) * batch
-        orders, runs = [], []
+        orders, counts = [], []
         for start in range(0, n, step):
             part = keys[start:start + step]
             n_keys = -(-part.size // batch) * n_groups
@@ -124,11 +128,46 @@ class Router(ABC):
                     np.arange(0, n_keys, n_groups, dtype=dtype), batch)[:part.size]
             order, cuts = _group_order(part, n_keys)
             orders.append(order + start if start else order)
-            cuts = (cuts + start).tolist()
-            runs += [[(chain, lo, hi) for chain, lo, hi in zip(
-                          chains, cuts[r:r + n_groups], cuts[r + 1:r + n_groups + 1])
-                      if hi > lo] for r in range(0, n_keys, n_groups)]
-        return orders[0] if len(orders) == 1 else np.concatenate(orders), runs
+            counts.append(cuts[1:] - cuts[:-1])
+        order = orders[0] if len(orders) == 1 else np.concatenate(orders)
+        return order, np.concatenate(counts).reshape(n_runs, n_groups)
+
+    @cached_property
+    def _receivers(self) -> list[tuple[np.ndarray, ...]]:
+        """Per phase (``[False]`` build, ``[True]`` probe) every (receiver,
+        group) pair, receiver-major: ``(dests, slot, groups)`` — receivers
+        ascending, each pair's index into them, its group."""
+        pairs = [np.array(sorted((d, g) for g, chain in enumerate(self._chains())
+                                 for d in (chain if probe else chain[-1:])))
+                 for probe in (False, True)]
+        return [(*np.unique(p[:, 0], return_inverse=True), p[:, 1]) for p in pairs]
+
+    def route_by_destination(
+        self, positions: np.ndarray, batch: int, *, probe: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`route_batches` receiver by receiver: ``(index, dests,
+        counts)`` — ``values[index]`` holds each of ``dests``' (ascending)
+        tuples end to end, run by run and group by group (a probe tuple once
+        per replica), ``counts[r, i]`` of them from run ``r``.  Built from
+        the (run, group) cells, never a pass per destination."""
+        order, counts = self.route_batches(positions, batch)
+        dests, slot, groups = self._receivers[probe]
+        cells = counts[:, groups]  # tuples per (run, receiver pair)
+        if slot.size > dests.size:  # a receiver of several groups
+            cells = np.add.reduceat(cells, np.flatnonzero(np.diff(slot, prepend=-1)), axis=1)
+        if len(counts) == 1:  # one run: its cells are slices of ``order``
+            if (pairs := groups.tolist()) != list(range(counts.size)):
+                cuts = [0, *accumulate(counts[0].tolist())]
+                order = np.concatenate([order[cuts[g]:cuts[g + 1]] for g in pairs])
+        elif order.size:  # receiver by receiver, each run by run, pair by pair
+            cell = np.argsort(np.arange(len(counts))[:, None] + slot * len(counts),
+                              axis=None, kind="stable")
+            sizes = counts[:, groups].ravel()[cell]
+            starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+            starts = starts[:, groups].ravel()[cell]
+            order = order[np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+                          + np.arange(sizes.sum())]
+        return order, dests, cells
 
     def partition_build(self, positions: np.ndarray) -> dict[int, np.ndarray]:
         """node_id -> indices of ``positions`` to send there (build phase)."""

@@ -93,7 +93,7 @@ class Event:
         """Schedule this event to fire successfully after ``delay``."""
         if self._value is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
-        if delay < 0:
+        if not delay >= 0:  # NaN too: it would sort nowhere on the heap
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._value = value
         sim = self.sim
@@ -144,7 +144,7 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: Simulator, delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # NaN too
             raise ValueError(f"negative timeout delay: {delay}")
         # Event.__init__ + succeed(), flattened.
         self.sim = sim
@@ -202,7 +202,7 @@ class Simulator:
         return self._current_process
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if delay < 0:
+        if not delay >= 0:  # NaN too
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
         heappush(self._queue, (self._now + delay, self._seq, event))

@@ -68,7 +68,20 @@ class Mailbox:
         before propagating: a pending getter leaves the queue, and a
         message already handed to it goes back to the head of the queue,
         so the next receiver gets it instead of a dead waiter."""
-        ev = self._get()
+        sim = self.sim
+        if self._items:
+            item = self._items.popleft()
+            if self.deq_probe is not None:
+                self.deq_probe(item)
+            ev: Event = Timeout(sim, 0.0, item)  # it was waiting
+            if self.depth_probe is not None:
+                self.depth_probe.observe(sim._now, len(self._items))
+        else:
+            ev = Event(sim)
+            self._getters.append(ev)
+            ld = sim.lockdep
+            if ld is not None:
+                ld.blocked(self, ev)
         try:
             item = yield ev
         except BaseException:
@@ -85,26 +98,8 @@ class Mailbox:
                 self.deq_probe(item)
         return items
 
-    def _get(self) -> Event:
-        """An event that fires with the next message."""
-        sim = self.sim
-        if self._items:
-            item = self._items.popleft()
-            if self.deq_probe is not None:
-                self.deq_probe(item)
-            ev: Event = Timeout(sim, 0.0, item)  # it was waiting
-            if self.depth_probe is not None:
-                self.depth_probe.observe(sim._now, len(self._items))
-        else:
-            ev = Event(sim)
-            self._getters.append(ev)
-            ld = sim.lockdep
-            if ld is not None:
-                ld.blocked(self, ev)
-        return ev
-
     def _withdraw(self, ev: Event) -> None:
-        """Undo a :meth:`_get` whose event the receiver will never consume."""
+        """Undo a :meth:`recv` whose event the receiver will never consume."""
         if ev.triggered:
             # Already handed a message (a put, or a queued item, landed in
             # the same tick as the interrupt): requeue it, oldest first.
@@ -205,12 +200,15 @@ class Resource:
 
     def use(self, duration: float) -> Generator[Event, Any, None]:
         """Hold one slot for ``duration`` simulated seconds (FIFO order)."""
-        if duration < 0:
+        if not duration >= 0:  # NaN too
             raise ValueError(f"negative duration: {duration}")
-        with self.request() as req:
+        req = self.request()
+        try:  # the ``with`` block's exit, without its two calls
             yield req
             yield Timeout(self.sim, duration)
             self.busy_time += duration
+        finally:
+            self._cancel(req)
 
     def _release(self) -> None:
         if self._in_use <= 0:

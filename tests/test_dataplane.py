@@ -401,15 +401,46 @@ def test_routing_a_block_of_batches_equals_routing_each_batch(kind, batch, cap, 
         elements=st.integers(0, top - 1)))
 
     with mock.patch.object(routing, "_RADIX_KEYS", cap):
-        order, runs = router.route_batches(positions, batch)
+        order, counts = router.route_batches(positions, batch)
 
     assert order.dtype == np.intp
-    assert len(runs) == -(-positions.size // batch)
-    for r, spans in enumerate(runs):
+    assert counts.shape == (-(-positions.size // batch), len(router._chains()))
+    for r, run in enumerate(counts.tolist()):
         lo = r * batch
         want_order, want_spans = router.route(positions[lo:lo + batch])
         assert (order[lo:lo + batch] - lo).tolist() == want_order.tolist()
-        assert spans == [(chain, a + lo, z + lo) for chain, a, z in want_spans]
+        assert [(chain, n) for chain, n in zip(router._chains(), run) if n] \
+            == [(chain, hi - a) for chain, a, hi in want_spans]
+
+
+@given(router=range_routers(), batch=st.integers(1, 60), probe=st.booleans(),
+       cap=st.sampled_from([1, 1 << 16]), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_destination_major_routing_is_route_run_by_run(router, batch, probe, cap, data):
+    """``route_by_destination`` lays each receiver's tuples end to end —
+    run by run, each run range by range, a probe tuple once per replica —
+    exactly as routing each run alone and collecting per receiver would."""
+    positions = data.draw(hnp.arrays(
+        dtype=np.int64, shape=st.integers(0, 400),
+        elements=st.integers(0, router.positions - 1)))
+    with mock.patch.object(routing, "_RADIX_KEYS", cap):
+        index, dests, counts = router.route_by_destination(positions, batch, probe=probe)
+
+    receivers = sorted({d for chain in router._chains()
+                        for d in (chain if probe else chain[-1:])})
+    assert dests.tolist() == receivers
+    want: dict[int, list[int]] = {d: [] for d in receivers}
+    want_counts = []
+    for lo in range(0, positions.size, batch):
+        order, spans = router.route(positions[lo:lo + batch])
+        row = dict.fromkeys(receivers, 0)
+        for chain, a, z in spans:
+            for d in (chain if probe else chain[-1:]):
+                want[d] += (order[a:z] + lo).tolist()
+                row[d] += z - a
+        want_counts.append(list(row.values()))
+    assert counts.reshape(-1, len(receivers)).tolist() == want_counts
+    assert index.tolist() == [i for d in receivers for i in want[d]]
 
 
 @given(router=range_routers(), data=st.data(), probe=st.booleans(),
@@ -437,10 +468,8 @@ def test_buffering_a_routed_batch_keeps_the_append_order(router, data, probe, sk
 
     assert copies == sum(idx.size for idx in parts.values())
     assert got.destinations() == want.destinations()
-    assert list(got._parts) == list(want._parts)
-    for dest in want.destinations():
-        assert np.array_equal(np.concatenate(got._parts[dest]),
-                              np.concatenate(want._parts[dest]))
+    assert [(d, v.tolist()) for d, v in got.contents()] \
+        == [(d, v.tolist()) for d, v in want.contents()]
     assert np.array_equal(got.drain_everything(), want.drain_everything())
 
 
@@ -462,8 +491,7 @@ class ScriptedSource(DataSourceProcess):
         if buffers is not None:
             self.seen.append((
                 dict(self.batches_done), self.dup_tuples, self.router.version,
-                [(d, np.concatenate(buffers._parts[d]).tolist())
-                 for d in buffers._parts if buffers._parts[d]]))
+                [(d, values.tolist()) for d, values in buffers.contents()]))
         for action in self.script.get(
                 (self.batches_done["R"], self.batches_done["S"]), ()):
             if isinstance(action, Router):
@@ -643,6 +671,86 @@ def test_chunk_buffer_against_a_list_model(ops, chunk):
             assert got.tolist() == [v for have in model.values() for v in have]
             model.clear()
         assert buf.destinations() == sorted(d for d, have in model.items() if have)
+        assert buf.total_buffered == sum(len(have) for have in model.values())
+
+
+block_plans = st.lists(  # batches of a block: per destination, its tuples
+    st.dictionaries(st.integers(0, 3), hnp.arrays(
+        dtype=np.uint64, shape=st.integers(0, 30), elements=st.integers(0, 50)),
+        max_size=4),
+    min_size=1, max_size=5)
+
+
+@given(
+    ops=st.lists(st.one_of(
+        st.tuples(st.just("append"), st.integers(0, 3), small_key_arrays),
+        st.tuples(st.just("plan"), block_plans),
+        st.tuples(st.just("show")),
+        st.tuples(st.just("pop_full_chunk"), st.integers(0, 4)),
+        st.tuples(st.just("pop_all"), st.integers(0, 4)),
+        st.tuples(st.just("drain_everything")),
+    ), max_size=40),
+    chunk=st.integers(1, 60),
+)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_chunk_buffer_plan_against_a_list_model(ops, chunk):
+    """Plans interleaved with appends, pops and drains, against plain
+    lists where each shown batch is appended destination by destination,
+    ascending — the per-batch loop: what each pop returns, ``full()``,
+    ``contents()`` (first-visible order), and that any other way in drops
+    what a plan had not shown yet."""
+    buf = ChunkBuffer(chunk)
+    model: dict[int, list[int]] = {}
+    pending: list[dict] = []
+    for op, *args in ops:
+        if op == "append":
+            dest, values = args
+            buf.append(dest, values)
+            if values.size:
+                pending = []
+                model.setdefault(dest, []).extend(values.tolist())
+        elif op == "plan":
+            batches = args[0]
+            dests = sorted({d for batch in batches for d in batch})
+            empty = np.empty(0, dtype=np.uint64)
+            gather = np.concatenate([empty] + [batch.get(d, empty) for d in dests
+                                               for batch in batches])
+            counts = np.array([[batch[d].size if d in batch else 0 for d in dests]
+                               for batch in batches], dtype=np.intp).reshape(len(batches), -1)
+            buf.plan(gather, np.array(dests, dtype=np.intp), counts)
+            pending = list(batches)
+            assert buf.batches_ahead == len(batches)
+        elif op == "show":
+            if not pending:
+                continue
+            batch = pending.pop(0)
+            assert buf.show() == sum(v.size for v in batch.values())
+            for dest in sorted(batch):
+                if batch[dest].size:
+                    model.setdefault(dest, []).extend(batch[dest].tolist())
+        elif op == "pop_full_chunk":
+            got = buf.pop_full_chunk(args[0])
+            have = model.get(args[0], [])
+            if len(have) < chunk:
+                assert got is None
+            else:
+                assert got.tolist() == have[:chunk]
+                del have[:chunk]
+        elif op == "pop_all":
+            got = buf.pop_all(args[0])
+            have = model.get(args[0], [])
+            assert (got is None) if not have else (got.tolist() == have)
+            have.clear()
+        else:
+            got = buf.drain_everything()
+            assert got.tolist() == [v for have in model.values() for v in have]
+            model.clear()
+            pending = []
+        assert buf.batches_ahead == len(pending)
+        assert buf.full() == sorted(d for d, have in model.items() if len(have) >= chunk)
+        assert [(d, v.tolist()) for d, v in buf.contents()] \
+            == [(d, have) for d, have in model.items() if have]
         assert buf.total_buffered == sum(len(have) for have in model.values())
 
 

@@ -1,12 +1,12 @@
 """The paper's protocol runs with the fault-tolerance layer absent.
 
-``repro.core.membership`` (failure detector, standby) and
-``repro.core.recovery`` (WAL replication, node recovery, takeover; the
-join process's fencing, purge and re-announcement; the data source's
-replay and re-announcement) are wrapped *around* the paper's three actors,
-chosen by the driver only when the fault plan arms them.  So the
-fault-free path must neither import them nor miss them: with both made
-unimportable, all four algorithms still return the oracle's answer.
+``repro.core.recovery`` (failure detector, standby, WAL replication,
+node recovery, takeover; the join process's fencing, purge and
+re-announcement; the data source's replay and re-announcement) is wrapped
+*around* the paper's three actors, chosen by the driver only when the
+fault plan arms it.  So the fault-free path must neither import it nor
+miss it: with it made unimportable, all four algorithms still return the
+oracle's answer.
 """
 
 import os
@@ -31,7 +31,7 @@ from repro.core.messages import (
 )
 from repro.faults import FaultPlan
 
-FAULT_LAYER = ("repro.core.membership", "repro.core.recovery")
+FAULT_LAYER = ("repro.core.recovery",)
 
 
 @pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)

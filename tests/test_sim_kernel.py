@@ -224,3 +224,49 @@ def test_event_state_follows_its_lifecycle():
     assert ev.triggered and ev.processed and ev.value is None
     t = sim.timeout(1.0, value="v")
     assert t.triggered and not t.processed
+
+
+NANS = [float("nan"), -float("nan")]
+
+
+@pytest.mark.parametrize("nan", NANS, ids=["nan", "-nan"])
+@pytest.mark.parametrize("schedule", [
+    lambda sim, d: sim.timeout(d),
+    lambda sim, d: sim.event().succeed(None, delay=d),
+    lambda sim, d: sim.event().fail(RuntimeError("x"), delay=d),
+], ids=["timeout", "succeed", "fail"])
+def test_nan_delay_rejected(schedule, nan):
+    """``delay < 0`` is False for NaN; a NaN on the heap compares false
+    with every key and can end a run early, so it is refused up front."""
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        schedule(sim, nan)
+    assert not sim._queue
+
+
+@pytest.mark.parametrize("nan", NANS, ids=["nan", "-nan"])
+def test_nan_hold_rejected(nan):
+    from repro.sim import Resource
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        next(Resource(sim).use(nan))
+
+
+def test_a_nan_timeout_never_ends_a_run_silently():
+    """One process waits a NaN delay beside three that wait 1, 2 and 3 s.
+    A NaN on the heap let ``run()`` return at t = 0 with all four stuck
+    at their first yield and no DeadlockError; now the run raises."""
+    sim = Simulator()
+    woke = []
+
+    def proc(delay):
+        yield sim.timeout(delay)
+        woke.append(delay)
+
+    for delay in (1.0, float("nan"), 2.0, 3.0):
+        sim.spawn(proc(delay))
+    try:
+        sim.run()
+    except ValueError:
+        return
+    assert woke == [1.0, 2.0, 3.0] and sim.now == 3.0

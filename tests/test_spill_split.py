@@ -1,0 +1,54 @@
+"""SpillStore's one-sort partitioning against the k-mask reference."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from tests.conftest import small_config
+from repro.config import Algorithm
+from repro.core.driver import single_query_context
+from repro.core.joinnode import SpillStore
+from repro.hashing import HashRange
+
+keys = hnp.arrays(dtype=np.uint64, shape=st.integers(0, 300),
+                  elements=st.integers(0, (1 << 32) - 1))
+
+
+@given(r_chunks=st.lists(keys, max_size=3), s_chunks=st.lists(keys, max_size=3),
+       k=st.sampled_from([1, 2, 3, 8, 300]),
+       lo=st.integers(0, 1 << 11), width=st.integers(1, 1 << 11))
+@settings(max_examples=100, deadline=None)
+def test_split_writes_what_one_mask_per_partition_writes(r_chunks, s_chunks, k, lo, width):
+    """Every R and S sub-partition file holds the tuples the per-partition
+    boolean masks selected, chunk by chunk, in arrival order — and S
+    spills only where R did."""
+    ctx = single_query_context(small_config(Algorithm.OUT_OF_CORE, initial=2))
+    store = SpillStore(ctx, 0, k_parts=k, hash_range=HashRange(lo, lo + width))
+    want_r = [[] for _ in range(k)]
+    want_s = [[] for _ in range(k)]
+    for values in r_chunks:
+        parts = store._part_of(ctx.posmap(values))
+        for p in range(k):
+            want_r[p] += values[parts == p].tolist()
+    for values in s_chunks:
+        parts = store._part_of(ctx.posmap(values))
+        for p in range(k):
+            if want_r[p]:
+                want_s[p] += values[parts == p].tolist()
+
+    def drive():
+        for values in r_chunks:
+            yield from store.write_r(values)
+        written = 0
+        for values in s_chunks:
+            written += yield from store.write_s(values)
+        return written
+
+    proc = ctx.sim.spawn(drive())
+    ctx.sim.run()
+    flat = lambda parts: [[v for a in p for v in a.tolist()] for p in parts]
+    assert flat(store._r_parts) == want_r
+    assert flat(store._s_parts) == want_s
+    assert all(a.size for p in store._r_parts + store._s_parts for a in p)
+    assert proc.value == store.spilled_s == sum(map(len, want_s))
