@@ -59,6 +59,7 @@ class FigureHarness:
     )
 
     def __init__(self, scale: float = DEFAULT_SCALE, validate: bool = True):
+        WorkloadSpec(scale=scale)  # a bad scale fails here, not in a cell
         self.scale = scale
         self.validate = validate
         self._cache: dict[tuple, JoinRunResult] = {}

@@ -51,8 +51,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from typing import TYPE_CHECKING, Any
 
 from .config import (
@@ -75,6 +76,7 @@ from .faults import (
     FaultPlanError,
     UnrecoverableFaultError,
     crash_specs_from_cli,
+    finite_float,
 )
 from .obs import ObsBudget
 
@@ -86,20 +88,20 @@ __all__ = ["main", "build_parser"]
 
 
 def _add_workload_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r-tuples", type=float, default=10.0, metavar="M",
+    p.add_argument("--r-tuples", type=finite_float, default=10.0, metavar="M",
                    help="build relation size in millions of tuples "
                         "(paper units; default 10)")
-    p.add_argument("--s-tuples", type=float, default=10.0, metavar="M",
+    p.add_argument("--s-tuples", type=finite_float, default=10.0, metavar="M",
                    help="probe relation size in millions of tuples")
     p.add_argument("--tuple-bytes", type=int, default=100)
-    p.add_argument("--sigma", type=float, default=None,
+    p.add_argument("--sigma", type=finite_float, default=None,
                    help="Gaussian skew (fraction of the value range); "
                         "omit for uniform data")
-    p.add_argument("--zipf", type=float, default=None, metavar="S",
+    p.add_argument("--zipf", type=finite_float, default=None, metavar="S",
                    help="Zipf exponent (> 1); mutually exclusive with "
                         "--sigma")
     p.add_argument("--chunk-tuples", type=int, default=10_000)
-    p.add_argument("--scale", type=float, default=WorkloadSpec().scale,
+    p.add_argument("--scale", type=finite_float, default=WorkloadSpec().scale,
                    help="down-scaling factor (default 1/50); 1.0 = full size")
     p.add_argument("--seed", type=int, default=WorkloadSpec().seed)
 
@@ -112,7 +114,7 @@ def _add_cluster_args(p: argparse.ArgumentParser) -> None:
                    help="potential join nodes (default 24)")
     p.add_argument("--sources", type=int, default=4,
                    help="data-source nodes (default 4)")
-    p.add_argument("--node-memory-mb", type=float, default=64.0,
+    p.add_argument("--node-memory-mb", type=finite_float, default=64.0,
                    help="hash-table budget per node in MB (default 64)")
     p.add_argument("--topology", default="switched",
                    choices=[t.value for t in Topology],
@@ -125,7 +127,7 @@ def _add_cluster_args(p: argparse.ArgumentParser) -> None:
 def _add_fault_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fault-plan", metavar="PATH",
                    help="JSON fault plan (see docs/FAULTS.md for the schema)")
-    p.add_argument("--drop-prob", type=float, default=None, metavar="P",
+    p.add_argument("--drop-prob", type=finite_float, default=None, metavar="P",
                    help="drop every inter-node message with probability P "
                         "(sender retransmits; overrides the plan's value)")
     p.add_argument("--crash-node", action="append", default=[],
@@ -139,12 +141,12 @@ def _add_fault_args(p: argparse.ArgumentParser) -> None:
                    help="arm the control-plane fault-tolerance layer "
                         "(heartbeat failure detector + standby scheduler; "
                         "see docs/FAULTS.md)")
-    p.add_argument("--heartbeat-interval", type=float, default=None,
+    p.add_argument("--heartbeat-interval", type=finite_float, default=None,
                    metavar="S",
                    help="heartbeat period in simulated seconds (implies "
                         "--membership; suspect/confirm timeouts derive "
                         "from it unless pinned in the fault plan)")
-    p.add_argument("--kill-scheduler-at", type=float, default=None,
+    p.add_argument("--kill-scheduler-at", type=finite_float, default=None,
                    metavar="T",
                    help="fail-stop the primary scheduler at sim time T "
                         "(implies --membership; the standby takes over)")
@@ -191,10 +193,10 @@ def _parse_arrival_times(text: str | None) -> tuple[float, ...]:
         if not segment:
             continue
         try:
-            times.append(float(segment))
+            times.append(finite_float(segment))
         except ValueError:
             raise ValueError(
-                f"--arrival-times: {segment!r} is not a number (expected "
+                f"--arrival-times: {segment!r} is not a finite number (expected "
                 f"a comma-separated list like 1.0,2.5,4.0)"
             ) from None
     return tuple(times)
@@ -229,6 +231,25 @@ def _cluster(args: argparse.Namespace) -> ClusterSpec:
         hash_memory_bytes=int(args.node_memory_mb * 1024 * 1024),
         topology=Topology(args.topology),
     )
+
+
+class _ConfigError(Exception):
+    """Flags a config validator refused: ``main`` prints the message as
+    one ``<command>: <message>`` line and exits 2."""
+
+
+@contextmanager
+def _config_errors() -> Iterator[None]:
+    """Config construction: a validator's ValueError becomes a
+    :class:`_ConfigError`.  Never wrap a simulation in this — a ValueError
+    raised by a run is a bug and keeps its traceback.  A FaultPlanError
+    keeps its own path (``parser.error`` in :func:`main`)."""
+    try:
+        yield
+    except FaultPlanError:
+        raise
+    except ValueError as exc:
+        raise _ConfigError(str(exc)) from None
 
 
 def _config(args: argparse.Namespace, algorithm: Algorithm,
@@ -308,8 +329,9 @@ def _run_single(args: argparse.Namespace, command: str,
 
     if _refuse_overwrite(args.out, args.force, command):
         return None
-    cfg = _config(args, Algorithm(args.algorithm),
-                  int(args.initial_nodes.split(",")[0]), **config_kw)
+    with _config_errors():
+        cfg = _config(args, Algorithm(args.algorithm),
+                      int(args.initial_nodes.split(",")[0]), **config_kw)
     return run_join(cfg, validate=not args.no_validate)
 
 
@@ -336,16 +358,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis import format_table
     from .core import run_join
 
-    algorithms = (
-        list(Algorithm) if args.algorithms == "all"
-        else [Algorithm(a) for a in args.algorithms.split(",")]
-    )
-    initials = [int(x) for x in args.initial_nodes.split(",")]
+    with _config_errors():  # every cell, before the first one runs
+        algorithms = (
+            list(Algorithm) if args.algorithms == "all"
+            else [Algorithm(a) for a in args.algorithms.split(",")]
+        )
+        initials = [int(x) for x in args.initial_nodes.split(",")]
+        grid = [[_config(args, a, k) for a in algorithms] for k in initials]
     rows = []
-    for k in initials:
+    for k, cells in zip(initials, grid):
         row: list[object] = [k]
-        for algorithm in algorithms:
-            cfg = _config(args, algorithm, k)
+        for cfg in cells:
             res = run_join(cfg, validate=not args.no_validate)
             row.append(round(res.paper_scale_total_s, 1))
         rows.append(row)
@@ -358,7 +381,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_figures(args: argparse.Namespace) -> int:
     from .bench import FigureHarness
 
-    harness = FigureHarness(scale=args.scale, validate=not args.no_validate)
+    with _config_errors():
+        harness = FigureHarness(scale=args.scale, validate=not args.no_validate)
     available = FigureHarness.FIGURES
     # --json alone snapshots the fig02 baseline without rendering reports;
     # combined with --only it does both (the sweep is memoized and shared).
@@ -478,12 +502,15 @@ def _parse_mix_entry(text: str) -> QueryMixEntry:
             f"mix entry {text!r}: expected ALG[:WEIGHT[:R_M[:S_M"
             f"[:INITIAL[:SIGMA]]]]]"
         )
-    alg = Algorithm(parts[0])
-    weight = float(parts[1]) if len(parts) > 1 else 1.0
-    r_m = float(parts[2]) if len(parts) > 2 else 2.0
-    s_m = float(parts[3]) if len(parts) > 3 else r_m
-    initial = int(parts[4]) if len(parts) > 4 else 2
-    sigma = float(parts[5]) if len(parts) > 5 else None
+    try:
+        alg = Algorithm(parts[0])
+        weight = finite_float(parts[1]) if len(parts) > 1 else 1.0
+        r_m = finite_float(parts[2]) if len(parts) > 2 else 2.0
+        s_m = finite_float(parts[3]) if len(parts) > 3 else r_m
+        initial = int(parts[4]) if len(parts) > 4 else 2
+        sigma = finite_float(parts[5]) if len(parts) > 5 else None
+    except ValueError as exc:
+        raise ValueError(f"mix entry {text!r}: {exc}") from None
     return QueryMixEntry(
         weight=weight,
         algorithm=alg,
@@ -626,11 +653,8 @@ def cmd_workload(args: argparse.Namespace) -> int:
     plan = _faults(args)
     if _check_membership(plan, "workload"):
         return 2
-    try:
+    with _config_errors():
         cfg = _workload_config(args, plan)
-    except ValueError as exc:
-        print(f"workload: {exc}", file=sys.stderr)
-        return 2
     res = _run_streaming(
         args, "workload", "snapshot stream",
         lambda sink: run_workload(cfg, validate=not args.no_validate,
@@ -651,7 +675,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     plan = _faults(args)
     if _check_membership(plan, "fleet"):
         return 2
-    try:
+    with _config_errors():
         wl = _workload_config(args, plan)
         if args.arrival_profile != "poisson":
             wl = replace(
@@ -663,9 +687,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             n_shards=args.shards,
             worker_timeout_s=args.worker_timeout,
         )
-    except ValueError as exc:
-        print(f"fleet: {exc}", file=sys.stderr)
-        return 2
     res = _run_streaming(
         args, "fleet", "merged snapshot stream",
         lambda sink: run_fleet(cfg, validate=not args.no_validate,
@@ -839,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
         # (OS-process sharded) — both fold into one WorkloadConfig.
         p.add_argument("--queries", type=int, default=4,
                        help="number of concurrent queries (default 4)")
-        p.add_argument("--arrival-rate", type=float, default=0.5,
+        p.add_argument("--arrival-rate", type=finite_float, default=0.5,
                        metavar="QPS",
                        help="Poisson arrival rate in queries per simulated "
                             "second (default 0.5)")
@@ -858,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fair-share-cap", type=int, default=4, metavar="N",
                        help="max pool nodes one query may hold beyond its "
                             "admission grant (fair policy only; default 4)")
-        p.add_argument("--grant-timeout", type=float, default=None,
+        p.add_argument("--grant-timeout", type=finite_float, default=None,
                        metavar="S",
                        help="deny a parked recruit after S simulated "
                             "seconds (default: scale-derived)")
@@ -866,11 +887,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shared join nodes in the pool (default 24)")
         p.add_argument("--sources", type=int, default=2,
                        help="data-source nodes per query (default 2)")
-        p.add_argument("--node-memory-mb", type=float, default=64.0,
+        p.add_argument("--node-memory-mb", type=finite_float, default=64.0,
                        help="hash-table budget per node in MB (default 64)")
         p.add_argument("--topology", default="switched",
                        choices=[t.value for t in Topology])
-        p.add_argument("--scale", type=float, default=WorkloadSpec().scale,
+        p.add_argument("--scale", type=finite_float, default=WorkloadSpec().scale,
                        help="down-scaling factor (default 1/50)")
         p.add_argument("--seed", type=int, default=WorkloadConfig().seed)
         _add_fault_args(p)
@@ -889,7 +910,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print one progress line per periodic "
                             "observability snapshot (simulated-clock "
                             "cadence; see docs/OBSERVABILITY.md)")
-        p.add_argument("--live-interval", type=float, default=None,
+        p.add_argument("--live-interval", type=finite_float, default=None,
                        metavar="S",
                        help="snapshot cadence in simulated seconds "
                             "(implies --live; default 25*scale)")
@@ -928,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--cohorts", type=int, default=8, metavar="N",
                          help="deterministic partition count — part of the "
                               "model, not the parallelism (default 8)")
-    p_fleet.add_argument("--worker-timeout", type=float, default=600.0,
+    p_fleet.add_argument("--worker-timeout", type=finite_float, default=600.0,
                          metavar="S",
                          help="wall-clock seconds of worker silence before "
                               "the shard is killed and reported as failed "
@@ -986,7 +1007,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bdiff.add_argument("old", help="baseline JSON (the reference)")
     p_bdiff.add_argument("new", help="candidate JSON to compare against it")
-    p_bdiff.add_argument("--threshold", type=float, default=1.0,
+    p_bdiff.add_argument("--threshold", type=finite_float, default=1.0,
                          metavar="PCT",
                          help="regression threshold in percent (default 1)")
     p_bdiff.add_argument("--format", default="text",
@@ -1009,7 +1030,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(total/build s per algorithm x initial nodes) "
                             "for regression tracking; alone, skips the "
                             "figure reports")
-    p_fig.add_argument("--scale", type=float, default=WorkloadSpec().scale)
+    p_fig.add_argument("--scale", type=finite_float, default=WorkloadSpec().scale)
     p_fig.add_argument("--no-validate", action="store_true")
     p_fig.add_argument("--force", action="store_true",
                        help="overwrite existing --out/--csv-dir/--json files")
@@ -1051,6 +1072,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"--zipf exponent must be > 1, got {args.zipf}")
     try:
         return args.func(args)
+    except _ConfigError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
     except FaultPlanError as exc:
         parser.error(str(exc))
     except UnrecoverableFaultError as exc:

@@ -20,23 +20,30 @@ tie-breaking in the kernel).  No deadlock is possible: an RX link is only
 ever held across a plain timeout, never while waiting for another
 resource.
 
-The network keeps per-(src, dst, kind) byte and message counters;
-:meth:`assert_conserved` verifies at end of run that every byte sent was
-delivered — a cheap full-system invariant the test suite leans on.
+**One attempt loop.**  Every ``send`` runs the same loop: transmit a
+copy, take the drop verdict, deliver it (or count a duplicate), then
+return or back off and retransmit.  It ends in one of three ways:
 
-**Reliable transport under fault injection.**  When a
-:class:`~repro.faults.FaultInjector` with link faults is attached, every
-inter-node ``send`` runs an at-least-once loop: transmit, consult the
-seeded drop verdicts, and either finish after one ack propagation delay or
-back off (``FaultInjector.rto``: doubling, capped) and retransmit.
-A lost *payload* is retransmitted until it lands; a lost *ack* means the
-payload already landed, so the retransmission is counted as a duplicate
-and suppressed — exactly one mailbox delivery per logical message, so
-receive-window credits and the drain protocol's message counts stay
-balanced.  Dropped and duplicate bytes are accounted per link and
-:meth:`assert_conserved` then checks ``sent == delivered + dropped +
-duplicates``.  A message that exhausts ``MAX_ATTEMPTS`` raises
+* *fault-free* — no :class:`~repro.faults.FaultInjector` with link faults
+  is attached, or the message is loopback: no verdict is taken, the first
+  copy is delivered and the loop returns;
+* *best effort* (heartbeats) — one payload verdict, no ack, no retry: a
+  dropped copy is lost;
+* *reliable* — at-least-once: a lost payload is retransmitted after a
+  backoff (``FaultInjector.rto``: doubling, capped) until it lands; a
+  lost ack means the payload already landed, so the retransmission is
+  counted as a duplicate and suppressed.  The loop returns after one ack
+  propagation delay.  Exactly one mailbox delivery per logical message
+  keeps receive-window credits and the drain protocol's counts balanced.
+
+A message that exhausts ``MAX_ATTEMPTS`` raises
 :class:`~repro.faults.UnrecoverableFaultError` instead of deadlocking.
+
+The network keeps per-(src, dst, kind) byte and message counters, and
+each transmitted copy lands in exactly one of delivered, dropped or
+duplicate: :meth:`assert_conserved` checks ``sent == delivered + dropped
++ duplicates`` per link at end of run — a cheap full-system invariant the
+test suite leans on.
 """
 
 from __future__ import annotations
@@ -123,24 +130,19 @@ class Network:
         to a specific edge id; by default the log attributes it to the
         message the sender is currently processing.
 
-        With link faults injected this becomes an at-least-once exchange:
-        the sender retransmits on a seeded drop verdict with exponential
-        backoff, waits one ack propagation delay on success, and counts a
-        lost-ack retransmission as a suppressed duplicate (the payload is
-        delivered to the mailbox exactly once either way).  See the module
-        docstring for the full recovery semantics.
-
-        ``best_effort=True`` (heartbeats) sends exactly one copy and never
-        waits for an ack: a drop verdict simply loses the message — which
-        is the point, because a failure detector built on a reliable
-        transport would never observe the faults it exists to detect.
-        Byte conservation still holds (the loss lands in ``dropped_*``).
+        The module docstring describes the attempt loop and its three
+        outcomes.  With link faults injected the send is reliable unless
+        ``best_effort=True`` (heartbeats): then a dropped copy is simply
+        lost — which is the point, because a failure detector built on a
+        reliable transport would never observe the faults it exists to
+        detect.  Byte conservation still holds either way.
         """
         nbytes = message.nbytes
         if nbytes < 0:
             raise ValueError("message reports a negative size")
-        key = (src.node_id, dst.node_id, message.kind)
-        self.sent_messages[message.kind] += 1
+        kind = message.kind
+        key = (src.node_id, dst.node_id, kind)
+        self.sent_messages[kind] += 1
         self._in_flight += 1
         if self._in_flight > self.in_flight_peak:
             self.in_flight_peak = self._in_flight
@@ -152,16 +154,22 @@ class Network:
             edge = self.causality.on_send(
                 src.name, dst.name, message, self.sim.now, parent
             )
+        # The verdict source: None when no verdict is ever taken (no link
+        # faults, or loopback, which never touches a link).
+        faults = self.faults
+        if faults is not None and (not faults.links_active or src is dst):
+            faults = None
+        sim, hub, latency = self.sim, self._hub, self.cost.net_latency
         # A fail-stop interrupt (crashed sender) can land on any yield in
         # here; the try/finally keeps the conservation books exact in that
         # case: an attempt whose verdict never resolved is charged as
         # dropped (the sender's NIC died mid-transmission) and an
         # undelivered logical message leaves the in-flight count.
-        delivered = False      # a copy was handed to _spawn_deliver
+        delivered = False      # a copy was handed to _deliver
         attempt_open = False   # bytes charged to sent_* with no verdict yet
         try:
             yield from src.cpu.use(self.cost.net_per_message_cpu)
-            if message.kind == "data":
+            if kind == "data":
                 # Receive-window credit: held until the receiving process
                 # retires the chunk.  Acquired first — even for loopback
                 # delivery — because the receiver releases one credit per
@@ -178,126 +186,87 @@ class Network:
                 # retires the chunk) — that asymmetry is the credit
                 # protocol, not a leak.
                 yield from dst.recv_credits.take()
-            faults = self.faults
-            if faults is None or not faults.links_active or src is dst:
-                attempt_open = True
-                self.sent_bytes[key] += nbytes
-                yield from self._transmit(src, dst, nbytes)
-                attempt_open = False
-                self._spawn_deliver(src, dst, message, nbytes, key, edge)
-                delivered = True
-                return
-            if best_effort:
-                attempt_open = True
-                self.sent_bytes[key] += nbytes
-                yield from self._transmit(src, dst, nbytes)
-                attempt_open = False
-                if faults.roll_drop(src.node_id, dst.node_id):
-                    self.dropped_bytes[key] += nbytes
-                    self.dropped_messages[message.kind] += 1
-                else:
-                    self._spawn_deliver(src, dst, message, nbytes, key, edge)
-                    delivered = True
-                return
-            # Reliable transport: transmit / await ack / back off and retry.
             attempt = 0
             while True:
                 attempt_open = True
                 self.sent_bytes[key] += nbytes
-                yield from self._transmit(src, dst, nbytes)
+                if src is not dst:
+                    # Clock one copy through the interconnect.  The holds
+                    # are ``with res.request()`` unrolled: fewer calls a
+                    # hold, and the finally releases them on an interrupt.
+                    wire = self.cost.wire_time(nbytes)
+                    if faults is not None:
+                        wire *= faults.slowdown_factor(
+                            src.node_id, dst.node_id, sim.now
+                        )
+                    if hub is not None:
+                        medium = hub.request()
+                        try:
+                            yield medium
+                            yield Timeout(sim, latency + wire)
+                            hub.busy_time += wire
+                        finally:
+                            hub._cancel(medium)
+                    else:
+                        tx, rx = src.tx.request(), None
+                        try:
+                            yield tx
+                            yield Timeout(sim, latency)
+                            rx = dst.rx.request()
+                            yield rx
+                            yield Timeout(sim, wire)
+                            src.tx.busy_time += wire
+                            dst.rx.busy_time += wire
+                        finally:
+                            if rx is not None:
+                                dst.rx._cancel(rx)
+                            src.tx._cancel(tx)
                 attempt_open = False
-                if faults.roll_drop(src.node_id, dst.node_id):
+                if faults is not None and faults.roll_drop(
+                        src.node_id, dst.node_id):
                     self.dropped_bytes[key] += nbytes
-                    self.dropped_messages[message.kind] += 1
+                    self.dropped_messages[kind] += 1
                     lost = True
                 else:
                     if delivered:
                         self.duplicate_bytes[key] += nbytes
-                        self.duplicate_messages[message.kind] += 1
+                        self.duplicate_messages[kind] += 1
                     else:
-                        self._spawn_deliver(src, dst, message, nbytes, key, edge)
+                        sim.spawn(self._deliver(dst, message, nbytes, key, edge),
+                                  name=f"net:{src.name}->{dst.name}")
                         delivered = True
-                    lost = faults.roll_ack_drop(src.node_id, dst.node_id)
+                    lost = not best_effort and faults is not None and (
+                        faults.roll_ack_drop(src.node_id, dst.node_id))
+                if faults is None or best_effort:
+                    return  # no ack to wait for: delivered, or lost for good
                 if not lost:
                     # Cumulative ack propagates back (control-sized, modelled
                     # as pure propagation delay on the reverse path).
-                    yield self.sim.timeout(self.cost.net_latency)
+                    yield sim.timeout(latency)
                     return
                 attempt += 1
                 if attempt >= MAX_ATTEMPTS:
                     raise UnrecoverableFaultError(
-                        f"message {src.name}->{dst.name} ({message.kind}, "
+                        f"message {src.name}->{dst.name} ({kind}, "
                         f"{nbytes} B) exhausted {MAX_ATTEMPTS} "
                         "transmission attempts; the configured drop "
                         "probability is beyond the transport's recovery "
                         "envelope"
                     )
-                faults.count_retry(message.kind)
+                faults.count_retry(kind)
                 if edge is not None:
                     self.causality.on_attempt(edge)
-                yield self.sim.timeout(faults.rto(attempt))
+                yield sim.timeout(faults.rto(attempt))
         finally:
             if attempt_open:
                 self.dropped_bytes[key] += nbytes
-                self.dropped_messages[message.kind] += 1
+                self.dropped_messages[kind] += 1
             if not delivered:
                 self._in_flight -= 1
 
-    def _transmit(self, src: Node, dst: Node, nbytes: int) -> Generator[Any, Any, None]:
-        """Clock one copy of the payload through the interconnect."""
-        if src is dst:
-            return
-        wire = self.cost.wire_time(nbytes)
-        if self.faults is not None:
-            wire *= self.faults.slowdown_factor(
-                src.node_id, dst.node_id, self.sim.now
-            )
-        # ``with res.request()`` unrolled: two calls fewer a hold, four a chunk
-        if self._hub is not None:
-            medium = self._hub.request()
-            try:
-                yield medium
-                yield Timeout(self.sim, self.cost.net_latency + wire)
-                self._hub.busy_time += wire
-            finally:
-                self._hub._cancel(medium)
-        else:
-            tx, rx = src.tx.request(), None
-            try:
-                yield tx
-                yield Timeout(self.sim, self.cost.net_latency)
-                rx = dst.rx.request()
-                yield rx
-                yield Timeout(self.sim, wire)
-                src.tx.busy_time += wire
-                dst.rx.busy_time += wire
-            finally:
-                if rx is not None:
-                    dst.rx._cancel(rx)
-                src.tx._cancel(tx)
-
-    def _spawn_deliver(
-        self,
-        src: Node,
-        dst: Node,
-        message: Wireable,
-        nbytes: int,
-        key: tuple[int, int, str],
-        edge: Any | None = None,
-    ) -> None:
-        self.sim.spawn(
-            self._deliver(dst, message, nbytes, key, edge),
-            name=f"net:{src.name}->{dst.name}",
-        )
-
-    def _deliver(
-        self,
-        dst: Node,
-        message: Wireable,
-        nbytes: int,
-        key: tuple[int, int, str],
-        edge: Any | None = None,
-    ) -> Generator[Any, Any, None]:
+    def _deliver(self, dst: Node, message: Wireable, nbytes: int,
+                 key: tuple[int, int, str],
+                 edge: Any | None) -> Generator[Any, Any, None]:
         if self.cost.net_jitter > 0.0:
             # Chaos knob: a random stack/scheduling delay after the wire,
             # holding no link — so messages may arrive REORDERED, which the

@@ -11,7 +11,6 @@ from .driver import run_join, single_query_context
 from .hybrid import HybridStrategy
 from .joinnode import JoinProcess, SpillStore
 from .messages import DataChunk, Hop
-from .ooc import OutOfCoreStrategy
 from .pool import PoolClient, PoolStats, ResourcePoolProcess
 from .replicate import ReplicationStrategy
 from .results import CommStats, JoinRunResult, NodeLoad, NodeUtilization, PhaseTimes
@@ -30,7 +29,6 @@ __all__ = [
     "JoinRunResult",
     "NodeLoad",
     "NodeUtilization",
-    "OutOfCoreStrategy",
     "PhaseTimes",
     "PoolClient",
     "PoolStats",

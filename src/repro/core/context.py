@@ -76,8 +76,8 @@ class RunContext:
     was made: ``cluster`` is the query's view of the hardware (its own
     scheduler/source nodes plus the join nodes it may be given),
     ``metrics`` / ``spans`` / ``tracer`` the collectors, ``faults`` the
-    injector (None on the fault-free path — the network then takes the
-    exact pre-fault code path, byte for byte) and ``potential`` the
+    injector (None on the fault-free path — no injector is built, and the
+    network's attempt loop takes no verdicts) and ``potential`` the
     scheduler's potential list (:mod:`repro.core.potential`).
     """
 

@@ -2,9 +2,9 @@
 
 A strategy encapsulates what the scheduler does when a join node reports
 *memory full* (paper §4.2): recruit a node and either split, replicate, or
-— for the non-expanding baseline — nothing (join nodes spill to disk on
-their own).  Strategies run *inside* the scheduler process and use its
-messaging/await helpers.
+— for the non-expanding baseline, the base class itself — nothing (join
+nodes spill to disk on their own).  Strategies run *inside* the scheduler
+process and use its messaging/await helpers.
 
 Every expansion is two steps.  ``decide`` recruits the new node and names
 the change as a :class:`Decision`; ``apply`` carries it out — routing
@@ -17,7 +17,6 @@ A strategy also owns every phase only it runs (hybrid: the reshuffle).
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections.abc import Generator
 from typing import TYPE_CHECKING, Any, NamedTuple
 
@@ -44,8 +43,15 @@ class Decision(NamedTuple):
     arg: int = 0   #: bisect: first position of the moved half; linear: new bucket
 
 
-class ExpansionStrategy(ABC):
-    """One relief policy; owned and driven by the scheduler process."""
+class ExpansionStrategy:
+    """One relief policy; owned and driven by the scheduler process.
+
+    The base class itself is the non-expanding out-of-core baseline
+    ("Out of Core" in the figures): only the initial join nodes are used,
+    each spills Grace-style to its local disk when its bucket memory is
+    exceeded (``JoinProcess.auto_spill``) and runs its out-of-core bucket
+    passes after the probe stream drains, so it never reports memory-full.
+    """
 
     #: hybrid runs the reshuffling step between build and probe
     needs_reshuffle: bool = False
@@ -59,15 +65,18 @@ class ExpansionStrategy(ABC):
         ranges = partition_positions(positions, len(initial))
         return RangeRouter.initial(ranges, initial, positions)
 
-    @abstractmethod
     def decide(self, reporter: int) -> Generator[Any, Any, Decision | None]:
         """Recruit a node for ``reporter``'s relief and name the expansion.
 
         Must allocate the new node itself (so fallbacks do not leak pool
         slots).  ``None`` means no expansion can help — pool exhausted or
         the range is atomic — and the scheduler degrades the reporter to
-        disk spilling instead.
+        disk spilling instead.  Unreachable on the out-of-core baseline.
         """
+        raise AssertionError(
+            "OOC join nodes spill locally and never report memory-full"
+        )
+        yield  # pragma: no cover - makes this a generator
 
     def apply(self, decision: Decision) -> Generator[Any, Any, ReliefAck]:
         """Carry ``decision`` out, idempotently; returns the reporter's
@@ -93,7 +102,6 @@ class ExpansionStrategy(ABC):
 def make_strategy(sched: SchedulerProcess, cfg: RunConfig) -> ExpansionStrategy:
     """Strategy factory keyed on the configured algorithm."""
     from .hybrid import HybridStrategy
-    from .ooc import OutOfCoreStrategy
     from .replicate import ReplicationStrategy
     from .split import SplitStrategy
 
@@ -104,5 +112,5 @@ def make_strategy(sched: SchedulerProcess, cfg: RunConfig) -> ExpansionStrategy:
     if cfg.algorithm is Algorithm.SPLIT:
         return SplitStrategy(sched, cfg.split_policy)
     if cfg.algorithm is Algorithm.OUT_OF_CORE:
-        return OutOfCoreStrategy(sched)
+        return ExpansionStrategy(sched)
     raise ValueError(f"unknown algorithm {cfg.algorithm}")

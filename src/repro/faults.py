@@ -34,6 +34,7 @@ the result.  See docs/FAULTS.md for the schema and worked examples.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING, Any
@@ -52,6 +53,7 @@ __all__ = [
     "FaultInjector",
     "FaultPlanError",
     "UnrecoverableFaultError",
+    "finite_float",
 ]
 
 #: phase names a :class:`CrashSpec` may trigger on (scheduler phase entry)
@@ -59,6 +61,20 @@ PHASES = ("build", "reshuffle", "probe", "ooc")
 
 #: transmission attempts per message before the link is unrecoverable
 MAX_ATTEMPTS = 50
+
+
+def finite_float(text: str) -> float:
+    """``float(text)``, refusing NaN and the infinities with a ValueError.
+
+    ``float``, ``argparse`` and ``json`` all accept ``nan`` and ``inf``, and
+    a NaN slips past every ``<``/``<=`` range check behind them.  Every
+    number read from outside goes through here: the CLI's float flags and
+    list fields, and each float literal of a JSON fault plan.
+    """
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 class FaultPlanError(ValueError):
@@ -256,9 +272,12 @@ class FaultPlan:
     @classmethod
     def from_json(cls, text: str) -> FaultPlan:
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_float=finite_float,
+                              parse_constant=finite_float)
         except json.JSONDecodeError as exc:
             raise FaultPlanError(f"fault plan is not valid JSON: {exc}") from exc
+        except ValueError as exc:
+            raise FaultPlanError(f"fault plan: {exc}") from None
         return cls.from_dict(data)
 
     @classmethod
@@ -450,9 +469,10 @@ def crash_specs_from_cli(specs: Iterable[str]) -> tuple[CrashSpec, ...]:
             out.append(CrashSpec(node=node, at_phase=when[len("phase:"):]))
         else:
             try:
-                out.append(CrashSpec(node=node, at_time=float(when)))
+                out.append(CrashSpec(node=node, at_time=finite_float(when)))
             except ValueError:
                 raise FaultPlanError(
-                    f"bad --crash-node {raw!r}: expected N, N@TIME or N@phase:NAME"
+                    f"bad --crash-node {raw!r}: expected N, N@TIME (a finite "
+                    "number) or N@phase:NAME"
                 ) from None
     return tuple(out)

@@ -508,3 +508,74 @@ def test_failed_out_write_leaves_existing_file_intact(
     monkeypatch.undo()
     assert out.read_text() == "precious\n"
     assert os.listdir(tmp_path) == ["metrics.txt"]  # no temp file left
+
+
+# ----------------------------------------------------------------------
+# numbers and configs from outside: one line, exit 2, never a traceback
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("command", [
+    "run", "sweep", "trace", "metrics", "explain", "figures", "workload",
+    "fleet",
+])
+def test_a_refused_config_is_one_line_naming_the_command(
+        command, no_simulator, capsys):
+    """``--scale 2`` fails the config validators: every command prints
+    ``<command>: <message>`` and exits 2 before any simulator is built."""
+    assert main([command, "--scale", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"{command}: scale must be in (0, 1], got 2.0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench-diff", "--threshold", "nan", "BENCH_2.json", "BENCH_2.json"],
+    ["workload", "--arrival-rate", "nan"],
+    ["workload", "--live-interval", "nan"],
+    ["run", "--heartbeat-interval", "inf"],
+    ["run", "--sigma", "nan"],
+    ["run", "--zipf", "nan"],
+    ["run", "--node-memory-mb", "nan"],
+    ["run", "--r-tuples=-inf"],
+    ["figures", "--scale", "nan"],
+    ["run", "--crash-node", "3@nan"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_a_non_finite_flag_is_refused_by_the_parser(
+        argv, no_simulator, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    assert "finite" in err.splitlines()[-1] and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["workload", "--mix", "hybrid:nan"], "mix entry 'hybrid:nan'"),
+    (["workload", "--mix", "hybrid:1:2:inf"], "'inf' is not a finite"),
+    (["workload", "--arrival-times", "0,nan"], "--arrival-times: 'nan'"),
+], ids=["mix-weight", "mix-size", "arrival-times"])
+def test_a_non_finite_list_field_is_a_one_line_error(
+        argv, needle, no_simulator, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and needle in err
+
+
+@pytest.mark.parametrize("plan", [
+    '{"slowdowns": [{"t0": 0, "t1": 1, "factor": NaN}]}',
+    '{"crashes": [{"node": 1, "at_time": NaN}]}',
+    '{"heartbeat_interval_s": Infinity}',
+    '{"kill_scheduler_at": -Infinity}',
+    '{"drop_prob": 1e400}',
+], ids=["factor", "at-time", "heartbeat", "kill-at", "overflow"])
+def test_a_non_finite_fault_plan_literal_is_refused(
+        plan, tmp_path, no_simulator, capsys):
+    from repro.faults import FaultPlan, FaultPlanError
+
+    with pytest.raises(FaultPlanError, match="not a finite number"):
+        FaultPlan.from_json(plan)
+    path = tmp_path / "plan.json"
+    path.write_text(plan)
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--fault-plan", str(path)])
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    assert "not a finite number" in err and "Traceback" not in err

@@ -27,7 +27,6 @@ import pytest
 import repro.core.datasource
 import repro.core.hybrid
 import repro.core.joinnode
-import repro.core.ooc
 import repro.core.pool
 import repro.core.recovery
 import repro.core.replicate
@@ -48,7 +47,6 @@ DISPATCH_MODULES = (
     repro.core.split,
     repro.core.replicate,
     repro.core.hybrid,
-    repro.core.ooc,
     repro.core.pool,
 )
 
