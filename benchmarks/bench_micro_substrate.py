@@ -252,6 +252,49 @@ def test_position_counts_throughput(benchmark):
     assert np.array_equal(folded, dense)
 
 
+def _spill_parts_reference(positions: np.ndarray, lo: int, hi: int, k: int) -> np.ndarray:
+    """``SpillStore``'s sub-range of each position, the clip/floor-division
+    way: clipped into ``[lo, hi)``, then ``(p - lo) * k // (hi - lo)``."""
+    width = hi - lo
+    rel = np.clip(positions - lo, 0, width - 1)
+    return np.minimum(rel * k // width, k - 1)
+
+
+@pytest.mark.parametrize("lo, width", [
+    pytest.param(1 << 16, 1 << 16, id="divisible"),
+    pytest.param(12_345, 40_003, id="width-not-divisible-by-k"),
+    pytest.param(7, 5, id="narrower-than-k"),
+])
+def test_spill_split_of_a_chunk(benchmark, lo, width):
+    """A 200-tuple chunk cut into a node's 8 spill sub-partitions — positions
+    below the node's range, inside it and at or above its end — holds, part
+    by part and in arrival order, what the clip/floor-division reference
+    selects."""
+    from repro.core.driver import single_query_context
+    from repro.core.joinnode import SpillStore
+
+    hi = lo + width
+    ctx = single_query_context(RunConfig(
+        algorithm=Algorithm.OUT_OF_CORE, trace=False, lockdep=False,
+        hash_positions=POSMAP.positions))
+    store = SpillStore(ctx, 0, k_parts=8, hash_range=HashRange(lo, hi))
+    per_position = (1 << 32) // POSMAP.positions
+    positions = np.concatenate([
+        RNG.integers(max(lo - 50, 0), lo + 1, 40),          # below lo, and lo
+        RNG.integers(lo, hi, 120),                          # inside
+        RNG.integers(hi, min(hi + 50, POSMAP.positions), 40),  # at or above hi
+    ])
+    chunk = (positions.astype(np.uint64) * np.uint64(per_position)
+             + RNG.integers(0, per_position, positions.size, dtype=np.uint64))
+    assert np.array_equal(ctx.posmap(chunk), positions)
+
+    parts = benchmark(store._split, chunk)
+    want = _spill_parts_reference(positions, lo, hi, 8)
+    assert len(parts) == 8
+    for p, got in enumerate(parts):
+        assert np.array_equal(got, chunk[want == p]), p
+
+
 def test_greedy_cut_throughput(benchmark):
     weights = RNG.integers(0, 1000, 1 << 16)
     cuts = benchmark(greedy_contiguous_partition, weights, 24)

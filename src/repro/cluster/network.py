@@ -56,7 +56,7 @@ import numpy as np
 
 from ..config import CostModel
 from ..faults import MAX_ATTEMPTS, UnrecoverableFaultError
-from ..sim import Resource, Simulator, Timeout
+from ..sim import Process, Resource, Simulator, Timeout
 from .node import Node
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -113,6 +113,8 @@ class Network:
         #: optional causal log (duck-typed: on_send/on_attempt/on_deliver;
         #: see repro.obs.causality), wired by RunContext
         self.causality: Any | None = None
+        #: (src, dst) -> the name of that link's delivery processes
+        self._names: dict[tuple[Node, Node], str] = {}
 
     # ------------------------------------------------------------------
     # sending
@@ -142,6 +144,7 @@ class Network:
             raise ValueError("message reports a negative size")
         kind = message.kind
         key = (src.node_id, dst.node_id, kind)
+        sim = self.sim
         self.sent_messages[kind] += 1
         self._in_flight += 1
         if self._in_flight > self.in_flight_peak:
@@ -151,24 +154,31 @@ class Network:
         # message that triggered this send.
         edge: Any | None = None
         if self.causality is not None:
-            edge = self.causality.on_send(
-                src.name, dst.name, message, self.sim.now, parent
-            )
+            edge = self.causality.on_send(src.name, dst.name, message, sim._now, parent)
         # The verdict source: None when no verdict is ever taken (no link
         # faults, or loopback, which never touches a link).
         faults = self.faults
         if faults is not None and (not faults.links_active or src is dst):
             faults = None
-        sim, hub, latency = self.sim, self._hub, self.cost.net_latency
+        hub, cost, latency = self._hub, self.cost, self.cost.net_latency
         # A fail-stop interrupt (crashed sender) can land on any yield in
         # here; the try/finally keeps the conservation books exact in that
         # case: an attempt whose verdict never resolved is charged as
         # dropped (the sender's NIC died mid-transmission) and an
-        # undelivered logical message leaves the in-flight count.
+        # undelivered logical message leaves the in-flight count.  The holds
+        # are ``with res.request()`` unrolled: fewer calls a hold.
         delivered = False      # a copy was handed to _deliver
         attempt_open = False   # bytes charged to sent_* with no verdict yet
+        credit = None          # the data message's receive-window claim
         try:
-            yield from src.cpu.use(self.cost.net_per_message_cpu)
+            cpu = src.cpu
+            held = cpu.request()
+            try:
+                yield held
+                yield Timeout(sim, cost.net_per_message_cpu)
+                cpu.busy_time += cost.net_per_message_cpu
+            finally:
+                cpu._cancel(held)
             if kind == "data":
                 # Receive-window credit: held until the receiving process
                 # retires the chunk.  Acquired first — even for loopback
@@ -184,21 +194,18 @@ class Network:
                 # not wire copies), so duplicates cannot leak credits.  The
                 # matching give() is on the *consumer* (the join node
                 # retires the chunk) — that asymmetry is the credit
-                # protocol, not a leak.
-                yield from dst.recv_credits.take()
+                # protocol, not a leak; an undelivered message's is given back.
+                credit = dst.recv_credits.request()
+                yield credit
             attempt = 0
             while True:
                 attempt_open = True
                 self.sent_bytes[key] += nbytes
                 if src is not dst:
-                    # Clock one copy through the interconnect.  The holds
-                    # are ``with res.request()`` unrolled: fewer calls a
-                    # hold, and the finally releases them on an interrupt.
-                    wire = self.cost.wire_time(nbytes)
+                    # Clock one copy through the interconnect.
+                    wire = cost.wire_time(nbytes)
                     if faults is not None:
-                        wire *= faults.slowdown_factor(
-                            src.node_id, dst.node_id, sim.now
-                        )
+                        wire *= faults.slowdown_factor(src.node_id, dst.node_id, sim._now)
                     if hub is not None:
                         medium = hub.request()
                         try:
@@ -232,8 +239,10 @@ class Network:
                         self.duplicate_bytes[key] += nbytes
                         self.duplicate_messages[kind] += 1
                     else:
-                        sim.spawn(self._deliver(dst, message, nbytes, key, edge),
-                                  name=f"net:{src.name}->{dst.name}")
+                        link = (src, dst)  # the f-string runs once a link
+                        name = self._names.get(link) or self._names.setdefault(
+                            link, f"net:{src.name}->{dst.name}")
+                        Process(sim, self._deliver(dst, message, nbytes, key, edge), name)
                         delivered = True
                     lost = not best_effort and faults is not None and (
                         faults.roll_ack_drop(src.node_id, dst.node_id))
@@ -242,7 +251,7 @@ class Network:
                 if not lost:
                     # Cumulative ack propagates back (control-sized, modelled
                     # as pure propagation delay on the reverse path).
-                    yield sim.timeout(latency)
+                    yield Timeout(sim, latency)
                     return
                 attempt += 1
                 if attempt >= MAX_ATTEMPTS:
@@ -256,32 +265,33 @@ class Network:
                 faults.count_retry(kind)
                 if edge is not None:
                     self.causality.on_attempt(edge)
-                yield sim.timeout(faults.rto(attempt))
+                yield Timeout(sim, faults.rto(attempt))
         finally:
             if attempt_open:
                 self.dropped_bytes[key] += nbytes
                 self.dropped_messages[kind] += 1
             if not delivered:
                 self._in_flight -= 1
+                if credit is not None:
+                    dst.recv_credits._cancel(credit)
 
     def _deliver(self, dst: Node, message: Wireable, nbytes: int,
                  key: tuple[int, int, str],
                  edge: Any | None) -> Generator[Any, Any, None]:
-        if self.cost.net_jitter > 0.0:
+        sim, cost = self.sim, self.cost
+        if cost.net_jitter > 0.0:
             # Chaos knob: a random stack/scheduling delay after the wire,
             # holding no link — so messages may arrive REORDERED, which the
             # protocol must tolerate (exercised by the chaos tests).
-            yield self.sim.timeout(
-                float(self._jitter_rng.uniform(0.0, self.cost.net_jitter))
-            )
-        yield from dst.cpu.use(self.cost.net_per_message_cpu)
+            yield Timeout(sim, float(self._jitter_rng.uniform(0.0, cost.net_jitter)))
+        yield from dst.cpu.use(cost.net_per_message_cpu)
         self.delivered_bytes[key] += nbytes
-        self.delivered_messages[message.kind] += 1
+        self.delivered_messages[key[2]] += 1
         self._in_flight -= 1
         if edge is not None:
             # Before the deposit: an immediate hand-off to a blocked getter
             # fires the mailbox's dequeue hook synchronously.
-            self.causality.on_deliver(edge, message, self.sim.now)
+            self.causality.on_deliver(edge, message, sim._now)
         dst.mailbox.put(message)
 
     # ------------------------------------------------------------------

@@ -9,7 +9,6 @@ helpers so actor code reads like message-passing pseudocode.
 
 from __future__ import annotations
 
-import functools
 import os
 from collections.abc import Callable, Generator
 from typing import Any
@@ -141,15 +140,10 @@ class RunContext:
         Message causality is a single-query diagnostic: a driver running
         interleaved queries over one network must not call this — they
         would corrupt one global log."""
-        self.cluster.network.causality = self.causal
-        for node in (
-            [self.cluster.scheduler_node]
-            + list(self.cluster.source_nodes)
-            + list(self.cluster.join_nodes)
-        ):
-            node.mailbox.deq_probe = functools.partial(
-                self.causal.note_dequeue, node.name
-            )
+        cluster = self.cluster
+        cluster.network.causality = self.causal
+        for node in (cluster.scheduler_node, *cluster.source_nodes, *cluster.join_nodes):
+            node.mailbox.deq_probe = self.causal.dequeue_hook(node.name)
 
     # ------------------------------------------------------------------
     # addressing
@@ -216,15 +210,10 @@ class RunContext:
             if msg.transfer_seq < 0:
                 msg.transfer_seq = self._next_seq
                 self._next_seq += 1
-            self.comm.tuples_by_hop[msg.hop] = (
-                self.comm.tuples_by_hop.get(msg.hop, 0) + msg.tuples
-            )
-            self.comm.chunks_by_hop[msg.hop] = (
-                self.comm.chunks_by_hop.get(msg.hop, 0) + 1
-            )
-        return self.cluster.network.send(
-            src, dst, msg, parent=parent, best_effort=best_effort
-        )
+            hop, tuples, chunks = msg.hop, self.comm.tuples_by_hop, self.comm.chunks_by_hop
+            tuples[hop] = tuples.get(hop, 0) + msg.values.size
+            chunks[hop] = chunks.get(hop, 0) + 1
+        return self.cluster.network.send(src, dst, msg, parent, best_effort)
 
     def trace(self, category: str, actor: str, **detail: Any) -> None:
         self.tracer.emit(self.sim.now, category, actor, **detail)

@@ -132,7 +132,9 @@ class DataSourceProcess:
                 self.dup_tuples += buffers.show() - batch.size
                 self.batches_done[relation] += 1
                 yield from self._at_boundary(buffers)
-                yield from self._flush_full(buffers, relation)
+                for dest in buffers.full():
+                    while (chunk := buffers.pop_full_chunk(dest)) is not None:
+                        yield from self._send_chunk(dest, relation, chunk)
 
         # Relation exhausted: flush every partial buffer.
         self._absorb_control()
@@ -183,11 +185,6 @@ class DataSourceProcess:
         """Count one batch pushed through the router; its routing CPU."""
         self.chunks_routed.inc()
         return self.node.compute_per_tuple(self.ctx.cost.cpu_route_tuple, n)
-
-    def _flush_full(self, buffers: ChunkBuffer, relation: str) -> Generator[Any, Any, None]:
-        for dest in buffers.full():
-            while (chunk := buffers.pop_full_chunk(dest)) is not None:
-                yield from self._send_chunk(dest, relation, chunk)
 
     def _send_chunk(
         self, dest: int, relation: str, values: np.ndarray

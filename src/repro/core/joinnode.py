@@ -18,7 +18,7 @@ node's split history and is therefore exact.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Generator
+from collections.abc import Callable, Generator, Iterable
 from typing import Any
 
 import numpy as np
@@ -87,8 +87,12 @@ class SpillStore:
         # Sub-partition over the node's own range (a bucket only ever sees
         # its own positions); bucket-addressed nodes (LINEAR_MOD) fall back
         # to the full table.
-        self.lo = hash_range.lo if hash_range else 0
-        self.hi = hash_range.hi if hash_range else ctx.cfg.hash_positions
+        lo = hash_range.lo if hash_range else 0
+        width = (hash_range.hi if hash_range else ctx.cfg.hash_positions) - lo
+        # Sub-range q starts where (p - lo) * k // width reaches q; a position
+        # outside the range lands in the sub-range nearest it.
+        starts = (-(-q * width // self.k) for q in range(1, self.k))
+        self._cuts = lo + np.array([a for a in starts if a < width], dtype=np.int64)
         self._r_parts: list[list[np.ndarray]] = [[] for _ in range(self.k)]
         self._s_parts: list[list[np.ndarray]] = [[] for _ in range(self.k)]
         self.spilled_r = 0
@@ -98,16 +102,12 @@ class SpillStore:
         self._tb = ctx.cfg.workload.tuple_bytes
         self._cap_tuples = max(1, self.node.memory.capacity // self._tb)
 
-    def _part_of(self, positions: np.ndarray) -> np.ndarray:
-        width = self.hi - self.lo
-        rel = np.clip(positions - self.lo, 0, width - 1)
-        return np.minimum(rel * self.k // width, self.k - 1)
-
     def _split(self, values: np.ndarray) -> list[np.ndarray]:
         """``values`` by sub-partition, in arrival order: one radix sort."""
-        order, cuts = _group_order(self._part_of(self.ctx.posmap(values)), self.k)
-        values = values[order]
-        return [values[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+        parts = self._cuts.searchsorted(self.ctx.posmap(values), side="right")
+        order, cuts = _group_order(parts, self.k)
+        values, cuts = values[order], cuts.tolist()
+        return [values[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
     def write_r(self, values: np.ndarray) -> Generator[Any, Any, None]:
         for part, sel in zip(self._r_parts, self._split(values)):
@@ -254,7 +254,7 @@ class JoinProcess:
         #: process into a reference cycle, and its hash table would then
         #: outlive the run until the cycle collector got to it.
         cls = type(self)
-        self._handlers: dict[type, Callable[[Any, Any], Generator[Any, Any, None]]] = {
+        self._handlers: dict[type, Callable[[Any, Any], Iterable[Any]]] = {
             DataChunk: cls._on_data_chunk,
             ActivateJoin: cls._on_activate,
             ReplicateOrder: cls._on_replicate_order,
@@ -318,7 +318,7 @@ class JoinProcess:
             elif isinstance(msg, Shutdown):
                 return
 
-    def _dispatch(self, msg: Any) -> Generator[Any, Any, None]:
+    def _dispatch(self, msg: Any) -> Iterable[Any]:
         handler = self._handlers.get(type(msg))
         if handler is None:
             raise RuntimeError(f"join{self.index}: unexpected message {msg!r}")
@@ -329,16 +329,16 @@ class JoinProcess:
         return self.ctx.send(self.node, self.ctx.scheduler_node, msg,
                              best_effort=best_effort)
 
-    def _on_data_chunk(self, msg: DataChunk) -> Generator[Any, Any, None]:
+    def _on_data_chunk(self, msg: DataChunk) -> Iterable[Any]:
         if self._suppress_duplicate(msg):
-            return
+            return ()
         self._count_arrival(msg)
         if self.state == self.DORMANT:
             # Raced ahead of our ActivateJoin; replayed on activation.  The
             # backlog entry keeps the chunk's receive credit until then.
             self.pre_activation.append(msg)
-            return
-        yield from self._consume(msg)
+            return ()
+        return self._consume(msg)
 
     def _consume(self, chunk: DataChunk) -> Generator[Any, Any, Any]:
         """Consume one counted data chunk, by relation: build tuples,

@@ -98,7 +98,7 @@ class _Control:
         return CONTROL_BYTES
 
 
-@dataclass
+@dataclass(slots=True)
 class DataChunk:
     """A buffered batch of tuples of one relation."""
 
@@ -124,11 +124,11 @@ class DataChunk:
 
     @property
     def tuples(self) -> int:
-        return int(self.values.size)
+        return self.values.size
 
     @property
     def nbytes(self) -> int:
-        return self.tuples * self.tuple_bytes
+        return self.values.size * self.tuple_bytes
 
 
 # ----------------------------------------------------------------------

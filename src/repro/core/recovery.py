@@ -395,15 +395,16 @@ class FaultTolerantScheduler(SchedulerProcess):
         # The hybrid reshuffle drains its traffic as "build" too, but a
         # death there is outside the recovery envelope.
         self._recoverable = self._phase != "reshuffle"
-        yield from super().drain(phase)
+        return super().drain(phase)
 
-    def _drain_step(self) -> Generator[Any, Any, None]:
-        try:
-            yield from super()._drain_step()
-        except _NodeDied as e:
-            if not self._recoverable:
-                raise
-            yield from self._handle_node_death(e.node)
+    def _drain_loop(self) -> Generator[Any, Any, None]:
+        while True:
+            try:
+                return (yield from super()._drain_loop())
+            except _NodeDied as e:
+                if not self._recoverable:
+                    raise
+                yield from self._handle_node_death(e.node)
 
     def _relief_cycle(
         self, reporter: int, deficit: int, edge: int | None

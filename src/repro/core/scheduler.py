@@ -490,22 +490,20 @@ class SchedulerProcess:
         self._phase = phase
         self._drained = False
         self._prev_round = None
-        while not self._drained:
-            yield from self._drain_step()
+        return self._drain_loop()
 
-    def _drain_step(self) -> Generator[Any, Any, None]:
-        # Relief first: expansion requests outrank polling.
-        while self.full_queue:
-            reporter = self.full_queue.popleft()
-            yield from self._relief_cycle(
-                reporter, *self._full_info.pop(reporter, (0, None))
-            )
-        msg = yield from self.node.mailbox.recv()
-        if isinstance(msg, PollTick):
-            if self._ready_to_poll():
-                yield from self._start_poll_round()
-        else:
-            self._dispatch_common(msg)
+    def _drain_loop(self) -> Generator[Any, Any, None]:
+        """One frame: relief cycles first (they outrank polling), then a message."""
+        while not self._drained:
+            while self.full_queue:
+                reporter = self.full_queue.popleft()
+                yield from self._relief_cycle(reporter, *self._full_info.pop(reporter, (0, None)))
+            msg = yield from self.node.mailbox.recv()
+            if isinstance(msg, PollTick):
+                if self._ready_to_poll():
+                    yield from self._start_poll_round()
+            else:
+                self._dispatch_common(msg)
 
     def _relief_cycle(
         self, reporter: int, deficit: int, edge: int | None

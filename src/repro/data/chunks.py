@@ -19,7 +19,7 @@ stage may assume ``KEY_DTYPE`` without re-checking.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import accumulate
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -107,8 +107,10 @@ class ChunkBuffer:
             raise ValueError(f"chunk_tuples must be >= 1, got {chunk_tuples}")
         self.chunk_tuples = chunk_tuples
         self._parts: dict[int, list[np.ndarray]] = {}
-        #: visible tuples per destination, a plan's shown ones included
+        #: visible tuples per destination, a plan's shown ones included, in
+        #: the order each first got tuples; and those holding a chunk
         self._counts: dict[int, int] = {}
+        self._full: set[int] = set()
         self._gather, self._dests, self._rows, self._lo, self._hi = None, [], [], [], []
 
     def append(self, dest: int, values: np.ndarray) -> None:
@@ -116,7 +118,9 @@ class ChunkBuffer:
             return
         self._end_plan()
         self._parts.setdefault(dest, []).append(values)
-        self._counts[dest] = self._counts.get(dest, 0) + int(values.size)
+        self._counts[dest] = count = self._counts.get(dest, 0) + int(values.size)
+        if count >= self.chunk_tuples:
+            self._full.add(dest)
 
     def plan(self, gather: np.ndarray, dests: np.ndarray, counts: np.ndarray) -> None:
         """Take a block at once: ``gather`` holds the tuples of each of
@@ -127,7 +131,7 @@ class ChunkBuffer:
         # the batches not shown (last first); per destination the span of
         # the gather shown and not popped
         self._gather, self._dests, self._rows = gather, dests.tolist(), counts.tolist()[::-1]
-        self._lo = list(accumulate(map(sum, zip(*self._rows)), initial=0))
+        self._lo = list(accumulate(counts.sum(axis=0).tolist(), initial=0))
         self._hi = self._lo[:]
 
     @property
@@ -137,11 +141,13 @@ class ChunkBuffer:
     def show(self) -> int:
         """Make the plan's next batch visible; returns its tuple count."""
         row = self._rows.pop()
-        for i, (dest, n) in enumerate(zip(self._dests, row)):
-            if n:
-                self._parts.setdefault(dest, [])
-                self._counts[dest] = self._counts.get(dest, 0) + n
-                self._hi[i] += n
+        counts, hi, chunk = self._counts, self._hi, self.chunk_tuples
+        # the batch's empty cells are skipped in C, not in the loop body
+        for i, dest, n in compress(zip(range(len(row)), self._dests, row), row):
+            hi[i] += n
+            counts[dest] = count = counts.get(dest, 0) + n
+            if count >= chunk:
+                self._full.add(dest)
         return sum(row)
 
     def _end_plan(self) -> None:
@@ -150,7 +156,7 @@ class ChunkBuffer:
         slowly fills a chunk — and drop what it did not show."""
         for dest, lo, hi in zip(self._dests, self._lo, self._hi):
             if hi > lo:
-                self._parts[dest].append(self._gather[lo:hi].copy())
+                self._parts.setdefault(dest, []).append(self._gather[lo:hi].copy())
         self._gather, self._dests, self._rows, self._lo, self._hi = None, [], [], [], []
 
     def _take(self, dest: int, n: int) -> np.ndarray:
@@ -158,8 +164,10 @@ class ChunkBuffer:
         array — parts first, then the plan's.  A part cut short stays as a
         view of its tail, so every tuple is copied once however many chunks
         one append is popped in."""
-        parts = self._parts[dest]
-        self._counts[dest] -= n
+        self._counts[dest] = count = self._counts[dest] - n
+        if count < self.chunk_tuples:
+            self._full.discard(dest)
+        parts = self._parts.get(dest, [])
         taken = []
         while n and parts:
             head = parts.pop(0)
@@ -172,11 +180,11 @@ class ChunkBuffer:
             i = self._dests.index(dest)
             taken.append(self._gather[self._lo[i]:self._lo[i] + n])
             self._lo[i] += n
-        return np.concatenate(taken)
+        return taken[0].copy() if len(taken) == 1 else np.concatenate(taken)
 
     def pop_full_chunk(self, dest: int) -> np.ndarray | None:
         """Remove exactly ``chunk_tuples`` tuples if available."""
-        if self._counts.get(dest, 0) < self.chunk_tuples:
+        if dest not in self._full:
             return None
         return self._take(dest, self.chunk_tuples)
 
@@ -187,7 +195,7 @@ class ChunkBuffer:
 
     def full(self) -> list[int]:
         """Destinations holding at least ``chunk_tuples`` tuples, ascending."""
-        return sorted(d for d, c in self._counts.items() if c >= self.chunk_tuples)
+        return sorted(self._full)
 
     def destinations(self) -> list[int]:
         """Destinations with at least one buffered tuple, ascending."""
@@ -196,10 +204,10 @@ class ChunkBuffer:
     def contents(self) -> list[tuple[int, np.ndarray]]:
         """``(dest, tuples)`` per destination holding any, in the order
         each first got tuples (since the last drain)."""
-        shown = {dest: self._gather[lo:hi]
+        shown = {dest: [self._gather[lo:hi]]
                  for dest, lo, hi in zip(self._dests, self._lo, self._hi)}
-        return [(dest, np.concatenate([*parts, shown[dest]] if dest in shown else parts))
-                for dest, parts in self._parts.items() if self._counts[dest]]
+        return [(dest, np.concatenate([*self._parts.get(dest, ()), *shown.get(dest, ())]))
+                for dest, count in self._counts.items() if count]
 
     def drain_everything(self) -> np.ndarray:
         """Remove and return every buffered tuple (for re-partitioning);
@@ -207,6 +215,7 @@ class ChunkBuffer:
         drained = [values for _, values in self.contents()]
         self._parts.clear()
         self._counts.clear()
+        self._full.clear()
         self._dests = []  # its shown tuples are drained: nothing to carry over
         self._end_plan()
         return np.concatenate(drained) if drained else empty_chunk()

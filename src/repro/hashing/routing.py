@@ -51,10 +51,10 @@ def _group_order(keys: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarra
     its indices ascending.  Keys are narrowed first: NumPy's stable sort is
     a radix (counting) sort for 8- and 16-bit keys, a merge sort above."""
     keys = keys.astype(np.min_scalar_type(n_groups - 1), copy=False)
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")  # methods skip NumPy's dispatch wrappers
     cuts = np.full(n_groups + 1, keys.size, dtype=np.intp)
     cuts[0] = 0
-    cuts[1:-1] = np.searchsorted(keys[order], np.arange(1, n_groups, dtype=keys.dtype))
+    cuts[1:-1] = keys[order].searchsorted(np.arange(1, n_groups, dtype=keys.dtype))
     return order, cuts
 
 

@@ -14,8 +14,8 @@ Capture points (all duck-typed, wired by ``RunContext``):
   :meth:`CausalLog.on_attempt` on every fault-injected retransmission.
 * ``Network._deliver`` calls :meth:`CausalLog.on_deliver` just before the
   mailbox deposit.
-* Every node mailbox's ``deq_probe`` hook calls
-  :meth:`CausalLog.note_dequeue` when an actor takes a message out, which
+* Every node mailbox's ``deq_probe`` hook (:meth:`CausalLog.dequeue_hook`)
+  notes the dequeue when an actor takes a message out, which
   updates that actor's current cause — actors are single-threaded state
   machines with at most one pending ``get()``, so dequeue order equals
   processing order and the per-actor cause is exact.
@@ -32,6 +32,7 @@ plain alias dict supplied at construction.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -40,7 +41,7 @@ from .reservoir import SampledLog
 __all__ = ["MessageEdge", "CausalLog"]
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageEdge:
     """One network message: a timed edge of the causal DAG."""
 
@@ -93,10 +94,6 @@ class CausalLog(SampledLog):
     def edges(self) -> list[MessageEdge]:
         return self._view(lambda e: e.eid)
 
-    def alias(self, raw: str) -> str:
-        """Translate a node name to its track name (identity if unknown)."""
-        return self._aliases.get(raw, raw)
-
     def __len__(self) -> int:
         return len(self.edges)
 
@@ -107,20 +104,16 @@ class CausalLog(SampledLog):
                 parent: int | None = None) -> MessageEdge:
         """Record a send; must run before the sender's first yield so the
         per-actor cause is still the message being processed."""
+        aliases = self._aliases
+        src = aliases.get(src, src)
         if parent is None:
-            parent = self._cause.get(self.alias(src))
+            parent = self._cause.get(src)
         res = self._reservoir
         edge = MessageEdge(
-            eid=len(self._records) if res is None else res.total,
-            src=self.alias(src),
-            dst=self.alias(dst),
-            kind=message.kind,
-            msg_type=type(message).__name__,
-            hop=getattr(message, "hop", None),
-            nbytes=int(message.nbytes),
-            tuples=int(getattr(message, "tuples", 0) or 0),
-            t_send=t,
-            parent=parent,
+            len(self._records) if res is None else res.total,
+            src, aliases.get(dst, dst), message.kind, type(message).__name__,
+            getattr(message, "hop", None), message.nbytes,
+            getattr(message, "tuples", 0), t, math.nan, 1, parent,
         )
         if res is None:
             self._records.append(edge)
@@ -141,12 +134,17 @@ class CausalLog(SampledLog):
     # ------------------------------------------------------------------
     # actor hooks
     # ------------------------------------------------------------------
-    def note_dequeue(self, actor: str, message: Any) -> None:
-        """An actor took ``message`` out of its mailbox: it becomes the
-        actor's current cause (locally-originated messages are no-ops)."""
-        eid = self._pending.pop(id(message), None)
-        if eid is not None:
-            self._cause[self.alias(actor)] = eid
+    def dequeue_hook(self, actor: str) -> Callable[[Any], None]:
+        """The ``deq_probe`` of ``actor``'s mailbox, its track resolved once:
+        a message the actor takes out becomes its current cause
+        (locally-originated messages are no-ops)."""
+        track, pending, cause = self._aliases.get(actor, actor), self._pending, self._cause
+
+        def dequeued(message: Any) -> None:
+            eid = pending.pop(id(message), None)
+            if eid is not None:
+                cause[track] = eid
+        return dequeued
 
     def cause_of(self, track: str) -> int | None:
         """The eid of the message the actor on ``track`` is processing.

@@ -191,7 +191,7 @@ class Simulator:
 
     @property
     def processed_events(self) -> int:
-        """Total number of events processed so far (for tests/diagnostics)."""
+        """Events processed by finished (returned or raised) runs."""
         return self._processed_events
 
     @property
@@ -251,26 +251,30 @@ class Simulator:
         its callbacks — for every event due no later than ``until``."""
         queue = self._queue
         failed = self._failed_processes
-        while queue and queue[0][0] <= until:
-            when, _, event = heappop(queue)
-            assert when >= self._now, "event queue went backwards"
-            self._now = when
-            self._processed_events += 1
-            callbacks, event.callbacks = event.callbacks, None
-            for fn in callbacks:
-                fn(event)
-            if failed:
-                # Fail fast: an unobserved process death would otherwise
-                # show up only as a mysterious livelock or deadlock later.
-                # Several processes can fail in one step (e.g. two waiters
-                # of one event both raise once it fires): raise the first
-                # *unobserved* failure; observed ones propagate to their
-                # waiters.
-                for proc in failed:
-                    if not proc.callbacks and proc._exc is not None:
-                        failed.clear()
-                        raise proc._exc
-                failed.clear()
+        popped, now = 0, self._now  # booked on the way out, by a raise too
+        try:
+            while queue and queue[0][0] <= until:
+                when, _, event = heappop(queue)
+                assert when >= now, "event queue went backwards"
+                self._now = now = when
+                popped += 1
+                callbacks, event.callbacks = event.callbacks, None
+                for fn in callbacks:
+                    fn(event)
+                if failed:
+                    # Fail fast: an unobserved process death would otherwise
+                    # show up only as a mysterious livelock or deadlock later.
+                    # Several processes can fail in one step (e.g. two waiters
+                    # of one event both raise once it fires): raise the first
+                    # *unobserved* failure; observed ones propagate to their
+                    # waiters.
+                    for proc in failed:
+                        if not proc.callbacks and proc._exc is not None:
+                            failed.clear()
+                            raise proc._exc
+                    failed.clear()
+        finally:
+            self._processed_events += popped
 
     # Convenience used by Process
     def spawn(self, generator: Iterable, name: str = "") -> Any:

@@ -22,7 +22,7 @@ __all__ = ["Process", "AllOf"]
 class Process(Event):
     """A running simulation process (also an event: fires on termination)."""
 
-    __slots__ = ("name", "_generator", "_waiting_on")
+    __slots__ = ("name", "_generator", "_waiting_on", "_wake")
 
     def __init__(self, sim: Simulator, generator: Iterable, name: str = "") -> None:
         if not isinstance(generator, GeneratorType):
@@ -33,10 +33,12 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         sim._active_processes += 1
+        #: ``self._resume`` bound once; a cycle, so dropped when the generator ends
+        self._wake = wake = self._resume
         # Kick off at the current time, but via the queue so that spawning
         # order == first-execution order (deterministic).
         start = Timeout(sim, 0.0)
-        start.callbacks.append(self._resume)
+        start.callbacks.append(wake)
         self._waiting_on: Event | None = start
 
     @property
@@ -83,7 +85,6 @@ class Process(Event):
         self._waiting_on = None
         sim = self.sim
         gen = self._generator
-        send = gen.send
         value, exc = event._value, event._exc
         # Mark this process as the one executing, so sync primitives can
         # attribute blocking waits (lockdep).  Saved/restored because a
@@ -93,15 +94,17 @@ class Process(Event):
         try:
             while True:
                 try:
-                    target = send(value) if exc is None else gen.throw(exc)
+                    target = gen.send(value) if exc is None else gen.throw(exc)
                 except StopIteration as stop:
                     sim._active_processes -= 1
+                    self._wake = None
                     self.succeed(stop.value)
                     return
                 # The trampoline does not swallow: the exception is re-routed
                 # into the event graph via fail() and re-raised at await sites.
                 except BaseException as err:  # repro: allow[fault-swallowed]
                     sim._active_processes -= 1
+                    self._wake = None
                     self.fail(_annotate(err, self.name))
                     sim._failed_processes.append(self)
                     return
@@ -112,7 +115,7 @@ class Process(Event):
                     continue
                 if target.callbacks is not None:
                     self._waiting_on = target
-                    target.callbacks.append(self._resume)
+                    target.callbacks.append(self._wake)
                     return
                 # Already processed: resume immediately (same tick) without
                 # bouncing through the queue.

@@ -68,7 +68,7 @@ def test_causal_log_records_edges_and_causes():
     assert e1.delivered and e1.wire_s == pytest.approx(0.5)
     # The receiver dequeues it: it becomes join0's current cause, read
     # under the track name (the node name is another node's track)...
-    log.note_dequeue("join3", m1)
+    log.dequeue_hook("join3")(m1)
     assert log.cause_of("join0") == 0 and log.cause_of("join3") is None
     # ...so its reply is parented on it.
     e2 = log.on_send("join3", "scheduler0", m2, t=2.0)
@@ -90,7 +90,7 @@ def test_causal_log_explicit_parent_and_attempts():
 
 def test_note_dequeue_ignores_local_messages():
     log = CausalLog()
-    log.note_dequeue("a", FakeMsg())   # never delivered via the network
+    log.dequeue_hook("a")(FakeMsg())  # never delivered via the network
     assert log.cause_of("a") is None
 
 
@@ -106,7 +106,7 @@ def test_request_pairs_matches_by_parent():
     req, resp = Req(), Resp()
     e_req = log.on_send("sched", "join", req, t=0.0)
     log.on_deliver(e_req, req, t=0.1)
-    log.note_dequeue("join", req)
+    log.dequeue_hook("join")(req)
     e_resp = log.on_send("join", "sched", resp, t=0.2)
     pairs = log.request_pairs("Req", "Resp")
     assert pairs == [(e_req, e_resp)]

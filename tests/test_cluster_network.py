@@ -236,3 +236,88 @@ def test_sender_killed_while_queued_does_not_jam_the_port():
     sim.run()
     assert b.mailbox.total_put == 2, "the late send must still deliver"
     assert b.rx.in_use == 0 and a.tx.in_use == 0 and c.tx.in_use == 0
+
+
+#: (topology, wait) -> (what a blocker holds from t=0 to t=100, when the
+#: sender is interrupted, what it must be waiting on then, and whether the
+#: attempt was open — bytes charged to sent_* with no verdict yet).  Each
+#: stage lasts one second: sender CPU [0, 1), latency [1, 2), wire [2, 3);
+#: on the hub the medium is held for latency + wire, [1, 3).
+SEND_WAITS = {
+    ("switched", "cpu grant"): ("a.cpu", 0.5, "a.cpu", False),
+    ("switched", "cpu hold"): (None, 0.5, "timeout", False),
+    ("switched", "credit wait"): ("b.rwnd", 1.5, "b.rwnd", False),
+    ("switched", "tx wait"): ("a.tx", 1.5, "a.tx", True),
+    ("switched", "latency"): (None, 1.5, "timeout", True),
+    ("switched", "rx wait"): ("b.rx", 2.5, "b.rx", True),
+    ("switched", "wire"): (None, 2.5, "timeout", True),
+    ("hub", "cpu grant"): ("a.cpu", 0.5, "a.cpu", False),
+    ("hub", "cpu hold"): (None, 0.5, "timeout", False),
+    ("hub", "credit wait"): ("b.rwnd", 1.5, "b.rwnd", False),
+    ("hub", "medium wait"): ("hub", 1.5, "hub", True),
+    ("hub", "medium hold"): (None, 2.5, "timeout", True),
+}
+
+
+@pytest.mark.parametrize("topology, wait", list(SEND_WAITS))
+def test_sender_crash_at_every_wait_frees_everything(topology, wait):
+    """A sender interrupted at any wait of ``Network.send`` — queued for a
+    slot or holding one — leaves every CPU slot, NIC slot, hub slot and
+    receive credit free, books an open attempt as dropped, and keeps the
+    network's books conserved."""
+    from repro.sim import Interrupt, Timeout
+    from repro.sim.sync import Request
+
+    cost = CostModel(net_per_message_cpu=1.0, net_latency=1.0,
+                     net_bandwidth=1000.0, recv_window_chunks=1)
+    sim = Simulator()
+    net = Network(sim, cost, shared_hub=topology == "hub")
+    a, b = Node(sim, 0, "src", cost), Node(sim, 1, "join", cost)
+    msg = Msg(nbytes=1000)  # one second of wire
+    held_by_blocker, at, waiting_on, opened = SEND_WAITS[topology, wait]
+    resources = {"a.cpu": a.cpu, "a.tx": a.tx, "b.rx": b.rx,
+                 "b.rwnd": b.recv_credits, "hub": net._hub}
+
+    def blocker():
+        if held_by_blocker == "b.rwnd":
+            yield from b.recv_credits.take()
+            yield sim.timeout(100.0)
+            b.recv_credits.give()
+        else:
+            with resources[held_by_blocker].request() as req:
+                yield req
+                yield sim.timeout(100.0)
+
+    def sender():
+        try:
+            yield from net.send(a, b, msg)
+        except Interrupt:
+            return "crashed"
+        return "sent"
+
+    if held_by_blocker is not None:
+        sim.spawn(blocker())
+    proc = sim.spawn(sender())
+
+    def killer():
+        yield sim.timeout(at)
+        target = proc._waiting_on
+        if waiting_on == "timeout":
+            assert type(target) is Timeout
+        else:
+            assert isinstance(target, Request) and not target.triggered
+            assert target.resource is resources[waiting_on]
+        proc.interrupt()
+
+    sim.spawn(killer())
+    sim.run()
+    assert proc.value == "crashed"
+    for name, res in resources.items():
+        if res is not None:
+            assert (res.in_use, res.queue_length) == (0, 0), name
+    assert (b.cpu.in_use, b.mailbox.total_put) == (0, 0)
+    key = (0, 1, "data")
+    booked = {key: 1000} if opened else {}
+    assert dict(net.sent_bytes) == dict(net.dropped_bytes) == booked
+    assert net.dropped_messages["data"] == (1 if opened else 0)
+    net.assert_conserved()

@@ -525,7 +525,9 @@ class PerBatchSource(ScriptedSource):
             yield from self._route_into(buffers, batch, relation)
             self.batches_done[relation] += 1
             yield from self._at_boundary(buffers)
-            yield from self._flush_full(buffers, relation)
+            for dest in buffers.full():
+                while (chunk := buffers.pop_full_chunk(dest)) is not None:
+                    yield from self._send_chunk(dest, relation, chunk)
         self._absorb_control()
         yield from self._at_boundary(buffers)
         for dest in buffers.destinations():

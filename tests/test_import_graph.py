@@ -51,6 +51,10 @@ def test_cli_import_and_parser_load_no_simulation_layer():
     names = loaded_after("import repro.cli\nrepro.cli.build_parser()")
     assert under(names, NOT_FOR_THE_CLI) == []
     assert {"repro.config", "repro.faults", "repro.obs"} <= names
+    # the parser reads ObsBudget.MIN_BYTES: that module and what it imports
+    assert under(names, ("repro.obs",)) == [
+        "repro.obs", "repro.obs.reservoir", "repro.obs.streaming",
+        "repro.obs.timeline"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -95,9 +99,10 @@ def test_the_observability_layer_is_dependency_free():
 
 def test_every_public_name_resolves():
     import repro.bench
+    import repro.obs
     from repro.core import run_join
 
-    for module in (repro, repro.bench):
+    for module in (repro, repro.bench, repro.obs):
         for name in module.__all__:
             assert getattr(module, name) is not None, name
         assert set(module.__all__) <= set(dir(module))

@@ -181,7 +181,7 @@ def test_stall_report_prints_each_stuck_actors_own_chain():
     def deliver(src, dst, msg):
         edge = log.on_send(src.name, dst.name, msg, t=0.0)
         log.on_deliver(edge, msg, t=0.0)
-        log.note_dequeue(dst.name, msg)
+        log.dequeue_hook(dst.name)(msg)
 
     sched = ctx.scheduler_node
     deliver(sched, ctx.join_node(2), ReliefPing())

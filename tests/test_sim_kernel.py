@@ -214,6 +214,37 @@ def test_raising_callback_leaves_the_loop_reentrant():
     assert fired == [1.0, 2.0]
 
 
+def test_event_count_includes_every_popped_event_when_run_raises():
+    """``processed_events`` counts every event the loop popped — the ones
+    before a raise and the one whose callback or process raised — and keeps
+    counting across ``run(until=...)`` calls and a run after a raise."""
+    sim = Simulator()
+    sim.timeout(1.0)
+    sim.timeout(2.0).add_callback(lambda e: 1 / 0)
+    sim.timeout(3.0)
+    with pytest.raises(ZeroDivisionError):
+        sim.run()
+    assert sim.processed_events == 2  # the raising event is counted
+
+    def dies(sim):
+        yield sim.timeout(1.0)
+        raise KeyError("unobserved")
+
+    sim.spawn(dies(sim))  # start at 2.0, its timeout at 3.0 (after the 3.0 one)
+    with pytest.raises(KeyError):
+        sim.run()
+    # the process start, the 3.0 timeout, the process's timeout
+    assert sim.processed_events == 5
+
+    for delay in (1.0, 2.0, 3.0):
+        sim.timeout(delay)
+    sim.run(until=sim.now + 2.0)
+    # the dead process's own (failed) event, then two of the three timeouts
+    assert sim.processed_events == 8
+    sim.run(until=sim.now + 5.0)
+    assert sim.processed_events == 9
+
+
 def test_event_state_follows_its_lifecycle():
     sim = Simulator()
     ev = sim.event()

@@ -27,12 +27,19 @@ def test_split_writes_what_one_mask_per_partition_writes(r_chunks, s_chunks, k, 
     store = SpillStore(ctx, 0, k_parts=k, hash_range=HashRange(lo, lo + width))
     want_r = [[] for _ in range(k)]
     want_s = [[] for _ in range(k)]
+
+    def part_of(values):
+        """A position's sub-range: clipped into the node's range, then
+        ``(p - lo) * k // width``."""
+        rel = np.clip(ctx.posmap(values) - lo, 0, width - 1)
+        return np.minimum(rel * k // width, k - 1)
+
     for values in r_chunks:
-        parts = store._part_of(ctx.posmap(values))
+        parts = part_of(values)
         for p in range(k):
             want_r[p] += values[parts == p].tolist()
     for values in s_chunks:
-        parts = store._part_of(ctx.posmap(values))
+        parts = part_of(values)
         for p in range(k):
             if want_r[p]:
                 want_s[p] += values[parts == p].tolist()

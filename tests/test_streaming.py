@@ -439,7 +439,7 @@ def test_causal_queries_agree_between_unbounded_and_roomy_bounded_log():
             req = Req()
             e = log.on_send("a", "b", req, float(i))
             log.on_deliver(e, req, i + 0.5)
-            log.note_dequeue("b", req)
+            log.dequeue_hook("b")(req)
             log.on_send("b", "a", Resp(), i + 0.6)
             log.on_send("b", "c", Msg(), i + 0.7)
     plain, roomy = logs
