@@ -478,7 +478,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     from .obs import explain
 
-    res = _run_single(args, "explain")
+    res = _run_single(args, "explain", force_trace=True)
     if res is None:
         return 2
     report = explain(res)

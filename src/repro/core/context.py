@@ -18,7 +18,7 @@ from ..config import RunConfig, WorkloadConfig
 from ..faults import FaultInjector
 from ..hashing import PositionMap
 from ..obs import CausalLog, MetricsRegistry, ObsBudget, SpanLog
-from ..sim import LockdepMonitor, Mailbox, Resource, Simulator, Timeout, Tracer
+from ..sim import Event, LockdepMonitor, Mailbox, Resource, Simulator, Timeout, Tracer
 from .messages import DataChunk, PollTick
 from .results import CommStats
 
@@ -57,15 +57,24 @@ def install_lockdep(
 def poll_ticker(
     sim: Simulator, mailbox: Mailbox, interval: float,
     stopped: Callable[[], bool],
-) -> Generator[Any, Any, None]:
+) -> None:
     """Drop a :class:`PollTick` into ``mailbox`` every ``interval``
     simulated seconds until ``stopped()`` — the drain poll, the pool's
     deadline checks and the standby's dead-man timer.  The ticker runs on
-    the mailbox's own node, so ticks never cross the network."""
+    the mailbox's own node, so ticks never cross the network.  A timer, not
+    a process: a ticker process's heap entries, and no generator to resume."""
     put, tick = mailbox.put, PollTick()  # stateless: one serves every tick
-    while not stopped():
-        yield Timeout(sim, interval)
-        put(tick)
+
+    def step(ev: Event) -> None:  # the start, then each tick's timeout
+        if ev is not start:
+            put(tick)
+        if stopped():
+            Timeout(sim, 0.0)  # where the ticker process's end fired
+        else:
+            Timeout(sim, interval).callbacks.append(step)
+
+    start = Timeout(sim, 0.0)
+    start.callbacks.append(step)
 
 
 class RunContext:

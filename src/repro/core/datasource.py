@@ -190,12 +190,12 @@ class DataSourceProcess:
         self, dest: int, relation: str, values: np.ndarray
     ) -> Generator[Any, Any, None]:
         self.chunks_sent[relation][dest] = self.chunks_sent[relation].get(dest, 0) + 1
-        return self._ship(dest, relation, values, self.router.version)
+        return self._ship(dest, relation, values)
 
     def _ship(
-        self, dest: int, relation: str, values: np.ndarray, version: int
+        self, dest: int, relation: str, values: np.ndarray
     ) -> Generator[Any, Any, None]:
-        """One chunk to join node ``dest``, stamped with table ``version``."""
+        """One chunk to join node ``dest``."""
         ctx = self.ctx
         msg = DataChunk(
             relation=relation,
@@ -203,7 +203,6 @@ class DataSourceProcess:
             tuple_bytes=ctx.cfg.workload.tuple_bytes,
             hop=Hop.PROBE if relation == "S" else Hop.PRIMARY,
             origin=self.node.node_id,
-            version=version,
         )
         return ctx.send(self.node, ctx.join_node(dest), msg)
 

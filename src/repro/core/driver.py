@@ -40,7 +40,7 @@ from ..obs import (
 )
 from ..seqjoin import match_count
 from ..sim import Simulator, Tracer
-from .context import RunContext, install_lockdep
+from .context import RunContext, install_lockdep, lockdep_enabled
 from .datasource import DataSourceProcess
 from .joinnode import JoinProcess
 from .messages import Hop
@@ -100,8 +100,8 @@ def close_run(sim: Simulator, metrics: MetricsRegistry,
 
 def single_query_context(cfg: RunConfig) -> RunContext:
     """The context of a query that has the cluster to itself: its own
-    simulator (``ctx.sim``) and hardware, every join node beyond the
-    initial ones on a private potential list, message causality logged."""
+    simulator (``ctx.sim``) and hardware, every join node beyond the initial
+    ones on a private potential list, causality logged if traced or under lockdep."""
     spec = cfg.effective_cluster
     run = open_run(cfg.faults, spec.cost, trace=cfg.trace,
                    trace_buffer=cfg.trace_buffer)
@@ -117,7 +117,8 @@ def single_query_context(cfg: RunConfig) -> RunContext:
         potential=PrivatePotential(
             cfg.initial_nodes, spec.n_potential_nodes, spec.memory_of),
     )
-    ctx.attach_causal_log()
+    if cfg.trace or lockdep_enabled(cfg):
+        ctx.attach_causal_log()
     install_lockdep(run.sim, cfg, run.metrics, ctx.causal)
     return ctx
 

@@ -107,7 +107,6 @@ class DataChunk:
     tuple_bytes: int                # full logical tuple size
     hop: str = Hop.PRIMARY
     origin: int = -1                # sending actor id (diagnostics)
-    version: int = 0                # router version used to route this chunk
     #: per-run unique sequence number (stamped by RunContext.send); the
     #: receiver suppresses re-deliveries keyed on (origin, transfer_seq) —
     #: the idempotence layer an at-least-once transport requires
@@ -570,7 +569,6 @@ class ReplayDone(_Control):
     source: int
     relation: str
     chunks_sent: dict[int, int] = field(default_factory=dict)
-    tuples: int = 0
 
 
 # ----------------------------------------------------------------------

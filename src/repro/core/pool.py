@@ -213,7 +213,7 @@ class ResourcePoolProcess:
         #: returns the generator to drive, or None when nothing can yield.
         #: Plain functions, not bound methods: a bound row would make the
         #: pool one more reference cycle (see JoinProcess._handlers).
-        #: (An *idle* PollTick never gets this far — see :meth:`run`.)
+        #: (An *idle* PollTick never gets this far — see :meth:`_busy`.)
         cls = type(self)
         self._handlers: dict[
             type, Callable[[Any, Any], Generator[Any, Any, None] | None]
@@ -252,19 +252,12 @@ class ResourcePoolProcess:
     # main loop
     # ------------------------------------------------------------------
     def run(self) -> Generator[Any, Any, PoolStats]:
-        self.sim.spawn(
-            poll_ticker(self.sim, self.node.mailbox, self.poll_interval,
-                        lambda: self._stopped),
-            name="pool-ticker",
-        )
+        poll_ticker(self.sim, self.node.mailbox, self.poll_interval,
+                    lambda: self._stopped)
         self._sample_levels()
-        recv, handlers = self.node.mailbox.recv, self._handlers
+        recv, handlers, keep = self.node.mailbox.recv, self._handlers, self._busy
         while not self._stopped:
-            msg = yield from recv()
-            if type(msg) is PollTick and not (self._recruit_q or self._admission_q):
-                # Idle tick — nearly every message of a sparse workload:
-                # nothing is parked, so there is nothing to expire or serve.
-                continue
+            msg = yield from recv(keep)
             handler = handlers.get(type(msg))
             if handler is None:
                 raise RuntimeError(f"pool: unexpected message {msg!r}")
@@ -277,6 +270,11 @@ class ResourcePoolProcess:
                 self.stats.leaked_nodes.append(j)
         self._sample_levels()
         return self.stats
+
+    def _busy(self, msg: Any) -> bool:
+        """:meth:`run`'s screen: an idle tick (nearly every message of a
+        sparse workload) has nothing parked to expire or serve."""
+        return type(msg) is not PollTick or bool(self._recruit_q or self._admission_q)
 
     # ------------------------------------------------------------------
     # dispatch

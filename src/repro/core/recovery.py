@@ -678,11 +678,8 @@ class FaultTolerantScheduler(SchedulerProcess):
         newest snapshot and finishes the query; its process value is the
         outcome :meth:`result` falls back to."""
         ctx = self.ctx
-        ctx.sim.spawn(
-            poll_ticker(ctx.sim, self.node.mailbox, self._hb_interval,
-                        lambda: self._deadman_stopped),
-            name="backup-deadman",
-        )
+        poll_ticker(ctx.sim, self.node.mailbox, self._hb_interval,
+                    lambda: self._deadman_stopped)
         last_primary = ctx.sim.now
         sync: StateSync | None = None
         try:
@@ -1054,7 +1051,7 @@ class FaultTolerantDataSource(DataSourceProcess):
             nonlocal chunks, tuples
             chunks += 1
             tuples += int(values.size)
-            return self._ship(target, order.relation, values, router.version)
+            return self._ship(target, order.relation, values)
 
         for batch in stream.batches(limit=limit):
             yield from self._produce(batch)
@@ -1072,7 +1069,6 @@ class FaultTolerantDataSource(DataSourceProcess):
             source=self.index,
             relation=order.relation,
             chunks_sent={order.target: chunks} if chunks else {},
-            tuples=tuples,
         )
         ctx.trace("replay_done", f"src{self.index}", relation=order.relation,
                   target=order.target, chunks=chunks, tuples=tuples)

@@ -435,12 +435,9 @@ class SchedulerProcess:
 
     def _start_background(self) -> None:
         """Spawn the drain ticker (runs until :meth:`_halt_background`)."""
-        self.ctx.sim.spawn(
-            poll_ticker(self.ctx.sim, self.node.mailbox,
-                        self.cfg.effective_drain_poll,
-                        lambda: self._background_stopped),
-            name="drain-ticker",
-        )
+        poll_ticker(self.ctx.sim, self.node.mailbox,
+                    self.cfg.effective_drain_poll,
+                    lambda: self._background_stopped)
 
     def _halt_background(self) -> None:
         self._background_stopped = True
@@ -494,16 +491,23 @@ class SchedulerProcess:
 
     def _drain_loop(self) -> Generator[Any, Any, None]:
         """One frame: relief cycles first (they outrank polling), then a message."""
+        keep = self._drain_keeps  # bound once: a kept message allocates nothing
         while not self._drained:
             while self.full_queue:
                 reporter = self.full_queue.popleft()
                 yield from self._relief_cycle(reporter, *self._full_info.pop(reporter, (0, None)))
-            msg = yield from self.node.mailbox.recv()
+            msg = yield from self.node.mailbox.recv(keep)
             if isinstance(msg, PollTick):
                 if self._ready_to_poll():
                     yield from self._start_poll_round()
             else:
                 self._dispatch_common(msg)
+
+    def _drain_keeps(self, msg: Any) -> bool:
+        """The drain's screen: a tick on which its loop would do nothing
+        (no poll round due, no relief queued, not drained) wakes nobody."""
+        return (not isinstance(msg, PollTick) or self._ready_to_poll()
+                or bool(self.full_queue) or self._drained)
 
     def _relief_cycle(
         self, reporter: int, deficit: int, edge: int | None

@@ -17,7 +17,7 @@ injection, shutdown) without leaking a slot or losing a message:
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 from heapq import heappush
 from typing import Any
 
@@ -44,6 +44,12 @@ class Mailbox:
         #: owning actor takes it out (immediate receive, put hand-off or
         #: drain); wired to the run's causal log by RunContext
         self.deq_probe: Any | None = None
+        #: the screened receive in progress (:meth:`recv`); its callback is
+        #: bound once, so a kept message allocates nothing
+        self._keep: Any = None
+        self._receiver: Any = None
+        self._armed: Event | None = None
+        self._screen_cb = self._screen
 
     def __len__(self) -> int:
         return len(self._items)
@@ -55,19 +61,43 @@ class Mailbox:
             getter = self._getters.popleft()
             if self.deq_probe is not None:
                 self.deq_probe(item)
-            getter.succeed(item)
+            getter._value = item  # getter.succeed(item), flattened
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._queue, (sim._now, seq, getter))
         else:
             self._items.append(item)
             if self.depth_probe is not None:
                 self.depth_probe.observe(self.sim._now, len(self._items))
 
-    def recv(self) -> Generator[Event, Any, Any]:
+    def recv(
+        self, keep: Callable[[Any], bool] | None = None,
+    ) -> Generator[Event, Any, Any]:
         """Blocking receive: ``msg = yield from box.recv()`` (FIFO).
 
         An exception thrown into the waiting process withdraws its claim
         before propagating: a pending getter leaves the queue, and a
         message already handed to it goes back to the head of the queue,
-        so the next receiver gets it instead of a dead waiter."""
+        so the next receiver gets it instead of a dead waiter.
+
+        ``keep`` screens the wake-up: a pure predicate run when the event
+        that would resume the receiver is processed.  A message it rejects
+        is consumed there, and the wait re-armed as a ``recv(); continue``
+        loop would re-arm it (same heap entries, probes and lockdep wait),
+        resuming no generator.  One screened receive per mailbox at a time."""
+        ev = self._arm()
+        if keep is not None:
+            self._keep, self._receiver, self._armed = keep, self.sim._current_process, ev
+            ev.callbacks.append(self._screen_cb)
+        try:
+            item = yield ev
+        except BaseException:
+            self._withdraw(ev if keep is None else self._armed)
+            raise
+        return item
+
+    def _arm(self) -> Event:
+        """One receive's wake-up: a queued item now, else a getter."""
         sim = self.sim
         if self._items:
             item = self._items.popleft()
@@ -76,18 +106,23 @@ class Mailbox:
             ev: Event = Timeout(sim, 0.0, item)  # it was waiting
             if self.depth_probe is not None:
                 self.depth_probe.observe(sim._now, len(self._items))
-        else:
-            ev = Event(sim)
-            self._getters.append(ev)
-            ld = sim.lockdep
-            if ld is not None:
-                ld.blocked(self, ev)
-        try:
-            item = yield ev
-        except BaseException:
-            self._withdraw(ev)
-            raise
-        return item
+            return ev
+        ev = Event(sim)
+        self._getters.append(ev)
+        ld = sim.lockdep
+        if ld is not None:
+            ld.blocked(self, ev)
+        return ev
+
+    def _screen(self, ev: Event) -> None:
+        """The screened receive's first callback on its wake-up event."""
+        if self._receiver._waiting_on is not ev or self._keep(ev._value):
+            return  # withdrawn, or kept: the receiver's own callback runs
+        sim, proc = self.sim, self._receiver
+        prev, sim._current_process = sim._current_process, proc  # for lockdep
+        self._armed = nxt = self._arm()
+        sim._current_process, proc._waiting_on = prev, nxt  # ev's resume: stale
+        nxt.callbacks += (self._screen_cb, proc._wake)
 
     def drain(self) -> list[Any]:
         """Remove and return all currently queued messages (non-blocking)."""

@@ -500,8 +500,8 @@ class ScriptedSource(DataSourceProcess):
                 self.node.mailbox.put(action)
         return ()
 
-    def _ship(self, dest, relation, values, version):
-        self.shipped.append((dest, relation, values.tolist(), version))
+    def _ship(self, dest, relation, values):
+        self.shipped.append((dest, relation, values.tolist(), self.router.version))
         return ()
 
 

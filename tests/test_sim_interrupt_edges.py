@@ -7,7 +7,7 @@ step, and time regression via run(until=...).
 
 import pytest
 
-from repro.sim import Interrupt, Mailbox, Resource, Simulator
+from repro.sim import Interrupt, LockdepMonitor, Mailbox, Resource, Simulator
 
 
 def test_interrupt_racing_termination_is_harmless():
@@ -280,3 +280,86 @@ def test_interrupt_before_a_same_tick_grant_releases_the_slot():
     sim.run()
     assert order == [("interrupted", 1.0), ("patient", 3.0)]
     assert res.in_use == 0 and res.queue_length == 0
+
+
+# ----------------------------------------------------------------------
+# the screened receive (``Mailbox.recv(keep)``) under interrupts
+# ----------------------------------------------------------------------
+def _screened_receiver(sim, box, got):
+    """A screened receive that rejects ``"noise"``; after an interrupt,
+    one plain receive."""
+    try:
+        got.append((yield from box.recv(lambda m: m != "noise")))
+    except Interrupt:
+        got.append("interrupted")
+    got.append((yield from box.recv()))
+
+
+def _watched_box():
+    sim = Simulator()
+    return sim, LockdepMonitor(sim).install(), Mailbox(sim)
+
+
+@pytest.mark.parametrize("interrupt_first", [True, False])
+def test_interrupt_in_the_tick_of_a_rejected_message(interrupt_first):
+    """A rejected message and an interrupt land in one tick.  Interrupt
+    first: the withdrawn receive puts the message back at the queue head,
+    where the plain receive after the interrupt finds it, as it would
+    with no screen.  Message first: the screen rejects it and re-arms a
+    getter, which the interrupt then withdraws, so the next put reaches
+    the live receive.  No getter and no lockdep wait is left behind."""
+    sim, monitor, box = _watched_box()
+    got = []
+    r = sim.spawn(_screened_receiver(sim, box, got))
+
+    def driver():
+        yield sim.timeout(1.0)
+        if interrupt_first:
+            r.interrupt()
+            box.put("noise")
+        else:
+            box.put("noise")
+            r.interrupt()
+        yield sim.timeout(1.0)
+        box.put("precious")
+
+    sim.spawn(driver())
+    sim.run()
+    if interrupt_first:
+        assert got == ["interrupted", "noise"] and list(box._items) == ["precious"]
+    else:
+        assert got == ["interrupted", "precious"] and len(box) == 0
+    assert not box._getters
+    assert not monitor._waits and not monitor._by_event
+
+
+@pytest.mark.parametrize("queued", [False, True])
+def test_interrupt_while_the_screened_wait_is_re_armed(queued):
+    """The screen rejected a message and re-armed the wait: on a fresh
+    getter, or (``queued``) on the next queued message, whose hand-off
+    is still on the heap when the interrupt lands.  The interrupt
+    withdraws the re-armed wait, not the spent one: the getter leaves
+    the queue, the message goes back to its head, and the plain receive
+    after the interrupt gets it."""
+    sim, monitor, box = _watched_box()
+    got = []
+    r = sim.spawn(_screened_receiver(sim, box, got))
+
+    def driver():
+        yield sim.timeout(1.0)
+        box.put("noise")
+        if queued:
+            box.put("precious")  # the re-arm takes it off the queue...
+            r.interrupt()        # ...and this lands before it is handed over
+            return
+        yield sim.timeout(1.0)
+        assert len(box._getters) == 1 and monitor._waits[r].primitive is box
+        r.interrupt()
+        yield sim.timeout(1.0)
+        box.put("precious")
+
+    sim.spawn(driver())
+    sim.run()
+    assert got == ["interrupted", "precious"]
+    assert len(box) == 0 and not box._getters
+    assert not monitor._waits and not monitor._by_event

@@ -1,8 +1,20 @@
 """Unit tests for mailboxes and resources."""
 
-import pytest
+from unittest import mock
 
-from repro.sim import CreditWindow, Interrupt, Mailbox, Resource, Simulator
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim import (
+    CreditWindow,
+    Interrupt,
+    LockdepMonitor,
+    Mailbox,
+    Resource,
+    Simulator,
+    kernel,
+)
 from repro.sim.errors import SimulationError
 
 
@@ -75,6 +87,119 @@ def test_mailbox_drain_and_len():
     assert box.drain() == [1, 2]
     assert len(box) == 0
     assert box.total_put == 2
+
+
+# ----------------------------------------------------------------------
+# Mailbox: the screened receive
+# ----------------------------------------------------------------------
+STOP = "stop"
+
+
+def _screen_run(bursts, work, screened, lockdep):
+    """One receiver over ``bursts`` of puts, returning what it kept, the
+    popped ``(time, seq)`` stream, the event count, what the mailbox's
+    dequeue and depth probes saw and the lockdep waits.
+
+    The predicate reads state the receiver changes (as the pool's and the
+    drain's do); ``screened`` reads with ``recv(keep)``, else with the
+    reference loop: ``recv()``, then ``continue`` on a rejected message."""
+    sim = Simulator()
+    monitor = LockdepMonitor(sim).install() if lockdep else None
+    box = Mailbox(sim)
+    probed = []
+    box.deq_probe = lambda item: probed.append(("deq", sim.now, item))
+    box.depth_probe = mock.Mock(
+        observe=lambda t, depth: probed.append(("depth", t, depth)))
+    state = {"mod": 2}
+    kept = []
+
+    def keep(msg):
+        return msg == STOP or msg % state["mod"] == 0
+
+    def receiver():
+        while True:
+            if screened:
+                msg = yield from box.recv(keep)
+            else:
+                msg = yield from box.recv()
+                if not keep(msg):
+                    continue
+            if msg == STOP:
+                return
+            kept.append((sim.now, msg))
+            state["mod"] = msg % 3 + 1
+            if work:
+                yield sim.timeout(work)  # let messages queue up meanwhile
+
+    def producer():
+        for gap, items in bursts:
+            yield sim.timeout(gap)
+            for item in items:
+                box.put(item)
+        box.put(STOP)
+
+    sim.spawn(receiver(), name="receiver")
+    sim.spawn(producer(), name="producer")
+    popped = []
+    real_pop = kernel.heappop
+
+    def recording_pop(queue):
+        entry = real_pop(queue)
+        popped.append(entry[:2])
+        return entry
+
+    with mock.patch.object(kernel, "heappop", recording_pop):
+        sim.run()
+    assert len(box) == 0 and not box._getters
+    waits = None
+    if monitor is not None:
+        assert not monitor._waits and not monitor._by_event
+        waits = monitor.waits_tracked
+    return kept, popped, sim.processed_events, probed, waits
+
+
+@given(
+    bursts=st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                              st.lists(st.integers(0, 30), max_size=4)),
+                    max_size=12),
+    work=st.sampled_from([0.0, 0.5, 1.5]),
+    lockdep=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_screened_receive_matches_the_receive_and_continue_loop(bursts, work, lockdep):
+    """Same popped ``(t, seq)`` stream, same event count, same messages
+    kept at the same times, same probe calls, same lockdep waits: a
+    rejected message is consumed and the wait re-armed exactly as the
+    loop would re-arm it, whether it came by a put hand-off or off the
+    queue."""
+    assert _screen_run(bursts, work, True, lockdep) \
+        == _screen_run(bursts, work, False, lockdep)
+
+
+def test_a_rejected_message_resumes_no_generator():
+    """The receiver's generator runs once per kept message (plus its
+    start): the wake-ups of rejected ones end in the stale-wakeup drop."""
+    sim = Simulator()
+    box = Mailbox(sim)
+    sends = []
+
+    def receiver():
+        while True:
+            sends.append(sim.now)
+            msg = yield from box.recv(lambda m: m != "noise")
+            if msg == STOP:
+                return
+
+    def producer():
+        for _ in range(50):
+            yield sim.timeout(1.0)
+            box.put("noise")
+        box.put(STOP)
+
+    sim.spawn(receiver())
+    sim.spawn(producer())
+    sim.run()
+    assert sends == [0.0]
 
 
 # ----------------------------------------------------------------------

@@ -195,9 +195,9 @@ def bare_pool(free_nodes=(0, 1)):
 
 def test_pool_idle_tick_reaches_no_handler(monkeypatch):
     """With nothing parked a PollTick has nothing to expire or serve: the
-    main loop goes straight back to its mailbox without making a
-    generator (a sparse workload's pool sees hundreds of thousands of
-    these); with a request parked, every tick expires and serves."""
+    pool's screened receive drops it without waking the pool (a sparse
+    workload's pool sees hundreds of thousands of these); with a request
+    parked, every tick expires and serves."""
     from repro.core.messages import PollTick, RecruitRequest, Shutdown
     from repro.core.pool import ResourcePoolProcess
 
@@ -227,6 +227,61 @@ def test_pool_idle_tick_reaches_no_handler(monkeypatch):
     pool.node.mailbox.put(Shutdown())
     sim.run()
     assert proc.value is pool.stats
+
+
+def test_pool_idle_ticks_resume_no_generator(monkeypatch):
+    """Idle ticks cost the pool no generator resume: its count stays the
+    same from 10 ticks to 1000, while the heap still pops the ticker's
+    timeout and the pool's wake-up for each.  The ticker is a timer, not
+    a counted process, and a run left with only a stopped ticker ends
+    cleanly."""
+    from repro.core.messages import Shutdown
+    from repro.sim import Process
+
+    resumes = []
+    real_resume = Process._resume
+
+    def counting_resume(self, event):
+        if event is self._waiting_on:  # not a stale wakeup
+            resumes.append(self.name)
+        real_resume(self, event)
+
+    monkeypatch.setattr(Process, "_resume", counting_resume)
+    counts = []
+    for n_ticks in (10, 1000):
+        resumes.clear()
+        sim, pool, _ = bare_pool()
+        pool.poll_interval = 1.0
+        proc = sim.spawn(pool.run(), name="pool")
+        sim.run(until=n_ticks + 0.5)
+        assert sim.processed_events == 2 + 2 * n_ticks  # two starts, two a tick
+        assert sim._active_processes == 1               # the pool alone
+        counts.append(len(resumes))
+        pool.node.mailbox.put(Shutdown())
+        sim.run()  # the ticker's last tick and end, then an empty heap
+        assert proc.value is pool.stats and sim._active_processes == 0
+    assert counts == [1, 1]  # the pool's start
+
+
+def test_poll_ticker_is_a_timer_with_the_ticker_process_events():
+    """A zero-delay start, one timeout per tick, a zero-delay end once
+    ``stopped()`` holds: the entries a ticker process pushed, with no
+    process alive to count."""
+    from repro.core.context import poll_ticker
+    from repro.core.messages import PollTick
+    from repro.sim import Mailbox, Simulator
+
+    sim = Simulator()
+    box = Mailbox(sim)
+    stop = []
+    poll_ticker(sim, box, 1.0, lambda: bool(stop))
+    assert sim._active_processes == 0
+    sim.run(until=3.5)
+    assert len(box) == 3 and sim.processed_events == 4
+    stop.append(True)
+    sim.run()
+    assert sim.now == 4.0 and sim.processed_events == 6
+    assert all(type(m) is PollTick for m in box.drain())
 
 
 def test_pool_rejects_a_message_without_a_row():
