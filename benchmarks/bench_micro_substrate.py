@@ -4,15 +4,19 @@ Unlike the figure benches (which time simulated protocol runs), these
 measure the Python/NumPy implementation itself, guarding against
 performance regressions in the per-chunk code the simulator executes
 millions of times: position mapping, routing partitions, store probing,
-the reshuffle's position counts and greedy cut, and raw event throughput
-of the DES kernel.
+the reshuffle's position counts and greedy cut, raw event throughput
+of the DES kernel, and the host cost of one idle poll tick.
 """
+
+from time import perf_counter
 
 import numpy as np
 import pytest
 
 from repro.config import Algorithm, ClusterSpec, RunConfig, WorkloadSpec
 from repro.core import run_join
+from repro.core.context import poll_ticker
+from repro.core.messages import PollTick
 from repro.data import ChunkBuffer
 from repro.hashing import (
     HashRange,
@@ -23,7 +27,7 @@ from repro.hashing import (
     partition_positions,
 )
 from repro.seqjoin import match_count
-from repro.sim import Simulator
+from repro.sim import Mailbox, Simulator
 
 RNG = np.random.default_rng(42)
 VALUES = RNG.integers(0, 1 << 32, 100_000, dtype=np.uint64)
@@ -318,6 +322,32 @@ def test_kernel_event_throughput(benchmark):
 
     events = benchmark(run_kernel)
     assert events >= 10_000
+
+
+def test_idle_tick_cost(benchmark):
+    """Host cost of one idle poll tick: a ticker and a screened receiver
+    that refuses every tick.  A tick is two heap entries (the ticker's
+    timeout and the receiver's screen entry) and resumes no generator;
+    ``us_per_tick`` lands in the benchmark's extra info."""
+    n_ticks = 20_000
+
+    def run_ticks():
+        sim = Simulator()
+        box = Mailbox(sim)
+
+        def receiver():
+            yield from box.recv(lambda m: type(m) is not PollTick)
+
+        sim.spawn(receiver())
+        poll_ticker(sim, box, 1.0, lambda: False)
+        t0 = perf_counter()
+        sim.run(until=n_ticks + 0.5)
+        return sim.processed_events, (perf_counter() - t0) / n_ticks * 1e6
+
+    events, us_per_tick = benchmark(run_ticks)
+    assert events == 2 + 2 * n_ticks  # the two starts, then two a tick
+    benchmark.extra_info["us_per_tick"] = round(us_per_tick, 3)
+    print(f"idle tick: {us_per_tick:.2f} us")
 
 
 def test_end_to_end_small_join(benchmark):

@@ -62,19 +62,21 @@ def poll_ticker(
     simulated seconds until ``stopped()`` — the drain poll, the pool's
     deadline checks and the standby's dead-man timer.  The ticker runs on
     the mailbox's own node, so ticks never cross the network.  A timer, not
-    a process: a ticker process's heap entries, and no generator to resume."""
+    a process: a ticker process's heap entries, one event re-armed for all
+    of them, and no generator to resume."""
     put, tick = mailbox.put, PollTick()  # stateless: one serves every tick
 
-    def step(ev: Event) -> None:  # the start, then each tick's timeout
-        if ev is not start:
+    def step(ev: Event) -> None:  # the start, then each tick
+        if ev._value is tick:
             put(tick)
         if stopped():
             Timeout(sim, 0.0)  # where the ticker process's end fired
-        else:
-            Timeout(sim, interval).callbacks.append(step)
+        else:  # the next tick's timeout, on the same event
+            ev.callbacks, ev._value = callbacks, tick
+            sim._schedule(ev, interval)
 
-    start = Timeout(sim, 0.0)
-    start.callbacks.append(step)
+    callbacks: list[Callable[[Event], None]] = [step]
+    Timeout(sim, 0.0).callbacks = callbacks  # the ticker process's start
 
 
 class RunContext:

@@ -305,9 +305,13 @@ class SchedulerProcess:
     def await_message(self, match: Callable[[Any], bool]) -> Generator[Any, Any, Any]:
         """Wait for a message satisfying ``match``; everything else goes
         through the common dispatcher (so relief cycles never starve the
-        rest of the protocol)."""
+        rest of the protocol).  A tick ``match`` refuses wakes nobody: the
+        dispatcher would only pass it to :meth:`_ignore`."""
+        def keep(m: Any) -> bool:
+            return type(m) is not PollTick or match(m)
+
         while True:
-            msg = yield from self.node.mailbox.recv()
+            msg = yield from self.node.mailbox.recv(keep)
             if match(msg):
                 return msg
             self._dispatch_common(msg)

@@ -142,3 +142,72 @@ def test_probe_phase_balance_includes_emitted_probe():
     feed_round(sched, round_)
     feed_round(sched, round_)
     assert sched._drained
+
+
+# ----------------------------------------------------------------------
+# relief-cycle waits screen the drain's ticks
+# ----------------------------------------------------------------------
+def test_await_message_screens_ticks_it_would_only_ignore(monkeypatch):
+    """``await_message`` (every wait inside a relief cycle) lets a tick
+    its match refuses wake nobody: the scheduler resumes for its start and
+    for the two messages it waits for, never for the 50 ticks between, and
+    no tick reaches the dispatcher.  Other traffic still does.  A match
+    that accepts a ``PollTick`` (``_probe_recovery``'s one-tick sleep)
+    gets the next tick."""
+    from repro.core.context import poll_ticker
+    from repro.core.messages import PollTick
+    from repro.sim import Process
+
+    sched = make_sched()
+    sim, box = sched.ctx.sim, sched.node.mailbox
+    dispatched, resumes, got = [], [], []
+    sched._handlers = {PollTick: lambda s, m: dispatched.append(m),
+                       str: lambda s, m: dispatched.append(m)}
+    real_resume = Process._resume
+
+    def counting_resume(self, event):
+        if event is self._waiting_on and self.name == "scheduler":
+            resumes.append(sim.now)  # not a stale wakeup
+        real_resume(self, event)
+
+    monkeypatch.setattr(Process, "_resume", counting_resume)
+
+    def scheduler():
+        got.append((yield from sched.await_message(lambda m: m == "ack")))
+        got.append((yield from sched.await_message(
+            lambda m: isinstance(m, PollTick))))
+        sched._background_stopped = True
+
+    def sender():
+        yield sim.timeout(20.5)
+        box.put("other traffic")
+        yield sim.timeout(30.0)
+        box.put("ack")
+
+    poll_ticker(sim, box, 1.0, lambda: sched._background_stopped)
+    sim.spawn(scheduler(), name="scheduler")
+    sim.spawn(sender())
+    sim.run()
+    assert dispatched == ["other traffic"]
+    assert got[0] == "ack" and type(got[1]) is PollTick
+    assert resumes == [0.0, 20.5, 50.5, 51.0]
+
+
+def test_a_join_with_relief_cycles_dispatches_no_tick(monkeypatch):
+    """End to end: the relief cycles' waits screen every tick, so
+    :meth:`SchedulerProcess._ignore` never sees one (it used to, once for
+    each tick that fell inside a relief cycle)."""
+    from repro.core import run_join
+    from repro.core.messages import PollTick
+
+    ignored = []
+    real_ignore = SchedulerProcess._ignore
+
+    def counting_ignore(self, msg):
+        ignored.append(type(msg))
+        real_ignore(self, msg)
+
+    monkeypatch.setattr(SchedulerProcess, "_ignore", counting_ignore)
+    res = run_join(small_config(Algorithm.HYBRID), validate=True)
+    assert res.nodes_used > 2  # relief cycles ran
+    assert PollTick not in ignored

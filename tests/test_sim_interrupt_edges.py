@@ -363,3 +363,42 @@ def test_interrupt_while_the_screened_wait_is_re_armed(queued):
     assert got == ["interrupted", "precious"]
     assert len(box) == 0 and not box._getters
     assert not monitor._waits and not monitor._by_event
+
+
+def test_interrupt_with_a_screen_entry_on_the_heap_then_a_same_tick_re_receive():
+    """A put hands a message to the screened receive through its screen
+    entry, but an interrupt scheduled first lands before the entry is
+    processed.  The message goes back to the head of the queue, ahead of
+    one queued behind it, and the receiver screens again in the same tick.
+    The stranded entry is still on the heap: it is replaced, not reused,
+    and when it pops it does nothing.  The new receive gets the message
+    once, then the next one; no getter and no lockdep wait is left."""
+    sim, monitor, box = _watched_box()
+    got = []
+    keep = lambda m: m != "noise"
+
+    def receiver():
+        try:
+            got.append((yield from box.recv(keep)))
+        except Interrupt:
+            got.append(("interrupted", list(box._items)))
+            got.append((yield from box.recv(keep)))  # same tick: a fresh entry
+        got.append((yield from box.recv(keep)))
+
+    r = sim.spawn(receiver())
+    stranded = []
+
+    def driver():
+        yield sim.timeout(1.0)
+        r.interrupt()
+        box.put("first")   # to the armed getter, through the screen entry
+        box.put("second")  # queued behind it
+        stranded.append(box._entry)
+
+    sim.spawn(driver())
+    sim.run()
+    assert got == [("interrupted", ["first", "second"]), "first", "second"]
+    assert box._entry is not stranded[0]
+    assert stranded[0].callbacks is None  # popped once, as a no-op
+    assert len(box) == 0 and not box._getters
+    assert not monitor._waits and not monitor._by_event

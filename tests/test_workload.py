@@ -230,15 +230,16 @@ def test_pool_idle_tick_reaches_no_handler(monkeypatch):
 
 
 def test_pool_idle_ticks_resume_no_generator(monkeypatch):
-    """Idle ticks cost the pool no generator resume: its count stays the
-    same from 10 ticks to 1000, while the heap still pops the ticker's
-    timeout and the pool's wake-up for each.  The ticker is a timer, not
-    a counted process, and a run left with only a stopped ticker ends
-    cleanly."""
+    """Idle ticks cost the pool no generator resume and build no event:
+    both counts stay the same from 10 ticks to 1000, while the heap still
+    pops the ticker's timeout and the pool's wake-up for each (the ticker
+    re-arms one event; the screen entry is the mailbox's own).  The ticker
+    is a timer, not a counted process, and a run left with only a stopped
+    ticker ends cleanly."""
     from repro.core.messages import Shutdown
-    from repro.sim import Process
+    from repro.sim import Event, Process, Timeout
 
-    resumes = []
+    resumes, built = [], []
     real_resume = Process._resume
 
     def counting_resume(self, event):
@@ -246,21 +247,33 @@ def test_pool_idle_ticks_resume_no_generator(monkeypatch):
             resumes.append(self.name)
         real_resume(self, event)
 
+    def counting_init(cls):
+        real_init = cls.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(cls.__name__)
+            real_init(self, *args, **kwargs)
+        return init
+
     monkeypatch.setattr(Process, "_resume", counting_resume)
+    for cls in (Event, Timeout):
+        monkeypatch.setattr(cls, "__init__", counting_init(cls))
     counts = []
     for n_ticks in (10, 1000):
         resumes.clear()
         sim, pool, _ = bare_pool()
         pool.poll_interval = 1.0
         proc = sim.spawn(pool.run(), name="pool")
+        sim.run(until=0.5)  # both starts: the pool's receive is armed
+        built.clear()
         sim.run(until=n_ticks + 0.5)
         assert sim.processed_events == 2 + 2 * n_ticks  # two starts, two a tick
         assert sim._active_processes == 1               # the pool alone
-        counts.append(len(resumes))
+        counts.append((len(resumes), len(built)))
         pool.node.mailbox.put(Shutdown())
         sim.run()  # the ticker's last tick and end, then an empty heap
         assert proc.value is pool.stats and sim._active_processes == 0
-    assert counts == [1, 1]  # the pool's start
+    assert counts == [(1, 0), (1, 0)]  # the pool's start; nothing built
 
 
 def test_poll_ticker_is_a_timer_with_the_ticker_process_events():
@@ -282,6 +295,30 @@ def test_poll_ticker_is_a_timer_with_the_ticker_process_events():
     sim.run()
     assert sim.now == 4.0 and sim.processed_events == 6
     assert all(type(m) is PollTick for m in box.drain())
+
+
+@pytest.mark.parametrize("n_ticks", [10, 1000])
+def test_poll_ticker_pushes_two_entries_plus_one_a_tick(n_ticks, monkeypatch):
+    """Its start, one entry a tick and its end: ``2 + n`` heap pushes,
+    from one re-armed event and the end's ``Timeout``."""
+    from repro.core.context import poll_ticker
+    from repro.sim import Mailbox, Simulator, kernel
+
+    pushes = []
+    real_push = kernel.heappush
+
+    def counting_push(queue, entry):
+        pushes.append(entry[2])
+        real_push(queue, entry)
+
+    monkeypatch.setattr(kernel, "heappush", counting_push)
+    sim = Simulator()
+    box = Mailbox(sim)
+    poll_ticker(sim, box, 1.0, lambda: len(box) >= n_ticks)
+    sim.run()
+    assert len(box) == n_ticks and sim.now == n_ticks
+    assert len(pushes) == sim.processed_events == 2 + n_ticks
+    assert len({id(ev) for ev in pushes}) == 2  # the re-armed timer, the end
 
 
 def test_pool_rejects_a_message_without_a_row():
