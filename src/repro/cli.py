@@ -1,29 +1,15 @@
 """Command-line interface: ``python -m repro <command>`` (or ``repro``).
 
-Eleven commands:
+Eleven commands: ``run``, ``sweep``, ``trace``, ``metrics`` and
+``explain`` run single joins; ``workload`` and ``fleet`` run many queries
+over a shared node pool; ``figures`` regenerates the paper's figures;
+``bench-diff``, ``tail`` and ``lint`` read files.  ``repro --help`` says
+what each does, and ``repro <command> --help`` lists its flags.
 
-* ``run``     — one simulated join, printing the phase/traffic summary.
-* ``workload`` — many concurrent joins over one shared node pool, with
-  admission control and per-query latency/queueing percentiles.
-* ``fleet``   — the workload sharded across OS worker processes by
-  deterministic query cohorts, merged back into one fleet-wide result
-  (shard-count invariant; see ``docs/FLEET.md``).
-* ``sweep``   — a grid of runs (algorithms x initial nodes), as a table.
-* ``figures`` — regenerate the paper's figures (or a subset) and print /
-  save the reproduction reports.
-* ``trace``   — run one join and export its execution trace (Chrome
-  ``trace_event`` JSON for chrome://tracing / Perfetto, or JSONL).
-* ``metrics`` — run one join and dump the metrics registry snapshot.
-* ``explain`` — run one join and print the causal critical-path /
-  bottleneck report (see ``docs/OBSERVABILITY.md``).
-* ``bench-diff`` — compare two ``BENCH_*.json`` baselines or two
-  observability snapshots (``--snapshot-out`` files; auto-detected);
-  nonzero exit on regressions beyond the threshold (the CI perf gate).
-* ``tail``    — render a ``--snapshot-out`` JSONL snapshot stream as
-  per-snapshot progress lines plus a final-state digest.
-* ``lint``    — run the repo's own static-analysis passes (determinism,
-  fault safety, protocol exhaustiveness, wait graph); see
-  ``docs/STATIC_ANALYSIS.md``.
+A flag that sets one config field is declared on that field, in its
+``metadata`` (see :mod:`repro.config`); this module builds the parsers and
+the configs from those declarations.  docs/API.md's flag table is
+:func:`flag_table`'s output.
 
 Examples::
 
@@ -48,13 +34,15 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from functools import partial
+from dataclasses import Field, fields, replace
 from collections.abc import Callable, Iterator, Sequence
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, TypeVar
 
 from .config import (
     Algorithm,
@@ -63,11 +51,8 @@ from .config import (
     FleetConfig,
     MTUPLES,
     ObsConfig,
-    PoolPolicy,
     QueryMixEntry,
     RunConfig,
-    SplitPolicy,
-    Topology,
     WorkloadConfig,
     WorkloadSpec,
 )
@@ -84,50 +69,79 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
     from .core import JoinRunResult
     from .obs import Snapshot
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "flag_table"]
+
+_C = TypeVar("_C")
 
 
-def _add_workload_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r-tuples", type=finite_float, default=10.0, metavar="M",
-                   help="build relation size in millions of tuples "
-                        "(paper units; default 10)")
-    p.add_argument("--s-tuples", type=finite_float, default=10.0, metavar="M",
-                   help="probe relation size in millions of tuples")
-    p.add_argument("--tuple-bytes", type=int, default=100)
-    p.add_argument("--sigma", type=finite_float, default=None,
-                   help="Gaussian skew (fraction of the value range); "
-                        "omit for uniform data")
-    p.add_argument("--zipf", type=finite_float, default=None, metavar="S",
-                   help="Zipf exponent (> 1); mutually exclusive with "
-                        "--sigma")
-    p.add_argument("--chunk-tuples", type=int, default=10_000)
-    p.add_argument("--scale", type=finite_float, default=WorkloadSpec().scale,
-                   help="down-scaling factor (default 1/50); 1.0 = full size")
-    p.add_argument("--seed", type=int, default=WorkloadSpec().seed)
+def _flagged(cls: type) -> dict[str, Field[Any]]:
+    """The fields of ``cls`` that declare a CLI flag, by name."""
+    return {f.name: f for f in fields(cls) if "flag" in f.metadata}
 
 
-def _add_cluster_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--initial-nodes", type=str, default="4",
-                   help="initial join nodes; a comma list sweeps (sweep "
-                        "command only)")
-    p.add_argument("--pool", type=int, default=24,
-                   help="potential join nodes (default 24)")
-    p.add_argument("--sources", type=int, default=4,
-                   help="data-source nodes (default 4)")
-    p.add_argument("--node-memory-mb", type=finite_float, default=64.0,
-                   help="hash-table budget per node in MB (default 64)")
-    p.add_argument("--topology", default="switched",
-                   choices=[t.value for t in Topology],
-                   help="interconnect: switched ports or one shared hub")
-    p.add_argument("--sources-from-disk", action="store_true",
-                   help="sources read relations from disk instead of "
-                        "generating them")
+def _add_fields(p: argparse.ArgumentParser, cls: type, *names: str,
+                **defaults: Any) -> None:
+    """Add the flags that fields ``names`` of ``cls`` declare.
+
+    A flag's default is its field's (or ``defaults[name]``) in the flag's
+    unit; an enum field takes its values as choices, and a bool field is a
+    switch that is off unless given, whatever the field's default."""
+    declared = _flagged(cls)
+    for name in names:
+        meta = declared[name].metadata
+        default = defaults.get(name, declared[name].default)
+        kw: dict[str, Any] = {"help": meta["help"]}
+        if isinstance(default, bool):
+            kw["action"] = "store_true"
+        elif isinstance(default, enum.Enum):
+            kw.update(default=default.value,
+                      choices=[m.value for m in type(default)])
+        else:
+            if "unit" in meta:
+                default /= meta["unit"]
+            kw.update(default=default, type=meta.get("type") or (
+                int if isinstance(default, int) else finite_float))
+        p.add_argument(meta["flag"], **kw)
 
 
-def _add_fault_args(p: argparse.ArgumentParser) -> None:
+def _from_args(cls: Callable[..., _C], args: argparse.Namespace,
+               **by_hand: Any) -> _C:
+    """``cls`` built from the flags its fields declare, in field units,
+    with the fields in ``by_hand`` set as given."""
+    for name, f in _flagged(cls).items():
+        if name not in by_hand:
+            value = getattr(args, f.metadata["flag"][2:].replace("-", "_"))
+            if "unit" in f.metadata:
+                value = type(f.default)(value * f.metadata["unit"])
+            elif isinstance(f.default, enum.Enum):
+                value = type(f.default)(value)
+            by_hand[name] = value
+    return cls(**by_hand)
+
+
+def _scaled() -> argparse.ArgumentParser:
+    """``--scale`` and ``--no-validate``: every command that simulates."""
+    p = argparse.ArgumentParser(add_help=False)
+    _add_fields(p, WorkloadSpec, "scale")
+    p.add_argument("--no-validate", action="store_true",
+                   help="skip the sequential-oracle check")
+    return p
+
+
+def _simulating(**defaults: Any) -> argparse.ArgumentParser:
+    """The flags shared by the commands that run joins: scale, seed, the
+    cluster and fault flags, ``--no-validate`` and ``--trace``.
+
+    A new parser on every call: parents share their action objects, so a
+    family's own default (``defaults``, by field name) must be given here,
+    never set on a parser built from another family's parent."""
+    p = argparse.ArgumentParser(add_help=False, parents=[_scaled()])
+    _add_fields(p, WorkloadSpec, "seed")
+    _add_fields(p, ClusterSpec, "n_potential_nodes", "n_sources",
+                "hash_memory_bytes", "topology", **defaults)
     p.add_argument("--fault-plan", metavar="PATH",
                    help="JSON fault plan (see docs/FAULTS.md for the schema)")
-    p.add_argument("--drop-prob", type=finite_float, default=None, metavar="P",
+    p.add_argument("--drop-prob", type=finite_float, metavar="P",
                    help="drop every inter-node message with probability P "
                         "(sender retransmits; overrides the plan's value)")
     p.add_argument("--crash-node", action="append", default=[],
@@ -141,20 +155,15 @@ def _add_fault_args(p: argparse.ArgumentParser) -> None:
                    help="arm the control-plane fault-tolerance layer "
                         "(heartbeat failure detector + standby scheduler; "
                         "see docs/FAULTS.md)")
-    p.add_argument("--heartbeat-interval", type=finite_float, default=None,
-                   metavar="S",
+    p.add_argument("--heartbeat-interval", type=finite_float, metavar="S",
                    help="heartbeat period in simulated seconds (implies "
                         "--membership; suspect/confirm timeouts derive "
                         "from it unless pinned in the fault plan)")
-    p.add_argument("--kill-scheduler-at", type=finite_float, default=None,
-                   metavar="T",
+    p.add_argument("--kill-scheduler-at", type=finite_float, metavar="T",
                    help="fail-stop the primary scheduler at sim time T "
                         "(implies --membership; the standby takes over)")
-    p.add_argument("--lockdep", action="store_true",
-                   help="arm the runtime deadlock detector (sim-time "
-                        "wait-for graph over resources and mailboxes; "
-                        "pure observer, on by default under pytest — see "
-                        "docs/STATIC_ANALYSIS.md)")
+    _add_fields(p, RunConfig, "lockdep", "trace")
+    return p
 
 
 def _faults(args: argparse.Namespace) -> FaultPlan | None:
@@ -164,16 +173,14 @@ def _faults(args: argparse.Namespace) -> FaultPlan | None:
     the exact fault-free code path (no injector is constructed at all).
     """
     plan = FaultPlan.from_file(args.fault_plan) if args.fault_plan else None
-    if args.drop_prob is not None:
-        plan = replace(plan or FaultPlan(), drop_prob=args.drop_prob)
-    if args.membership:
-        plan = replace(plan or FaultPlan(), membership=True)
-    if args.heartbeat_interval is not None:
-        plan = replace(plan or FaultPlan(),
-                       heartbeat_interval_s=args.heartbeat_interval)
-    if args.kill_scheduler_at is not None:
-        plan = replace(plan or FaultPlan(),
-                       kill_scheduler_at=args.kill_scheduler_at)
+    overlay = {field: value for field, value in (
+        ("drop_prob", args.drop_prob),
+        ("membership", args.membership or None),
+        ("heartbeat_interval_s", args.heartbeat_interval),
+        ("kill_scheduler_at", args.kill_scheduler_at),
+    ) if value is not None}
+    if overlay:
+        plan = replace(plan or FaultPlan(), **overlay)
     if args.crash_node:
         plan = (plan or FaultPlan()).with_crashes(
             *crash_specs_from_cli(args.crash_node)
@@ -204,33 +211,14 @@ def _parse_arrival_times(text: str | None) -> tuple[float, ...]:
 
 def _workload(args: argparse.Namespace) -> WorkloadSpec:
     # --zipf and --sigma are rejected as a pair up front (see main()), so
-    # the branches below never silently discard a skew request.
+    # neither branch silently discards a skew request.
+    skew: dict[str, Any] = {}
     if args.zipf is not None:
-        dist, sigma = Distribution.ZIPF, 0.001
+        skew = {"distribution": Distribution.ZIPF, "zipf_s": args.zipf}
     elif args.sigma is not None:
-        dist, sigma = Distribution.GAUSSIAN, args.sigma
-    else:
-        dist, sigma = Distribution.UNIFORM, 0.001
-    return WorkloadSpec(
-        r_tuples=int(args.r_tuples * MTUPLES),
-        s_tuples=int(args.s_tuples * MTUPLES),
-        tuple_bytes=args.tuple_bytes,
-        distribution=dist,
-        gauss_sigma=sigma,
-        zipf_s=args.zipf if args.zipf is not None else 1.1,
-        chunk_tuples=args.chunk_tuples,
-        scale=args.scale,
-        seed=args.seed,
-    )
-
-
-def _cluster(args: argparse.Namespace) -> ClusterSpec:
-    return ClusterSpec(
-        n_sources=args.sources,
-        n_potential_nodes=args.pool,
-        hash_memory_bytes=int(args.node_memory_mb * 1024 * 1024),
-        topology=Topology(args.topology),
-    )
+        skew = {"distribution": Distribution.GAUSSIAN,
+                "gauss_sigma": args.sigma}
+    return _from_args(WorkloadSpec, args, **skew)
 
 
 class _ConfigError(Exception):
@@ -252,22 +240,11 @@ def _config_errors() -> Iterator[None]:
         raise _ConfigError(str(exc)) from None
 
 
-def _config(args: argparse.Namespace, algorithm: Algorithm,
-            initial_nodes: int, force_trace: bool = False) -> RunConfig:
-    return RunConfig(
-        algorithm=algorithm,
-        initial_nodes=initial_nodes,
-        workload=_workload(args),
-        cluster=_cluster(args),
-        split_policy=SplitPolicy(args.split_policy),
-        materialize_output=args.materialize_output,
-        probe_expansion=args.probe_expansion,
-        sources_from_disk=args.sources_from_disk,
-        trace=args.trace or force_trace,
-        trace_buffer=args.trace_buffer,
-        faults=_faults(args),
-        lockdep=args.lockdep,
-    )
+def _config(args: argparse.Namespace, **by_hand: Any) -> RunConfig:
+    """The :class:`RunConfig` of a single-join command's flags."""
+    return _from_args(RunConfig, args, workload=_workload(args),
+                      cluster=_from_args(ClusterSpec, args),
+                      faults=_faults(args), **by_hand)
 
 
 def _refuse_overwrite(path: str | None, force: bool, command: str,
@@ -321,17 +298,20 @@ def _emit(args: argparse.Namespace, payload: str, note: str) -> None:
 
 
 def _run_single(args: argparse.Namespace, command: str,
-                **config_kw: Any) -> JoinRunResult | None:
-    """The one join ``run``/``trace``/``metrics``/``explain`` run: the
-    first of ``--initial-nodes``.  ``None`` (after a message) when ``--out``
-    cannot be written — checked before the simulation, not after."""
+                force_trace: bool = False) -> JoinRunResult | None:
+    """The one join ``run``/``trace``/``metrics``/``explain`` run.  ``None``
+    (after a message) when ``--out`` cannot be written — checked before the
+    simulation, not after."""
     from .core import run_join
 
     if _refuse_overwrite(args.out, args.force, command):
         return None
     with _config_errors():
-        cfg = _config(args, Algorithm(args.algorithm),
-                      int(args.initial_nodes.split(",")[0]), **config_kw)
+        if "," in args.initial_nodes:
+            raise ValueError(
+                "--initial-nodes takes one value (sweep takes a list)")
+        cfg = _config(args, initial_nodes=int(args.initial_nodes),
+                      trace=args.trace or force_trace)
     return run_join(cfg, validate=not args.no_validate)
 
 
@@ -364,7 +344,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             else [Algorithm(a) for a in args.algorithms.split(",")]
         )
         initials = [int(x) for x in args.initial_nodes.split(",")]
-        grid = [[_config(args, a, k) for a in algorithms] for k in initials]
+        grid = [[_config(args, algorithm=a, initial_nodes=k)
+                 for a in algorithms] for k in initials]
     rows = []
     for k, cells in zip(initials, grid):
         row: list[object] = [k]
@@ -493,8 +474,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def _parse_mix_entry(text: str) -> QueryMixEntry:
     """``ALG[:WEIGHT[:R_M[:S_M[:INITIAL[:SIGMA]]]]]`` -> QueryMixEntry.
 
-    Sizes are in millions of tuples (paper units); a sixth field turns the
-    entry Gaussian-skewed with that sigma.  Example: ``hybrid:2:10:10:4``.
+    Sizes are in millions of tuples (paper units), and S is as large as R
+    unless given; a sixth field turns the entry Gaussian-skewed with that
+    sigma.  A field left out keeps :class:`QueryMixEntry`'s default.
+    Example: ``hybrid:2:10:10:4``.
     """
     parts = text.split(":")
     if not 1 <= len(parts) <= 6:
@@ -502,38 +485,35 @@ def _parse_mix_entry(text: str) -> QueryMixEntry:
             f"mix entry {text!r}: expected ALG[:WEIGHT[:R_M[:S_M"
             f"[:INITIAL[:SIGMA]]]]]"
         )
+    if len(parts) == 3:
+        parts.append(parts[2])
+
+    def mtuples(part: str) -> int:
+        return int(finite_float(part) * MTUPLES)
+
     try:
-        alg = Algorithm(parts[0])
-        weight = finite_float(parts[1]) if len(parts) > 1 else 1.0
-        r_m = finite_float(parts[2]) if len(parts) > 2 else 2.0
-        s_m = finite_float(parts[3]) if len(parts) > 3 else r_m
-        initial = int(parts[4]) if len(parts) > 4 else 2
-        sigma = finite_float(parts[5]) if len(parts) > 5 else None
+        kw: dict[str, Any] = {name: parse(part) for (name, parse), part in zip(
+            (("algorithm", Algorithm), ("weight", finite_float),
+             ("r_tuples", mtuples), ("s_tuples", mtuples),
+             ("initial_nodes", int), ("gauss_sigma", finite_float)), parts)}
     except ValueError as exc:
         raise ValueError(f"mix entry {text!r}: {exc}") from None
-    return QueryMixEntry(
-        weight=weight,
-        algorithm=alg,
-        r_tuples=int(r_m * MTUPLES),
-        s_tuples=int(s_m * MTUPLES),
-        initial_nodes=initial,
-        distribution=(
-            Distribution.GAUSSIAN if sigma is not None
-            else Distribution.UNIFORM
-        ),
-        gauss_sigma=sigma if sigma is not None else 0.001,
-    )
+    if "gauss_sigma" in kw:
+        kw["distribution"] = Distribution.GAUSSIAN
+    return QueryMixEntry(**kw)
 
 
-def _workload_config(
-    args: argparse.Namespace, plan: FaultPlan | None
-) -> WorkloadConfig:
+def _workload_config(args: argparse.Namespace) -> WorkloadConfig:
     """Fold the shared workload CLI flags into a :class:`WorkloadConfig`
     (raises ValueError exactly like the dataclass validators)."""
+    plan = _faults(args)
+    if plan is not None and plan.membership_active:
+        raise ValueError(
+            "the control-plane fault-tolerance layer (--membership / "
+            "--heartbeat-interval / --kill-scheduler-at) is single-query "
+            "only; see docs/FAULTS.md")
     live = args.live or args.live_interval is not None
-    mix = tuple(_parse_mix_entry(m) for m in args.mix) if args.mix else (
-        QueryMixEntry(initial_nodes=2),
-    )
+    mix = {"mix": tuple(map(_parse_mix_entry, args.mix))} if args.mix else {}
     obs = ObsConfig(
         budget_bytes=args.obs_budget,
         live_interval_s=(
@@ -542,34 +522,13 @@ def _workload_config(
             if live else None
         ),
     )
-    return WorkloadConfig(
-        n_queries=args.queries,
-        arrival_rate_qps=args.arrival_rate,
+    return _from_args(
+        WorkloadConfig, args,
         arrival_times=_parse_arrival_times(args.arrival_times),
-        seed=args.seed,
-        mix=mix,
-        policy=PoolPolicy(args.policy),
-        fair_share_cap=args.fair_share_cap,
-        grant_timeout_s=args.grant_timeout,
-        cluster=_cluster(args),
-        scale=args.scale,
-        trace=args.trace,
-        faults=plan,
-        lockdep=args.lockdep,
-        obs=obs,
+        seed=args.seed, cluster=_from_args(ClusterSpec, args),
+        scale=args.scale, trace=args.trace, faults=plan,
+        lockdep=args.lockdep, obs=obs, **mix,
     )
-
-
-def _check_membership(plan: FaultPlan | None, command: str) -> bool:
-    """True (with a message) when the single-query-only control-plane
-    fault layer was requested from a multi-query command."""
-    if plan is not None and plan.membership_active:
-        print(f"{command}: the control-plane fault-tolerance layer "
-              "(--membership / --heartbeat-interval / --kill-scheduler-at) "
-              "is single-query only; see docs/FAULTS.md",
-              file=sys.stderr)
-        return True
-    return False
 
 
 def _run_streaming(
@@ -631,18 +590,10 @@ def _emit_run(
     if args.baseline:
         # bench-diff's schema keys are fixed (total_s / build_s); here they
         # carry makespan and p99 latency respectively.
-        base = {
-            "benchmark": benchmark,
-            "scale": wl.scale,
-            "series": {
-                series: {
-                    str(wl.n_queries): {
-                        "total_s": res.makespan_s,
-                        "build_s": res.latency_percentiles().get("p99", 0.0),
-                    }
-                }
-            },
-        }
+        point = {"total_s": res.makespan_s,
+                 "build_s": res.latency_percentiles().get("p99", 0.0)}
+        base = {"benchmark": benchmark, "scale": wl.scale,
+                "series": {series: {str(wl.n_queries): point}}}
         _write_text(args.baseline, json.dumps(base, indent=2) + "\n")
         print(f"wrote {args.baseline} ({benchmark} baseline)")
 
@@ -650,11 +601,8 @@ def _emit_run(
 def cmd_workload(args: argparse.Namespace) -> int:
     from .workload import run_workload
 
-    plan = _faults(args)
-    if _check_membership(plan, "workload"):
-        return 2
     with _config_errors():
-        cfg = _workload_config(args, plan)
+        cfg = _workload_config(args)
     res = _run_streaming(
         args, "workload", "snapshot stream",
         lambda sink: run_workload(cfg, validate=not args.no_validate,
@@ -672,21 +620,13 @@ def cmd_workload(args: argparse.Namespace) -> int:
 def cmd_fleet(args: argparse.Namespace) -> int:
     from .workload import profile_arrivals, run_fleet
 
-    plan = _faults(args)
-    if _check_membership(plan, "fleet"):
-        return 2
     with _config_errors():
-        wl = _workload_config(args, plan)
+        wl = _workload_config(args)
         if args.arrival_profile != "poisson":
             wl = replace(
                 wl, arrival_times=profile_arrivals(args.arrival_profile, wl)
             )
-        cfg = FleetConfig(
-            workload=wl,
-            n_cohorts=args.cohorts,
-            n_shards=args.shards,
-            worker_timeout_s=args.worker_timeout,
-        )
+        cfg = _from_args(FleetConfig, args, workload=wl)
     res = _run_streaming(
         args, "fleet", "merged snapshot stream",
         lambda sink: run_fleet(cfg, validate=not args.no_validate,
@@ -814,6 +754,14 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 1 if violations else 0
 
 
+class _DefaultsShown(argparse.ArgumentDefaultsHelpFormatter):
+    """``--help`` names each flag's default, unless it is unset or off."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        unset = action.default in (None, []) or action.default is False
+        return action.help if unset else super()._get_help_string(action)
+
+
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -821,219 +769,156 @@ def build_parser() -> argparse.ArgumentParser:
         description="Expanding Hash-based Join Algorithms (HPDC 2004) — "
                     "simulated reproduction",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=partial(
+            argparse.ArgumentParser, formatter_class=_DefaultsShown))
 
-    common = argparse.ArgumentParser(add_help=False)
-    _add_workload_args(common)
-    _add_cluster_args(common)
-    _add_fault_args(common)
-    common.add_argument("--split-policy", default="bisect",
-                        choices=[p.value for p in SplitPolicy])
-    common.add_argument("--materialize-output", action="store_true",
-                        help="keep join output pairs in node memory")
-    common.add_argument("--probe-expansion", action="store_true",
-                        help="recruit output-sink nodes on probe overflow "
-                             "(paper footnote 1)")
-    common.add_argument("--no-validate", action="store_true",
-                        help="skip the sequential-oracle check")
-    common.add_argument("--trace", action="store_true",
-                        help="collect and print the protocol trace")
-    common.add_argument("--trace-buffer", type=int, default=None,
-                        metavar="N",
-                        help="keep only the most recent N trace records "
-                             "(bounded-buffer mode; default unbounded)")
-    # one join of one algorithm: `run`, and the exporters below it that
-    # also refuse to replace an existing --out file without --force
-    one_join = argparse.ArgumentParser(add_help=False, parents=[common])
-    one_join.add_argument("--algorithm", default="hybrid",
-                          choices=[a.value for a in Algorithm])
-    exporter = argparse.ArgumentParser(add_help=False, parents=[one_join])
-    exporter.add_argument("--force", action="store_true",
-                          help="overwrite an existing --out file")
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out", help="write the command's output to this "
+                                       "file")
+    outputs.add_argument("--force", action="store_true",
+                         help="overwrite existing output files")
+
+    # the single-join commands: `sweep`, and `run` and the exporters,
+    # which join one algorithm
+    single = argparse.ArgumentParser(add_help=False, parents=[_simulating()])
+    _add_fields(single, WorkloadSpec, "r_tuples", "s_tuples", "tuple_bytes",
+                "chunk_tuples")
+    single.add_argument("--sigma", type=finite_float,
+                        help="Gaussian skew (fraction of the value range); "
+                             "omit for uniform data")
+    single.add_argument("--zipf", type=finite_float, metavar="S",
+                        help="Zipf exponent (> 1); mutually exclusive with "
+                             "--sigma")
+    single.add_argument("--initial-nodes", type=str,
+                        default=str(RunConfig.initial_nodes),
+                        help="initial join nodes; a comma list sweeps (sweep "
+                             "command only)")
+    _add_fields(single, RunConfig, "sources_from_disk", "split_policy",
+                "materialize_output", "probe_expansion", "trace_buffer")
+    one_join = argparse.ArgumentParser(add_help=False, parents=[single])
+    _add_fields(one_join, RunConfig, "algorithm")
 
     p_run = sub.add_parser("run", parents=[one_join],
                            help="run one simulated join")
     p_run.set_defaults(func=cmd_run, out=None, force=False)
 
-    def _add_workload_cli(p: argparse.ArgumentParser) -> None:
-        # Flags shared verbatim by `workload` (in-process) and `fleet`
-        # (OS-process sharded) — both fold into one WorkloadConfig.
-        p.add_argument("--queries", type=int, default=4,
-                       help="number of concurrent queries (default 4)")
-        p.add_argument("--arrival-rate", type=finite_float, default=0.5,
-                       metavar="QPS",
-                       help="Poisson arrival rate in queries per simulated "
-                            "second (default 0.5)")
-        p.add_argument("--arrival-times", metavar="T0,T1,...",
-                       help="explicit arrival trace (simulated seconds, one "
-                            "per query; overrides --arrival-rate)")
-        p.add_argument("--mix", action="append", default=[],
-                       metavar="ALG[:W[:R_M[:S_M[:K[:SIGMA]]]]]",
-                       help="weighted query class: algorithm, weight, "
-                            "relation sizes in Mtuples, initial nodes, "
-                            "optional Gaussian sigma; repeatable (default "
-                            "one 2Mx2M hybrid class on 2 nodes)")
-        p.add_argument("--policy", default="fifo",
-                       choices=[p.value for p in PoolPolicy],
-                       help="pool arbitration policy (default fifo)")
-        p.add_argument("--fair-share-cap", type=int, default=4, metavar="N",
-                       help="max pool nodes one query may hold beyond its "
-                            "admission grant (fair policy only; default 4)")
-        p.add_argument("--grant-timeout", type=finite_float, default=None,
-                       metavar="S",
-                       help="deny a parked recruit after S simulated "
-                            "seconds (default: scale-derived)")
-        p.add_argument("--pool", type=int, default=24,
-                       help="shared join nodes in the pool (default 24)")
-        p.add_argument("--sources", type=int, default=2,
-                       help="data-source nodes per query (default 2)")
-        p.add_argument("--node-memory-mb", type=finite_float, default=64.0,
-                       help="hash-table budget per node in MB (default 64)")
-        p.add_argument("--topology", default="switched",
-                       choices=[t.value for t in Topology])
-        p.add_argument("--scale", type=finite_float, default=WorkloadSpec().scale,
-                       help="down-scaling factor (default 1/50)")
-        p.add_argument("--seed", type=int, default=WorkloadConfig().seed)
-        _add_fault_args(p)
-        p.add_argument("--no-validate", action="store_true",
-                       help="skip the per-query sequential-oracle check")
-        p.add_argument("--trace", action="store_true",
-                       help="collect and print the protocol trace")
-        p.add_argument("--format", default="text", choices=["text", "json"])
-        p.add_argument("--out", help="write here instead of stdout")
-        p.add_argument("--metrics-out", metavar="PATH",
-                       help="also dump the shared metrics registry as JSONL")
-        p.add_argument("--baseline", metavar="PATH",
-                       help="write a bench-diff-compatible baseline "
-                            "(total_s=makespan, build_s=p99 latency)")
-        p.add_argument("--live", action="store_true",
-                       help="print one progress line per periodic "
-                            "observability snapshot (simulated-clock "
-                            "cadence; see docs/OBSERVABILITY.md)")
-        p.add_argument("--live-interval", type=finite_float, default=None,
-                       metavar="S",
-                       help="snapshot cadence in simulated seconds "
-                            "(implies --live; default 25*scale)")
-        p.add_argument("--obs-budget", type=int, default=None,
-                       metavar="BYTES",
-                       help="cap observability memory: bounded span/edge "
-                            "sampling, ring buffers and sketch bins sized "
-                            f"to this many bytes (min {ObsBudget.MIN_BYTES}; "
-                            "shed records are counted, never silent)")
-        p.add_argument("--snapshot-out", metavar="PATH",
-                       help="append each snapshot as one JSON line "
-                            "(final snapshot last; render with "
-                            "'repro tail PATH', compare with "
-                            "'repro bench-diff')")
-        p.add_argument("--force", action="store_true",
-                       help="overwrite existing --out/--metrics-out/"
-                            "--baseline/--snapshot-out files")
+    # `workload` (in-process) and `fleet` (OS-process sharded): both fold
+    # their flags into one WorkloadConfig
+    queries = argparse.ArgumentParser(
+        add_help=False, parents=[_simulating(n_sources=2), outputs])
+    _add_fields(queries, WorkloadConfig, "n_queries", "arrival_rate_qps",
+                "policy", "fair_share_cap", "grant_timeout_s")
+    queries.add_argument("--arrival-times", metavar="T0,T1,...",
+                         help="explicit arrival trace (simulated seconds, "
+                              "one per query; overrides --arrival-rate)")
+    queries.add_argument("--mix", action="append", default=[],
+                         metavar="ALG[:W[:R_M[:S_M[:K[:SIGMA]]]]]",
+                         help="weighted query class: algorithm, weight, "
+                              "relation sizes in Mtuples, initial nodes, "
+                              "optional Gaussian sigma; repeatable (default "
+                              "one 2Mx2M hybrid class on 2 nodes)")
+    queries.add_argument("--format", default="text", choices=["text", "json"],
+                         help="output format")
+    queries.add_argument("--metrics-out", metavar="PATH",
+                         help="also dump the shared metrics registry as "
+                              "JSONL")
+    queries.add_argument("--baseline", metavar="PATH",
+                         help="write a bench-diff-compatible baseline "
+                              "(total_s=makespan, build_s=p99 latency)")
+    queries.add_argument("--live", action="store_true",
+                         help="print one progress line per periodic "
+                              "observability snapshot (simulated-clock "
+                              "cadence; see docs/OBSERVABILITY.md)")
+    queries.add_argument("--live-interval", type=finite_float, metavar="S",
+                         help="snapshot cadence in simulated seconds "
+                              "(implies --live; default 25*scale)")
+    queries.add_argument("--obs-budget", type=int, metavar="BYTES",
+                         help="cap observability memory: bounded span/edge "
+                              "sampling, ring buffers and sketch bins sized "
+                              f"to this many bytes (min {ObsBudget.MIN_BYTES}"
+                              "; shed records are counted, never silent)")
+    queries.add_argument("--snapshot-out", metavar="PATH",
+                         help="append each snapshot as one JSON line "
+                              "(final snapshot last; render with "
+                              "'repro tail PATH', compare with "
+                              "'repro bench-diff')")
 
     p_wl = sub.add_parser(
-        "workload",
+        "workload", parents=[queries],
         help="run many concurrent joins against one shared node pool",
     )
-    _add_workload_cli(p_wl)
     p_wl.set_defaults(func=cmd_workload)
 
     p_fleet = sub.add_parser(
-        "fleet",
+        "fleet", parents=[queries],
         help="shard one workload trace across OS worker processes and "
              "merge the results (docs/FLEET.md)",
     )
-    _add_workload_cli(p_fleet)
-    p_fleet.add_argument("--shards", type=int, default=2, metavar="N",
-                         help="worker processes to launch, at most one a "
-                              "non-empty cohort (default 2; results are "
-                              "shard-count invariant)")
-    p_fleet.add_argument("--cohorts", type=int, default=8, metavar="N",
-                         help="deterministic partition count — part of the "
-                              "model, not the parallelism (default 8)")
-    p_fleet.add_argument("--worker-timeout", type=finite_float, default=600.0,
-                         metavar="S",
-                         help="wall-clock seconds of worker silence before "
-                              "the shard is killed and reported as failed "
-                              "(default 600)")
+    _add_fields(p_fleet, FleetConfig, "n_shards", "n_cohorts",
+                "worker_timeout_s")
     p_fleet.add_argument("--arrival-profile", default="poisson",
                          choices=["poisson", "diurnal", "bursty"],
                          help="named arrival trace: the config's Poisson "
                               "process, a sinusoidal day/night rate, or "
-                              "on-off bursts (default poisson)")
+                              "on-off bursts")
     p_fleet.set_defaults(func=cmd_fleet)
 
     p_tail = sub.add_parser(
         "tail",
-        help="render a --snapshot-out JSONL snapshot stream",
+        help="render a --snapshot-out JSONL snapshot stream: a progress "
+             "line per snapshot, then the final state",
     )
     p_tail.add_argument("path", metavar="SNAPSHOT.jsonl",
                         help="snapshot stream written by "
                              "'repro workload --snapshot-out'")
     p_tail.set_defaults(func=cmd_tail)
 
-    p_trace = sub.add_parser(
-        "trace", parents=[exporter],
-        help="run one join and export its execution trace",
-    )
-    p_trace.add_argument("--format", default="chrome",
-                         choices=["chrome", "jsonl"],
-                         help="chrome trace_event JSON (chrome://tracing / "
-                              "Perfetto) or JSONL records")
-    p_trace.add_argument("--out", help="write here instead of stdout "
-                                       "(also prints the phase timeline)")
-    p_trace.set_defaults(func=cmd_trace)
-
-    p_metrics = sub.add_parser(
-        "metrics", parents=[exporter],
-        help="run one join and dump the metrics registry",
-    )
-    p_metrics.add_argument("--format", default="table",
-                           choices=["table", "jsonl"])
-    p_metrics.add_argument("--out",
-                           help="write here instead of stdout (either format)")
-    p_metrics.set_defaults(func=cmd_metrics)
-
-    p_explain = sub.add_parser(
-        "explain", parents=[exporter],
-        help="run one join and print the critical-path bottleneck report",
-    )
-    p_explain.add_argument("--format", default="text",
-                           choices=["text", "json"])
-    p_explain.add_argument("--out", help="write here instead of stdout")
-    p_explain.set_defaults(func=cmd_explain)
+    for name, func, formats, help_ in (
+        ("trace", cmd_trace, ["chrome", "jsonl"],
+         "run one join and export its execution trace (Chrome trace_event "
+         "JSON for chrome://tracing / Perfetto, or JSONL records)"),
+        ("metrics", cmd_metrics, ["table", "jsonl"],
+         "run one join and dump the metrics registry"),
+        ("explain", cmd_explain, ["text", "json"],
+         "run one join and print the critical-path bottleneck report"),
+    ):
+        p_export = sub.add_parser(name, parents=[one_join, outputs],
+                                  help=help_)
+        p_export.add_argument("--format", default=formats[0],
+                              choices=formats, help="output format")
+        p_export.set_defaults(func=func)
 
     p_bdiff = sub.add_parser(
         "bench-diff",
-        help="compare two BENCH_*.json baselines; exit 1 on regressions",
+        help="compare two BENCH_*.json baselines or two --snapshot-out "
+             "snapshots; exit 1 on regressions beyond the threshold",
     )
     p_bdiff.add_argument("old", help="baseline JSON (the reference)")
     p_bdiff.add_argument("new", help="candidate JSON to compare against it")
     p_bdiff.add_argument("--threshold", type=finite_float, default=1.0,
                          metavar="PCT",
-                         help="regression threshold in percent (default 1)")
+                         help="regression threshold in percent")
     p_bdiff.add_argument("--format", default="text",
-                         choices=["text", "json"])
+                         choices=["text", "json"], help="output format")
     p_bdiff.set_defaults(func=cmd_bench_diff)
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
+    p_sweep = sub.add_parser("sweep", parents=[single],
                              help="grid of runs: algorithms x initial nodes")
     p_sweep.add_argument("--algorithms", default="all",
                          help='comma list or "all"')
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_fig = sub.add_parser("figures", help="regenerate the paper's figures")
+    p_fig = sub.add_parser("figures", parents=[_scaled(), outputs],
+                           help="regenerate the paper's figures")
     p_fig.add_argument("--only", nargs="*", metavar="figNN",
                        help="subset, e.g. --only fig02 fig10")
-    p_fig.add_argument("--out", help="write markdown reports to this file")
     p_fig.add_argument("--csv-dir", help="write one CSV per figure here")
     p_fig.add_argument("--json", metavar="PATH",
                        help="write the machine-readable fig02 baseline "
                             "(total/build s per algorithm x initial nodes) "
                             "for regression tracking; alone, skips the "
                             "figure reports")
-    p_fig.add_argument("--scale", type=finite_float, default=WorkloadSpec().scale)
-    p_fig.add_argument("--no-validate", action="store_true")
-    p_fig.add_argument("--force", action="store_true",
-                       help="overwrite existing --out/--csv-dir/--json files")
     p_fig.set_defaults(func=cmd_figures)
 
     p_lint = sub.add_parser(
@@ -1057,6 +942,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.set_defaults(func=cmd_lint)
 
     return parser
+
+
+def flag_table() -> str:
+    """docs/API.md's CLI reference: one markdown row per distinct (flag,
+    choices, default, help), naming the commands that take it."""
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    rows: dict[tuple[str, str, str], list[str]] = {}
+    for command, p in sub.choices.items():
+        for a in p._actions:
+            if a.option_strings and a.dest != "help":
+                flag = a.option_strings[0]
+                if a.choices:
+                    flag += " {" + ",".join(a.choices) + "}"
+                default = "—" if a.default in (None, []) else (
+                    "off" if a.default is False else str(a.default))
+                key = (flag, default, (a.help or "").replace("|", "\\|"))
+                rows.setdefault(key, []).append(command)
+    lines = ["| flag | default | commands | meaning |", "|---|---|---|---|"]
+    for (flag, default, help_), commands in sorted(rows.items()):
+        lines.append(f"| `{flag}` | {default} | {', '.join(commands)} "
+                     f"| {help_} |")
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:

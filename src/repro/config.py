@@ -10,6 +10,13 @@ Scaling: the paper runs 10M-100M tuple relations.  ``WorkloadSpec.scale``
 shrinks tuple counts, the chunk size and per-node memory budgets *together*,
 preserving every ratio the algorithms react to (expansion factor, chunk
 counts, spill fractions).  The default benchmarks use scale = 1/50.
+
+CLI flags: a field that a ``repro`` flag sets declares it in its
+``metadata``: ``"flag"`` and ``"help"``, plus ``"unit"`` when the flag
+counts in larger units than the field (``--r-tuples`` in millions of
+tuples) and ``"type"`` when the default is ``None``.  ``repro.cli``
+builds its parsers and configs from these, so a flag's default is the
+field's default and is written nowhere else.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 # re-exported (``from repro.config import FaultPlan``); repro.faults is
 # stdlib-only at import time, so this loads neither NumPy nor the simulator
-from .faults import FaultPlan
+from .faults import FaultPlan, finite_float
 
 __all__ = [
     "Algorithm",
@@ -42,6 +49,8 @@ __all__ = [
 #: convenience: 1 "M tuples" in the paper's units
 MTUPLES = 1_000_000
 
+_MB = 1024 * 1024
+
 #: default down-scaling for benchmarks (10M paper tuples -> 200k real tuples)
 DEFAULT_SCALE = 1.0 / 50.0
 
@@ -49,6 +58,14 @@ DEFAULT_SCALE = 1.0 / 50.0
 #: seconds at scale 1.0; co-scaled with the workload like the other fixed
 #: time costs
 DRAIN_POLL_S = 0.010
+
+
+def _at_least_one(config: object, *names: str) -> None:
+    """Refuse the first of ``config``'s fields ``names`` that is below 1."""
+    for name in names:
+        value = getattr(config, name)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 class Algorithm(enum.Enum):
@@ -198,12 +215,27 @@ class ClusterSpec:
     or overridden per node via ``node_memory_overrides``.
     """
 
-    n_sources: int = 4
-    n_potential_nodes: int = 24
-    hash_memory_bytes: int = 64 * 1024 * 1024  # 64 MB: 10M*100B/16 rounded up
+    n_sources: int = field(default=4, metadata={
+        "flag": "--sources", "help": "data-source nodes"})
+    n_potential_nodes: int = field(default=24, metadata={
+        "flag": "--pool", "help": "potential join nodes"})
+    hash_memory_bytes: int = field(default=64 * _MB, metadata={
+        "flag": "--node-memory-mb", "unit": _MB,
+        "help": "hash-table budget per node in MB"})
     node_memory_overrides: tuple[tuple[int, int], ...] = ()
     cost: CostModel = field(default_factory=CostModel)
-    topology: Topology = Topology.SWITCHED
+    topology: Topology = field(default=Topology.SWITCHED, metadata={
+        "flag": "--topology",
+        "help": "interconnect: switched ports or one shared hub"})
+
+    def __post_init__(self) -> None:
+        _at_least_one(self, "n_sources", "n_potential_nodes",
+                      "hash_memory_bytes")
+        for idx, mem in self.node_memory_overrides:
+            if mem < 1:
+                raise ValueError(
+                    f"node {idx}'s memory override must be >= 1 byte, "
+                    f"got {mem}")
 
     def memory_of(self, node_index: int) -> int:
         """Hash-table memory budget of potential join node ``node_index``."""
@@ -236,9 +268,14 @@ class WorkloadSpec:
     (pre-scale); real generated counts are ``int(x * scale)``.
     """
 
-    r_tuples: int = 10 * MTUPLES
-    s_tuples: int = 10 * MTUPLES
-    tuple_bytes: int = 100
+    r_tuples: int = field(default=10 * MTUPLES, metadata={
+        "flag": "--r-tuples", "unit": MTUPLES,
+        "help": "build relation size in millions of tuples (paper units)"})
+    s_tuples: int = field(default=10 * MTUPLES, metadata={
+        "flag": "--s-tuples", "unit": MTUPLES,
+        "help": "probe relation size in millions of tuples"})
+    tuple_bytes: int = field(default=100, metadata={
+        "flag": "--tuple-bytes", "help": "bytes per tuple (paper: 100-400)"})
     distribution: Distribution = Distribution.UNIFORM
     #: Gaussian mean/sigma as fractions of the value range.  The paper sets
     #: mean and standard deviation *individually for each relation* (its
@@ -252,12 +289,17 @@ class WorkloadSpec:
     s_distribution: Distribution | None = None
     s_gauss_mean: float | None = None
     s_gauss_sigma: float | None = None
-    #: tuples per communication chunk (paper: 10,000)
-    chunk_tuples: int = 10_000
-    scale: float = DEFAULT_SCALE
-    seed: int = 20040607
+    chunk_tuples: int = field(default=10_000, metadata={
+        "flag": "--chunk-tuples",
+        "help": "tuples per communication chunk (paper: 10,000)"})
+    scale: float = field(default=DEFAULT_SCALE, metadata={
+        "flag": "--scale",
+        "help": "down-scaling factor; 1.0 = full size"})
+    seed: int = field(default=20040607, metadata={
+        "flag": "--seed", "help": "seed of every random draw"})
 
     def __post_init__(self) -> None:
+        _at_least_one(self, "r_tuples", "s_tuples")
         if self.tuple_bytes < 16:
             raise ValueError("tuple_bytes must cover the two 64-bit fields")
         if not (0 < self.scale <= 1.0):
@@ -385,24 +427,29 @@ class WorkloadConfig:
     ``seed``.
     """
 
-    n_queries: int = 4
-    #: Poisson arrival rate in queries per simulated second (ignored when
-    #: an explicit ``arrival_times`` trace is given)
-    arrival_rate_qps: float = 0.5
+    n_queries: int = field(default=4, metadata={
+        "flag": "--queries", "help": "number of concurrent queries"})
+    arrival_rate_qps: float = field(default=0.5, metadata={
+        "flag": "--arrival-rate",
+        "help": "Poisson arrival rate in queries per simulated second "
+                "(ignored when an explicit arrival trace is given)"})
     #: explicit arrival trace (simulated seconds, one entry per query);
     #: empty means Poisson arrivals from ``arrival_rate_qps``
     arrival_times: tuple[float, ...] = ()
     seed: int = 20040607
     mix: tuple[QueryMixEntry, ...] = (QueryMixEntry(),)
-    policy: PoolPolicy = PoolPolicy.FIFO
-    #: max pool nodes one query may hold beyond its admission grant
-    #: (FAIR_SHARE policy only)
-    fair_share_cap: int = 4
-    #: how long a recruit request may stay parked before it is denied
-    #: (simulated seconds); None derives ~200 drain-poll intervals.  Must
-    #: be finite: a bounded wait is what guarantees denial degrades to the
-    #: OOC spill path instead of deadlocking an admission behind it.
-    grant_timeout_s: float | None = None
+    policy: PoolPolicy = field(default=PoolPolicy.FIFO, metadata={
+        "flag": "--policy", "help": "pool arbitration policy"})
+    fair_share_cap: int = field(default=4, metadata={
+        "flag": "--fair-share-cap",
+        "help": "max pool nodes one query may hold beyond its admission "
+                "grant (fair policy only)"})
+    #: Must be finite: a bounded wait is what guarantees denial degrades
+    #: to the OOC spill path instead of deadlocking an admission behind it.
+    grant_timeout_s: float | None = field(default=None, metadata={
+        "flag": "--grant-timeout", "type": finite_float,
+        "help": "deny a parked recruit request after this many simulated "
+                "seconds (default: ~200 drain-poll intervals, scale-derived)"})
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     scale: float = DEFAULT_SCALE
     trace: bool = False
@@ -492,14 +539,18 @@ class FleetConfig:
     """
 
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    #: deterministic partition count — part of the model, not a
-    #: parallelism knob; changing it redistributes contention
-    n_cohorts: int = 8
-    #: OS worker processes (parallelism only; never affects results)
-    n_shards: int = 2
-    #: wall-clock seconds a worker may stay silent before the parent
-    #: declares it hung and surfaces a ShardFailure
-    worker_timeout_s: float = 600.0
+    n_cohorts: int = field(default=8, metadata={
+        "flag": "--cohorts",
+        "help": "deterministic partition count: part of the model, not the "
+                "parallelism; changing it redistributes contention"})
+    n_shards: int = field(default=2, metadata={
+        "flag": "--shards",
+        "help": "worker processes to launch, at most one a non-empty cohort "
+                "(parallelism only; results are shard-count invariant)"})
+    worker_timeout_s: float = field(default=600.0, metadata={
+        "flag": "--worker-timeout",
+        "help": "wall-clock seconds of worker silence before the shard is "
+                "killed and reported as failed"})
 
     def __post_init__(self) -> None:
         if self.n_cohorts < 1:
@@ -516,41 +567,54 @@ class FleetConfig:
 class RunConfig:
     """Everything needed to execute one simulated join run."""
 
-    algorithm: Algorithm = Algorithm.HYBRID
+    algorithm: Algorithm = field(default=Algorithm.HYBRID, metadata={
+        "flag": "--algorithm", "help": "join algorithm"})
     initial_nodes: int = 4
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
-    split_policy: SplitPolicy = SplitPolicy.TARGETED_BISECT
+    split_policy: SplitPolicy = field(
+        default=SplitPolicy.TARGETED_BISECT, metadata={
+            "flag": "--split-policy",
+            "help": "split rule of the split-based algorithm "
+                    "(DESIGN.md §2)"})
     #: number of hash-table positions (order-preserving map resolution)
     hash_positions: int = 1 << 18
     #: mix join attributes before positioning (destroys value locality;
     #: ablation knob — the paper's behaviour corresponds to False)
     mix_hash: bool = False
-    #: materialize join output pairs in join-node memory instead of
-    #: streaming them onward (paper: "joining elements are either written
-    #: to disk or forwarded to the client"; materialization is the
-    #: multi-way-join scenario of §6's future work)
-    materialize_output: bool = False
-    #: probe-phase expansion (paper footnote 1): when materialized output
-    #: overflows a node's memory, recruit a fresh node as an output sink
-    #: and forward further pairs there; without it, overflow spills to the
-    #: local disk
-    probe_expansion: bool = False
-    #: data sources read the relations from their local disks instead of
-    #: generating them on the fly (both modes appear in paper §4.1.2)
-    sources_from_disk: bool = False
-    trace: bool = True
-    #: cap on retained trace records (None = unbounded); with a bound the
-    #: tracer keeps the most recent records and counts the dropped ones
-    trace_buffer: int | None = None
+    #: The paper's joining elements "are either written to disk or
+    #: forwarded to the client"; materializing them is the multi-way-join
+    #: scenario of its §6 future work.
+    materialize_output: bool = field(default=False, metadata={
+        "flag": "--materialize-output",
+        "help": "keep join output pairs in node memory instead of "
+                "streaming them onward"})
+    probe_expansion: bool = field(default=False, metadata={
+        "flag": "--probe-expansion",
+        "help": "recruit output-sink nodes when materialized output "
+                "overflows a node's memory (paper footnote 1); without it, "
+                "overflow spills to the local disk"})
+    sources_from_disk: bool = field(default=False, metadata={
+        "flag": "--sources-from-disk",
+        "help": "sources read relations from disk instead of generating "
+                "them (both modes appear in paper §4.1.2)"})
+    trace: bool = field(default=True, metadata={
+        "flag": "--trace", "help": "collect and print the protocol trace"})
+    trace_buffer: int | None = field(default=None, metadata={
+        "flag": "--trace-buffer", "type": int,
+        "help": "keep only the most recent N trace records and count the "
+                "dropped ones (default unbounded)"})
     #: seeded fault plan (crashes, message drops, link slowdowns); None
     #: runs the exact fault-free code path (see docs/FAULTS.md)
     faults: FaultPlan | None = None
-    #: attach the runtime deadlock detector (repro.sim.lockdep) to the
-    #: run's simulator.  Pure observer: it never schedules events, so the
-    #: simulated timeline is bit-identical with it on or off.  The test
-    #: suite turns it on by default (REPRO_LOCKDEP=0 opts out).
-    lockdep: bool = False
+    #: Pure observer: it never schedules events, so the simulated timeline
+    #: is bit-identical with it on or off.
+    lockdep: bool = field(default=False, metadata={
+        "flag": "--lockdep",
+        "help": "arm the runtime deadlock detector (repro.sim.lockdep: a "
+                "sim-time wait-for graph over resources and mailboxes; on "
+                "by default under pytest, REPRO_LOCKDEP=0 opts out; see "
+                "docs/STATIC_ANALYSIS.md)"})
     #: observability byte budget for this run's span/causal logs (None =
     #: unbounded full-history logs; see ObsConfig.budget_bytes)
     obs_budget_bytes: int | None = None

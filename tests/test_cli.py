@@ -36,24 +36,27 @@ def test_run_command_goes_through_the_single_join_helper(monkeypatch, capsys):
         return real(args, command, **kw)
 
     monkeypatch.setattr(cli, "_run_single", spy)
-    assert main(small_args(["run", "--initial-nodes", "2,4"])) == 0
+    assert main(small_args(["run", "--initial-nodes", "2"])) == 0
     assert calls == [("run", None, False)]
     assert "phases (paper-scale s)" in capsys.readouterr().out
 
 
 def test_workload_and_single_join_share_one_cluster_spec():
-    """Both commands read the cluster flags through ``_cluster``."""
-    from repro.cli import _cluster, _config, _workload_config
-    from repro.config import Algorithm
+    """Both command families build their ``ClusterSpec`` from the flags
+    its fields declare, through ``_from_args``."""
+    from repro.cli import _config, _from_args, _workload_config
+    from repro.config import ClusterSpec
 
     flags = ["--pool", "10", "--sources", "3", "--node-memory-mb", "1.5",
              "--topology", "hub"]
     wl = build_parser().parse_args(["workload", *flags])
     one = build_parser().parse_args(["run", *flags])
-    assert _workload_config(wl, None).cluster == _cluster(wl) \
-        == _config(one, Algorithm.HYBRID, 2).cluster
-    assert _cluster(wl).n_potential_nodes == 10
-    assert _cluster(wl).topology.value == "hub"
+    cluster = _from_args(ClusterSpec, wl)
+    assert _workload_config(wl).cluster == cluster \
+        == _config(one, initial_nodes=2).cluster == _from_args(ClusterSpec, one)
+    assert cluster.n_potential_nodes == 10 and cluster.n_sources == 3
+    assert cluster.hash_memory_bytes == int(1.5 * 1024 * 1024)
+    assert cluster.topology.value == "hub"
 
 
 def test_run_command_with_trace(capsys):
@@ -524,6 +527,28 @@ def test_a_refused_config_is_one_line_naming_the_command(
     assert main([command, "--scale", "2"]) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == [f"{command}: scale must be in (0, 1], got 2.0"]
+
+
+REFUSED_SIZES = [
+    (["run", "--sources", "0"], "n_sources must be >= 1, got 0"),
+    (["workload", "--sources", "0"], "n_sources must be >= 1, got 0"),
+    (["run", "--r-tuples", "-1"], "r_tuples must be >= 1, got -1000000"),
+    (["run", "--node-memory-mb", "0"], "hash_memory_bytes must be >= 1, got 0"),
+    *(([command, "--initial-nodes", "2,4"],
+       "--initial-nodes takes one value (sweep takes a list)")
+      for command in ("run", "trace", "metrics", "explain")),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSED_SIZES,
+                         ids=["-".join(argv) for argv, _ in REFUSED_SIZES])
+def test_a_refused_size_is_one_line_naming_the_command(
+        argv, message, no_simulator, capsys):
+    """Cluster and relation sizes are refused by the config dataclasses,
+    and a list of initial nodes by every command but ``sweep``: one
+    ``<command>: <message>`` line, exit 2, no simulator built."""
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"{argv[0]}: {message}"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -48,6 +48,10 @@ def test_workload_validation():
         WorkloadSpec(scale=1.5)
     with pytest.raises(ValueError):
         WorkloadSpec(chunk_tuples=0)
+    with pytest.raises(ValueError, match="r_tuples must be >= 1, got 0"):
+        WorkloadSpec(r_tuples=0)
+    with pytest.raises(ValueError, match="s_tuples must be >= 1, got -5"):
+        WorkloadSpec(s_tuples=-5)
 
 
 def test_cost_model_derived_times():
@@ -81,6 +85,25 @@ def test_cluster_spec_scaling_shrinks_memory_and_costs():
     assert scaled.memory_of(3) == 200
     assert scaled.memory_of(0) == 100
     assert scaled.cost.disk_seek == pytest.approx(spec.cost.disk_seek * 0.1)
+
+
+@pytest.mark.parametrize("kw,needle", [
+    ({"n_sources": 0}, "n_sources must be >= 1, got 0"),
+    ({"n_potential_nodes": 0}, "n_potential_nodes must be >= 1, got 0"),
+    ({"hash_memory_bytes": 0}, "hash_memory_bytes must be >= 1, got 0"),
+    ({"hash_memory_bytes": -1}, "hash_memory_bytes must be >= 1, got -1"),
+    ({"node_memory_overrides": ((2, 0),)}, "node 2's memory override"),
+])
+def test_cluster_spec_refuses_an_empty_cluster(kw, needle):
+    with pytest.raises(ValueError, match=needle):
+        ClusterSpec(**kw)
+
+
+def test_cluster_spec_scaling_never_refuses_a_tiny_budget():
+    """Co-scaling floors every budget at one byte, so a valid spec stays
+    valid at any scale."""
+    spec = ClusterSpec(hash_memory_bytes=1, node_memory_overrides=((0, 1),))
+    assert spec.scaled(0.001).memory_of(0) == 1
 
 
 def test_run_config_validation():

@@ -129,7 +129,9 @@ def per_batch_stream(stream, limit=None):
     distribution=st.sampled_from(list(Distribution)),
     relation=st.sampled_from(["R", "S"]),
     batch=st.sampled_from([1, 7, 64, 199, 200, 1000]),
-    total=st.integers(0, 5000),
+    # a relation holds at least one tuple (WorkloadSpec refuses fewer);
+    # 0 drew the same single tuple as 1 through real_r_tuples' floor
+    total=st.integers(1, 5000),
     n_sources=st.integers(1, 4),
     block=st.sampled_from([1, 100, 1500, 1 << 14]),
     data=st.data(),

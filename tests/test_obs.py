@@ -27,7 +27,7 @@ from repro.obs import (
     metrics_to_jsonl,
     trace_to_jsonl,
 )
-from repro.obs.catalogue import METRICS, catalogue_table
+from repro.obs.catalogue import METRICS
 from repro.sim import Tracer
 
 from .conftest import small_config
@@ -122,18 +122,6 @@ def test_memoized_lookup_runs_no_catalogue_check(monkeypatch):
     assert reg.counter("disk.ops", node="j0") is first
     with pytest.raises(AssertionError):
         reg.counter("disk.ops", node="j1")
-
-
-def test_observability_doc_catalogue_is_the_generated_table():
-    doc = (Path(__file__).resolve().parents[1] / "docs"
-           / "OBSERVABILITY.md").read_text(encoding="utf-8")
-    begin = "<!-- begin generated: repro.obs.catalogue.catalogue_table() -->\n"
-    end = "<!-- end generated -->"
-    block = doc.split(begin, 1)[1].split(end, 1)[0]
-    expected = catalogue_table()
-    assert block == expected, (
-        "docs/OBSERVABILITY.md's metric catalogue differs from "
-        "repro/obs/catalogue.py; replace the block with:\n" + expected)
 
 
 def test_every_declared_metric_has_a_publisher():
