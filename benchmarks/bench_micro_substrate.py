@@ -5,9 +5,11 @@ measure the Python/NumPy implementation itself, guarding against
 performance regressions in the per-chunk code the simulator executes
 millions of times: position mapping, routing partitions, store probing,
 the reshuffle's position counts and greedy cut, raw event throughput
-of the DES kernel, and the host cost of one idle poll tick.
+of the DES kernel, and the host cost of one idle poll tick and of one
+event due now, each beside a bare heap loop timed in the same process.
 """
 
+from heapq import heappop, heappush
 from time import perf_counter
 
 import numpy as np
@@ -27,7 +29,7 @@ from repro.hashing import (
     partition_positions,
 )
 from repro.seqjoin import match_count
-from repro.sim import Mailbox, Simulator
+from repro.sim import Mailbox, Resource, Simulator
 
 RNG = np.random.default_rng(42)
 VALUES = RNG.integers(0, 1 << 32, 100_000, dtype=np.uint64)
@@ -324,11 +326,36 @@ def test_kernel_event_throughput(benchmark):
     assert events >= 10_000
 
 
+def _bare_heap_us(n: int = 50_000) -> float:
+    """µs per entry of a bare ``(time, seq, obj)`` push/pop loop over a
+    two-entry heap: the floor under any kernel event on this host."""
+    obj = object()
+    heap = [(0.0, 0, obj), (0.5, 1, obj)]
+    t0 = perf_counter()
+    for seq in range(2, n + 2):
+        when = heappop(heap)[0]
+        heappush(heap, (when + 1.0, seq, obj))
+    return (perf_counter() - t0) / n * 1e6
+
+
+def test_bare_heap_floor(benchmark):
+    """The floor itself, as a benchmark of its own."""
+    assert benchmark(_bare_heap_us) > 0
+
+
+def _beside_the_floor(benchmark, us_per_event: float) -> None:
+    floor = _bare_heap_us()
+    benchmark.extra_info["us_per_event"] = round(us_per_event, 3)
+    benchmark.extra_info["floor_us_per_event"] = round(floor, 3)
+    print(f"{us_per_event:.2f} us an event, {us_per_event / floor:.1f}x "
+          f"the bare heap's {floor:.3f} us")
+
+
 def test_idle_tick_cost(benchmark):
     """Host cost of one idle poll tick: a ticker and a screened receiver
-    that refuses every tick.  A tick is two heap entries (the ticker's
-    timeout and the receiver's screen entry) and resumes no generator;
-    ``us_per_tick`` lands in the benchmark's extra info."""
+    that refuses every tick.  A tick is two events (the ticker's timeout
+    off the heap and the receiver's screen entry, due now) and resumes no
+    generator; ``us_per_tick`` lands in the benchmark's extra info."""
     n_ticks = 20_000
 
     def run_ticks():
@@ -347,7 +374,43 @@ def test_idle_tick_cost(benchmark):
     events, us_per_tick = benchmark(run_ticks)
     assert events == 2 + 2 * n_ticks  # the two starts, then two a tick
     benchmark.extra_info["us_per_tick"] = round(us_per_tick, 3)
-    print(f"idle tick: {us_per_tick:.2f} us")
+    _beside_the_floor(benchmark, us_per_tick / 2)
+
+
+def test_zero_delay_handoff_cost(benchmark):
+    """Host cost of an event due now: two processes ping-pong a message
+    through two mailboxes at one instant, and the echoing side holds an
+    uncontended resource for zero seconds on the way.  A round is four
+    events (the echo's wake-up, its grant, its zero-length hold, the
+    reply's wake-up), all due now: the heap is never touched."""
+    rounds = 10_000
+
+    def run_rounds():
+        sim = Simulator()
+        ping, pong, cpu = Mailbox(sim), Mailbox(sim), Resource(sim)
+
+        def caller():
+            for i in range(rounds):
+                pong.put(i)
+                assert (yield from ping.recv()) == i
+
+        def echo():
+            for _ in range(rounds):
+                msg = yield from pong.recv()
+                yield from cpu.use(0.0)
+                ping.put(msg)
+
+        sim.spawn(caller())
+        sim.spawn(echo())
+        t0 = perf_counter()
+        sim.run()
+        elapsed = perf_counter() - t0
+        assert sim.now == 0.0
+        return sim.processed_events, elapsed / sim.processed_events * 1e6
+
+    events, us_per_event = benchmark(run_rounds)
+    assert events == 4 + 4 * rounds  # two starts, two ends, four a round
+    _beside_the_floor(benchmark, us_per_event)
 
 
 def test_end_to_end_small_join(benchmark):

@@ -506,12 +506,6 @@ def _parse_mix_entry(text: str) -> QueryMixEntry:
 def _workload_config(args: argparse.Namespace) -> WorkloadConfig:
     """Fold the shared workload CLI flags into a :class:`WorkloadConfig`
     (raises ValueError exactly like the dataclass validators)."""
-    plan = _faults(args)
-    if plan is not None and plan.membership_active:
-        raise ValueError(
-            "the control-plane fault-tolerance layer (--membership / "
-            "--heartbeat-interval / --kill-scheduler-at) is single-query "
-            "only; see docs/FAULTS.md")
     live = args.live or args.live_interval is not None
     mix = {"mix": tuple(map(_parse_mix_entry, args.mix))} if args.mix else {}
     obs = ObsConfig(
@@ -526,7 +520,7 @@ def _workload_config(args: argparse.Namespace) -> WorkloadConfig:
         WorkloadConfig, args,
         arrival_times=_parse_arrival_times(args.arrival_times),
         seed=args.seed, cluster=_from_args(ClusterSpec, args),
-        scale=args.scale, trace=args.trace, faults=plan,
+        scale=args.scale, trace=args.trace, faults=_faults(args),
         lockdep=args.lockdep, obs=obs, **mix,
     )
 

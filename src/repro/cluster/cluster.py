@@ -36,7 +36,8 @@ def _instrument(node: Node, metrics: Any) -> None:
     node.disk.read_counter = metrics.counter("disk.bytes_read", node=node.name)
     if node.memory.capacity > 0:
         node.memory.usage_probe = metrics.gauge("mem.used_bytes", node=node.name)
-        node.memory.clock = lambda: node.sim.now
+        sim = node.sim  # not the node: the node holds the account
+        node.memory.clock = lambda: sim.now
 
 
 class _Hardware:

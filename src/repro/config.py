@@ -497,6 +497,11 @@ class WorkloadConfig:
                     f"but the pool only has {self.cluster.n_potential_nodes}"
                 )
         if self.faults is not None:
+            if self.faults.membership_active:
+                raise ValueError(
+                    "the control-plane fault-tolerance layer (--membership / "
+                    "--heartbeat-interval / --kill-scheduler-at) is "
+                    "single-query only; see docs/FAULTS.md")
             if self.faults.ack_drop_prob > 0:
                 raise ValueError(
                     "workload mode forbids ack_drop_prob > 0: duplicate "

@@ -62,18 +62,22 @@ def poll_ticker(
     simulated seconds until ``stopped()`` — the drain poll, the pool's
     deadline checks and the standby's dead-man timer.  The ticker runs on
     the mailbox's own node, so ticks never cross the network.  A timer, not
-    a process: a ticker process's heap entries, one event re-armed for all
+    a process: a ticker process's queue entries, one event re-armed for all
     of them, and no generator to resume."""
+    if not interval > 0:  # NaN too; checked once, not on every re-arm
+        raise ValueError(f"poll interval must be > 0, got {interval}")
     put, tick = mailbox.put, PollTick()  # stateless: one serves every tick
+    rearm = sim._after
 
     def step(ev: Event) -> None:  # the start, then each tick
         if ev._value is tick:
             put(tick)
         if stopped():
             Timeout(sim, 0.0)  # where the ticker process's end fired
+            callbacks.clear()  # ends the list <-> closure cycle
         else:  # the next tick's timeout, on the same event
             ev.callbacks, ev._value = callbacks, tick
-            sim._schedule(ev, interval)
+            rearm(ev, interval)
 
     callbacks: list[Callable[[Event], None]] = [step]
     Timeout(sim, 0.0).callbacks = callbacks  # the ticker process's start
@@ -113,6 +117,8 @@ class RunContext:
         self.tracer = tracer
         self.faults = faults
         self.potential = potential
+        #: a plain attribute: the drain's screen reads it on every tick
+        self.n_sources = len(cluster.source_nodes)
         self.posmap = PositionMap(cfg.hash_positions, mix=cfg.mix_hash)
         self.comm = CommStats()
         self.cost = cfg.effective_cluster.cost
@@ -186,10 +192,6 @@ class RunContext:
     def join_node(self, j: int) -> Node:
         """Join node by pool index (0 .. n_potential_nodes-1)."""
         return self.cluster.join_nodes[j]
-
-    @property
-    def n_sources(self) -> int:
-        return len(self.cluster.source_nodes)
 
     @property
     def n_potential(self) -> int:

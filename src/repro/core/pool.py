@@ -158,9 +158,8 @@ class PoolStats:
 
 @dataclass
 class _Parked:
-    """One pending request with its arrival order and deadline."""
+    """One pending request with its deadline (a queue keeps arrival order)."""
 
-    seq: int
     req: RecruitRequest
     enqueued_at: float
     deadline: float | None  # None: admissions never expire
@@ -207,7 +206,6 @@ class ResourcePoolProcess:
         self.crashed: list[int] = []
         self._admission_q: deque[_Parked] = deque()
         self._recruit_q: list[_Parked] = []
-        self._seq = 0
         self._stopped = False
         #: message type -> handler, called as ``handler(self, msg)``; a row
         #: returns the generator to drive, or None when nothing can yield.
@@ -274,7 +272,8 @@ class ResourcePoolProcess:
     def _busy(self, msg: Any) -> bool:
         """:meth:`run`'s screen: an idle tick (nearly every message of a
         sparse workload) has nothing parked to expire or serve."""
-        return type(msg) is not PollTick or bool(self._recruit_q or self._admission_q)
+        return not (type(msg) is PollTick
+                    and not self._recruit_q and not self._admission_q)
 
     # ------------------------------------------------------------------
     # dispatch
@@ -289,8 +288,7 @@ class ResourcePoolProcess:
     def _on_request(self, req: RecruitRequest) -> Generator[Any, Any, None]:
         self.stats.requests += 1
         now = self.sim.now
-        parked = _Parked(self._seq, req, now, None)
-        self._seq += 1
+        parked = _Parked(req, now, None)
         if self.metrics is not None:
             self.metrics.inc("pool.recruit_requests", 1,
                              admission=str(req.admission).lower())
@@ -359,12 +357,9 @@ class ResourcePoolProcess:
     def _pick_recruit(self) -> _Parked | None:
         """Next parked recruit under the configured policy, or None when
         no parked request is currently eligible."""
+        candidates = self._recruit_q  # in arrival order; sorted() is stable
         if self.policy is PoolPolicy.MEMORY_DEFICIT:
-            candidates = sorted(
-                self._recruit_q, key=lambda p: (p.req.deficit_bytes, p.seq)
-            )
-        else:
-            candidates = sorted(self._recruit_q, key=lambda p: p.seq)
+            candidates = sorted(candidates, key=lambda p: p.req.deficit_bytes)
         for parked in candidates:
             if (
                 self.policy is PoolPolicy.FAIR_SHARE

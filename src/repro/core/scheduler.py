@@ -510,8 +510,8 @@ class SchedulerProcess:
     def _drain_keeps(self, msg: Any) -> bool:
         """The drain's screen: a tick on which its loop would do nothing
         (no poll round due, no relief queued, not drained) wakes nobody."""
-        return (not isinstance(msg, PollTick) or self._ready_to_poll()
-                or bool(self.full_queue) or self._drained)
+        return not (isinstance(msg, PollTick) and not self.full_queue
+                    and not self._drained and not self._ready_to_poll())
 
     def _relief_cycle(
         self, reporter: int, deficit: int, edge: int | None

@@ -17,6 +17,7 @@ A strategy also owns every phase only it runs (hybrid: the reshuffle).
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Generator
 from typing import TYPE_CHECKING, Any, NamedTuple
 
@@ -57,7 +58,9 @@ class ExpansionStrategy:
     needs_reshuffle: bool = False
 
     def __init__(self, sched: SchedulerProcess) -> None:
-        self.sched = sched
+        # The scheduler owns its strategy: a strong reference back would
+        # leave both in a cycle, holding the whole run, after it ends.
+        self.sched = weakref.proxy(sched)
 
     def make_initial_router(self, initial: list[int]) -> Router:
         """Initial bucket assignment: one contiguous range per initial node."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Generator
-from heapq import heappush
 from typing import Any
 
 from .errors import SimulationError
@@ -45,13 +44,14 @@ class Mailbox:
         #: drain); wired to the run's causal log by RunContext
         self.deq_probe: Any | None = None
         #: the screened receive in progress (:meth:`recv`): its predicate,
-        #: its process, its getter (which lives until a message is kept)
-        #: and its heap entry, reused until a withdrawal strands it
+        #: its process, its getter and its entry's callbacks, each a path
+        #: back to this mailbox, so all dropped when the receive ends; and
+        #: the screen entry, reused until a withdrawal strands it
         self._keep: Any = None
         self._receiver: Any = None
         self._armed: Any = None
+        self._screen_cbs: list[Any] | None = None
         self._entry = Event(sim)
-        self._screen_cbs: list[Any] = [self._screen]  # bound once
 
     def __len__(self) -> int:
         return len(self._items)
@@ -67,9 +67,7 @@ class Mailbox:
                 getter = self._entry
                 getter.callbacks = self._screen_cbs
             getter._value = item  # getter.succeed(item), flattened
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            heappush(sim._queue, (sim._now, seq, getter))
+            self.sim._due.append(getter)
         else:
             self._items.append(item)
             if self.depth_probe is not None:
@@ -85,16 +83,17 @@ class Mailbox:
         message already handed to it goes back to the head of the queue,
         so the next receiver gets it instead of a dead waiter.
 
-        ``keep`` screens the wake-up: a pure predicate run when the heap
+        ``keep`` screens the wake-up: a pure predicate run when the queue
         entry that would resume the receiver is processed.  A message it
         rejects is consumed there, and the same getter re-armed as a
-        ``recv(); continue`` loop would re-arm its wait (same heap entries,
-        probes and lockdep wait), resuming no generator and allocating
-        nothing.  One screened receive per mailbox at a time."""
+        ``recv(); continue`` loop would re-arm its wait (same queue
+        entries, probes and lockdep wait), resuming no generator and
+        allocating nothing.  One screened receive per mailbox at a time."""
         getter = None
         if keep is not None:
             getter = self._armed = Event(self.sim)
             self._keep, self._receiver = keep, self.sim._current_process
+            self._screen_cbs = [self._screen]  # bound once per receive
         ev = self._arm(getter)
         try:
             item = yield ev
@@ -108,35 +107,36 @@ class Mailbox:
         screened receive brings its getter, and a queued item reaches it
         through the screen entry."""
         sim = self.sim
-        if self._items:
-            item = self._items.popleft()
-            if self.deq_probe is not None:
-                self.deq_probe(item)
+        items = self._items
+        if not items:  # park: the common case, a screened one allocates nothing
             if getter is None:
-                getter = Timeout(sim, 0.0, item)  # it was waiting
-            else:  # the screen entry, at that Timeout's slot
-                entry = self._entry
-                entry.callbacks, entry._value = self._screen_cbs, item
-                sim._seq = seq = sim._seq + 1
-                heappush(sim._queue, (sim._now, seq, entry))
-            if self.depth_probe is not None:
-                self.depth_probe.observe(sim._now, len(self._items))
+                getter = Event(sim)
+            self._getters.append(getter)
+            if sim.lockdep is not None:
+                sim.lockdep.blocked(self, getter)
             return getter
+        item = items.popleft()
+        if self.deq_probe is not None:
+            self.deq_probe(item)
         if getter is None:
-            getter = Event(sim)
-        self._getters.append(getter)
-        ld = sim.lockdep
-        if ld is not None:
-            ld.blocked(self, getter)
+            getter = Timeout(sim, 0.0, item)  # it was waiting
+        else:  # the screen entry, at that Timeout's place
+            entry = self._entry
+            entry.callbacks, entry._value = self._screen_cbs, item
+            sim._due.append(entry)
+        if self.depth_probe is not None:
+            self.depth_probe.observe(sim._now, len(items))
         return getter
 
     def _screen(self, entry: Event) -> None:
         """A screen entry is processed: a withdrawn wait's does nothing, a
-        kept item resumes the receiver inline, a rejected one re-arms."""
+        kept item ends the receive and resumes the receiver inline, a
+        rejected one re-arms."""
         if entry is not self._entry:
             return  # its wait was withdrawn and its item requeued
         getter, item = self._armed, entry._value
         if self._keep(item):
+            self._keep = self._receiver = self._armed = self._screen_cbs = None
             getter._value = item
             callbacks, getter.callbacks = getter.callbacks, None
             for fn in callbacks:
@@ -166,13 +166,16 @@ class Mailbox:
         ld = self.sim.lockdep
         if ld is not None:
             ld.unblocked(ev)
+        armed = ev is self._armed
+        if armed:  # the screened receive ends here
+            self._keep = self._receiver = self._armed = self._screen_cbs = None
         if ev in self._getters:
             self._getters.remove(ev)
             return
         # Already handed a message (a put, or a queued item, landed in the
         # same tick as the interrupt): requeue it, oldest first.  A screen
-        # entry still on the heap is stranded: it finds itself replaced.
-        if ev is self._armed:
+        # entry still queued is stranded: it finds itself replaced.
+        if armed:
             ev, self._entry = self._entry, Event(self.sim)
         self._items.appendleft(ev._value)
         if self.depth_probe is not None:
@@ -248,8 +251,7 @@ class Resource:
             self._in_use += 1
             # Granted on the spot: fires now, like a zero-delay Timeout.
             req._value = None
-            sim._seq = seq = sim._seq + 1
-            heappush(sim._queue, (sim._now, seq, req))
+            sim._due.append(req)
             if ld is not None:
                 ld.acquired(self)
         else:

@@ -209,6 +209,20 @@ def test_workload_config_fault_restrictions():
     assert cfg.faults is not None and cfg.faults.active
 
 
+@pytest.mark.parametrize("plan", [
+    FaultPlan(membership=True),
+    FaultPlan(membership=True, kill_scheduler_at=0.1),
+    FaultPlan(heartbeat_interval_s=0.01),
+    FaultPlan(kill_scheduler_at=0.1),
+], ids=["membership", "membership+kill", "heartbeat", "kill-scheduler"])
+def test_workload_config_refuses_a_control_plane_plan(plan):
+    """A workload (and so a fleet, which carries one) cannot run the
+    control-plane layer: the library refuses the plan, as the CLI does,
+    instead of running fault-free and reporting every query valid."""
+    with pytest.raises(ValueError, match="single-query only"):
+        WorkloadConfig(faults=plan)
+
+
 def test_workload_config_effective_grant_timeout():
     assert WorkloadConfig(grant_timeout_s=1.25).effective_grant_timeout \
         == pytest.approx(1.25)

@@ -23,10 +23,12 @@ from repro.config import (
     WorkloadConfig,
     WorkloadSpec,
 )
+from repro.cluster import Node
 from repro.core import run_join
 from repro.core.joinnode import JoinProcess
+from repro.core.scheduler import SchedulerProcess
 from repro.faults import CrashSpec, FaultPlan
-from repro.sim import Process
+from repro.sim import Mailbox, Process, Resource
 from repro.workload import run_workload
 from tests.conftest import small_config, small_workload
 
@@ -143,10 +145,10 @@ def test_finished_run_leaves_no_process_cycles(monkeypatch):
     by a cycle — and a join process holds its hash table.  (Caching a bound
     ``_resume`` on each Process is the obvious way to get this wrong.)
 
-    One process is exempt: the scheduler keeps a handle to its own
-    (``SchedulerProcess.proc``, the fault injector's interrupt target), and
-    the scheduler hangs off the run context's own cycle.  Lockdep is off:
-    its wait-for graph is keyed by process and lives in that same cycle.
+    No actor is exempt: not the scheduler (its strategy points back at it),
+    not a node (its memory account's clock), not a mailbox (its screened
+    receive), not a ticker (its callback list).  Lockdep is off: its
+    wait-for graph is keyed by process, by design.
     """
     monkeypatch.setenv("REPRO_LOCKDEP", "0")
     run_join(small_config())  # warm caches that allocate on first use
@@ -158,9 +160,8 @@ def test_finished_run_leaves_no_process_cycles(monkeypatch):
         gc.collect()
         leaked = [
             o for o in gc.garbage
-            if isinstance(o, (Process, GeneratorType, JoinProcess))
-            and not (isinstance(o, Process) and o.name.startswith("scheduler"))
-            and getattr(o, "__qualname__", "") != "SchedulerProcess.run"
+            if isinstance(o, (Process, GeneratorType, JoinProcess,
+                              SchedulerProcess, Node, Mailbox, Resource))
         ]
     finally:
         gc.set_debug(0)

@@ -1,9 +1,13 @@
 """Unit tests for the discrete-event kernel (events, time, determinism)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import DeadlockError, Event, Simulator
+from repro.sim import DeadlockError, Event, Interrupt, Mailbox, Resource, Simulator
 from repro.sim.errors import SimulationError
+
+from .conftest import QueueTap
 
 
 def test_new_simulator_starts_at_zero():
@@ -272,7 +276,7 @@ def test_nan_delay_rejected(schedule, nan):
     sim = Simulator()
     with pytest.raises(ValueError):
         schedule(sim, nan)
-    assert not sim._queue
+    assert not sim._queue and not sim._due
 
 
 @pytest.mark.parametrize("nan", NANS, ids=["nan", "-nan"])
@@ -301,3 +305,144 @@ def test_a_nan_timeout_never_ends_a_run_silently():
     except ValueError:
         return
     assert woke == [1.0, 2.0, 3.0] and sim.now == 3.0
+
+
+# ----------------------------------------------------------------------
+# Two queues, one order: the FIFO of events due now against one heap
+# ----------------------------------------------------------------------
+#: a positive delay that ``now + d == now`` swallows once the clock is at
+#: 1.0 or later (but not at 0.0): such an event is due now, not later
+TINY = 1e-17
+DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, TINY])
+
+OPS = st.one_of(
+    st.tuples(st.just("timeout"), DELAYS),
+    st.tuples(st.just("succeed"), DELAYS),
+    st.tuples(st.just("fail"), DELAYS),
+    st.tuples(st.just("interrupt"), st.integers(0, 3)),
+    st.tuples(st.just("use"), st.integers(0, 1), DELAYS),
+    st.tuples(st.just("put"), st.integers(0, 1)),
+    st.tuples(st.just("recv"), st.integers(0, 1)),
+    st.tuples(st.just("raise"), st.just(None)),
+)
+
+
+def _run_program(programs, stops):
+    """Run one process per program under a :class:`QueueTap`, stopping at
+    each ``run(until)`` in ``stops`` and re-entering the loop after every
+    fail-fast raise, and return the tap."""
+    sim = Simulator()
+    resources = [Resource(sim, 1), Resource(sim, 2)]
+    boxes = [Mailbox(sim), Mailbox(sim)]
+    procs = []
+
+    def op(kind, arg, *rest):
+        if kind == "timeout":
+            yield sim.timeout(arg)
+        elif kind == "succeed":
+            yield sim.event().succeed("v", delay=arg)
+        elif kind == "fail":
+            try:
+                yield sim.event().fail(KeyError("f"), delay=arg)
+            except KeyError:
+                pass
+        elif kind == "interrupt":
+            if arg < len(procs) and procs[arg].is_alive \
+                    and procs[arg] is not sim.current_process:
+                procs[arg].interrupt()
+        elif kind == "use":
+            yield from resources[arg].use(rest[0])
+        elif kind == "put":
+            boxes[arg].put(arg)
+        elif kind == "recv":
+            yield from boxes[arg].recv()
+        else:
+            raise RuntimeError("unobserved")  # fail-fast, mid-instant
+
+    def process(ops):
+        for step in ops:
+            try:
+                yield from op(*step)
+            except Interrupt:
+                pass
+
+    with QueueTap(sim) as tap:
+        procs.extend(sim.spawn(process(ops)) for ops in programs)
+        for until in [*stops, None]:
+            while True:
+                try:
+                    sim.run(until if until is None else max(until, sim.now))
+                except DeadlockError:
+                    break  # a receive nobody answers: nothing left to run
+                except RuntimeError:
+                    continue  # what is still due now runs next, in order
+                break
+    return tap
+
+
+@given(
+    programs=st.lists(st.lists(OPS, max_size=8), min_size=1, max_size=4),
+    stops=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]), max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_fifo_keeps_the_order_of_one_heap(programs, stops):
+    """Timeouts, ``succeed``, ``fail``, interrupts, resource grants and
+    mailbox hand-offs, at zero, positive and swallowed delays, with runs
+    stopped by ``until`` and by fail-fast raises: every processed event is
+    the one a single heap keyed ``(time, scheduling index)`` would pop."""
+    tap = _run_program(programs, sorted(stops))
+    tap.assert_heap_order()
+    assert tap.ran
+
+
+def test_a_stopped_run_resumes_the_events_due_at_its_last_instant():
+    """``run(until)`` ends an instant's FIFO before it returns, and a
+    resumed run takes the next instant's heap entries before its FIFO."""
+    sim = Simulator()
+    order = []
+    with QueueTap(sim) as tap:
+        def note(tag):
+            return lambda ev: order.append((sim.now, tag))
+
+        sim.timeout(1.0).add_callback(note("heap-a"))
+        sim.timeout(2.0).add_callback(note("heap-b"))
+        sim.timeout(1.0).add_callback(
+            lambda ev: sim.timeout(0.0).add_callback(note("fifo-a")))
+        sim.run(until=1.0)
+        assert order == [(1.0, "heap-a"), (1.0, "fifo-a")] and sim.now == 1.0
+        sim.timeout(1.0).add_callback(note("heap-c"))  # due 2.0, after heap-b
+        sim.timeout(0.0).add_callback(note("fifo-b"))  # due now: before both
+        sim.run()
+    assert order[2:] == [(1.0, "fifo-b"), (2.0, "heap-b"), (2.0, "heap-c")]
+    assert tap.assert_heap_order() == []
+
+
+def test_a_fail_fast_raise_mid_instant_leaves_the_rest_of_it_in_order():
+    """An unobserved process failure raises out of ``run()`` part-way
+    through an instant; the events still due at that instant — heap
+    entries moved to the FIFO and zero-delay events alike — run first, in
+    order, when the loop is re-entered."""
+    sim = Simulator()
+    order = []
+
+    def dies():
+        yield sim.timeout(1.0)
+        order.append("dies")
+        raise KeyError("unobserved")
+
+    def later(tag, first):
+        yield sim.timeout(first)
+        order.append(tag)
+        yield sim.timeout(0.0)
+        order.append(tag + "+0")
+
+    with QueueTap(sim) as tap:
+        sim.spawn(dies())
+        sim.spawn(later("a", 1.0))
+        sim.spawn(later("b", 1.0))
+        with pytest.raises(KeyError):
+            sim.run()
+        assert order == ["dies"] and sim.now == 1.0 and sim._due
+        sim.run()
+    assert order == ["dies", "a", "b", "a+0", "b+0"]
+    assert tap.assert_heap_order() == []

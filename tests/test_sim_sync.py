@@ -13,9 +13,10 @@ from repro.sim import (
     Mailbox,
     Resource,
     Simulator,
-    kernel,
 )
 from repro.sim.errors import SimulationError
+
+from .conftest import QueueTap
 
 
 # ----------------------------------------------------------------------
@@ -97,7 +98,8 @@ STOP = "stop"
 
 def _screen_run(bursts, work, screened, lockdep):
     """One receiver over ``bursts`` of puts, returning what it kept, the
-    popped ``(time, seq)`` stream, the event count, what the mailbox's
+    processed ``(time, scheduling index)`` stream of both kernel queues
+    (:class:`~tests.conftest.QueueTap`), the event count, what the mailbox's
     dequeue and depth probes saw and the lockdep waits.
 
     The predicate reads state the receiver changes (as the pool's and the
@@ -138,24 +140,17 @@ def _screen_run(bursts, work, screened, lockdep):
                 box.put(item)
         box.put(STOP)
 
-    sim.spawn(receiver(), name="receiver")
-    sim.spawn(producer(), name="producer")
-    popped = []
-    real_pop = kernel.heappop
-
-    def recording_pop(queue):
-        entry = real_pop(queue)
-        popped.append(entry[:2])
-        return entry
-
-    with mock.patch.object(kernel, "heappop", recording_pop):
+    with QueueTap(sim) as tap:
+        sim.spawn(receiver(), name="receiver")
+        sim.spawn(producer(), name="producer")
         sim.run()
+    tap.assert_heap_order()
     assert len(box) == 0 and not box._getters
     waits = None
     if monitor is not None:
         assert not monitor._waits and not monitor._by_event
         waits = monitor.waits_tracked
-    return kept, popped, sim.processed_events, probed, waits
+    return kept, tap.ran, sim.processed_events, probed, waits
 
 
 @given(
@@ -167,7 +162,8 @@ def _screen_run(bursts, work, screened, lockdep):
 )
 @settings(max_examples=150, deadline=None)
 def test_screened_receive_matches_the_receive_and_continue_loop(bursts, work, lockdep):
-    """Same popped ``(t, seq)`` stream, same event count, same messages
+    """Same processed ``(time, scheduling index)`` stream, in the order of
+    one heap keyed by both, same event count, same messages
     kept at the same times, same probe calls, same lockdep waits: a
     rejected message is consumed and the wait re-armed exactly as the
     loop would re-arm it, whether it came by a put hand-off or off the

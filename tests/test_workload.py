@@ -298,27 +298,24 @@ def test_poll_ticker_is_a_timer_with_the_ticker_process_events():
 
 
 @pytest.mark.parametrize("n_ticks", [10, 1000])
-def test_poll_ticker_pushes_two_entries_plus_one_a_tick(n_ticks, monkeypatch):
-    """Its start, one entry a tick and its end: ``2 + n`` heap pushes,
-    from one re-armed event and the end's ``Timeout``."""
+def test_poll_ticker_pushes_two_entries_plus_one_a_tick(n_ticks):
+    """Its start, one entry a tick and its end: ``2 + n`` queue entries
+    across the kernel's heap and its FIFO of events due now, from one
+    re-armed event and the end's ``Timeout``."""
     from repro.core.context import poll_ticker
-    from repro.sim import Mailbox, Simulator, kernel
+    from repro.sim import Mailbox, Simulator
 
-    pushes = []
-    real_push = kernel.heappush
+    from .conftest import QueueTap
 
-    def counting_push(queue, entry):
-        pushes.append(entry[2])
-        real_push(queue, entry)
-
-    monkeypatch.setattr(kernel, "heappush", counting_push)
     sim = Simulator()
     box = Mailbox(sim)
-    poll_ticker(sim, box, 1.0, lambda: len(box) >= n_ticks)
-    sim.run()
+    with QueueTap(sim) as tap:
+        poll_ticker(sim, box, 1.0, lambda: len(box) >= n_ticks)
+        sim.run()
     assert len(box) == n_ticks and sim.now == n_ticks
-    assert len(pushes) == sim.processed_events == 2 + n_ticks
-    assert len({id(ev) for ev in pushes}) == 2  # the re-armed timer, the end
+    assert len(tap.queued) == len(tap.ran) == sim.processed_events == 2 + n_ticks
+    assert len({id(ev) for ev in tap.queued}) == 2  # the re-armed timer, the end
+    assert tap.assert_heap_order() == []
 
 
 def test_pool_rejects_a_message_without_a_row():
