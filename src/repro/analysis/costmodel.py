@@ -12,7 +12,7 @@ network, the paper derives:
   on a different node is ``(E-1)/E``).
 
 The model predicts the split overhead grows faster with E — validated by
-``benchmarks/bench_figures.py`` (``[model]``) against measured transfers.
+``repro figures --only model`` against measured transfers.
 """
 
 from __future__ import annotations

@@ -1,23 +1,29 @@
-"""Figure-reproduction harness: one function per paper figure.
+"""Figure-reproduction harness: one entry per paper figure or claim.
 
 Each ``figNN`` method runs (or reuses) the simulated sweeps behind that
 figure, returns a :class:`~repro.analysis.report.FigureReport` holding the
 series the paper plots, and embeds the qualitative *shape checks* taken
-from the paper's text (see DESIGN.md §4).  ``benchmarks/`` wraps these in
-pytest-benchmark; ``examples/`` and EXPERIMENTS.md reuse them directly.
+from the paper's text (see DESIGN.md §4).  The beyond-paper claims —
+ablations A-G, the scale check and the contention study — are entries too
+(:mod:`.studies`).  ``repro figures`` renders any of them; ``examples/``
+and EXPERIMENTS.md reuse them directly.
 
-Sweeps are memoized: Figures 2-5 share one initial-node sweep, Figures
-10-13 one skew sweep, etc.  All runs validate against the sequential
+Runs are memoized on their full config: Figures 2-5 share one
+initial-node sweep, Figures 10-13 one skew sweep, and an ablation cell
+equal to a figure's runs once.  All runs validate against the sequential
 oracle unless constructed with ``validate=False``.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+from typing import Any
 
 from ..analysis import FigureReport, OverheadModel, load_balance
 from ..config import (
     Algorithm,
     ClusterSpec,
+    CostModel,
     DEFAULT_SCALE,
     Distribution,
     MTUPLES,
@@ -25,6 +31,7 @@ from ..config import (
     WorkloadSpec,
 )
 from ..core import JoinRunResult, run_join
+from .studies import STUDIES
 
 __all__ = ["FigureHarness", "ALGORITHMS", "EHJAS"]
 
@@ -43,26 +50,37 @@ _LABEL = {
     Algorithm.OUT_OF_CORE: "Out of Core",
 }
 
+#: the config class each field name of :meth:`FigureHarness.run`'s
+#: overrides belongs to (no name is a field of two of them)
+_OWNER = {
+    f.name: cls
+    for cls in (WorkloadSpec, CostModel, ClusterSpec, RunConfig)
+    for f in fields(cls)
+    if f.name not in ("workload", "cluster", "cost")
+}
+
 
 class FigureHarness:
-    """Runs and caches the simulated experiments behind Figures 2-13."""
+    """Runs and caches the simulated experiments behind Figures 2-13 and
+    the beyond-paper claims."""
 
     INITIAL_NODES = (1, 2, 4, 8, 16)
     TABLE_SIZES_M = (10, 20, 40, 80)
     TUPLE_BYTES = (100, 200, 400)
     SKEWS: tuple[float | None, ...] = (None, 0.001, 0.0001)
-    #: every reproduced figure plus the §4.2.4 model validation, in report
-    #: order; :meth:`figure` runs one by name
+    #: every reproduced figure, the §4.2.4 model validation and the
+    #: beyond-paper studies, in report order; :meth:`figure` runs one by name
     FIGURES = (
         "fig02", "fig03", "fig04", "fig05", "fig06", "fig07",
         "fig08", "fig09", "fig10", "fig11", "fig12", "fig13", "model",
+        *STUDIES,
     )
 
     def __init__(self, scale: float = DEFAULT_SCALE, validate: bool = True):
         WorkloadSpec(scale=scale)  # a bad scale fails here, not in a cell
         self.scale = scale
         self.validate = validate
-        self._cache: dict[tuple, JoinRunResult] = {}
+        self._cache: dict[RunConfig, JoinRunResult] = {}
 
     # ------------------------------------------------------------------
     # run plumbing
@@ -77,10 +95,19 @@ class FigureHarness:
         tuple_bytes: int = 100,
         sigma: float | None = None,
         pool: int = 24,
+        **overrides: Any,
     ) -> JoinRunResult:
-        key = (algo, initial_nodes, r_m, s_m, tuple_bytes, sigma, pool)
-        if key not in self._cache:
-            wl = WorkloadSpec(
+        """One memoized join at the harness's scale.
+
+        ``overrides`` set any other field of :class:`WorkloadSpec`,
+        :class:`ClusterSpec`, :class:`CostModel` or :class:`RunConfig` by
+        name (``chunk_tuples=2_000``, ``net_bandwidth=1.25e6``,
+        ``mix_hash=True``, ``scale=0.04``), over what the keywords derive.
+        The memo key is the whole config, so a cell two entries share
+        runs once.
+        """
+        parts: dict[type, dict[str, Any]] = {
+            WorkloadSpec: dict(
                 r_tuples=r_m * MTUPLES,
                 s_tuples=s_m * MTUPLES,
                 tuple_bytes=tuple_bytes,
@@ -89,16 +116,26 @@ class FigureHarness:
                 ),
                 gauss_sigma=sigma if sigma is not None else 0.001,
                 scale=self.scale,
-            )
-            cfg = RunConfig(
-                algorithm=algo,
-                initial_nodes=initial_nodes,
-                workload=wl,
-                cluster=ClusterSpec(n_potential_nodes=pool),
-                trace=False,
-            )
-            self._cache[key] = run_join(cfg, validate=self.validate)
-        return self._cache[key]
+            ),
+            CostModel: {},
+            ClusterSpec: dict(n_potential_nodes=pool),
+            RunConfig: dict(
+                algorithm=algo, initial_nodes=initial_nodes, trace=False,
+            ),
+        }
+        for name, value in overrides.items():
+            if name not in _OWNER:
+                raise TypeError(f"run() got an unknown config field {name!r}")
+            parts[_OWNER[name]][name] = value
+        cfg = RunConfig(
+            workload=WorkloadSpec(**parts[WorkloadSpec]),
+            cluster=ClusterSpec(cost=CostModel(**parts[CostModel]),
+                                **parts[ClusterSpec]),
+            **parts[RunConfig],
+        )
+        if cfg not in self._cache:
+            self._cache[cfg] = run_join(cfg, validate=self.validate)
+        return self._cache[cfg]
 
     def _paper_s(self, result: JoinRunResult) -> float:
         return result.paper_scale_total_s
@@ -681,4 +718,6 @@ class FigureHarness:
         """Run the entry of :attr:`FIGURES` called ``name``."""
         if name not in self.FIGURES:
             raise KeyError(name)
+        if name in STUDIES:
+            return STUDIES[name](self)
         return getattr(self, "model_validation" if name == "model" else name)()

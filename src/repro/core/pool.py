@@ -44,6 +44,7 @@ from typing import Any
 
 from ..config import PoolPolicy
 from ..cluster import Node
+from ..obs import MetricsRegistry
 from .context import poll_ticker
 from .messages import (
     PollTick,
@@ -176,12 +177,12 @@ class ResourcePoolProcess:
         free_nodes: list[int],
         sched_nodes: dict[int, Node],
         *,
+        metrics: MetricsRegistry,
         policy: PoolPolicy = PoolPolicy.FIFO,
         fair_share_cap: int = 4,
         grant_timeout_s: float = 0.1,
         poll_interval: float = 0.001,
         memory_of: Callable[[int], int] = lambda j: 0,
-        metrics: Any = None,
         trace: Callable[..., None] | None = None,
     ) -> None:
         self.sim = sim
@@ -230,8 +231,6 @@ class ResourcePoolProcess:
             self._trace(event, "pool", **fields)
 
     def _sample_levels(self) -> None:
-        if self.metrics is None:
-            return
         in_use = self._in_use
         self.metrics.set_gauge("pool.free_nodes", len(self.free))
         self.metrics.observe("pool.nodes_in_use", in_use)
@@ -289,9 +288,8 @@ class ResourcePoolProcess:
         self.stats.requests += 1
         now = self.sim.now
         parked = _Parked(req, now, None)
-        if self.metrics is not None:
-            self.metrics.inc("pool.recruit_requests", 1,
-                             admission=str(req.admission).lower())
+        self.metrics.inc("pool.recruit_requests", 1,
+                         admission=str(req.admission).lower())
         if req.admission:
             self._admission_q.append(parked)
             self.trace("pool_admission_request", query=req.query,
@@ -320,8 +318,7 @@ class ResourcePoolProcess:
         self._admitted_count.pop(msg.query, None)
         self.trace("pool_release", query=msg.query, released=len(released),
                    free=len(self.free))
-        if self.metrics is not None:
-            self.metrics.inc("pool.releases", len(released))
+        self.metrics.inc("pool.releases", len(released))
         self._sample_levels()
         yield from self._serve()
 
@@ -338,10 +335,9 @@ class ResourcePoolProcess:
             ]
             self.stats.admissions += 1
             self._admitted_count[parked.req.query] = len(nodes)
-            if self.metrics is not None:
-                self.metrics.set_gauge(
-                    "pool.admission_wait_s", self.sim.now - parked.enqueued_at
-                )
+            self.metrics.set_gauge(
+                "pool.admission_wait_s", self.sim.now - parked.enqueued_at
+            )
             yield from self._grant(parked, nodes)
         # Recruits only from nodes beyond the oldest admission's need.
         reserve = self._admission_q[0].req.want if self._admission_q else 0
@@ -373,8 +369,7 @@ class ResourcePoolProcess:
         query = parked.req.query
         self.held.setdefault(query, []).extend(nodes)
         self.stats.grants += len(nodes)
-        if self.metrics is not None:
-            self.metrics.inc("pool.recruit_grants", len(nodes))
+        self.metrics.inc("pool.recruit_grants", len(nodes))
         self._sample_levels()
         self.trace("pool_grant", query=query, nodes=list(nodes),
                    waited=self.sim.now - parked.enqueued_at)
@@ -392,8 +387,7 @@ class ResourcePoolProcess:
         self.stats.denials_by_reason[reason] = (
             self.stats.denials_by_reason.get(reason, 0) + 1
         )
-        if self.metrics is not None:
-            self.metrics.inc("pool.recruit_denials", 1, reason=reason)
+        self.metrics.inc("pool.recruit_denials", 1, reason=reason)
         self.trace("pool_deny", query=query, reason=reason)
         yield from self.network.send(
             self.node, self.sched_nodes[query],
@@ -425,8 +419,7 @@ class ResourcePoolProcess:
             self.free.remove(j)
             self.crashed.append(j)
             self.stats.crashed_nodes.append(j)
-            if self.metrics is not None:
-                self.metrics.inc("pool.node_crashes", 1)
+            self.metrics.inc("pool.node_crashes", 1)
             self.trace("pool_node_crash", node=j)
             self._sample_levels()
         else:

@@ -6,8 +6,8 @@ be **order preserving** for the paper's skew results to materialize
 (Gaussian-clustered values land on clustered positions, overloading the
 node that owns the hot range).  The default map takes the high bits of the
 value.  A mixing variant (SplitMix64 finalizer) is provided as an ablation:
-it destroys value locality and with it the skew pathology — benchmarked in
-``bench_ablation_hash_mixing``.
+it destroys value locality and with it the skew pathology — measured by
+``repro figures --only hash_mixing`` (ablation B).
 """
 
 from __future__ import annotations

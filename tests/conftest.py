@@ -7,6 +7,7 @@ drain detection and probe broadcast.
 """
 
 import heapq
+import random
 from collections import deque
 from unittest import mock
 
@@ -19,6 +20,7 @@ from repro.config import (
     RunConfig,
     WorkloadSpec,
 )
+from repro.sim import Simulator
 
 SMALL_MEMORY = 40_000  # bytes -> 400 tuples of 100B per node
 
@@ -183,3 +185,37 @@ class QueueTap:
                 assert heapq.heappop(heap) == (time, index), (
                     f"event {index} ran at {time} out of heap order")
         return heap  # what was still queued when the log ends
+
+
+class _RandomFront(deque):
+    """A deque whose ``popleft`` takes a seeded-random entry."""
+
+    def __init__(self, seed):
+        super().__init__()
+        self._rng = random.Random(seed)
+
+    def popleft(self):
+        i = self._rng.randrange(len(self))
+        self.rotate(-i)
+        event = super().popleft()
+        self.rotate(i)
+        return event
+
+
+class ShuffledDue(Simulator):
+    """A :class:`~repro.sim.Simulator` whose loop runs a seeded-random
+    entry of its FIFO of events due now, where the kernel runs the oldest.
+
+    Every event due at one instant still runs at that instant, and the
+    first heap entry of an instant still runs before anything else; only
+    the order among the rest changes.  A model whose answer depends on that
+    order leans on a tie the paper's system would not break the same way.
+    Hand a run one by patching the driver's constructor::
+
+        with mock.patch.object(driver, "Simulator", lambda: ShuffledDue(7)):
+            run_join(cfg)
+    """
+
+    def __init__(self, seed):
+        super().__init__()
+        self._due = _RandomFront(seed)

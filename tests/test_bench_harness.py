@@ -55,3 +55,71 @@ def test_fig12_report_structure(harness):
     # CSV export round-trips the table shape
     lines = report.to_csv().strip().splitlines()
     assert len(lines) == 1 + len(report.rows)
+
+
+def test_run_overrides_set_config_fields_and_share_equal_cells(harness):
+    from repro.config import SplitPolicy
+
+    res = harness.run(Algorithm.SPLIT, 2, chunk_tuples=20_000,
+                      net_bandwidth=125e6, n_sources=2,
+                      split_policy=SplitPolicy.LINEAR_MOD)
+    cfg = res.config
+    assert cfg.workload.chunk_tuples == 20_000
+    assert cfg.cluster.cost.net_bandwidth == 125e6
+    assert cfg.cluster.n_sources == 2
+    assert cfg.split_policy is SplitPolicy.LINEAR_MOD
+    assert cfg.workload.scale == 0.001
+    # an override equal to the default is the same config: one run
+    assert harness.run(Algorithm.SPLIT, 2, net_bandwidth=12.5e6) is \
+        harness.run(Algorithm.SPLIT, 2)
+    with pytest.raises(TypeError, match="bandwith"):
+        harness.run(Algorithm.SPLIT, 2, bandwith=1.0)
+
+
+def test_every_override_name_belongs_to_one_config_class():
+    from dataclasses import fields
+
+    from repro.bench.figures import _OWNER
+    from repro.config import ClusterSpec, CostModel, RunConfig, WorkloadSpec
+
+    names = [f.name for c in (WorkloadSpec, CostModel, ClusterSpec, RunConfig)
+             for f in fields(c)]
+    assert len(_OWNER) == len(names) - 3  # less workload, cluster, cost
+
+
+def test_figures_lists_every_entry():
+    import inspect
+
+    from repro.bench import studies
+
+    paper = tuple(f"fig{n:02d}" for n in range(2, 14))
+    assert FigureHarness.FIGURES == (*paper, "model", *studies.STUDIES)
+    assert all(callable(getattr(FigureHarness, f)) for f in paper)
+    defined = {
+        name for name, fn in vars(studies).items()
+        if inspect.isfunction(fn) and fn.__module__ == studies.__name__
+        and not name.startswith("_")
+    }
+    assert defined == set(studies.STUDIES)
+    with pytest.raises(KeyError):
+        FigureHarness(scale=0.001).figure("fig01")
+
+
+def test_a_study_entry_renders_its_table(harness):
+    report = harness.figure("chunk_size")
+    assert report.figure == "Ablation C"
+    assert report.headers == ["chunk tuples (paper units)", "total (paper s)",
+                              "extra build chunks", "data messages"]
+    assert [row[0] for row in report.rows] == [2_000, 10_000, 50_000]
+    assert all(len(row) == len(report.headers) for row in report.rows)
+    assert len(report.checks) == 2
+    # the 10 000-tuple cell is the paper's default chunk: fig02's run
+    assert harness.run(Algorithm.HYBRID, 4, chunk_tuples=10_000) is \
+        harness.run(Algorithm.HYBRID, 4)
+
+
+def test_unvalidated_contention_claims_no_oracle_verdict():
+    report = FigureHarness(scale=0.001, validate=False).figure("contention")
+    assert len(report.rows) == 4
+    assert not [c for c in report.checks if "oracle" in c.description]
+    assert any("not validated" in n for n in report.notes)

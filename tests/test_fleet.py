@@ -12,6 +12,7 @@ parent takes its workers with it), and the seeded arrival generators
 behind the autoscaling study.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -279,6 +280,34 @@ def test_worker_dying_with_a_claim_loses_exactly_that_cohort(monkeypatch):
     # the survivor after it — merged
     assert [c.cohort for c in res.cohorts] == [0, 1, 3]
     assert f"FAILED shard {failure.shard}" in res.summary()
+
+
+@FORK_ONLY
+def test_worker_silent_past_its_timeout_is_killed_with_its_claim(monkeypatch):
+    """A worker that hangs on a cohort sends nothing more: past
+    ``worker_timeout_s`` the parent kills it and reports exactly the
+    cohort it held, while the other worker runs the rest."""
+    real = fleet.run_workload
+
+    def hang_on_cohort2(cfg, **kw):
+        if cfg.obs.shard == "cohort2":
+            time.sleep(60)
+        return real(cfg, **kw)
+
+    monkeypatch.setattr(fleet, "run_workload", hang_on_cohort2)
+    cfg = dataclasses.replace(
+        fleet_config(n_queries=10, n_cohorts=4, n_shards=2),
+        worker_timeout_s=3.0,
+    )
+    t0 = time.monotonic()
+    res = run_fleet(cfg)
+    assert time.monotonic() - t0 < 30
+    assert res.exit_code == EXIT_PARTIAL
+    assert len(res.failures) == 1
+    failure = res.failures[0]
+    assert failure.kind == "timeout" and failure.cohorts == (2,)
+    assert failure.exitcode == -signal.SIGTERM
+    assert [c.cohort for c in res.cohorts] == [0, 1, 3]
 
 
 def _names_every_cohort(res, n_cohorts):

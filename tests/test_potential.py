@@ -20,7 +20,7 @@ from repro.core.pool import PoolClient, ResourcePoolProcess
 from repro.core.potential import PrivatePotential, take_best
 from repro.core.recovery import FaultTolerantScheduler
 from repro.faults import FaultPlan
-from repro.obs import SpanLog
+from repro.obs import MetricsRegistry, SpanLog
 from tests.conftest import small_config
 
 #: five nodes, two of them bigger: most memory first, lowest index on ties
@@ -64,6 +64,7 @@ def test_pool_client_hands_out_the_same_order_for_the_same_free_set():
         sim, wc.network, wc.pool_node, free_nodes=list(range(5)),
         sched_nodes={0: wc.views[0].scheduler_node},
         grant_timeout_s=0.01, memory_of=SPEC.memory_of,
+        metrics=MetricsRegistry(),
     )
     adopted = []
     client = PoolClient(node=pool.node, query_id=0,

@@ -36,6 +36,7 @@ from repro.core import messages as messages_mod
 from repro.core.driver import single_query_context
 from repro.faults import FaultPlan
 from repro.hashing import HashRange, RangeRouter
+from repro.obs import MetricsRegistry
 from tests.conftest import small_config
 
 #: every module that may legitimately dispatch protocol messages
@@ -74,7 +75,7 @@ def handler_tables() -> dict[str, dict[type, object]]:
         )._handlers,
         "ResourcePoolProcess": repro.core.pool.ResourcePoolProcess(
             ctx.sim, ctx.cluster.network, ctx.scheduler_node,
-            free_nodes=[], sched_nodes={},
+            free_nodes=[], sched_nodes={}, metrics=MetricsRegistry(),
         )._handlers,
     }
 

@@ -181,6 +181,7 @@ def bare_pool(free_nodes=(0, 1)):
     from repro.cluster import Network, Node
     from repro.config import CostModel
     from repro.core.pool import ResourcePoolProcess
+    from repro.obs import MetricsRegistry
     from repro.sim import Simulator
 
     sim, cost = Simulator(), CostModel()
@@ -188,7 +189,7 @@ def bare_pool(free_nodes=(0, 1)):
     sched = Node(sim, 1, "sched", cost)
     pool = ResourcePoolProcess(
         sim, Network(sim, cost), node, free_nodes=list(free_nodes),
-        sched_nodes={0: sched},
+        sched_nodes={0: sched}, metrics=MetricsRegistry(),
     )
     return sim, pool, sched
 
