@@ -9,27 +9,11 @@ EXPERIMENTS.md records the numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+
+# the plain-text table lives with the other exporters; re-exported here
+from ..obs.export import format_table
 
 __all__ = ["FigureReport", "ShapeCheck", "format_table"]
-
-
-def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """Plain fixed-width table (no external deps)."""
-    cells = [[str(h) for h in headers]] + [[_fmt(c) for c in row] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-    lines = []
-    for k, row in enumerate(cells):
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-        if k == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
-
-
-def _fmt(v: object) -> str:
-    if isinstance(v, float):
-        return f"{v:.1f}"
-    return str(v)
 
 
 @dataclass
@@ -88,7 +72,9 @@ class FigureReport:
         out.append("| " + " | ".join(self.headers) + " |")
         out.append("|" + "|".join("---" for _ in self.headers) + "|")
         for row in self.rows:
-            out.append("| " + " | ".join(_fmt(c) for c in row) + " |")
+            out.append("| " + " | ".join(
+                f"{c:.1f}" if isinstance(c, float) else str(c) for c in row)
+                + " |")
         out.append("")
         for c in self.checks:
             out.append(f"- {c}")

@@ -9,10 +9,12 @@ from .diff import (
     BenchDiff,
     Delta,
     diff_baselines,
+    diff_files,
     diff_snapshots,
     is_snapshot_doc,
     load_baseline,
     load_document,
+    run_baseline,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - the same names, for type checkers
@@ -30,10 +32,12 @@ __all__ = [
     "EHJAS",
     "FigureHarness",
     "diff_baselines",
+    "diff_files",
     "diff_snapshots",
     "is_snapshot_doc",
     "load_baseline",
     "load_document",
+    "run_baseline",
 ]
 
 

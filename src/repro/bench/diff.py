@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -25,8 +26,8 @@ from typing import Any
 from ..obs.streaming import Snapshot
 
 __all__ = ["BaselineError", "Delta", "BenchDiff", "load_baseline",
-           "load_document", "diff_baselines", "diff_snapshots",
-           "is_snapshot_doc"]
+           "load_document", "diff_baselines", "diff_files", "diff_snapshots",
+           "is_snapshot_doc", "run_baseline"]
 
 #: metrics carried per (algorithm, node-count) series point
 METRICS = ("total_s", "build_s")
@@ -101,6 +102,17 @@ def load_baseline(path: str | Path) -> dict[str, Any]:
     return doc
 
 
+def run_baseline(res: Any, benchmark: str, series: str, scale: float,
+                 n_queries: int) -> dict[str, Any]:
+    """A workload's or fleet's ``--baseline`` document: one series point
+    at ``n_queries``, whose fixed keys carry the run's makespan
+    (``total_s``) and its p99 query latency (``build_s``)."""
+    point = {"total_s": res.makespan_s,
+             "build_s": res.latency_percentiles().get("p99", 0.0)}
+    return {"benchmark": benchmark, "scale": scale,
+            "series": {series: {str(n_queries): point}}}
+
+
 @dataclass(frozen=True)
 class Delta:
     """One metric's change between baselines."""
@@ -137,6 +149,11 @@ class BenchDiff:
     deltas: list[Delta] = field(default_factory=list)
     #: structural problems (missing/extra series, benchmark/scale mismatch)
     mismatches: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.threshold_pct < 0:
+            raise ValueError(
+                f"threshold_pct must be >= 0, got {self.threshold_pct}")
 
     @property
     def regressions(self) -> list[Delta]:
@@ -182,44 +199,40 @@ class BenchDiff:
         return "\n".join(lines)
 
 
+def _shared(diff: BenchDiff, old: dict[str, Any], new: dict[str, Any],
+            name: Callable[[str], str],
+            order: Callable[[str], Any] | None = None) -> Iterator[str]:
+    """The keys ``old`` and ``new`` both hold, sorted; a key only one of
+    them holds is recorded as a ``"<name> missing from OLD|NEW"``
+    mismatch when the iteration reaches it."""
+    for key in sorted(set(old) | set(new), key=order):
+        if key not in new:
+            diff.mismatches.append(f"{name(key)} missing from NEW")
+        elif key not in old:
+            diff.mismatches.append(f"{name(key)} missing from OLD")
+        else:
+            yield key
+
+
 def diff_baselines(
     old: dict[str, Any], new: dict[str, Any], threshold_pct: float = 1.0
 ) -> BenchDiff:
     """Compare two loaded baselines (see :func:`load_baseline`)."""
-    if threshold_pct < 0:
-        raise ValueError(f"threshold_pct must be >= 0, got {threshold_pct}")
     diff = BenchDiff(threshold_pct=threshold_pct)
     for key in ("benchmark", "scale"):
         if old.get(key) != new.get(key):
             diff.mismatches.append(
                 f"{key} differs: old={old.get(key)!r} new={new.get(key)!r}"
             )
-    old_series, new_series = old["series"], new["series"]
-    for algo in sorted(set(old_series) | set(new_series)):
-        if algo not in new_series:
-            diff.mismatches.append(f"series {algo!r} missing from NEW")
-            continue
-        if algo not in old_series:
-            diff.mismatches.append(f"series {algo!r} missing from OLD")
-            continue
-        old_pts, new_pts = old_series[algo], new_series[algo]
-        for nodes in sorted(
-            set(old_pts) | set(new_pts), key=lambda n: (len(n), n)
-        ):
-            if nodes not in new_pts:
-                diff.mismatches.append(f"{algo}/{nodes} missing from NEW")
-                continue
-            if nodes not in old_pts:
-                diff.mismatches.append(f"{algo}/{nodes} missing from OLD")
-                continue
+    olds, news = old["series"], new["series"]
+    for algo in _shared(diff, olds, news, lambda a: f"series {a!r}"):
+        for nodes in _shared(diff, olds[algo], news[algo],
+                             lambda n, a=algo: f"{a}/{n}",
+                             order=lambda n: (len(n), n)):
             for metric in METRICS:
                 diff.deltas.append(Delta(
-                    algorithm=algo,
-                    nodes=nodes,
-                    metric=metric,
-                    old=float(old_pts[nodes][metric]),
-                    new=float(new_pts[nodes][metric]),
-                ))
+                    algo, nodes, metric, float(olds[algo][nodes][metric]),
+                    float(news[algo][nodes][metric])))
     return diff
 
 
@@ -235,37 +248,46 @@ def diff_snapshots(
     timing metrics, since the sketch itself carries a ~1% relative-error
     bound.
     """
-    if threshold_pct < 0:
-        raise ValueError(f"threshold_pct must be >= 0, got {threshold_pct}")
     diff = BenchDiff(threshold_pct=threshold_pct)
     if tuple(old.shards) != tuple(new.shards):
         diff.mismatches.append(
             f"shards differ: old={list(old.shards)} new={list(new.shards)}"
         )
-    for key in sorted(set(old.counters) | set(new.counters)):
-        if key not in old.counters:
-            diff.mismatches.append(f"counter {key!r} missing from OLD")
-        elif key not in new.counters:
-            diff.mismatches.append(f"counter {key!r} missing from NEW")
-        elif old.counters[key] != new.counters[key]:
+    for key in _shared(diff, old.counters, new.counters,
+                       lambda k: f"counter {k!r}"):
+        if old.counters[key] != new.counters[key]:
             diff.mismatches.append(
                 f"counter {key!r} differs: old={old.counters[key]:g} "
                 f"new={new.counters[key]:g}"
             )
-    for key in sorted(set(old.sketches) | set(new.sketches)):
-        if key not in new.sketches:
-            diff.mismatches.append(f"sketch {key!r} missing from NEW")
-            continue
-        if key not in old.sketches:
-            diff.mismatches.append(f"sketch {key!r} missing from OLD")
-            continue
+    for key in _shared(diff, old.sketches, new.sketches,
+                       lambda k: f"sketch {k!r}"):
         osk, nsk = old.sketches[key], new.sketches[key]
         for label, q in SKETCH_QUANTILES:
-            diff.deltas.append(Delta(
-                algorithm=key,
-                nodes="sketch",
-                metric=label,
-                old=osk.quantile(q),
-                new=nsk.quantile(q),
-            ))
+            diff.deltas.append(Delta(key, "sketch", label, osk.quantile(q),
+                                     nsk.quantile(q)))
     return diff
+
+
+def diff_files(old: str | Path, new: str | Path,
+               threshold_pct: float = 1.0) -> BenchDiff:
+    """``repro bench-diff``: compare two figure baselines, or the final
+    snapshots of two snapshot streams.  A pair of different kinds, or a
+    file that is unreadable or off its schema, raises
+    :class:`BaselineError`."""
+    docs = [load_document(old), load_document(new)]
+    kinds = ["snapshot" if is_snapshot_doc(d) else "figure baseline"
+             for d in docs]
+    if kinds[0] != kinds[1]:
+        raise BaselineError(f"cannot compare a {kinds[0]} ({old}) "
+                            f"against a {kinds[1]} ({new})")
+    if kinds[0] == "figure baseline":
+        return diff_baselines(load_baseline(old), load_baseline(new),
+                              threshold_pct=threshold_pct)
+    snaps = []
+    for path, doc in zip((old, new), docs):
+        try:
+            snaps.append(Snapshot.from_dict(doc))
+        except ValueError as exc:
+            raise BaselineError(f"{path}: {exc}") from None
+    return diff_snapshots(*snaps, threshold_pct=threshold_pct)

@@ -27,6 +27,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 __all__ = [
     "Violation",
@@ -122,13 +123,13 @@ class Project:
 
 
 class Checker(ABC):
-    """A lint pass; yields violations (pre-suppression).  Its docstring
-    is the rule description in the SARIF report."""
+    """A lint pass; yields violations (pre-suppression)."""
 
     #: short kebab-case pass name (shown in ``lint --list``)
     name: str = ""
-    #: rule ids this pass can emit, for documentation and --select
-    rules: tuple[str, ...] = ()
+    #: rule id -> what it fires on (markdown): every rule this pass can
+    #: emit, for --select and docs/STATIC_ANALYSIS.md's catalogue
+    rules: ClassVar[dict[str, str]] = {}
 
     @abstractmethod
     def check(self, project: Project) -> Iterator[Violation]:

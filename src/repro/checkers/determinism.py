@@ -1,21 +1,10 @@
 """Determinism pass: keep the simulator's replayability machine-checked.
 
 The reproduction's central claim is that every run is exactly
-deterministic given its seeds.  Four rule families defend that:
-
-* ``det-wallclock`` — no wall-clock reads (``time.time``,
-  ``datetime.now``, ...): simulated time comes from ``Simulator.now``.
-* ``det-global-rng`` — no global/unseeded randomness (``random.*``,
-  ``np.random.<sampler>``, ``os.urandom``, ``uuid.uuid4``, ...); only
-  explicitly seeded ``np.random.default_rng``/``SeedSequence``/
-  ``Generator`` streams are allowed.
-* ``det-set-iter`` — no iteration over ``set``/``frozenset`` values (or
-  ``set.pop()``): set order is salted per interpreter run, so iterating
-  one on a scheduling path silently breaks trace replay.  Wrap in
-  ``sorted(...)`` instead.
-* ``det-fs-order`` — no dependence on filesystem enumeration order
-  (``os.listdir``, ``Path.iterdir``, ``glob.glob``, ...) without a
-  ``sorted(...)`` wrapper.
+deterministic given its seeds.  Four rule families defend that; each is
+described in :attr:`DeterminismChecker.rules`.  Set order is salted per
+interpreter run, so iterating a set on a scheduling path silently breaks
+trace replay.
 
 Scope: the deterministic core (``repro/sim``, ``repro/core``,
 ``repro/cluster``, ``repro/hashing``).  Set-typed values are inferred
@@ -29,6 +18,7 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
+from typing import ClassVar
 
 from ._astutil import ImportMap, call_name, dotted_name
 from .base import Checker, Project, SourceFile, Violation
@@ -119,7 +109,21 @@ class DeterminismChecker(Checker):
     """No wall clock, no global RNG, no unordered iteration in the core."""
 
     name = "determinism"
-    rules = ("det-wallclock", "det-global-rng", "det-set-iter", "det-fs-order")
+    rules: ClassVar[dict[str, str]] = {
+        "det-wallclock": "`time.time()`, `time.monotonic()`, "
+                         "`datetime.now()`, … — use `Simulator.now`: "
+                         "simulated time is the only clock",
+        "det-global-rng": "`random.*`, `np.random.<sampler>` on the global "
+                          "state, `os.urandom`, `uuid.uuid4`, `secrets.*` — "
+                          "use a seeded stream: `np.random.default_rng(seed)` "
+                          "/ `SeedSequence`",
+        "det-set-iter": "`for x in some_set`, comprehensions over sets, "
+                        "`set.pop()` — use `sorted(some_set)`; pick elements "
+                        "with `min`/`max`",
+        "det-fs-order": "`os.listdir`/`os.scandir`/`os.walk`/`glob.*`/"
+                        "`Path.iterdir`/`.glob`/`.rglob` unwrapped — wrap the "
+                        "call in `sorted(...)`",
+    }
 
     def check(self, project: Project) -> Iterator[Violation]:
         for source in project.in_dir("src/repro/sim", "src/repro/core",

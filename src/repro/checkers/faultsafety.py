@@ -2,13 +2,11 @@
 
 The recovery machinery distinguishes *maskable* faults (retried,
 degraded, spilled) from *unmaskable* ones, which must surface as
-``UnrecoverableFaultError``.  One rule keeps handlers honest:
-
-* ``fault-swallowed`` — a handler catching ``Exception``,
-  ``BaseException`` or ``UnrecoverableFaultError`` whose body never
-  ``raise``\\ s swallows exactly the class of failures the fault model
-  promises to surface.  Re-raise, or narrow the handler to the specific
-  exception being masked.
+``UnrecoverableFaultError``.  One rule keeps handlers honest
+(:attr:`FaultSafetyChecker.rules`): a broad handler that never re-raises
+swallows exactly the class of failures the fault model promises to
+surface.  Re-raise, or narrow the handler to the specific exception
+being masked.
 
 Narrow handlers (``except ValueError: pass`` around a best-effort
 cleanup) are fine and not flagged.  Bare ``except:`` is ruff's E722.
@@ -18,6 +16,7 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
+from typing import ClassVar
 
 from ._astutil import dotted_name
 from .base import Checker, Project, Violation
@@ -46,7 +45,11 @@ class FaultSafetyChecker(Checker):
     """Broad/unrecoverable catches must re-raise."""
 
     name = "faultsafety"
-    rules = ("fault-swallowed",)
+    rules: ClassVar[dict[str, str]] = {
+        "fault-swallowed": "a handler catching `Exception`, `BaseException` "
+                           "or `UnrecoverableFaultError` whose body never "
+                           "re-raises",
+    }
 
     def check(self, project: Project) -> Iterator[Violation]:
         for source in project.files:

@@ -6,21 +6,11 @@ through a per-instance handler table (``self._handlers = {Cls: handler}``,
 which subclasses extend with ``self._handlers.update({...})``), and so do
 the data source and the pool; the protocol waits use ``isinstance`` arms
 (and, in future code, possibly ``match``/``case``).  Three rules keep the
-two sides from drifting:
-
-* ``proto-unhandled`` — every concrete public message dataclass must be
-  referenced in at least one dispatch arm (a handler-table row,
-  ``isinstance(msg, Cls)`` or a ``case Cls(...)`` pattern) somewhere in
-  ``repro/core`` outside ``messages.py``.  A message nobody can receive is
-  dead protocol — or, worse, a deadlock waiting for the sender's timeout.
-* ``proto-unregistered-send`` — every payload handed to a transport send
-  (``ctx.send``/``Network.send``/``Scheduler.send_to_join``/
-  ``JoinProcess._reply``) must be a registered message class.  Ad-hoc
-  payloads bypass ``nbytes``/``kind`` accounting and break the
-  byte-conservation checks.
-* ``proto-missing-export`` — every public message dataclass must appear
-  in the module's ``__all__`` so star-importing strategy code sees the
-  full protocol.
+two sides from drifting (:attr:`ProtocolChecker.rules`).  A message nobody
+can receive is dead protocol — or, worse, a deadlock waiting for the
+sender's timeout; an ad-hoc payload bypasses ``nbytes``/``kind``
+accounting and breaks the byte-conservation checks; the ``__all__``
+export lets star-importing strategy code see the full protocol.
 
 Payload classification is name-based: a send payload that is a direct
 constructor call (``send(src, dst, SpillOrder(...))``) or a local name
@@ -33,6 +23,7 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
+from typing import ClassVar
 
 from ._astutil import isinstance_class_names, sent_classes
 from .base import Checker, Project, SourceFile, Violation
@@ -119,8 +110,19 @@ class ProtocolChecker(Checker):
     """messages.py, its dispatch arms, and transport payloads stay in sync."""
 
     name = "protocol"
-    rules = ("proto-unhandled", "proto-unregistered-send",
-             "proto-missing-export")
+    rules: ClassVar[dict[str, str]] = {
+        "proto-unhandled": "a public message dataclass with no dispatch arm "
+                           "anywhere in `repro/core`: a row of an actor's "
+                           "`self._handlers = {Cls: handler}` table (or a "
+                           "`self._handlers.update({...})` a subclass adds), "
+                           "an `isinstance(msg, Cls)` or a `case Cls(...)`",
+        "proto-unregistered-send": "a transport send (`ctx.send`, "
+                                   "`send_to_join`, `JoinProcess._reply`, "
+                                   "`Network.send`) whose payload class is "
+                                   "not defined in `core/messages.py`",
+        "proto-missing-export": "a public message dataclass missing from the "
+                                "module's `__all__`",
+    }
 
     def check(self, project: Project) -> Iterator[Violation]:
         messages = project.get(_MESSAGES_REL)

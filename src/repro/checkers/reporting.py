@@ -39,7 +39,7 @@ def report_sarif(violations: Sequence[Violation], out: TextIO) -> None:
     """
     index = {UNUSED_ALLOW_RULE: "An allow comment that suppressed nothing."}
     for cls in PASSES:
-        index.update(dict.fromkeys(cls.rules, cls.__doc__ or cls.name))
+        index.update(cls.rules)
     rules: list[dict[str, Any]] = [
         {
             "id": rule,

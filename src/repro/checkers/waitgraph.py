@@ -4,30 +4,25 @@ The runtime protocol is request/response between long-lived process
 classes (scheduler, join node, data source, pool, backup scheduler).
 A *wait-state* is a method that parks on the class's mailbox until a
 specific message type arrives (an ``isinstance`` exit condition around a
-``recv()`` loop).  Two things can rot as the protocol grows:
+``recv()`` loop).  Two things can rot as the protocol grows
+(:attr:`WaitGraphChecker.rules`): a wait cycle, and a wait no sender can
+satisfy.  Dead sends are the protocol pass's job (``proto-unhandled``);
+dead *waits* are this one's.  Three refinements keep ``wg-cycle`` honest
+on real code:
 
-* ``wg-cycle`` — class A blocks waiting for a message only B sends while
-  B blocks waiting for a message only A sends: a potential distributed
-  deadlock.  Three refinements keep this honest on real code:
-
-  - a wait-state that routes unmatched traffic through a general
-    dispatcher (any ``self._dispatch*`` call, or a table-driven main loop
-    reading ``self._handlers`` itself) is *non-exclusive*: it
-    services the rest of the protocol while parked, so it contributes no
-    blocking edge (the scheduler's recruit/ack waits are this shape) —
-    but it also waits, in passing, for every row of the class's handler
-    table (``self._handlers``), so those rows need a sender too;
-  - an edge ``A --m--> B`` is discharged when B's own wait-state in the
-    cycle can still *send* m from inside its wait loop (directly or via
-    methods it calls) — e.g. an actor parked on its phase signal that
-    still executes ReplayOrders, which is exactly what un-blocks a
-    scheduler parked on ReplayDone;
-  - self-edges are ignored (self-sent PollTick ticker patterns).
-
-* ``wg-no-sender`` — a wait-state's exit message is constructed nowhere
-  in ``repro.core``/``repro.cluster``/``repro.workload`` outside
-  ``messages.py``: the wait can never be satisfied.  Dead sends are the
-  protocol pass's job (``proto-unhandled``); dead *waits* are this one's.
+- a wait-state that routes unmatched traffic through a general
+  dispatcher (any ``self._dispatch*`` call, or a table-driven main loop
+  reading ``self._handlers`` itself) is *non-exclusive*: it services the
+  rest of the protocol while parked, so it contributes no blocking edge
+  (the scheduler's recruit/ack waits are this shape) — but it also
+  waits, in passing, for every row of the class's handler table
+  (``self._handlers``), so those rows need a sender too;
+- an edge ``A --m--> B`` is discharged when B's own wait-state in the
+  cycle can still *send* m from inside its wait loop (directly or via
+  methods it calls) — e.g. an actor parked on its phase signal that
+  still executes ReplayOrders, which is exactly what un-blocks a
+  scheduler parked on ReplayDone;
+- self-edges are ignored (self-sent PollTick ticker patterns).
 
 The message inventory is shared with the protocol-exhaustiveness pass
 (same ``messages.py`` parse, same dataclass filter), so the two passes
@@ -38,6 +33,7 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
+from typing import ClassVar
 from dataclasses import dataclass, field
 
 from .base import Checker, Project, SourceFile, Violation
@@ -188,7 +184,14 @@ class WaitGraphChecker(Checker):
     """Distributed-deadlock hazards in the message protocol."""
 
     name = "waitgraph"
-    rules = ("wg-cycle", "wg-no-sender")
+    rules: ClassVar[dict[str, str]] = {
+        "wg-cycle": "class A blocks in an *exclusive* wait for a message only "
+                    "B sends, while B blocks waiting for a message only A "
+                    "sends — a potential distributed deadlock",
+        "wg-no-sender": "a wait-state's exit message is constructed nowhere in "
+                        "`repro/{core,cluster,workload}` outside `messages.py`: "
+                        "the wait can never be satisfied",
+    }
 
     def check(self, project: Project) -> Iterator[Violation]:
         msgfile = project.get(_MESSAGES_REL)

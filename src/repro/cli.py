@@ -6,29 +6,23 @@ over a shared node pool; ``figures`` regenerates the paper's figures;
 ``bench-diff``, ``tail`` and ``lint`` read files.  ``repro --help`` says
 what each does, and ``repro <command> --help`` lists its flags.
 
-A flag that sets one config field is declared on that field, in its
-``metadata`` (see :mod:`repro.config`); this module builds the parsers and
-the configs from those declarations.  docs/API.md's flag table is
-:func:`flag_table`'s output.
+A flag that sets one config or fault-plan field is declared on that
+field, in its ``metadata`` (see :mod:`repro.config`); this module builds
+the parsers and the configs from those declarations, and hands each
+command's work to the layer whose formats it reads.  docs/API.md's flag
+table is :func:`flag_table`'s output.
 
 Examples::
 
-    python -m repro run --algorithm hybrid --initial-nodes 4
     python -m repro run --algorithm split --sigma 0.0001 --trace
-    python -m repro workload --queries 6 --pool 8 --policy fair
     python -m repro workload --mix hybrid:2:2:2:2 --mix ooc:1:4:4:2 --format json
     python -m repro workload --queries 8 --live --obs-budget 65536 \\
         --snapshot-out run.snap.jsonl
-    python -m repro fleet --queries 200 --shards 4 --arrival-profile bursty
     python -m repro tail run.snap.jsonl
-    python -m repro sweep --initial-nodes 1,2,4,8,16
+    python -m repro fleet --queries 200 --shards 4 --arrival-profile bursty
     python -m repro figures --only fig02 fig10 --out reports.md
     python -m repro trace --algorithm hybrid --format chrome --out trace.json
-    python -m repro metrics --algorithm split --format table
-    python -m repro explain --algorithm replicate --sigma 0.05
     python -m repro bench-diff BENCH_2.json BENCH_new.json --threshold 2
-    python -m repro lint
-    python -m repro lint --format sarif src/repro/core
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ from .config import (
     ClusterSpec,
     Distribution,
     FleetConfig,
-    MTUPLES,
     ObsConfig,
     QueryMixEntry,
     RunConfig,
@@ -63,7 +56,6 @@ from .faults import (
     crash_specs_from_cli,
     finite_float,
 )
-from .obs import ObsBudget
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from .core import JoinRunResult
@@ -79,6 +71,11 @@ def _flagged(cls: type) -> dict[str, Field[Any]]:
     return {f.name: f for f in fields(cls) if "flag" in f.metadata}
 
 
+def _dest(f: Field[Any]) -> str:
+    """The ``argparse`` attribute of the flag field ``f`` declares."""
+    return f.metadata["flag"][2:].replace("-", "_")
+
+
 def _add_fields(p: argparse.ArgumentParser, cls: type, *names: str,
                 **defaults: Any) -> None:
     """Add the flags that fields ``names`` of ``cls`` declare.
@@ -91,6 +88,8 @@ def _add_fields(p: argparse.ArgumentParser, cls: type, *names: str,
         meta = declared[name].metadata
         default = defaults.get(name, declared[name].default)
         kw: dict[str, Any] = {"help": meta["help"]}
+        if "metavar" in meta:
+            kw["metavar"] = meta["metavar"]
         if isinstance(default, bool):
             kw["action"] = "store_true"
         elif isinstance(default, enum.Enum):
@@ -110,7 +109,7 @@ def _from_args(cls: Callable[..., _C], args: argparse.Namespace,
     with the fields in ``by_hand`` set as given."""
     for name, f in _flagged(cls).items():
         if name not in by_hand:
-            value = getattr(args, f.metadata["flag"][2:].replace("-", "_"))
+            value = getattr(args, _dest(f))
             if "unit" in f.metadata:
                 value = type(f.default)(value * f.metadata["unit"])
             elif isinstance(f.default, enum.Enum):
@@ -140,10 +139,11 @@ def _simulating(**defaults: Any) -> argparse.ArgumentParser:
     _add_fields(p, ClusterSpec, "n_potential_nodes", "n_sources",
                 "hash_memory_bytes", "topology", **defaults)
     p.add_argument("--fault-plan", metavar="PATH",
-                   help="JSON fault plan (see docs/FAULTS.md for the schema)")
-    p.add_argument("--drop-prob", type=finite_float, metavar="P",
-                   help="drop every inter-node message with probability P "
-                        "(sender retransmits; overrides the plan's value)")
+                   help="JSON fault plan (see docs/FAULTS.md for the "
+                        "schema); a fault flag given overrides its value")
+    # a fault flag left out must not override the plan: --drop-prob's
+    # default is None, not the field's 0.0
+    _add_fields(p, FaultPlan, *_flagged(FaultPlan), drop_prob=None)
     p.add_argument("--crash-node", action="append", default=[],
                    metavar="N[@T|@phase:NAME]",
                    help="fail-stop a pool node: pool index, optionally at "
@@ -151,17 +151,6 @@ def _simulating(**defaults: Any) -> argparse.ArgumentParser:
                         "probe/ooc); repeatable.  Crashing a *working* node "
                         "requires the membership layer (--membership or any "
                         "control-plane knob), which recovers its hash range")
-    p.add_argument("--membership", action="store_true",
-                   help="arm the control-plane fault-tolerance layer "
-                        "(heartbeat failure detector + standby scheduler; "
-                        "see docs/FAULTS.md)")
-    p.add_argument("--heartbeat-interval", type=finite_float, metavar="S",
-                   help="heartbeat period in simulated seconds (implies "
-                        "--membership; suspect/confirm timeouts derive "
-                        "from it unless pinned in the fault plan)")
-    p.add_argument("--kill-scheduler-at", type=finite_float, metavar="T",
-                   help="fail-stop the primary scheduler at sim time T "
-                        "(implies --membership; the standby takes over)")
     _add_fields(p, RunConfig, "lockdep", "trace")
     return p
 
@@ -173,12 +162,9 @@ def _faults(args: argparse.Namespace) -> FaultPlan | None:
     the exact fault-free code path (no injector is constructed at all).
     """
     plan = FaultPlan.from_file(args.fault_plan) if args.fault_plan else None
-    overlay = {field: value for field, value in (
-        ("drop_prob", args.drop_prob),
-        ("membership", args.membership or None),
-        ("heartbeat_interval_s", args.heartbeat_interval),
-        ("kill_scheduler_at", args.kill_scheduler_at),
-    ) if value is not None}
+    overlay = {name: value for name, f in _flagged(FaultPlan).items()
+               if (value := getattr(args, _dest(f))) is not None
+               and value is not False}  # not given: None, or a switch off
     if overlay:
         plan = replace(plan or FaultPlan(), **overlay)
     if args.crash_node:
@@ -186,27 +172,6 @@ def _faults(args: argparse.Namespace) -> FaultPlan | None:
             *crash_specs_from_cli(args.crash_node)
         )
     return plan
-
-
-def _parse_arrival_times(text: str | None) -> tuple[float, ...]:
-    """Parse ``--arrival-times``: comma-separated floats, whitespace and
-    empty segments (e.g. a trailing comma) tolerated; a non-numeric
-    segment raises a ValueError that names the flag."""
-    if not text:
-        return ()
-    times = []
-    for segment in text.split(","):
-        segment = segment.strip()
-        if not segment:
-            continue
-        try:
-            times.append(finite_float(segment))
-        except ValueError:
-            raise ValueError(
-                f"--arrival-times: {segment!r} is not a finite number (expected "
-                f"a comma-separated list like 1.0,2.5,4.0)"
-            ) from None
-    return tuple(times)
 
 
 def _workload(args: argparse.Namespace) -> WorkloadSpec:
@@ -335,8 +300,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .analysis import format_table
     from .core import run_join
+    from .obs import format_table
 
     with _config_errors():  # every cell, before the first one runs
         algorithms = (
@@ -373,10 +338,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
         print(f"unknown figures: {unknown}; choose from "
               f"{sorted(available)}", file=sys.stderr)
         return 2
-    csv_paths = (
-        [os.path.join(args.csv_dir, f"{name}.csv") for name in wanted]
-        if args.csv_dir else []
-    )
+    csv_paths = [os.path.join(args.csv_dir, f"{name}.csv")
+                 for name in wanted] if args.csv_dir else []
     outputs = [(args.out, False), (args.json, False)]
     outputs += [(path, True) for path in csv_paths]  # --csv-dir is made below
     for path, made in outputs:
@@ -412,8 +375,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.format == "chrome":
         payload = json.dumps(chrome_trace(res), indent=1) + "\n"
     else:
-        lines = list(trace_to_jsonl(res.tracer))
-        payload = "\n".join(lines) + ("\n" if lines else "")
+        payload = "".join(line + "\n" for line in trace_to_jsonl(res.tracer))
     _emit(args, payload, args.format)
     if args.out:
         print()
@@ -422,8 +384,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    from .analysis import format_table
-    from .obs import metrics_to_jsonl
+    from .obs import metrics_table, metrics_to_jsonl
 
     res = _run_single(args, "metrics")
     if res is None:
@@ -431,28 +392,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if args.format == "jsonl":
         _emit(args, "\n".join(metrics_to_jsonl(res.metrics)) + "\n",
               f"{len(res.metrics)} instruments")
-        return 0
-    rows = []
-    for inst in res.metrics:
-        # The table view hides instruments that never fired (the registry
-        # eagerly instruments every pool node); --format jsonl keeps them.
-        labels = ",".join(f"{k}={v}" for k, v in sorted(inst["labels"].items()))
-        if inst["type"] == "counter":
-            if not inst["value"]:
-                continue
-            value = f"{inst['value']:g}"
-        elif inst["type"] == "gauge":
-            if inst["samples"] == 0:
-                continue
-            value = f"last={inst['last']:g} high={inst['high']:g}"
-        else:
-            if not inst["total_seconds"]:
-                continue
-            value = (f"mean={inst['time_weighted_mean']:.3f} "
-                     f"high={inst['high']:g}")
-        rows.append([inst["name"], labels, inst["type"], value])
-    table = format_table(["metric", "labels", "type", "value"], rows)
-    _emit(args, table + "\n", f"{len(rows)} active instruments")
+    else:
+        table, n_rows = metrics_table(res.metrics)
+        _emit(args, table + "\n", f"{n_rows} active instruments")
     return 0
 
 
@@ -471,107 +413,47 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_mix_entry(text: str) -> QueryMixEntry:
-    """``ALG[:WEIGHT[:R_M[:S_M[:INITIAL[:SIGMA]]]]]`` -> QueryMixEntry.
-
-    Sizes are in millions of tuples (paper units), and S is as large as R
-    unless given; a sixth field turns the entry Gaussian-skewed with that
-    sigma.  A field left out keeps :class:`QueryMixEntry`'s default.
-    Example: ``hybrid:2:10:10:4``.
-    """
-    parts = text.split(":")
-    if not 1 <= len(parts) <= 6:
-        raise ValueError(
-            f"mix entry {text!r}: expected ALG[:WEIGHT[:R_M[:S_M"
-            f"[:INITIAL[:SIGMA]]]]]"
-        )
-    if len(parts) == 3:
-        parts.append(parts[2])
-
-    def mtuples(part: str) -> int:
-        return int(finite_float(part) * MTUPLES)
-
-    try:
-        kw: dict[str, Any] = {name: parse(part) for (name, parse), part in zip(
-            (("algorithm", Algorithm), ("weight", finite_float),
-             ("r_tuples", mtuples), ("s_tuples", mtuples),
-             ("initial_nodes", int), ("gauss_sigma", finite_float)), parts)}
-    except ValueError as exc:
-        raise ValueError(f"mix entry {text!r}: {exc}") from None
-    if "gauss_sigma" in kw:
-        kw["distribution"] = Distribution.GAUSSIAN
-    return QueryMixEntry(**kw)
-
-
 def _workload_config(args: argparse.Namespace) -> WorkloadConfig:
     """Fold the shared workload CLI flags into a :class:`WorkloadConfig`
     (raises ValueError exactly like the dataclass validators)."""
     live = args.live or args.live_interval is not None
-    mix = {"mix": tuple(map(_parse_mix_entry, args.mix))} if args.mix else {}
-    obs = ObsConfig(
-        budget_bytes=args.obs_budget,
-        live_interval_s=(
-            (args.live_interval if args.live_interval is not None
-             else 25.0 * args.scale)
-            if live else None
-        ),
-    )
+    mix = {"mix": tuple(map(QueryMixEntry.parse, args.mix))} if args.mix else {}
+    obs = _from_args(ObsConfig, args, live_interval_s=(
+        (args.live_interval if args.live_interval is not None
+         else 25.0 * args.scale) if live else None))
     return _from_args(
         WorkloadConfig, args,
-        arrival_times=_parse_arrival_times(args.arrival_times),
+        arrival_times=WorkloadConfig.parse_arrival_times(args.arrival_times),
         seed=args.seed, cluster=_from_args(ClusterSpec, args),
         scale=args.scale, trace=args.trace, faults=_faults(args),
         lockdep=args.lockdep, obs=obs, **mix,
     )
 
 
-def _run_streaming(
+def _run_queries(
     args: argparse.Namespace, command: str, stream_label: str,
     run: Callable[[Callable[[Snapshot], None]], Any],
+    wl: WorkloadConfig, series: str,
 ) -> Any:
-    """``run(on_snapshot)`` with the output guards and live telemetry of
-    the multi-query commands; ``None`` when an output cannot be written.
+    """``run(on_snapshot)`` for ``workload`` and ``fleet``: the output
+    guards, the ``--live`` / ``--snapshot-out`` telemetry (the final
+    snapshot, a fleet's merged, always streamed last: it is the end state
+    bench-diff compares), then the report, ``--metrics-out`` and
+    ``--baseline``.  ``None`` when an output cannot be written."""
+    from .bench import run_baseline
+    from .obs import metrics_to_jsonl, snapshot_sink
 
-    One progress line per periodic snapshot (``--live``), optionally
-    streamed to JSONL (``--snapshot-out``; `repro tail` renders it).  The
-    final snapshot — a fleet's is *merged*: latest per cohort, folded with
-    the snapshot merge laws — is always appended last, so the file's last
-    line is the end state bench-diff compares."""
     for path in (args.out, args.metrics_out, args.baseline,
                  args.snapshot_out):
         if _refuse_overwrite(path, args.force, command):
             return None
     live = args.live or args.live_interval is not None
-    snap_fh = None
-    if args.snapshot_out:
-        snap_fh = open(args.snapshot_out, "w", encoding="utf-8")
-
-    def on_snapshot(snap: Snapshot) -> None:
-        if live:
-            print(f"live: {snap.describe()}")
-        if snap_fh is not None:
-            snap_fh.write(snap.to_json() + "\n")
-            snap_fh.flush()
-
-    try:
+    with snapshot_sink(args.snapshot_out, live) as on_snapshot:
         res = run(on_snapshot)
         if res.snapshot is not None:
             on_snapshot(res.snapshot)
-    finally:
-        if snap_fh is not None:
-            snap_fh.close()
     if args.snapshot_out:
         print(f"wrote {args.snapshot_out} ({stream_label})")
-    return res
-
-
-def _emit_run(
-    args: argparse.Namespace, res: Any, wl: WorkloadConfig,
-    series: str, benchmark: str,
-) -> None:
-    """Report, ``--metrics-out`` and ``--baseline`` of a workload/fleet."""
-    from .obs import metrics_to_jsonl
-
     if args.format == "json":
         payload = json.dumps(res.to_dict(), indent=1) + "\n"
     else:
@@ -582,14 +464,10 @@ def _emit_run(
             line + "\n" for line in metrics_to_jsonl(res.metrics)))
         print(f"wrote {args.metrics_out} ({len(res.metrics)} instruments)")
     if args.baseline:
-        # bench-diff's schema keys are fixed (total_s / build_s); here they
-        # carry makespan and p99 latency respectively.
-        point = {"total_s": res.makespan_s,
-                 "build_s": res.latency_percentiles().get("p99", 0.0)}
-        base = {"benchmark": benchmark, "scale": wl.scale,
-                "series": {series: {str(wl.n_queries): point}}}
+        base = run_baseline(res, command, series, wl.scale, wl.n_queries)
         _write_text(args.baseline, json.dumps(base, indent=2) + "\n")
-        print(f"wrote {args.baseline} ({benchmark} baseline)")
+        print(f"wrote {args.baseline} ({command} baseline)")
+    return res
 
 
 def cmd_workload(args: argparse.Namespace) -> int:
@@ -597,14 +475,14 @@ def cmd_workload(args: argparse.Namespace) -> int:
 
     with _config_errors():
         cfg = _workload_config(args)
-    res = _run_streaming(
+    res = _run_queries(
         args, "workload", "snapshot stream",
         lambda sink: run_workload(cfg, validate=not args.no_validate,
                                   on_snapshot=sink),
+        cfg, cfg.policy.value,
     )
     if res is None:
         return 2
-    _emit_run(args, res, cfg, cfg.policy.value, "workload")
     if args.trace:
         print("\ntrace:")
         print(res.tracer.format())
@@ -621,10 +499,13 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 wl, arrival_times=profile_arrivals(args.arrival_profile, wl)
             )
         cfg = _from_args(FleetConfig, args, workload=wl)
-    res = _run_streaming(
+    # The series name carries the arrival profile so one baseline file can
+    # hold curves for several profiles side by side.
+    res = _run_queries(
         args, "fleet", "merged snapshot stream",
         lambda sink: run_fleet(cfg, validate=not args.no_validate,
                                on_snapshot=sink),
+        wl, f"{args.arrival_profile}-{wl.policy.value}",
     )
     if res is None:
         return 2
@@ -632,98 +513,30 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         print(f"fleet: shard {failure.shard} failed ({failure.kind}, "
               f"cohorts {list(failure.cohorts)}): {failure.detail}",
               file=sys.stderr)
-    # The series name carries the arrival profile so one baseline file can
-    # hold curves for several profiles side by side.
-    _emit_run(args, res, wl, f"{args.arrival_profile}-{wl.policy.value}",
-              "fleet")
     return res.exit_code
 
 
 def cmd_bench_diff(args: argparse.Namespace) -> int:
-    from .bench import (
-        BaselineError,
-        diff_baselines,
-        diff_snapshots,
-        is_snapshot_doc,
-        load_baseline,
-        load_document,
-    )
-    from .obs import Snapshot
+    from .bench import diff_files
 
     try:
-        old_doc = load_document(args.old)
-        new_doc = load_document(args.new)
-        old_snap, new_snap = is_snapshot_doc(old_doc), is_snapshot_doc(new_doc)
-        if old_snap != new_snap:
-            kinds = [
-                "snapshot" if s else "figure baseline"
-                for s in (old_snap, new_snap)
-            ]
-            print(f"bench-diff: cannot compare a {kinds[0]} ({args.old}) "
-                  f"against a {kinds[1]} ({args.new})", file=sys.stderr)
-            return 2
-        if old_snap:
-            snaps = []
-            for path, doc in ((args.old, old_doc), (args.new, new_doc)):
-                try:
-                    snaps.append(Snapshot.from_dict(doc))
-                except ValueError as exc:
-                    raise BaselineError(f"{path}: {exc}") from None
-            diff = diff_snapshots(*snaps, threshold_pct=args.threshold)
-        else:
-            old = load_baseline(args.old)
-            new = load_baseline(args.new)
-            diff = diff_baselines(old, new, threshold_pct=args.threshold)
-    except (BaselineError, ValueError) as exc:
+        diff = diff_files(args.old, args.new, threshold_pct=args.threshold)
+    except ValueError as exc:  # a BaselineError, or a negative threshold
         print(f"bench-diff: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps(diff.to_dict(), indent=1))
-    else:
-        print(diff.to_text())
+    print(json.dumps(diff.to_dict(), indent=1) if args.format == "json"
+          else diff.to_text())
     return 0 if diff.ok else 1
 
 
 def cmd_tail(args: argparse.Namespace) -> int:
-    from .analysis import format_table
-    from .obs import Snapshot
+    from .obs import render_snapshot_stream
 
     try:
-        with open(args.path, encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"tail: cannot read {args.path}: {exc}", file=sys.stderr)
+        print(render_snapshot_stream(args.path))
+    except ValueError as exc:
+        print(f"tail: {exc}", file=sys.stderr)
         return 2
-    if not lines:
-        print(f"tail: {args.path}: empty snapshot stream", file=sys.stderr)
-        return 2
-    snaps = []
-    for lineno, line in enumerate(lines, 1):
-        try:
-            snaps.append(Snapshot.from_json(line))
-        except ValueError as exc:
-            print(f"tail: {args.path}:{lineno}: {exc}", file=sys.stderr)
-            return 2
-    for snap in snaps:
-        print(snap.describe())
-    last = snaps[-1]
-    rows = [[name, f"{value:g}"]
-            for name, value in sorted(last.counters.items()) if value]
-    for name, sk in sorted(last.sketches.items()):
-        if not sk.count:
-            continue
-        pcts = sk.percentiles((50, 90, 99))
-        rows.append([
-            name,
-            f"p50={pcts['p50']:g} p90={pcts['p90']:g} p99={pcts['p99']:g} "
-            f"(n={sk.count})",
-        ])
-    print()
-    print(f"final snapshot: {len(snaps)} snapshot(s), "
-          f"shards={','.join(last.shards)}, "
-          f"{len(last.spans)} sampled spans "
-          f"({last.spans.dropped} shed)")
-    print(format_table(["metric", "value"], rows))
     return 0
 
 
@@ -827,11 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     queries.add_argument("--live-interval", type=finite_float, metavar="S",
                          help="snapshot cadence in simulated seconds "
                               "(implies --live; default 25*scale)")
-    queries.add_argument("--obs-budget", type=int, metavar="BYTES",
-                         help="cap observability memory: bounded span/edge "
-                              "sampling, ring buffers and sketch bins sized "
-                              f"to this many bytes (min {ObsBudget.MIN_BYTES}"
-                              "; shed records are counted, never silent)")
+    _add_fields(queries, ObsConfig, "budget_bytes")
     queries.add_argument("--snapshot-out", metavar="PATH",
                          help="append each snapshot as one JSON line "
                               "(final snapshot last; render with "

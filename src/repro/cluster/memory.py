@@ -97,9 +97,3 @@ class MemoryAccount:
             )
         self._used -= nbytes
         self._sample_usage()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MemoryAccount({self.name!r}, used={self._used}, "
-            f"capacity={self.capacity})"
-        )

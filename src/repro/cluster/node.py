@@ -52,6 +52,3 @@ class Node:
         """Charge a vectorized per-tuple CPU cost for ``n`` tuples
         (yield-from in a process; nothing to wait for when ``n`` is 0)."""
         return self.cpu.use(cost_per_tuple * n) if n else ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Node({self.name})"

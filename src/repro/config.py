@@ -14,19 +14,22 @@ counts, spill fractions).  The default benchmarks use scale = 1/50.
 CLI flags: a field that a ``repro`` flag sets declares it in its
 ``metadata``: ``"flag"`` and ``"help"``, plus ``"unit"`` when the flag
 counts in larger units than the field (``--r-tuples`` in millions of
-tuples) and ``"type"`` when the default is ``None``.  ``repro.cli``
-builds its parsers and configs from these, so a flag's default is the
-field's default and is written nowhere else.
+tuples), ``"type"`` when the default is ``None`` and ``"metavar"`` to
+name its value in ``--help``.  ``repro.cli`` builds its parsers and
+configs from these, so a flag's default is the field's default and is
+written nowhere else.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from typing import Any
 
 # re-exported (``from repro.config import FaultPlan``); repro.faults is
 # stdlib-only at import time, so this loads neither NumPy nor the simulator
 from .faults import FaultPlan, finite_float
+from .obs import MIN_BUDGET_BYTES
 
 __all__ = [
     "Algorithm",
@@ -351,7 +354,12 @@ class ObsConfig:
     time); ``shard`` names this run in merged snapshots.
     """
 
-    budget_bytes: int | None = None
+    budget_bytes: int | None = field(default=None, metadata={
+        "flag": "--obs-budget", "type": int, "metavar": "BYTES",
+        "help": "cap observability memory: bounded span/edge sampling, ring "
+                "buffers and sketch bins sized to this many bytes (min "
+                f"{MIN_BUDGET_BYTES}; shed records are counted, never "
+                "silent)"})
     live_interval_s: float | None = None
     shard: str = "shard0"
 
@@ -415,6 +423,38 @@ class QueryMixEntry:
         if self.initial_nodes < 1:
             raise ValueError("mix entry initial_nodes must be >= 1")
 
+    @classmethod
+    def parse(cls, text: str) -> QueryMixEntry:
+        """``--mix``'s ``ALG[:WEIGHT[:R_M[:S_M[:INITIAL[:SIGMA]]]]]``.
+
+        Sizes are in millions of tuples (paper units), and S is as large
+        as R unless given; a sixth field turns the entry Gaussian-skewed
+        with that sigma.  A field left out keeps its default.  Example:
+        ``hybrid:2:10:10:4``.
+        """
+        parts = text.split(":")
+        if not 1 <= len(parts) <= 6:
+            raise ValueError(
+                f"mix entry {text!r}: expected ALG[:WEIGHT[:R_M[:S_M"
+                f"[:INITIAL[:SIGMA]]]]]"
+            )
+        if len(parts) == 3:
+            parts.append(parts[2])
+
+        def mtuples(part: str) -> int:
+            return int(finite_float(part) * MTUPLES)
+
+        try:
+            kw: dict[str, Any] = {name: parse(part) for (name, parse), part in zip(
+                (("algorithm", Algorithm), ("weight", finite_float),
+                 ("r_tuples", mtuples), ("s_tuples", mtuples),
+                 ("initial_nodes", int), ("gauss_sigma", finite_float)), parts)}
+        except ValueError as exc:
+            raise ValueError(f"mix entry {text!r}: {exc}") from None
+        if "gauss_sigma" in kw:
+            kw["distribution"] = Distribution.GAUSSIAN
+        return cls(**kw)
+
 
 @dataclass(frozen=True)
 class WorkloadConfig:
@@ -462,6 +502,22 @@ class WorkloadConfig:
     lockdep: bool = False
     #: streaming observability: byte budget, live snapshot emission
     obs: ObsConfig = field(default_factory=ObsConfig)
+
+    @staticmethod
+    def parse_arrival_times(text: str | None) -> tuple[float, ...]:
+        """``--arrival-times``: comma-separated simulated seconds; blanks
+        and empty segments (a trailing comma) are skipped, and a segment
+        that is not a finite number raises a ValueError naming the flag."""
+        times = []
+        for segment in filter(None, (s.strip() for s in (text or "").split(","))):
+            try:
+                times.append(finite_float(segment))
+            except ValueError:
+                raise ValueError(
+                    f"--arrival-times: {segment!r} is not a finite number "
+                    "(expected a comma-separated list like 1.0,2.5,4.0)"
+                ) from None
+        return tuple(times)
 
     def __post_init__(self) -> None:
         if self.n_queries < 1:

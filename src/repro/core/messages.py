@@ -490,6 +490,9 @@ class StateSync(_Control):
     #: in-flight decision (an expansion or a recovery); None when no
     #: decision is mid-flight
     pending: Decision | None = None
+    #: (donor, new node) of every split so far, oldest first: who holds
+    #: part of whose range (a recovery purges a dead node's heirs)
+    splits: tuple[tuple[int, int], ...] = ()
 
     @property
     def nbytes(self) -> int:

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..data import ChunkBuffer, RelationStream
 from ..faults import UnrecoverableFaultError
-from ..hashing import HashRange, LinearHashRouter, RangeRouter, Router
+from ..hashing import LinearHashRouter, RangeRouter, Router
 from ..sim import Interrupt
 from .context import RunContext, poll_ticker
 from .datasource import DataSourceProcess
@@ -102,6 +102,8 @@ class FaultTolerantScheduler(SchedulerProcess):
         self.fenced: set[int] = set()
         #: in-flight relief/recovery decision, WAL-replicated to the backup
         self._pending: Decision | None = None
+        #: (donor, new node) of every split logged, oldest first
+        self._splits: list[tuple[int, int]] = []
         #: reporter whose relief cycle a recovery unwind abandoned
         self._abandoned_reporter: int | None = None
         self._recovering = False
@@ -267,13 +269,17 @@ class FaultTolerantScheduler(SchedulerProcess):
                 sync_seq=self._sync_seq, phase=self._phase,
                 router=self.router, activated=tuple(self.activated),
                 fenced=tuple(sorted(self.fenced)),
-                pending=self._pending,
+                pending=self._pending, splits=tuple(self._splits),
             ),
         )
 
     def log_decision(self, decision: Decision | None) -> Generator[Any, Any, None]:
         """Record an in-flight decision *before* acting on it, so the
         standby can apply it again after a takeover; ``None`` clears it."""
+        if decision is not None and decision.kind in ("bisect", "linear"):
+            split = (decision.donor, decision.new_node)
+            if split not in self._splits:  # a re-driven decision
+                self._splits.append(split)
         if decision is not None or self._pending is not None:
             self._pending = decision
             yield from self.checkpoint()
@@ -494,6 +500,17 @@ class FaultTolerantScheduler(SchedulerProcess):
                     if dead in chain:
                         purge.update(chain)
             purge.update(parties)
+            if self._phase == "build":
+                # Every node the dead one split a part of its range off
+                # to, and theirs in turn: it may have died holding tuples
+                # of theirs still to forward along its shed chain, which a
+                # replay of its own range does not cover.  The target takes
+                # over the whole range the dead node started the phase with.
+                heirs = {dead}
+                for donor, new_node in self._splits:  # oldest first
+                    if donor in heirs:
+                        heirs.add(new_node)
+                purge |= heirs
             purge.discard(dead)
             purge &= set(self.activated)
             self.spilled_nodes -= purge
@@ -575,22 +592,18 @@ class FaultTolerantScheduler(SchedulerProcess):
 
     def _takeover_slot(self, lost: set[int]) -> dict[str, Any]:
         """The hash range (or bucket) the recovery target will own, as
-        ``ActivateJoin`` keywords — computed *before* the router flips,
-        mirroring what ``with_takeover`` will collapse the lost entries
-        into."""
+        ``ActivateJoin`` keywords — read off ``with_takeover`` *before* the
+        router flips, with a stand-in for the target not yet recruited."""
         if isinstance(self.router, RangeRouter):
-            affected = [
-                rng for rng, chain in self.router.entries
-                if set(chain) & lost
-            ]
-            for prev, nxt in zip(affected, affected[1:]):
-                if prev.hi != nxt.lo:
-                    raise UnrecoverableFaultError(
-                        f"lost nodes {sorted(lost)} own non-contiguous "
-                        "ranges — a single takeover target cannot adopt "
-                        "them (docs/FAULTS.md)"
-                    )
-            return {"hash_range": HashRange(affected[0].lo, affected[-1].hi)}
+            taken = [rng for rng, chain in self.router.with_takeover(
+                lost, -1, self.router.version).entries if chain == (-1,)]
+            if len(taken) > 1:
+                raise UnrecoverableFaultError(
+                    f"lost nodes {sorted(lost)} own non-contiguous "
+                    "ranges — a single takeover target cannot adopt "
+                    "them (docs/FAULTS.md)"
+                )
+            return {"hash_range": taken[0]}
         assert isinstance(self.router, LinearHashRouter)
         return {"bucket": next(
             b for b, n in enumerate(self.router.bucket_nodes) if n in lost
@@ -731,6 +744,7 @@ class FaultTolerantScheduler(SchedulerProcess):
             set(self.activated) | self.fenced
         )
         self._pending = sync.pending
+        self._splits = list(sync.splits)
         self._phase = sync.phase
         self.strategy.adopt_router(self.router)
         return sync.phase

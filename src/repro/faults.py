@@ -20,22 +20,17 @@ machinery it exercises lives in the protocol layers:
 
 Everything is deterministic: one seeded RNG stream consumed in simulation
 event order, so a given ``(RunConfig, FaultPlan)`` pair always produces the
-identical trajectory, metrics, and result — chaos you can bisect.
-
-Supported crash model (documented scope): **fail-stop crashes of dormant
-pool nodes** — the interesting failure for the paper's algorithms, because
-it breaks recruitment mid-expansion.  Crashing a node that already holds
-build tuples would require state replication or upstream replay to keep
-the join answer exact, which the 2004 protocol does not have; asking for
-it raises :class:`UnrecoverableFaultError` instead of silently corrupting
-the result.  See docs/FAULTS.md for the schema and worked examples.
+identical trajectory, metrics, and result — chaos you can bisect.  A crash
+of a node that holds join state needs the membership layer
+(``core/recovery.py``); without it the plan raises
+:class:`UnrecoverableFaultError`.  See docs/FAULTS.md.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING, Any
 
@@ -54,6 +49,7 @@ __all__ = [
     "FaultPlanError",
     "UnrecoverableFaultError",
     "finite_float",
+    "plan_table",
 ]
 
 #: phase names a :class:`CrashSpec` may trigger on (scheduler phase entry)
@@ -84,9 +80,9 @@ class FaultPlanError(ValueError):
 class UnrecoverableFaultError(RuntimeError):
     """An injected fault exceeds the protocol's recovery envelope.
 
-    Raised when a crash targets a node that already holds join state
-    (recovery would need replication/replay — out of scope, see module
-    docstring) or when a link is so lossy that a message exhausts its
+    Raised when a crash targets a node holding join state without the
+    membership layer, when a recovery has no way forward (no spare node,
+    the reshuffle phase), or when a message exhausts its
     :data:`MAX_ATTEMPTS` transmissions.
     """
 
@@ -153,37 +149,55 @@ class LinkSlowdown:
 class FaultPlan:
     """A complete, seeded description of one run's adversity.
 
-    All randomness (drop verdicts) comes from a single RNG stream seeded
-    with ``seed`` and consumed in simulation event order — deterministic
-    and replayable.  ``drop_prob`` applies to the payload of **every**
-    inter-node message; ``ack_drop_prob`` independently loses the delivery
-    acknowledgement (the payload arrived, so the retransmission is a
-    duplicate the receiver must suppress).  Retransmission timing is
-    derived from the run's cost model (:class:`FaultInjector`); a message
-    that exhausts :data:`MAX_ATTEMPTS` raises
-    :class:`UnrecoverableFaultError` rather than deadlocking the run.
+    A field's ``help`` metadata is its row of docs/FAULTS.md's key table
+    (:func:`plan_table`) and, for the fields a CLI flag sets, that flag's
+    help: each is declared as :mod:`repro.config` describes.
+    Retransmission timing is derived from the run's cost model
+    (:class:`FaultInjector`).
     """
 
-    seed: int = 0
-    drop_prob: float = 0.0
-    ack_drop_prob: float = 0.0
-    crashes: tuple[CrashSpec, ...] = ()
-    slowdowns: tuple[LinkSlowdown, ...] = ()
-    #: control-plane fault tolerance (repro.core.recovery).  Setting
-    #: ``membership=True`` (or any of the knobs below) arms the heartbeat
-    #: failure detector and the backup scheduler, which lifts the
-    #: dormant-only crash ban: working-node crashes become recoverable.
-    membership: bool = False
-    #: heartbeat period; ``None`` derives it from the drain-poll interval
-    heartbeat_interval_s: float | None = None
-    #: missed-ack window before a node is *suspected* (may false-positive)
-    suspect_timeout_s: float | None = None
-    #: suspicion age before the detector declares death (no oracle — a
-    #: slow link that clears within this window is a tolerated false
-    #: positive, counted in ``membership.false_positive``)
-    confirm_timeout_s: float | None = None
-    #: fail-stop the primary scheduler at this simulated time
-    kill_scheduler_at: float | None = None
+    seed: int = field(default=0, metadata={
+        "help": "seeds the single drop-verdict RNG stream"})
+    drop_prob: float = field(default=0.0, metadata={
+        "flag": "--drop-prob", "metavar": "P",
+        "help": "drop every inter-node message with this probability "
+                "(the sender retransmits; loopback never drops)"})
+    ack_drop_prob: float = field(default=0.0, metadata={
+        "help": "independent loss of the delivery ack — the payload "
+                "arrived, so the retransmission is a **duplicate** the "
+                "receiver suppresses"})
+    crashes: tuple[CrashSpec, ...] = field(default=(), metadata={
+        "help": "`CrashSpec(node, at_time=…)` or `CrashSpec(node, "
+                "at_phase=…)` — fail-stop of pool node `node` (pool index) "
+                "at a simulated time or on scheduler phase entry (`build` / "
+                "`reshuffle` / `probe` / `ooc`); exactly one trigger per "
+                "spec"})
+    slowdowns: tuple[LinkSlowdown, ...] = field(default=(), metadata={
+        "help": "`LinkSlowdown(t0, t1, factor, src=None, dst=None)` — "
+                "multiply wire time by `factor` on matching links during "
+                "`[t0, t1)`; `None` endpoints match any node (ids are "
+                "global `Node.node_id`s)"})
+    membership: bool = field(default=False, metadata={
+        "flag": "--membership",
+        "help": "arm the control-plane fault-tolerance layer: heartbeat "
+                "failure detector + standby scheduler (a heartbeat period, "
+                "a suspect or confirm timeout or a scheduler kill arms it "
+                "too)"})
+    heartbeat_interval_s: float | None = field(default=None, metadata={
+        "flag": "--heartbeat-interval", "metavar": "S",
+        "help": "heartbeat period in simulated seconds",
+        "derived": "`2 ×` drain-poll interval"})
+    suspect_timeout_s: float | None = field(default=None, metadata={
+        "help": "silence before a node is *suspected*",
+        "derived": "`6 ×` heartbeat interval"})
+    confirm_timeout_s: float | None = field(default=None, metadata={
+        "help": "suspicion age before the detector declares death",
+        "derived": "`20 ×` heartbeat interval (clamped to ≥ the suspect "
+                   "timeout)"})
+    kill_scheduler_at: float | None = field(default=None, metadata={
+        "flag": "--kill-scheduler-at", "metavar": "T",
+        "help": "fail-stop the primary scheduler at this simulated time; "
+                "the standby must finish the query"})
 
     def __post_init__(self) -> None:
         for name in ("drop_prob", "ack_drop_prob"):
@@ -450,6 +464,19 @@ class FaultInjector:
     def trace(self, event: str, **fields: Any) -> None:
         if self._trace is not None:
             self._trace(event, "faults", **fields)
+
+
+def plan_table() -> str:
+    """docs/FAULTS.md's plan-key table: one row per :class:`FaultPlan`
+    field, from its ``help`` (and ``derived``) metadata."""
+    lines = ["| field | default | meaning |", "|---|---|---|"]
+    for f in fields(FaultPlan):
+        derived = f.metadata.get("derived")
+        default = "derived" if derived else f"`{f.default!r}`"
+        meaning = f.metadata["help"] + (f"; `None` → {derived}" if derived
+                                        else "")
+        lines.append(f"| `{f.name}` | {default} | {meaning} |")
+    return "\n".join(lines) + "\n"
 
 
 def crash_specs_from_cli(specs: Iterable[str]) -> tuple[CrashSpec, ...]:

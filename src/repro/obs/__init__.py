@@ -31,7 +31,8 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - the same names, for type checkers
     from .causality import CausalLog, MessageEdge
     from .critpath import ExplainReport, PathStep, critical_path, explain
-    from .export import chrome_trace, metrics_to_jsonl, trace_to_jsonl
+    from .export import (chrome_trace, format_table, metrics_table, metrics_to_jsonl,
+                         render_snapshot_stream, snapshot_sink, trace_to_jsonl)
     from .harvest import harvest
     from .metrics import Counter, Gauge, MetricsRegistry, TimeWeightedHistogram
     from .reservoir import ReservoirSample
@@ -39,11 +40,16 @@ if TYPE_CHECKING:  # pragma: no cover - the same names, for type checkers
                             TimeSeriesRing, merge_snapshots)
     from .timeline import PHASE_NAMES, SCHEDULER_TRACK, PhaseTimeline, Span, SpanLog
 
+#: the smallest ``--obs-budget`` (:meth:`ObsBudget.from_bytes`); here, not
+#: in :mod:`.streaming`, so ``repro --help`` can name it without loading it
+MIN_BUDGET_BYTES = 4096
+
 #: public name -> the submodule that defines it, imported on first access
 _SOURCES = {name: module for module, names in {
     "causality": ("CausalLog", "MessageEdge"),
     "critpath": ("ExplainReport", "PathStep", "critical_path", "explain"),
-    "export": ("chrome_trace", "metrics_to_jsonl", "trace_to_jsonl"),
+    "export": ("chrome_trace", "format_table", "metrics_table", "metrics_to_jsonl",
+               "render_snapshot_stream", "snapshot_sink", "trace_to_jsonl"),
     "harvest": ("harvest",),
     "metrics": ("Counter", "Gauge", "MetricsRegistry", "TimeWeightedHistogram"),
     "reservoir": ("ReservoirSample",),
@@ -52,7 +58,7 @@ _SOURCES = {name: module for module, names in {
     "timeline": ("PHASE_NAMES", "SCHEDULER_TRACK", "PhaseTimeline", "Span", "SpanLog"),
 }.items() for name in names}
 
-__all__ = sorted(_SOURCES)
+__all__ = sorted([*_SOURCES, "MIN_BUDGET_BYTES"])
 
 
 def __getattr__(name: str) -> object:

@@ -1,4 +1,5 @@
-"""Trace and metrics export: JSONL and Chrome ``trace_event`` JSON.
+"""Trace and metrics export: JSONL, Chrome ``trace_event`` JSON and the
+plain-text tables of ``repro metrics`` and ``repro tail``.
 
 The Chrome format (one JSON object with a ``traceEvents`` list) loads
 directly into ``chrome://tracing`` or https://ui.perfetto.dev.  Simulated
@@ -15,12 +16,18 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterable, Iterator
-from typing import Any
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any
 
 from .timeline import SCHEDULER_TRACK, PhaseTimeline
 
-__all__ = ["trace_to_jsonl", "metrics_to_jsonl", "chrome_trace"]
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from .streaming import Snapshot
+
+__all__ = ["trace_to_jsonl", "metrics_to_jsonl", "chrome_trace",
+           "format_table", "metrics_table", "render_snapshot_stream",
+           "snapshot_sink"]
 
 _SECONDS_TO_US = 1e6
 
@@ -61,6 +68,109 @@ def metrics_to_jsonl(snapshot: Iterable[dict[str, Any]]) -> Iterator[str]:
     """One JSON object per instrument (see ``MetricsRegistry.snapshot``)."""
     for inst in snapshot:
         yield _dumps(inst)
+
+
+# ----------------------------------------------------------------------
+# plain-text tables
+# ----------------------------------------------------------------------
+def format_table(headers: Sequence[str],
+                 rows: Sequence[Sequence[object]]) -> str:
+    """Plain fixed-width table: right-aligned columns, floats to one
+    decimal."""
+    cells = [[str(h) for h in headers]] + [
+        [f"{c:.1f}" if isinstance(c, float) else str(c) for c in row]
+        for row in rows]
+    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
+    lines = []
+    for k, row in enumerate(cells):
+        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+        if k == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    return "\n".join(lines)
+
+
+def metrics_table(snapshot: Iterable[dict[str, Any]]) -> tuple[str, int]:
+    """``repro metrics --format table``: the instruments that fired, one
+    row each, and how many rows there are.  The registry instruments every
+    pool node up front, so this view hides the idle ones; the JSONL view
+    (:func:`metrics_to_jsonl`) keeps them."""
+    rows = []
+    for inst in snapshot:
+        labels = ",".join(f"{k}={v}" for k, v in sorted(inst["labels"].items()))
+        if inst["type"] == "counter":
+            if not inst["value"]:
+                continue
+            value = f"{inst['value']:g}"
+        elif inst["type"] == "gauge":
+            if inst["samples"] == 0:
+                continue
+            value = f"last={inst['last']:g} high={inst['high']:g}"
+        else:
+            if not inst["total_seconds"]:
+                continue
+            value = (f"mean={inst['time_weighted_mean']:.3f} "
+                     f"high={inst['high']:g}")
+        rows.append([inst["name"], labels, inst["type"], value])
+    return format_table(["metric", "labels", "type", "value"], rows), len(rows)
+
+
+@contextmanager
+def snapshot_sink(path: str | None,
+                  live: bool) -> Iterator[Callable[[Snapshot], None]]:
+    """The ``on_snapshot`` callback of ``--live`` and ``--snapshot-out``:
+    one ``live:`` progress line per snapshot when ``live``, and one JSON
+    line appended to ``path`` (when given), flushed so the stream can be
+    followed while the run goes on."""
+    fh = open(path, "w", encoding="utf-8") if path else None
+
+    def on_snapshot(snap: Snapshot) -> None:
+        if live:
+            print(f"live: {snap.describe()}")
+        if fh is not None:
+            fh.write(snap.to_json() + "\n")
+            fh.flush()
+
+    try:
+        yield on_snapshot
+    finally:
+        if fh is not None:
+            fh.close()
+
+
+def render_snapshot_stream(path: str) -> str:
+    """``repro tail``: a ``--snapshot-out`` stream read back, one progress
+    line per snapshot, then the final snapshot's counters and sketch
+    percentiles.  An unreadable, empty or malformed stream raises a
+    ValueError naming the file (and the line)."""
+    from .streaming import Snapshot
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    if not lines:
+        raise ValueError(f"{path}: empty snapshot stream")
+    snaps = []
+    for lineno, line in enumerate(lines, 1):
+        try:
+            snaps.append(Snapshot.from_json(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    last = snaps[-1]
+    rows = [[name, f"{value:g}"]
+            for name, value in sorted(last.counters.items()) if value]
+    for name, sk in sorted(last.sketches.items()):
+        if sk.count:
+            pcts = sk.percentiles((50, 90, 99))
+            rows.append([name, f"p50={pcts['p50']:g} p90={pcts['p90']:g} "
+                               f"p99={pcts['p99']:g} (n={sk.count})"])
+    return "\n".join([
+        *(snap.describe() for snap in snaps), "",
+        f"final snapshot: {len(snaps)} snapshot(s), "
+        f"shards={','.join(last.shards)}, {len(last.spans)} sampled spans "
+        f"({last.spans.dropped} shed)",
+        format_table(["metric", "value"], rows)])
 
 
 # ----------------------------------------------------------------------

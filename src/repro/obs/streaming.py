@@ -41,6 +41,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
+from . import MIN_BUDGET_BYTES
 from .reservoir import ReservoirSample, take
 from .timeline import SpanLog
 
@@ -298,10 +299,6 @@ class QuantileSketch:
         ta, tb = a.pop("total"), b.pop("total")
         return a == b and math.isclose(ta, tb, rel_tol=1e-9, abs_tol=1e-12)
 
-    def __repr__(self) -> str:
-        return (f"QuantileSketch(alpha={self.alpha}, count={self.count}, "
-                f"bins={len(self._pos) + len(self._neg)})")
-
 
 # ----------------------------------------------------------------------
 # fixed-resolution time-series ring
@@ -427,7 +424,6 @@ class ObsBudget:
     snapshot_spans: int = DEFAULT_SPAN_SAMPLE
     snapshot_outliers: int = DEFAULT_SPAN_OUTLIERS
 
-    MIN_BYTES = 4096
     SPAN_BYTES = 160
     EDGE_BYTES = 200
     RING_BUCKET_BYTES = 48
@@ -437,9 +433,9 @@ class ObsBudget:
     def from_bytes(cls, budget_bytes: int | None) -> ObsBudget:
         if budget_bytes is None:
             return cls()
-        if budget_bytes < cls.MIN_BYTES:
+        if budget_bytes < MIN_BUDGET_BYTES:
             raise ValueError(
-                f"obs budget must be >= {cls.MIN_BYTES} bytes, "
+                f"obs budget must be >= {MIN_BUDGET_BYTES} bytes, "
                 f"got {budget_bytes}"
             )
         span_total = max(40, int(0.40 * budget_bytes) // cls.SPAN_BYTES)

@@ -45,9 +45,6 @@ class Span:
                 f"[{self.t0:.6f}, {self.t1:.6f}]",
                 f"dur={self.duration:.6f}", kv)
 
-    def __str__(self) -> str:
-        return " ".join(self.cells()).rstrip()
-
 
 class SpanLog(SampledLog):
     """Collection of spans: every one, in recording order, or — given a
@@ -72,9 +69,6 @@ class SpanLog(SampledLog):
         else:
             self._offer(f"{self.total:08d}|{track}|{name}", t1 - t0, span)
         return span
-
-    def __len__(self) -> int:
-        return len(self.spans)
 
 
 @dataclass

@@ -21,6 +21,3 @@ class Interrupt(SimulationError):
     def __init__(self, cause: object = None) -> None:
         super().__init__(cause)
         self.cause = cause
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Interrupt(cause={self.cause!r})"

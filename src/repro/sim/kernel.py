@@ -31,9 +31,6 @@ __all__ = ["Event", "Timeout", "Simulator", "PENDING"]
 class _Pending:
     """Sentinel for 'this event has no value yet'."""
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<PENDING>"
-
 
 PENDING = _Pending()
 

@@ -12,7 +12,13 @@ import math
 
 import pytest
 
-from repro.bench import BaselineError, diff_baselines, load_baseline
+from repro.bench import (
+    BaselineError,
+    diff_baselines,
+    diff_files,
+    load_baseline,
+    run_baseline,
+)
 from repro.bench.diff import Delta
 from repro.cli import main
 
@@ -279,3 +285,20 @@ def test_load_document_takes_last_jsonl_line(tmp_path):
     doc = load_document(p)
     assert is_snapshot_doc(doc)
     assert doc["t"] == 2
+
+
+def test_a_run_baseline_is_a_one_point_figure_baseline(tmp_path):
+    """``workload/fleet --baseline``: the makespan and the p99 latency in
+    the schema's fixed keys, at the query count."""
+    class Run:
+        makespan_s = 4.5
+
+        def latency_percentiles(self):
+            return {"p50": 1.0, "p99": 2.25}
+
+    doc = run_baseline(Run(), "workload", "fifo", 0.02, 4)
+    assert doc == {"benchmark": "workload", "scale": 0.02, "series": {
+        "fifo": {"4": {"total_s": 4.5, "build_s": 2.25}}}}
+    path = write_baseline(tmp_path / "wl.json", doc)
+    assert load_baseline(path) == doc
+    assert diff_files(path, path, threshold_pct=0).ok

@@ -1,8 +1,10 @@
 """Unit tests for the figure-reproduction harness plumbing (micro scale)."""
 
+import json
+
 import pytest
 
-from repro.bench import ALGORITHMS, EHJAS, FigureHarness
+from repro.bench import ALGORITHMS, EHJAS, FigureHarness, diff_files, load_baseline
 from repro.config import Algorithm
 
 
@@ -116,6 +118,50 @@ def test_a_study_entry_renders_its_table(harness):
     # the 10 000-tuple cell is the paper's default chunk: fig02's run
     assert harness.run(Algorithm.HYBRID, 4, chunk_tuples=10_000) is \
         harness.run(Algorithm.HYBRID, 4)
+
+
+def test_the_skew_figures_render_from_one_shared_sweep(harness):
+    """Figures 10-13 read one skew sweep (4 algorithms x 3 skews at 4
+    initial nodes), run once for all four."""
+    distributions = ["uniform", "sigma = 0.001", "sigma = 0.0001"]
+    fig10 = harness.figure("fig10")
+    assert fig10.headers == ["distribution", "Replicated", "Split", "Hybrid",
+                             "Out of Core"]
+    assert [row[0] for row in fig10.rows] == distributions
+    assert len(fig10.checks) == 4
+    fig11 = harness.figure("fig11")
+    assert fig11.headers == ["distribution", "Replicated", "Split", "Hybrid",
+                             "Size of Table R"]
+    assert [row[0] for row in fig11.rows] == distributions
+    assert {row[-1] for row in fig11.rows} == {1000.0}
+    assert len(fig11.checks) == 3
+    cells = len(harness._cache)
+    for name, figure, n_checks in (("fig12", "Figure 12", 1),
+                                   ("fig13", "Figure 13", 2)):
+        report = harness.figure(name)
+        assert report.figure == figure
+        assert report.headers == ["algorithm", "Average Load", "Maximum Load",
+                                  "Minimum Load", "max/avg"]
+        assert [row[0] for row in report.rows] == ["Replicated", "Split",
+                                                   "Hybrid"]
+        assert all(len(row) == 5 for row in report.rows)
+        assert len(report.checks) == n_checks
+    assert len(harness._cache) == cells  # Figures 12-13 ran no new cell
+    for a in ALGORITHMS:
+        for sigma in (None, 0.001, 0.0001):
+            assert harness.run(a, 4, sigma=sigma).is_valid
+
+
+def test_the_fig02_baseline_is_a_clean_bench_diff_document(harness, tmp_path):
+    doc = harness.baseline()
+    assert doc["benchmark"] == "fig02" and doc["scale"] == 0.001
+    assert set(doc["series"]) == {a.value for a in ALGORITHMS}
+    assert all(set(points) == {str(k) for k in FigureHarness.INITIAL_NODES}
+               for points in doc["series"].values())
+    path = tmp_path / "fig02.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    assert load_baseline(path) == doc
+    assert diff_files(path, path, threshold_pct=0).ok
 
 
 def test_unvalidated_contention_claims_no_oracle_verdict():

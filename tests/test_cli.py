@@ -102,6 +102,14 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+def test_help_names_a_default_unless_it_is_unset_or_off(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    out = " ".join(capsys.readouterr().out.split())  # unwrap the columns
+    assert "data-source nodes (default: 4)" in out
+    assert "(default: None)" not in out and "(default: False)" not in out
+
+
 def test_no_validate_flag(capsys):
     rc = main(small_args(["run", "--algorithm", "ooc",
                           "--initial-nodes", "2", "--no-validate"]))

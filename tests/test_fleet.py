@@ -31,6 +31,7 @@ from repro.config import (
     ClusterSpec,
     FleetConfig,
     MTUPLES,
+    ObsConfig,
     QueryMixEntry,
     WorkloadConfig,
 )
@@ -434,6 +435,19 @@ def test_periodic_snapshots_are_parsed_only_for_a_reader():
                  snap.to_json())
     assert live[3].to_json() == snap.to_json()
     assert [s.to_json() for s in seen] == [snap.to_json()]
+
+
+def test_a_worker_streams_periodic_snapshots_up_its_pipe():
+    """With a live interval each forked worker sends every periodic
+    snapshot of its cohorts to the parent as it is taken, and the parent
+    hands each one, merged, to ``on_snapshot``."""
+    cfg = fleet_config(n_queries=4, n_cohorts=2, n_shards=1,
+                       obs=ObsConfig(live_interval_s=0.5))
+    seen = []
+    res = run_fleet(cfg, on_snapshot=seen.append)
+    assert res.exit_code == EXIT_CLEAN and res.all_valid
+    assert len(seen) >= 2
+    assert [s.t for s in seen] == sorted(s.t for s in seen)
 
 
 # ----------------------------------------------------------------------

@@ -51,10 +51,9 @@ def test_cli_import_and_parser_load_no_simulation_layer():
     names = loaded_after("import repro.cli\nrepro.cli.build_parser()")
     assert under(names, NOT_FOR_THE_CLI) == []
     assert {"repro.config", "repro.faults", "repro.obs"} <= names
-    # the parser reads ObsBudget.MIN_BYTES: that module and what it imports
-    assert under(names, ("repro.obs",)) == [
-        "repro.obs", "repro.obs.reservoir", "repro.obs.streaming",
-        "repro.obs.timeline"]
+    # the parser reads MIN_BUDGET_BYTES from the package, not a submodule
+    assert under(names, ("repro.obs",)) == ["repro.obs"]
+    assert "hashlib" not in names
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,10 +6,9 @@ simulated time.  :class:`~tests.conftest.ShuffledDue` runs them in a
 seeded-random order instead.  A fault-free join must give the same
 answer and pass the same conservation checks in every order; under a
 fault plan every run must still end in a valid answer or an
-:class:`~repro.faults.UnrecoverableFaultError`, never a hang.  Lockdep is
-armed throughout, so a wait cycle an order exposes fails too.  Under a
-working-node crash the law does not hold yet, in the kernel's order
-either: the crash tests are expected failures, pinned by one reproducer.
+:class:`~repro.faults.UnrecoverableFaultError`, never a hang, a
+working-node crash included.  Lockdep is armed throughout, so a wait
+cycle an order exposes fails too.
 
 The simulated time is *not* order-free, fault-free runs included: which
 of two ties runs first can decide which node fills first, and the split
@@ -21,7 +20,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import DRAIN_POLL_S, Algorithm
@@ -117,36 +116,29 @@ def test_a_faulted_run_ends_valid_or_typed_in_every_same_instant_order(
     run_faulted(algorithm, initial, sigma, chunk, order_seed, kind, plan_seed)
 
 
-#: a working-node crash during a 2-node split build can lose build
-#: tuples: run_join's conservation check fails ("build tuples lost")
-CRASH_LOSES_TUPLES = "a crash mid-split can lose build tuples"
-#: an expected failure is not worth shrinking
-NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
-
-
-@pytest.mark.xfail(raises=AssertionError, strict=False,
-                   reason=CRASH_LOSES_TUPLES)
 @given(**CELLS, plan_seed=st.integers(0, 2**16))
-@settings(max_examples=10, deadline=None, phases=NO_SHRINK,
+@settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_a_crashed_run_ends_valid_or_typed_in_every_same_instant_order(
         algorithm, initial, sigma, chunk, order_seed, plan_seed):
-    """The same law under a working-node crash; a hang or any error other
-    than the known lost-tuples assertion still fails."""
+    """The same law under a working-node crash at 0.02 s."""
     run_faulted(algorithm, initial, sigma, chunk, order_seed, "crash",
                 plan_seed)
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason=CRASH_LOSES_TUPLES)
 def test_a_crash_mid_split_keeps_every_build_tuple():
-    """Fails in the kernel's own order too: node 1 of a 2-node split dies
-    at 0.02 s, recovery completes, and 11 of the 3000 build tuples are
-    neither stored nor spilled.  Other orders lose 258 tuples at 200-tuple
-    chunks instead."""
+    """Node 1 of a 2-node split dies at 0.02 s, after bisecting twice (to
+    nodes 2 and 4) and while it may still owe node 4 tuples along its shed
+    chain.  The recovery target takes over the range node 1 started the
+    build with, its heirs 2, 4 and 5 purged, and the sources re-stream
+    all of it: every build tuple is stored once (``run_join`` checks)."""
     cfg = config(Algorithm.SPLIT, 2, None, 100,
                  faults=fault_plan("crash", Algorithm.SPLIT, 0))
-    run_join(cfg)
+    res = run_join(cfg)
+    assert res.is_valid
+    recovered = [r.detail for r in res.tracer.records
+                 if r.category == "recovery_done"]
+    assert recovered == [{"dead": 1, "target": 8, "purged": [2, 4, 5]}]
 
 
 def test_same_instant_order_moves_the_simulated_time():
