@@ -46,8 +46,9 @@ def test_range_router_partition_throughput(benchmark):
     router = RangeRouter.initial(
         partition_positions(1 << 18, 16), list(range(16)), 1 << 18
     )
-    parts = benchmark(router.partition_build, POSITIONS)
-    assert sum(v.size for v in parts.values()) == POSITIONS.size
+    index, dests, counts = benchmark(
+        router.route_by_destination, POSITIONS, POSITIONS.size, probe=False)
+    assert dests.tolist() == list(range(16)) and counts.sum() == POSITIONS.size
 
 
 def _bisected(initial: int, entries: int) -> RangeRouter:
@@ -93,13 +94,14 @@ def _reshuffled() -> RangeRouter:
 ])
 def test_route_one_generation_batch(benchmark, router):
     """What a source pays per 10 000-tuple batch at scale 1.0: the routing
-    kernel, the one gather and the per-range slices."""
+    kernel laid out by receiver, the one gather and the per-receiver
+    slices."""
     values, positions = VALUES[:10_000], POSITIONS[:10_000]
 
     def route_batch():
-        order, spans = router.route(positions)
-        gathered = values[order]
-        return [gathered[lo:hi] for _, lo, hi in spans]
+        index, _, counts = router.route_by_destination(
+            positions, positions.size, probe=False)
+        return np.split(values[index], np.cumsum(counts[0])[:-1])
 
     slices = benchmark(route_batch)
     assert sum(s.size for s in slices) == positions.size
@@ -123,24 +125,22 @@ def test_route_block_of_batches(benchmark, batch, runs):
     assert counts.shape == (runs, len(router.entries))
     for r, run in enumerate(counts.tolist()):
         lo = r * batch
-        order, want = router.route(POSMAP(values[lo:lo + batch]))
-        assert [n for n in run if n] == [z - a for _, a, z in want]
+        order, want = router.route_batches(POSMAP(values[lo:lo + batch]), batch)
+        assert run == want[0].tolist()
         assert np.array_equal(gathered[lo:lo + batch], values[lo:lo + batch][order])
 
 
 def _per_batch_chunks(router, values, batch, probe):
     """The reference the buffer plan replaced: route each batch alone,
-    append each destination's slices in ascending order, ship full chunks."""
+    append each destination's slice in ascending order, ship full chunks."""
     buf, shipped = ChunkBuffer(batch), []
     for lo in range(0, values.size, batch):
         part = values[lo:lo + batch]
-        order, spans = router.route(POSMAP(part))
-        slices: dict[int, list[np.ndarray]] = {}
-        for chain, a, z in spans:
-            for dest in (chain if probe else chain[-1:]):
-                slices.setdefault(dest, []).append(part[order[a:z]])
-        for dest in sorted(slices):
-            for piece in slices[dest]:
+        index, dests, counts = router.route_by_destination(
+            POSMAP(part), batch, probe=probe)
+        pieces = np.split(part[index], np.cumsum(counts[0])[:-1])
+        for dest, piece in zip(dests.tolist(), pieces):
+            if piece.size:
                 buf.append(dest, piece)
         for dest in buf.destinations():
             while (chunk := buf.pop_full_chunk(dest)) is not None:
@@ -235,7 +235,8 @@ def test_store_finalize_throughput(benchmark):
 
     def build():
         store = NodeHashStore(POSMAP)
-        store.insert_chunks(chunks)
+        for chunk in chunks:
+            store.insert(chunk)
         store.finalize()
         return store
 
@@ -271,13 +272,13 @@ def _spill_parts_reference(positions: np.ndarray, lo: int, hi: int, k: int) -> n
     pytest.param(12_345, 40_003, id="width-not-divisible-by-k"),
     pytest.param(7, 5, id="narrower-than-k"),
 ])
-def test_spill_split_of_a_chunk(benchmark, lo, width):
-    """A 200-tuple chunk cut into a node's 8 spill sub-partitions — positions
-    below the node's range, inside it and at or above its end — holds, part
-    by part and in arrival order, what the clip/floor-division reference
-    selects."""
+def test_spill_parts_of_a_chunk(benchmark, lo, width):
+    """The spill sub-partition of each tuple of a 200-tuple chunk — positions
+    below the node's range, inside it and at or above its end — is what the
+    clip/floor-division reference gives it: the one searchsorted a spilled
+    chunk pays."""
     from repro.core.driver import single_query_context
-    from repro.core.joinnode import SpillStore
+    from repro.core.spill import SpillStore
 
     hi = lo + width
     ctx = single_query_context(RunConfig(
@@ -294,11 +295,8 @@ def test_spill_split_of_a_chunk(benchmark, lo, width):
              + RNG.integers(0, per_position, positions.size, dtype=np.uint64))
     assert np.array_equal(ctx.posmap(chunk), positions)
 
-    parts = benchmark(store._split, chunk)
-    want = _spill_parts_reference(positions, lo, hi, 8)
-    assert len(parts) == 8
-    for p, got in enumerate(parts):
-        assert np.array_equal(got, chunk[want == p]), p
+    parts = benchmark(store._parts, chunk)
+    assert np.array_equal(parts, _spill_parts_reference(positions, lo, hi, 8))
 
 
 def test_greedy_cut_throughput(benchmark):

@@ -9,12 +9,13 @@ from .context import RunContext
 from .datasource import DataSourceProcess
 from .driver import run_join, single_query_context
 from .hybrid import HybridStrategy
-from .joinnode import JoinProcess, SpillStore
+from .joinnode import JoinProcess
 from .messages import DataChunk, Hop
 from .pool import PoolClient, PoolStats, ResourcePoolProcess
 from .replicate import ReplicationStrategy
 from .results import CommStats, JoinRunResult, NodeLoad, NodeUtilization, PhaseTimes
 from .scheduler import SchedulerProcess
+from .spill import SpillStore
 from .split import SplitStrategy
 from .strategy import ExpansionStrategy, make_strategy
 

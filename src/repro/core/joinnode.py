@@ -26,7 +26,6 @@ import numpy as np
 from ..config import Algorithm
 from ..data import chunk_slices
 from ..hashing import HashRange, NodeHashStore
-from ..hashing.routing import _group_order
 from ..sim import Interrupt
 from .context import RunContext
 from .messages import (
@@ -55,131 +54,15 @@ from .messages import (
     StatusReport,
     StatusRequest,
 )
+from .spill import SpillStore
 
-__all__ = ["JoinProcess", "SpillStore"]
+__all__ = ["JoinProcess"]
 
 #: logical bytes per materialized output pair (an r and an s tuple at the
 #: default 100 B tuple size)
 OUTPUT_PAIR_BYTES = 200
 
 ShedPredicate = Callable[[np.ndarray], np.ndarray]
-
-
-class SpillStore:
-    """Grace-style disk partitions for one node's overflow (paper §2).
-
-    The node's hash range is cut into ``k_parts`` position sub-ranges.
-    Overflow build tuples are appended to their sub-partition's R file;
-    probe tuples are written to the S file of sub-partitions that actually
-    hold spilled R tuples.  The final passes join each (R_p, S_p) pair in
-    core; a partition whose R side still exceeds the node's memory budget
-    is **recursively re-partitioned** (classic Grace behaviour), charging
-    an extra disk round trip per level.
-    """
-
-    MAX_RECURSION = 8
-
-    def __init__(self, ctx: RunContext, node_index: int, k_parts: int = 8,
-                 hash_range: HashRange | None = None) -> None:
-        self.ctx = ctx
-        self.node = ctx.join_node(node_index)
-        self.k = k_parts
-        # Sub-partition over the node's own range (a bucket only ever sees
-        # its own positions); bucket-addressed nodes (LINEAR_MOD) fall back
-        # to the full table.
-        lo = hash_range.lo if hash_range else 0
-        width = (hash_range.hi if hash_range else ctx.cfg.hash_positions) - lo
-        # Sub-range q starts where (p - lo) * k // width reaches q; a position
-        # outside the range lands in the sub-range nearest it.
-        starts = (-(-q * width // self.k) for q in range(1, self.k))
-        self._cuts = lo + np.array([a for a in starts if a < width], dtype=np.int64)
-        self._r_parts: list[list[np.ndarray]] = [[] for _ in range(self.k)]
-        self._s_parts: list[list[np.ndarray]] = [[] for _ in range(self.k)]
-        self.spilled_r = 0
-        self.spilled_s = 0
-        #: extra disk round trips caused by recursive re-partitioning
-        self.recursive_passes = 0
-        self._tb = ctx.cfg.workload.tuple_bytes
-        self._cap_tuples = max(1, self.node.memory.capacity // self._tb)
-
-    def _split(self, values: np.ndarray) -> list[np.ndarray]:
-        """``values`` by sub-partition, in arrival order: one radix sort."""
-        parts = self._cuts.searchsorted(self.ctx.posmap(values), side="right")
-        order, cuts = _group_order(parts, self.k)
-        values, cuts = values[order], cuts.tolist()
-        return [values[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-
-    def write_r(self, values: np.ndarray) -> Generator[Any, Any, None]:
-        for part, sel in zip(self._r_parts, self._split(values)):
-            if sel.size:
-                part.append(sel)
-        self.spilled_r += int(values.size)
-        yield from self.node.disk.write(int(values.size) * self._tb)
-
-    def write_s(self, values: np.ndarray) -> Generator[Any, Any, int]:
-        """Spill only probe tuples whose sub-partition has spilled R."""
-        written = 0
-        for r_part, s_part, sel in zip(self._r_parts, self._s_parts,
-                                       self._split(values)):
-            if r_part and sel.size:
-                s_part.append(sel)
-                written += int(sel.size)
-        if written:
-            self.spilled_s += written
-            yield from self.node.disk.write(written * self._tb)
-        return written
-
-    def final_passes(self) -> Generator[Any, Any, int]:
-        """Join every spilled (R_p, S_p) pair; returns match count."""
-        matches = 0
-        for p in range(self.k):
-            if not self._r_parts[p]:
-                continue
-            r_p = np.concatenate(self._r_parts[p])
-            s_p = (np.concatenate(self._s_parts[p]) if self._s_parts[p]
-                   else np.empty(0, dtype=np.uint64))
-            matches += yield from self._join_partition(r_p, s_p, depth=0)
-        return matches
-
-    def _join_partition(
-        self, r_p: np.ndarray, s_p: np.ndarray, depth: int
-    ) -> Generator[Any, Any, int]:
-        """In-core join of one bucket pair, recursing while R overflows."""
-        cost = self.ctx.cost
-        yield from self.node.disk.read(int(r_p.size) * self._tb)
-        if r_p.size > self._cap_tuples and depth < self.MAX_RECURSION:
-            # Classic Grace recursion: re-partition both sides on disk and
-            # join the finer bucket pairs (one extra write per level; the
-            # reads happen in the recursive calls).
-            self.recursive_passes += 1
-            yield from self.node.disk.read(int(s_p.size) * self._tb)
-            yield from self.node.disk.write(
-                (int(r_p.size) + int(s_p.size)) * self._tb
-            )
-            yield from self.node.compute_per_tuple(
-                cost.cpu_route_tuple, r_p.size + s_p.size
-            )
-            sub = max(2, -(-int(r_p.size) // self._cap_tuples))
-            r_keys = self.ctx.posmap(r_p) % sub
-            s_keys = self.ctx.posmap(s_p) % sub
-            matches = 0
-            for q in range(sub):
-                r_q = r_p[r_keys == q]
-                if r_q.size == 0:
-                    continue
-                s_q = s_p[s_keys == q]
-                matches += yield from self._join_partition(r_q, s_q, depth + 1)
-            return matches
-        yield from self.node.compute_per_tuple(cost.cpu_insert_tuple, r_p.size)
-        if s_p.size == 0:
-            return 0
-        yield from self.node.disk.read(int(s_p.size) * self._tb)
-        yield from self.node.compute_per_tuple(cost.cpu_probe_tuple, s_p.size)
-        store = NodeHashStore(self.ctx.posmap)
-        store.insert(r_p)
-        found = store.probe(s_p)
-        yield from self.node.compute_per_tuple(cost.cpu_output_match, found)
-        return found
 
 
 class JoinProcess:

@@ -920,6 +920,17 @@ class FaultTolerantJoinProcess(JoinProcess):
             yield from self._report_output_full()
 
 
+def _share(router: Router, positions: np.ndarray, target: int, *,
+           probe: bool) -> np.ndarray:
+    """The indices of ``positions`` that ``target`` receives in one phase:
+    its slice of one batch of ``route_by_destination`` (group by group,
+    arrival order within a group), empty if none."""
+    index, dests, counts = router.route_by_destination(
+        positions, max(positions.size, 1), probe=probe)
+    shares = np.split(index, np.cumsum(counts.sum(axis=0))[:-1])
+    return dict(zip(dests.tolist(), shares)).get(target, index[:0])
+
+
 class FaultTolerantDataSource(DataSourceProcess):
     """The data source plus the replay of a dead node's hash range and
     re-announcement after a scheduler failover.
@@ -1038,7 +1049,7 @@ class FaultTolerantDataSource(DataSourceProcess):
         positions = self.ctx.posmap(pool)
         probe = order.relation == "S"
         if not probe:
-            covered = order.router.share_of(positions, order.target, probe=False)
+            covered = _share(order.router, positions, order.target, probe=False)
             keep = np.ones(pool.size, dtype=bool)
             keep[covered] = False
             pool, positions = pool[keep], positions[keep]
@@ -1070,8 +1081,8 @@ class FaultTolerantDataSource(DataSourceProcess):
         for batch in stream.batches(limit=limit):
             yield from self._produce(batch)
             yield from self._charge_routing(batch.size)
-            share = router.share_of(ctx.posmap(batch), target,
-                                    probe=order.relation == "S")
+            share = _share(router, ctx.posmap(batch), target,
+                           probe=order.relation == "S")
             buffer.append(target, batch[share])
             while (chunk := buffer.pop_full_chunk(target)) is not None:
                 yield from ship(chunk)

@@ -7,8 +7,8 @@ remaining build traffic to the replica.  The node stays full because it
 is no longer the tail of its range's replica chain.  No stored tuple ever
 moves, so the build phase stays cheap — but every probe tuple whose hash
 falls in a replicated range must be broadcast to the entire replica chain,
-which is the strategy's probe-phase cost (handled by
-``RangeRouter.partition_probe``).
+which is the strategy's probe-phase cost (``route_by_destination`` with
+``probe=True`` lays a replicated range's tuples out once per replica).
 """
 
 from __future__ import annotations

@@ -45,8 +45,8 @@ def as_key_chunk(values: np.ndarray) -> np.ndarray:
     round-trip through uint64 (negative, non-finite, fractional, or too
     large) raises instead of joining on a mangled key.  Validation is
     all-or-nothing — the function raises before returning anything, so a
-    caller ingesting several chunks can validate them all first and only
-    then mutate its own state (see :meth:`NodeHashStore.insert_chunks`).
+    caller validates a chunk before it mutates its own state (see
+    :meth:`NodeHashStore.insert`).
     """
     values = np.asarray(values)
     if values.dtype == KEY_DTYPE:

@@ -16,17 +16,17 @@ batch with it.  Two families:
 Both reduce positions to small integer *group keys* (one per range /
 bucket) and share one partitioning kernel, :meth:`Router.route_batches`: a
 stable counting sort of the keys, of a whole block of generation batches at
-once — on a 200-tuple batch a sort costs its call, not its data.
-:meth:`Router.route` is the one-batch case, and
-:meth:`Router.route_by_destination` the same sort laid out receiver by
-receiver, as a data source's buffer takes it.  docs/DATA_PLANE.md §2 has
+once — on a 200-tuple batch a sort costs its call, not its data.  Its one
+view is :meth:`Router.route_by_destination`, the same sort laid out
+receiver by receiver, as a data source's buffer takes it and as recovery
+slices a takeover target's share out of it.  docs/DATA_PLANE.md §2 has
 the cost argument and the order invariant.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -35,7 +35,7 @@ import numpy as np
 
 from .ranges import HashRange, ranges_partition_space
 
-__all__ = ["Router", "RangeRouter", "LinearHashRouter"]
+__all__ = ["Router", "RangeRouter", "LinearHashRouter", "group_order"]
 
 #: largest position -> entry lookup table a RangeRouter builds (slots);
 #: above it the per-tuple binary search is the fallback
@@ -44,7 +44,7 @@ _LUT_CAP = 1 << 20
 _RADIX_KEYS = 1 << 16
 
 
-def _group_order(keys: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+def group_order(keys: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
     """Stable-partition ``arange(len(keys))`` by integer key in [0, n_groups).
 
     Returns ``(order, cuts)``: group ``g`` is ``order[cuts[g]:cuts[g + 1]]``,
@@ -56,19 +56,6 @@ def _group_order(keys: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarra
     cuts[0] = 0
     cuts[1:-1] = keys[order].searchsorted(np.arange(1, n_groups, dtype=keys.dtype))
     return order, cuts
-
-
-def _per_node(
-    shares: Iterable[tuple[Iterable[int], np.ndarray]]
-) -> dict[int, np.ndarray]:
-    """Collect ``(nodes, indices)`` shares into node -> indices, a node's
-    shares concatenated in the order given."""
-    out: dict[int, list[np.ndarray]] = {}
-    for nodes, idx in shares:
-        for n in nodes:
-            out.setdefault(n, []).append(idx)
-    return {n: np.concatenate(parts) if len(parts) > 1 else parts[0]
-            for n, parts in out.items()}
 
 
 class Router(ABC):
@@ -86,20 +73,6 @@ class Router(ABC):
     @abstractmethod
     def _keys(self, positions: np.ndarray) -> np.ndarray:
         """Group key of each position (an index into :meth:`_chains`)."""
-
-    def route(
-        self, positions: np.ndarray
-    ) -> tuple[np.ndarray, list[tuple[tuple[int, ...], int, int]]]:
-        """One batch through the routing kernel: ``(order, spans)``.
-
-        ``order`` is the stable permutation bringing each group's tuples
-        together; ``spans`` lists ``(chain, lo, hi)`` for every non-empty
-        group, by group key: ``order[lo:hi]`` are its tuples, ascending.
-        A caller gathers ``values[order]`` once and slices it per span."""
-        order, counts = self.route_batches(positions, max(int(positions.size), 1))
-        cuts = [0, *accumulate(counts.sum(axis=0).tolist())]
-        return order, [(chain, lo, hi) for chain, lo, hi in zip(
-                           self._chains(), cuts, cuts[1:]) if hi > lo]
 
     def route_batches(
         self, positions: np.ndarray, batch: int
@@ -126,7 +99,7 @@ class Router(ABC):
                 dtype = np.min_scalar_type(n_keys - 1)
                 part = part.astype(dtype, copy=False) + np.repeat(
                     np.arange(0, n_keys, n_groups, dtype=dtype), batch)[:part.size]
-            order, cuts = _group_order(part, n_keys)
+            order, cuts = group_order(part, n_keys)
             orders.append(order + start if start else order)
             counts.append(cuts[1:] - cuts[:-1])
         order = orders[0] if len(orders) == 1 else np.concatenate(orders)
@@ -168,42 +141,6 @@ class Router(ABC):
             order = order[np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
                           + np.arange(sizes.sum())]
         return order, dests, cells
-
-    def partition_build(self, positions: np.ndarray) -> dict[int, np.ndarray]:
-        """node_id -> indices of ``positions`` to send there (build phase)."""
-        order, spans = self.route(positions)
-        return _per_node((chain[-1:], order[lo:hi]) for chain, lo, hi in spans)
-
-    def partition_probe(self, positions: np.ndarray) -> dict[int, np.ndarray]:
-        """node_id -> indices (probe phase; may duplicate indices across nodes)."""
-        order, spans = self.route(positions)
-        return _per_node((chain, order[lo:hi]) for chain, lo, hi in spans)
-
-    def probe_groups(
-        self, positions: np.ndarray
-    ) -> list[tuple[tuple[int, ...], np.ndarray]]:
-        """Probe routing grouped by replica chain: ``(dests, indices)`` pairs.
-
-        Every destination in ``dests`` receives the *same* index set.  The
-        default covers non-replicating routers: each destination is its
-        own singleton group.
-        """
-        return [((n,), idx)
-                for n, idx in sorted(self.partition_probe(positions).items())]
-
-    def share_of(
-        self, positions: np.ndarray, node: int, *, probe: bool
-    ) -> np.ndarray:
-        """Indices ``node`` receives in one phase — ``partition_build`` /
-        ``partition_probe`` ``.get(node)``, empty if none — read off the
-        group keys with one mask, the other nodes' shares never formed."""
-        keys = self._keys(positions)
-        hit = np.array([node in chain if probe else node == chain[-1]
-                        for chain in self._chains()])
-        idx = np.flatnonzero(hit[keys])
-        if hit.sum() > 1:  # several groups: group-major, as the partition is
-            idx = idx[np.argsort(keys[idx], kind="stable")]
-        return idx
 
     @abstractmethod
     def owners(self) -> set[int]:
@@ -284,15 +221,25 @@ class RangeRouter(Router):
         bounds: np.ndarray = self._bounds  # type: ignore[attr-defined]
         return np.searchsorted(bounds, positions, side="right") - 1
 
+    # Two adapters over the kernel that only benchmarks/perf/probes.py's
+    # routing probes call; the program reads route_by_destination alone.
+    def partition_build(self, positions: np.ndarray) -> dict[int, np.ndarray]:
+        """node -> indices it receives in the build phase: one batch of
+        :meth:`route_by_destination`, cut per receiver."""
+        index, dests, counts = self.route_by_destination(
+            positions, max(positions.size, 1), probe=False)
+        shares = np.split(index, np.cumsum(counts.sum(axis=0))[:-1])
+        return {d: idx for d, idx in zip(dests.tolist(), shares) if idx.size}
+
     def probe_groups(
         self, positions: np.ndarray
     ) -> list[tuple[tuple[int, ...], np.ndarray]]:
-        """One ``(replica chain, indices)`` pair per range with probe tuples.
-
-        Chains longer than one are exactly the broadcast groups of
-        paper §4.2.2."""
-        order, spans = self.route(positions)
-        return [(chain, order[lo:hi]) for chain, lo, hi in spans]
+        """``(replica chain, indices)`` per range with probe tuples, range
+        by range: the kernel's one-batch order cut per range."""
+        order, counts = self.route_batches(positions, max(positions.size, 1))
+        cuts = [0, *accumulate(counts.sum(axis=0).tolist())]
+        return [(chain, order[lo:hi]) for chain, lo, hi
+                in zip(self._chains(), cuts, cuts[1:]) if hi > lo]
 
     def owners(self) -> set[int]:
         return {n for _, dests in self.entries for n in dests}

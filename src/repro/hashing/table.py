@@ -18,7 +18,7 @@ join process (see DESIGN.md §2 on accounted-but-not-materialized bytes).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from typing import Any
 
 import numpy as np
@@ -57,31 +57,17 @@ class NodeHashStore:
         """Append a chunk of build tuples (no copy; caller cedes ownership).
 
         Raises ``TypeError``/``ValueError`` unless ``values`` is — or
-        losslessly coerces to — a uint64 array.
+        losslessly coerces to — a uint64 array; a rejected chunk leaves
+        the store as it was.
         """
-        self.insert_chunks([values])
-
-    def insert_chunks(self, chunks: Sequence[np.ndarray]) -> None:
-        """Atomically append several chunks of build tuples.
-
-        Every chunk is validated through
-        :func:`repro.data.chunks.as_key_chunk` *before* any of them is
-        appended, so a mixed-dtype or lossy chunk anywhere in the batch
-        rejects the whole ingest without partially applying it.
-        """
-        validated = [as_key_chunk(c) for c in chunks]
-        added = 0
-        for values in validated:
-            if values.size == 0:
-                continue
-            self._chunks.append(values)
-            added += int(values.size)
-        if added == 0:
+        values = as_key_chunk(values)
+        if values.size == 0:
             return
-        self._count += added
+        self._chunks.append(values)
+        self._count += int(values.size)
         self._filter = None
         if self.inserted_counter is not None:
-            self.inserted_counter.inc(added)
+            self.inserted_counter.inc(int(values.size))
 
     # ------------------------------------------------------------------
     def _all_values(self) -> np.ndarray:
@@ -190,14 +176,14 @@ class NodeHashStore:
 
         ``offsets`` are ascending, relative to ``lo``, in the smallest
         unsigned dtype that holds ``hi - lo - 1``; ``counts`` are int64 and
-        positive.  Positions holding no tuple are left out, so the result
-        scales with the tuples stored, not with the range width.
+        positive.  Positions holding no tuple are left out: the result, and
+        every array built for it, scales with the tuples stored, never with
+        the range width.
         """
         if hi <= lo:
             raise ValueError("empty counting range")
-        values = self._all_values()
-        pos = self.posmap(values)
-        dense = np.bincount(pos[(pos >= lo) & (pos < hi)] - lo, minlength=hi - lo)
-        offsets = np.flatnonzero(dense)
+        pos = self.posmap(self._all_values())
+        offsets, counts = np.unique(pos[(pos >= lo) & (pos < hi)] - lo,
+                                    return_counts=True)
         return (offsets.astype(np.min_scalar_type(hi - lo - 1)),
-                dense[offsets].astype(np.int64, copy=False))
+                counts.astype(np.int64, copy=False))

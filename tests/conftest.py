@@ -8,10 +8,13 @@ drain detection and probe broadcast.
 
 import heapq
 import random
+from bisect import bisect_right
 from collections import deque
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.config import (
     Algorithm,
@@ -20,7 +23,14 @@ from repro.config import (
     RunConfig,
     WorkloadSpec,
 )
+from repro.hashing import LinearHashRouter
 from repro.sim import Simulator
+
+# Every property draws the same examples on every run, so a run of the
+# suite reaches the same protocol code as the last one; max_examples stays
+# each test's own.
+settings.register_profile("tier1", derandomize=True)
+settings.load_profile("tier1")
 
 SMALL_MEMORY = 40_000  # bytes -> 400 tuples of 100B per node
 
@@ -63,6 +73,46 @@ def small_config(algorithm=Algorithm.HYBRID, initial=2, *, workload=None,
         cluster=cluster or small_cluster(),
         **kw,
     )
+
+
+def groups_of(router, positions):
+    """The routing group (range or bucket index) of each position, one
+    position at a time: a binary search over the ranges' lower bounds, or
+    Litwin's address function (``p mod m``; ``p mod 2m`` left of the split
+    pointer)."""
+    if isinstance(router, LinearHashRouter):
+        m, pointer = router.modulus, router.split_pointer
+        return [p % (2 * m) if p % m < pointer else p % m
+                for p in positions.tolist()]
+    bounds = [rng.lo for rng, _ in router.entries]
+    return [bisect_right(bounds, p) - 1 for p in positions.tolist()]
+
+
+def routed_to(router, positions, *, probe=False):
+    """node -> the indices of ``positions`` it receives in one phase, found
+    position by position: a group's build tuples to the last member of its
+    chain, its probe tuples to every member; a node's groups in table
+    order, each in arrival order.  Nodes that receive none are left out."""
+    chains = ([(n,) for n in router.bucket_nodes]
+              if isinstance(router, LinearHashRouter)
+              else [chain for _, chain in router.entries])
+    per_group: dict[int, list[int]] = {}
+    for i, g in enumerate(groups_of(router, positions)):
+        per_group.setdefault(g, []).append(i)
+    out: dict[int, list[int]] = {}
+    for g in sorted(per_group):
+        for n in (chains[g] if probe else chains[g][-1:]):
+            out.setdefault(n, []).extend(per_group[g])
+    return dict(sorted(out.items()))
+
+
+def shares(router, positions, *, probe=False):
+    """``router.route_by_destination`` over one batch, as node -> indices
+    (``np.ndarray``); nodes that receive none are left out."""
+    index, dests, counts = router.route_by_destination(
+        positions, max(positions.size, 1), probe=probe)
+    cut = np.split(index, np.cumsum(counts.sum(axis=0))[:-1])
+    return {d: idx for d, idx in zip(dests.tolist(), cut) if idx.size}
 
 
 @pytest.fixture

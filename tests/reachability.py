@@ -14,8 +14,9 @@ that is listed but now reached (the list only shrinks).  Abstract
 methods are left out: those marked ``@abstractmethod``, ``@overload``
 stubs, ``Protocol`` members, and methods whose body only raises.
 
-Hypothesis draws the same examples on every run under the plugin, so the
-record does not move with the draws.  ``--unreached-out PATH`` writes the
+Hypothesis draws the same examples on every run (the ``tier1`` profile
+of ``tests/conftest.py``), so the record does not move with the draws.
+``--unreached-out PATH`` writes the
 list as it should read, keeping the claim of every entry already listed.
 """
 
@@ -30,7 +31,6 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 LISTED = Path(__file__).resolve().parent / "unreached.txt"
@@ -122,10 +122,6 @@ def pytest_addoption(parser):
 
 def pytest_configure(config):
     global _record_dir
-    # The same examples on every run, so the record does not depend on
-    # what a property happened to draw.
-    settings.register_profile("reachability", derandomize=True)
-    settings.load_profile("reachability")
     _record_dir = tempfile.mkdtemp(prefix="reachability-")
     os.register_at_fork(after_in_child=_in_child)
     threading.setprofile(_profile)

@@ -20,12 +20,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tests.conftest import small_cluster, small_config, small_workload
+from tests.conftest import (
+    groups_of,
+    routed_to,
+    shares,
+    small_cluster,
+    small_config,
+    small_workload,
+)
 from repro.config import Algorithm
 from repro.core import run_join
 from repro.core.datasource import DataSourceProcess
 from repro.core.driver import single_query_context
 from repro.core.messages import RouteUpdate, Shutdown, StartProbe
+from repro.core.recovery import _share
 from repro.core.scheduler import SchedulerProcess
 from repro.data import (
     KEY_DTYPE,
@@ -42,9 +50,10 @@ from repro.hashing import (
     PositionMap,
     RangeRouter,
     Router,
+    group_order,
 )
 from repro.hashing import routing
-from repro.hashing.routing import _LUT_CAP, _group_order
+from repro.hashing.routing import _LUT_CAP
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -157,7 +166,8 @@ def test_probe_count_invariant_to_chunking(pair, cut):
     one.insert(stored)
     many = NodeHashStore(PositionMap(1 << 10))
     k = min(cut, stored.size)
-    many.insert_chunks([stored[:k], stored[k:]])
+    many.insert(stored[:k])
+    many.insert(stored[k:])
     assert one.stored_tuples == many.stored_tuples
     j = min(cut, probes.size)
     assert one.probe(probes) == many.probe(probes[:j]) + many.probe(probes[j:])
@@ -178,28 +188,26 @@ def test_probe_after_interleaved_insert_stays_exact(pair):
 
 
 # ----------------------------------------------------------------------
-# atomic bulk ingest (regression: no partial apply on a bad chunk)
+# admission on insert (regression: no partial apply on a bad chunk)
 # ----------------------------------------------------------------------
-def test_insert_chunks_rejects_atomically():
+def test_insert_rejects_without_appending():
     store = NodeHashStore(PositionMap(1 << 10))
     good = np.array([1, 2, 3], dtype=np.uint64)
-    bad = np.array([1.5, 2.5])  # lossy floats
+    store.insert(good)
+    store.finalize()
     with pytest.raises(ValueError, match="lossy"):
-        store.insert_chunks([good, bad, good])
-    # nothing from the batch — including the leading good chunk — landed
-    assert store.stored_tuples == 0
-    assert store.probe(good) == 0
-    store.insert_chunks([good, good])
-    assert store.stored_tuples == 6
+        store.insert(np.array([1.5, 2.5]))  # lossy floats
+    # the store, its sorted array and filter included, is as it was
+    assert store.stored_tuples == 3
+    assert store.probe(good) == 3
+    store.insert(good)
+    assert store.stored_tuples == 6 and store.probe(good) == 6
 
 
-def test_insert_chunks_rejects_mixed_dtype_object_chunk():
+def test_insert_rejects_an_object_chunk():
     store = NodeHashStore(PositionMap(1 << 10))
     with pytest.raises(TypeError, match="numeric"):
-        store.insert_chunks([
-            np.array([7], dtype=np.uint64),
-            np.array(["x"], dtype=object),
-        ])
+        store.insert(np.array([7, "x"], dtype=object))
     assert store.stored_tuples == 0
 
 
@@ -235,7 +243,7 @@ def test_as_key_chunk_rejections():
 @settings(max_examples=150, deadline=None)
 def test_group_indices_matches_per_tuple_grouping(keys, n_groups):
     keys = keys % n_groups
-    order, cuts = _group_order(keys, n_groups)
+    order, cuts = group_order(keys, n_groups)
     assert cuts.size == n_groups + 1 and cuts[0] == 0
     reference: dict[int, list[int]] = {}
     for i, k in enumerate(keys.tolist()):  # the per-tuple ancestor
@@ -247,22 +255,14 @@ def test_group_indices_matches_per_tuple_grouping(keys, n_groups):
 
 
 def per_tuple_routing(router, positions):
-    """The per-tuple ancestor of ``Router.route``: ``(chain, indices)`` per
-    non-empty range, in range order, found by scanning the entries."""
+    """``(chain, indices)`` per non-empty range, in range order, found by
+    scanning the entries for each position."""
     per_entry = [[] for _ in router.entries]
     for i, p in enumerate(positions.tolist()):
         (e,) = [k for k, (rng, _) in enumerate(router.entries) if rng.contains(p)]
         per_entry[e].append(i)
     return [(chain, idx) for (_, chain), idx in zip(router.entries, per_entry)
             if idx]
-
-
-def per_node(shares):
-    out: dict[int, list[int]] = {}
-    for nodes, idx in shares:
-        for n in nodes:
-            out.setdefault(n, []).extend(idx)
-    return out
 
 
 @st.composite
@@ -288,43 +288,35 @@ def range_routers(draw):
 @given(router=range_routers(), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_range_routing_matches_per_tuple_reference(router, data):
+    """Every receiver's slice of ``route_by_destination``, and a takeover
+    target's share recovery cuts out of it, is what a scan of the entries
+    gives it position by position — group by group, arrival order within
+    a group.  The two adapters the layer probes time agree too."""
     positions = data.draw(hnp.arrays(
         dtype=np.int64, shape=st.integers(0, 200),
         elements=st.integers(0, router.positions - 1)))
-    values = (positions * 7 + 3).astype(np.uint64)
-    reference = per_tuple_routing(router, positions)
-
-    order, spans = router.route(positions)
-    assert sorted(order.tolist()) == list(range(positions.size))
-    gathered = values[order]
-    assert [(chain, gathered[lo:hi].tolist()) for chain, lo, hi in spans] \
-        == [(chain, values[idx].tolist()) for chain, idx in reference]
-
-    got = router.probe_groups(positions)
-    assert [(chain, idx.tolist()) for chain, idx in got] == reference
-    build = per_node((chain[-1:], idx) for chain, idx in reference)
-    probe = per_node(reference)
-    got_build = router.partition_build(positions)
-    got_probe = router.partition_probe(positions)
-    # tuple order exact, and the dict's key order too
-    assert [(n, i.tolist()) for n, i in got_build.items()] == list(build.items())
-    assert [(n, i.tolist()) for n, i in got_probe.items()] == list(probe.items())
-    for node in router.owners() | {-1}:
-        assert router.share_of(positions, node, probe=False).tolist() \
-            == build.get(node, [])
-        assert router.share_of(positions, node, probe=True).tolist() \
-            == probe.get(node, [])
+    for probe in (False, True):
+        want = routed_to(router, positions, probe=probe)
+        got = shares(router, positions, probe=probe)
+        assert {n: idx.tolist() for n, idx in got.items()} == want
+        for node in router.owners() | {-1}:
+            assert _share(router, positions, node, probe=probe).tolist() \
+                == want.get(node, [])
+    assert [(chain, idx.tolist()) for chain, idx in router.probe_groups(positions)] \
+        == per_tuple_routing(router, positions)
+    assert {n: idx.tolist() for n, idx in router.partition_build(positions).items()} \
+        == routed_to(router, positions)
 
 
-def test_share_of_is_group_major_when_a_node_owns_several_ranges():
+def test_a_takeover_share_is_group_major_when_the_target_owns_several_ranges():
     """A takeover target can own non-adjacent ranges; its share comes in
     the partition's order (range by range), not the batch's."""
     router = RangeRouter(12, (
         (HashRange(0, 4), (9,)), (HashRange(4, 8), (1,)), (HashRange(8, 12), (9,)),
     ))
     positions = np.array([10, 1, 5, 9, 0, 11], dtype=np.int64)
-    assert router.share_of(positions, 9, probe=False).tolist() == [1, 4, 0, 3, 5]
-    assert router.partition_build(positions)[9].tolist() == [1, 4, 0, 3, 5]
+    assert _share(router, positions, 9, probe=False).tolist() == [1, 4, 0, 3, 5]
+    assert shares(router, positions)[9].tolist() == [1, 4, 0, 3, 5]
 
 
 @pytest.mark.parametrize("positions, table", [
@@ -341,11 +333,13 @@ def test_table_size_cap_selects_the_fallback(positions, table):
                       *(c + d for c in cuts[1:-1] for d in (-1, 0, 1))])
     rand = np.random.default_rng(3).integers(0, positions, 2000)
     pos = np.concatenate([edges, rand]).astype(np.int64)
-    got = router.probe_groups(pos)
+    index, dests, counts = router.route_by_destination(pos, pos.size, probe=False)
     shift, lut = router.__dict__["_table"]
     assert shift == 0 and (lut is not None) == table
     want = [np.flatnonzero((pos >= lo) & (pos < hi)) for lo, hi in zip(cuts, cuts[1:])]
-    assert [idx.tolist() for _, idx in got] == [w.tolist() for w in want if w.size]
+    assert dests.tolist() == list(range(len(want)))
+    assert counts.tolist() == [[w.size for w in want]]
+    assert index.tolist() == np.concatenate(want).tolist()
 
 
 @given(
@@ -367,14 +361,14 @@ def test_linear_routing_matches_per_tuple_reference(n0, level, data, positions):
         if b < pointer:
             b = p % (2 * m)
         per_bucket.setdefault(b, []).append(i)
-    want = per_node(((nodes[b],), per_bucket[b]) for b in sorted(per_bucket))
-    got = router.partition_build(positions)
-    assert [(n, i.tolist()) for n, i in got.items()] == list(want.items())
-    assert router.partition_probe(positions).keys() == got.keys()
-    assert [(chain, idx.tolist()) for chain, idx in router.probe_groups(positions)] \
-        == [((n,), want[n]) for n in sorted(want)]
+    want: dict[int, list[int]] = {}
+    for b in sorted(per_bucket):
+        want.setdefault(nodes[b], []).extend(per_bucket[b])
+    for probe in (False, True):  # one receiver a bucket: the phases agree
+        got = shares(router, positions, probe=probe)
+        assert {n: idx.tolist() for n, idx in got.items()} == dict(sorted(want.items()))
     for node in set(nodes):
-        assert router.share_of(positions, node, probe=True).tolist() \
+        assert _share(router, positions, node, probe=True).tolist() \
             == want.get(node, [])
 
 
@@ -383,8 +377,9 @@ def test_linear_routing_matches_per_tuple_reference(n0, level, data, positions):
        data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_routing_a_block_of_batches_equals_routing_each_batch(kind, batch, cap, data):
-    """``route_batches`` is ``route`` run by run — order within a run, spans,
-    chains — with a ragged last run, and when ``runs * n_groups`` is past
+    """``route_batches`` is, run by run, the stable order of the runs'
+    positions by group and their count per group, each position's group
+    found alone — with a ragged last run, and when ``runs * n_groups`` is past
     the radix key space (``cap``: patched low, or 400 runs of 300 buckets
     under the real one) and the block takes several sorts."""
     if kind == "ranges":
@@ -403,14 +398,16 @@ def test_routing_a_block_of_batches_equals_routing_each_batch(kind, batch, cap, 
     with mock.patch.object(routing, "_RADIX_KEYS", cap):
         order, counts = router.route_batches(positions, batch)
 
+    n_groups = len(router._chains())
+    groups = groups_of(router, positions)
     assert order.dtype == np.intp
-    assert counts.shape == (-(-positions.size // batch), len(router._chains()))
+    assert counts.shape == (-(-positions.size // batch), n_groups)
     for r, run in enumerate(counts.tolist()):
         lo = r * batch
-        want_order, want_spans = router.route(positions[lo:lo + batch])
-        assert (order[lo:lo + batch] - lo).tolist() == want_order.tolist()
-        assert [(chain, n) for chain, n in zip(router._chains(), run) if n] \
-            == [(chain, hi - a) for chain, a, hi in want_spans]
+        keys = groups[lo:lo + batch]
+        assert (order[lo:lo + batch] - lo).tolist() \
+            == sorted(range(len(keys)), key=keys.__getitem__)
+        assert run == [keys.count(g) for g in range(n_groups)]
 
 
 @given(router=range_routers(), batch=st.integers(1, 60), probe=st.booleans(),
@@ -419,7 +416,8 @@ def test_routing_a_block_of_batches_equals_routing_each_batch(kind, batch, cap, 
 def test_destination_major_routing_is_route_run_by_run(router, batch, probe, cap, data):
     """``route_by_destination`` lays each receiver's tuples end to end —
     run by run, each run range by range, a probe tuple once per replica —
-    exactly as routing each run alone and collecting per receiver would."""
+    exactly as routing each run alone, position by position, and collecting
+    per receiver would."""
     positions = data.draw(hnp.arrays(
         dtype=np.int64, shape=st.integers(0, 400),
         elements=st.integers(0, router.positions - 1)))
@@ -432,13 +430,10 @@ def test_destination_major_routing_is_route_run_by_run(router, batch, probe, cap
     want: dict[int, list[int]] = {d: [] for d in receivers}
     want_counts = []
     for lo in range(0, positions.size, batch):
-        order, spans = router.route(positions[lo:lo + batch])
-        row = dict.fromkeys(receivers, 0)
-        for chain, a, z in spans:
-            for d in (chain if probe else chain[-1:]):
-                want[d] += (order[a:z] + lo).tolist()
-                row[d] += z - a
-        want_counts.append(list(row.values()))
+        run = routed_to(router, positions[lo:lo + batch], probe=probe)
+        for d in receivers:
+            want[d] += [i + lo for i in run.get(d, [])]
+        want_counts.append([len(run.get(d, [])) for d in receivers])
     assert counts.reshape(-1, len(receivers)).tolist() == want_counts
     assert index.tolist() == [i for d in receivers for i in want[d]]
 
@@ -457,8 +452,8 @@ def test_buffering_a_routed_batch_keeps_the_append_order(router, data, probe, sk
     skipped = data.draw(st.sampled_from(sorted(router.owners()))) if skip else None
 
     want = ChunkBuffer(16)
-    parts = (router.partition_probe if probe else router.partition_build)(positions)
-    for dest, idx in sorted(parts.items()):
+    parts = routed_to(router, positions, probe=probe)
+    for dest, idx in parts.items():
         if dest != skipped:
             want.append(dest, values[idx])
     got = ChunkBuffer(16)
@@ -466,7 +461,7 @@ def test_buffering_a_routed_batch_keeps_the_append_order(router, data, probe, sk
         SimpleNamespace(router=router), got, values, positions,
         probe=probe, skip=skipped)
 
-    assert copies == sum(idx.size for idx in parts.values())
+    assert copies == sum(map(len, parts.values()))
     assert got.destinations() == want.destinations()
     assert [(d, v.tolist()) for d, v in got.contents()] \
         == [(d, v.tolist()) for d, v in want.contents()]

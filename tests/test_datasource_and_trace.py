@@ -16,7 +16,7 @@ from repro.core.recovery import FaultTolerantDataSource
 from repro.core.scheduler import SchedulerProcess
 from repro.data import ChunkBuffer, RelationStream
 from repro.sim import TraceRecord, Tracer
-from tests.conftest import small_config, small_workload
+from tests.conftest import routed_to, small_config, small_workload
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +111,7 @@ class Recorded:
         ctx = self.ctx
         stream = RelationStream(ctx.cfg.workload, relation, ctx.n_sources, 0)
         values = np.concatenate(list(stream.batches()))
-        idx = router.share_of(ctx.posmap(values), j, probe=relation == "S")
+        idx = routed_to(router, ctx.posmap(values), probe=relation == "S").get(j, [])
         return np.sort(values[idx])
 
 

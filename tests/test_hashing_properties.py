@@ -1,9 +1,10 @@
 """Property-based tests for hash machinery invariants (hypothesis)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import shares
 from repro.data.distributions import VALUE_BITS
 from repro.hashing import (
     HashRange,
@@ -54,12 +55,12 @@ def test_range_router_tiles_after_any_mutation_sequence(n_ops, seed):
     ranges = [r for r, _ in router.entries]
     assert ranges_partition_space(ranges, P)
     positions = np.arange(P, dtype=np.int64)
-    build = router.partition_build(positions)
+    build = shares(router, positions)
     assert sum(v.size for v in build.values()) == P
     merged = np.sort(np.concatenate(list(build.values())))
     assert np.array_equal(merged, positions), "each position exactly once"
     # probe covers every position at least once
-    probe = router.partition_probe(positions)
+    probe = shares(router, positions, probe=True)
     covered = np.unique(np.concatenate(list(probe.values())))
     assert covered.size == P
 
@@ -79,10 +80,10 @@ def test_litwin_split_fold_agrees_with_the_join_node_shed(splits, n0):
     for new_node in range(100, 100 + splits):
         donor = router.bucket_nodes[router.split_pointer]
         store = NodeHashStore(posmap)
-        store.insert(values[router.partition_build(positions)[donor]])
+        store.insert(values[shares(router, positions)[donor]])
         new_bucket, modulus = router.n_buckets, router.modulus
         router = router.with_split(new_node, router.version + 1)
-        build = router.partition_build(positions)
+        build = shares(router, positions)
         merged = np.sort(np.concatenate(list(build.values())))
         assert np.array_equal(merged, positions), "each position exactly once"
         shed = store.extract_linear_bucket(new_bucket, modulus)
@@ -166,6 +167,47 @@ def test_folded_sparse_counts_equal_dense_reference(bits, mix, members, empty, s
     hr = HashRange(lo, hi)
     assert (partition_range_by_counts(hr, folded, members)
             == partition_range_by_counts(hr, reference, members))
+
+
+@st.composite
+def counted_stores(draw):
+    """``(bits, lo, hi, chunks)``: a ``[lo, hi)`` of a ``2**bits`` position
+    space, and the positions of stored tuples in chunks — drawn from
+    anywhere, or from ``lo - 1``, ``lo``, ``hi - 1`` and ``hi``."""
+    bits = draw(st.integers(1, 20))
+    lo = draw(st.integers(0, (1 << bits) - 1))
+    hi = draw(st.integers(lo + 1, 1 << bits))
+    near = st.sampled_from([p for p in (lo - 1, lo, hi - 1, hi) if 0 <= p < 1 << bits])
+    position = st.integers(0, (1 << bits) - 1) | near
+    return bits, lo, hi, draw(st.lists(st.lists(position, max_size=60), max_size=4))
+
+
+@given(case=counted_stores(), seed=st.integers(0, 2**32 - 1))
+@example(case=(20, 0, 1 << 20, [[0, 0, (1 << 20) - 1], [1 << 16]]), seed=0)  # 32-bit offsets
+@example(case=(20, 3, (1 << 16) + 4, [[3, (1 << 16) + 3, 2, (1 << 16) + 4]]), seed=1)
+@example(case=(12, 100, 200, [[99, 200, 4095], [0]]), seed=2)  # no tuple in range
+@example(case=(12, 100, 200, []), seed=3)                      # an empty store
+@settings(max_examples=150, deadline=None)
+def test_position_counts_equal_a_dense_bincount(case, seed):
+    """``position_counts`` is the occupied slots of a dense ``bincount``
+    over ``[lo, hi)``: the same offsets, ascending, in the narrowest
+    unsigned dtype holding ``hi - lo - 1``, and their int64 counts."""
+    bits, lo, hi, chunks = case
+    pm = PositionMap(1 << bits)
+    rng = np.random.default_rng(seed)
+    store = NodeHashStore(pm)
+    for positions in chunks:  # a tuple anywhere in its position's slot
+        pos = np.array(positions, dtype=np.uint64)
+        low = rng.integers(0, 1 << (VALUE_BITS - bits), pos.size, dtype=np.uint64)
+        store.insert((pos << np.uint64(VALUE_BITS - bits)) | low)
+    offsets, counts = store.position_counts(lo, hi)
+
+    pos = np.array([p for c in chunks for p in c], dtype=np.int64)
+    dense = np.bincount(pos[(pos >= lo) & (pos < hi)] - lo, minlength=hi - lo)
+    assert offsets.dtype == np.min_scalar_type(hi - lo - 1)
+    assert counts.dtype == np.int64
+    assert offsets.tolist() == np.flatnonzero(dense).tolist()
+    assert counts.tolist() == dense[dense > 0].tolist()
 
 
 @given(bits=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))

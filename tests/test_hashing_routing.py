@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tests.conftest import shares
 from repro.hashing import (
     HashRange,
     LinearHashRouter,
@@ -27,7 +28,7 @@ def all_positions():
 # ----------------------------------------------------------------------
 def test_initial_router_partitions_every_position():
     router = make_router(4)
-    parts = router.partition_build(all_positions())
+    parts = shares(router, all_positions())
     assert sorted(parts) == [0, 1, 2, 3]
     assert sum(v.size for v in parts.values()) == P
     # each position routed to the node owning its range
@@ -39,8 +40,8 @@ def test_initial_router_partitions_every_position():
 def test_probe_equals_build_without_replicas():
     router = make_router(3)
     pos = np.random.default_rng(0).integers(0, P, 500)
-    b = router.partition_build(pos)
-    p = router.partition_probe(pos)
+    b = shares(router, pos)
+    p = shares(router, pos, probe=True)
     assert sorted(b) == sorted(p)
     for n in b:
         assert np.array_equal(np.sort(b[n]), np.sort(p[n]))
@@ -50,7 +51,7 @@ def test_replica_changes_active_build_destination():
     router = make_router(2)
     v1 = router.with_replica(0, 7, version=1)
     pos = all_positions()
-    build = v1.partition_build(pos)
+    build = shares(v1, pos)
     assert 0 not in build, "old replica no longer receives build traffic"
     assert 7 in build and 1 in build
 
@@ -58,7 +59,7 @@ def test_replica_changes_active_build_destination():
 def test_probe_broadcasts_to_whole_chain():
     router = make_router(2).with_replica(0, 7, 1).with_replica(0, 8, 2)
     pos = all_positions()
-    probe = router.partition_probe(pos)
+    probe = shares(router, pos, probe=True)
     w = router.entries[0][0].width
     assert probe[0].size == probe[7].size == probe[8].size == w
     total = sum(v.size for v in probe.values())
@@ -72,7 +73,7 @@ def test_bisection_splits_single_owner_range():
     assert len(entries) == 3
     assert entries[1][1] == (1,) and entries[2][1] == (9,)
     assert entries[1][0].hi == entries[2][0].lo
-    build = v1.partition_build(all_positions())
+    build = shares(v1, all_positions())
     assert sum(v.size for v in build.values()) == P
 
 
@@ -108,7 +109,7 @@ def test_cached_table_is_invisible_and_never_inherited():
     routed, fresh = make_router(4), make_router(4)
     before = repr(routed)
     assert "_table" not in routed.__dict__
-    routed.partition_build(all_positions())
+    shares(routed, all_positions())
     shift, lut = routed.__dict__["_table"]
     assert (shift, lut.tolist()) == (10, [0, 1, 2, 3])  # 4 slots, not 4096
     assert routed == fresh and hash(routed) == hash(fresh)
@@ -122,12 +123,12 @@ def test_cached_table_is_invisible_and_never_inherited():
     ):
         assert "_table" not in update.__dict__
         twin = RangeRouter(update.positions, update.entries, update.version)
-        got, want = update.partition_probe(pos), twin.partition_probe(pos)
+        got, want = shares(update, pos, probe=True), shares(twin, pos, probe=True)
         assert got.keys() == want.keys()
         assert all(np.array_equal(got[n], want[n]) for n in want)
     # the bisected router routes by its own bounds: 1024..1535 | 1536..2047
     bisected = routed.with_bisection(1, 1, 7, 1)
-    split = bisected.partition_build(pos)
+    split = shares(bisected, pos)
     assert split[1].tolist() == list(range(1024, 1536))
     assert split[7].tolist() == list(range(1536, 2048))
     assert bisected.__dict__["_table"][0] == 9
@@ -153,7 +154,7 @@ def test_linear_router_initial_matches_mod():
     pos = all_positions()
     buckets = r.bucket_of(pos)
     assert np.array_equal(buckets, pos % 4)
-    parts = r.partition_build(pos)
+    parts = shares(r, pos)
     assert sorted(parts) == [10, 11, 12, 13]
     assert sum(v.size for v in parts.values()) == P
 
@@ -196,7 +197,7 @@ def test_directory_router_reflects_completed_splits():
     s = LinearHashRouter(2, 0, 0, (0, 1)).with_split(new_node=5, version=3)
     assert s.version == 3 and s.n_buckets == 3
     pos = all_positions()
-    parts = s.partition_build(pos)
+    parts = shares(s, pos)
     assert sum(v.size for v in parts.values()) == P
     assert set(parts) == {0, 1, 5}
     # bucket 0 split under h_1: its positions 2 mod 4 moved to bucket 2

@@ -1,4 +1,4 @@
-"""SpillStore's one-sort partitioning against the k-mask reference."""
+"""SpillStore's pass-time partitions against the k-mask reference."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from tests.conftest import small_config
 from repro.config import Algorithm
 from repro.core.driver import single_query_context
-from repro.core.joinnode import SpillStore
+from repro.core.spill import SpillStore
 from repro.hashing import HashRange
 
 keys = hnp.arrays(dtype=np.uint64, shape=st.integers(0, 300),
@@ -20,9 +20,9 @@ keys = hnp.arrays(dtype=np.uint64, shape=st.integers(0, 300),
        lo=st.integers(0, 1 << 11), width=st.integers(1, 1 << 11))
 @settings(max_examples=100, deadline=None)
 def test_split_writes_what_one_mask_per_partition_writes(r_chunks, s_chunks, k, lo, width):
-    """Every R and S sub-partition file holds the tuples the per-partition
-    boolean masks selected, chunk by chunk, in arrival order — and S
-    spills only where R did."""
+    """The final passes join, sub-partition by sub-partition, the tuples
+    the per-partition boolean masks select chunk by chunk, in arrival
+    order — and S spills only where R had spilled before it."""
     ctx = single_query_context(small_config(Algorithm.OUT_OF_CORE, initial=2))
     store = SpillStore(ctx, 0, k_parts=k, hash_range=HashRange(lo, lo + width))
     want_r = [[] for _ in range(k)]
@@ -44,18 +44,26 @@ def test_split_writes_what_one_mask_per_partition_writes(r_chunks, s_chunks, k, 
             if want_r[p]:
                 want_s[p] += values[parts == p].tolist()
 
+    joined = []
+
+    def join_partition(r_p, s_p, depth):  # what the pass joins, recorded
+        joined.append((r_p.tolist(), s_p.tolist(), depth))
+        return 0
+        yield
+
+    store._join_partition = join_partition
+
     def drive():
         for values in r_chunks:
             yield from store.write_r(values)
         written = 0
         for values in s_chunks:
             written += yield from store.write_s(values)
+        yield from store.final_passes()
         return written
 
     proc = ctx.sim.spawn(drive())
     ctx.sim.run()
-    flat = lambda parts: [[v for a in p for v in a.tolist()] for p in parts]
-    assert flat(store._r_parts) == want_r
-    assert flat(store._s_parts) == want_s
-    assert all(a.size for p in store._r_parts + store._s_parts for a in p)
+    assert joined == [(want_r[p], want_s[p], 0) for p in range(k) if want_r[p]]
+    assert store.spilled_r == sum(map(len, want_r))
     assert proc.value == store.spilled_s == sum(map(len, want_s))

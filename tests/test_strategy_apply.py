@@ -12,7 +12,7 @@ a whole failover run.)
 import numpy as np
 import pytest
 
-from tests.conftest import small_config
+from tests.conftest import shares, small_config
 from repro.config import Algorithm, SplitPolicy
 from repro.core.driver import single_query_context
 from repro.core.joinnode import JoinProcess
@@ -48,7 +48,7 @@ def expand_once(kind: str, applies: int) -> dict:
         # Litwin table (even positions), and straddling either cut.
         values = (np.arange(300, dtype=np.uint64) * np.uint64(6)) << np.uint64(
             VALUE_BITS - ctx.posmap.bits)
-        assert set(sched.router.partition_build(ctx.posmap(values))) == {0}
+        assert set(shares(sched.router, ctx.posmap(values))) == {0}
         yield from ctx.send(
             ctx.source_node(0), ctx.join_node(0),
             DataChunk("R", values, cfg.workload.tuple_bytes,
