@@ -7,7 +7,7 @@ from collections.abc import Iterable, Iterator
 
 __all__ = [
     "ImportMap", "dotted_name", "call_name",
-    "own_nodes", "isinstance_class_names", "sent_classes",
+    "own_nodes", "isinstance_class_names", "sent_classes", "typed_wait_kinds",
 ]
 
 
@@ -85,6 +85,17 @@ def isinstance_class_names(nodes: Iterable[ast.AST]) -> set[str]:
                     refs.add(e.id)
                 elif isinstance(e, ast.Attribute):
                     refs.add(e.attr)
+    return refs
+
+
+def typed_wait_kinds(nodes: Iterable[ast.AST]) -> set[str]:
+    """Class names the typed waits among ``nodes`` wait for: every
+    argument of ``X.await_message(A, B)``, the first of ``X.gather(A, ...)``."""
+    refs: set[str] = set()
+    for node in nodes:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            n = {"await_message": len(node.args), "gather": 1}.get(node.func.attr, 0)
+            refs.update(a.id for a in node.args[:n] if isinstance(a, ast.Name))
     return refs
 
 

@@ -4,13 +4,15 @@ The runtime's wire protocol is the set of public dataclasses in
 ``repro/core/messages.py``.  The scheduler and the join process dispatch
 through a per-instance handler table (``self._handlers = {Cls: handler}``,
 which subclasses extend with ``self._handlers.update({...})``), and so do
-the data source and the pool; the protocol waits use ``isinstance`` arms
-(and, in future code, possibly ``match``/``case``).  Three rules keep the
-two sides from drifting (:attr:`ProtocolChecker.rules`).  A message nobody
-can receive is dead protocol — or, worse, a deadlock waiting for the
-sender's timeout; an ad-hoc payload bypasses ``nbytes``/``kind``
-accounting and breaks the byte-conservation checks; the ``__all__``
-export lets star-importing strategy code see the full protocol.
+the data source and the pool; the scheduler's waits name their classes
+(``await_message(Cls)``, ``gather(Cls, ...)``), the others use
+``isinstance`` arms (and, in future code, possibly ``match``/``case``).
+Three rules keep the two sides from drifting (:attr:`ProtocolChecker.rules`).
+A message nobody can receive is dead protocol — or, worse, a deadlock
+waiting for the sender's timeout; an ad-hoc payload bypasses
+``nbytes``/``kind`` accounting and breaks the byte-conservation checks;
+the ``__all__`` export lets star-importing strategy code see the full
+protocol.
 
 Payload classification is name-based: a send payload that is a direct
 constructor call (``send(src, dst, SpillOrder(...))``) or a local name
@@ -25,7 +27,7 @@ import ast
 from collections.abc import Iterator
 from typing import ClassVar
 
-from ._astutil import isinstance_class_names, sent_classes
+from ._astutil import isinstance_class_names, sent_classes, typed_wait_kinds
 from .base import Checker, Project, SourceFile, Violation
 
 __all__ = ["ProtocolChecker"]
@@ -95,6 +97,7 @@ def _dispatch_refs(source: SourceFile) -> set[str]:
     """Class names referenced in dispatch position in one file."""
     refs = handler_table_keys(source.tree)
     refs |= isinstance_class_names(ast.walk(source.tree))
+    refs |= typed_wait_kinds(ast.walk(source.tree))
     for node in ast.walk(source.tree):
         if isinstance(node, ast.match_case) \
                 and isinstance(node.pattern, ast.MatchClass):
@@ -115,7 +118,8 @@ class ProtocolChecker(Checker):
                            "anywhere in `repro/core`: a row of an actor's "
                            "`self._handlers = {Cls: handler}` table (or a "
                            "`self._handlers.update({...})` a subclass adds), "
-                           "an `isinstance(msg, Cls)` or a `case Cls(...)`",
+                           "a typed wait (`await_message(Cls)`, `gather(Cls, "
+                           "...)`), an `isinstance(msg, Cls)` or a `case Cls(...)`",
         "proto-unregistered-send": "a transport send (`ctx.send`, "
                                    "`send_to_join`, `JoinProcess._reply`, "
                                    "`Network.send`) whose payload class is "

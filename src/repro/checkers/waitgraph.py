@@ -3,20 +3,21 @@
 The runtime protocol is request/response between long-lived process
 classes (scheduler, join node, data source, pool, backup scheduler).
 A *wait-state* is a method that parks on the class's mailbox until a
-specific message type arrives (an ``isinstance`` exit condition around a
-``recv()`` loop).  Two things can rot as the protocol grows
-(:attr:`WaitGraphChecker.rules`): a wait cycle, and a wait no sender can
-satisfy.  Dead sends are the protocol pass's job (``proto-unhandled``);
-dead *waits* are this one's.  Three refinements keep ``wg-cycle`` honest
-on real code:
+specific message type arrives: an ``isinstance`` exit condition around a
+``recv()`` loop, or a typed wait, whose classes are read off the call
+(``await_message(A, B)``, ``gather(A, senders)``).  Two things can rot
+as the protocol grows (:attr:`WaitGraphChecker.rules`): a wait cycle,
+and a wait no sender can satisfy.  Dead sends are the protocol pass's
+job (``proto-unhandled``); dead *waits* are this one's.  Three
+refinements keep ``wg-cycle`` honest on real code:
 
 - a wait-state that routes unmatched traffic through a general
   dispatcher (any ``self._dispatch*`` call, or a table-driven main loop
   reading ``self._handlers`` itself) is *non-exclusive*: it services the
   rest of the protocol while parked, so it contributes no blocking edge
-  (the scheduler's recruit/ack waits are this shape) — but it also
-  waits, in passing, for every row of the class's handler table
-  (``self._handlers``), so those rows need a sender too;
+  (the scheduler's typed waits are this shape) — but a handler table
+  (``self._handlers``) is itself waited for, row by row, in passing, so
+  each row needs a sender too, reported against ``Cls._handlers``;
 - an edge ``A --m--> B`` is discharged when B's own wait-state in the
   cycle can still *send* m from inside its wait loop (directly or via
   methods it calls) — e.g. an actor parked on its phase signal that
@@ -49,6 +50,7 @@ from ._astutil import (
     isinstance_class_names,
     own_nodes,
     sent_classes,
+    typed_wait_kinds,
 )
 
 __all__ = ["WaitGraphChecker"]
@@ -147,33 +149,28 @@ def _analyze_class(
     pc = _ProcessClass(node.name, source, node.lineno)
     pc.sends = set().union(*sends.values()) if sends else set()
     for name, fn in methods.items():
-        has_wait = any(
-            isinstance(n, ast.Call) and _is_mailbox_wait(n)
-            for n in own_nodes(fn)
-        )
-        if not has_wait:
-            continue
-        awaited = isinstance_class_names(own_nodes(fn)) & messages
-        # (the dispatcher may be inherited, so look at every self-call;
-        # a main loop that looks rows up itself *is* the dispatcher)
-        exclusive = not (
-            any(c.startswith("_dispatch") for c in _self_calls(fn))
-            or any(isinstance(n, ast.Attribute) and n.attr == _HANDLER_TABLE
-                   for n in own_nodes(fn))
-        )
-        if not exclusive:
-            awaited |= handler_table_keys(node) & messages
+        nodes = list(own_nodes(fn))
+        raw = any(isinstance(n, ast.Call) and _is_mailbox_wait(n) for n in nodes)
+        awaited = typed_wait_kinds(nodes) & messages
+        if raw:
+            awaited |= isinstance_class_names(nodes) & messages
         if not awaited:
             continue
+        # (the dispatcher may be inherited, so look at every self-call;
+        # a main loop that looks rows up itself *is* the dispatcher)
+        exclusive = raw and not (
+            any(c.startswith("_dispatch") for c in _self_calls(fn))
+            or any(isinstance(n, ast.Attribute) and n.attr == _HANDLER_TABLE
+                   for n in nodes)
+        )
         pc.waits.append(_WaitState(
             cls=node.name, method=name, source=source, lineno=fn.lineno,
             awaited=awaited, exclusive=exclusive,
             sends_while_waiting=sends.get(name, set()),
         ))
     rows = handler_table_keys(node) & messages
-    if rows and not pc.waits:
-        # A layer that only merges rows into an inherited table has no wait
-        # of its own, but its base's table-driven loop now waits for them.
+    if rows:
+        # Whichever loop dispatches the table waits for its rows.
         pc.waits.append(_WaitState(node.name, "_handlers", source, node.lineno, rows))
     if not pc.waits and not pc.sends:
         return None

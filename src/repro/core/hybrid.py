@@ -49,33 +49,25 @@ class HybridStrategy(ReplicationStrategy):
         members = [g for g in groups if not (set(g[1]) & sched.spilled_nodes)]
         if not members:
             return
+        nodes = {j for _, chain in members for j in chain}
 
         # 1. Gather per-position counts from every replica-chain member,
-        #    folding each sparse vector into its group's total on arrival.
+        #    folding each sparse vector into its group's total.
         for rng, chain in members:
             for j in chain:
                 yield from sched.send_to_join(j, CountRequest(rng.lo, rng.hi))
-        expected = sum(len(chain) for _, chain in members)
         totals = {rng.lo: np.zeros(rng.width, dtype=np.int64) for rng, _ in members}
-        reported: set[int] = set()
-        while len(reported) < expected:
-            msg = yield from sched.await_message(
-                lambda m: isinstance(m, CountVector)
-            )
-            if msg.node not in reported:
-                reported.add(msg.node)
-                totals[msg.lo][msg.offsets] += msg.counts
+        for msg in (yield from sched.gather(CountVector, set(nodes))).values():
+            totals[msg.lo][msg.offsets] += msg.counts
 
         # 2. Greedy contiguous cut per group; dispatch redistribution orders.
         new_entries = [e for e in router.entries if e not in members]
-        n_orders = 0
         for rng, chain in members:
             cuts = partition_range_by_counts(rng, totals[rng.lo], len(chain))
             assignments = tuple(zip(chain, cuts))
             order = ReshuffleOrder(assignments=assignments)
             for j in chain:
                 yield from sched.send_to_join(j, order)
-                n_orders += 1
             new_entries.extend(
                 (cut, (j,)) for j, cut in assignments if cut is not None
             )
@@ -83,11 +75,9 @@ class HybridStrategy(ReplicationStrategy):
                             parts=[str(c) for c in cuts])
 
         # 3. Await completion acknowledgements.
-        for _ in range(n_orders):
-            msg = yield from sched.await_message(
-                lambda m: isinstance(m, ReshuffleDone)
-            )
-            sched.outcome.reshuffle_moved_tuples += msg.moved_tuples
+        done = yield from sched.gather(ReshuffleDone, nodes)
+        sched.outcome.reshuffle_moved_tuples += sum(
+            m.moved_tuples for m in done.values())
 
         # 4. Drain the redistribution traffic, then install the new table.
         yield from sched.drain("build")

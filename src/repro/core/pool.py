@@ -111,9 +111,7 @@ class PoolClient:
             ),
         )
         msg = yield from sched.await_message(
-            lambda m: isinstance(m, (RecruitGrant, RecruitDeny))
-            and m.query == self.query_id
-        )
+            RecruitGrant, RecruitDeny, where={"query": self.query_id})
         if isinstance(msg, RecruitDeny):
             ctx.trace("recruit_denied", "scheduler",
                       reason=msg.reason, phase=phase)

@@ -139,9 +139,7 @@ class FaultTolerantScheduler(SchedulerProcess):
         # initial node is *recoverable* (confirmed death → recovery cycle),
         # so give the detector time to reach its verdict first.
         self._initial_ack_timeout_s = max(
-            self._initial_ack_timeout_s,
-            self._confirm_s + 4.0 * self._hb_interval,
-        )
+            self._recruit_timeout, self._confirm_s + 4.0 * self._hb_interval)
         #: the standby scheduler (primary only; set by :meth:`spawn`)
         self.standby: FaultTolerantScheduler | None = None
         cls = type(self)
@@ -557,12 +555,7 @@ class FaultTolerantScheduler(SchedulerProcess):
                     j, NodeLost(dead=dead, purge=(j in purge))
                 )
             yield from self.send_to_join(dead, NodeLost(dead=dead, purge=True))
-            acked: set[int] = set()
-            while not set(live) <= acked:
-                msg = yield from self.await_message(
-                    lambda m: isinstance(m, NodeLostAck)
-                )
-                acked.add(msg.node)
+            yield from self.gather(NodeLostAck, set(live))
 
             # 5. Collapse the routing entries onto the target.
             self.router = self.router.with_takeover(
@@ -654,6 +647,8 @@ class FaultTolerantScheduler(SchedulerProcess):
             # credits, which blocks the replaying sources — waiting for
             # their ReplayDone first would deadlock the recovery.
             yield from self._degrade_full_target(target)
+            # A raw receive: fullness is re-checked after every message,
+            # and a typed wait wakes only for its own kinds.
             msg = yield from self.node.mailbox.recv()
             if (isinstance(msg, ReplayDone) and msg.relation == "R"
                     and msg.recovery_id == dead and msg.source not in done):
@@ -668,13 +663,11 @@ class FaultTolerantScheduler(SchedulerProcess):
             tok = self._poll_token
             yield from self.send_to_join(target, StatusRequest(tok))
             rep = yield from self.await_message(
-                lambda m: (isinstance(m, StatusReport) and m.token == tok
-                           and m.node == target)
-            )
+                StatusReport, where={"token": tok, "node": target})
             if (rep.processed_build >= expected_chunks and not rep.busy
                     and target not in self.full_queue):
                 break
-            yield from self.await_message(lambda m: isinstance(m, PollTick))
+            yield from self.await_message(PollTick)
         yield from self.send_to_join(target, StartProbe(router=None))
         yield from self._order_replay("S", dead, target)
 

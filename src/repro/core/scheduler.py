@@ -63,6 +63,10 @@ from .strategy import Decision, make_strategy
 __all__ = ["SchedulerProcess", "SchedulerOutcome"]
 
 
+def _not_a_tick(msg: Any) -> bool:  # a screen: wake for anything else
+    return type(msg) is not PollTick
+
+
 @dataclass
 class SchedulerOutcome:
     """Raw facts the driver turns into a JoinRunResult."""
@@ -132,9 +136,10 @@ class SchedulerProcess:
         self._recruit_timeout = (
             16.0 * chunk_wire + 20.0 * self.cfg.effective_drain_poll
         )
-        #: how long the initial nodes get to ack (the fault layer waits
-        #: longer: its failure detector subsumes this deadline)
-        self._initial_ack_timeout_s = self._recruit_timeout
+        #: a recruit's ack deadline, and here the initial nodes' (the fault
+        #: layer gives those longer: its failure detector subsumes it)
+        self._ack_timeout = self._initial_ack_timeout_s = (
+            None if ctx.faults is None else self._recruit_timeout)
 
         # source bookkeeping.  Chunk counts are kept *per destination* so
         # the fault layer's drain balance can exclude chunks sent to a node
@@ -165,6 +170,7 @@ class SchedulerProcess:
             ActivateAck: cls._on_stray_activate_ack,
             SplitDone: cls._on_stale_ack,
             PassDone: cls._on_stale_ack,
+            FinalReport: cls._on_final_report,
             PollTick: cls._ignore,
         }
 
@@ -206,9 +212,8 @@ class SchedulerProcess:
         Takes a candidate off the potential list, sends it the
         ``ActivateJoin`` built by ``make_activate(candidate)``, and waits
         for its :class:`ActivateAck`.  If no ack arrives within the recruit
-        timeout (a simulated-seconds deadline checked on drain-poll ticks,
-        so no stray timer events enter the simulation), the candidate is
-        presumed dead: it is excluded from the pool for good, the
+        timeout (:meth:`gather`), the candidate is presumed dead: it is
+        excluded from the pool for good, the
         scheduler backs off exponentially (capped), and a *different*
         candidate is tried.  Returns the recruited pool index, or ``None``
         when the pool is exhausted — the caller then degrades to the OOC
@@ -227,8 +232,8 @@ class SchedulerProcess:
                 return None
             yield from self.send_to_join(cand, make_activate(cand),
                                          parent=parent)
-            if (yield from self._await_activate_acks(
-                    {cand}, self._recruit_timeout)):
+            if (yield from self.gather(ActivateAck, {cand},
+                                       timeout=self._ack_timeout)):
                 self.activated.append(cand)
                 self.outcome.expansion_trace.append((self.ctx.sim.now, cand))
                 return cand
@@ -239,31 +244,6 @@ class SchedulerProcess:
                            node=cand, phase=phase)
             yield from self._await_backoff(backoff)
             backoff = min(backoff * 2.0, 8.0 * self._recruit_timeout)
-
-    def _await_activate_acks(
-        self, pending: set[int], timeout: float
-    ) -> Generator[Any, Any, bool]:
-        """Wait until every node in ``pending`` (emptied in place) sent its
-        ActivateAck; False once ``timeout`` passes without a new ack.
-
-        Without an injector there is no deadline: acks cannot be lost, so
-        unbounded waiting is always correct and can never misdeclare a
-        busy-but-healthy recruit dead."""
-        deadline = (
-            None if self.ctx.faults is None else self.ctx.sim.now + timeout
-        )
-        while pending:
-            msg = yield from self.node.mailbox.recv()
-            if isinstance(msg, ActivateAck) and msg.node in pending:
-                pending.discard(msg.node)
-                if deadline is not None:  # progress: extend the deadline
-                    deadline = self.ctx.sim.now + timeout
-            elif isinstance(msg, PollTick):
-                if deadline is not None and self.ctx.sim.now >= deadline:
-                    return False
-            else:
-                self._dispatch_common(msg)
-        return True
 
     def _await_backoff(self, seconds: float) -> Generator[Any, Any, None]:
         """Idle until ``seconds`` from now (measured on drain-poll ticks),
@@ -302,24 +282,46 @@ class SchedulerProcess:
     # ------------------------------------------------------------------
     # message waiting with background dispatch
     # ------------------------------------------------------------------
-    def await_message(self, match: Callable[[Any], bool]) -> Generator[Any, Any, Any]:
-        """Wait for a message satisfying ``match``; everything else goes
-        through the common dispatcher (so relief cycles never starve the
-        rest of the protocol).  A tick ``match`` refuses wakes nobody: the
-        dispatcher would only pass it to :meth:`_ignore`."""
-        def keep(m: Any) -> bool:
-            return type(m) is not PollTick or match(m)
-
+    def await_message(self, *kinds: type,
+                      where: dict[str, Any] | None = None) -> Generator[Any, Any, Any]:
+        """Wait for a message of one of ``kinds`` with ``where``'s field
+        values; everything else goes through the common dispatcher (so
+        relief cycles never starve the rest of the protocol).  A tick wakes
+        it only if ``PollTick`` is one of ``kinds``: else it is screened."""
+        keep = None if PollTick in kinds else _not_a_tick
         while True:
             msg = yield from self.node.mailbox.recv(keep)
-            if match(msg):
+            if type(msg) in kinds and (where is None or all(
+                    getattr(msg, k) == v for k, v in where.items())):
                 return msg
             self._dispatch_common(msg)
 
+    def gather(self, kind: type, senders: set[int], *,
+               timeout: float | None = None) -> Generator[Any, Any, dict[int, Any]]:
+        """One ``kind`` reply from each node of ``senders``, by node.
+        ``senders`` is emptied in place, so an exception that unwinds the
+        wait leaves exactly the unheard ones; a ``kind`` from any other
+        node goes through the dispatcher.  With ``timeout``, give up on
+        the first tick that finds no reply heard for that long."""
+        sim = self.ctx.sim
+        replies: dict[int, Any] = {}
+        waits = (kind,) if timeout is None else (kind, PollTick)
+        deadline = sim.now + (timeout or 0.0)
+        while senders:
+            msg = yield from self.await_message(*waits)
+            if type(msg) is PollTick:
+                if sim.now >= deadline:
+                    break
+            elif msg.node in senders:
+                senders.discard(msg.node)
+                replies[msg.node] = msg
+                deadline = sim.now + (timeout or 0.0)  # progress
+            else:
+                self._dispatch_common(msg)
+        return replies
+
     def await_relief_ack(self, reporter: int) -> Generator[Any, Any, ReliefAck]:
-        return self.await_message(
-            lambda m: isinstance(m, ReliefAck) and m.node == reporter
-        )
+        return self.await_message(ReliefAck, where={"node": reporter})
 
     def _dispatch_common(self, msg: Any) -> None:
         """Messages that may arrive at any time, handled statelessly."""
@@ -353,10 +355,11 @@ class SchedulerProcess:
             chunk_map[dest] = chunk_map.get(dest, 0) + n
 
     def _on_stray_activate_ack(self, msg: ActivateAck) -> None:
-        # A recruit we timed out on answering after all: alive but
-        # excluded from the pools — a zombie whose FinalReport is accepted
-        # at shutdown regardless.
+        # A zombie's (see recruit_node): alive but excluded from the pools.
         self.ctx.trace("stale_activate_ack", "scheduler", node=msg.node)
+
+    def _on_final_report(self, msg: FinalReport) -> None:  # a zombie's
+        self.outcome.final_reports[msg.node] = msg
 
     def _on_stale_ack(self, msg: SplitDone | PassDone) -> None:
         self.ctx.trace("stale_ack", "scheduler", kind=type(msg).__name__)
@@ -428,8 +431,7 @@ class SchedulerProcess:
         self._notify_faults("ooc")
         for j in self.activated:
             yield from self.send_to_join(j, FinalizePass())
-        for _ in self.activated:
-            yield from self.await_message(lambda m: isinstance(m, PassDone))
+        yield from self.gather(PassDone, set(self.activated))
         self.outcome.t_ooc = ctx.sim.now
         ctx.trace("phase", "scheduler", phase="ooc_done")
 
@@ -457,8 +459,9 @@ class SchedulerProcess:
         unlike mid-run recruits, which retry a different pool node.  The
         error names the cause: a crash of a pending node, or else the
         lossy links, whose retransmission backoff outlasted the deadline."""
-        if not (yield from self._await_activate_acks(
-                pending, self._initial_ack_timeout_s)):
+        yield from self.gather(ActivateAck, pending,
+                               timeout=self._initial_ack_timeout_s)
+        if pending:
             assert self.ctx.faults is not None  # fault runs have deadlines
             plan = self.ctx.faults.plan
             crashed = any(c.node in pending for c in plan.crashes)
@@ -642,12 +645,7 @@ class SchedulerProcess:
         yield from self.broadcast_to_sources(Shutdown())
         for j in self.potential.shutdown_targets(self):
             yield from self.send_to_join(j, Shutdown())
-        # Wait until every *known-activated* node reported.  Set inclusion,
-        # not a count: a zombie recruit (timed out but actually alive) also
-        # sends a FinalReport, which must not terminate this loop early.
-        while not set(self.activated) <= set(self.outcome.final_reports):
-            msg = yield from self.await_message(
-                lambda m: isinstance(m, FinalReport)
-            )
-            self.outcome.final_reports[msg.node] = msg
+        # Every activated node's; a zombie's reaches the dispatcher.
+        self.outcome.final_reports.update(
+            (yield from self.gather(FinalReport, set(self.activated))))
         yield from self.potential.release(self)

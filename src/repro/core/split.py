@@ -184,8 +184,7 @@ class SplitStrategy(ExpansionStrategy):
             ),
         )
         done: SplitDone = yield from sched.await_message(
-            lambda m: isinstance(m, SplitDone) and m.node == d.donor
-        )
+            SplitDone, where={"node": d.donor})
         sched.router = router.with_split(d.new_node, sched.next_version())
         yield from sched.broadcast_to_sources(RouteUpdate(sched.router))
         sched.ctx.trace("expand_linear_mod", "scheduler",

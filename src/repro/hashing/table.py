@@ -183,7 +183,12 @@ class NodeHashStore:
         if hi <= lo:
             raise ValueError("empty counting range")
         pos = self.posmap(self._all_values())
-        offsets, counts = np.unique(pos[(pos >= lo) & (pos < hi)] - lo,
-                                    return_counts=True)
+        inside = pos[(pos >= lo) & (pos < hi)] - lo
+        if hi - lo <= inside.size:  # no wider than the tuples: count, don't sort
+            dense = np.bincount(inside, minlength=hi - lo)
+            offsets = np.flatnonzero(dense)
+            counts = dense[offsets]
+        else:
+            offsets, counts = np.unique(inside, return_counts=True)
         return (offsets.astype(np.min_scalar_type(hi - lo - 1)),
                 counts.astype(np.int64, copy=False))

@@ -244,6 +244,28 @@ def test_protocol_handler_table_and_reply_helper(tmp_path):
     assert len(sends) == 1 and "Rogue" in sends[0].message
 
 
+def test_protocol_typed_waits_are_dispatch_arms(tmp_path):
+    """``await_message(Cls)`` and ``gather(Cls, senders)`` name the
+    classes they receive; ``gather``'s later arguments are not classes."""
+    waits = (
+        "from .messages import Orphan, Ping\n\n\n"
+        "class Waiter:\n"
+        "    def run(self, nodes):\n"
+        "        yield from self.await_message(Ping)\n"
+        "        yield from self.gather(Ping, Orphan)\n"
+    )
+    root = make_repo(tmp_path, {
+        "src/repro/core/messages.py": _MINI_MESSAGES,
+        "src/repro/core/waiter.py": waits,
+    })
+    orphan = [v for v in run_lint(root) if v.rule == "proto-unhandled"]
+    assert len(orphan) == 1 and "Orphan" in orphan[0].message
+    root = make_repo(tmp_path, {
+        "src/repro/core/waiter.py": waits.replace("Ping)\n", "Ping, Orphan)\n", 1),
+    })
+    assert "proto-unhandled" not in rules_of(run_lint(root))
+
+
 # ----------------------------------------------------------------------
 # framework behavior
 # ----------------------------------------------------------------------

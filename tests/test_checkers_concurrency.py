@@ -229,6 +229,32 @@ def test_wg_no_sender_sees_rows_a_layer_merges_into_an_inherited_table(tmp_path)
     assert "Layer._handlers" in found[0].message and "Ping" in found[0].message
 
 
+def test_wg_no_sender_reads_the_kinds_of_typed_waits(tmp_path):
+    """A typed wait names its classes as call arguments: ``gather``'s
+    first, every one of ``await_message``'s.  Each method waiting for a
+    class nothing constructs is named; ``Pong``, which ``reply`` builds,
+    is not reported."""
+    waits = (
+        "from .messages import Ping, Pong\n\n\n"
+        "class Coordinator:\n"
+        "    def fan_in(self, nodes):\n"
+        "        yield from self.gather(Ping, set(nodes), timeout=1.0)\n\n"
+        "    def one(self):\n"
+        "        return (yield from self.await_message(Pong, Ping))\n\n"
+        "    def reply(self, peer):\n"
+        "        peer.mailbox.put(Pong(0))\n"
+    )
+    root = make_repo(tmp_path, {
+        "src/repro/core/messages.py": _WG_MESSAGES,
+        "src/repro/core/actors.py": waits,
+    })
+    found = [v for v in run_lint(root, select=["wg-"])
+             if v.rule == "wg-no-sender"]
+    assert sorted(v.message.split(" waits for ")[0] for v in found) == [
+        "Coordinator.fan_in", "Coordinator.one"]
+    assert all(" waits for Ping," in v.message for v in found)
+
+
 def test_wg_no_sender_satisfied_from_sibling_dir(tmp_path):
     # a constructor anywhere in core/cluster/workload counts as a sender
     root = make_repo(tmp_path, {

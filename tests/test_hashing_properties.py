@@ -187,6 +187,11 @@ def counted_stores(draw):
 @example(case=(20, 3, (1 << 16) + 4, [[3, (1 << 16) + 3, 2, (1 << 16) + 4]]), seed=1)
 @example(case=(12, 100, 200, [[99, 200, 4095], [0]]), seed=2)  # no tuple in range
 @example(case=(12, 100, 200, []), seed=3)                      # an empty store
+# the dense/sparse switch: a 4-wide range holding 4 tuples (dense), 5
+# (dense) and 3 (sorted), with tuples just outside it that must not count
+@example(case=(12, 100, 104, [[99, 100, 101], [101, 103, 104]]), seed=4)
+@example(case=(12, 100, 104, [[100, 100, 101, 102], [103, 99]]), seed=5)
+@example(case=(12, 100, 104, [[100, 103, 104, 104], [103]]), seed=6)
 @settings(max_examples=150, deadline=None)
 def test_position_counts_equal_a_dense_bincount(case, seed):
     """``position_counts`` is the occupied slots of a dense ``bincount``

@@ -75,10 +75,11 @@ def test_pool_client_hands_out_the_same_order_for_the_same_free_set():
         potential=client,
     )
 
-    def await_message(match):
+    def await_message(*kinds, where):
         while True:
             msg = yield from ctx.scheduler_node.mailbox.recv()
-            if match(msg):
+            if type(msg) in kinds and all(
+                    getattr(msg, k) == v for k, v in where.items()):
                 return msg
 
     sched = SimpleNamespace(

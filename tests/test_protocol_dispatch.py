@@ -9,8 +9,9 @@ checker fix); a checker bug that stops seeing real handlers fails here.
 
 The dispatch inventory is the union of the live handler tables — the
 ``_handlers`` dict of a constructed join process, scheduler, their
-fault-tolerant layers, data source and resource pool — and the
-``isinstance`` arms of the protocol waits, which are not table-driven.
+fault-tolerant layers, data source and resource pool — and the classes
+the protocol waits name (the scheduler's typed waits, the other actors'
+``isinstance`` arms), which are not table-driven.
 """
 
 from __future__ import annotations
@@ -93,23 +94,31 @@ def concrete_message_classes() -> list[type]:
 
 @functools.cache
 def dispatched_names() -> frozenset[str]:
-    """Class names in a live handler table, or referenced as isinstance
-    targets in the live modules."""
+    """Class names in a live handler table, referenced as isinstance
+    targets in the live modules, or waited for by a typed wait
+    (``await_message(A, B)``, ``gather(A, senders)``)."""
     refs = {
         cls.__name__ for table in handler_tables().values() for cls in table
     }
     for mod in DISPATCH_MODULES:
         tree = ast.parse(textwrap.dedent(inspect.getsource(mod)))
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
+            if not isinstance(node, ast.Call):
+                continue
+            elts: list[ast.expr] = []
+            if (isinstance(node.func, ast.Name)
                     and node.func.id == "isinstance"
                     and len(node.args) == 2):
                 second = node.args[1]
                 elts = second.elts if isinstance(second, ast.Tuple) else [second]
-                for e in elts:
-                    if isinstance(e, ast.Name):
-                        refs.add(e.id)
+            elif isinstance(node.func, ast.Attribute):
+                if node.func.attr == "await_message":
+                    elts = node.args
+                elif node.func.attr == "gather":
+                    elts = node.args[:1]
+            for e in elts:
+                if isinstance(e, ast.Name):
+                    refs.add(e.id)
     return frozenset(refs)
 
 
@@ -147,7 +156,7 @@ def synthesize(cls: type):
                          ids=lambda c: c.__name__)
 def test_every_message_class_is_dispatchable(cls):
     """Each concrete protocol message has a live dispatch arm: a row in
-    some actor's handler table, or an isinstance arm."""
+    some actor's handler table, a typed wait or an isinstance arm."""
     assert cls.__name__ in dispatched_names(), (
         f"{cls.__name__} is defined in core/messages.py but is missing "
         f"from every handler table and no module in repro/core dispatches "

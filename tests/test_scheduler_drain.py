@@ -6,6 +6,8 @@ consecutive polling rounds return identical counters AND the flow balances
 These tests drive ``_collect_report`` directly with synthetic reports.
 """
 
+from dataclasses import dataclass
+
 from tests.conftest import small_config
 from repro.config import Algorithm
 from repro.core.driver import single_query_context
@@ -147,50 +149,160 @@ def test_probe_phase_balance_includes_emitted_probe():
 # ----------------------------------------------------------------------
 # relief-cycle waits screen the drain's ticks
 # ----------------------------------------------------------------------
-def test_await_message_screens_ticks_it_would_only_ignore(monkeypatch):
-    """``await_message`` (every wait inside a relief cycle) lets a tick
-    its match refuses wake nobody: the scheduler resumes for its start and
-    for the two messages it waits for, never for the 50 ticks between, and
-    no tick reaches the dispatcher.  Other traffic still does.  A match
-    that accepts a ``PollTick`` (``_probe_recovery``'s one-tick sleep)
-    gets the next tick."""
+@dataclass
+class Ack:
+    node: int = 0
+
+
+def drive(sched, wait, script):
+    """Run ``wait`` as the scheduler process under a 1 s drain ticker, with
+    ``script`` feeding the mailbox; return what the wait returned (or
+    raised) and when it ended, and the simulated times the scheduler
+    resumed at (stale wakeups aside)."""
     from repro.core.context import poll_ticker
-    from repro.core.messages import PollTick
     from repro.sim import Process
 
-    sched = make_sched()
-    sim, box = sched.ctx.sim, sched.node.mailbox
-    dispatched, resumes, got = [], [], []
-    sched._handlers = {PollTick: lambda s, m: dispatched.append(m),
-                       str: lambda s, m: dispatched.append(m)}
+    sim = sched.ctx.sim
+    out, resumes = {}, []
     real_resume = Process._resume
 
     def counting_resume(self, event):
         if event is self._waiting_on and self.name == "scheduler":
-            resumes.append(sim.now)  # not a stale wakeup
+            resumes.append(sim.now)
         real_resume(self, event)
 
-    monkeypatch.setattr(Process, "_resume", counting_resume)
-
     def scheduler():
-        got.append((yield from sched.await_message(lambda m: m == "ack")))
-        got.append((yield from sched.await_message(
-            lambda m: isinstance(m, PollTick))))
+        try:
+            out["value"] = yield from wait
+        except Exception as e:  # the test inspects what the wait raised
+            out["raised"] = e
+        out["at"] = sim.now
         sched._background_stopped = True
 
-    def sender():
+    Process._resume = counting_resume
+    try:
+        poll_ticker(sim, sched.node.mailbox, 1.0,
+                    lambda: sched._background_stopped)
+        sim.spawn(scheduler(), name="scheduler")
+        sim.spawn(script(sim, sched.node.mailbox))
+        sim.run()
+    finally:
+        Process._resume = real_resume
+    return out, resumes
+
+
+def test_await_message_screens_ticks_it_would_only_ignore():
+    """``await_message`` (every wait inside a relief cycle) lets a tick
+    it does not wait for wake nobody: the scheduler resumes for its start
+    and for the two messages it waits for, never for the 50 ticks between,
+    and no tick reaches the dispatcher.  Other traffic still does.  A wait
+    that names ``PollTick`` (``_probe_recovery``'s one-tick sleep) gets
+    the next tick."""
+    from repro.core.messages import PollTick
+
+    sched = make_sched()
+    dispatched, got = [], []
+    sched._handlers = {PollTick: lambda s, m: dispatched.append(m),
+                       str: lambda s, m: dispatched.append(m)}
+
+    def waits():
+        got.append((yield from sched.await_message(Ack)))
+        got.append((yield from sched.await_message(PollTick)))
+
+    def sender(sim, box):
         yield sim.timeout(20.5)
         box.put("other traffic")
         yield sim.timeout(30.0)
-        box.put("ack")
+        box.put(Ack())
 
-    poll_ticker(sim, box, 1.0, lambda: sched._background_stopped)
-    sim.spawn(scheduler(), name="scheduler")
-    sim.spawn(sender())
-    sim.run()
+    _, resumes = drive(sched, waits(), sender)
     assert dispatched == ["other traffic"]
-    assert got[0] == "ack" and type(got[1]) is PollTick
+    assert got[0] == Ack() and type(got[1]) is PollTick
     assert resumes == [0.0, 20.5, 50.5, 51.0]
+
+
+def test_await_message_where_sends_other_fields_to_the_dispatcher():
+    sched = make_sched()
+    dispatched = []
+    sched._handlers = {Ack: lambda s, m: dispatched.append(m)}
+
+    def sender(sim, box):
+        yield sim.timeout(1.5)
+        box.put(Ack(1))
+        box.put(Ack(2))
+
+    out, _ = drive(sched, sched.await_message(Ack, where={"node": 2}), sender)
+    assert out["value"] == Ack(2) and dispatched == [Ack(1)]
+
+
+# ----------------------------------------------------------------------
+# gather: one reply from each sender
+# ----------------------------------------------------------------------
+def test_gather_returns_once_every_sender_replied():
+    """Replies come back by sender; the set is emptied in place; a reply
+    from outside it and a second one from a sender already heard reach
+    the dispatcher; no tick wakes a gather without a timeout."""
+    sched = make_sched()
+    dispatched = []
+    sched._handlers = {Ack: lambda s, m: dispatched.append(m)}
+    senders = {0, 1, 2}
+
+    def sender(sim, box):
+        for node in (2, 7, 0, 2, 1):
+            yield sim.timeout(2.5)
+            box.put(Ack(node))
+
+    out, resumes = drive(sched, sched.gather(Ack, senders), sender)
+    assert out["value"] == {2: Ack(2), 0: Ack(0), 1: Ack(1)}
+    assert list(out["value"]) == [2, 0, 1]  # arrival order
+    assert senders == set()
+    assert dispatched == [Ack(7), Ack(2)]
+    assert resumes == [0.0, 2.5, 5.0, 7.5, 10.0, 12.5]
+
+
+def test_a_node_death_mid_gather_leaves_exactly_the_unheard_senders():
+    """A ``_NodeDied`` raised by the dispatcher unwinds the gather; the
+    set it was given then holds the senders not yet heard, which is what
+    the fault layer's initial-activation wait retries with."""
+    from repro.core.messages import ActivateAck, DeathVerdict
+    from repro.core.recovery import _NodeDied
+
+    sched = make_sched()
+
+    def died(s, msg):
+        raise _NodeDied(msg.node)
+
+    sched._handlers[DeathVerdict] = died
+    senders = {0, 1, 2, 3}
+
+    def sender(sim, box):
+        yield sim.timeout(1.5)
+        box.put(ActivateAck(1))
+        box.put(ActivateAck(3))
+        yield sim.timeout(1.0)
+        box.put(DeathVerdict(2))
+        box.put(ActivateAck(0))  # after the unwind: never consumed
+
+    out, _ = drive(sched, sched.gather(ActivateAck, senders), sender)
+    assert isinstance(out["raised"], _NodeDied) and out["raised"].node == 2
+    assert senders == {0, 2}
+    assert ActivateAck(0) in sched.node.mailbox.drain()
+
+
+def test_gather_times_out_only_after_a_quiet_window():
+    """With ``timeout=3``: a reply at 2.5 pushes the deadline to 5.5, so
+    the gather does not give up at 3.0 but on the first tick at or past
+    5.5 (6.0), with the silent sender left in the set."""
+    sched = make_sched()
+    senders = {0, 1}
+
+    def sender(sim, box):
+        yield sim.timeout(2.5)
+        box.put(Ack(0))
+
+    out, _ = drive(sched, sched.gather(Ack, senders, timeout=3.0), sender)
+    assert out["value"] == {0: Ack(0)} and senders == {1}
+    assert out["at"] == 6.0
 
 
 def test_a_join_with_relief_cycles_dispatches_no_tick(monkeypatch):
@@ -211,3 +323,28 @@ def test_a_join_with_relief_cycles_dispatches_no_tick(monkeypatch):
     res = run_join(small_config(Algorithm.HYBRID), validate=True)
     assert res.nodes_used > 2  # relief cycles ran
     assert PollTick not in ignored
+
+
+def test_shutdown_records_a_zombies_final_report_through_the_dispatcher():
+    """``_shutdown`` gathers the activated nodes' FinalReports; a zombie
+    recruit's (timed out, yet alive) reaches the dispatcher, which
+    records it too, and does not end the wait early."""
+    from repro.core.messages import FinalReport
+
+    sched = make_sched()
+    sched.activated = [0, 1]
+
+    def report(node):
+        return FinalReport(node=node, stored_tuples=0, matches=node,
+                           peak_memory=0, overcommit_bytes=0,
+                           spilled_r_tuples=0, spilled_s_tuples=0,
+                           activated_at=0.0)
+
+    def joins(sim, box):
+        for node in (1, 4, 0):  # 4: the zombie
+            yield sim.timeout(1.5)
+            box.put(report(node))
+
+    out, _ = drive(sched, sched._shutdown(), joins)
+    assert "raised" not in out and out["at"] == 4.5
+    assert sched.outcome.final_reports == {n: report(n) for n in (0, 1, 4)}
