@@ -1,12 +1,12 @@
 """Protocol exhaustiveness pass: messages, dispatch arms and send sites.
 
 The runtime's wire protocol is the set of public dataclasses in
-``repro/core/messages.py``.  The scheduler and the join process dispatch
-through a per-instance handler table (``self._handlers = {Cls: handler}``,
-which subclasses extend with ``self._handlers.update({...})``), and so do
-the data source and the pool; the scheduler's waits name their classes
-(``await_message(Cls)``, ``gather(Cls, ...)``), the others use
-``isinstance`` arms (and, in future code, possibly ``match``/``case``).
+``repro/core/messages.py``.  Every actor dispatches through a table that
+``repro.core.actor.Actor`` derives from its handler signatures: a method
+``_on_<what>(self, msg: Cls)`` is the row for ``Cls`` (``msg: A | B`` for
+two), and this pass reads the rows off the same signatures.  The
+scheduler's waits name their classes (``await_message(Cls)``,
+``gather(Cls, ...)``); the other waits use ``isinstance`` arms.
 Three rules keep the two sides from drifting (:attr:`ProtocolChecker.rules`).
 A message nobody can receive is dead protocol — or, worse, a deadlock
 waiting for the sender's timeout; an ad-hoc payload bypasses
@@ -37,8 +37,8 @@ _MESSAGES_REL = "src/repro/core/messages.py"
 #: transport entry points whose final positional argument is the payload
 _SEND_ATTRS = frozenset({"send", "send_to_join", "_reply"})
 
-#: attribute holding an actor's ``{message class: handler}`` dispatch table
-_HANDLER_TABLE = "_handlers"
+#: name prefix of an actor's message handlers (``repro.core.actor``)
+_HANDLER_PREFIX = "_on_"
 
 
 def _message_classes(source: SourceFile) -> tuple[list[ast.ClassDef], set[str]]:
@@ -66,47 +66,27 @@ def _message_classes(source: SourceFile) -> tuple[list[ast.ClassDef], set[str]]:
     return classes, exported
 
 
-def handler_table_keys(tree: ast.AST) -> set[str]:
-    """Class names registered in a handler table under ``tree``: the keys
-    of a dict literal assigned to ``<obj>._handlers`` or merged into it
-    with ``<obj>._handlers.update({...})``."""
-    def is_table(node: ast.AST) -> bool:
-        return isinstance(node, ast.Attribute) and node.attr == _HANDLER_TABLE
-
-    keys: set[str] = set()
+def handler_rows(tree: ast.AST) -> set[str]:
+    """Class names the ``_on_*`` handlers under ``tree`` take: every name
+    in the annotation of each one's message parameter (``msg: A | B``)."""
+    rows: set[str] = set()
     for node in ast.walk(tree):
-        table: ast.AST | None = None
-        if isinstance(node, ast.Assign) and any(map(is_table, node.targets)):
-            table = node.value
-        elif isinstance(node, ast.AnnAssign) and is_table(node.target):
-            table = node.value
-        elif isinstance(node, ast.Call) and node.args \
-                and isinstance(node.func, ast.Attribute) \
-                and node.func.attr == "update" and is_table(node.func.value):
-            table = node.args[0]
-        if isinstance(table, ast.Dict):
-            for k in table.keys:
-                if isinstance(k, ast.Name):
-                    keys.add(k.id)
-                elif isinstance(k, ast.Attribute):
-                    keys.add(k.attr)
-    return keys
+        if isinstance(node, ast.FunctionDef) and len(node.args.args) > 1 \
+                and node.name.startswith(_HANDLER_PREFIX) \
+                and node.args.args[1].annotation is not None:
+            for part in ast.walk(node.args.args[1].annotation):
+                if isinstance(part, ast.Name):
+                    rows.add(part.id)
+                elif isinstance(part, ast.Attribute):
+                    rows.add(part.attr)
+    return rows
 
 
-def _dispatch_refs(source: SourceFile) -> set[str]:
+def _dispatch_arms(source: SourceFile) -> set[str]:
     """Class names referenced in dispatch position in one file."""
-    refs = handler_table_keys(source.tree)
-    refs |= isinstance_class_names(ast.walk(source.tree))
-    refs |= typed_wait_kinds(ast.walk(source.tree))
-    for node in ast.walk(source.tree):
-        if isinstance(node, ast.match_case) \
-                and isinstance(node.pattern, ast.MatchClass):
-            cls = node.pattern.cls
-            if isinstance(cls, ast.Name):
-                refs.add(cls.id)
-            elif isinstance(cls, ast.Attribute):
-                refs.add(cls.attr)
-    return refs
+    return (handler_rows(source.tree)
+            | isinstance_class_names(ast.walk(source.tree))
+            | typed_wait_kinds(ast.walk(source.tree)))
 
 
 class ProtocolChecker(Checker):
@@ -115,11 +95,10 @@ class ProtocolChecker(Checker):
     name = "protocol"
     rules: ClassVar[dict[str, str]] = {
         "proto-unhandled": "a public message dataclass with no dispatch arm "
-                           "anywhere in `repro/core`: a row of an actor's "
-                           "`self._handlers = {Cls: handler}` table (or a "
-                           "`self._handlers.update({...})` a subclass adds), "
+                           "anywhere in `repro/core`: an actor's handler "
+                           "`_on_*(self, msg: Cls)` (its dispatch-table row), "
                            "a typed wait (`await_message(Cls)`, `gather(Cls, "
-                           "...)`), an `isinstance(msg, Cls)` or a `case Cls(...)`",
+                           "...)`) or an `isinstance(msg, Cls)`",
         "proto-unregistered-send": "a transport send (`ctx.send`, "
                                    "`send_to_join`, `JoinProcess._reply`, "
                                    "`Network.send`) whose payload class is "
@@ -139,7 +118,7 @@ class ProtocolChecker(Checker):
         refs: set[str] = set()
         for f in project.in_dir("src/repro/core"):
             if f.rel != _MESSAGES_REL:
-                refs |= _dispatch_refs(f)
+                refs |= _dispatch_arms(f)
 
         for cls in classes:
             if cls.name not in refs:

@@ -11,13 +11,13 @@ and a wait no sender can satisfy.  Dead sends are the protocol pass's
 job (``proto-unhandled``); dead *waits* are this one's.  Three
 refinements keep ``wg-cycle`` honest on real code:
 
-- a wait-state that routes unmatched traffic through a general
-  dispatcher (any ``self._dispatch*`` call, or a table-driven main loop
-  reading ``self._handlers`` itself) is *non-exclusive*: it services the
-  rest of the protocol while parked, so it contributes no blocking edge
-  (the scheduler's typed waits are this shape) — but a handler table
-  (``self._handlers``) is itself waited for, row by row, in passing, so
-  each row needs a sender too, reported against ``Cls._handlers``;
+- a wait-state that routes unmatched traffic through the actor's
+  dispatcher (a ``self.dispatch(msg)`` call) is *non-exclusive*: it
+  services the rest of the protocol while parked, so it contributes no
+  blocking edge (the scheduler's typed waits are this shape) — but the
+  dispatch table is itself waited for, row by row, in passing, so each
+  row (a class's ``_on_*(self, msg: Cls)`` handler, as the protocol pass
+  reads them) needs a sender too, reported against ``Cls._handlers``;
 - an edge ``A --m--> B`` is discharged when B's own wait-state in the
   cycle can still *send* m from inside its wait loop (directly or via
   methods it calls) — e.g. an actor parked on its phase signal that
@@ -38,13 +38,7 @@ from typing import ClassVar
 from dataclasses import dataclass, field
 
 from .base import Checker, Project, SourceFile, Violation
-from .protocol import (
-    _HANDLER_TABLE,
-    _MESSAGES_REL,
-    _SEND_ATTRS,
-    _message_classes,
-    handler_table_keys,
-)
+from .protocol import _MESSAGES_REL, _SEND_ATTRS, _message_classes, handler_rows
 from ._astutil import (
     dotted_name,
     isinstance_class_names,
@@ -156,19 +150,14 @@ def _analyze_class(
             awaited |= isinstance_class_names(nodes) & messages
         if not awaited:
             continue
-        # (the dispatcher may be inherited, so look at every self-call;
-        # a main loop that looks rows up itself *is* the dispatcher)
-        exclusive = raw and not (
-            any(c.startswith("_dispatch") for c in _self_calls(fn))
-            or any(isinstance(n, ast.Attribute) and n.attr == _HANDLER_TABLE
-                   for n in nodes)
-        )
+        # (the dispatcher is inherited, so look at every self-call)
+        exclusive = raw and "dispatch" not in _self_calls(fn)
         pc.waits.append(_WaitState(
             cls=node.name, method=name, source=source, lineno=fn.lineno,
             awaited=awaited, exclusive=exclusive,
             sends_while_waiting=sends.get(name, set()),
         ))
-    rows = handler_table_keys(node) & messages
+    rows = handler_rows(node) & messages
     if rows:
         # Whichever loop dispatches the table waits for its rows.
         pc.waits.append(_WaitState(node.name, "_handlers", source, node.lineno, rows))

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..data import ChunkBuffer, RelationStream, chunk_slices
 from ..hashing import Router
+from .actor import Actor
 from .context import RunContext
 from .messages import (
     DataChunk,
@@ -44,8 +45,12 @@ from .messages import (
 __all__ = ["DataSourceProcess"]
 
 
-class DataSourceProcess:
-    """One data source; drive with ``sim.spawn(proc.run())``."""
+class DataSourceProcess(Actor):
+    """One data source; drive with ``sim.spawn(proc.run())``.
+
+    Its control messages have one row each (an ``_on_*`` handler), read
+    wherever the message is: parked in :meth:`_serve_until`, or drained
+    at a batch boundary."""
 
     def __init__(self, ctx: RunContext, source_index: int, initial_router: Router) -> None:
         self.ctx = ctx
@@ -70,16 +75,9 @@ class DataSourceProcess:
         #: the first StartProbe's table (None until it arrives)
         self._probe_router: Router | None = None
         self._stopped = False
-        #: message type -> handler, called as ``handler(self, msg)``,
-        #: wherever the message is read (parked in :meth:`_serve_until`, or
-        #: drained at a batch boundary).  Plain functions, not bound
-        #: methods (see JoinProcess._handlers).
-        cls = type(self)
-        self._handlers: dict[type, Callable[[Any, Any], None]] = {
-            RouteUpdate: cls._on_route_update,
-            StartProbe: cls._on_start_probe,
-            Shutdown: cls._on_shutdown,
-        }
+
+    def __str__(self) -> str:
+        return f"source {self.index}"
 
     # ------------------------------------------------------------------
     def run(self) -> Generator[Any, Any, None]:
@@ -209,12 +207,6 @@ class DataSourceProcess:
     # ------------------------------------------------------------------
     # control traffic: one table, read from two places
     # ------------------------------------------------------------------
-    def _dispatch(self, msg: Any) -> None:
-        handler = self._handlers.get(type(msg))
-        if handler is None:
-            raise RuntimeError(f"source {self.index}: unexpected message {msg!r}")
-        handler(self, msg)
-
     def _on_route_update(self, msg: RouteUpdate) -> None:
         # Keep the newest table (a stale build-phase update is harmless).
         if msg.router.version > self.router.version:
@@ -235,14 +227,14 @@ class DataSourceProcess:
         arrives, until ``done()``.  Nothing is buffered while parked."""
         while not done():
             msg = yield from self.node.mailbox.recv()
-            self._dispatch(msg)
+            self.dispatch(msg)
             yield from self._at_boundary(None)
 
     def _absorb_control(self) -> bool:
         """Apply pending control messages at a batch boundary without
         blocking.  Returns True if the routing table changed."""
         for msg in self.node.mailbox.drain():
-            self._dispatch(msg)
+            self.dispatch(msg)
         changed, self._route_changed = self._route_changed, False
         return changed
 

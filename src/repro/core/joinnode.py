@@ -27,6 +27,7 @@ from ..config import Algorithm
 from ..data import chunk_slices
 from ..hashing import HashRange, NodeHashStore
 from ..sim import Interrupt
+from .actor import Actor
 from .context import RunContext
 from .messages import (
     ActivateAck,
@@ -65,7 +66,7 @@ OUTPUT_PAIR_BYTES = 200
 ShedPredicate = Callable[[np.ndarray], np.ndarray]
 
 
-class JoinProcess:
+class JoinProcess(Actor):
     """One join node's state machine; drive with ``sim.spawn(proc.run())``."""
 
     # lifecycle states
@@ -130,29 +131,9 @@ class JoinProcess:
         #: linear splits already executed (idempotent re-drive after failover)
         self._applied_splits: set[tuple[int, int]] = set()
         self._finalized_pass = False
-        #: message type -> handler: the whole dispatch (and the inventory
-        #: the protocol lint and its runtime mirror read).  Adding a
-        #: message is one row here.  The rows are plain functions, called
-        #: as ``handler(self, msg)``: bound methods would tie every join
-        #: process into a reference cycle, and its hash table would then
-        #: outlive the run until the cycle collector got to it.
-        cls = type(self)
-        self._handlers: dict[type, Callable[[Any, Any], Iterable[Any]]] = {
-            DataChunk: cls._on_data_chunk,
-            ActivateJoin: cls._on_activate,
-            ReplicateOrder: cls._on_replicate_order,
-            BisectOrder: cls._on_bisect_order,
-            LinearSplitOrder: cls._on_linear_split_order,
-            ReliefPing: cls._on_relief_ping,
-            OutputRedirect: cls._on_output_redirect,
-            SpillOrder: cls._on_spill_order,
-            StatusRequest: cls._on_status_request,
-            StartProbe: cls._on_start_probe,
-            CountRequest: cls._on_count_request,
-            ReshuffleOrder: cls._on_reshuffle_order,
-            FinalizePass: cls._on_finalize_pass,
-            Shutdown: cls._on_shutdown,
-        }
+
+    def __str__(self) -> str:
+        return f"join{self.index}"
 
     # ------------------------------------------------------------------
     # main loop
@@ -163,7 +144,7 @@ class JoinProcess:
                 # recv() withdraws the pending getter on Interrupt, so
                 # later deliveries are not consumed by a dead waiter.
                 msg = yield from self.node.mailbox.recv()
-                yield from self._dispatch(msg)
+                yield from self.dispatch(msg)
         except Interrupt as itr:
             # Fail-stop crash injected by the fault plan, possibly mid-
             # dispatch (a working node dies holding join state).  The node
@@ -200,12 +181,6 @@ class JoinProcess:
                 self.node.recv_credits.give()
             elif isinstance(msg, Shutdown):
                 return
-
-    def _dispatch(self, msg: Any) -> Iterable[Any]:
-        handler = self._handlers.get(type(msg))
-        if handler is None:
-            raise RuntimeError(f"join{self.index}: unexpected message {msg!r}")
-        return handler(self, msg)
 
     def _reply(self, msg: Any, best_effort: bool = False) -> Generator[Any, Any, None]:
         """Send ``msg`` to whoever is the scheduler right now."""

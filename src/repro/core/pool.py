@@ -45,6 +45,7 @@ from typing import Any
 from ..config import PoolPolicy
 from ..cluster import Node
 from ..obs import MetricsRegistry
+from .actor import Actor
 from .context import poll_ticker
 from .messages import (
     PollTick,
@@ -164,7 +165,7 @@ class _Parked:
     deadline: float | None  # None: admissions never expire
 
 
-class ResourcePoolProcess:
+class ResourcePoolProcess(Actor):
     """Drive with ``sim.spawn(pool.run())``; stats in ``pool.stats``."""
 
     def __init__(
@@ -206,20 +207,9 @@ class ResourcePoolProcess:
         self._admission_q: deque[_Parked] = deque()
         self._recruit_q: list[_Parked] = []
         self._stopped = False
-        #: message type -> handler, called as ``handler(self, msg)``; a row
-        #: returns the generator to drive, or None when nothing can yield.
-        #: Plain functions, not bound methods: a bound row would make the
-        #: pool one more reference cycle (see JoinProcess._handlers).
-        #: (An *idle* PollTick never gets this far — see :meth:`_busy`.)
-        cls = type(self)
-        self._handlers: dict[
-            type, Callable[[Any, Any], Generator[Any, Any, None] | None]
-        ] = {
-            PollTick: cls._on_tick,
-            RecruitRequest: cls._on_request,
-            QueryDone: cls._on_query_done,
-            Shutdown: cls._on_shutdown,
-        }
+
+    def __str__(self) -> str:
+        return "pool"
 
     # ------------------------------------------------------------------
     # helpers
@@ -250,13 +240,9 @@ class ResourcePoolProcess:
         poll_ticker(self.sim, self.node.mailbox, self.poll_interval,
                     lambda: self._stopped)
         self._sample_levels()
-        recv, handlers, keep = self.node.mailbox.recv, self._handlers, self._busy
-        while not self._stopped:
-            msg = yield from recv(keep)
-            handler = handlers.get(type(msg))
-            if handler is None:
-                raise RuntimeError(f"pool: unexpected message {msg!r}")
-            work = handler(self, msg)
+        recv, dispatch, keep = self.node.mailbox.recv, self.dispatch, self._busy
+        while not self._stopped:  # a row returns a generator, or None
+            work = dispatch((yield from recv(keep)))
             if work is not None:
                 yield from work
         # Held-but-never-released nodes (zombie recruits) are leaked.

@@ -76,7 +76,7 @@ __all__ = ["FaultTolerantScheduler", "FaultTolerantJoinProcess",
 class _NodeDied(Exception):
     """Internal control flow: a DeathVerdict surfaced in dispatch.
 
-    Raised out of ``_dispatch_common`` so whatever protocol wait is in
+    Raised out of the dispatcher so whatever protocol wait is in
     progress unwinds to the drain loop, which runs the recovery cycle —
     recovery must never run from the middle of a relief decision."""
 
@@ -107,12 +107,10 @@ class FaultTolerantScheduler(SchedulerProcess):
         #: reporter whose relief cycle a recovery unwind abandoned
         self._abandoned_reporter: int | None = None
         self._recovering = False
-        #: a death in the drain now being served can be recovered from
-        self._recoverable = False
         self._sync_seq = 0
         #: (recovery_id, source, relation) of absorbed ReplayDones
         self._replay_seen: set[tuple[int, int, str]] = set()
-        #: ActivateAcks consumed by _dispatch_common while another await
+        #: ActivateAcks consumed by the dispatcher while another await
         #: held the main loop (e.g. a recovery during initial activation)
         self._stray_activate_acks: set[int] = set()
         # Detector timings (simulated s) default from the drain-poll
@@ -142,15 +140,6 @@ class FaultTolerantScheduler(SchedulerProcess):
             self._recruit_timeout, self._confirm_s + 4.0 * self._hb_interval)
         #: the standby scheduler (primary only; set by :meth:`spawn`)
         self.standby: FaultTolerantScheduler | None = None
-        cls = type(self)
-        self._handlers.update({
-            HeartbeatAck: cls._on_heartbeat_ack,
-            DeathVerdict: cls._on_death_verdict,
-            ReplayDone: cls._note_replay_done,
-            NodeLostAck: cls._ignore,  # a recovery fan-out that completed
-            Depose: cls._on_depose,
-            ReliefAck: cls._on_abandoned_relief_ack,
-        })
 
     def spawn(self, name: str) -> None:
         """Spawn the primary and, on the backup node, the standby: this
@@ -206,6 +195,9 @@ class FaultTolerantScheduler(SchedulerProcess):
         if msg.still_full:
             self._requeue(msg.node)
 
+    def _on_node_lost_ack(self, msg: NodeLostAck) -> None:
+        """Nothing to do: a recovery fan-out that already completed."""
+
     def _on_stray_activate_ack(self, msg: ActivateAck) -> None:
         # Besides a zombie recruit's late ack, this may be an initial
         # node's ack landing while a recovery holds the main loop; the
@@ -236,7 +228,7 @@ class FaultTolerantScheduler(SchedulerProcess):
             if dest not in self.fenced
         )
 
-    def _note_replay_done(self, msg: ReplayDone) -> None:
+    def _on_replay_done(self, msg: ReplayDone) -> None:
         """Fold a replay's chunk counts into the drain balance, once."""
         key = (msg.recovery_id, msg.source, msg.relation)
         if key not in self._replay_seen:
@@ -356,13 +348,14 @@ class FaultTolerantScheduler(SchedulerProcess):
                         self.node, ctx.backup_node,
                         HeartbeatPing(self._hb_token), best_effort=True,
                     )
-                if self._phase not in ("build", "probe"):
-                    # Grading pauses outside the recovery envelope:
-                    # reshuffle and out-of-core passes park nodes in long
-                    # disk/transfer operations where silence means busy,
-                    # not dead — and a verdict here could not be acted on
-                    # anyway.  Pings (and the standby dead-man refresh)
-                    # continue so acks keep clearing suspicions.
+                if self._phase not in ("build", "probe") and self._drained:
+                    # Grading pauses outside the recovery envelope, where
+                    # reshuffle transfers and out-of-core passes park nodes
+                    # in long operations (silence means busy, not dead) —
+                    # but not in the reshuffle's drain, which a dead node
+                    # would stall for good (the verdict is refused there).
+                    # Pings (and the standby dead-man refresh) continue so
+                    # acks keep clearing suspicions.
                     continue
                 for j in watched:
                     if j in self._declared:
@@ -395,18 +388,12 @@ class FaultTolerantScheduler(SchedulerProcess):
                 pending.discard(e.node)
                 pending -= self._stray_activate_acks
 
-    def drain(self, phase: str) -> Generator[Any, Any, None]:
-        # The hybrid reshuffle drains its traffic as "build" too, but a
-        # death there is outside the recovery envelope.
-        self._recoverable = self._phase != "reshuffle"
-        return super().drain(phase)
-
     def _drain_loop(self) -> Generator[Any, Any, None]:
         while True:
             try:
                 return (yield from super()._drain_loop())
             except _NodeDied as e:
-                if not self._recoverable:
+                if self._phase == "reshuffle":  # outside the envelope
                     raise
                 yield from self._handle_node_death(e.node)
 
@@ -654,9 +641,9 @@ class FaultTolerantScheduler(SchedulerProcess):
                     and msg.recovery_id == dead and msg.source not in done):
                 done.add(msg.source)
                 expected_chunks += sum(msg.chunks_sent.values())
-                self._note_replay_done(msg)
+                self._on_replay_done(msg)
             else:
-                self._dispatch_common(msg)
+                self.dispatch(msg)
         while True:
             yield from self._degrade_full_target(target)
             self._poll_token += 1
@@ -778,7 +765,15 @@ class FaultTolerantScheduler(SchedulerProcess):
             yield from self._recovery_cycle(
                 pending.donor, target=pending.new_node, redrive=True)
             return
-        ack = yield from self.strategy.apply(pending)
+        self._abandoned_reporter = pending.reporter  # as in a relief cycle
+        try:
+            ack = yield from self.strategy.apply(pending)
+        except _NodeDied as e:
+            # A death before the drain loop resumes: recover it as that
+            # loop would, with this decision as the one cut short.
+            yield from self._handle_node_death(e.node)
+            return
+        self._abandoned_reporter = None
         yield from self.log_decision(None)
         if ack.still_full:
             self._requeue(ack.node)
@@ -801,12 +796,6 @@ class FaultTolerantJoinProcess(JoinProcess):
         self._recv_build_by_origin: defaultdict[int, int] = defaultdict(int)
         self._proc_build_by_origin: defaultdict[int, int] = defaultdict(int)
         self._emitted_build_by_dest: defaultdict[int, int] = defaultdict(int)
-        cls = type(self)
-        self._handlers.update({
-            HeartbeatPing: cls._on_heartbeat_ping,
-            NodeLost: cls._on_node_lost,
-            SchedulerFailover: cls._on_scheduler_failover,
-        })
 
     # ------------------------------------------------------------------
     # the wrapped decision points
@@ -948,17 +937,12 @@ class FaultTolerantDataSource(DataSourceProcess):
         self._pending_replays: list[ReplayOrder] = []
         self._done_relations: list[str] = []
         self._reannounce = False
-        # The two rows only note what arrived: what they must send needs
-        # generator context, which :meth:`_at_boundary` has.
-        cls = type(self)
-        self._handlers.update({
-            ReplayOrder: cls._on_replay_order,
-            SchedulerFailover: cls._on_failover,
-        })
 
     # ------------------------------------------------------------------
     # dispatch rows the layer adds
     # ------------------------------------------------------------------
+    # The two rows only note what arrived: what they must send needs
+    # generator context, which :meth:`_at_boundary` has.
     def _on_replay_order(self, msg: ReplayOrder) -> None:
         self._pending_replays.append(msg)
 

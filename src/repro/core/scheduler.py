@@ -38,6 +38,7 @@ from typing import Any
 
 from ..faults import UnrecoverableFaultError
 from ..hashing import RangeRouter, Router
+from .actor import Actor
 from .context import RunContext, poll_ticker
 from .messages import (
     ActivateAck,
@@ -86,7 +87,7 @@ class SchedulerOutcome:
     activated: list[int] = field(default_factory=list)
 
 
-class SchedulerProcess:
+class SchedulerProcess(Actor):
     """Drive with ``spawn(name)``; the outcome is ``result()``."""
 
     def __init__(self, ctx: RunContext) -> None:
@@ -153,26 +154,14 @@ class SchedulerProcess:
         self._round_nodes: tuple[int, ...] = ()
         self._prev_round: dict[int, tuple] | None = None
         self._drained = False
-        self._phase = "build"
+        self._phase = "build"  # build, reshuffle, probe or ooc
+        #: the phase whose counters a drain balances (:meth:`drain`)
+        self._draining = "build"
         #: stops the background loops (drain ticker, failure detector)
         self._background_stopped = False
 
-        #: message type -> handler for traffic that may arrive at any time
-        #: (the dispatch inventory the protocol lint and its runtime mirror
-        #: read; the fault layer registers its rows on top).  Plain
-        #: functions called as ``handler(self, msg)`` — bound methods would
-        #: make the scheduler one more reference cycle.
-        cls = type(self)
-        self._handlers: dict[type, Callable[[Any, Any], None]] = {
-            MemoryFull: cls._on_memory_full,
-            SourceDone: cls._on_source_done,
-            StatusReport: cls._collect_report,
-            ActivateAck: cls._on_stray_activate_ack,
-            SplitDone: cls._on_stale_ack,
-            PassDone: cls._on_stale_ack,
-            FinalReport: cls._on_final_report,
-            PollTick: cls._ignore,
-        }
+    def __str__(self) -> str:
+        return "scheduler"
 
     # ------------------------------------------------------------------
     # fault-layer decision points (no-ops here; see repro.core.recovery)
@@ -221,7 +210,7 @@ class SchedulerProcess:
 
         A live recruit whose ack merely arrived late becomes a "zombie":
         activated but unknown to the pools.  Its stale ack is ignored by
-        ``_dispatch_common`` and its FinalReport is accepted (but not
+        the dispatcher and its FinalReport is accepted (but not
         awaited) at shutdown, so correctness is unaffected either way.
         """
         backoff = self._recruit_timeout / 2.0
@@ -250,9 +239,7 @@ class SchedulerProcess:
         still absorbing other traffic."""
         deadline = self.ctx.sim.now + seconds
         while self.ctx.sim.now < deadline:
-            msg = yield from self.node.mailbox.recv()
-            if not isinstance(msg, PollTick):
-                self._dispatch_common(msg)
+            self.dispatch((yield from self.node.mailbox.recv()))
 
     def record_split(self, moved: int, busy: float) -> None:
         self.outcome.n_splits += 1
@@ -294,7 +281,7 @@ class SchedulerProcess:
             if type(msg) in kinds and (where is None or all(
                     getattr(msg, k) == v for k, v in where.items())):
                 return msg
-            self._dispatch_common(msg)
+            self.dispatch(msg)
 
     def gather(self, kind: type, senders: set[int], *,
                timeout: float | None = None) -> Generator[Any, Any, dict[int, Any]]:
@@ -317,18 +304,11 @@ class SchedulerProcess:
                 replies[msg.node] = msg
                 deadline = sim.now + (timeout or 0.0)  # progress
             else:
-                self._dispatch_common(msg)
+                self.dispatch(msg)
         return replies
 
     def await_relief_ack(self, reporter: int) -> Generator[Any, Any, ReliefAck]:
         return self.await_message(ReliefAck, where={"node": reporter})
-
-    def _dispatch_common(self, msg: Any) -> None:
-        """Messages that may arrive at any time, handled statelessly."""
-        handler = self._handlers.get(type(msg))
-        if handler is None:
-            raise RuntimeError(f"scheduler: unexpected message {msg!r}")
-        handler(self, msg)
 
     def _on_memory_full(self, msg: MemoryFull) -> None:
         # Remember the MemoryFull's causal edge: the relief cycle runs
@@ -364,8 +344,8 @@ class SchedulerProcess:
     def _on_stale_ack(self, msg: SplitDone | PassDone) -> None:
         self.ctx.trace("stale_ack", "scheduler", kind=type(msg).__name__)
 
-    def _ignore(self, msg: Any) -> None:
-        """Nothing to do: a tick outside an idle drain loop, a late ack."""
+    def _on_poll_tick(self, msg: PollTick) -> None:
+        """Nothing to do: a tick outside an idle drain loop."""
 
     def _source_sent(self, relation: str) -> int:
         """Chunks the sources count as sent in ``relation``'s phase."""
@@ -491,7 +471,7 @@ class SchedulerProcess:
         """Serve the protocol until ``phase``'s data flow has drained
         (module docstring): ``"build"`` balances the R counters — also for
         the hybrid reshuffle traffic — and ``"probe"`` the S counters."""
-        self._phase = phase
+        self._draining = phase
         self._drained = False
         self._prev_round = None
         return self._drain_loop()
@@ -508,7 +488,7 @@ class SchedulerProcess:
                 if self._ready_to_poll():
                     yield from self._start_poll_round()
             else:
-                self._dispatch_common(msg)
+                self.dispatch(msg)
 
     def _drain_keeps(self, msg: Any) -> bool:
         """The drain's screen: a tick on which its loop would do nothing
@@ -526,7 +506,7 @@ class SchedulerProcess:
         self.relief_active = True
         self._prev_round = None
         t0 = self.ctx.sim.now
-        phase = self._phase
+        phase = self._draining
         self.ctx.metrics.inc("sched.relief_cycles", 1, phase=phase)
         self.active_deficit = deficit
         try:
@@ -580,7 +560,7 @@ class SchedulerProcess:
         yield from self.await_relief_ack(reporter)
 
     def _ready_to_poll(self) -> bool:
-        relation = "R" if self._phase == "build" else "S"
+        relation = "R" if self._draining == "build" else "S"
         return (
             len(self._source_done[relation]) == self.ctx.n_sources
             and not self.full_queue
@@ -592,11 +572,11 @@ class SchedulerProcess:
         self._poll_token += 1
         self._round_reports = {}
         self._round_nodes = tuple(self.activated)
-        self.ctx.metrics.inc("sched.drain_rounds", 1, phase=self._phase)
+        self.ctx.metrics.inc("sched.drain_rounds", 1, phase=self._draining)
         for j in self._round_nodes:
             yield from self.send_to_join(j, StatusRequest(self._poll_token))
 
-    def _collect_report(self, report: StatusReport) -> None:
+    def _on_status_report(self, report: StatusReport) -> None:
         # Reports may land while a relief cycle holds the main loop —
         # still collect them, or the in-flight poll round would never
         # complete and polling would stop for good.  The stability
@@ -624,7 +604,7 @@ class SchedulerProcess:
         if any(r.busy for r in reports):
             self._prev_round = snapshot
             return
-        if self._phase == "build":
+        if self._draining == "build":
             sent = self._source_sent("R") + sum(r.emitted_build for r in reports)
             received = sum(r.received_build for r in reports)
             processed = sum(r.processed_build for r in reports)

@@ -223,15 +223,13 @@ def test_protocol_send_via_local_binding(tmp_path):
 
 
 def test_protocol_handler_table_and_reply_helper(tmp_path):
-    """A ``self._handlers`` row (assigned or ``.update``-merged) is a
-    dispatch arm, and ``self._reply(...)`` is a send site like any other."""
+    """Each class in the message annotation of an ``_on_*`` handler (a
+    union names several) is a dispatch arm, a method of another name is
+    not, and ``self._reply(...)`` is a send site like any other."""
     table = (
         "from .messages import Orphan, Ping\n\n\n"
         "class Actor:\n"
-        "    def __init__(self):\n"
-        "        self._handlers = {Ping: self.on_ping}\n"
-        "        self._handlers.update({Orphan: self.on_ping})\n\n"
-        "    def on_ping(self, msg):\n"
+        "    def _on_ping(self, msg: Ping | Orphan):\n"
         "        yield from self._reply(Rogue())\n"
     )
     root = make_repo(tmp_path, {
@@ -242,6 +240,11 @@ def test_protocol_handler_table_and_reply_helper(tmp_path):
     assert "proto-unhandled" not in rules_of(found)
     sends = [v for v in found if v.rule == "proto-unregistered-send"]
     assert len(sends) == 1 and "Rogue" in sends[0].message
+    root = make_repo(tmp_path, {"src/repro/core/actor.py": table.replace(
+        "Ping | Orphan):", "Ping):\n        pass\n\n"
+        "    def note(self, msg: Orphan):")})
+    orphan = [v for v in run_lint(root) if v.rule == "proto-unhandled"]
+    assert len(orphan) == 1 and "Orphan" in orphan[0].message
 
 
 def test_protocol_typed_waits_are_dispatch_arms(tmp_path):

@@ -112,9 +112,9 @@ class Server:
             msg = yield from node.mailbox.recv()
             if isinstance(msg, Ping):
                 break
-            self._dispatch_common(msg)
+            self.dispatch(msg)
 
-    def _dispatch_common(self, msg):
+    def dispatch(self, msg):
         pass
 
     def emit(self, peer):
@@ -201,23 +201,20 @@ def test_wg_no_sender(tmp_path):
 
 def test_wg_no_sender_sees_rows_a_layer_merges_into_an_inherited_table(tmp_path):
     """The join-side form: a subclass with no mailbox wait of its own adds
-    rows with ``self._handlers.update({...})``; its base's table-driven
-    loop now waits for them, so each still needs a sender."""
+    rows with ``_on_*`` handlers of its own; its base's dispatching loop
+    now waits for them, so each still needs a sender."""
     layer = (
         "from .messages import Ping, Pong\n\n\n"
         "class Base:\n"
-        "    def __init__(self):\n"
-        "        self._handlers = {Pong: Base.on}\n\n"
         "    def run(self, node):\n"
         "        while True:\n"
         "            msg = yield from node.mailbox.recv()\n"
-        "            self._handlers[type(msg)](self, msg)\n\n"
-        "    def on(self, msg):\n"
+        "            self.dispatch(msg)\n\n"
+        "    def _on_pong(self, msg: Pong):\n"
         "        self.node.mailbox.put(Pong(0))\n\n\n"
         "class Layer(Base):\n"
-        "    def __init__(self):\n"
-        "        super().__init__()\n"
-        "        self._handlers.update({Ping: Layer.on})\n"
+        "    def _on_ping(self, msg: Ping):\n"
+        "        pass\n"
     )
     root = make_repo(tmp_path, {
         "src/repro/core/messages.py": _WG_MESSAGES,

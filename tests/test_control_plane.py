@@ -9,7 +9,9 @@ model":
 * a *working* join node crashes during build and during probe and its
   hash range is re-streamed to a fresh node (every algorithm);
 * a slowed link produces a false suspicion that must resolve without a
-  failover or a lost query (the detector has no oracle).
+  failover or a lost query (the detector has no oracle);
+* a death during the standby's re-drive is recovered, and one during the
+  hybrid reshuffle's drain is refused with an error that names the phase.
 
 All runs validate against the sequential join oracle, so "recovered"
 means *exactly* right, not merely "terminated".
@@ -21,7 +23,9 @@ from tests.conftest import small_cluster, small_config, small_workload
 from repro.cli import main
 from repro.config import Algorithm, SplitPolicy
 from repro.core import run_join
-from repro.faults import CrashSpec, FaultPlan, LinkSlowdown
+from repro.core.driver import single_query_context
+from repro.core.recovery import FaultTolerantScheduler
+from repro.faults import CrashSpec, FaultPlan, LinkSlowdown, UnrecoverableFaultError
 
 ALGOS = (
     Algorithm.SPLIT,
@@ -129,6 +133,74 @@ def test_failover_mid_recovery_redrives_the_logged_recovery():
     assert [p[0] for p in redriven] == ["recover"]
     assert counter_total(res, "sched.recovery_cycles") == 2
     assert counter_total(res, "sim.events_executed") == 16575
+
+
+@pytest.mark.chaos
+def test_a_death_during_the_standbys_redrive_is_recovered():
+    """The primary dies while its split of node 2 onto node 4 is logged,
+    and the split's donor dies with it.  The standby's re-drive waits for
+    the donor's relief ack, the detector declares the donor dead, and the
+    standby recovers it as its drain loop would.  It used to refuse: "join
+    node 2 declared dead during the build phase — working-node recovery is
+    supported only in the build and probe phases"."""
+    plan = FaultPlan(membership=True, kill_scheduler_at=0.0205,
+                     crashes=(CrashSpec(node=2, at_time=0.0205),))
+    res = run_with(Algorithm.SPLIT, plan, trace=True)
+    assert res.matches == res.reference_matches == 89
+    redriven = [r.detail["pending"] for r in res.tracer.select("redrive")]
+    assert redriven == [["bisect", 2, 4, 2, 1536]]
+    assert [r.detail["dead"] for r in res.tracer.select("recovery_begin")] == [2]
+    assert counter_total(res, "sched.failover_count") == 1
+
+
+@pytest.mark.chaos
+def test_a_redrive_that_hears_no_ack_ends_in_the_concurrent_failure_error():
+    """A link from the scheduler (global id 0) to the backup (19) slowed
+    300 000-fold fires the standby's dead-man timer mid-build.  From its
+    takeover on, the standby hears no heartbeat ack and declares all five
+    working nodes dead at once, while it re-drives the logged split.  It
+    recovers the first and refuses the second, with the error that names
+    the cut: concurrent working-node failures."""
+    plan = membership_plan(
+        slowdowns=(LinkSlowdown(0.02, 1.02, 3e5, src=0, dst=19),))
+    with pytest.raises(UnrecoverableFaultError,
+                       match="join node 1 declared dead while recovering"):
+        run_with(Algorithm.SPLIT, plan)
+
+
+# ---------------------------------------------------------------------------
+# the reshuffle drain is outside the recovery envelope
+# ---------------------------------------------------------------------------
+
+
+def test_the_detector_grades_the_reshuffle_drain_but_not_its_transfers():
+    """No node acks.  While the reshuffle moves data (the build drain
+    over), the pings go on but no node is suspected; once the reshuffle's
+    own drain runs, the same silence is."""
+    cfg = small_config(Algorithm.HYBRID, faults=membership_plan())
+    sched = FaultTolerantScheduler(single_query_context(cfg))
+    sched._phase = "reshuffle"  # as ``_run_from`` sets it
+    sched._drained = True  # the build drain is over
+    sim = sched.ctx.sim
+    sim.spawn(sched._detect(), name="membership")
+    sim.run(until=3 * sched._suspect_s)
+    assert not sched.suspected
+    assert sched.ctx.metrics.find("membership.suspected") is None
+    assert sched.ctx.metrics.find("membership.pings").value > 0
+    sched.drain("build")
+    sim.run(until=6 * sched._suspect_s)
+    assert sched.suspected == set(sched.activated)
+
+
+@pytest.mark.chaos
+def test_a_crash_during_the_reshuffle_drain_ends_in_the_reshuffle_refusal():
+    """Node 0 dies at t = 0.085, in the hybrid reshuffle's drain (its cuts
+    at 0.080, its end at 0.102 without the crash).  The detector declares
+    it, and the refusal names the reshuffle phase; it used to name build."""
+    plan = membership_plan(crashes=(CrashSpec(node=0, at_time=0.085),))
+    with pytest.raises(UnrecoverableFaultError,
+                       match="dead during the reshuffle phase"):
+        run_with(Algorithm.HYBRID, plan)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ class Recorded:
 
     def deliver(self, msg, buffers=None):
         """One control message read at a boundary, then the hook."""
-        self.src._dispatch(msg)
+        self.src.dispatch(msg)
         self.run(self.src._at_boundary(buffers))
 
     def deliver_at(self, t, msg):

@@ -82,8 +82,8 @@ def test_unarmed_runs_build_the_plain_join_process(faults, monkeypatch):
         assert type(jp) is JoinProcess
         assert not {type(m) for m in layer_rows} & set(jp._handlers)
     for msg in layer_rows:
-        with pytest.raises(RuntimeError, match="unexpected message"):
-            built[0]._dispatch(msg)
+        with pytest.raises(RuntimeError, match=r"^join\d+: unexpected message"):
+            built[0].dispatch(msg)
 
 
 @pytest.fixture
@@ -113,8 +113,8 @@ def test_unarmed_runs_build_the_plain_data_source(faults, built_sources):
         assert set(src._handlers) == {RouteUpdate, StartProbe, Shutdown}
     for msg in (ReplayOrder("R", target=1, recovery_id=1, router=None),
                 SchedulerFailover(new_scheduler=3)):
-        with pytest.raises(RuntimeError, match="unexpected message"):
-            built_sources[0]._dispatch(msg)
+        with pytest.raises(RuntimeError, match=r"^source \d+: unexpected message"):
+            built_sources[0].dispatch(msg)
 
 
 def test_armed_plan_builds_the_layered_data_source(built_sources):

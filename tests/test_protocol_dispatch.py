@@ -7,10 +7,11 @@ without a handler fails both; a refactor that moves dispatch somewhere
 the static pass cannot see fails only the static pass (prompting a
 checker fix); a checker bug that stops seeing real handlers fails here.
 
-The dispatch inventory is the union of the live handler tables — the
-``_handlers`` dict of a constructed join process, scheduler, their
-fault-tolerant layers, data source and resource pool — and the classes
-the protocol waits name (the scheduler's typed waits, the other actors'
+The dispatch inventory is the union of the actors' handler tables — the
+``_handlers`` that :class:`repro.core.actor.Actor` derives from the
+``_on_*`` signatures of the join process, scheduler, data source, their
+fault-tolerant layers and the resource pool — and the classes the
+protocol waits name (the scheduler's typed waits, the other actors'
 ``isinstance`` arms), which are not table-driven.
 """
 
@@ -34,10 +35,12 @@ import repro.core.replicate
 import repro.core.scheduler
 import repro.core.split
 from repro.core import messages as messages_mod
+from repro.core.actor import Actor
 from repro.core.driver import single_query_context
+from repro.core.messages import MemoryFull, PollTick, Shutdown
+from repro.core.recovery import FaultTolerantScheduler
 from repro.faults import FaultPlan
 from repro.hashing import HashRange, RangeRouter
-from repro.obs import MetricsRegistry
 from tests.conftest import small_config
 
 #: every module that may legitimately dispatch protocol messages
@@ -53,32 +56,21 @@ DISPATCH_MODULES = (
 )
 
 
+#: every table-driven actor class
+ACTORS = (
+    repro.core.joinnode.JoinProcess,
+    repro.core.recovery.FaultTolerantJoinProcess,
+    repro.core.scheduler.SchedulerProcess,
+    repro.core.recovery.FaultTolerantScheduler,
+    repro.core.datasource.DataSourceProcess,
+    repro.core.recovery.FaultTolerantDataSource,
+    repro.core.pool.ResourcePoolProcess,
+)
+
+
 def handler_tables() -> dict[str, dict[type, object]]:
-    """The ``{message type: handler}`` table of each table-driven actor,
-    read off live instances."""
-    ctx = single_query_context(small_config())
-    ft_ctx = single_query_context(
-        small_config(faults=FaultPlan(membership=True))
-    )
-    return {
-        "JoinProcess": repro.core.joinnode.JoinProcess(ctx, 0)._handlers,
-        "FaultTolerantJoinProcess":
-            repro.core.recovery.FaultTolerantJoinProcess(ft_ctx, 0)._handlers,
-        "SchedulerProcess":
-            repro.core.scheduler.SchedulerProcess(ctx)._handlers,
-        "FaultTolerantScheduler":
-            repro.core.recovery.FaultTolerantScheduler(ft_ctx)._handlers,
-        "DataSourceProcess": repro.core.datasource.DataSourceProcess(
-            ctx, 0, repro.core.scheduler.SchedulerProcess(ctx).router,
-        )._handlers,
-        "FaultTolerantDataSource": repro.core.recovery.FaultTolerantDataSource(
-            ft_ctx, 0, repro.core.scheduler.SchedulerProcess(ft_ctx).router,
-        )._handlers,
-        "ResourcePoolProcess": repro.core.pool.ResourcePoolProcess(
-            ctx.sim, ctx.cluster.network, ctx.scheduler_node,
-            free_nodes=[], sched_nodes={}, metrics=MetricsRegistry(),
-        )._handlers,
-    }
+    """The ``{message type: handler}`` table of each actor class."""
+    return {cls.__name__: dict(cls._handlers) for cls in ACTORS}
 
 
 def concrete_message_classes() -> list[type]:
@@ -204,6 +196,103 @@ def test_handler_tables_are_the_actors_dispatch():
     assert {m.__name__ for m in set(layered) - set(base)} == {
         "ReplayOrder", "SchedulerFailover",
     }
+
+
+_JOIN_ROWS = {
+    "ActivateJoin": "JoinProcess._on_activate",
+    "BisectOrder": "JoinProcess._on_bisect_order",
+    "CountRequest": "JoinProcess._on_count_request",
+    "DataChunk": "JoinProcess._on_data_chunk",
+    "FinalizePass": "JoinProcess._on_finalize_pass",
+    "LinearSplitOrder": "JoinProcess._on_linear_split_order",
+    "OutputRedirect": "JoinProcess._on_output_redirect",
+    "ReliefPing": "JoinProcess._on_relief_ping",
+    "ReplicateOrder": "JoinProcess._on_replicate_order",
+    "ReshuffleOrder": "JoinProcess._on_reshuffle_order",
+    "Shutdown": "JoinProcess._on_shutdown",
+    "SpillOrder": "JoinProcess._on_spill_order",
+    "StartProbe": "JoinProcess._on_start_probe",
+    "StatusRequest": "JoinProcess._on_status_request",
+}
+_SCHEDULER_ROWS = {
+    "ActivateAck": "SchedulerProcess._on_stray_activate_ack",
+    "FinalReport": "SchedulerProcess._on_final_report",
+    "MemoryFull": "SchedulerProcess._on_memory_full",
+    "PassDone": "SchedulerProcess._on_stale_ack",
+    "PollTick": "SchedulerProcess._on_poll_tick",  # was ``_ignore``
+    "SourceDone": "SchedulerProcess._on_source_done",
+    "SplitDone": "SchedulerProcess._on_stale_ack",
+    "StatusReport": "SchedulerProcess._on_status_report",  # ``_collect_report``
+}
+_SOURCE_ROWS = {
+    "RouteUpdate": "DataSourceProcess._on_route_update",
+    "Shutdown": "DataSourceProcess._on_shutdown",
+    "StartProbe": "DataSourceProcess._on_start_probe",
+}
+#: the rows each actor's hand-written ``_handlers`` dict held, by handler
+#: qualname, with the four odd handlers under their ``_on_*`` names
+HAND_WRITTEN_ROWS = {
+    "JoinProcess": _JOIN_ROWS,
+    "FaultTolerantJoinProcess": {
+        **_JOIN_ROWS,
+        "HeartbeatPing": "FaultTolerantJoinProcess._on_heartbeat_ping",
+        "NodeLost": "FaultTolerantJoinProcess._on_node_lost",
+        "SchedulerFailover": "FaultTolerantJoinProcess._on_scheduler_failover",
+    },
+    "SchedulerProcess": _SCHEDULER_ROWS,
+    "FaultTolerantScheduler": {
+        **_SCHEDULER_ROWS,
+        "ActivateAck": "FaultTolerantScheduler._on_stray_activate_ack",
+        "DeathVerdict": "FaultTolerantScheduler._on_death_verdict",
+        "Depose": "FaultTolerantScheduler._on_depose",
+        "HeartbeatAck": "FaultTolerantScheduler._on_heartbeat_ack",
+        "MemoryFull": "FaultTolerantScheduler._on_memory_full",
+        # was the scheduler's ``_ignore``
+        "NodeLostAck": "FaultTolerantScheduler._on_node_lost_ack",
+        "ReliefAck": "FaultTolerantScheduler._on_abandoned_relief_ack",
+        # was ``_note_replay_done``
+        "ReplayDone": "FaultTolerantScheduler._on_replay_done",
+    },
+    "DataSourceProcess": _SOURCE_ROWS,
+    "FaultTolerantDataSource": {
+        **_SOURCE_ROWS,
+        "ReplayOrder": "FaultTolerantDataSource._on_replay_order",
+        "SchedulerFailover": "FaultTolerantDataSource._on_failover",
+    },
+    "ResourcePoolProcess": {
+        "PollTick": "ResourcePoolProcess._on_tick",
+        "QueryDone": "ResourcePoolProcess._on_query_done",
+        "RecruitRequest": "ResourcePoolProcess._on_request",
+        "Shutdown": "ResourcePoolProcess._on_shutdown",
+    },
+}
+
+
+def test_the_signature_derived_tables_are_the_hand_written_ones():
+    """Each actor's derived table has the rows its hand-written dict had."""
+    derived = {
+        actor: {cls.__name__: h.__qualname__ for cls, h in table.items()}
+        for actor, table in handler_tables().items()
+    }
+    assert derived == HAND_WRITTEN_ROWS
+
+
+def test_an_override_takes_its_bases_row():
+    assert FaultTolerantScheduler._handlers[MemoryFull] \
+        is FaultTolerantScheduler._on_memory_full
+
+
+def test_a_handler_table_that_cannot_be_derived_is_a_type_error():
+    """Two handlers for one message class, or an ``_on_*`` method whose
+    message parameter names no class, fail when the class is defined."""
+    with pytest.raises(TypeError, match="Shutdown has two handlers"):
+        class Twice(Actor):
+            def _on_stop(self, msg: Shutdown) -> None: ...
+
+            def _on_either(self, msg: PollTick | Shutdown) -> None: ...
+    with pytest.raises(TypeError, match="Bare._on_tick: annotate"):
+        class Bare(Actor):
+            def _on_tick(self, msg) -> None: ...
 
 
 def test_data_source_control_path_is_one_table():

@@ -3,10 +3,12 @@
 The drain rule (scheduler docstring): a phase is complete only when two
 consecutive polling rounds return identical counters AND the flow balances
 (sent == received == processed) AND nobody is busy / queued / in relief.
-These tests drive ``_collect_report`` directly with synthetic reports.
+These tests drive ``_on_status_report`` directly with synthetic reports.
 """
 
 from dataclasses import dataclass
+
+import pytest
 
 from tests.conftest import small_config
 from repro.config import Algorithm
@@ -19,7 +21,7 @@ def make_sched(initial=2):
     cfg = small_config(Algorithm.REPLICATE, initial=initial)
     ctx = single_query_context(cfg)
     sched = SchedulerProcess(ctx)
-    sched._phase = "build"
+    sched._draining = "build"
     sched._source_done["R"] = set(range(ctx.n_sources))
     return sched
 
@@ -36,7 +38,7 @@ def feed_round(sched, reports):
     sched._round_reports = {}
     for r in reports:
         r.token = sched._poll_token
-        sched._collect_report(r)
+        sched._on_status_report(r)
 
 
 def test_balanced_identical_rounds_drain():
@@ -92,10 +94,10 @@ def test_stale_token_reports_are_ignored():
     sched._round_nodes = (0, 1)
     sched._round_reports = {}
     stale = report(0, token=3, rb=1, pb=1, eb=0)
-    sched._collect_report(stale)
+    sched._on_status_report(stale)
     assert sched._round_reports == {}
     foreign = report(7, token=5, rb=1, pb=1, eb=0)
-    sched._collect_report(foreign)
+    sched._on_status_report(foreign)
     assert sched._round_reports == {}
 
 
@@ -119,16 +121,22 @@ def test_memory_full_resets_previous_round():
     round_ = [report(0, 0, rb=6, pb=6, eb=1),
               report(1, 0, rb=5, pb=5, eb=0)]
     feed_round(sched, round_)
-    sched._dispatch_common(MemoryFull(0))
+    sched.dispatch(MemoryFull(0))
     assert sched.full_queue and sched._prev_round is None
     sched.full_queue.clear()
     feed_round(sched, round_)
     assert not sched._drained, "stability must restart after a relief event"
 
 
+def test_a_message_without_a_row_names_the_scheduler():
+    sched = make_sched()
+    with pytest.raises(RuntimeError, match="^scheduler: unexpected message"):
+        sched.dispatch(object())
+
+
 def test_probe_phase_balance_includes_emitted_probe():
     sched = make_sched()
-    sched._phase = "probe"
+    sched._draining = "probe"
     sched._source_done["S"] = set(range(sched.ctx.n_sources))
     sched._source_chunk_maps["S"] = {0: 4}
 
@@ -272,7 +280,7 @@ def test_a_node_death_mid_gather_leaves_exactly_the_unheard_senders():
     def died(s, msg):
         raise _NodeDied(msg.node)
 
-    sched._handlers[DeathVerdict] = died
+    sched._handlers = {**sched._handlers, DeathVerdict: died}
     senders = {0, 1, 2, 3}
 
     def sender(sim, box):
@@ -307,19 +315,19 @@ def test_gather_times_out_only_after_a_quiet_window():
 
 def test_a_join_with_relief_cycles_dispatches_no_tick(monkeypatch):
     """End to end: the relief cycles' waits screen every tick, so
-    :meth:`SchedulerProcess._ignore` never sees one (it used to, once for
-    each tick that fell inside a relief cycle)."""
+    :meth:`SchedulerProcess._on_poll_tick` never sees one (a tick used to
+    reach it for each tick that fell inside a relief cycle)."""
     from repro.core import run_join
     from repro.core.messages import PollTick
 
     ignored = []
-    real_ignore = SchedulerProcess._ignore
 
     def counting_ignore(self, msg):
         ignored.append(type(msg))
-        real_ignore(self, msg)
+        SchedulerProcess._on_poll_tick(self, msg)
 
-    monkeypatch.setattr(SchedulerProcess, "_ignore", counting_ignore)
+    monkeypatch.setattr(SchedulerProcess, "_handlers", {
+        **SchedulerProcess._handlers, PollTick: counting_ignore})
     res = run_join(small_config(Algorithm.HYBRID), validate=True)
     assert res.nodes_used > 2  # relief cycles ran
     assert PollTick not in ignored
