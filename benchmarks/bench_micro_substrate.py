@@ -19,7 +19,7 @@ from repro.config import Algorithm, ClusterSpec, RunConfig, WorkloadSpec
 from repro.core import run_join
 from repro.core.context import poll_ticker
 from repro.core.messages import PollTick
-from repro.data import ChunkBuffer
+from repro.data import KEY_DTYPE, ChunkBuffer
 from repro.hashing import (
     HashRange,
     NodeHashStore,
@@ -32,7 +32,9 @@ from repro.seqjoin import match_count
 from repro.sim import Mailbox, Resource, Simulator
 
 RNG = np.random.default_rng(42)
-VALUES = RNG.integers(0, 1 << 32, 100_000, dtype=np.uint64)
+# keys are drawn in 64 bits and narrowed, as ``draw_values`` does: the
+# timed calls see the program's key dtype, never a narrowing copy
+VALUES = RNG.integers(0, 1 << 32, 100_000, dtype=np.uint64).astype(KEY_DTYPE)
 POSMAP = PositionMap(1 << 18)
 POSITIONS = POSMAP(VALUES)
 
@@ -191,7 +193,7 @@ _NODE_LO, _NODE_WIDTH = 5 << 28, 1 << 28
 
 
 def _uniform(n: int) -> np.ndarray:
-    return RNG.integers(_NODE_LO, _NODE_LO + _NODE_WIDTH, n, dtype=np.uint64)
+    return RNG.integers(_NODE_LO, _NODE_LO + _NODE_WIDTH, n, dtype=np.uint64).astype(KEY_DTYPE)
 
 
 def _gaussian(n: int) -> np.ndarray:
@@ -199,7 +201,7 @@ def _gaussian(n: int) -> np.ndarray:
     band holding a sixteenth of the mass: a hot node's dense, narrow range."""
     sigma = 0.001 * 2.0 ** 32
     draws = RNG.normal(2.0 ** 31, sigma, 20 * n)
-    return draws[np.abs(draws - 2.0 ** 31) < 0.0784 * sigma][:n].astype(np.uint64)
+    return draws[np.abs(draws - 2.0 ** 31) < 0.0784 * sigma][:n].astype(KEY_DTYPE)
 
 
 def _stripes(n: int, modulus: int = 16, bucket: int = 5) -> np.ndarray:
@@ -208,7 +210,7 @@ def _stripes(n: int, modulus: int = 16, bucket: int = 5) -> np.ndarray:
     per_position = np.uint64((1 << 32) // POSMAP.positions)
     k = RNG.integers(0, POSMAP.positions // modulus, n, dtype=np.uint64)
     return ((k * np.uint64(modulus) + np.uint64(bucket)) * per_position
-            + RNG.integers(0, per_position, n, dtype=np.uint64))
+            + RNG.integers(0, per_position, n, dtype=np.uint64)).astype(KEY_DTYPE)
 
 
 @pytest.mark.parametrize("draw, chunk", [
@@ -247,7 +249,7 @@ def test_position_counts_throughput(benchmark):
     """A reshuffle member's count reply: 2.5 M stored tuples over a
     2**16-wide range, returned as occupied offsets and their counts."""
     posmap = PositionMap(1 << 16)
-    values = RNG.integers(0, 1 << 32, 2_500_000, dtype=np.uint64)
+    values = RNG.integers(0, 1 << 32, 2_500_000, dtype=np.uint64).astype(KEY_DTYPE)
     store = NodeHashStore(posmap)
     store.insert(values)
     lo, hi = 0, 1 << 16
@@ -292,7 +294,7 @@ def test_spill_parts_of_a_chunk(benchmark, lo, width):
         RNG.integers(hi, min(hi + 50, POSMAP.positions), 40),  # at or above hi
     ])
     chunk = (positions.astype(np.uint64) * np.uint64(per_position)
-             + RNG.integers(0, per_position, positions.size, dtype=np.uint64))
+             + RNG.integers(0, per_position, positions.size, dtype=np.uint64)).astype(KEY_DTYPE)
     assert np.array_equal(ctx.posmap(chunk), positions)
 
     parts = benchmark(store._parts, chunk)

@@ -26,6 +26,7 @@ from typing import Any
 
 import numpy as np
 
+from ..faults import UnrecoverableFaultError
 from ..hashing import RangeRouter, partition_range_by_counts
 from .messages import CountRequest, CountVector, ReshuffleDone, ReshuffleOrder
 from .replicate import ReplicationStrategy
@@ -57,7 +58,7 @@ class HybridStrategy(ReplicationStrategy):
             for j in chain:
                 yield from sched.send_to_join(j, CountRequest(rng.lo, rng.hi))
         totals = {rng.lo: np.zeros(rng.width, dtype=np.int64) for rng, _ in members}
-        for msg in (yield from sched.gather(CountVector, set(nodes))).values():
+        for msg in (yield from self.gather(CountVector, nodes)).values():
             totals[msg.lo][msg.offsets] += msg.counts
 
         # 2. Greedy contiguous cut per group; dispatch redistribution orders.
@@ -75,7 +76,7 @@ class HybridStrategy(ReplicationStrategy):
                             parts=[str(c) for c in cuts])
 
         # 3. Await completion acknowledgements.
-        done = yield from sched.gather(ReshuffleDone, nodes)
+        done = yield from self.gather(ReshuffleDone, nodes)
         sched.outcome.reshuffle_moved_tuples += sum(
             m.moved_tuples for m in done.values())
 
@@ -87,3 +88,21 @@ class HybridStrategy(ReplicationStrategy):
             entries=tuple(new_entries),
             version=sched.next_version(),
         )
+
+    def gather(self, kind: type, nodes: set[int]) -> Generator[Any, Any, dict[int, Any]]:
+        """One ``kind`` reply from every member.  Under a plan with crashes a
+        member silent longer than a live one can be (the recruit deadline,
+        then counting, repacking and shipping a full table) is dead."""
+        sched, pending, timeout = self.sched, set(nodes), None
+        if sched.ctx.faults is not None and sched.ctx.faults.plan.crashes:
+            cost, full = sched.ctx.cost, sched.ctx.join_node(min(nodes)).memory.capacity
+            timeout = sched._recruit_timeout + cost.wire_time(full) + (
+                full // sched.cfg.workload.tuple_bytes
+                * (cost.cpu_route_tuple + cost.cpu_repack_tuple))
+        replies = yield from sched.gather(kind, pending, timeout=timeout)
+        if pending:
+            raise UnrecoverableFaultError(
+                f"join node(s) {sorted(pending)} sent no {kind.__name__} during "
+                "the reshuffle phase — working-node recovery is supported only "
+                "in the build and probe phases (docs/FAULTS.md)")
+        return replies

@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from ..config import Algorithm
-from ..data import chunk_slices
+from ..data import KEY_DTYPE, chunk_slices
 from ..hashing import HashRange, NodeHashStore
 from ..sim import Interrupt
 from .actor import Actor
@@ -679,7 +679,7 @@ class JoinProcess(Actor):
     def _ship_output(self, pairs: int, dest: int) -> None:
         """Materialized pairs carry no join attributes the model needs:
         they travel as zero-filled ``"O"`` chunks of the right size."""
-        self._spawn_transfer(np.zeros(pairs, dtype=np.uint64), dest, Hop.OUTPUT)
+        self._spawn_transfer(np.zeros(pairs, KEY_DTYPE), dest, Hop.OUTPUT)
 
     def _consume_output(self, chunk: DataChunk) -> Generator[Any, Any, None]:
         """An output sink absorbing materialized pairs (it may itself

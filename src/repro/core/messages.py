@@ -103,7 +103,7 @@ class DataChunk:
     """A buffered batch of tuples of one relation."""
 
     relation: str                   # "R" (build) or "S" (probe)
-    values: np.ndarray              # uint64 join attributes
+    values: np.ndarray              # join attributes, a key chunk
     tuple_bytes: int                # full logical tuple size
     hop: str = Hop.PRIMARY
     origin: int = -1                # sending actor id (diagnostics)

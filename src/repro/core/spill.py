@@ -14,6 +14,7 @@ from typing import Any
 
 import numpy as np
 
+from ..data import empty_chunk
 from ..hashing import HashRange, NodeHashStore, group_order
 from .context import RunContext
 
@@ -86,7 +87,7 @@ class SpillStore:
     def _spilled_pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The spilled ``(R_p, S_p)`` pairs.  The chunks are let go: from
         here on the pairs hold the only copy."""
-        r, s = (np.concatenate([np.empty(0, np.uint64), *side]) for side in (self._r, self._s))
+        r, s = (np.concatenate([empty_chunk(), *side]) for side in (self._r, self._s))
         self._r, self._s = [], []
         return _pairs(r, s, self._parts(r), self._parts(s), self.k)
 

@@ -1,9 +1,9 @@
 """The columnar chunk format: the unit every hot path moves data in.
 
 Relations flow through the system as **key chunks** — C-contiguous NumPy
-``uint64`` arrays of join-attribute values, one array per communication
-chunk.  Every stage of the data plane (generation, hashing, routing,
-build insert, probe matching, split migration, spill partitioning)
+``KEY_DTYPE`` (``uint32``) arrays of join-attribute values, one array per
+communication chunk.  Every stage of the data plane (generation, hashing,
+routing, build insert, probe matching, split migration, spill partitioning)
 operates on whole chunks with vectorized NumPy kernels; no hot path ever
 touches a Python tuple object.  docs/DATA_PLANE.md specifies the format,
 its ownership rules, and the argument for why per-chunk cost accounting
@@ -11,9 +11,9 @@ reproduces the paper's per-tuple model exactly.
 
 This module is the *single* validation chokepoint: :func:`as_key_chunk`
 is the only place a foreign array is admitted into the data plane, and it
-either returns a lossless ``uint64`` view/copy or raises — atomically,
+either returns a lossless ``KEY_DTYPE`` view/copy or raises — atomically,
 before any downstream state is touched.  Once a chunk is inside, every
-stage may assume ``KEY_DTYPE`` without re-checking.
+stage may assume ``KEY_DTYPE`` and the value grid without re-checking.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from itertools import accumulate, compress
 import numpy as np
 
 __all__ = [
+    "VALUE_BITS",
+    "VALUE_SPACE",
     "KEY_DTYPE",
     "as_key_chunk",
     "empty_chunk",
@@ -31,21 +33,26 @@ __all__ = [
     "ChunkBuffer",
 ]
 
+#: width of the join-attribute value grid (values lie in [0, 2**VALUE_BITS))
+VALUE_BITS = 32
+VALUE_SPACE = 1 << VALUE_BITS
+
 #: the one dtype join-attribute columns are allowed to have inside the
-#: data plane (64-bit keys, matching the paper's 64-bit join attributes)
-KEY_DTYPE = np.dtype(np.uint64)
+#: data plane: the narrowest that holds the grid (the paper's 64-bit
+#: attribute is charged by the cost model, through ``tuple_bytes``)
+KEY_DTYPE = np.min_scalar_type(VALUE_SPACE - 1)
 
 
 def as_key_chunk(values: np.ndarray) -> np.ndarray:
     """Validate/coerce one chunk of join attributes to ``KEY_DTYPE``.
 
     The data plane relies on every chunk sharing one dtype — a
-    mixed-dtype concatenation would silently up-cast to float64 and
-    corrupt large keys.  Coercion must be lossless: a value that does not
-    round-trip through uint64 (negative, non-finite, fractional, or too
-    large) raises instead of joining on a mangled key.  Validation is
-    all-or-nothing — the function raises before returning anything, so a
-    caller validates a chunk before it mutates its own state (see
+    mixed-dtype concatenation silently up-casts (to ``uint64``, or to
+    float64 and corrupts large keys).  Coercion must be lossless: a value
+    that is negative, non-finite, fractional or off the value grid raises
+    instead of joining on a mangled key.  Validation is all-or-nothing —
+    the function raises before returning anything, so a caller validates
+    a chunk before it mutates its own state (see
     :meth:`NodeHashStore.insert`).
     """
     values = np.asarray(values)
@@ -55,18 +62,17 @@ def as_key_chunk(values: np.ndarray) -> np.ndarray:
         raise TypeError(
             f"join attributes must be numeric, got dtype {values.dtype}"
         )
-    if values.dtype.kind == "f" and values.size:
-        if not np.isfinite(values).all():
+    if values.size:
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
             raise ValueError("join attributes must be finite")
-        if (values >= 2.0 ** 64).any():
-            raise ValueError("join attributes exceed the uint64 range")
-    if values.dtype.kind in "if" and values.size and (values < 0).any():
-        raise ValueError("join attributes must be non-negative")
-    cast = values.astype(np.uint64)
-    if values.size and not np.array_equal(cast.astype(values.dtype), values):
-        raise ValueError(
-            f"lossy conversion of join attributes from {values.dtype} to uint64"
-        )
+        if values.min() < 0:
+            raise ValueError("join attributes must be non-negative")
+        if values.max() >= VALUE_SPACE:
+            raise ValueError(f"join attributes exceed the range of the "
+                             f"{VALUE_BITS}-bit value grid [0, 2**{VALUE_BITS})")
+    cast = values.astype(KEY_DTYPE)
+    if not np.array_equal(cast, values):
+        raise ValueError(f"lossy conversion of join attributes from {values.dtype}")
     return cast
 
 

@@ -16,17 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import Distribution, WorkloadSpec
+from .chunks import KEY_DTYPE, VALUE_BITS, VALUE_SPACE, empty_chunk
 
 __all__ = ["VALUE_BITS", "VALUE_SPACE", "draw_values"]
-
-#: width of the join-attribute value grid (values lie in [0, 2**VALUE_BITS))
-VALUE_BITS = 32
-VALUE_SPACE = 1 << VALUE_BITS
 
 
 def draw_values(rng: np.random.Generator, n: int, spec: WorkloadSpec,
                 relation: str = "R") -> np.ndarray:
-    """Draw ``n`` join-attribute values as a uint64 array in [0, VALUE_SPACE).
+    """Draw ``n`` join-attribute values as a key chunk in [0, VALUE_SPACE).
 
     ``relation`` selects the per-relation distribution parameters (the
     paper sets mean/sigma individually for R and S; see
@@ -35,10 +32,11 @@ def draw_values(rng: np.random.Generator, n: int, spec: WorkloadSpec,
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
-        return np.empty(0, dtype=np.uint64)
+        return empty_chunk()
     distribution, mean, sigma = spec.params_for(relation)
     if distribution is Distribution.UNIFORM:
-        return rng.integers(0, VALUE_SPACE, size=n, dtype=np.uint64)
+        # drawn in 64 bits and narrowed: a 32-bit draw is another stream
+        return rng.integers(0, VALUE_SPACE, size=n, dtype=np.uint64).astype(KEY_DTYPE)
     if distribution is Distribution.GAUSSIAN:
         return _gaussian(rng, n, mean, sigma)
     if distribution is Distribution.ZIPF:
@@ -58,7 +56,7 @@ def _gaussian(rng: np.random.Generator, n: int, mean: float, sigma: float) -> np
         raise ValueError("sigma must be positive")
     unit = rng.normal(loc=mean, scale=sigma, size=n)
     np.clip(unit, 0.0, 1.0 - 2.0**-53, out=unit)
-    return (unit * VALUE_SPACE).astype(np.uint64)
+    return (unit * VALUE_SPACE).astype(KEY_DTYPE)
 
 
 def _zipf(rng: np.random.Generator, n: int, s: float) -> np.ndarray:
@@ -75,4 +73,4 @@ def _zipf(rng: np.random.Generator, n: int, s: float) -> np.ndarray:
     # on the 2**VALUE_BITS grid because the multiplier is odd.
     golden = np.uint64(0x9E3779B97F4A7C15)
     mask = np.uint64(VALUE_SPACE - 1)
-    return (ranks * golden) & mask
+    return ((ranks * golden) & mask).astype(KEY_DTYPE)

@@ -16,7 +16,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from ..config import WorkloadSpec
-from .chunks import chunk_slices
+from .chunks import chunk_slices, empty_chunk
 from .distributions import draw_values
 
 __all__ = ["RelationStream", "source_share", "materialize_relation"]
@@ -87,7 +87,7 @@ class RelationStream:
             remaining -= n
 
     def batches(self, limit: int | None = None) -> Iterator[np.ndarray]:
-        """Generation batches of join-attribute values (uint64 arrays),
+        """Generation batches of join-attribute values (key chunks),
         each a view of its :meth:`blocks` block.
 
         Batch size equals the communication chunk size: the source fills
@@ -113,5 +113,5 @@ def materialize_relation(spec: WorkloadSpec, relation: str, n_sources: int) -> n
         stream = RelationStream(spec, relation, n_sources, s)
         parts.extend(stream.blocks())
     if not parts:
-        return np.empty(0, dtype=np.uint64)
+        return empty_chunk()
     return np.concatenate(parts)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data.distributions import VALUE_BITS
+from ..data.chunks import KEY_DTYPE, VALUE_BITS
 
 __all__ = ["PositionMap", "splitmix64"]
 
@@ -58,11 +58,11 @@ class PositionMap:
         return self.positions.bit_length() - 1
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized value -> position (uint64 in, int64 out)."""
-        v = splitmix64(values) if self.mix else values.astype(np.uint64, copy=False)
-        # positions are below 2**32: the int64 view is the same numbers
+        """Vectorized value -> position (key chunk in, int64 out)."""
+        v = splitmix64(values) if self.mix else values
+        # a uint64 shift widens as it shifts; positions < 2**32 view as int64
         return (v >> self._shift).view(np.int64)  # type: ignore[attr-defined]
 
     def position_of(self, value: int) -> int:
         """Scalar convenience wrapper."""
-        return int(self(np.array([value], dtype=np.uint64))[0])
+        return int(self(np.array([value], dtype=KEY_DTYPE))[0])

@@ -11,9 +11,10 @@ every tuple against the filter with a handful of whole-chunk operations and
 sorts and binary-searches only the survivors; see docs/DATA_PLANE.md §2 for
 the geometry and the cost argument.
 
-Only the 64-bit join attributes are materialized; payload/index bytes are
-charged to the node's :class:`~repro.cluster.memory.MemoryAccount` by the
-join process (see DESIGN.md §2 on accounted-but-not-materialized bytes).
+Only the join attributes are materialized, 4 bytes a tuple (``KEY_DTYPE``);
+the 64-bit attribute's and the payload/index bytes are charged to the
+node's :class:`~repro.cluster.memory.MemoryAccount` by the join process
+(see DESIGN.md §2 on accounted-but-not-materialized bytes).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from ..data.chunks import as_key_chunk, empty_chunk
+from ..data.chunks import KEY_DTYPE, as_key_chunk, empty_chunk
 from .hashfn import PositionMap
 
 __all__ = ["NodeHashStore"]
@@ -40,7 +41,7 @@ class NodeHashStore:
         self._filter: np.ndarray | None = None
         #: the filter's geometry, as 0-d arrays (a scalar operand is
         #: converted on every whole-chunk op: ~0.4 us each on 200 tuples)
-        self._shift = self._sentinel = np.zeros((), np.uint64)
+        self._shift = self._sentinel = np.zeros((), KEY_DTYPE)
         self._count = 0
         #: optional metric counters (objects with ``inc(n)``; wired by the
         #: owning join process)
@@ -57,7 +58,7 @@ class NodeHashStore:
         """Append a chunk of build tuples (no copy; caller cedes ownership).
 
         Raises ``TypeError``/``ValueError`` unless ``values`` is — or
-        losslessly coerces to — a uint64 array; a rejected chunk leaves
+        losslessly coerces to — a key chunk; a rejected chunk leaves
         the store as it was.
         """
         values = as_key_chunk(values)
@@ -92,10 +93,11 @@ class NodeHashStore:
         self._chunks = [values]
         # 8-16 slots a stored tuple, fewer when the values span fewer ...
         span = int(values[-1] - values[0])
-        self._shift = np.array((span // (16 * self._count)).bit_length(), np.uint64)
-        slots = ((values - values[0]) >> self._shift).view(np.int64)
+        self._shift = np.array((span // (16 * self._count)).bit_length(), KEY_DTYPE)
+        # fewer than 16 slots a tuple: below 2**31, so an int32 view holds them
+        slots = ((values - values[0]) >> self._shift).view(np.int32)
         # ... and one always-clear slot past the last (see probe)
-        self._sentinel = np.array(slots[-1] + 1, np.uint64)
+        self._sentinel = np.array(slots[-1] + 1, KEY_DTYPE)
         bits = np.zeros((int(self._sentinel) // 64 + 1) * 64, dtype=bool)
         bits[slots] = True
         self._filter = np.packbits(bits, bitorder="little").view("<u8")
@@ -114,12 +116,12 @@ class NodeHashStore:
         self.finalize()
         assert self._filter is not None
         stored = self._chunks[0]
-        # Below-min values wrap high in uint64, so one clamp sends both
+        # Below-min values wrap high in KEY_DTYPE, so one clamp sends both
         # sides of [min, max] to the always-clear sentinel slot.
         slots = values - stored[0]
         slots >>= self._shift
         np.minimum(slots, self._sentinel, out=slots)
-        words = self._filter[slots.view(np.int64) >> 6]
+        words = self._filter[slots.view(np.int32) >> 6]
         slots &= 63
         words >>= slots
         words &= 1

@@ -11,11 +11,14 @@ model":
 * a slowed link produces a false suspicion that must resolve without a
   failover or a lost query (the detector has no oracle);
 * a death during the standby's re-drive is recovered, and one during the
-  hybrid reshuffle's drain is refused with an error that names the phase.
+  hybrid reshuffle (its drain, or a wait on a member's reply) is refused
+  with an error that names the phase.
 
 All runs validate against the sequential join oracle, so "recovered"
 means *exactly* right, not merely "terminated".
 """
+
+import signal
 
 import pytest
 
@@ -201,6 +204,31 @@ def test_a_crash_during_the_reshuffle_drain_ends_in_the_reshuffle_refusal():
     with pytest.raises(UnrecoverableFaultError,
                        match="dead during the reshuffle phase"):
         run_with(Algorithm.HYBRID, plan)
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("crash, silent", [
+    (CrashSpec(node=0, at_phase="reshuffle"), "CountVector"),
+    (CrashSpec(node=1, at_time=0.0787), "ReshuffleDone"),
+])
+def test_a_member_silent_in_the_reshuffle_ends_in_the_reshuffle_refusal(crash, silent):
+    """A member dead before it answers the reshuffle's count request, or
+    its redistribution order, leaves a wait the paused detector never
+    ends: the wait's deadline does, naming the phase.  It used to hang;
+    a 20 s wall-clock alarm makes a hang fail."""
+
+    def overrun(*_):
+        raise AssertionError("the run was still going after 20 s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, 20)
+    try:
+        with pytest.raises(UnrecoverableFaultError,
+                           match=f"sent no {silent} during the reshuffle phase"):
+            run_with(Algorithm.HYBRID, membership_plan(crashes=(crash,)))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------

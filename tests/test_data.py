@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.config import Distribution, WorkloadSpec
 from repro.data import (
+    KEY_DTYPE,
     VALUE_SPACE,
     RelationStream,
     draw_values,
@@ -30,7 +31,7 @@ def spec(**kw):
 def test_uniform_values_cover_space():
     rng = np.random.default_rng(0)
     v = draw_values(rng, 100_000, spec())
-    assert v.dtype == np.uint64
+    assert v.dtype == KEY_DTYPE
     assert int(v.max()) < VALUE_SPACE
     # coarse uniformity: each quartile holds 20-30%
     counts, _ = np.histogram(v.astype(np.float64), bins=4,

@@ -29,7 +29,7 @@ from tests.conftest import (
     small_workload,
 )
 from repro.config import Algorithm
-from repro.core import run_join
+from repro.core import joinnode, run_join
 from repro.core.datasource import DataSourceProcess
 from repro.core.driver import single_query_context
 from repro.core.messages import RouteUpdate, Shutdown, StartProbe
@@ -37,6 +37,8 @@ from repro.core.recovery import _share
 from repro.core.scheduler import SchedulerProcess
 from repro.data import (
     KEY_DTYPE,
+    VALUE_BITS,
+    VALUE_SPACE,
     ChunkBuffer,
     RelationStream,
     as_key_chunk,
@@ -52,48 +54,49 @@ from repro.hashing import (
     Router,
     group_order,
 )
-from repro.hashing import routing
+from repro.hashing import routing, table
 from repro.hashing.routing import _LUT_CAP
 
 REPO = Path(__file__).resolve().parent.parent
 
-uint64_arrays = hnp.arrays(
-    dtype=np.uint64,
+#: the largest key on the value grid
+KEY_MAX = VALUE_SPACE - 1
+
+grid_arrays = hnp.arrays(
+    dtype=KEY_DTYPE,
     shape=st.integers(0, 400),
-    elements=st.integers(0, 2**64 - 1),
+    elements=st.integers(0, KEY_MAX),
 )
 small_key_arrays = hnp.arrays(
-    dtype=np.uint64,
+    dtype=KEY_DTYPE,
     shape=st.integers(0, 300),
     elements=st.integers(0, 50),  # dense keys -> many duplicate matches
 )
 
 
-U64_MAX = 2**64 - 1
-
 
 @st.composite
 def wide_and_clustered_keys(draw):
     """``(stored, probes)`` shaped to stress the store's filter geometry:
-    a 64-bit span, span 0, one tuple, one heavy key, and the striped range
+    the grid's whole span, span 0, one tuple, one heavy key, and the striped range
     a ``LinearHashRouter`` bucket holds — probed inside the stored range,
     entirely below it, entirely above it, and straddling both."""
     shape = draw(st.sampled_from(
         ["extremes", "all-equal", "single", "heavy-key", "stripes"]))
     if shape == "extremes":
-        stored = [0, U64_MAX, *draw(uint64_arrays).tolist()]
+        stored = [0, KEY_MAX, *draw(grid_arrays).tolist()]
     elif shape == "all-equal":
-        stored = [draw(st.integers(0, U64_MAX))] * draw(st.integers(2, 300))
+        stored = [draw(st.integers(0, KEY_MAX))] * draw(st.integers(2, 300))
     elif shape == "single":
-        stored = [draw(st.integers(0, U64_MAX))]
+        stored = [draw(st.integers(0, KEY_MAX))]
     elif shape == "heavy-key":
-        base = draw(st.integers(0, U64_MAX - 10**6))
+        base = draw(st.integers(0, KEY_MAX - 10**6))
         distinct = draw(st.lists(st.integers(0, 10**6), min_size=1,
                                  max_size=100, unique=True))
         stored = [base + d for d in distinct]
         stored += stored[:1] * draw(st.integers(1000, 1500))
     else:  # positions congruent to b (mod m), `width` values a position
-        width = 1 << draw(st.integers(0, 24))
+        width = 1 << draw(st.integers(0, 19))  # (500 * 16 + 15) << 19 < 2**32
         m = draw(st.integers(2, 16))
         b = draw(st.integers(0, m - 1))
         cells = draw(st.lists(
@@ -103,14 +106,14 @@ def wide_and_clustered_keys(draw):
     stored = draw(st.permutations(stored))
     lo, hi = min(stored), max(stored)
     near = st.sampled_from(stored).flatmap(
-        lambda v: st.integers(max(v - 2, 0), min(v + 2, U64_MAX)))
+        lambda v: st.integers(max(v - 2, 0), min(v + 2, KEY_MAX)))
     below = st.integers(0, lo - 1) if lo > 0 else near
-    above = st.integers(hi + 1, U64_MAX) if hi < U64_MAX else near
+    above = st.integers(hi + 1, KEY_MAX) if hi < KEY_MAX else near
     where = draw(st.sampled_from(
         [near, below, above, st.one_of(near, below, above)]))
     probes = draw(st.lists(where, max_size=200))
-    return (np.array(stored, dtype=np.uint64),
-            np.array(probes, dtype=np.uint64))
+    return (np.array(stored, dtype=KEY_DTYPE),
+            np.array(probes, dtype=KEY_DTYPE))
 
 
 #: what the three probe properties below run on
@@ -212,7 +215,7 @@ def test_insert_rejects_an_object_chunk():
 
 
 @given(values=hnp.arrays(dtype=np.int64, shape=st.integers(1, 50),
-                         elements=st.integers(0, 2**62)))
+                         elements=st.integers(0, KEY_MAX)))
 @settings(max_examples=50, deadline=None)
 def test_as_key_chunk_lossless_roundtrip(values):
     chunk = as_key_chunk(values)
@@ -229,6 +232,73 @@ def test_as_key_chunk_rejections():
         as_key_chunk(np.array([2.0**65]))
     with pytest.raises(TypeError, match="numeric"):
         as_key_chunk(np.array(["a"]))
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.float64])
+def test_a_key_off_the_value_grid_is_refused(dtype):
+    """A position map places values below ``VALUE_SPACE`` only (a 2**40
+    key once landed at position 262144 of a 1024-position table), so
+    admission takes the grid's last key and refuses the next one: at the
+    chokepoint and at both store entries, before the store changes."""
+    last, past = np.array([KEY_MAX], dtype), np.array([VALUE_SPACE], dtype)
+    assert as_key_chunk(last).tolist() == [KEY_MAX]
+    with pytest.raises(ValueError, match=f"{VALUE_BITS}-bit value grid"):
+        as_key_chunk(past)
+    rows = []
+    store = NodeHashStore(PositionMap(1 << 10))
+    store.probe_rows_counter = SimpleNamespace(inc=rows.append)
+    store.insert(last)
+    store.finalize()
+    with pytest.raises(ValueError, match="value grid"):
+        store.insert(past)
+    with pytest.raises(ValueError, match="value grid"):
+        store.probe(past)
+    assert rows == [] and store.stored_tuples == 1
+    assert store.probe(last) == 1 and rows == [1]
+    assert store.posmap(store.extract_position_range(0, 1 << 10)).tolist() == [1023]
+
+
+def test_keys_never_widen_in_a_run(monkeypatch):
+    """Every chunk a store admits in a run already has ``KEY_DTYPE``, and
+    a finalized store holds 4 bytes a tuple.  Under NumPy 2's promotion
+    ``uint32 - np.uint64(x)`` and ``concatenate([uint64 empty, uint32])``
+    are silently ``uint64``; admission narrows them back, one copy a
+    chunk, so only counting what arrives shows a widening.  The runs: all
+    four algorithms, an out-of-core pass that recurses, a hybrid
+    reshuffle and a split cascade."""
+    arrived, per_tuple, spill_stores = Counter(), set(), []
+    admit, finalize = table.as_key_chunk, NodeHashStore.finalize
+
+    def spy(values):
+        arrived[values.dtype] += 1
+        return admit(values)
+
+    def finalize_and_weigh(store):
+        finalize(store)
+        if store.stored_tuples:
+            per_tuple.add(store._chunks[0].nbytes / store.stored_tuples)
+
+    class Recorded(joinnode.SpillStore):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            spill_stores.append(self)
+
+    monkeypatch.setattr(table, "as_key_chunk", spy)
+    monkeypatch.setattr(NodeHashStore, "finalize", finalize_and_weigh)
+    monkeypatch.setattr(joinnode, "SpillStore", Recorded)
+    for algorithm in Algorithm:
+        assert run_join(small_config(algorithm, 2)).is_valid
+    run_join(small_config(
+        Algorithm.OUT_OF_CORE, 2,
+        workload=small_workload(r=8000, s=4000, sigma=0.00005),
+        cluster=small_cluster(memory=20_000)))
+    assert any(s.recursive_passes for s in spill_stores)
+    skewed = small_workload(sigma=1e-5)
+    assert run_join(small_config(Algorithm.HYBRID, 2, workload=skewed)
+                    ).reshuffle_moved_tuples > 0
+    assert run_join(small_config(Algorithm.SPLIT, 2, workload=skewed)).n_splits > 0
+    assert set(arrived) == {KEY_DTYPE} and arrived[KEY_DTYPE] > 100
+    assert per_tuple == {4.0}
 
 
 # ----------------------------------------------------------------------

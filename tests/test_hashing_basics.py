@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.data import KEY_DTYPE
 from repro.hashing import (
     HashRange,
     NodeHashStore,
@@ -219,7 +220,7 @@ def test_store_probe_after_extract_is_consistent():
 
 
 # ----------------------------------------------------------------------
-# NodeHashStore dtype validation (insert accepts only lossless uint64)
+# NodeHashStore dtype validation (insert accepts only lossless grid keys)
 # ----------------------------------------------------------------------
 def test_store_insert_coerces_lossless_integer_dtypes():
     store = NodeHashStore(PositionMap(256))
@@ -229,9 +230,9 @@ def test_store_insert_coerces_lossless_integer_dtypes():
     assert store.stored_tuples == 7
     assert store.probe(np.array([5], dtype=np.uint64)) == 1
     assert store.probe(np.arange(10, dtype=np.uint64)) == 7
-    # storage is uniformly uint64, whatever dtype each chunk arrived in
+    # storage is uniformly KEY_DTYPE, whatever dtype each chunk arrived in
     out = store.extract_position_range(0, 256)
-    assert out.dtype == np.uint64
+    assert out.dtype == KEY_DTYPE
     assert sorted(out.tolist()) == [1, 2, 3, 4, 5, 6, 7]
     assert store.stored_tuples == 0
 
@@ -269,9 +270,9 @@ def test_store_insert_rejects_non_numeric_dtypes():
     assert store.stored_tuples == 0
 
 
-def test_store_insert_uint64_passthrough_is_zero_copy():
+def test_store_insert_key_dtype_passthrough_is_zero_copy():
     store = NodeHashStore(PositionMap(256))
-    values = np.array([9, 10], dtype=np.uint64)
+    values = np.array([9, 10], dtype=KEY_DTYPE)
     store.insert(values)
     assert store._chunks[0] is values  # caller cedes ownership, no copy
 
