@@ -11,9 +11,9 @@ as a bench-diff-compatible baseline:
 
 * ``series`` key — ``{profile}-{policy}`` (one curve per combination);
 * point key     — pool size (the x axis);
-* ``total_s``   — fleet-wide p99 query latency in simulated seconds
+* ``p99_latency_s`` — fleet-wide p99 query latency in simulated seconds
   (sketch-backed, merged across cohorts);
-* ``build_s``   — SLO-miss fraction: queries whose end-to-end latency
+* ``slo_miss_frac`` — SLO-miss fraction: queries whose end-to-end latency
   exceeded ``SLO_S``.
 
 Every quantity is simulated, so a regenerated file must bench-diff
@@ -97,16 +97,17 @@ def sweep(n_shards: int) -> dict:
                     1 for q in res.queries if q["latency_s"] > SLO_S
                 )
                 series[name][str(pool)] = {
-                    "total_s": p99,
-                    "build_s": misses / res.n_queries,
+                    "p99_latency_s": p99,
+                    "slo_miss_frac": misses / res.n_queries,
                 }
                 print(f"{name:16s} pool={pool:3d}  p99={p99:7.3f}s  "
                       f"slo_miss={misses}/{res.n_queries}  "
                       f"wall={res.wall_s:5.1f}s")
     return {
         "benchmark": "fleet-autoscale",
-        "description": "p99 latency (total_s, simulated s) and SLO-miss "
-                       f"fraction (build_s, SLO={SLO_S}s) vs pool size, "
+        "description": "p99 latency (p99_latency_s, simulated s) and "
+                       f"SLO-miss fraction (slo_miss_frac, SLO={SLO_S}s) "
+                       "vs pool size, "
                        "per arrival profile x admission policy; "
                        f"{N_QUERIES} queries in {N_COHORTS} cohorts",
         "scale": 1.0 / 50.0,
@@ -120,7 +121,7 @@ def check_shape(doc: dict) -> list[str]:
     problems = []
     for name, points in doc["series"].items():
         pools = sorted(int(p) for p in points)
-        misses = [points[str(p)]["build_s"] for p in pools]
+        misses = [points[str(p)]["slo_miss_frac"] for p in pools]
         if misses != sorted(misses, reverse=True):
             problems.append(
                 f"{name}: SLO-miss fraction not monotone non-increasing "

@@ -1,7 +1,6 @@
 """Analysis utilities: the §4.2.4 overhead model, load-balance metrics,
 and report tables for the figure-reproduction harness."""
 
-from .advisor import Recommendation, recommend_strategy
 from .costmodel import (
     OverheadModel,
     hybrid_overhead_s,
@@ -15,9 +14,7 @@ __all__ = [
     "FigureReport",
     "LoadBalance",
     "OverheadModel",
-    "Recommendation",
     "ShapeCheck",
-    "recommend_strategy",
     "format_table",
     "hybrid_overhead_s",
     "load_balance",

@@ -1,6 +1,6 @@
-"""Benchmark harness: figure-reproduction runners shared by benchmarks/,
-examples/ and the EXPERIMENTS.md generator, plus the ``bench-diff``
-baseline regression gate (:mod:`repro.bench.diff`)."""
+"""Benchmark harness: the paper figures as views of one figures document
+(:mod:`repro.bench.figures`), the beyond-paper studies, and the
+``bench-diff`` baseline regression gate (:mod:`repro.bench.diff`)."""
 
 from typing import TYPE_CHECKING
 
@@ -18,25 +18,30 @@ from .diff import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - the same names, for type checkers
-    from .figures import ALGORITHMS, EHJAS, FigureHarness
+    from .figures import (ALGORITHMS, CLAIMS, EHJAS, TABLES, FigureHarness,
+                          render)
 
 #: names of :mod:`.figures`, which drives the simulator: imported on first
 #: access, so ``bench-diff`` loads the comparison code alone
-_FIGURE_NAMES = ("ALGORITHMS", "EHJAS", "FigureHarness")
+_FIGURE_NAMES = ("ALGORITHMS", "CLAIMS", "EHJAS", "FigureHarness", "TABLES",
+                 "render")
 
 __all__ = [
     "ALGORITHMS",
     "BaselineError",
     "BenchDiff",
+    "CLAIMS",
     "Delta",
     "EHJAS",
     "FigureHarness",
+    "TABLES",
     "diff_baselines",
     "diff_files",
     "diff_snapshots",
     "is_snapshot_doc",
     "load_baseline",
     "load_document",
+    "render",
     "run_baseline",
 ]
 

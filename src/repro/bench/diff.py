@@ -1,12 +1,14 @@
 """Benchmark baseline comparison: the ``repro bench-diff`` regression gate.
 
-Compares two ``BENCH_*.json`` baselines produced by ``repro figures
---json`` (see :meth:`repro.bench.FigureHarness.baseline`): per-algorithm /
-per-node-count deltas on every timing metric, with a percentage threshold
-separating noise from regressions.  Structural differences (different
-benchmark name or scale, series present in one file but not the other)
-are hard failures — a diff that silently skipped a vanished series would
-wave regressions through.
+Compares two ``BENCH_*.json`` baselines: the figures document ``repro
+figures --json`` writes (see :meth:`repro.bench.FigureHarness.document`),
+or a workload's, fleet's or autoscaling sweep's one-series document.  A
+baseline maps each series to its points, and each point maps metric names
+to finite numbers; every metric of every shared point is compared, with a
+percentage threshold separating noise from regressions.  Structural
+differences (different benchmark name or scale, a series, point or metric
+present in one file but not the other) are hard failures — a diff that
+silently skipped a vanished series would wave regressions through.
 
 Timings come from the deterministic simulator, so on identical code a
 self-diff is exactly zero; any nonzero delta is a real model change.
@@ -28,9 +30,6 @@ from ..obs.streaming import Snapshot
 __all__ = ["BaselineError", "Delta", "BenchDiff", "load_baseline",
            "load_document", "diff_baselines", "diff_files", "diff_snapshots",
            "is_snapshot_doc", "run_baseline"]
-
-#: metrics carried per (algorithm, node-count) series point
-METRICS = ("total_s", "build_s")
 
 #: sketch quantiles compared per snapshot sketch
 SKETCH_QUANTILES = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
@@ -90,8 +89,12 @@ def load_baseline(path: str | Path) -> dict[str, Any]:
                 f"{p}: series[{algo!r}] must be a non-empty object"
             )
         for nodes, point in points.items():
-            for metric in METRICS:
-                value = point.get(metric) if isinstance(point, dict) else None
+            if not isinstance(point, dict) or not point:
+                raise BaselineError(
+                    f"{p}: series[{algo!r}][{nodes!r}] must map metric "
+                    "names to finite numbers"
+                )
+            for metric, value in point.items():
                 if not isinstance(value, (int, float)) or not math.isfinite(
                     float(value)
                 ):
@@ -105,10 +108,10 @@ def load_baseline(path: str | Path) -> dict[str, Any]:
 def run_baseline(res: Any, benchmark: str, series: str, scale: float,
                  n_queries: int) -> dict[str, Any]:
     """A workload's or fleet's ``--baseline`` document: one series point
-    at ``n_queries``, whose fixed keys carry the run's makespan
-    (``total_s``) and its p99 query latency (``build_s``)."""
-    point = {"total_s": res.makespan_s,
-             "build_s": res.latency_percentiles().get("p99", 0.0)}
+    at ``n_queries`` holding the run's makespan and its p99 query
+    latency."""
+    point = {"makespan_s": res.makespan_s,
+             "p99_latency_s": res.latency_percentiles().get("p99", 0.0)}
     return {"benchmark": benchmark, "scale": scale,
             "series": {series: {str(n_queries): point}}}
 
@@ -229,10 +232,11 @@ def diff_baselines(
         for nodes in _shared(diff, olds[algo], news[algo],
                              lambda n, a=algo: f"{a}/{n}",
                              order=lambda n: (len(n), n)):
-            for metric in METRICS:
-                diff.deltas.append(Delta(
-                    algo, nodes, metric, float(olds[algo][nodes][metric]),
-                    float(news[algo][nodes][metric])))
+            was, now = olds[algo][nodes], news[algo][nodes]
+            for metric in _shared(diff, was, now,
+                                  lambda m, a=algo, n=nodes: f"{a}/{n} {m!r}"):
+                diff.deltas.append(Delta(algo, nodes, metric,
+                                         float(was[metric]), float(now[metric])))
     return diff
 
 

@@ -1,25 +1,39 @@
 """Figure-reproduction harness: one entry per paper figure or claim.
 
-Each ``figNN`` method runs (or reuses) the simulated sweeps behind that
-figure, returns a :class:`~repro.analysis.report.FigureReport` holding the
-series the paper plots, and embeds the qualitative *shape checks* taken
-from the paper's text (see DESIGN.md §4).  The beyond-paper claims —
-ablations A-G, the scale check and the contention study — are entries too
-(:mod:`.studies`).  ``repro figures`` renders any of them; ``examples/``
-and EXPERIMENTS.md reuse them directly.
+The paper's figures (§5's Figures 2-13 and the §4.2.4 model check) are
+views of one *figures document*.  :meth:`FigureHarness.document` runs the
+sweeps behind the named figures once and records, per (sweep, algorithm)
+series and x value, every number a figure reads from that run.
+:data:`TABLES` lays each figure out from those numbers, :data:`CLAIMS`
+states the 36 shape checks taken from the paper's text (DESIGN.md §4) as
+predicates over them, and :func:`render` joins the two into a
+:class:`~repro.analysis.report.FigureReport`.  A committed document
+(``BENCH_2.json``) therefore re-renders every figure, and re-checks every
+claim, without running a join.
 
-Runs are memoized on their full config: Figures 2-5 share one
-initial-node sweep, Figures 10-13 one skew sweep, and an ablation cell
-equal to a figure's runs once.  All runs validate against the sequential
-oracle unless constructed with ``validate=False``.
+The beyond-paper claims — ablations A-G, the scale check and the
+contention study — are entries too (:mod:`.studies`); they run and check
+inline.  ``repro figures`` renders any of them.
+
+Runs are memoized on their full config: the fig02 sweep's 4-node cells
+are the skew sweep's uniform ones, and an ablation cell equal to a
+figure's runs once.  All runs validate against the sequential oracle
+unless constructed with ``validate=False``.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, fields
+from itertools import pairwise
 from typing import Any
 
-from ..analysis import FigureReport, OverheadModel, load_balance
+from ..analysis import (
+    FigureReport,
+    OverheadModel,
+    load_balance,
+    split_moved_capacity_model,
+)
 from ..config import (
     Algorithm,
     ClusterSpec,
@@ -33,7 +47,8 @@ from ..config import (
 from ..core import JoinRunResult, run_join
 from .studies import STUDIES
 
-__all__ = ["FigureHarness", "ALGORITHMS", "EHJAS"]
+__all__ = ["FigureHarness", "ALGORITHMS", "EHJAS", "CLAIMS", "TABLES",
+           "render"]
 
 ALGORITHMS = (
     Algorithm.REPLICATE,
@@ -42,6 +57,7 @@ ALGORITHMS = (
     Algorithm.OUT_OF_CORE,
 )
 EHJAS = ALGORITHMS[:3]
+REP, SPL, HYB, OOC = ALGORITHMS
 
 _LABEL = {
     Algorithm.REPLICATE: "Replicated",
@@ -60,21 +76,398 @@ _OWNER = {
 }
 
 
+# ----------------------------------------------------------------------
+# the figures document
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Sweep:
+    """One parameter sweep: its x values in order, the
+    :meth:`FigureHarness.run` keywords each x sets, the x's document key
+    and its row label."""
+
+    xs: tuple[Any, ...]
+    cell: Callable[[Any], dict[str, Any]]
+    key: Callable[[Any], str] = str
+    label: Callable[[Any], object] = lambda x: x
+
+
+#: the sweeps behind the paper's figures; every other run parameter is
+#: :meth:`FigureHarness.run`'s default (4 initial nodes, R = S = 10M
+#: uniform 100-byte tuples, a pool of 24)
+SWEEPS = {
+    "nodes": _Sweep((1, 2, 4, 8, 16), lambda k: {"initial_nodes": k}),
+    # the pool widened so the EHJAs can expand with the relation
+    "size": _Sweep((10, 20, 40, 80),
+                   lambda m: {"r_m": m, "s_m": m, "pool": 128}),
+    "tuple": _Sweep((100, 200, 400),
+                    lambda tb: {"tuple_bytes": tb, "pool": 80}),
+    "asym": _Sweep(((10, 100), (100, 10)),
+                   lambda rs: {"r_m": rs[0], "s_m": rs[1]},
+                   key=lambda rs: f"R{rs[0]}_S{rs[1]}",
+                   label=lambda rs: f"R={rs[0]}M, S={rs[1]}M"),
+    "skew": _Sweep((None, 0.001, 0.0001), lambda s: {"sigma": s},
+                   key=lambda s: "uniform" if s is None else str(s),
+                   label=lambda s: "uniform" if s is None else f"sigma = {s}"),
+}
+
+
+def _point(res: JoinRunResult) -> dict[str, float]:
+    """Every number a paper figure reads from one run: times in
+    paper-scale seconds, traffic and loads in paper-scale chunks, counts
+    and the model's inputs as measured."""
+    cfg = res.config
+    wl, spec, scale = cfg.workload, cfg.effective_cluster, cfg.workload.scale
+    lb = load_balance(res)
+    point = {
+        "total_s": res.paper_scale_total_s,
+        # no figure plots it; BENCH_2/3 have pinned it since they began
+        "build_s": res.times.build_s / scale,
+        "table_building_s": res.times.table_building_s / scale,
+        "reshuffle_s": res.times.reshuffle_s / scale,
+        "split_busy_s": res.split_busy_s / scale,
+        # the probe broadcast's duplicate chunks on the sources' wires
+        "dup_wire_s": res.probe_dup_chunks() * wl.chunk_bytes
+        / (spec.n_sources * spec.cost.net_bandwidth) / scale,
+        "extra_build_chunks": res.extra_build_chunks(),
+        "r_chunks": wl.r_tuples / wl.chunk_tuples,
+        "avg_load": lb.avg_chunks,
+        "max_load": lb.max_chunks,
+        "min_load": lb.min_chunks,
+        "imbalance": lb.imbalance,
+        "nodes_used": res.nodes_used,
+        "n_splits": res.n_splits,
+        "split_moved_tuples": res.split_moved_tuples,
+        "reshuffle_moved_tuples": res.reshuffle_moved_tuples,
+        "r_tuples": wl.real_r_tuples,
+        # the model's bucket capacity B: a node's hash memory, in tuples
+        "capacity_tuples": spec.hash_memory_bytes // wl.tuple_bytes,
+    }
+    return {name: float(value) for name, value in point.items()}
+
+
+class _View:
+    """One sweep of a figures document: ``v(algorithm, x)`` is the
+    figure's plotted metric of that run, ``v(algorithm, x, metric)`` any
+    other."""
+
+    def __init__(self, doc: dict[str, Any], sweep: str, metric: str | None):
+        self.series, self.name, self.metric = doc["series"], sweep, metric
+        self.sweep = SWEEPS[sweep]
+        self.xs = self.sweep.xs
+        self.scale: float = doc["scale"]
+
+    def __call__(self, algo: Algorithm, x: Any,
+                 metric: str | None = None) -> float:
+        point = self.series[f"{self.name}/{algo.value}"][self.sweep.key(x)]
+        return float(point[metric or self.metric])
+
+
+# ----------------------------------------------------------------------
+# the figure table
+# ----------------------------------------------------------------------
+Rows = Callable[[_View], list[list[object]]]
+
+
+@dataclass(frozen=True)
+class Table:
+    """How one figure lays out its sweep: by default one row per x, its
+    label and then ``metric`` for each algorithm."""
+
+    figure: str
+    title: str
+    sweep: str
+    headers: tuple[str, ...]
+    #: the plotted metric, which ``v(algorithm, x)`` reads in the claims
+    metric: str | None
+    rows: Rows | None = None
+    notes: tuple[str, ...] = ()
+
+
+def _columns(*columns: tuple[Algorithm, str]) -> Rows:
+    """One row per x: its label, then each (algorithm, metric) cell."""
+    return lambda v: [[v.sweep.label(x), *(v(a, x, m) for a, m in columns)]
+                      for x in v.xs]
+
+
+def _per_algorithm(metric: str, algos: tuple[Algorithm, ...] = ALGORITHMS,
+                   *extra: tuple[Algorithm, str]) -> Rows:
+    return _columns(*((a, metric) for a in algos), *extra)
+
+
+def _loads(sigma: float | None) -> Rows:
+    """Figures 12/13: one row per EHJA at one skew."""
+    metrics = ("avg_load", "max_load", "min_load", "imbalance")
+    return lambda v: [[_LABEL[a], *(v(a, sigma, m) for m in metrics)]
+                      for a in EHJAS]
+
+
+def _model(v: _View, k: int) -> tuple[float, float, float, float]:
+    """§4.2.4 at ``k`` initial nodes: split's predicted and measured moved
+    tuples (``n_splits * B/2``), then the reshuffle's (``(E-1)/E * R``)."""
+    pm_split = split_moved_capacity_model(
+        int(v(SPL, k, "n_splits")), int(v(SPL, k, "capacity_tuples")))
+    pm_hyb = OverheadModel(v(SPL, k, "capacity_tuples"), 1.0) \
+        .predicted_tuples_moved_hybrid(v(SPL, k, "r_tuples"),
+                                       v(HYB, k, "nodes_used") / k)
+    return (pm_split, v(SPL, k, "split_moved_tuples"),
+            pm_hyb, v(HYB, k, "reshuffle_moved_tuples"))
+
+
+def _model_rows(v: _View) -> list[list[object]]:
+    rows: list[list[object]] = []
+    for k in v.xs:
+        pm_split, ms, pm_hyb, mh = _model(v, k)
+        rows.append([k, v(SPL, k, "nodes_used") / k, int(v(SPL, k, "n_splits")),
+                     pm_split, ms, pm_hyb, mh])
+    return rows
+
+
+def _by_algorithm(first: str) -> tuple[str, ...]:
+    return (first, *(_LABEL[a] for a in ALGORITHMS))
+
+
+_R_SIZE = (SPL, "r_chunks")
+_LOAD_HEADERS = ("algorithm", "Average Load", "Maximum Load", "Minimum Load",
+                 "max/avg")
+
+#: every paper entry of :attr:`FigureHarness.FIGURES`, in report order
+TABLES: dict[str, Table] = {
+    "fig02": Table(
+        "Figure 2", "Total execution time vs initial join nodes "
+        "(uniform, R=S=10M tuples)", "nodes", _by_algorithm("initial nodes"),
+        "total_s"),
+    "fig03": Table(
+        "Figure 3", "Hash table building time vs initial join nodes "
+        "(uniform, R=S=10M tuples)", "nodes", _by_algorithm("initial nodes"),
+        "table_building_s",
+        notes=("at 1-2 initial nodes replicated's build is slower than split's "
+               "in our model: a replica chain has a single active receiver NIC, "
+               "while splits activate receivers in parallel (see EXPERIMENTS.md "
+               "deviation notes)",)),
+    "fig04": Table(
+        "Figure 4", "Extra communication in the build phase (chunks; "
+        "R = 1000 chunks)", "nodes",
+        ("initial nodes", *(_LABEL[a] for a in EHJAS), "Size of Table R"),
+        "extra_build_chunks",
+        rows=_per_algorithm("extra_build_chunks", EHJAS, _R_SIZE)),
+    "fig05": Table(
+        "Figure 5", "Split time vs reshuffle time (uniform, R=S=10M)",
+        "nodes", ("initial nodes", "Split time", "Reshuffle time"), None,
+        rows=_columns((SPL, "split_busy_s"), (HYB, "reshuffle_s"))),
+    "fig06": Table(
+        "Figure 6", "Total execution time vs table size "
+        "(R=S, 4 initial nodes, elastic pool)", "size",
+        _by_algorithm("table size (M)"), "total_s",
+        notes=("pool widened to 128 potential nodes so the EHJAs can expand "
+               "with the relation (see EXPERIMENTS.md)",)),
+    "fig07": Table(
+        "Figure 7", "Total execution time vs tuple size (R=S=10M)", "tuple",
+        _by_algorithm("tuple bytes"), "total_s"),
+    "fig08": Table(
+        "Figure 8", "Total execution time when the larger relation "
+        "builds the hash table", "asym", _by_algorithm("configuration"),
+        "total_s",
+        notes=("DEVIATION: the paper reports replication fastest overall at "
+               "R=100M,S=10M; in our model the whole cluster memory is ~6x "
+               "too small for R=100M, and replication funnels the overflow "
+               "through the 4 active replicas' disks while split spreads it "
+               "over all 24 — see EXPERIMENTS.md for the arithmetic",)),
+    "fig09": Table(
+        "Figure 9", "Hash table building time when the larger relation "
+        "builds the hash table", "asym", _by_algorithm("configuration"),
+        "table_building_s",
+        notes=("DEVIATION: in the R=100M case our replication build pays the "
+               "concentrated-spill penalty (4 active disks vs split's 24) "
+               "that dominates the paper-reported ordering; see EXPERIMENTS.md",)),
+    "fig10": Table(
+        "Figure 10", "Total execution time vs data skew "
+        "(R=S=10M, 4 initial nodes)", "skew", _by_algorithm("distribution"),
+        "total_s"),
+    "fig11": Table(
+        "Figure 11", "Extra build-phase communication vs data skew "
+        "(chunks; R = 1000 chunks)", "skew",
+        ("distribution", *(_LABEL[a] for a in EHJAS), "Size of Table R"),
+        "extra_build_chunks",
+        rows=_per_algorithm("extra_build_chunks", EHJAS, _R_SIZE)),
+    "fig12": Table(
+        "Figure 12", "Load balance across join nodes (uniform; "
+        "avg/max/min stored tuples in chunks)", "skew", _LOAD_HEADERS,
+        "imbalance", rows=_loads(None)),
+    "fig13": Table(
+        "Figure 13", "Load balance across join nodes (sigma = 0.0001; "
+        "avg/max/min stored tuples in chunks)", "skew", _LOAD_HEADERS,
+        "imbalance", rows=_loads(0.0001)),
+    "model": Table(
+        "Model (§4.2.4)", "Analytic overhead model vs measured transfer "
+        "volumes (split: n_splits * B/2 with B = bucket capacity; "
+        "reshuffle: (E-1)/E * R)", "nodes",
+        ("initial nodes", "expansion E", "splits", "split moved (model)",
+         "split moved (measured)", "reshuffle moved (model)",
+         "reshuffle moved (measured)"), None, rows=_model_rows,
+        notes=("measured transfer volumes follow the capacity-granular form "
+               "(splits trigger at bucket capacity); the wall-clock gap of "
+               "Figure 5 comes from split serialization vs parallel reshuffle",)),
+}
+
+
+# ----------------------------------------------------------------------
+# the claims table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Claim:
+    """One shape check from the paper's text: the entry it belongs to,
+    the line it prints, and whether a sweep view bears it out."""
+
+    figure: str
+    text: str
+    holds: Callable[[_View], bool]
+
+
+def _asymptotic_ratio(v: _View, expansion: float) -> float:
+    model = OverheadModel(v(SPL, 1, "capacity_tuples"), 1.0)
+    return model.split_s(expansion) / model.hybrid_s(expansion)
+
+
+_POOR = (1, 2, 4)  # initial estimates well below the 16 nodes R needs
+_SIGMA = 0.0001    # the paper's extreme skew
+
+CLAIMS: tuple[Claim, ...] = (
+    Claim("fig02", "every algorithm improves (or holds) as initial nodes grow",
+          lambda v: all(v(a, k) >= v(a, k2) * 0.95
+                        for a in ALGORITHMS for k, k2 in pairwise(v.xs))),
+    Claim("fig02", "EHJAs beat Out-of-Core when initial nodes are few (<=4)",
+          lambda v: all(v(a, k) < v(OOC, k) for a in EHJAS for k in _POOR)),
+    Claim("fig02", "split & hybrid beat replicated at <=4 initial nodes",
+          lambda v: all(v(a, k) < v(REP, k)
+                        for a in (SPL, HYB) for k in _POOR)),
+    Claim("fig02", "all four algorithms converge at 16 initial nodes "
+          "(within 2%)",
+          lambda v: max(v(a, 16) for a in ALGORITHMS)
+          <= 1.02 * min(v(a, 16) for a in ALGORITHMS)),
+    Claim("fig02", "split & hybrid are least sensitive to the initial estimate",
+          lambda v: all(v(a, 1) / v(a, 16) < v(REP, 1) / v(REP, 16)
+                        for a in (SPL, HYB))),
+    Claim("fig03", "hybrid's table-building time (build + reshuffle) exceeds "
+          "replicated's at every under-provisioned start",
+          lambda v: all(v(HYB, k) > v(REP, k) for k in (1, 2, 4, 8))),
+    Claim("fig03", "replicated's plain build matches or beats split's once a "
+          "few receivers exist (>= 4 initial nodes)",
+          lambda v: all(v(REP, k) <= 1.15 * v(SPL, k) for k in (4, 8))),
+    Claim("fig03", "build times converge at 16 initial nodes (within 2%)",
+          lambda v: max(v(a, 16) for a in ALGORITHMS)
+          <= 1.02 * min(v(a, 16) for a in ALGORITHMS)),
+    Claim("fig04", "split and hybrid both incur substantial extra build "
+          "traffic at poor initial estimates (>= 3x replicated's)",
+          lambda v: all(v(a, k) > 3 * max(v(REP, k), 1.0)
+                        for a in (SPL, HYB) for k in (1, 2))),
+    Claim("fig04", "replicated causes the least extra build communication",
+          lambda v: all(v(REP, k) < v(a, k)
+                        for a in (SPL, HYB) for k in _POOR)),
+    Claim("fig04", "no extra communication at 16 initial nodes",
+          lambda v: all(v(a, 16) == 0 for a in EHJAS)),
+    Claim("fig04", "split's extra traffic at 1 initial node is comparable to "
+          "the size of table R (>= 50%)",
+          lambda v: v(SPL, 1) >= 0.5 * v(SPL, 1, "r_chunks")),
+    Claim("fig05", "split overhead exceeds reshuffle overhead when the "
+          "initial estimate is poor (<=4 nodes)",
+          lambda v: all(v(SPL, k, "split_busy_s") > v(HYB, k, "reshuffle_s")
+                        for k in _POOR)),
+    Claim("fig05", "both overheads vanish at 16 initial nodes",
+          lambda v: v(SPL, 16, "split_busy_s") == 0.0
+          and v(HYB, 16, "reshuffle_s") < 1e-9 / v.scale),
+    Claim("fig05", "both overheads shrink as the initial estimate improves",
+          lambda v: v(SPL, 1, "split_busy_s") > v(SPL, 8, "split_busy_s")
+          and v(HYB, 1, "reshuffle_s") > v(HYB, 8, "reshuffle_s")),
+    Claim("fig06", "split and hybrid scale better with table size than "
+          "replicated",
+          lambda v: all(v(a, 80) / v(a, 10) < v(REP, 80) / v(REP, 10)
+                        for a in (SPL, HYB))),
+    Claim("fig06", "split and hybrid beat replicated at the largest size",
+          lambda v: all(v(a, 80) < v(REP, 80) for a in (SPL, HYB))),
+    Claim("fig07", "hybrid scales best with tuple size among the EHJAs",
+          lambda v: all(v(HYB, 400) / v(HYB, 100) <= v(a, 400) / v(a, 100)
+                        for a in (SPL, REP))),
+    Claim("fig07", "hybrid is fastest at the largest tuple size",
+          lambda v: all(v(HYB, 400) <= v(a, 400) for a in (SPL, REP))),
+    Claim("fig08", "split & hybrid win when probing with the larger relation "
+          "(R=10M, S=100M)",
+          lambda v: all(v(a, (10, 100)) < v(REP, (10, 100))
+                        for a in (SPL, HYB))),
+    Claim("fig08", "replicated never moves stored tuples: its extra build "
+          "communication stays negligible even at R=100M, while split's "
+          "grows with the expansion",
+          lambda v: v(REP, (100, 10), "extra_build_chunks")
+          < 0.2 * v(SPL, (100, 10), "extra_build_chunks")),
+    Claim("fig08", "replicated's probe broadcast is cheap when S is the small "
+          "relation: duplicate traffic costs < 30% of the total at "
+          "R=100M, S=10M",
+          lambda v: v(REP, (100, 10), "dup_wire_s") < 0.3 * v(REP, (100, 10))),
+    Claim("fig09", "replicated's build is cheapest (or tied) when the build "
+          "relation fits the expanded cluster (R=10M case)",
+          lambda v: all(v(REP, (10, 100)) <= 1.15 * v(a, (10, 100))
+                        for a in (SPL, HYB))),
+    Claim("fig10", "extreme skew (sigma=0.0001) degrades every algorithm",
+          lambda v: all(v(a, _SIGMA) > v(a, None) for a in ALGORITHMS)),
+    Claim("fig10", "hybrid degrades the least under extreme skew",
+          lambda v: all(v(HYB, _SIGMA) / v(HYB, None)
+                        <= v(a, _SIGMA) / v(a, None) for a in (SPL, REP))),
+    Claim("fig10", "split performs worst among the EHJAs under extreme skew",
+          lambda v: all(v(SPL, _SIGMA) > v(a, _SIGMA) for a in (REP, HYB))),
+    Claim("fig10", "hybrid is the best algorithm under extreme skew",
+          lambda v: all(v(HYB, _SIGMA) <= v(a, _SIGMA) for a in ALGORITHMS)),
+    Claim("fig11", "split moves the same tuples repeatedly under extreme skew "
+          "(extra traffic comparable to table R)",
+          lambda v: v(SPL, _SIGMA) >= 0.5 * v(SPL, _SIGMA, "r_chunks")),
+    Claim("fig11", "split's extra traffic exceeds replicated's and hybrid's "
+          "under extreme skew",
+          lambda v: all(v(SPL, _SIGMA) > v(a, _SIGMA) for a in (REP, HYB))),
+    Claim("fig11", "replicated's extra build traffic stays small at every "
+          "skew (< 20% of table R)",
+          lambda v: all(v(REP, s) < 0.2 * v(SPL, s, "r_chunks")
+                        for s in v.xs)),
+    Claim("fig12", "split and hybrid are well balanced under uniform data "
+          "(max/avg < 1.2)",
+          lambda v: all(v(a, None) < 1.2 for a in (SPL, HYB))),
+    Claim("fig13", "split suffers heavy load imbalance under extreme skew",
+          lambda v: v(SPL, _SIGMA) > 2.0 * v(HYB, _SIGMA)),
+    Claim("fig13", "hybrid maintains a relatively good balance under extreme "
+          "skew (max/avg < 2)",
+          lambda v: v(HYB, _SIGMA) < 2.0),
+    Claim("model", "measured split traffic matches n_splits * capacity/2 "
+          "(within [0.25x, 1.25x])",
+          lambda v: all(pm <= 0 or 0.25 * pm <= ms <= 1.25 * pm
+                        for pm, ms, _, _ in (_model(v, k) for k in v.xs))),
+    Claim("model", "measured reshuffle traffic within 30% of (E-1)/E * R",
+          lambda v: all(pm <= 0 or abs(mh - pm) <= 0.3 * pm
+                        for _, _, pm, mh in (_model(v, k) for k in v.xs))),
+    # the paper's asymptotic formulas, not a measurement
+    Claim("model", "the paper's analytic conclusion holds: T_split/T_hybrid "
+          "grows with the expansion factor (asymptotic formulas)",
+          lambda v: _asymptotic_ratio(v, 16.0) > _asymptotic_ratio(v, 2.0)),
+)
+
+
+def render(doc: dict[str, Any], name: str) -> FigureReport:
+    """Paper entry ``name`` of a figures document: its table and notes
+    from :data:`TABLES`, its checks from :data:`CLAIMS`, no join run."""
+    table = TABLES[name]
+    view = _View(doc, table.sweep, table.metric)
+    rows = table.rows or _per_algorithm(table.metric or "")
+    report = FigureReport(table.figure, table.title, list(table.headers),
+                          rows=rows(view), notes=list(table.notes))
+    for claim in CLAIMS:
+        if claim.figure == name:
+            report.check(claim.text, claim.holds(view))
+    return report
+
+
 class FigureHarness:
     """Runs and caches the simulated experiments behind Figures 2-13 and
     the beyond-paper claims."""
 
-    INITIAL_NODES = (1, 2, 4, 8, 16)
-    TABLE_SIZES_M = (10, 20, 40, 80)
-    TUPLE_BYTES = (100, 200, 400)
-    SKEWS: tuple[float | None, ...] = (None, 0.001, 0.0001)
     #: every reproduced figure, the §4.2.4 model validation and the
     #: beyond-paper studies, in report order; :meth:`figure` runs one by name
-    FIGURES = (
-        "fig02", "fig03", "fig04", "fig05", "fig06", "fig07",
-        "fig08", "fig09", "fig10", "fig11", "fig12", "fig13", "model",
-        *STUDIES,
-    )
+    FIGURES = (*TABLES, *STUDIES)
 
     def __init__(self, scale: float = DEFAULT_SCALE, validate: bool = True):
         WorkloadSpec(scale=scale)  # a bad scale fails here, not in a cell
@@ -82,9 +475,6 @@ class FigureHarness:
         self.validate = validate
         self._cache: dict[RunConfig, JoinRunResult] = {}
 
-    # ------------------------------------------------------------------
-    # run plumbing
-    # ------------------------------------------------------------------
     def run(
         self,
         algo: Algorithm,
@@ -137,587 +527,34 @@ class FigureHarness:
             self._cache[cfg] = run_join(cfg, validate=self.validate)
         return self._cache[cfg]
 
-    def _paper_s(self, result: JoinRunResult) -> float:
-        return result.paper_scale_total_s
-
-    # ------------------------------------------------------------------
-    # machine-readable baseline (regression tracking)
-    # ------------------------------------------------------------------
-    def baseline(self) -> dict:
-        """Fig02-default baseline as a JSON-ready dict.
-
-        Per algorithm and initial-node count: paper-scale total and build
-        time, fault-free.  The simulation is deterministic, so these
-        numbers are exactly reproducible — ``python -m repro figures
-        --json BENCH_N.json`` snapshots them and future changes diff
-        against the committed file (see docs/BENCHMARKS.md).
-        """
-        res = self._init_sweep()
+    def document(self, names: Iterable[str]) -> dict[str, Any]:
+        """The figures document of the paper entries ``names``: one series
+        per (sweep, algorithm), named ``"<sweep>/<algorithm>"``, one point
+        per x value, each run once.  The schema ``repro bench-diff``
+        reads; ``"benchmark"`` lists the entries, in report order."""
+        wanted = set(names)
+        unknown = wanted - set(TABLES)
+        if unknown:
+            raise KeyError(f"not a paper figure: {sorted(unknown)}")
+        entries = [name for name in TABLES if name in wanted]
+        sweeps = dict.fromkeys(TABLES[name].sweep for name in entries)
         return {
-            "benchmark": "fig02",
-            "description": "paper-scale seconds, uniform R=S=10M tuples, "
-                           "fault-free",
+            "benchmark": " ".join(entries),
             "scale": self.scale,
             "validated": self.validate,
             "series": {
-                a.value: {
-                    str(k): {
-                        "total_s": round(self._paper_s(res[a, k]), 6),
-                        "build_s": round(
-                            res[a, k].times.build_s / self.scale, 6
-                        ),
-                    }
-                    for k in self.INITIAL_NODES
+                f"{sweep}/{a.value}": {
+                    SWEEPS[sweep].key(x): _point(self.run(a, **SWEEPS[sweep].cell(x)))
+                    for x in SWEEPS[sweep].xs
                 }
-                for a in ALGORITHMS
+                for sweep in sweeps for a in ALGORITHMS
             },
         }
 
-    # ------------------------------------------------------------------
-    # Figures 2-5: initial-node sweep, R = S = 10M uniform
-    # ------------------------------------------------------------------
-    def _init_sweep(self) -> dict[tuple[Algorithm, int], JoinRunResult]:
-        return {
-            (a, k): self.run(a, k)
-            for a in ALGORITHMS
-            for k in self.INITIAL_NODES
-        }
-
-    def fig02(self) -> FigureReport:
-        res = self._init_sweep()
-        rep = FigureReport(
-            "Figure 2", "Total execution time vs initial join nodes "
-            "(uniform, R=S=10M tuples)",
-            ["initial nodes"] + [_LABEL[a] for a in ALGORITHMS],
-        )
-        for k in self.INITIAL_NODES:
-            rep.rows.append(
-                [k] + [self._paper_s(res[a, k]) for a in ALGORITHMS]
-            )
-        t = {(a, k): self._paper_s(res[a, k])
-             for a in ALGORITHMS for k in self.INITIAL_NODES}
-        ooc = Algorithm.OUT_OF_CORE
-        rep.check(
-            "every algorithm improves (or holds) as initial nodes grow",
-            all(
-                t[a, self.INITIAL_NODES[i]] >= t[a, self.INITIAL_NODES[i + 1]] * 0.95
-                for a in ALGORITHMS
-                for i in range(len(self.INITIAL_NODES) - 1)
-            ),
-        )
-        rep.check(
-            "EHJAs beat Out-of-Core when initial nodes are few (<=4)",
-            all(t[a, k] < t[ooc, k] for a in EHJAS for k in (1, 2, 4)),
-        )
-        rep.check(
-            "split & hybrid beat replicated at <=4 initial nodes",
-            all(
-                t[a, k] < t[Algorithm.REPLICATE, k]
-                for a in (Algorithm.SPLIT, Algorithm.HYBRID)
-                for k in (1, 2, 4)
-            ),
-        )
-        rep.check(
-            "all four algorithms converge at 16 initial nodes (within 2%)",
-            max(t[a, 16] for a in ALGORITHMS)
-            <= 1.02 * min(t[a, 16] for a in ALGORITHMS),
-        )
-        rep.check(
-            "split & hybrid are least sensitive to the initial estimate",
-            all(
-                t[a, 1] / t[a, 16] < t[Algorithm.REPLICATE, 1] / t[Algorithm.REPLICATE, 16]
-                for a in (Algorithm.SPLIT, Algorithm.HYBRID)
-            ),
-        )
-        return rep
-
-    def fig03(self) -> FigureReport:
-        res = self._init_sweep()
-        rep = FigureReport(
-            "Figure 3", "Hash table building time vs initial join nodes "
-            "(uniform, R=S=10M tuples)",
-            ["initial nodes"] + [_LABEL[a] for a in ALGORITHMS],
-        )
-        b = {
-            (a, k): res[a, k].times.table_building_s / self.scale
-            for a in ALGORITHMS for k in self.INITIAL_NODES
-        }
-        for k in self.INITIAL_NODES:
-            rep.rows.append([k] + [b[a, k] for a in ALGORITHMS])
-        rep.check(
-            "hybrid's table-building time (build + reshuffle) exceeds "
-            "replicated's at every under-provisioned start",
-            all(
-                b[Algorithm.HYBRID, k] > b[Algorithm.REPLICATE, k]
-                for k in (1, 2, 4, 8)
-            ),
-        )
-        rep.check(
-            "replicated's plain build matches or beats split's once a few "
-            "receivers exist (>= 4 initial nodes)",
-            all(
-                b[Algorithm.REPLICATE, k] <= 1.15 * b[Algorithm.SPLIT, k]
-                for k in (4, 8)
-            ),
-        )
-        rep.check(
-            "build times converge at 16 initial nodes (within 2%)",
-            max(b[a, 16] for a in ALGORITHMS)
-            <= 1.02 * min(b[a, 16] for a in ALGORITHMS),
-        )
-        rep.notes.append(
-            "at 1-2 initial nodes replicated's build is slower than "
-            "split's in our model: a replica chain has a single active "
-            "receiver NIC, while splits activate receivers in parallel "
-            "(see EXPERIMENTS.md deviation notes)"
-        )
-        return rep
-
-    def fig04(self) -> FigureReport:
-        res = self._init_sweep()
-        rep = FigureReport(
-            "Figure 4", "Extra communication in the build phase (chunks; "
-            "R = 1000 chunks)",
-            ["initial nodes"] + [_LABEL[a] for a in EHJAS] + ["Size of Table R"],
-        )
-        size_r = 1000.0 * (res[Algorithm.SPLIT, 1].config.workload.r_tuples
-                           / (10 * MTUPLES))
-        e = {
-            (a, k): res[a, k].extra_build_chunks()
-            for a in EHJAS for k in self.INITIAL_NODES
-        }
-        for k in self.INITIAL_NODES:
-            rep.rows.append([k] + [e[a, k] for a in EHJAS] + [size_r])
-        rep.check(
-            "split and hybrid both incur substantial extra build traffic "
-            "at poor initial estimates (>= 3x replicated's)",
-            all(
-                e[a, k] > 3 * max(e[Algorithm.REPLICATE, k], 1.0)
-                for a in (Algorithm.SPLIT, Algorithm.HYBRID)
-                for k in (1, 2)
-            ),
-        )
-        rep.check(
-            "replicated causes the least extra build communication",
-            all(
-                e[Algorithm.REPLICATE, k] < e[a, k]
-                for a in (Algorithm.SPLIT, Algorithm.HYBRID)
-                for k in (1, 2, 4)
-            ),
-        )
-        rep.check(
-            "no extra communication at 16 initial nodes",
-            all(e[a, 16] == 0 for a in EHJAS),
-        )
-        rep.check(
-            "split's extra traffic at 1 initial node is comparable to the "
-            "size of table R (>= 50%)",
-            e[Algorithm.SPLIT, 1] >= 0.5 * size_r,
-        )
-        return rep
-
-    def fig05(self) -> FigureReport:
-        res = self._init_sweep()
-        rep = FigureReport(
-            "Figure 5", "Split time vs reshuffle time (uniform, R=S=10M)",
-            ["initial nodes", "Split time", "Reshuffle time"],
-        )
-        split_t = {
-            k: res[Algorithm.SPLIT, k].split_busy_s / self.scale
-            for k in self.INITIAL_NODES
-        }
-        resh_t = {
-            k: res[Algorithm.HYBRID, k].times.reshuffle_s / self.scale
-            for k in self.INITIAL_NODES
-        }
-        for k in self.INITIAL_NODES:
-            rep.rows.append([k, split_t[k], resh_t[k]])
-        rep.check(
-            "split overhead exceeds reshuffle overhead when the initial "
-            "estimate is poor (<=4 nodes)",
-            all(split_t[k] > resh_t[k] for k in (1, 2, 4)),
-        )
-        rep.check(
-            "both overheads vanish at 16 initial nodes",
-            split_t[16] == 0.0 and resh_t[16] < 1e-9 / self.scale,
-        )
-        rep.check(
-            "both overheads shrink as the initial estimate improves",
-            split_t[1] > split_t[8] and resh_t[1] > resh_t[8],
-        )
-        return rep
-
-    # ------------------------------------------------------------------
-    # Figure 6: table-size sweep (4 initial nodes, elastic pool)
-    # ------------------------------------------------------------------
-    def _size_sweep(self) -> dict[tuple[Algorithm, int], JoinRunResult]:
-        return {
-            (a, m): self.run(a, 4, r_m=m, s_m=m, pool=128)
-            for a in ALGORITHMS
-            for m in self.TABLE_SIZES_M
-        }
-
-    def fig06(self) -> FigureReport:
-        res = self._size_sweep()
-        rep = FigureReport(
-            "Figure 6", "Total execution time vs table size "
-            "(R=S, 4 initial nodes, elastic pool)",
-            ["table size (M)"] + [_LABEL[a] for a in ALGORITHMS],
-        )
-        t = {
-            (a, m): self._paper_s(res[a, m])
-            for a in ALGORITHMS for m in self.TABLE_SIZES_M
-        }
-        for m in self.TABLE_SIZES_M:
-            rep.rows.append([m] + [t[a, m] for a in ALGORITHMS])
-        big, small = self.TABLE_SIZES_M[-1], self.TABLE_SIZES_M[0]
-        growth = {a: t[a, big] / t[a, small] for a in ALGORITHMS}
-        rep.check(
-            "split and hybrid scale better with table size than replicated",
-            growth[Algorithm.SPLIT] < growth[Algorithm.REPLICATE]
-            and growth[Algorithm.HYBRID] < growth[Algorithm.REPLICATE],
-        )
-        rep.check(
-            "split and hybrid beat replicated at the largest size",
-            t[Algorithm.SPLIT, big] < t[Algorithm.REPLICATE, big]
-            and t[Algorithm.HYBRID, big] < t[Algorithm.REPLICATE, big],
-        )
-        rep.notes.append(
-            "pool widened to 128 potential nodes so the EHJAs can expand "
-            "with the relation (see EXPERIMENTS.md)"
-        )
-        return rep
-
-    # ------------------------------------------------------------------
-    # Figure 7: tuple-size sweep
-    # ------------------------------------------------------------------
-    def _tuple_sweep(self) -> dict[tuple[Algorithm, int], JoinRunResult]:
-        return {
-            (a, tb): self.run(a, 4, tuple_bytes=tb, pool=80)
-            for a in ALGORITHMS
-            for tb in self.TUPLE_BYTES
-        }
-
-    def fig07(self) -> FigureReport:
-        res = self._tuple_sweep()
-        rep = FigureReport(
-            "Figure 7", "Total execution time vs tuple size (R=S=10M)",
-            ["tuple bytes"] + [_LABEL[a] for a in ALGORITHMS],
-        )
-        t = {
-            (a, tb): self._paper_s(res[a, tb])
-            for a in ALGORITHMS for tb in self.TUPLE_BYTES
-        }
-        for tb in self.TUPLE_BYTES:
-            rep.rows.append([tb] + [t[a, tb] for a in ALGORITHMS])
-        rep.check(
-            "hybrid scales best with tuple size among the EHJAs",
-            all(
-                t[Algorithm.HYBRID, 400] / t[Algorithm.HYBRID, 100]
-                <= t[a, 400] / t[a, 100]
-                for a in (Algorithm.SPLIT, Algorithm.REPLICATE)
-            ),
-        )
-        rep.check(
-            "hybrid is fastest at the largest tuple size",
-            all(
-                t[Algorithm.HYBRID, 400] <= t[a, 400]
-                for a in (Algorithm.SPLIT, Algorithm.REPLICATE)
-            ),
-        )
-        return rep
-
-    # ------------------------------------------------------------------
-    # Figures 8/9: building from the larger relation
-    # ------------------------------------------------------------------
-    def _asym_sweep(self) -> dict[tuple[Algorithm, str], JoinRunResult]:
-        out = {}
-        for a in ALGORITHMS:
-            out[a, "R10_S100"] = self.run(a, 4, r_m=10, s_m=100)
-            out[a, "R100_S10"] = self.run(a, 4, r_m=100, s_m=10)
-        return out
-
-    def fig08(self) -> FigureReport:
-        res = self._asym_sweep()
-        rep = FigureReport(
-            "Figure 8", "Total execution time when the larger relation "
-            "builds the hash table",
-            ["configuration"] + [_LABEL[a] for a in ALGORITHMS],
-        )
-        for key, label in (("R10_S100", "R=10M, S=100M"),
-                           ("R100_S10", "R=100M, S=10M")):
-            rep.rows.append(
-                [label] + [self._paper_s(res[a, key]) for a in ALGORITHMS]
-            )
-        small = {a: self._paper_s(res[a, "R10_S100"]) for a in ALGORITHMS}
-        rep.check(
-            "split & hybrid win when probing with the larger relation "
-            "(R=10M, S=100M)",
-            all(
-                small[a] < small[Algorithm.REPLICATE]
-                for a in (Algorithm.SPLIT, Algorithm.HYBRID)
-            ),
-        )
-        rep.check(
-            "replicated never moves stored tuples: its extra build "
-            "communication stays negligible even at R=100M, while split's "
-            "grows with the expansion",
-            res[Algorithm.REPLICATE, "R100_S10"].extra_build_chunks()
-            < 0.2 * res[Algorithm.SPLIT, "R100_S10"].extra_build_chunks(),
-        )
-        repl_big = res[Algorithm.REPLICATE, "R100_S10"]
-        spec = repl_big.config.effective_cluster
-        dup_wire_s = (
-            repl_big.probe_dup_chunks()
-            * repl_big.config.workload.chunk_bytes
-            / (spec.n_sources * spec.cost.net_bandwidth)
-        )
-        rep.check(
-            "replicated's probe broadcast is cheap when S is the small "
-            "relation: duplicate traffic costs < 30% of the total at "
-            "R=100M, S=10M",
-            dup_wire_s < 0.3 * repl_big.total_s,
-        )
-        rep.notes.append(
-            "DEVIATION: the paper reports replication fastest overall at "
-            "R=100M,S=10M; in our model the whole cluster memory is ~6x "
-            "too small for R=100M, and replication funnels the overflow "
-            "through the 4 active replicas' disks while split spreads it "
-            "over all 24 — see EXPERIMENTS.md for the arithmetic"
-        )
-        return rep
-
-    def fig09(self) -> FigureReport:
-        res = self._asym_sweep()
-        rep = FigureReport(
-            "Figure 9", "Hash table building time when the larger relation "
-            "builds the hash table",
-            ["configuration"] + [_LABEL[a] for a in ALGORITHMS],
-        )
-        for key, label in (("R10_S100", "R=10M, S=100M"),
-                           ("R100_S10", "R=100M, S=10M")):
-            rep.rows.append(
-                [label]
-                + [res[a, key].times.table_building_s / self.scale
-                   for a in ALGORITHMS]
-            )
-        b10 = {a: res[a, "R10_S100"].times.table_building_s for a in ALGORITHMS}
-        rep.check(
-            "replicated's build is cheapest (or tied) when the build "
-            "relation fits the expanded cluster (R=10M case)",
-            all(b10[Algorithm.REPLICATE] <= 1.15 * b10[a]
-                for a in (Algorithm.SPLIT, Algorithm.HYBRID)),
-        )
-        rep.notes.append(
-            "DEVIATION: in the R=100M case our replication build pays the "
-            "concentrated-spill penalty (4 active disks vs split's 24) "
-            "that dominates the paper-reported ordering; see EXPERIMENTS.md"
-        )
-        return rep
-
-    # ------------------------------------------------------------------
-    # Figures 10-13: skew sweep (4 initial nodes, R=S=10M)
-    # ------------------------------------------------------------------
-    def _skew_sweep(self) -> dict[tuple[Algorithm, float | None], JoinRunResult]:
-        return {
-            (a, s): self.run(a, 4, sigma=s)
-            for a in ALGORITHMS
-            for s in self.SKEWS
-        }
-
-    @staticmethod
-    def _skew_label(sigma: float | None) -> str:
-        return "uniform" if sigma is None else f"sigma = {sigma}"
-
-    def fig10(self) -> FigureReport:
-        res = self._skew_sweep()
-        rep = FigureReport(
-            "Figure 10", "Total execution time vs data skew "
-            "(R=S=10M, 4 initial nodes)",
-            ["distribution"] + [_LABEL[a] for a in ALGORITHMS],
-        )
-        t = {(a, s): self._paper_s(res[a, s])
-             for a in ALGORITHMS for s in self.SKEWS}
-        for s in self.SKEWS:
-            rep.rows.append(
-                [self._skew_label(s)] + [t[a, s] for a in ALGORITHMS]
-            )
-        rep.check(
-            "extreme skew (sigma=0.0001) degrades every algorithm",
-            all(t[a, 0.0001] > t[a, None] for a in ALGORITHMS),
-        )
-        rep.check(
-            "hybrid degrades the least under extreme skew",
-            all(
-                t[Algorithm.HYBRID, 0.0001] / t[Algorithm.HYBRID, None]
-                <= t[a, 0.0001] / t[a, None]
-                for a in (Algorithm.SPLIT, Algorithm.REPLICATE)
-            ),
-        )
-        rep.check(
-            "split performs worst among the EHJAs under extreme skew",
-            all(
-                t[Algorithm.SPLIT, 0.0001] > t[a, 0.0001]
-                for a in (Algorithm.REPLICATE, Algorithm.HYBRID)
-            ),
-        )
-        rep.check(
-            "hybrid is the best algorithm under extreme skew",
-            all(
-                t[Algorithm.HYBRID, 0.0001] <= t[a, 0.0001]
-                for a in ALGORITHMS
-            ),
-        )
-        return rep
-
-    def fig11(self) -> FigureReport:
-        res = self._skew_sweep()
-        rep = FigureReport(
-            "Figure 11", "Extra build-phase communication vs data skew "
-            "(chunks; R = 1000 chunks)",
-            ["distribution"] + [_LABEL[a] for a in EHJAS] + ["Size of Table R"],
-        )
-        e = {(a, s): res[a, s].extra_build_chunks()
-             for a in EHJAS for s in self.SKEWS}
-        size_r = 1000.0
-        for s in self.SKEWS:
-            rep.rows.append(
-                [self._skew_label(s)] + [e[a, s] for a in EHJAS] + [size_r]
-            )
-        rep.check(
-            "split moves the same tuples repeatedly under extreme skew "
-            "(extra traffic comparable to table R)",
-            e[Algorithm.SPLIT, 0.0001] >= 0.5 * size_r,
-        )
-        rep.check(
-            "split's extra traffic exceeds replicated's and hybrid's under "
-            "extreme skew",
-            all(
-                e[Algorithm.SPLIT, 0.0001] > e[a, 0.0001]
-                for a in (Algorithm.REPLICATE, Algorithm.HYBRID)
-            ),
-        )
-        rep.check(
-            "replicated's extra build traffic stays small at every skew "
-            "(< 20% of table R)",
-            all(e[Algorithm.REPLICATE, s] < 0.2 * size_r for s in self.SKEWS),
-        )
-        return rep
-
-    def fig12(self) -> FigureReport:
-        return self._load_figure(None, "Figure 12")
-
-    def fig13(self) -> FigureReport:
-        return self._load_figure(0.0001, "Figure 13")
-
-    def _load_figure(self, sigma: float | None, figure: str) -> FigureReport:
-        res = self._skew_sweep()
-        rep = FigureReport(
-            figure,
-            f"Load balance across join nodes ({self._skew_label(sigma)}; "
-            "avg/max/min stored tuples in chunks)",
-            ["algorithm", "Average Load", "Maximum Load", "Minimum Load",
-             "max/avg"],
-        )
-        lbs = {a: load_balance(res[a, sigma]) for a in EHJAS}
-        for a in EHJAS:
-            lb = lbs[a]
-            rep.rows.append(
-                [_LABEL[a], lb.avg_chunks, lb.max_chunks, lb.min_chunks,
-                 lb.imbalance]
-            )
-        if sigma is None:
-            rep.check(
-                "split and hybrid are well balanced under uniform data "
-                "(max/avg < 1.2)",
-                lbs[Algorithm.SPLIT].imbalance < 1.2
-                and lbs[Algorithm.HYBRID].imbalance < 1.2,
-            )
-        else:
-            rep.check(
-                "split suffers heavy load imbalance under extreme skew",
-                lbs[Algorithm.SPLIT].imbalance
-                > 2.0 * lbs[Algorithm.HYBRID].imbalance,
-            )
-            rep.check(
-                "hybrid maintains a relatively good balance under extreme "
-                "skew (max/avg < 2)",
-                lbs[Algorithm.HYBRID].imbalance < 2.0,
-            )
-        return rep
-
-    # ------------------------------------------------------------------
-    # §4.2.4 model validation
-    # ------------------------------------------------------------------
-    def model_validation(self) -> FigureReport:
-        from ..analysis import split_moved_capacity_model
-
-        res = self._init_sweep()
-        rep = FigureReport(
-            "Model (§4.2.4)",
-            "Analytic overhead model vs measured transfer volumes "
-            "(split: n_splits * B/2 with B = bucket capacity; "
-            "reshuffle: (E-1)/E * R)",
-            ["initial nodes", "expansion E", "splits", "split moved (model)",
-             "split moved (measured)", "reshuffle moved (model)",
-             "reshuffle moved (measured)"],
-        )
-        wl = res[Algorithm.SPLIT, 1].config.workload
-        r_tuples = wl.real_r_tuples
-        cap_tuples = (
-            res[Algorithm.SPLIT, 1].config.effective_cluster.hash_memory_bytes
-            // wl.tuple_bytes
-        )
-        model = OverheadModel(bucket_bytes=cap_tuples * wl.tuple_bytes,
-                              t_w=1.0)
-        ok_split = True
-        ok_hyb = True
-        for k in self.INITIAL_NODES:
-            split_run = res[Algorithm.SPLIT, k]
-            hyb_run = res[Algorithm.HYBRID, k]
-            e = split_run.nodes_used / k
-            pm_split = split_moved_capacity_model(split_run.n_splits, cap_tuples)
-            pm_hyb = model.predicted_tuples_moved_hybrid(
-                r_tuples, hyb_run.nodes_used / k
-            )
-            ms = split_run.split_moved_tuples
-            mh = hyb_run.reshuffle_moved_tuples
-            rep.rows.append(
-                [k, e, split_run.n_splits, pm_split, float(ms), pm_hyb, float(mh)]
-            )
-            if pm_split > 0 and not (0.25 * pm_split <= ms <= 1.25 * pm_split):
-                ok_split = False
-            if pm_hyb > 0 and abs(mh - pm_hyb) > 0.3 * pm_hyb:
-                ok_hyb = False
-        rep.check(
-            "measured split traffic matches n_splits * capacity/2 "
-            "(within [0.25x, 1.25x])",
-            ok_split,
-        )
-        rep.check(
-            "measured reshuffle traffic within 30% of (E-1)/E * R",
-            ok_hyb,
-        )
-        # The paper's asymptotic formulas: T_split/T_hybrid grows with E.
-        ratio_small = (model.split_s(2.0) / model.hybrid_s(2.0))
-        ratio_large = (model.split_s(16.0) / model.hybrid_s(16.0))
-        rep.check(
-            "the paper's analytic conclusion holds: T_split/T_hybrid grows "
-            "with the expansion factor (asymptotic formulas)",
-            ratio_large > ratio_small,
-        )
-        rep.notes.append(
-            "measured transfer volumes follow the capacity-granular form "
-            "(splits trigger at bucket capacity); the wall-clock gap of "
-            "Figure 5 comes from split serialization vs parallel reshuffle"
-        )
-        return rep
-
-    # ------------------------------------------------------------------
     def figure(self, name: str) -> FigureReport:
         """Run the entry of :attr:`FIGURES` called ``name``."""
-        if name not in self.FIGURES:
-            raise KeyError(name)
         if name in STUDIES:
             return STUDIES[name](self)
-        return getattr(self, "model_validation" if name == "model" else name)()
+        if name not in TABLES:
+            raise KeyError(name)
+        return render(self.document([name]), name)

@@ -5,8 +5,8 @@ G) or that it names as future work (E: network configurations, F:
 footnote 1's output expansion); the scale check backs the co-scaling rule
 every figure relies on, and the contention study runs the workload
 engine.  Each function takes the :class:`~repro.bench.figures.FigureHarness`
-and returns a :class:`~repro.analysis.report.FigureReport`, like a
-``figNN`` method.  Every join goes through ``harness.run``, so a cell equal
+and returns a :class:`~repro.analysis.report.FigureReport`, as
+``render`` does for a paper figure.  Every join goes through ``harness.run``, so a cell equal
 to a figure's (ablation C's 10 000-tuple chunks are fig02's hybrid at 4
 nodes) runs once.  :data:`STUDIES` maps each entry name to its function.
 """

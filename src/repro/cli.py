@@ -325,18 +325,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    from .bench import FigureHarness
+    from .bench import TABLES, FigureHarness
 
     with _config_errors():
         harness = FigureHarness(scale=args.scale, validate=not args.no_validate)
     available = FigureHarness.FIGURES
-    # --json alone snapshots the fig02 baseline without rendering reports;
-    # combined with --only it does both (the sweep is memoized and shared).
-    wanted = args.only or ([] if args.json else list(available))
+    # --json alone writes the whole paper document and prints no report;
+    # with --only it writes the document of the paper figures among them.
+    wanted = args.only or list(TABLES if args.json else available)
     unknown = [w for w in wanted if w not in available]
     if unknown:
         print(f"unknown figures: {unknown}; choose from "
               f"{sorted(available)}", file=sys.stderr)
+        return 2
+    paper = [name for name in wanted if name in TABLES]
+    if args.json and not paper:
+        print("figures: --json writes the paper figures' document; "
+              f"--only names none of {list(TABLES)}", file=sys.stderr)
         return 2
     csv_paths = [os.path.join(args.csv_dir, f"{name}.csv")
                  for name in wanted] if args.csv_dir else []
@@ -345,12 +350,15 @@ def cmd_figures(args: argparse.Namespace) -> int:
     for path, made in outputs:
         if _refuse_overwrite(path, args.force, "figures", makes_parent=made):
             return 2
-    reports = []
-    for name in wanted:
-        report = harness.figure(name)
-        reports.append(report)
-        print(report.render())
-        print()
+    reports = [harness.figure(name) for name in wanted]
+    for report in reports:
+        if args.only or not args.json:
+            print(report.render())
+            print()
+        else:  # the document alone: only a failed claim is news
+            for check in report.checks:
+                if not check.passed:
+                    print(f"{report.figure}: {check}")
     if args.out:
         _write_text(args.out, "\n".join(r.to_markdown() for r in reports))
         print(f"wrote {args.out}")
@@ -361,8 +369,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
         print(f"wrote {len(reports)} csv files to {args.csv_dir}")
     if args.json:
         _write_text(args.json,
-                    json.dumps(harness.baseline(), indent=2) + "\n")
-        print(f"wrote {args.json} (fig02 baseline)")
+                    json.dumps(harness.document(paper), indent=2) + "\n")
+        print(f"wrote {args.json} (figures document: {' '.join(paper)})")
     return 0 if all(r.all_passed for r in reports) else 1
 
 
@@ -632,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "JSONL")
     queries.add_argument("--baseline", metavar="PATH",
                          help="write a bench-diff-compatible baseline "
-                              "(total_s=makespan, build_s=p99 latency)")
+                              "(makespan_s, p99_latency_s)")
     queries.add_argument("--live", action="store_true",
                          help="print one progress line per periodic "
                               "observability snapshot (simulated-clock "
@@ -718,10 +726,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="subset, e.g. --only fig02 fig10")
     p_fig.add_argument("--csv-dir", help="write one CSV per figure here")
     p_fig.add_argument("--json", metavar="PATH",
-                       help="write the machine-readable fig02 baseline "
-                            "(total/build s per algorithm x initial nodes) "
-                            "for regression tracking; alone, skips the "
-                            "figure reports")
+                       help="write the figures document of the paper "
+                            "figures run (every number each one plots, per "
+                            "sweep x algorithm) for bench-diff; alone, runs "
+                            "every paper figure and prints no report")
     p_fig.set_defaults(func=cmd_figures)
 
     p_lint = sub.add_parser(

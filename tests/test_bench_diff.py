@@ -77,7 +77,7 @@ def test_load_baseline_invalid_json(tmp_path):
     ({"benchmark": "x", "scale": 1,
       "series": {"a": {"2": {"total_s": "fast"}}}}, "finite number"),
     ({"benchmark": "x", "scale": 1,
-      "series": {"a": {"2": {"total_s": 1.0}}}}, "finite number"),  # no build_s
+      "series": {"a": {"2": {}}}}, "finite number"),  # a point of no metric
 ], ids=["array", "no-benchmark", "no-scale", "no-series", "empty-series",
         "empty-points", "non-numeric", "missing-metric"])
 def test_load_baseline_schema_errors(tmp_path, doc, msg):
@@ -153,6 +153,19 @@ def test_structural_mismatches_fail(mutate, expect):
     assert not diff.ok
     assert any(expect in m for m in diff.mismatches)
     assert diff.to_text().count("MISMATCH") == len(diff.mismatches)
+
+
+def test_a_metric_only_one_side_carries_is_a_mismatch():
+    # A point is any mapping of metric names to numbers, so a renamed or
+    # vanished metric must fail the gate rather than drop out of it.
+    new = make_baseline()
+    new["series"]["split"]["4"]["p99_s"] = new["series"]["split"]["4"].pop(
+        "build_s")
+    diff = diff_baselines(make_baseline(), new)
+    assert not diff.ok
+    assert diff.mismatches == ["split/4 'build_s' missing from NEW",
+                               "split/4 'p99_s' missing from OLD"]
+    assert len(diff.deltas) == 7  # the other metrics are still compared
 
 
 def test_series_added_in_new_is_also_a_mismatch():
@@ -288,8 +301,8 @@ def test_load_document_takes_last_jsonl_line(tmp_path):
 
 
 def test_a_run_baseline_is_a_one_point_figure_baseline(tmp_path):
-    """``workload/fleet --baseline``: the makespan and the p99 latency in
-    the schema's fixed keys, at the query count."""
+    """``workload/fleet --baseline``: the makespan and the p99 latency,
+    named for what they hold, at the query count."""
     class Run:
         makespan_s = 4.5
 
@@ -298,7 +311,7 @@ def test_a_run_baseline_is_a_one_point_figure_baseline(tmp_path):
 
     doc = run_baseline(Run(), "workload", "fifo", 0.02, 4)
     assert doc == {"benchmark": "workload", "scale": 0.02, "series": {
-        "fifo": {"4": {"total_s": 4.5, "build_s": 2.25}}}}
+        "fifo": {"4": {"makespan_s": 4.5, "p99_latency_s": 2.25}}}}
     path = write_baseline(tmp_path / "wl.json", doc)
     assert load_baseline(path) == doc
     assert diff_files(path, path, threshold_pct=0).ok

@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from repro.bench import ALGORITHMS, EHJAS, FigureHarness, diff_files, load_baseline
+from repro.bench import (
+    ALGORITHMS,
+    CLAIMS,
+    EHJAS,
+    TABLES,
+    FigureHarness,
+    diff_files,
+    load_baseline,
+    render,
+)
 from repro.config import Algorithm
 
 
@@ -49,7 +58,7 @@ def test_algorithm_tuples_exported():
 
 
 def test_fig12_report_structure(harness):
-    report = harness.fig12()
+    report = harness.figure("fig12")
     assert report.figure == "Figure 12"
     assert len(report.rows) == 3           # the three EHJAs
     assert len(report.headers) == 5
@@ -96,7 +105,8 @@ def test_figures_lists_every_entry():
 
     paper = tuple(f"fig{n:02d}" for n in range(2, 14))
     assert FigureHarness.FIGURES == (*paper, "model", *studies.STUDIES)
-    assert all(callable(getattr(FigureHarness, f)) for f in paper)
+    assert tuple(TABLES) == (*paper, "model")
+    assert {c.figure for c in CLAIMS} == set(TABLES)
     defined = {
         name for name, fn in vars(studies).items()
         if inspect.isfunction(fn) and fn.__module__ == studies.__name__
@@ -153,15 +163,40 @@ def test_the_skew_figures_render_from_one_shared_sweep(harness):
 
 
 def test_the_fig02_baseline_is_a_clean_bench_diff_document(harness, tmp_path):
-    doc = harness.baseline()
+    doc = harness.document(["fig02"])
     assert doc["benchmark"] == "fig02" and doc["scale"] == 0.001
-    assert set(doc["series"]) == {a.value for a in ALGORITHMS}
-    assert all(set(points) == {str(k) for k in FigureHarness.INITIAL_NODES}
+    assert set(doc["series"]) == {f"nodes/{a.value}" for a in ALGORITHMS}
+    assert all(set(points) == {"1", "2", "4", "8", "16"}
                for points in doc["series"].values())
     path = tmp_path / "fig02.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     assert load_baseline(path) == doc
     assert diff_files(path, path, threshold_pct=0).ok
+    # the file holds full-precision floats: the report it renders is the
+    # one the runs render, cell for cell
+    assert render(load_baseline(path), "fig02") == harness.figure("fig02")
+
+
+def test_every_paper_figure_renders_from_the_committed_document(monkeypatch):
+    """BENCH_2.json is the document of every paper figure: each renders
+    from it without a join, and every one of the paper's claims holds."""
+    import repro.bench.figures as figures
+
+    def no_join(*args, **kwargs):
+        raise AssertionError("rendering a document ran a join")
+
+    monkeypatch.setattr(figures, "run_join", no_join)
+    doc = load_baseline("BENCH_2.json")
+    assert doc["benchmark"] == " ".join(TABLES) and doc["validated"]
+    reports = [render(doc, name) for name in TABLES]
+    checks = [f"{r.figure}: {c}" for r in reports for c in r.checks]
+    assert len(checks) == len(CLAIMS) == 36
+    failed = [c for c in checks if "[FAIL]" in c]
+    assert not failed, failed
+    # Figures 8/9 reproduce partially: the deviation is a note, not a check
+    deviating = [r.figure for r in reports
+                 if any(n.startswith("DEVIATION") for n in r.notes)]
+    assert deviating == ["Figure 8", "Figure 9"]
 
 
 def test_unvalidated_contention_claims_no_oracle_verdict():

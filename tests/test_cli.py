@@ -275,6 +275,28 @@ def test_figures_out_refuses_overwrite_without_force(tmp_path, capsys):
     assert out.read_text() == "precious"
 
 
+def test_figures_json_writes_the_document_of_the_paper_figures_run(
+        tmp_path, capsys):
+    from repro.bench import load_baseline
+
+    path = tmp_path / "doc.json"
+    rc = main(["figures", "--only", "fig12", "chunk_size", "--scale", "0.001",
+               "--json", str(path)])
+    assert rc == 0
+    doc = load_baseline(path)
+    assert doc["benchmark"] == "fig12" and doc["scale"] == 0.001
+    assert sorted(doc["series"]) == [f"skew/{a}" for a in
+                                     ("hybrid", "ooc", "replicate", "split")]
+    assert "Ablation C" in capsys.readouterr().out  # the study still printed
+
+
+def test_figures_json_needs_a_paper_figure(tmp_path, no_simulator, capsys):
+    path = tmp_path / "doc.json"
+    assert main(["figures", "--only", "chunk_size", "--json", str(path)]) == 2
+    assert "--json writes the paper figures' document" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_workload_outputs_refuse_overwrite_without_force(tmp_path, capsys):
     # every workload writer flag goes through the same guard, before any
     # simulation work happens
